@@ -219,10 +219,9 @@ func BenchmarkPlanCHBAssignPerMule(b *testing.B) {
 // --- cell-level benchmarks -------------------------------------------------
 //
 // BenchmarkCell* measures one sweep cell end to end: replication
-// execution plus the seed-ordered (or sharded) fold. The shards=K
-// variants quantify what Spec.RepShards buys on a single hot cell.
+// execution plus the seed-ordered fold.
 
-func cellSpec(targets, seeds, shards, workers int) sweep.Spec {
+func cellSpec(targets, seeds, workers int) sweep.Spec {
 	return sweep.Spec{
 		Name:       "bench-cell",
 		Algorithms: []sweep.Variant{sweep.Algo("btctp", patrol.Planned(&core.BTCTP{}))},
@@ -231,7 +230,6 @@ func cellSpec(targets, seeds, shards, workers int) sweep.Spec {
 		Horizons:   []float64{20_000},
 		Metrics:    []sweep.Metric{sweep.AvgDCDT(), sweep.AvgSD(), sweep.MaxInterval()},
 		Seeds:      seeds,
-		RepShards:  shards,
 		Workers:    workers,
 	}
 }
@@ -239,18 +237,16 @@ func cellSpec(targets, seeds, shards, workers int) sweep.Spec {
 func BenchmarkCellReplications(b *testing.B) {
 	for _, cfg := range []struct {
 		name    string
-		shards  int
 		workers int
 	}{
-		{"serial", 0, 1},
-		{"workers=4", 0, 4},
-		{"workers=4/shards=4", 4, 4},
+		{"serial", 1},
+		{"workers=4", 4},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				var buf bytes.Buffer
-				spec := cellSpec(60, 8, cfg.shards, cfg.workers)
+				spec := cellSpec(60, 8, cfg.workers)
 				if _, err := sweep.Run(context.Background(), spec, sweep.CSV(&buf)); err != nil {
 					b.Fatal(err)
 				}

@@ -194,21 +194,3 @@ func TestClientModeFlagErrors(t *testing.T) {
 		t.Fatalf("bad algorithm: err = %v", err)
 	}
 }
-
-// TestRepShardsCheckpointMessage pins the guidance in the -rep-shards ×
-// -checkpoint rejection: it must name both flags and point at the
-// supported way to distribute a sweep (-shard i/n plus -merge).
-func TestRepShardsCheckpointMessage(t *testing.T) {
-	cfg := goldenConfig()
-	cfg.RepShards = 2
-	cfg.Checkpoint = "sweep.ckpt"
-	err := run(cfg, &bytes.Buffer{}, &bytes.Buffer{})
-	if err == nil {
-		t.Fatal("-rep-shards with -checkpoint accepted")
-	}
-	for _, want := range []string{"-rep-shards", "-checkpoint", "-shard i/n", "-merge"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Fatalf("rejection %q does not mention %q", err, want)
-		}
-	}
-}

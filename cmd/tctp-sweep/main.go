@@ -116,7 +116,6 @@ func main() {
 		baseSeed   = flag.Uint64("base-seed", 0, "base replication seed")
 		horizon    = flag.Float64("horizon", 0, "simulated seconds (default 60000)")
 		workers    = flag.Int("workers", 0, "parallel simulations (0 = GOMAXPROCS)")
-		repShards  = flag.Int("rep-shards", 0, "split each cell's replications into this many parallel fold shards (0/1 = classic seed-ordered fold; incompatible with -adaptive and -checkpoint)")
 		format     = flag.String("format", "csv", "output format: csv, json, table")
 		progress   = flag.Bool("progress", false, "report progress on stderr")
 		checkpoint = flag.String("checkpoint", "", "persist per-cell fold state to this JSONL file")
@@ -140,7 +139,7 @@ func main() {
 		BurstHot:         *burstHot, BurstGap: *burstGap, BurstSize: *burstSize,
 		Preset: *preset, Scenario: *scenarioF,
 		Seeds: *seeds, BaseSeed: *baseSeed, Horizon: *horizon,
-		Workers: *workers, RepShards: *repShards, Format: *format, Progress: *progress,
+		Workers: *workers, Format: *format, Progress: *progress,
 		Checkpoint: *checkpoint, Resume: *resumeF, Adaptive: *adaptive,
 		Partition: *partition,
 		Failures:  *failures, Handoff: *handoff,
@@ -170,7 +169,6 @@ type config struct {
 	BaseSeed                                                    uint64
 	Horizon                                                     float64
 	Workers                                                     int
-	RepShards                                                   int
 	Format                                                      string
 	Progress                                                    bool
 	Checkpoint                                                  string
@@ -199,7 +197,7 @@ func (cfg config) request() (protocol.SweepRequest, error) {
 		BurstHot: cfg.BurstHot, BurstGap: cfg.BurstGap, BurstSize: cfg.BurstSize,
 		Preset: cfg.Preset,
 		Seeds:  cfg.Seeds, BaseSeed: cfg.BaseSeed, Horizon: cfg.Horizon,
-		Workers: cfg.Workers, RepShards: cfg.RepShards,
+		Workers:  cfg.Workers,
 		Adaptive: cfg.Adaptive, Partition: cfg.Partition,
 		Failures: cfg.Failures, Handoff: cfg.Handoff,
 		Quality: cfg.Quality,
@@ -289,10 +287,6 @@ func sink(format string, w io.Writer) (sweep.Sink, error) {
 }
 
 func run(cfg config, out, errw io.Writer) error {
-	if cfg.RepShards > 1 && cfg.Checkpoint != "" {
-		// Pre-empt the engine's rejection with flag-level guidance.
-		return fmt.Errorf("-rep-shards is incompatible with -checkpoint: a sharded in-cell fold has no single seed-ordered frontier to checkpoint; to distribute a sweep, split the grid with -shard i/n (each shard keeps its own -checkpoint) and combine the files with -merge")
-	}
 	if cfg.Resume && cfg.Checkpoint == "" {
 		return fmt.Errorf("-resume needs -checkpoint to name the file to continue from")
 	}

@@ -694,7 +694,7 @@ func TestPartitionShardMergeIdentical(t *testing.T) {
 
 // TestGrid10kSmoke drives the large-n preset end to end through the
 // CLI: 10 000 targets planned with the spatially indexed C-BTCTP path
-// (k-means partition, per-group circuits) and a sharded in-cell fold.
+// (k-means partition, per-group circuits).
 // The horizon is cut to keep the simulation share small — the preset
 // exists to stress planning, and this test is the guard that the
 // indexed paths stay feasible at that scale. Skipped under -short.
@@ -707,8 +707,7 @@ func TestGrid10kSmoke(t *testing.T) {
 		Algs: "btctp", Preset: "grid10k",
 		Partition: "kmeans:16",
 		Seeds:     1, Horizon: 2_000,
-		RepShards: 2,
-		Format:    "csv",
+		Format: "csv",
 	}
 	if err := run(cfg, &out, &errw); err != nil {
 		t.Fatal(err)
@@ -723,38 +722,5 @@ func TestGrid10kSmoke(t *testing.T) {
 	}
 	if rec[2] != "16" {
 		t.Fatalf("mules = %s", rec[2])
-	}
-}
-
-// TestRepShardsCLI pins the CLI contract for -rep-shards: identical
-// bytes at 1 and 8 workers, and the advertised flag incompatibilities.
-func TestRepShardsCLI(t *testing.T) {
-	outputs := make([]string, 0, 2)
-	for _, workers := range []int{1, 8} {
-		var out, errw bytes.Buffer
-		cfg := goldenConfig()
-		cfg.RepShards = 3
-		cfg.Workers = workers
-		if err := run(cfg, &out, &errw); err != nil {
-			t.Fatal(err)
-		}
-		outputs = append(outputs, out.String())
-	}
-	if outputs[0] != outputs[1] {
-		t.Fatalf("sharded output depends on worker count:\n%s\nvs\n%s", outputs[0], outputs[1])
-	}
-
-	var out, errw bytes.Buffer
-	cfg := goldenConfig()
-	cfg.RepShards = 2
-	cfg.Adaptive = "avg_dcdt_s:0.5"
-	if err := run(cfg, &out, &errw); err == nil {
-		t.Fatal("-rep-shards with -adaptive accepted")
-	}
-	cfg = goldenConfig()
-	cfg.RepShards = 2
-	cfg.Checkpoint = filepath.Join(t.TempDir(), "ck.jsonl")
-	if err := run(cfg, &out, &errw); err == nil {
-		t.Fatal("-rep-shards with -checkpoint accepted")
 	}
 }

@@ -163,43 +163,6 @@ func (a *Accumulator) Add(x float64) {
 	a.m2 += d * (x - a.mean)
 }
 
-// Merge folds another accumulator's samples into a, as if b's samples
-// had been added to a — the parallel-Welford combination of Chan,
-// Golub & LeVeque. Merge is order-invariant: Merge(a,b) and Merge(b,a)
-// produce bit-identical state, because the combined moments are
-// computed from symmetric expressions (commutative IEEE-754 sums and a
-// squared delta). Merging with an empty accumulator is an exact
-// identity in either direction. Merging is not bit-identical to
-// feeding the samples sequentially — Welford's running update rounds
-// differently — but agrees to floating-point accuracy; N, Min and Max
-// are always exact.
-func (a *Accumulator) Merge(b *Accumulator) {
-	if b.n == 0 {
-		return
-	}
-	if a.n == 0 {
-		*a = *b
-		return
-	}
-	if b.min < a.min {
-		a.min = b.min
-	}
-	if b.max > a.max {
-		a.max = b.max
-	}
-	na, nb := float64(a.n), float64(b.n)
-	n := na + nb
-	delta := b.mean - a.mean
-	// na*ma + nb*mb and a.m2 + b.m2 are commutative IEEE-754 sums, and
-	// delta² is invariant under negation, so swapping a and b yields
-	// the same bits. The parenthesization matters: the two m2 terms
-	// must be summed before the delta term or the grouping (and the
-	// rounding) would depend on the merge order.
-	a.mean = (na*a.mean + nb*b.mean) / n
-	a.m2 = (a.m2 + b.m2) + delta*delta*(na*nb/n)
-	a.n += b.n
-}
-
 // N returns the number of samples added.
 func (a *Accumulator) N() int { return a.n }
 

@@ -194,128 +194,6 @@ func TestAccumulatorProperty(t *testing.T) {
 	}
 }
 
-// accumulate folds xs into a fresh accumulator.
-func accumulate(xs []float64) Accumulator {
-	var a Accumulator
-	for _, x := range xs {
-		a.Add(x)
-	}
-	return a
-}
-
-// floats widens a quick.Check int16 vector into non-trivial float64
-// samples.
-func floats(raw []int16) []float64 {
-	xs := make([]float64, len(raw))
-	for i, r := range raw {
-		xs[i] = float64(r) / 7
-	}
-	return xs
-}
-
-// Property: merging the two halves of any partition of a sample stream
-// agrees with feeding the stream sequentially — N, Min and Max exactly,
-// the running moments to floating-point accuracy.
-func TestAccumulatorMergeMatchesSequential(t *testing.T) {
-	f := func(raw []int16, cut uint8) bool {
-		xs := floats(raw)
-		k := 0
-		if len(xs) > 0 {
-			k = int(cut) % (len(xs) + 1)
-		}
-		whole := accumulate(xs)
-		merged := accumulate(xs[:k])
-		tail := accumulate(xs[k:])
-		merged.Merge(&tail)
-		if merged.N() != whole.N() || merged.Min() != whole.Min() || merged.Max() != whole.Max() {
-			return false
-		}
-		scale := 1 + math.Abs(whole.Mean()) + whole.SD()
-		return math.Abs(merged.Mean()-whole.Mean()) < 1e-9*scale &&
-			math.Abs(merged.SD()-whole.SD()) < 1e-9*scale
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Merge is order-invariant — a ⊕ b and b ⊕ a produce
-// bit-identical state, the contract the engine's shard fusion relies
-// on.
-func TestAccumulatorMergeOrderInvariant(t *testing.T) {
-	f := func(rawA, rawB []int16) bool {
-		ab := accumulate(floats(rawA))
-		other := accumulate(floats(rawB))
-		ab.Merge(&other)
-		ba := accumulate(floats(rawB))
-		other = accumulate(floats(rawA))
-		ba.Merge(&other)
-		return ab.State() == ba.State()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: any contiguous partition of the stream merges to the same
-// result as the two-way split — partition invariance within
-// floating-point accuracy (N/Min/Max exact).
-func TestAccumulatorMergePartitionInvariant(t *testing.T) {
-	f := func(raw []int16, parts uint8) bool {
-		xs := floats(raw)
-		k := int(parts)%5 + 2
-		var merged Accumulator
-		for i := 0; i < k; i++ {
-			lo, hi := i*len(xs)/k, (i+1)*len(xs)/k
-			chunk := accumulate(xs[lo:hi])
-			merged.Merge(&chunk)
-		}
-		whole := accumulate(xs)
-		if merged.N() != whole.N() || merged.Min() != whole.Min() || merged.Max() != whole.Max() {
-			return false
-		}
-		scale := 1 + math.Abs(whole.Mean()) + whole.SD()
-		return math.Abs(merged.Mean()-whole.Mean()) < 1e-9*scale &&
-			math.Abs(merged.SD()-whole.SD()) < 1e-9*scale
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Merging with an empty accumulator is an exact identity in both
-// directions, and a constant stream merges bit-identically to the
-// sequential fold (every intermediate is exact).
-func TestAccumulatorMergeEmptyAndConstant(t *testing.T) {
-	full := accumulate([]float64{3.25, -1.5, 0.125})
-	var empty Accumulator
-	got := full
-	got.Merge(&empty)
-	if got.State() != full.State() {
-		t.Fatalf("x ⊕ empty mutated state: %+v vs %+v", got.State(), full.State())
-	}
-	got = Accumulator{}
-	got.Merge(&full)
-	if got.State() != full.State() {
-		t.Fatalf("empty ⊕ x ≠ x: %+v vs %+v", got.State(), full.State())
-	}
-	var both Accumulator
-	both.Merge(&empty)
-	if both.State() != (&Accumulator{}).State() {
-		t.Fatalf("empty ⊕ empty not empty: %+v", both.State())
-	}
-
-	constant := []float64{2.5, 2.5, 2.5, 2.5, 2.5}
-	whole := accumulate(constant)
-	head := accumulate(constant[:2])
-	tail := accumulate(constant[2:])
-	head.Merge(&tail)
-	if head.State() != whole.State() {
-		t.Fatalf("constant-stream merge not bit-identical: %+v vs %+v",
-			head.State(), whole.State())
-	}
-}
-
 func TestMeanAcross(t *testing.T) {
 	runs := [][]float64{
 		{1, 2, 3},

@@ -408,7 +408,6 @@ func Spec(req protocol.SweepRequest) (sweep.Spec, error) {
 	spec.Seeds = req.Seeds
 	spec.BaseSeed = req.BaseSeed
 	spec.Workers = req.Workers
-	spec.RepShards = req.RepShards
 	if preset != nil {
 		// The scenario supplies the field geometry (dimensions, cluster
 		// parameters, recharge station) and any declared event schedule;

@@ -10,9 +10,9 @@ package sweep
 // concurrent computation of the same cell elsewhere is joined rather
 // than repeated (single-flight, when the store provides it). Because
 // the stored state is the same bit-exact record the checkpoint layer
-// persists, and emission goes through the same path Merge uses, a run
-// served entirely from the cache produces sink output byte-identical
-// to a cold run.
+// persists, and the engine restores and emits it exactly as it does a
+// resumed checkpoint or a merged shard, a run served entirely from the
+// cache produces sink output byte-identical to a cold run.
 
 import (
 	"context"
@@ -108,7 +108,7 @@ func (j *Job) computeCell(ctx context.Context, i int) (protocol.FoldState, error
 	sub := *j
 	sub.defs = j.defs[i : i+1]
 	sub.offset = j.offset + i
-	p, err := sub.run(ctx, RunOpts{}, true)
+	p, err := sub.run(ctx, RunOpts{}, true, nil)
 	if err != nil {
 		return protocol.FoldState{}, err
 	}
@@ -134,33 +134,9 @@ func (j *Job) ComputeCell(ctx context.Context, i int) (protocol.FoldState, error
 	return j.computeCell(ctx, i)
 }
 
-// checkFinalState guards a fold state arriving from outside the
-// process (a cache layer, a wire partial) before it is folded into
-// output: the accumulator shapes must match the spec and the state
-// must be a finished cell. The content-addressed key already pins all
-// of this, so a violation means the store returned foreign or
-// corrupted state — refusing it beats poisoning every downstream
-// aggregate.
-func (sp *Spec) checkFinalState(st *protocol.FoldState) error {
-	if err := validateFoldState(st, sp); err != nil {
-		return err
-	}
-	if st.Stopped && sp.Adaptive == nil {
-		return fmt.Errorf("is adaptively stopped, spec has no adaptive rule")
-	}
-	if !st.Stopped && st.Next != sp.maxReps() {
-		return fmt.Errorf("is incomplete: %d of %d replications folded", st.Next, sp.maxReps())
-	}
-	for i, s := range st.Scalars {
-		if s.N != st.Next {
-			return fmt.Errorf("scalar %d folded %d samples, counter says %d", i, s.N, st.Next)
-		}
-	}
-	return nil
-}
-
 // RunCached executes the job with every cell folded through the
-// store, then streams the cells to the sinks in enumeration order.
+// store, then hands the validated states to the engine as restored
+// finished cells, which streams them to the sinks in enumeration order.
 // The output is byte-identical to Job.Run of the same job at any mix
 // of hits, misses, and joins — including a fully cold store (every
 // cell computed) and a fully warm one (no simulation at all). Cells
@@ -185,7 +161,8 @@ func (j *Job) RunCached(ctx context.Context, opts CacheRunOpts) (*Result, error)
 		par = n
 	}
 
-	states := make([]protocol.FoldState, n)
+	restored := make(map[int]checkpointRecord, n)
+	validate := func(st *protocol.FoldState) error { return sp.checkState(st, true) }
 	var (
 		mu       sync.Mutex
 		runErr   error
@@ -227,13 +204,13 @@ func (j *Job) RunCached(ctx context.Context, opts CacheRunOpts) (*Result, error)
 						Index:    j.offset + i,
 						Key:      keys[i],
 						Compute:  compute,
-						Validate: func(s *protocol.FoldState) error { return sp.checkFinalState(s) },
+						Validate: validate,
 					})
 				} else {
 					st, src, err = opts.Store.Fold(keys[i], compute)
 				}
 				if err == nil {
-					if verr := sp.checkFinalState(&st); verr != nil {
+					if verr := validate(&st); verr != nil {
 						err = fmt.Errorf("sweep: cached state %s %v", keys[i], verr)
 					}
 				}
@@ -241,7 +218,9 @@ func (j *Job) RunCached(ctx context.Context, opts CacheRunOpts) (*Result, error)
 					fail(i, err)
 					continue
 				}
-				states[i] = st
+				mu.Lock()
+				restored[i] = checkpointRecord{Cell: i, FoldState: st}
+				mu.Unlock()
 				if opts.OnCell != nil {
 					c := sp.newCollector()
 					c.restore(checkpointRecord{Cell: i, FoldState: st})
@@ -272,7 +251,9 @@ dispatch:
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return j.emitRecords(func(i int) checkpointRecord {
-		return checkpointRecord{Cell: i, FoldState: states[i]}
-	}, opts.Sinks)
+	p, err := j.run(ctx, RunOpts{Sinks: opts.Sinks}, false, restored)
+	if err != nil {
+		return nil, err
+	}
+	return p.Result(), nil
 }

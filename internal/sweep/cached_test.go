@@ -188,7 +188,6 @@ func TestCellKeySensitivity(t *testing.T) {
 		"point":       func(s *Spec) { s.Targets = []int{7, 8} },
 		"seeds":       func(s *Spec) { s.Seeds = 4 },
 		"base seed":   func(s *Spec) { s.BaseSeed = 99 },
-		"rep shards":  func(s *Spec) { s.RepShards = 2 },
 		"metric set":  func(s *Spec) { s.Metrics = s.Metrics[:2] },
 		"adaptive":    func(s *Spec) { s.Adaptive = &Adaptive{Metric: "avg_dcdt_s", MinReps: 2, RelCI: 0.5} },
 		"cfg digest":  func(s *Spec) { s.ConfigDigest = "deadbeef" },

@@ -26,9 +26,6 @@ func (s *Spec) cellIdentity(d cellDef) (protocol.CellIdentity, error) {
 		Metrics:  make([]string, len(s.Metrics)),
 		Digest:   s.ConfigDigest,
 	}
-	if s.RepShards > 1 {
-		id.RepShards = s.RepShards
-	}
 	var err error
 	if id.Point, err = json.Marshal(d.point); err != nil {
 		return id, fmt.Errorf("sweep: cell identity: %w", err)

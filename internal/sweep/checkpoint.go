@@ -207,7 +207,7 @@ func (w *checkpointWriter) Close() error {
 // signature of a mid-write crash) is ignored; any other malformed or
 // internally inconsistent content is a hard error — resuming from or
 // merging corrupted state would poison every downstream aggregate.
-// Spec conformance (fingerprint, shard coordinates, metric shapes) is
+// Spec conformance (fingerprint, shard coordinates, Spec.checkState) is
 // the caller's job: loadCheckpoint for Resume, Merge for partials.
 func readCheckpoint(path string) (checkpointHeader, map[int]checkpointRecord, int64, error) {
 	var hdr checkpointHeader
@@ -292,8 +292,7 @@ func checkRecordShape(rec *checkpointRecord, hdr *checkpointHeader) error {
 
 // loadCheckpoint reads and validates a checkpoint for resuming the
 // given job: the header must carry the job's plan fingerprint and
-// shard coordinates, and every record must match the spec's metric
-// shapes.
+// shard coordinates, and every record must pass Spec.checkState.
 func loadCheckpoint(path string, j *Job) (map[int]checkpointRecord, int64, error) {
 	hdr, records, validLen, err := readCheckpoint(path)
 	if err != nil {
@@ -317,48 +316,51 @@ func loadCheckpoint(path string, j *Job) (map[int]checkpointRecord, int64, error
 			path, hdr.Cells, hdr.MaxReps, len(j.defs), sp.maxReps())
 	}
 	for _, rec := range records {
-		if err := validateRecord(&rec, sp); err != nil {
-			return nil, 0, fmt.Errorf("sweep: checkpoint %s: %w", path, err)
+		if err := sp.checkState(&rec.FoldState, false); err != nil {
+			return nil, 0, fmt.Errorf("sweep: checkpoint %s: cell %d %w", path, rec.Cell, err)
 		}
 	}
 	return records, validLen, nil
 }
 
-// validateRecord checks a record's accumulator shapes against the
-// spec's metrics; range and counter invariants are already enforced by
-// checkRecordShape at parse time.
-func validateRecord(rec *checkpointRecord, sp *Spec) error {
-	if err := validateFoldState(&rec.FoldState, sp); err != nil {
-		return fmt.Errorf("cell %d %w", rec.Cell, err)
+// checkState is the one guard every fold state crosses before the
+// engine restores it — a resumed checkpoint record, a loaded or wire
+// partial, a cache entry, a remote worker's result — because a state
+// the spec cannot have produced would poison every aggregate folded
+// downstream of it. It refuses a replication counter outside
+// [1, maxReps], accumulator shapes that differ from the spec's
+// metrics, a scalar whose sample count disagrees with the counter, and
+// an adaptive stop under a spec with no adaptive rule. final also
+// requires a finished cell: stopped, or folded to the ceiling.
+func (s *Spec) checkState(st *protocol.FoldState, final bool) error {
+	maxReps := s.maxReps()
+	if st.Next < 1 || st.Next > maxReps {
+		return fmt.Errorf("has %d folded replications (max %d)", st.Next, maxReps)
 	}
-	return nil
-}
-
-// validateFoldState checks a bare fold state's accumulator shapes
-// against the spec's metrics. It is the guard shared by checkpoint
-// records (which add a cell index) and cache entries (which are keyed
-// by content instead): a state of the wrong shape would corrupt every
-// aggregate folded downstream of it.
-func validateFoldState(st *protocol.FoldState, sp *Spec) error {
-	if len(st.Scalars) != len(sp.Metrics) {
+	if len(st.Scalars) != len(s.Metrics) {
 		return fmt.Errorf("carries %d scalar accumulators, spec has %d metrics",
-			len(st.Scalars), len(sp.Metrics))
+			len(st.Scalars), len(s.Metrics))
 	}
-	if len(sp.Vectors) == 0 {
-		if len(st.Vectors) != 0 {
-			return fmt.Errorf("carries vector state, spec has no vector metrics")
+	for i, sc := range st.Scalars {
+		if sc.N != st.Next {
+			return fmt.Errorf("scalar %d folded %d samples, counter says %d", i, sc.N, st.Next)
 		}
-		return nil
 	}
-	if len(st.Vectors) != len(sp.Vectors) {
+	if len(st.Vectors) != len(s.Vectors) {
 		return fmt.Errorf("carries %d vector accumulators, spec has %d",
-			len(st.Vectors), len(sp.Vectors))
+			len(st.Vectors), len(s.Vectors))
 	}
 	for i, accs := range st.Vectors {
-		if len(accs) != sp.Vectors[i].Len {
+		if len(accs) != s.Vectors[i].Len {
 			return fmt.Errorf("vector %d has %d positions, spec declares %d",
-				i, len(accs), sp.Vectors[i].Len)
+				i, len(accs), s.Vectors[i].Len)
 		}
+	}
+	if st.Stopped && s.Adaptive == nil {
+		return fmt.Errorf("is adaptively stopped, spec has no adaptive rule")
+	}
+	if final && !st.Stopped && st.Next != maxReps {
+		return fmt.Errorf("is incomplete: %d of %d replications folded", st.Next, maxReps)
 	}
 	return nil
 }

@@ -50,7 +50,9 @@ import (
 // *cache.Store implements it.
 type Store interface {
 	// Probe returns the state cached under key, if any, without
-	// computing, joining, or registering a single-flight.
+	// computing, joining, or registering a single-flight. Resolve may
+	// call it with the scheduler's lock held, so it must not call back
+	// into the Scheduler.
 	Probe(key string) (protocol.FoldState, bool)
 	// Put publishes a validated state under its key.
 	Put(key string, st protocol.FoldState)
@@ -262,6 +264,15 @@ func (s *Scheduler) Resolve(ctx context.Context, cell Cell) (protocol.FoldState,
 	t, joined := s.byKey[cell.Key]
 	if joined {
 		s.stats.Joined++
+	} else if st, ok := s.store.Probe(cell.Key); ok {
+		// The probe above raced a Complete: it missed before the Put,
+		// and finishLocked retired the key before this lock was taken.
+		// Complete publishes before it retires, so under the lock a
+		// retired key is always warm — probe again rather than queue the
+		// cell for a second compute.
+		s.stats.CacheSkips++
+		s.mu.Unlock()
+		return st, protocol.SourceHit, nil
 	} else {
 		t = &task{cell: cell, done: make(chan struct{})}
 		t.elem = s.queue.PushBack(t)

@@ -204,6 +204,74 @@ func TestConcurrentResolversShareOneLease(t *testing.T) {
 	}
 }
 
+// stalledProbeStore is a fakeStore whose Probe, once armed, reads the
+// map and then parks until release is closed: a probe that missed
+// just before a concurrent Put lands.
+type stalledProbeStore struct {
+	*fakeStore
+	armed   atomic.Bool
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (s *stalledProbeStore) Probe(key string) (protocol.FoldState, bool) {
+	st, ok := s.fakeStore.Probe(key)
+	if s.armed.CompareAndSwap(true, false) {
+		close(s.entered)
+		<-s.release
+	}
+	return st, ok
+}
+
+// TestResolveRacingCompleteQueuesOnce replays the check-then-act race
+// step by step: a resolver's store probe misses, the cell's lease then
+// completes (Put, then the key is retired), and only then does the
+// resolver reach the scheduler lock. It must find the now-warm store,
+// not queue the cell for a second compute.
+func TestResolveRacingCompleteQueuesOnce(t *testing.T) {
+	store := &stalledProbeStore{
+		fakeStore: newFakeStore(),
+		entered:   make(chan struct{}),
+		release:   make(chan struct{}),
+	}
+	s, _ := newTestScheduler(t, Options{Store: store})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cell := testCell(5)
+
+	first := resolveAsync(ctx, s, cell)
+	l := mustLease(t, s, "w1")
+
+	store.armed.Store(true)
+	late := resolveAsync(ctx, s, cell)
+	<-store.entered // the late resolver's probe has missed
+
+	want := stateFor(5)
+	if ack := s.Complete(protocol.FoldResult{Lease: l.ID, Worker: "w1", Key: l.Key, State: &want}); !ack.Accepted {
+		t.Fatalf("result refused: %+v", ack)
+	}
+	if r := <-first; r.err != nil || r.st.Next != want.Next {
+		t.Fatalf("first resolver: %+v", r)
+	}
+	close(store.release)
+
+	st := waitStats(t, s, "late resolver settled", func(st Stats) bool {
+		return st.Queued+st.CacheSkips >= 2
+	})
+	if st.Queued != 1 {
+		t.Fatalf("cell queued %d times, want 1: %+v", st.Queued, st)
+	}
+	done, stop := context.WithCancel(context.Background())
+	stop()
+	if again, err := s.Lease(done, "w2"); err != nil || again != nil {
+		t.Fatalf("second lease for a finished cell: %+v, %v", again, err)
+	}
+	r := <-late
+	if r.err != nil || r.src != protocol.SourceHit || r.st.Next != want.Next {
+		t.Fatalf("late resolver: %+v, want a cache hit on %+v", r, want)
+	}
+}
+
 func TestExpiredLeaseReassignedStaleRefused(t *testing.T) {
 	s, _ := newTestScheduler(t, Options{LeaseTTL: 40 * time.Millisecond})
 	cell := testCell(2)

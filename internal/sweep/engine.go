@@ -127,15 +127,8 @@ type Progress struct {
 // floating-point fold order — and therefore the output bits —
 // independent of the worker count. Pending never holds more than the
 // number of in-flight workers.
-//
-// With Spec.RepShards > 1 the cell's seed range is split into
-// contiguous shards, each folding its own range in seed order into its
-// own accumulators; the shard accumulators are combined in ascending
-// shard order when the cell completes. The fold order is then fixed by
-// the shard layout alone, so the output still cannot depend on the
-// worker count.
 type collector struct {
-	// next counts the replications folded so far, across all shards.
+	// next counts the replications folded so far.
 	next int
 	// stop is the cell's current replication target: the ceiling
 	// (Seeds, or Adaptive.MaxReps), shrunk to the folded count when the
@@ -145,18 +138,6 @@ type collector struct {
 	pending    map[int]*runValues
 	scalars    []stats.Accumulator
 	vectors    [][]stats.Accumulator
-	// shards is non-nil only when Spec.RepShards > 1; each shard folds
-	// its contiguous seed range independently.
-	shards []foldShard
-}
-
-// foldShard is one contiguous seed-range slice of a cell's fold: it
-// drains [lo, hi) in seed order into its own accumulators, parking
-// out-of-order arrivals in the collector's shared pending map.
-type foldShard struct {
-	next, hi int
-	scalars  []stats.Accumulator
-	vectors  [][]stats.Accumulator
 }
 
 // runValues is the outcome of one replication: its metric values, or
@@ -237,7 +218,7 @@ func runWrapped(ctx context.Context, spec Spec, opts RunOpts) (*Result, error) {
 	}
 	// The wrappers return only the Result, so the engine is told not
 	// to retain the per-cell fold records a mergeable Partial carries.
-	p, err := j.run(ctx, opts, false)
+	p, err := j.run(ctx, opts, false, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -271,24 +252,25 @@ type RunOpts struct {
 // unsharded run. On success the returned Partial carries every cell's
 // final fold record, ready for Merge.
 func (j *Job) Run(ctx context.Context, opts RunOpts) (*Partial, error) {
-	return j.run(ctx, opts, true)
+	return j.run(ctx, opts, true, nil)
 }
 
-// run executes the job; keepRecords selects whether each finished
-// cell's fold snapshot is retained for the Partial — the job API needs
-// them for in-process merging, the classic Run/RunCheckpointed/Resume
-// wrappers drop them, so retaining there would only hold an extra copy
-// of every cell's accumulator state for the length of the sweep.
-func (j *Job) run(ctx context.Context, opts RunOpts, keepRecords bool) (*Partial, error) {
+// run executes the job. It is the one pipeline every way of driving a
+// sweep goes through: restored maps job-local cell indices to fold
+// states validated by Spec.checkState — Merge passes its partials'
+// final records, RunCached its resolved cells, and Resume the records
+// loaded from opts.Checkpoint — and every other cell folds live. Each
+// restored cell continues from its record, or, when finished, is
+// finalized in the same pass and emitted through the one ordered path
+// live cells take, so no source of fold state can drift from another.
+// keepRecords selects whether each finished cell's fold snapshot is
+// retained for the Partial — the job API needs them for in-process
+// merging, the other callers drop them, so retaining there would only
+// hold an extra copy of every cell's accumulator state for the length
+// of the sweep.
+func (j *Job) run(ctx context.Context, opts RunOpts, keepRecords bool, restored map[int]checkpointRecord) (*Partial, error) {
 	if opts.Resume && opts.Checkpoint == "" {
 		return nil, fmt.Errorf("sweep: Resume needs a checkpoint path")
-	}
-	if j.spec.RepShards > 1 && opts.Checkpoint != "" {
-		// The checkpoint format records one fold frontier per cell; a
-		// sharded fold has one per shard, so a resumed run could not
-		// reconstruct the mid-cell state bit-exactly.
-		return nil, fmt.Errorf("sweep: in-cell replication sharding (RepShards=%d) is incompatible with checkpointing",
-			j.spec.RepShards)
 	}
 	sp := &j.spec
 	defs := j.defs
@@ -297,7 +279,6 @@ func (j *Job) run(ctx context.Context, opts RunOpts, keepRecords bool) (*Partial
 
 	// Open the checkpoint before the sinks: a stale or corrupt
 	// checkpoint must fail the resume before any sink writes a header.
-	var restored map[int]checkpointRecord
 	var ck *checkpointWriter
 	if opts.Checkpoint != "" {
 		var err error
@@ -352,7 +333,11 @@ func (j *Job) run(ctx context.Context, opts RunOpts, keepRecords bool) (*Partial
 	}
 	maxReps := sp.maxReps()
 	startRep := make([]int, len(defs))
-	for i := range e.collectors {
+	remaining := 0
+	// Restored cells that are already finished are finalized and
+	// emitted up front, before any worker starts.
+	e.mu.Lock()
+	for i := range defs {
 		c := sp.newCollector()
 		if rec, ok := restored[i]; ok {
 			c.restore(rec)
@@ -364,22 +349,18 @@ func (j *Job) run(ctx context.Context, opts RunOpts, keepRecords bool) (*Partial
 			}
 			result.Runs += rec.Next
 		}
-		startRep[i] = c.next
-		e.collectors[i] = c
-	}
-
-	// Cells the checkpoint already completed are finalized and emitted
-	// up front, before any worker starts.
-	e.mu.Lock()
-	for i, c := range e.collectors {
 		if c.next == c.stop {
 			if e.records != nil {
 				e.records[i] = *snapshotRecord(i, c)
 			}
 			e.ready[i] = e.finalize(i, c)
-			e.collectors[i] = nil
 			e.cellsDone++
+			startRep[i] = maxReps
+			continue
 		}
+		startRep[i] = c.next
+		remaining += maxReps - c.next
+		e.collectors[i] = c
 	}
 	e.emitReadyLocked()
 	preErr := e.err
@@ -389,10 +370,6 @@ func (j *Job) run(ctx context.Context, opts RunOpts, keepRecords bool) (*Partial
 	}
 
 	workers := sp.Workers
-	remaining := 0
-	for i := range defs {
-		remaining += maxReps - startRep[i]
-	}
 	if workers > remaining {
 		workers = remaining
 	}
@@ -487,63 +464,12 @@ func (j *Job) header() checkpointHeader {
 // newCollector allocates an empty collector shaped for the spec's
 // metrics.
 func (s *Spec) newCollector() *collector {
-	c := &collector{
+	return &collector{
 		stop:    s.maxReps(),
 		pending: make(map[int]*runValues),
 		scalars: make([]stats.Accumulator, len(s.Metrics)),
 		vectors: newVectorAccs(s.Vectors),
 	}
-	if s.RepShards > 1 {
-		m := s.maxReps()
-		ns := s.RepShards
-		if ns > m {
-			ns = m // more shards than replications would only add empties
-		}
-		c.shards = make([]foldShard, ns)
-		for i := range c.shards {
-			lo := i * m / ns
-			c.shards[i] = foldShard{
-				next:    lo,
-				hi:      (i + 1) * m / ns,
-				scalars: make([]stats.Accumulator, len(s.Metrics)),
-				vectors: newVectorAccs(s.Vectors),
-			}
-		}
-	}
-	return c
-}
-
-// shardFor maps a replication index to its fold shard. Shard ranges
-// are contiguous and ascending, so the first shard whose upper bound
-// exceeds rep owns it.
-func (c *collector) shardFor(rep int) *foldShard {
-	for i := range c.shards {
-		if rep < c.shards[i].hi {
-			return &c.shards[i]
-		}
-	}
-	panic(fmt.Sprintf("sweep: replication %d beyond the last shard", rep))
-}
-
-// mergeShards combines the shard accumulators into the collector's
-// cell accumulators in ascending shard order via the order-invariant
-// stats.Accumulator.Merge. It runs exactly once, when the cell's last
-// replication folds, so every downstream consumer (finalize, record
-// snapshots) sees the same state it would after any other merge
-// schedule.
-func (c *collector) mergeShards() {
-	for si := range c.shards {
-		s := &c.shards[si]
-		for i := range c.scalars {
-			c.scalars[i].Merge(&s.scalars[i])
-		}
-		for i := range c.vectors {
-			for k := range c.vectors[i] {
-				c.vectors[i][k].Merge(&s.vectors[i][k])
-			}
-		}
-	}
-	c.shards = nil
 }
 
 // restore overwrites the collector's fold state with a checkpoint
@@ -791,61 +717,27 @@ func (e *engine) fold(j job, vals *runValues, err error) *checkpointRecord {
 	vals.err = err
 	c.pending[j.rep] = vals
 	advanced := false
-	if c.shards == nil {
-		for {
-			v, ok := c.pending[c.next]
-			if !ok {
-				break
-			}
-			delete(c.pending, c.next)
-			if v.err != nil {
-				order := j.cell*e.spec.maxReps() + c.next
-				if e.err == nil || order < e.errOrder {
-					e.err, e.errOrder = v.err, order
-				}
-				e.aborted = true
-				return nil // freeze the cell at its failing replication
-			}
-			c.fold(v)
-			c.next++
-			e.result.Runs++
-			advanced = true
-			// The stopping rule sees exactly the folded prefix, so the
-			// decision point is deterministic.
-			e.adaptiveCheck(c)
+	for {
+		v, ok := c.pending[c.next]
+		if !ok {
+			break
 		}
-	} else {
-		// Sharded fold: only this replication's shard can advance, and
-		// it drains its own seed-ordered frontier. An error freezes its
-		// shard (and with it the cell, which can no longer complete) but
-		// sibling shards keep draining on later deliveries, so a
-		// lower-ordered parked error still surfaces and min-order wins
-		// exactly as in the unsharded fold. Adaptive is rejected at
-		// validation when sharding, so no stopping-rule check runs here.
-		s := c.shardFor(j.rep)
-		// The bound matters: pending is shared across shards, so the
-		// next shard's first replication may be parked right at s.hi
-		// and must not fold here.
-		for s.next < s.hi {
-			v, ok := c.pending[s.next]
-			if !ok {
-				break
+		delete(c.pending, c.next)
+		if v.err != nil {
+			order := j.cell*e.spec.maxReps() + c.next
+			if e.err == nil || order < e.errOrder {
+				e.err, e.errOrder = v.err, order
 			}
-			delete(c.pending, s.next)
-			if v.err != nil {
-				order := j.cell*e.spec.maxReps() + s.next
-				if e.err == nil || order < e.errOrder {
-					e.err, e.errOrder = v.err, order
-				}
-				e.aborted = true
-				return nil
-			}
-			s.fold(v)
-			s.next++
-			c.next++
-			e.result.Runs++
-			advanced = true
+			e.aborted = true
+			return nil // freeze the cell at its failing replication
 		}
+		c.fold(v)
+		c.next++
+		e.result.Runs++
+		advanced = true
+		// The stopping rule sees exactly the folded prefix, so the
+		// decision point is deterministic.
+		e.adaptiveCheck(c)
 	}
 	if e.aborted {
 		// The drain above still ran — a parked lower-ordered error must
@@ -859,12 +751,6 @@ func (e *engine) fold(j job, vals *runValues, err error) *checkpointRecord {
 	}
 
 	if c.next == c.stop {
-		if c.shards != nil {
-			// Every shard has drained its full range; combine them into
-			// the cell accumulators before anything snapshots or
-			// finalizes the collector.
-			c.mergeShards()
-		}
 		if e.records != nil {
 			// The checkpoint snapshot above, when taken, is already the
 			// cell's final state — don't deep-copy the accumulators
@@ -896,20 +782,12 @@ func (e *engine) fold(j job, vals *runValues, err error) *checkpointRecord {
 }
 
 func (c *collector) fold(v *runValues) {
-	foldValues(c.scalars, c.vectors, v)
-}
-
-func (s *foldShard) fold(v *runValues) {
-	foldValues(s.scalars, s.vectors, v)
-}
-
-func foldValues(scalars []stats.Accumulator, vectors [][]stats.Accumulator, v *runValues) {
 	for i := range v.scalars {
-		scalars[i].Add(v.scalars[i])
+		c.scalars[i].Add(v.scalars[i])
 	}
 	for i, vec := range v.vectors {
 		for k, x := range vec {
-			vectors[i][k].Add(x)
+			c.vectors[i][k].Add(x)
 		}
 	}
 }
@@ -922,8 +800,7 @@ func (e *engine) finalize(cell int, c *collector) *CellResult {
 }
 
 // finalizeCell renders a finished collector as a CellResult; it is
-// shared by the engine and by Merge, which rebuilds collectors from
-// shard records.
+// shared by the engine and by RunCached's per-cell progress updates.
 func finalizeCell(sp *Spec, index int, p Point, c *collector) *CellResult {
 	cr := &CellResult{
 		Index: index, Point: p,

@@ -21,6 +21,7 @@ package sweep
 // machines, ship the JSONL files anywhere, and merge them there.
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -208,7 +209,8 @@ func PartialFromWire(w protocol.Partial) (*Partial, error) {
 // cells from a different grid would silently mix incompatible
 // aggregates), must not overlap, and must together cover every cell
 // with a complete fold (a shard that was killed and never resumed is
-// refused, naming the incomplete cell). Because every cell's record is
+// refused, naming the incomplete cell). The validated records are
+// restored into the engine as finished cells; because every record is
 // the bit-exact state of its seed-ordered fold, the merged sink output
 // is byte-identical to an unsharded Run of the same spec.
 func Merge(spec Spec, partials []*Partial, sinks ...Sink) (*Result, error) {
@@ -244,10 +246,15 @@ func Merge(spec Spec, partials []*Partial, sinks ...Sink) (*Result, error) {
 				return nil, fmt.Errorf("sweep: partial %d: record for cell %d outside its %d-cell shard",
 					pi, local, p.cells)
 			}
-			if err := validateRecord(&rec, sp); err != nil {
-				return nil, fmt.Errorf("sweep: partial %d: %w", pi, err)
-			}
 			g := p.offset + local
+			if err := sp.checkState(&rec.FoldState, true); err != nil {
+				hint := ""
+				if !rec.Stopped && rec.Next < maxReps {
+					hint = " (resume its shard before merging)"
+				}
+				return nil, fmt.Errorf("sweep: partial %d: cell %d (%v) %v%s",
+					pi, g, j.defs[g].point, err, hint)
+			}
 			if prev, dup := owner[g]; dup {
 				return nil, fmt.Errorf("sweep: cell %d (%v) is supplied by partials %d and %d: overlapping shards",
 					g, j.defs[g].point, prev, pi)
@@ -257,56 +264,14 @@ func Merge(spec Spec, partials []*Partial, sinks ...Sink) (*Result, error) {
 		}
 	}
 	for i := range j.defs {
-		rec, ok := global[i]
-		if !ok {
+		if _, ok := global[i]; !ok {
 			return nil, fmt.Errorf("sweep: cell %d (%v) is missing from the partials: incomplete shard set",
 				i, j.defs[i].point)
 		}
-		if !rec.Stopped && rec.Next != maxReps {
-			return nil, fmt.Errorf("sweep: cell %d (%v) is incomplete: %d of %d replications folded (resume its shard before merging)",
-				i, j.defs[i].point, rec.Next, maxReps)
-		}
 	}
-	return j.emitRecords(func(i int) checkpointRecord { return global[i] }, sinks)
-}
-
-// emitRecords rebuilds every cell of the job from its final fold
-// record and streams the results to the sinks in plan enumeration
-// order. Because each record is the bit-exact state of the cell's
-// seed-ordered fold, the sink output is byte-identical to a live run
-// of the same job — this is the single emission path shared by Merge
-// and RunCached, so "restored from shards" and "restored from the
-// cache" cannot drift from each other.
-func (j *Job) emitRecords(record func(i int) checkpointRecord, sinks []Sink) (*Result, error) {
-	sp := &j.spec
-	result := &Result{Skipped: j.skipped}
-	for _, s := range sinks {
-		if err := s.Begin(sp, len(j.defs)); err != nil {
-			return nil, fmt.Errorf("sweep: sink begin: %w", err)
-		}
+	p, err := j.run(context.TODO(), RunOpts{Sinks: sinks}, false, global)
+	if err != nil {
+		return nil, err
 	}
-	for i := range j.defs {
-		rec := record(i)
-		c := sp.newCollector()
-		c.restore(rec)
-		cr := finalizeCell(sp, j.offset+i, j.defs[i].point, c)
-		for _, s := range sinks {
-			if err := s.Cell(cr); err != nil {
-				return nil, fmt.Errorf("sweep: sink cell %d: %w", i, err)
-			}
-		}
-		if cr.StopReason != "" {
-			result.Stopped = append(result.Stopped, StoppedCell{
-				Point: cr.Point, Reps: cr.Reps, Reason: cr.StopReason,
-			})
-		}
-		result.Cells = append(result.Cells, cr)
-		result.Runs += rec.Next
-	}
-	for _, s := range sinks {
-		if err := s.End(result); err != nil {
-			return nil, fmt.Errorf("sweep: sink end: %w", err)
-		}
-	}
-	return result, nil
+	return p.Result(), nil
 }

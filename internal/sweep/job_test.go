@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -289,6 +290,81 @@ func TestLoadPartialErrors(t *testing.T) {
 	}
 	if _, err := LoadPartial(bad); err == nil {
 		t.Fatal("garbage partial accepted")
+	}
+}
+
+// TestForgedStopRefused: a shard checkpoint hand-edited so that a cell
+// claims an adaptive stop after one replication, under a spec with no
+// adaptive rule, is refused by both Merge and Resume rather than
+// emitted as a short cell.
+func TestForgedStopRefused(t *testing.T) {
+	spec := ckptSpec()
+	spec.Workers = 1 // every replication advances the fold by one record
+	job, err := Plan(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	paths := make([]string, 2)
+	for i := range paths {
+		shard, err := job.Shard(i, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		paths[i] = filepath.Join(dir, fmt.Sprintf("shard%d.jsonl", i))
+		if _, err := shard.Run(context.Background(), RunOpts{Checkpoint: paths[i]}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Keep only cell 0's first record, marked stopped.
+	raw, err := os.ReadFile(paths[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
+	forged := []string{lines[0]}
+	seen := false
+	for _, line := range lines[1:] {
+		var rec checkpointRecord
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Cell == 0 {
+			if seen {
+				continue
+			}
+			seen = true
+			rec.Stopped, rec.Reason = true, "forged"
+			b, err := json.Marshal(rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			line = string(b)
+		}
+		forged = append(forged, line)
+	}
+	if err := os.WriteFile(paths[1], []byte(strings.Join(forged, "\n")+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	const want = "adaptively stopped"
+	parts := make([]*Partial, 2)
+	for i, path := range paths {
+		if parts[i], err = LoadPartial(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := Merge(spec, parts); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("merge of a forged stop: err = %v, want %q", err, want)
+	}
+	shard, err := job.Shard(1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = shard.Run(context.Background(), RunOpts{Checkpoint: paths[1], Resume: true})
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("resume of a forged stop: err = %v, want %q", err, want)
 	}
 }
 

@@ -74,8 +74,8 @@ type VectorID struct {
 // the parameter point (which already carries the algorithm, placement,
 // partition, and workload/fleet names), the full fleet and workload
 // configurations behind those names, the replication protocol (seeds,
-// base seed, adaptive rule, in-cell fold sharding), the metric schema,
-// and the caller's opaque config digest for hook-applied geometry.
+// base seed, adaptive rule), the metric schema, and the caller's
+// opaque config digest for hook-applied geometry.
 // Everything that cannot is out: the sweep's name, the worker count,
 // sink formats, and the rest of the grid.
 type CellIdentity struct {
@@ -90,14 +90,9 @@ type CellIdentity struct {
 	Seeds    int             `json:"seeds"`
 	BaseSeed uint64          `json:"base_seed"`
 	Adaptive json.RawMessage `json:"adaptive,omitempty"`
-	// RepShards is the in-cell parallel-fold shard count when > 1. It
-	// is part of the identity because a sharded fold's merge rounds
-	// differently from the sequential fold — the states are not
-	// interchangeable bit-for-bit.
-	RepShards int        `json:"rep_shards,omitempty"`
-	Metrics   []string   `json:"metrics"`
-	Vectors   []VectorID `json:"vectors,omitempty"`
-	Digest    string     `json:"digest,omitempty"`
+	Metrics  []string        `json:"metrics"`
+	Vectors  []VectorID      `json:"vectors,omitempty"`
+	Digest   string          `json:"digest,omitempty"`
 }
 
 // Key returns the cell's content-addressed cache key:
@@ -193,7 +188,6 @@ type SweepRequest struct {
 	// Workers bounds each cell's replication pool; 0 = GOMAXPROCS of
 	// the executing machine.
 	Workers   int    `json:"workers,omitempty"`
-	RepShards int    `json:"rep_shards,omitempty"`
 	Adaptive  string `json:"adaptive,omitempty"`
 	Partition string `json:"partition,omitempty"`
 	// Failures is the comma-separated failure-injection axis

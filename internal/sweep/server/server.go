@@ -265,7 +265,7 @@ func (s *Server) execute(sr *sweepRun, job *sweep.Job) {
 			})
 		}
 	}
-	_, err := job.RunCached(context.Background(), opts)
+	res, err := job.RunCached(context.Background(), opts)
 
 	// Release the admission slot before the sweep becomes observably
 	// finished: a client that sees "done" (or receives the result) and
@@ -289,28 +289,10 @@ func (s *Server) execute(sr *sweepRun, job *sweep.Job) {
 		sr.state = "done"
 		sr.csv = csvBuf.Bytes()
 		sr.jsonl = jsonlBuf.Bytes()
-		sr.append(protocol.Event{Type: "done", Cells: sr.done, Runs: runsOf(sr)})
+		sr.append(protocol.Event{Type: "done", Cells: sr.done, Runs: res.Runs})
 	}
 	sr.mu.Unlock()
 	close(sr.finished)
-}
-
-// runsOf sums folded replications over the recorded cell events.
-// Caller holds sr.mu.
-func runsOf(sr *sweepRun) int {
-	runs := 0
-	for _, ev := range sr.events {
-		if ev.Type != "cell" || ev.Result == nil {
-			continue
-		}
-		var c struct {
-			Reps int `json:"reps"`
-		}
-		if json.Unmarshal(ev.Result, &c) == nil {
-			runs += c.Reps
-		}
-	}
-	return runs
 }
 
 // cell records one resolved cell as an event (called concurrently by

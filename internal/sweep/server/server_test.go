@@ -226,11 +226,10 @@ func TestAdmissionControl(t *testing.T) {
 func TestBadRequests(t *testing.T) {
 	ts := newServer(t, server.Config{})
 	for name, body := range map[string]string{
-		"garbage":   "{not json",
-		"bad alg":   `{"algorithms":"bogus"}`,
-		"bad axis":  `{"targets":"6;7"}`,
-		"conflict":  `{"preset":"paper51","scenario":{"targets":{"count":3}}}`,
-		"bad shard": `{"rep_shards":-2}`,
+		"garbage":  "{not json",
+		"bad alg":  `{"algorithms":"bogus"}`,
+		"bad axis": `{"targets":"6;7"}`,
+		"conflict": `{"preset":"paper51","scenario":{"targets":{"count":3}}}`,
 	} {
 		resp, err := http.Post(ts.URL+"/sweeps", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -284,30 +283,5 @@ func TestConcurrentIdenticalSubmissions(t *testing.T) {
 	}
 	if st.Hits+st.Joins != 4*(n-1) {
 		t.Fatalf("hits %d + joins %d, want %d", st.Hits, st.Joins, 4*(n-1))
-	}
-}
-
-// TestRepShardsCellsDisjoint: rep_shards is part of the cell identity,
-// so a sharded-fold sweep does not reuse (or poison) the sequential
-// fold's cached cells.
-func TestRepShardsCellsDisjoint(t *testing.T) {
-	store, err := cache.New(cache.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := newServer(t, server.Config{Store: store})
-	req := testRequest()
-	sub := submit(t, ts, req)
-	fetch(t, ts.URL+"/sweeps/"+sub.ID+"/result.csv")
-
-	req.RepShards = 2
-	sub2 := submit(t, ts, req)
-	fetch(t, ts.URL+"/sweeps/"+sub2.ID+"/result.csv")
-	var st protocol.SweepStatus
-	if err := json.Unmarshal(fetch(t, ts.URL+"/sweeps/"+sub2.ID), &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Hits != 0 || st.Computed != 4 {
-		t.Fatalf("sharded-fold sweep reused sequential cells: %+v", st)
 	}
 }

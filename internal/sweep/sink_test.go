@@ -193,14 +193,40 @@ func countingSpec(n *atomic.Int64) Spec {
 	return s
 }
 
+// gatedFailSink is a failSink that closes failed once its Cell error
+// fires.
+type gatedFailSink struct {
+	failSink
+	failed chan struct{}
+}
+
+func (g *gatedFailSink) Cell(c *CellResult) error {
+	err := g.failSink.Cell(c)
+	if err != nil {
+		close(g.failed)
+	}
+	return err
+}
+
 // A sink whose Write fails mid-sweep must abort the worker pool
 // promptly — well before the remaining replications execute — and
-// surface the error.
+// surface the error. The second cell's replications wait for the sink
+// failure, so a worker the OS stalls inside cell 0 cannot let the
+// other worker run all of cell 1 before the abort.
 func TestSinkCellErrorAbortsPromptly(t *testing.T) {
 	executed := atomic.Int64{}
 	spec := countingSpec(&executed)
 	spec.Workers = 2
-	_, err := Run(context.Background(), spec, &failSink{cellErrAt: 0})
+	sink := &gatedFailSink{failSink: failSink{cellErrAt: 0}, failed: make(chan struct{})}
+	first := spec.Algorithms[0].Name // the only axis with two values
+	count := spec.Metrics[len(spec.Metrics)-1].Fn
+	spec.Metrics[len(spec.Metrics)-1].Fn = func(e Env) float64 {
+		if e.Variant.Name != first {
+			<-sink.failed
+		}
+		return count(e)
+	}
+	_, err := Run(context.Background(), spec, sink)
 	if err == nil || !strings.Contains(err.Error(), "sink cell 0") ||
 		!strings.Contains(err.Error(), "disk full") {
 		t.Fatalf("err = %v", err)

@@ -445,24 +445,6 @@ type Spec struct {
 	// Workers bounds the worker pool (default GOMAXPROCS). The pool is
 	// shared by all cells: cells and replications run concurrently.
 	Workers int
-	// RepShards, when > 1, splits every cell's replications into that
-	// many contiguous seed-range shards whose folds proceed
-	// independently — an out-of-order replication parks only within
-	// its own shard, so one straggling replication no longer stalls
-	// the fold (and the checkpoint-free memory high-water mark) of the
-	// whole cell — and whose accumulators are combined in ascending
-	// shard order through the order-invariant stats.Accumulator.Merge
-	// when the cell completes. 0 or 1 keeps the classic strictly
-	// seed-ordered single fold. Output depends only on RepShards,
-	// never on the worker count: at a fixed RepShards the result is
-	// byte-identical at any Workers value. A sharded fold is NOT
-	// bit-identical to the unsharded fold of the same cell (the
-	// parallel-Welford merge rounds differently from a sequential
-	// fold), which is why the knob is explicit rather than implied by
-	// Workers. Incompatible with Adaptive (the stopping rule consumes
-	// the strict seed-order prefix) and with checkpointing (the
-	// checkpoint format records a single fold frontier per cell).
-	RepShards int
 
 	// Skip, when non-nil, is consulted per cell; a non-empty reason
 	// excludes the cell from execution and records it in the Result.
@@ -594,12 +576,6 @@ func (s *Spec) validate() error {
 		// lands here; without this check Run would spawn no workers
 		// and block forever on the jobs channel.
 		return fmt.Errorf("sweep: spec %q has %d workers", s.Name, s.Workers)
-	}
-	if s.RepShards < 0 {
-		return fmt.Errorf("sweep: spec %q has %d replication shards", s.Name, s.RepShards)
-	}
-	if s.RepShards > 1 && s.Adaptive != nil {
-		return fmt.Errorf("sweep: spec %q combines RepShards with Adaptive; the stopping rule needs the strict seed-order fold", s.Name)
 	}
 	for _, n := range s.VIPs {
 		if n > 0 {
