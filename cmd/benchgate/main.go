@@ -65,6 +65,10 @@
 //     runners, so their gate is variance-tolerant; the CI95-overlap
 //     significance test does the real filtering, the threshold only
 //     sets how large a confirmed move must be to fail the build.
+//     The same gate takes BenchmarkCellSimulation at n=1000, one
+//     whole B-TCTP replication (plan, simulate, record): its
+//     allocs/op is a per-run constant only while no mule leg, visit
+//     or interval statistic allocates.
 //
 // The BenchmarkPlan*Brute twins are deliberately ungated and excluded
 // from the replicated runs: they are frozen oracles for the

@@ -9,6 +9,11 @@
 //	tctp-experiments -run fig7
 //	tctp-experiments -run all -seeds 20 -progress
 //	tctp-experiments -run fig8 -seeds 5 -out fig8.csv -format csv
+//	tctp-experiments -run fig8 -cpuprofile cpu.pprof -memprofile mem.pprof
+//
+// -cpuprofile and -memprofile write runtime/pprof CPU and allocation
+// profiles of the experiments to their own files (see
+// internal/profile); the results are unchanged by them.
 package main
 
 import (
@@ -20,6 +25,7 @@ import (
 	"time"
 
 	"tctp/internal/experiment"
+	"tctp/internal/profile"
 	"tctp/internal/sweep"
 )
 
@@ -34,6 +40,8 @@ func main() {
 		format   = flag.String("format", "text", "output format: text, csv, json")
 		progress = flag.Bool("progress", false, "report sweep progress on stderr")
 		ckptDir  = flag.String("checkpoint", "", "checkpoint directory: sweeps persist fold state here and an interrupted rerun resumes")
+		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile (runtime/pprof) of the experiments to this file")
+		memProf  = flag.String("memprofile", "", "write an allocation profile (runtime/pprof) of the experiments to this file")
 	)
 	flag.Parse()
 
@@ -83,7 +91,14 @@ func main() {
 		names = experiment.Names()
 	}
 
-	if err := runAll(names, params, w, f, *progress, os.Stderr); err != nil {
+	stop, err := profile.Start(*cpuProf, *memProf)
+	if err == nil {
+		err = runAll(names, params, w, f, *progress, os.Stderr)
+		if perr := stop(); err == nil {
+			err = perr
+		}
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "tctp-experiments:", err)
 		os.Exit(1)
 	}

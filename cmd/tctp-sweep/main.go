@@ -72,6 +72,10 @@
 // Cells that cannot run (more mules than targets+1, partitioned cells
 // of algorithms without a partitioned variant, fewer mules than
 // regions) are skipped and reported on stderr.
+//
+// -cpuprofile FILE and -memprofile FILE write runtime/pprof CPU and
+// allocation profiles of the whole run to FILE (see internal/profile);
+// the sweep output is unchanged by them.
 package main
 
 import (
@@ -89,6 +93,7 @@ import (
 
 	"tctp/internal/field"
 	"tctp/internal/patrol"
+	"tctp/internal/profile"
 	"tctp/internal/scenario"
 	"tctp/internal/sweep"
 	"tctp/internal/sweep/build"
@@ -128,6 +133,8 @@ func main() {
 		merge      = flag.String("merge", "", `merge the shard checkpoint files given as arguments, writing the full sweep to this path ("-" = stdout)`)
 		server     = flag.String("server", "", "submit the sweep to this tctp-server base URL instead of running locally")
 		quality    = flag.Bool("quality", false, "add the approximation-ratio columns (ratio_tour, ratio_dcdt) computed against the internal/optimal reference bounds")
+		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile (runtime/pprof) of the run to this file")
+		memProf    = flag.String("memprofile", "", "write an allocation profile (runtime/pprof) of the run to this file")
 	)
 	flag.Parse()
 
@@ -146,7 +153,14 @@ func main() {
 		Shard: *shard, Merge: *merge, MergeInputs: flag.Args(),
 		Server: *server, Quality: *quality,
 	}
-	if err := run(cfg, os.Stdout, os.Stderr); err != nil {
+	stop, err := profile.Start(*cpuProf, *memProf)
+	if err == nil {
+		err = run(cfg, os.Stdout, os.Stderr)
+		if perr := stop(); err == nil {
+			err = perr
+		}
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "tctp-sweep:", err)
 		os.Exit(1)
 	}

@@ -12,6 +12,7 @@ package metrics
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"tctp/internal/geom"
@@ -59,12 +60,20 @@ func (r *Recorder) NumTargets() int { return len(r.visits) }
 // OnVisit records that a mule visited target at simulation time t. It
 // has the signature expected by mule.Config.OnVisit (the mule identity
 // does not matter for interval metrics: any mule's visit resets the
-// target's clock). It panics on an out-of-range target.
+// target's clock). It panics on an out-of-range target, and on a time
+// earlier than the target's last recorded visit: every log is
+// time-ordered, which the suffix searches of the ...After aggregates,
+// FirstVisitAfter and the gap metrics rely on. Simulation time is
+// monotone, so only a caller outside a simulation can trip this.
 func (r *Recorder) OnVisit(_, target int, t float64) {
 	if target < 0 || target >= len(r.visits) {
 		panic(fmt.Sprintf("metrics: visit to target %d of %d", target, len(r.visits)))
 	}
-	r.visits[target] = append(r.visits[target], t)
+	ts := r.visits[target]
+	if n := len(ts); n > 0 && t < ts[n-1] {
+		panic(fmt.Sprintf("metrics: visit to target %d at %v before its last visit at %v", target, t, ts[n-1]))
+	}
+	r.visits[target] = append(ts, t)
 }
 
 // OnDeath completes the patrol.Observer interface; battery deaths do
@@ -117,6 +126,10 @@ func (r *Recorder) Intervals(target int) []float64 {
 // IntervalsAfter returns the visiting intervals of target restricted
 // to visits at or after t0. Use it to discard the location-
 // initialization transient when measuring steady-state behaviour.
+//
+// Intervals and IntervalsAfter build the interval slices; the
+// aggregates below derive the same values from the visit log in place
+// (see visitsAfter and meanGap), and the tests hold them to these two.
 func (r *Recorder) IntervalsAfter(target int, t0 float64) []float64 {
 	ts := r.visits[target]
 	var kept []float64
@@ -135,23 +148,65 @@ func (r *Recorder) IntervalsAfter(target int, t0 float64) []float64 {
 	return out
 }
 
+// visitsAfter returns the target's visits at or after t0. The log is
+// time-ordered (OnVisit enforces it), so they are a suffix of it, and
+// the intervals of the suffix are exactly IntervalsAfter.
+func (r *Recorder) visitsAfter(target int, t0 float64) []float64 {
+	ts := r.visits[target]
+	return ts[sort.SearchFloat64s(ts, t0):]
+}
+
+// meanGap is stats.Mean of the consecutive differences of ts (0 for
+// fewer than two visits). The differences are formed on the fly and
+// summed in the order stats.Mean sums the interval slice, so the
+// result is bit-identical to stats.Mean(Intervals) without building
+// the slice.
+func meanGap(ts []float64) float64 {
+	if len(ts) < 2 {
+		return 0
+	}
+	s := 0.0
+	for i := 1; i < len(ts); i++ {
+		s += ts[i] - ts[i-1]
+	}
+	return s / float64(len(ts)-1)
+}
+
+// sdGap is stats.SampleSD of the consecutive differences of ts (0 for
+// fewer than three visits), bit-identical to it in the way meanGap is
+// to stats.Mean: the same two passes over the same values in the same
+// order.
+func sdGap(ts []float64) float64 {
+	n := len(ts) - 1
+	if n < 2 {
+		return 0
+	}
+	m := meanGap(ts)
+	s := 0.0
+	for i := 1; i < len(ts); i++ {
+		d := ts[i] - ts[i-1] - m
+		s += d * d
+	}
+	return math.Sqrt(s / float64(n-1))
+}
+
 // SD returns the paper's per-target SD metric: the sample standard
 // deviation of the target's consecutive visiting intervals
 // (SD = sqrt(1/(n−1)·Σ(t_k − t̄)²) over the n intervals). Targets with
 // fewer than two intervals yield 0.
 func (r *Recorder) SD(target int) float64 {
-	return stats.SampleSD(r.Intervals(target))
+	return sdGap(r.visits[target])
 }
 
 // SDAfter is SD restricted to visits at or after t0.
 func (r *Recorder) SDAfter(target int, t0 float64) float64 {
-	return stats.SampleSD(r.IntervalsAfter(target, t0))
+	return sdGap(r.visitsAfter(target, t0))
 }
 
 // MeanInterval returns the mean visiting interval of target (0 when
 // the target has fewer than two visits).
 func (r *Recorder) MeanInterval(target int) float64 {
-	return stats.Mean(r.Intervals(target))
+	return meanGap(r.visits[target])
 }
 
 // eachTarget invokes fn for every target of the subset — or for every
@@ -179,8 +234,8 @@ func (r *Recorder) AvgSD() float64 { return r.AvgSDOver(nil) }
 func (r *Recorder) AvgSDOver(targets []int) float64 {
 	var acc stats.Accumulator
 	r.eachTarget(targets, func(t int) {
-		if iv := r.Intervals(t); len(iv) >= 2 {
-			acc.Add(stats.SampleSD(iv))
+		if ts := r.visits[t]; len(ts) >= 3 {
+			acc.Add(sdGap(ts))
 		}
 	})
 	return acc.Mean()
@@ -196,8 +251,8 @@ func (r *Recorder) AvgSDAfter(t0 float64) float64 {
 func (r *Recorder) AvgSDAfterOver(targets []int, t0 float64) float64 {
 	var acc stats.Accumulator
 	r.eachTarget(targets, func(t int) {
-		if iv := r.IntervalsAfter(t, t0); len(iv) >= 2 {
-			acc.Add(stats.SampleSD(iv))
+		if ts := r.visitsAfter(t, t0); len(ts) >= 3 {
+			acc.Add(sdGap(ts))
 		}
 	})
 	return acc.Mean()
@@ -212,8 +267,8 @@ func (r *Recorder) AvgDCDT() float64 { return r.AvgDCDTOver(nil) }
 func (r *Recorder) AvgDCDTOver(targets []int) float64 {
 	var acc stats.Accumulator
 	r.eachTarget(targets, func(t int) {
-		if iv := r.Intervals(t); len(iv) > 0 {
-			acc.Add(stats.Mean(iv))
+		if ts := r.visits[t]; len(ts) >= 2 {
+			acc.Add(meanGap(ts))
 		}
 	})
 	return acc.Mean()
@@ -229,8 +284,8 @@ func (r *Recorder) AvgDCDTAfter(t0 float64) float64 {
 func (r *Recorder) AvgDCDTAfterOver(targets []int, t0 float64) float64 {
 	var acc stats.Accumulator
 	r.eachTarget(targets, func(t int) {
-		if iv := r.IntervalsAfter(t, t0); len(iv) > 0 {
-			acc.Add(stats.Mean(iv))
+		if ts := r.visitsAfter(t, t0); len(ts) >= 2 {
+			acc.Add(meanGap(ts))
 		}
 	})
 	return acc.Mean()
@@ -247,8 +302,9 @@ func (r *Recorder) MaxInterval() float64 { return r.MaxIntervalOver(nil) }
 func (r *Recorder) MaxIntervalOver(targets []int) float64 {
 	m := 0.0
 	r.eachTarget(targets, func(t int) {
-		for _, iv := range r.Intervals(t) {
-			if iv > m {
+		ts := r.visits[t]
+		for i := 1; i < len(ts); i++ {
+			if iv := ts[i] - ts[i-1]; iv > m {
 				m = iv
 			}
 		}
@@ -313,16 +369,13 @@ func (r *Recorder) EventDCDTSeries(maxK int) []float64 {
 }
 
 // FirstVisitAfter returns the time of the target's first visit at or
-// after t0, or -1 when the target is never visited again. Visit logs
-// are time-ordered (simulation time is monotone), so the lookup is a
-// binary search.
+// after t0, or -1 when the target is never visited again.
 func (r *Recorder) FirstVisitAfter(target int, t0 float64) float64 {
-	ts := r.visits[target]
-	i := sort.SearchFloat64s(ts, t0)
-	if i == len(ts) {
+	ts := r.visitsAfter(target, t0)
+	if len(ts) == 0 {
 		return -1
 	}
-	return ts[i]
+	return ts[0]
 }
 
 // TimeToRecoverOver returns how long after t0 the patrol needs until
@@ -355,10 +408,9 @@ func (r *Recorder) maxGap(target int, from, to float64) float64 {
 	if to <= from {
 		return 0
 	}
-	ts := r.visits[target]
 	prev := from
 	gap := 0.0
-	for _, v := range ts[sort.SearchFloat64s(ts, from):] {
+	for _, v := range r.visitsAfter(target, from) {
 		if v > to {
 			break
 		}

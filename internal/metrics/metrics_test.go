@@ -4,6 +4,9 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"tctp/internal/stats"
+	"tctp/internal/xrand"
 )
 
 func almost(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
@@ -214,6 +217,18 @@ func TestPanics(t *testing.T) {
 		}()
 		NewRecorder(2).OnVisit(0, -1, 1)
 	}()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("visit earlier than the target's last visit did not panic")
+			}
+		}()
+		r := NewRecorder(2)
+		r.OnVisit(0, 0, 5)
+		r.OnVisit(0, 1, 3) // another target's clock is independent
+		r.OnVisit(0, 0, 5) // a repeated timestamp is in order
+		r.OnVisit(0, 0, 4)
+	}()
 }
 
 // Property: for any monotone visit sequence, intervals are positive
@@ -399,5 +414,119 @@ func TestDegradedModeWindows(t *testing.T) {
 	// Degenerate window.
 	if got := r.MaxGapOver(nil, 100, 100); got != 0 {
 		t.Fatalf("MaxGapOver(nil,100,100) = %v, want 0", got)
+	}
+}
+
+// TestInPlaceAggregatesMatchIntervalOracle holds every aggregate the
+// Recorder computes in place to the slice-building definition it
+// replaced — Intervals/IntervalsAfter fed to stats.Mean and
+// stats.SampleSD and folded in target order — bit for bit, over
+// seeded random visit logs. The logs have 0–3 visits per target most
+// of the time (the 0-, 1- and 2-interval edge cases) and up to 12
+// otherwise, repeated timestamps, and non-integral times so that
+// every sum rounds; t0 falls before the first visit, on a visit,
+// between visits and after the last one.
+func TestInPlaceAggregatesMatchIntervalOracle(t *testing.T) {
+	src := xrand.New(13)
+	same := func(name string, got, want float64) {
+		t.Helper()
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s = %v (%#x), oracle %v (%#x)", name, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	for trial := 0; trial < 2000; trial++ {
+		n := src.IntRange(1, 6)
+		r := NewRecorder(n)
+		var times []float64
+		for target := 0; target < n; target++ {
+			visits := src.Intn(4)
+			if src.Float64() < 0.3 {
+				visits = src.IntRange(4, 12)
+			}
+			at := src.Range(0, 500)
+			for v := 0; v < visits; v++ {
+				if v > 0 && src.Float64() >= 0.2 { // else a repeated timestamp
+					at += src.Range(0.1, 300)
+				}
+				r.OnVisit(0, target, at)
+				times = append(times, at)
+			}
+		}
+		t0 := src.Range(-100, 2000) // usually between visits or past them all
+		if len(times) > 0 {
+			switch src.Intn(4) {
+			case 0:
+				t0 = times[src.Intn(len(times))] // exactly on a visit
+			case 1:
+				t0 = stats.Min(times) - 1 // before every first visit
+			case 2:
+				t0 = stats.Max(times) + 1 // after every last visit
+			}
+		}
+		var subset, all []int // a nil subset means every target
+		for target := 0; target < n; target++ {
+			all = append(all, target)
+			if src.Float64() < 0.5 {
+				subset = append(subset, target)
+			}
+		}
+		members := func(targets []int) []int {
+			if targets == nil {
+				return all
+			}
+			return targets
+		}
+
+		ivs := func(target int, after bool) []float64 {
+			if after {
+				return r.IntervalsAfter(target, t0)
+			}
+			return r.Intervals(target)
+		}
+		type fold func(iv []float64) (float64, bool)
+		meanFold := func(iv []float64) (float64, bool) { return stats.Mean(iv), len(iv) > 0 }
+		sdFold := func(iv []float64) (float64, bool) { return stats.SampleSD(iv), len(iv) >= 2 }
+		avg := func(targets []int, after bool, f fold) float64 {
+			var acc stats.Accumulator
+			for _, target := range members(targets) {
+				if x, ok := f(ivs(target, after)); ok {
+					acc.Add(x)
+				}
+			}
+			return acc.Mean()
+		}
+		maxIv := func(targets []int) float64 {
+			m := 0.0
+			for _, target := range members(targets) {
+				for _, iv := range r.Intervals(target) {
+					m = math.Max(m, iv)
+				}
+			}
+			return m
+		}
+
+		for target := 0; target < n; target++ {
+			same("SD", r.SD(target), stats.SampleSD(r.Intervals(target)))
+			same("SDAfter", r.SDAfter(target, t0), stats.SampleSD(r.IntervalsAfter(target, t0)))
+			same("MeanInterval", r.MeanInterval(target), stats.Mean(r.Intervals(target)))
+			first := -1.0
+			for _, v := range r.VisitTimes(target) {
+				if v >= t0 {
+					first = v
+					break
+				}
+			}
+			same("FirstVisitAfter", r.FirstVisitAfter(target, t0), first)
+		}
+		same("AvgSD", r.AvgSD(), avg(nil, false, sdFold))
+		same("AvgSDOver", r.AvgSDOver(subset), avg(subset, false, sdFold))
+		same("AvgSDAfter", r.AvgSDAfter(t0), avg(nil, true, sdFold))
+		same("AvgSDAfterOver", r.AvgSDAfterOver(subset, t0), avg(subset, true, sdFold))
+		same("AvgDCDT", r.AvgDCDT(), avg(nil, false, meanFold))
+		same("AvgDCDTOver", r.AvgDCDTOver(subset), avg(subset, false, meanFold))
+		same("AvgDCDTAfter", r.AvgDCDTAfter(t0), avg(nil, true, meanFold))
+		same("AvgDCDTAfterOver", r.AvgDCDTAfterOver(subset, t0), avg(subset, true, meanFold))
+		same("MaxIntervalOver", r.MaxIntervalOver(subset), maxIv(subset))
+		same("MaxInterval", r.MaxInterval(), maxIv(nil))
 	}
 }

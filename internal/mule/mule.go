@@ -89,6 +89,9 @@ type Mule struct {
 	// never more than one); Kill and Reroute cancel it to preempt the
 	// mule mid-leg or mid-dwell.
 	pending sim.Cancel
+	// advanceFn and arriveFn are m.advance and m.arrive bound once in
+	// New: a method value taken at each After would allocate per leg.
+	advanceFn, arriveFn sim.Handler
 	// Leg tracking for mid-leg preemption: while inFlight, the mule is
 	// somewhere on the segment legFrom→legTo, having departed at
 	// legDepart; its true position is time-interpolated.
@@ -97,6 +100,13 @@ type Mule struct {
 	legTo     geom.Point
 	legDepart float64
 	legDist   float64
+	// legWP and legEnergy are the waypoint and move energy of the leg
+	// arriveFn completes. They live here rather than in a per-leg
+	// closure; this is safe because the arrival is the mule's one
+	// pending event and Kill/Reroute cancel it before a new leg
+	// overwrites them.
+	legWP     Waypoint
+	legEnergy float64
 
 	distance  float64
 	visits    int
@@ -113,13 +123,15 @@ func New(eng *sim.Engine, cfg Config) *Mule {
 	if cfg.Router == nil {
 		panic("mule: nil router")
 	}
-	return &Mule{cfg: cfg, eng: eng, pos: cfg.Start}
+	m := &Mule{cfg: cfg, eng: eng, pos: cfg.Start}
+	m.advanceFn, m.arriveFn = m.advance, m.arrive
+	return m
 }
 
 // Launch schedules the mule's first movement at the current simulation
 // time.
 func (m *Mule) Launch() {
-	m.pending = m.eng.After(0, m.advance)
+	m.pending = m.eng.After(0, m.advanceFn)
 }
 
 // ID returns the mule's identifier.
@@ -193,7 +205,8 @@ func (m *Mule) advance() {
 	}
 
 	m.startLeg(wp.Pos, dist)
-	m.pending = m.eng.After(dist/m.cfg.Speed, func() { m.arrive(wp, dist, moveEnergy) })
+	m.legWP, m.legEnergy = wp, moveEnergy
+	m.pending = m.eng.After(dist/m.cfg.Speed, m.arriveFn)
 }
 
 // startLeg records the in-flight segment so Kill/Reroute/PosNow can
@@ -280,15 +293,17 @@ func (m *Mule) Reroute(r Router) {
 	m.pending.Cancel()
 	m.settleLeg()
 	m.parked = false
-	m.pending = m.eng.After(0, m.advance)
+	m.pending = m.eng.After(0, m.advanceFn)
 }
 
-// arrive finalizes a leg: position/energy bookkeeping, recharge,
-// collection dwell, then the next leg.
-func (m *Mule) arrive(wp Waypoint, dist, moveEnergy float64) {
+// arrive finalizes the leg started by advance (legWP, legDist,
+// legEnergy): position/energy bookkeeping, recharge, collection dwell,
+// then the next leg.
+func (m *Mule) arrive() {
 	if m.dead {
 		return
 	}
+	wp, dist, moveEnergy := m.legWP, m.legDist, m.legEnergy
 	m.inFlight = false
 	m.pos = wp.Pos
 	m.distance += dist
@@ -308,7 +323,7 @@ func (m *Mule) arrive(wp Waypoint, dist, moveEnergy float64) {
 	}
 
 	if wp.TargetID == NoTarget {
-		m.pending = m.eng.After(m.holdDelay(wp, 0), m.advance)
+		m.pending = m.eng.After(m.holdDelay(wp, 0), m.advanceFn)
 		return
 	}
 
@@ -331,7 +346,7 @@ func (m *Mule) arrive(wp Waypoint, dist, moveEnergy float64) {
 		b.Drain(visitEnergy)
 	}
 	m.energyUse += visitEnergy
-	m.pending = m.eng.After(m.holdDelay(wp, m.cfg.Energy.Dwell), m.advance)
+	m.pending = m.eng.After(m.holdDelay(wp, m.cfg.Energy.Dwell), m.advanceFn)
 }
 
 // holdDelay returns the time to stay at the waypoint: at least the

@@ -598,3 +598,40 @@ func TestPartitionedAdapter(t *testing.T) {
 		t.Fatal("CHB has no partitioned variant but was accepted")
 	}
 }
+
+// TestRunAllocationsIndependentOfHorizon pins the allocation-free
+// simulate path: a planned B-TCTP run, plus the steady-state metrics
+// a sweep extracts from it, performs the same number of allocations
+// at horizon H and at 4H. Whatever a run allocates is set-up (plan,
+// routers, mules, the recorder's one flat block); no leg, visit or
+// interval statistic allocates, however many of them the horizon
+// holds.
+func TestRunAllocationsIndependentOfHorizon(t *testing.T) {
+	s := scenario(31, 20, 4)
+	alg := Planned(&core.BTCTP{})
+	allocs := func(horizon float64) (float64, int) {
+		visits := 0
+		n := testing.AllocsPerRun(5, func() {
+			res, err := Run(s, alg, Options{Horizon: horizon}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec, warm := res.Recorder, res.PatrolStart
+			if rec.AvgDCDTAfter(warm) <= 0 || rec.AvgSDAfter(warm) > 1e-6 || rec.MaxInterval() <= 0 {
+				t.Fatal("implausible B-TCTP metrics")
+			}
+			visits = res.TotalVisits()
+		})
+		return n, visits
+	}
+	const h = 20_000
+	a1, v1 := allocs(h)
+	a4, v4 := allocs(4 * h)
+	if v4 < 3*v1 {
+		t.Fatalf("visits %d at %v s and %d at %v s: the longer run must do more work", v1, float64(h), v4, float64(4*h))
+	}
+	if a1 != a4 {
+		t.Fatalf("%v allocations at horizon %v s (%d visits), %v at %v s (%d visits): the simulate path allocates per leg or visit",
+			a1, float64(h), v1, a4, float64(4*h), v4)
+	}
+}

@@ -1,5 +1,5 @@
 // Package sim is a deterministic discrete-event simulation engine.
-// Events are closures scheduled at absolute times and executed in
+// Events are handlers scheduled at absolute times and executed in
 // non-decreasing time order; events at identical times run in FIFO
 // scheduling order, which makes every simulation in this repository
 // fully reproducible.
@@ -9,16 +9,22 @@
 // "standard deviation always keeps zero" claim (paper Fig. 8) can be
 // verified to floating-point precision.
 //
-// Event records are pooled: a fired or canceled event returns to a
-// free list and its next Schedule reuses it, so the steady-state
-// schedule→fire cycle of a patrolling simulation allocates nothing
-// (see BenchmarkEngine). Cancellation is lazy — a canceled event stays
-// in the heap until popped — but when canceled entries outnumber live
-// ones the heap is compacted in place.
+// The pending events sit in a typed binary heap ordered by
+// (time, seq), sifted by hand rather than through container/heap so
+// that no schedule or fire goes through an interface call. Event records are pooled: a fired or canceled event
+// returns to a free list and its next Schedule reuses it, so the
+// engine itself allocates nothing in the steady-state schedule→fire
+// cycle (see BenchmarkEngine). Whether a whole simulation is
+// allocation-free then rests on its handlers: a handler value built
+// per event (a closure capturing per-event state, or a method value
+// such as m.advance taken at each call) allocates on every Schedule.
+// The mule package binds its handlers once per mule for this reason.
+// Cancellation is lazy — a canceled event stays in the heap until
+// popped — but when canceled entries outnumber live ones the heap is
+// compacted in place.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 )
@@ -37,24 +43,71 @@ type event struct {
 	gen uint64
 }
 
+// eventHeap is a binary min-heap of events ordered by (time, seq).
+// seq is unique, so this is a total order: the pop order is fully
+// determined by the contents, not by the heap's shape.
 type eventHeap []*event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
+func (h eventHeap) less(i, j int) bool {
 	if h[i].time != h[j].time {
 		return h[i].time < h[j].time
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any {
+
+// push appends ev and restores the heap order.
+func (h *eventHeap) push(ev *event) {
+	*h = append(*h, ev)
+	h.up(len(*h) - 1)
+}
+
+// pop removes and returns the minimum event; the heap must be
+// non-empty.
+func (h *eventHeap) pop() *event {
 	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
+	n := len(old) - 1
+	ev := old[0]
+	old[0] = old[n]
+	old[n] = nil
+	*h = old[:n]
+	h.down(0)
 	return ev
+}
+
+// init establishes the heap order over arbitrary contents.
+func (h eventHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
+
+func (h eventHeap) up(j int) {
+	for j > 0 {
+		i := (j - 1) / 2 // parent
+		if !h.less(j, i) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (h eventHeap) down(i int) {
+	n := len(h)
+	for {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && h.less(r, j) {
+			j = r
+		}
+		if !h.less(j, i) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
 }
 
 // compactMinHeap is the heap size below which lazy-deleted entries are
@@ -143,7 +196,7 @@ func (e *Engine) maybeCompact() {
 			e.events[i] = nil
 		}
 		e.events = kept
-		heap.Init(&e.events)
+		e.events.init()
 	}
 }
 
@@ -156,7 +209,7 @@ func (e *Engine) Schedule(at float64, fn Handler) Cancel {
 	ev := e.alloc()
 	ev.time, ev.seq, ev.fn, ev.canceled = at, e.seq, fn, false
 	e.seq++
-	heap.Push(&e.events, ev)
+	e.events.push(ev)
 	e.pending++
 	return Cancel{e: e, ev: ev, gen: ev.gen}
 }
@@ -173,7 +226,7 @@ func (e *Engine) After(d float64, fn Handler) Cancel {
 // time. It returns false when no events remain.
 func (e *Engine) Step() bool {
 	for len(e.events) > 0 {
-		ev := heap.Pop(&e.events).(*event)
+		ev := e.events.pop()
 		if ev.canceled {
 			e.recycle(ev)
 			continue
@@ -227,7 +280,7 @@ func (e *Engine) peek() *event {
 		if !ev.canceled {
 			return ev
 		}
-		heap.Pop(&e.events)
+		e.events.pop()
 		e.recycle(ev)
 	}
 	return nil

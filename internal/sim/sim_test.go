@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand/v2"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -323,6 +324,89 @@ func TestCompaction(t *testing.T) {
 	e.Run(n + 1)
 	if fired != 100 {
 		t.Fatalf("%d events fired, want 100", fired)
+	}
+}
+
+// TestRandomizedPopOrderMatchesSort checks the hand-sifted heap
+// against its specification: over random schedules with many time
+// ties, bulk cancels that force compaction, and handlers that schedule
+// and cancel while the engine runs, the events that fire are exactly
+// the uncanceled ones, in ascending (time, scheduling order) — the
+// (time, seq) total order.
+func TestRandomizedPopOrderMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 11))
+	compacted := 0
+	for trial := 0; trial < 300; trial++ {
+		e := New()
+		type rec struct {
+			at float64
+			id int
+		}
+		var scheduled, fired []rec
+		var cancels []Cancel
+		canceled := map[int]bool{}
+		done := map[int]bool{}
+		cancelRandom := func() {
+			j := rng.IntN(len(cancels))
+			cancels[j].Cancel()
+			if !done[j] {
+				canceled[j] = true
+			}
+		}
+		var schedule func(at float64)
+		schedule = func(at float64) {
+			id := len(scheduled)
+			scheduled = append(scheduled, rec{at, id})
+			cancels = append(cancels, e.Schedule(at, func() {
+				done[id] = true
+				fired = append(fired, rec{e.Now(), id})
+				if rng.IntN(3) == 0 {
+					schedule(e.Now() + float64(rng.IntN(3))) // often a tie with now
+				}
+				if rng.IntN(3) == 0 {
+					cancelRandom()
+				}
+			}))
+		}
+		n := 1 + rng.IntN(300)
+		for i := 0; i < n; i++ {
+			schedule(float64(rng.IntN(20)))
+		}
+		for i := rng.IntN(n); i > 0; i-- {
+			cancelRandom()
+		}
+		if len(e.events) >= compactMinHeap && len(e.events) < len(scheduled) {
+			compacted++
+		}
+		e.RunUntil(float64(rng.IntN(20)))
+		e.Run(1 << 20)
+
+		var want []rec
+		for _, r := range scheduled {
+			if !canceled[r.id] {
+				want = append(want, r)
+			}
+		}
+		sort.Slice(want, func(i, j int) bool {
+			if want[i].at != want[j].at {
+				return want[i].at < want[j].at
+			}
+			return want[i].id < want[j].id
+		})
+		if len(fired) != len(want) {
+			t.Fatalf("trial %d: %d events fired, want %d", trial, len(fired), len(want))
+		}
+		for i := range want {
+			if fired[i] != want[i] {
+				t.Fatalf("trial %d: event %d fired as %+v, want %+v", trial, i, fired[i], want[i])
+			}
+		}
+		if e.Pending() != 0 {
+			t.Fatalf("trial %d: %d events pending after the run", trial, e.Pending())
+		}
+	}
+	if compacted == 0 {
+		t.Fatal("no trial compacted the heap")
 	}
 }
 
