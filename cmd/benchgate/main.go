@@ -68,7 +68,12 @@
 //     The same gate takes BenchmarkCellSimulation at n=1000, one
 //     whole B-TCTP replication (plan, simulate, record): its
 //     allocs/op is a per-run constant only while no mule leg, visit
-//     or interval statistic allocates.
+//     or interval statistic allocates. Planning dominates that
+//     benchmark's time, so the gate also takes
+//     BenchmarkSimulationThroughput (a 20-target, 4-mule B-TCTP run
+//     over 50 000 s, almost all simulation) to catch a slower
+//     simulate path, and its allocs/op to catch a visit log that
+//     regrows.
 //
 // The BenchmarkPlan*Brute twins are deliberately ungated and excluded
 // from the replicated runs: they are frozen oracles for the

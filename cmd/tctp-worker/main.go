@@ -7,6 +7,12 @@
 //
 //	tctp-worker -server http://host:8080
 //	tctp-worker -server http://host:8080 -id rack3-a -concurrency 2
+//	tctp-worker -server http://host:8080 -cpuprofile cpu.pprof -memprofile mem.pprof
+//
+// -cpuprofile FILE and -memprofile FILE write runtime/pprof CPU and
+// allocation profiles of the worker's whole life (see internal/profile)
+// when it shuts down on SIGINT or SIGTERM; the fold states it posts are
+// the same with and without them.
 //
 // Workers are stateless and interchangeable: attach as many as the
 // sweep load needs, kill them freely — a cell lost with its worker is
@@ -23,6 +29,7 @@ import (
 	"syscall"
 	"time"
 
+	"tctp/internal/profile"
 	"tctp/internal/sweep/worker"
 )
 
@@ -32,6 +39,8 @@ func main() {
 		id          = flag.String("id", "", "worker id reported to the scheduler (default <hostname>-<pid>)")
 		concurrency = flag.Int("concurrency", 1, "cells computed at once (each cell already parallelizes its replications)")
 		poll        = flag.Duration("poll", 15*time.Second, "lease long-poll horizon")
+		cpuProf     = flag.String("cpuprofile", "", "write a CPU profile (runtime/pprof) of the worker to this file at shutdown")
+		memProf     = flag.String("memprofile", "", "write an allocation profile (runtime/pprof) of the worker to this file at shutdown")
 	)
 	flag.Parse()
 	if *server == "" {
@@ -41,14 +50,22 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
+	stopProfile, err := profile.Start(*cpuProf, *memProf)
+	if err != nil {
+		log.Fatalln("tctp-worker:", err)
+	}
 	log.Printf("tctp-worker: pulling leases from %s (concurrency %d)", *server, *concurrency)
-	if err := worker.Run(ctx, worker.Options{
+	err = worker.Run(ctx, worker.Options{
 		Server:      *server,
 		ID:          *id,
 		Concurrency: *concurrency,
 		Poll:        *poll,
 		Logf:        log.Printf,
-	}); err != nil {
+	})
+	if perr := stopProfile(); err == nil {
+		err = perr
+	}
+	if err != nil {
 		log.Fatalln("tctp-worker:", err)
 	}
 	log.Printf("tctp-worker: shut down")

@@ -226,7 +226,7 @@ type randomRouter struct {
 }
 
 // Next implements mule.Router.
-func (r *randomRouter) Next(*mule.Mule) (mule.Waypoint, bool) {
+func (r *randomRouter) Next(m *mule.Mule) (mule.Waypoint, float64, bool) {
 	if len(r.remaining) == 0 {
 		r.remaining = make([]int, r.s.NumTargets())
 		for i := range r.remaining {
@@ -237,5 +237,6 @@ func (r *randomRouter) Next(*mule.Mule) (mule.Waypoint, bool) {
 	id := r.remaining[k]
 	r.remaining[k] = r.remaining[len(r.remaining)-1]
 	r.remaining = r.remaining[:len(r.remaining)-1]
-	return mule.Waypoint{Pos: r.s.Targets[id].Pos, TargetID: id}, true
+	pos := r.s.Targets[id].Pos
+	return mule.Waypoint{Pos: pos, TargetID: id}, m.Pos().Dist(pos), true
 }

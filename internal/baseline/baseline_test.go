@@ -7,6 +7,7 @@ import (
 	"tctp/internal/field"
 	"tctp/internal/geom"
 	"tctp/internal/mule"
+	"tctp/internal/sim"
 	"tctp/internal/xrand"
 )
 
@@ -275,12 +276,16 @@ func TestRandomRouterEpochSemantics(t *testing.T) {
 	if len(routers) != 1 {
 		t.Fatalf("router count = %d", len(routers))
 	}
+	m := mule.New(sim.New(), mule.Config{Start: s.MuleStarts[0], Speed: 1, Router: routers[0]})
 	seen := map[int]int{}
 	// Two epochs: every target exactly twice.
 	for i := 0; i < 2*s.NumTargets(); i++ {
-		wp, ok := routers[0].Next(nil)
+		wp, dist, ok := routers[0].Next(m)
 		if !ok {
 			t.Fatal("random router parked")
+		}
+		if dist != m.Pos().Dist(wp.Pos) {
+			t.Fatalf("leg length %v, want %v", dist, m.Pos().Dist(wp.Pos))
 		}
 		if wp.TargetID < 0 || wp.TargetID >= s.NumTargets() {
 			t.Fatalf("bad target %d", wp.TargetID)
@@ -300,14 +305,15 @@ func TestRandomRouterEpochSemantics(t *testing.T) {
 func TestRandomRoutersIndependent(t *testing.T) {
 	s := scenario(9, 15, 2)
 	routers := (&Random{}).NewRouters(s, xrand.New(7))
-	a, _ := routers[0].Next(nil)
-	b, _ := routers[1].Next(nil)
+	m := mule.New(sim.New(), mule.Config{Speed: 1, Router: routers[0]})
+	a, _, _ := routers[0].Next(m)
+	b, _, _ := routers[1].Next(m)
 	// Not a hard guarantee, but with 16 targets identical first picks
 	// across independent streams are unlikely; a flake here would
 	// indicate stream sharing.
 	same := a.TargetID == b.TargetID
-	c, _ := routers[0].Next(nil)
-	d, _ := routers[1].Next(nil)
+	c, _, _ := routers[0].Next(m)
+	d, _, _ := routers[1].Next(m)
 	if same && c.TargetID == d.TargetID {
 		t.Fatal("routers appear to share one random stream")
 	}

@@ -29,26 +29,36 @@ type Recorder struct {
 // NewRecorder returns a recorder for nTargets targets (indexed
 // 0..nTargets-1).
 func NewRecorder(nTargets int) *Recorder {
-	return NewRecorderCap(nTargets, 0)
+	return NewRecorderCap(nTargets, nil)
 }
 
-// NewRecorderCap is NewRecorder with a per-target visit-count capacity
-// hint: every target's series is carved out of one flat backing array
-// with room for visitCap timestamps, so a simulation whose visit
-// counts stay within the hint performs no recording allocations at
-// all. The full-slice-expression cap means a target that outgrows its
-// slot reallocates independently instead of clobbering its
-// neighbour's slot, so the hint affects only allocation behaviour,
-// never recorded values. visitCap <= 0 means no preallocation.
-func NewRecorderCap(nTargets, visitCap int) *Recorder {
+// NewRecorderCap is NewRecorder with per-target visit-count capacities:
+// target i's series is carved out of one flat backing array with room
+// for caps[i] timestamps, so a simulation whose visit counts stay
+// within them performs no recording allocations at all. The
+// full-slice-expression cap means a target that outgrows its slot
+// reallocates independently instead of clobbering its neighbour's
+// slot, so the capacities affect only allocation behaviour, never
+// recorded values. A nil caps means no preallocation; otherwise it
+// must have one entry per target.
+func NewRecorderCap(nTargets int, caps []int) *Recorder {
 	if nTargets <= 0 {
 		panic(fmt.Sprintf("metrics: NewRecorder(%d)", nTargets))
 	}
+	if caps != nil && len(caps) != nTargets {
+		panic(fmt.Sprintf("metrics: %d capacities for %d targets", len(caps), nTargets))
+	}
 	r := &Recorder{visits: make([][]float64, nTargets)}
-	if visitCap > 0 {
-		flat := make([]float64, nTargets*visitCap)
-		for i := range r.visits {
-			r.visits[i] = flat[i*visitCap : i*visitCap : (i+1)*visitCap]
+	if caps != nil {
+		total := 0
+		for _, c := range caps {
+			total += c
+		}
+		flat := make([]float64, total)
+		off := 0
+		for i, c := range caps {
+			r.visits[i] = flat[off : off : off+c]
+			off += c
 		}
 	}
 	return r

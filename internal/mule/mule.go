@@ -8,6 +8,15 @@
 // Route decisions are delegated to a Router, so the same entity serves
 // the fixed-route planners (B/W/RW-TCTP, CHB, Sweep) and the online
 // Random baseline.
+//
+// A leg is one engine event. On arrival the mule books the leg, visits,
+// asks its Router for the next stop and schedules the next arrival at
+// departure + distance/speed, where the departure instant already
+// includes the collection dwell and any NotBefore hold. sim.AfterFrom
+// files that arrival as though scheduled at the departure instant, so
+// simultaneous events keep the order separate departure events gave
+// them. Only Launch and Reroute spend an extra event, to start the
+// first leg; see Reroute for the one ordering this cannot reproduce.
 package mule
 
 import (
@@ -39,18 +48,26 @@ type Waypoint struct {
 	NotBefore float64
 }
 
-// Router supplies a mule's next waypoint. Next is called once the
-// mule has finished its current stop (after dwelling, if the stop was
-// a target). Returning ok == false parks the mule permanently.
+// Router supplies a mule's next waypoint and the length of the leg to
+// it, which must equal m.Pos().Dist(wp.Pos) bit for bit; a router that
+// knows its route can return a precomputed length instead of paying
+// for the square root. Next is called at the moment the mule arrives
+// at its current stop, before the dwell there: when the mule launches,
+// when it is rerouted, and on every arrival that does not kill it.
+// Returning ok == false parks the mule permanently.
 type Router interface {
-	Next(m *Mule) (wp Waypoint, ok bool)
+	Next(m *Mule) (wp Waypoint, dist float64, ok bool)
 }
 
-// RouterFunc adapts a function to the Router interface.
+// RouterFunc adapts a function to the Router interface; Next measures
+// the leg from the mule's position.
 type RouterFunc func(m *Mule) (Waypoint, bool)
 
 // Next implements Router.
-func (f RouterFunc) Next(m *Mule) (Waypoint, bool) { return f(m) }
+func (f RouterFunc) Next(m *Mule) (Waypoint, float64, bool) {
+	wp, ok := f(m)
+	return wp, m.pos.Dist(wp.Pos), ok
+}
 
 // Config parameterizes a mule.
 type Config struct {
@@ -92,9 +109,9 @@ type Mule struct {
 	// advanceFn and arriveFn are m.advance and m.arrive bound once in
 	// New: a method value taken at each After would allocate per leg.
 	advanceFn, arriveFn sim.Handler
-	// Leg tracking for mid-leg preemption: while inFlight, the mule is
-	// somewhere on the segment legFrom→legTo, having departed at
-	// legDepart; its true position is time-interpolated.
+	// Leg tracking for preemption: while inFlight, the mule dwells at
+	// legFrom until legDepart and then travels the segment
+	// legFrom→legTo; its true position is time-interpolated.
 	inFlight  bool
 	legFrom   geom.Point
 	legTo     geom.Point
@@ -104,7 +121,8 @@ type Mule struct {
 	// arriveFn completes. They live here rather than in a per-leg
 	// closure; this is safe because the arrival is the mule's one
 	// pending event and Kill/Reroute cancel it before a new leg
-	// overwrites them.
+	// overwrites them, and arrive reads them before it starts the
+	// next leg.
 	legWP     Waypoint
 	legEnergy float64
 
@@ -162,19 +180,28 @@ func (m *Mule) Recharges() int { return m.recharges }
 // Battery returns the mule's battery, or nil when unconstrained.
 func (m *Mule) Battery() *energy.Battery { return m.cfg.Battery }
 
-// advance asks the router for the next waypoint and starts the leg.
+// advance starts a leg from where the mule stands, now: the first leg
+// after Launch or Reroute.
 func (m *Mule) advance() {
 	if m.dead || m.parked {
 		return
 	}
-	wp, ok := m.cfg.Router.Next(m)
+	m.depart(m.eng.Now())
+}
+
+// depart asks the router for the next waypoint and schedules the leg
+// that leaves the current position at instant dep (now, or the end of
+// the dwell and hold at the stop the mule has just reached).
+func (m *Mule) depart(dep float64) {
+	wp, dist, ok := m.cfg.Router.Next(m)
 	if !ok {
 		m.parked = true
 		return
 	}
-	dist := m.pos.Dist(wp.Pos)
 	moveEnergy := m.cfg.Energy.MoveEnergy(dist)
 
+	// Nothing drains between arrival and departure, so the battery
+	// can be checked now for the whole leg.
 	if b := m.cfg.Battery; b != nil && !b.CanAfford(moveEnergy) {
 		// The battery empties mid-leg: the mule dies after covering
 		// whatever distance the remaining charge affords.
@@ -189,8 +216,8 @@ func (m *Mule) advance() {
 		if dist > 0 {
 			deathPos = m.pos.Lerp(wp.Pos, affordable/dist)
 		}
-		m.startLeg(deathPos, affordable)
-		m.pending = m.eng.After(affordable/m.cfg.Speed, func() {
+		m.startLeg(deathPos, affordable, dep)
+		m.pending = m.eng.AfterFrom(dep, affordable/m.cfg.Speed, func() {
 			m.inFlight = false
 			m.energyUse += b.Level()
 			b.Drain(b.Level() + 1) // force dead
@@ -204,30 +231,34 @@ func (m *Mule) advance() {
 		return
 	}
 
-	m.startLeg(wp.Pos, dist)
+	m.startLeg(wp.Pos, dist, dep)
 	m.legWP, m.legEnergy = wp, moveEnergy
-	m.pending = m.eng.After(dist/m.cfg.Speed, m.arriveFn)
+	m.pending = m.eng.AfterFrom(dep, dist/m.cfg.Speed, m.arriveFn)
 }
 
-// startLeg records the in-flight segment so Kill/Reroute/PosNow can
-// interpolate the mule's position between departure and arrival events.
-func (m *Mule) startLeg(to geom.Point, dist float64) {
+// startLeg records the segment the mule leaves on at instant dep, so
+// Kill/Reroute/PosNow can place the mule before the arrival event.
+func (m *Mule) startLeg(to geom.Point, dist, dep float64) {
 	m.inFlight = true
 	m.legFrom = m.pos
 	m.legTo = to
-	m.legDepart = m.eng.Now()
+	m.legDepart = dep
 	m.legDist = dist
 }
 
 // settleLeg finalizes a preempted leg: the mule is moved to its
 // time-interpolated position and the distance/energy actually spent on
 // the partial leg is booked, exactly as arrive would have booked the
-// whole leg.
+// whole leg. A mule preempted at or before its departure instant is
+// still dwelling: it stays at legFrom and nothing is booked.
 func (m *Mule) settleLeg() {
 	if !m.inFlight {
 		return
 	}
 	m.inFlight = false
+	if m.eng.Now() <= m.legDepart {
+		return
+	}
 	covered := (m.eng.Now() - m.legDepart) * m.cfg.Speed
 	if covered > m.legDist {
 		covered = m.legDist
@@ -250,7 +281,7 @@ func (m *Mule) settleLeg() {
 
 // PosNow returns the mule's position at the current simulation time,
 // interpolating along the in-flight leg when the mule is between
-// waypoint events.
+// waypoint events (a mule still dwelling is at legFrom).
 func (m *Mule) PosNow() geom.Point {
 	if !m.inFlight || m.legDist <= 0 {
 		return m.pos
@@ -285,6 +316,14 @@ func (m *Mule) Kill() {
 // settled at the interpolated position, any pending dwell or hold is
 // abandoned, and the mule immediately asks the new router for its next
 // waypoint. Rerouting a dead mule only records the router.
+//
+// The first leg starts from an event of its own at the current instant.
+// Another mule that arrives at that instant with no dwell or hold to
+// serve schedules its next leg without one, so where the two next
+// arrivals tie, it now arrives first, while two departure events would
+// have let the rerouted mule arrive first. Rerouting every live mule
+// in one batch, as patrol's replans do, cancels any such arrival.
+// Launch after the simulation has started behaves the same way.
 func (m *Mule) Reroute(r Router) {
 	m.cfg.Router = r
 	if m.dead {
@@ -296,9 +335,9 @@ func (m *Mule) Reroute(r Router) {
 	m.pending = m.eng.After(0, m.advanceFn)
 }
 
-// arrive finalizes the leg started by advance (legWP, legDist,
-// legEnergy): position/energy bookkeeping, recharge, collection dwell,
-// then the next leg.
+// arrive finalizes the leg started by depart (legWP, legDist,
+// legEnergy): position/energy bookkeeping, recharge and collection,
+// then the next leg, which departs once the dwell and hold are over.
 func (m *Mule) arrive() {
 	if m.dead {
 		return
@@ -323,7 +362,7 @@ func (m *Mule) arrive() {
 	}
 
 	if wp.TargetID == NoTarget {
-		m.pending = m.eng.After(m.holdDelay(wp, 0), m.advanceFn)
+		m.depart(m.eng.Now() + m.holdDelay(wp, 0))
 		return
 	}
 
@@ -346,7 +385,7 @@ func (m *Mule) arrive() {
 		b.Drain(visitEnergy)
 	}
 	m.energyUse += visitEnergy
-	m.pending = m.eng.After(m.holdDelay(wp, m.cfg.Energy.Dwell), m.advanceFn)
+	m.depart(m.eng.Now() + m.holdDelay(wp, m.cfg.Energy.Dwell))
 }
 
 // holdDelay returns the time to stay at the waypoint: at least the

@@ -15,10 +15,10 @@ type loopRouter struct {
 	i   int
 }
 
-func (r *loopRouter) Next(*Mule) (Waypoint, bool) {
+func (r *loopRouter) Next(m *Mule) (Waypoint, float64, bool) {
 	wp := r.wps[r.i%len(r.wps)]
 	r.i++
-	return wp, true
+	return wp, m.Pos().Dist(wp.Pos), true
 }
 
 // finiteRouter returns each waypoint once, then parks the mule.
@@ -27,13 +27,13 @@ type finiteRouter struct {
 	i   int
 }
 
-func (r *finiteRouter) Next(*Mule) (Waypoint, bool) {
+func (r *finiteRouter) Next(m *Mule) (Waypoint, float64, bool) {
 	if r.i >= len(r.wps) {
-		return Waypoint{}, false
+		return Waypoint{}, 0, false
 	}
 	wp := r.wps[r.i]
 	r.i++
-	return wp, true
+	return wp, m.Pos().Dist(wp.Pos), true
 }
 
 func zeroDwell() energy.Model {

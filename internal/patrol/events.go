@@ -268,8 +268,9 @@ func (r *replanner) replan(now float64) {
 		hold = now + rep.Plan.MaxApproach/slowest
 	}
 	global := core.RemapPlan(rep.Plan, rep.TargetIDs)
+	routers := newPlanRouters(global.Routes, hold)
 	for li, gi := range rep.MuleIDs {
-		r.mules[gi].Reroute(&planRouter{route: global.Routes[li], holdUntil: hold})
+		r.mules[gi].Reroute(&routers[li])
 	}
 	r.groups = rep.Groups
 	r.replans = append(r.replans, ReplanRecord{Time: now, Survivors: len(rep.MuleIDs), Groups: len(rep.Groups)})

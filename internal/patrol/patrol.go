@@ -7,6 +7,7 @@ package patrol
 
 import (
 	"fmt"
+	"math"
 
 	"tctp/internal/core"
 	"tctp/internal/energy"
@@ -46,7 +47,9 @@ type Options struct {
 	// enough for tens of circuits of an 800 m field at 2 m/s).
 	Horizon float64
 	// MaxEvents bounds the event count as a safety valve (default
-	// 5 000 000).
+	// 5 000 000). A mule leg — the dwell and any hold at the stop it
+	// leaves, then the travel — is one event, ending in the arrival
+	// that records a visit, so a run records at most MaxEvents visits.
 	MaxEvents uint64
 	// NoSynchronizedStart lets each mule begin patrolling the moment
 	// it reaches its start point instead of waiting for the slowest
@@ -268,9 +271,10 @@ func planRouters(plan *core.FleetPlan, opts Options, n int) []mule.Router {
 		// MaxApproach / Speed.
 		hold = plan.MaxApproach / opts.slowestSpeed(n)
 	}
-	routers := make([]mule.Router, len(plan.Routes))
-	for i := range plan.Routes {
-		routers[i] = &planRouter{route: plan.Routes[i], holdUntil: hold}
+	rs := newPlanRouters(plan.Routes, hold)
+	routers := make([]mule.Router, len(rs))
+	for i := range rs {
+		routers[i] = &rs[i]
 	}
 	return routers
 }
@@ -315,62 +319,153 @@ func (a onlineAlg) prepare(s *field.Scenario, _ Options, src *xrand.Source) ([]m
 type planRouter struct {
 	route     core.MuleRoute
 	holdUntil float64
+	// legs is the route's leg-length table. Phase p takes
+	// len(Stops)+1 entries from offset off(p): entry i < len(Stops) is
+	// the leg into stop i from the stop before it in the phase (stop
+	// 0's from the phase's own last stop, which precedes it when the
+	// phase repeats); the last entry is the leg into stop 0 from the
+	// previous phase's last stop.
+	legs []float64
 
 	approachIdx int
 	phase       int
+	off         int // offset of phase's entries in legs
 	rep         int
 	idx         int
 }
 
-// Next implements mule.Router.
-func (r *planRouter) Next(*mule.Mule) (mule.Waypoint, bool) {
+// newPlanRouters builds one router per route in one block, carving
+// every route's leg-length table from one flat array.
+func newPlanRouters(routes []core.MuleRoute, hold float64) []planRouter {
+	n := 0
+	for _, r := range routes {
+		for _, ph := range r.Cycle {
+			n += len(ph.Stops) + 1
+		}
+	}
+	flat := make([]float64, 0, n)
+	rs := make([]planRouter, len(routes))
+	for i, r := range routes {
+		start := len(flat)
+		for p, ph := range r.Cycle {
+			stops := ph.Stops
+			flat = append(flat, stops[len(stops)-1].Pos.Dist(stops[0].Pos))
+			for j := 1; j < len(stops); j++ {
+				flat = append(flat, stops[j-1].Pos.Dist(stops[j].Pos))
+			}
+			prev := r.Cycle[(p+len(r.Cycle)-1)%len(r.Cycle)].Stops
+			flat = append(flat, prev[len(prev)-1].Pos.Dist(stops[0].Pos))
+		}
+		rs[i] = planRouter{route: r, holdUntil: hold, legs: flat[start:len(flat):len(flat)]}
+	}
+	return rs
+}
+
+// Next implements mule.Router. A cycle leg's length comes from the
+// table when the mule stands exactly at the stop the table measured
+// it from; the first leg after the approach, or any leg the mule
+// starts from elsewhere, is measured from the mule's position.
+func (r *planRouter) Next(m *mule.Mule) (mule.Waypoint, float64, bool) {
 	if r.approachIdx < len(r.route.Approach) {
 		wp := r.route.Approach[r.approachIdx]
 		r.approachIdx++
 		if r.approachIdx == len(r.route.Approach) {
 			wp.NotBefore = r.holdUntil + r.route.ExtraHold
 		}
-		return wp, true
+		return wp, m.Pos().Dist(wp.Pos), true
 	}
 	ph := r.route.Cycle[r.phase]
 	wp := ph.Stops[r.idx]
+	from, dist := ph.Stops[len(ph.Stops)-1].Pos, r.legs[r.off+r.idx]
+	switch {
+	case r.idx > 0:
+		from = ph.Stops[r.idx-1].Pos
+	case r.rep == 0:
+		prev := r.route.Cycle[(r.phase+len(r.route.Cycle)-1)%len(r.route.Cycle)].Stops
+		from, dist = prev[len(prev)-1].Pos, r.legs[r.off+len(ph.Stops)]
+	}
+	if m.Pos() != from {
+		dist = m.Pos().Dist(wp.Pos)
+	}
 	r.idx++
 	if r.idx == len(ph.Stops) {
 		r.idx = 0
 		r.rep++
 		if r.rep >= ph.Repeat {
 			r.rep = 0
-			r.phase = (r.phase + 1) % len(r.route.Cycle)
+			r.off += len(ph.Stops) + 1
+			r.phase++
+			if r.phase == len(r.route.Cycle) {
+				r.phase, r.off = 0, 0
+			}
 		}
 	}
-	return wp, true
+	return wp, dist, true
 }
 
-// visitCapHint estimates the visits each target will receive so the
-// recorder can preallocate its series in one flat block. For a planned
-// fleet on closed walks, each target is visited about once per mule
-// per walk period (horizon · Σspeed / total walk length); online
-// algorithms get no hint. The hint is a capacity, not a bound —
-// underestimates merely fall back to slice growth — and is clamped so
-// a degenerate short walk cannot request unbounded memory.
-func visitCapHint(s *field.Scenario, plan *core.FleetPlan, opts Options) int {
+// visitCaps bounds each target's visit count over the horizon from
+// the plan's routes, so the recorder can carve every target's log from
+// one flat block and never grow it. A route's period is at least its
+// cycle length over the mule's speed plus one dwell per target stop,
+// so within the horizon it starts at most ⌊Horizon/period⌋+1 cycles;
+// each target is granted its occurrences per cycle times one cycle
+// more than that, plus its approach occurrences. Online algorithms
+// (no plan) get no capacities, and neither does a plan with a
+// zero-length period (whose visit count only MaxEvents bounds) or one
+// whose capacities add up to more visits than MaxEvents allows: their
+// logs grow as they fill. Capacities only size allocations, never
+// recorded values.
+func visitCaps(n int, plan *core.FleetPlan, opts Options) []int {
 	if plan == nil {
-		return 0
+		return nil
 	}
-	walkLen := plan.TotalWalkLength(s.Points())
-	if walkLen <= 0 {
-		return 0
+	caps := make([]int, n)
+	total := 0
+	for i, r := range plan.Routes {
+		length, stops := 0.0, 0
+		for p, ph := range r.Cycle {
+			prev := r.Cycle[(p+len(r.Cycle)-1)%len(r.Cycle)].Stops
+			last := ph.Stops[len(ph.Stops)-1].Pos
+			in := 0.0
+			for j := 1; j < len(ph.Stops); j++ {
+				in += ph.Stops[j-1].Pos.Dist(ph.Stops[j].Pos)
+			}
+			length += prev[len(prev)-1].Pos.Dist(ph.Stops[0].Pos) +
+				float64(ph.Repeat-1)*last.Dist(ph.Stops[0].Pos) + float64(ph.Repeat)*in
+			for _, wp := range ph.Stops {
+				if wp.TargetID != mule.NoTarget {
+					stops += ph.Repeat
+				}
+			}
+		}
+		period := length/opts.muleSpeed(i) + float64(stops)*opts.Energy.Dwell
+		if !(period > 0) {
+			return nil
+		}
+		cycles := math.Floor(opts.Horizon/period) + 2
+		if cycles > float64(opts.MaxEvents) {
+			return nil
+		}
+		for _, wp := range r.Approach {
+			if wp.TargetID != mule.NoTarget {
+				caps[wp.TargetID]++
+				total++
+			}
+		}
+		for _, ph := range r.Cycle {
+			for _, wp := range ph.Stops {
+				if wp.TargetID != mule.NoTarget {
+					c := ph.Repeat * int(cycles)
+					caps[wp.TargetID] += c
+					total += c
+				}
+			}
+		}
+		if uint64(total) > opts.MaxEvents {
+			return nil
+		}
 	}
-	speedSum := 0.0
-	for i := 0; i < s.NumMules(); i++ {
-		speedSum += opts.muleSpeed(i)
-	}
-	hint := int(opts.Horizon*speedSum/walkLen) + 8
-	const maxHint = 1 << 14
-	if hint > maxHint {
-		hint = maxHint
-	}
-	return hint
+	return caps
 }
 
 // Run executes the algorithm on the scenario until opts.Horizon and
@@ -429,7 +524,7 @@ func Run(s *field.Scenario, alg Algorithm, opts Options, src *xrand.Source) (*Re
 	}
 
 	eng := sim.New()
-	rec := metrics.NewRecorderCap(s.NumTargets(), visitCapHint(s, plan, opts))
+	rec := metrics.NewRecorderCap(s.NumTargets(), visitCaps(s.NumTargets(), plan, opts))
 	// The recorder is the first observer; user observers follow in
 	// registration order, all peers of one dispatch.
 	dispatch := make(multiObserver, 0, 1+len(opts.Observers))

@@ -1,5 +1,6 @@
 // Package profile implements the opt-in -cpuprofile and -memprofile
-// flags of tctp-sweep and tctp-experiments with runtime/pprof. The
+// flags of tctp-sweep, tctp-experiments and tctp-worker with
+// runtime/pprof. The
 // profiles go to their own files and never into a program's output,
 // so a profiled run writes the same bytes as an unprofiled one.
 //

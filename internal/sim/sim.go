@@ -19,6 +19,13 @@
 // per event (a closure capturing per-event state, or a method value
 // such as m.advance taken at each call) allocates on every Schedule.
 // The mule package binds its handlers once per mule for this reason.
+//
+// Ties at one instant are broken by (from, seq): the instant an event
+// counts as scheduled at, then call order. For Schedule and After,
+// from is now, so this is plain FIFO. AfterFrom lets a caller schedule
+// an event as though from a later instant; a mule uses it to spend one
+// event per leg, scheduling its next arrival at the moment it arrives
+// with the dwell and any hold folded in.
 // Cancellation is lazy — a canceled event stays in the heap until
 // popped — but when canceled entries outnumber live ones the heap is
 // compacted in place.
@@ -33,8 +40,12 @@ import (
 type Handler func()
 
 type event struct {
-	time     float64
-	seq      uint64 // insertion order; breaks time ties FIFO
+	time float64
+	// from is the instant the event counts as scheduled at: now for
+	// Schedule and After, a later instant for AfterFrom. It breaks
+	// time ties ahead of seq.
+	from     float64
+	seq      uint64 // insertion order; breaks remaining ties FIFO
 	fn       Handler
 	canceled bool
 	// gen counts the record's reuses; a Cancel handle is valid only
@@ -43,16 +54,20 @@ type event struct {
 	gen uint64
 }
 
-// eventHeap is a binary min-heap of events ordered by (time, seq).
-// seq is unique, so this is a total order: the pop order is fully
-// determined by the contents, not by the heap's shape.
+// eventHeap is a binary min-heap of events ordered by
+// (time, from, seq). seq is unique, so this is a total order: the pop
+// order is fully determined by the contents, not by the heap's shape.
 type eventHeap []*event
 
 func (h eventHeap) less(i, j int) bool {
-	if h[i].time != h[j].time {
-		return h[i].time < h[j].time
+	a, b := h[i], h[j]
+	if a.time != b.time {
+		return a.time < b.time
 	}
-	return h[i].seq < h[j].seq
+	if a.from != b.from {
+		return a.from < b.from
+	}
+	return a.seq < b.seq
 }
 
 // push appends ev and restores the heap order.
@@ -206,8 +221,12 @@ func (e *Engine) Schedule(at float64, fn Handler) Cancel {
 	if math.IsNaN(at) || at < e.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
 	}
+	return e.schedule(at, e.now, fn)
+}
+
+func (e *Engine) schedule(at, from float64, fn Handler) Cancel {
 	ev := e.alloc()
-	ev.time, ev.seq, ev.fn, ev.canceled = at, e.seq, fn, false
+	ev.time, ev.from, ev.seq, ev.fn, ev.canceled = at, from, e.seq, fn, false
 	e.seq++
 	e.events.push(ev)
 	e.pending++
@@ -220,6 +239,25 @@ func (e *Engine) After(d float64, fn Handler) Cancel {
 		panic(fmt.Sprintf("sim: After(%v) negative", d))
 	}
 	return e.Schedule(e.now+d, fn)
+}
+
+// AfterFrom runs fn d seconds after the instant from, which must not
+// precede now. Among events at the same time it sorts as though
+// scheduled at instant from: behind those scheduled at an earlier
+// instant, ahead of those scheduled at a later one, and by call order
+// among those also scheduled at from. One event can then stand for a
+// wait followed by a move: a mule schedules its next arrival the
+// moment it arrives rather than a departure event that schedules the
+// arrival. When every such pair is folded this way, events fire in the
+// order the separate wait events gave them (TestAfterFromMatchesTwoHops);
+// a wait event still scheduled the old way at the same instant can
+// sort differently. The fire time is the same float expression,
+// from + d.
+func (e *Engine) AfterFrom(from, d float64, fn Handler) Cancel {
+	if math.IsNaN(from) || from < e.now || !(d >= 0) {
+		panic(fmt.Sprintf("sim: AfterFrom(%v, %v) at now %v", from, d, e.now))
+	}
+	return e.schedule(from+d, from, fn)
 }
 
 // Step executes the next pending event, advancing the clock to its

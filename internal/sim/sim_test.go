@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand/v2"
 	"sort"
 	"testing"
@@ -460,5 +461,64 @@ func BenchmarkEngineCancel(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Step()
+	}
+}
+
+// TestAfterFromMatchesTwoHops pins AfterFrom's contract on random
+// schedules with many exact ties: when every chain folds its wait into
+// AfterFrom(now+w, d), the events fire in the order that a hop event
+// After(w) followed by After(d) gives them, with plain events
+// scheduled up front firing at the same instants.
+func TestAfterFromMatchesTwoHops(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 5))
+	for trial := 0; trial < 500; trial++ {
+		type chain struct {
+			start, wait, d float64
+			plain          bool
+		}
+		chains := make([]chain, 2+rng.IntN(12))
+		for i := range chains {
+			chains[i] = chain{float64(rng.IntN(4)), float64(rng.IntN(3)), float64(rng.IntN(3)), rng.IntN(3) == 0}
+		}
+		run := func(folded bool) []int {
+			e := New()
+			var order []int
+			for i, c := range chains {
+				i, c := i, c
+				fire := func() { order = append(order, i) }
+				switch {
+				case c.plain:
+					e.Schedule(c.start+c.wait+c.d, fire)
+				case folded:
+					e.Schedule(c.start, func() { e.AfterFrom(e.Now()+c.wait, c.d, fire) })
+				default:
+					e.Schedule(c.start, func() { e.After(c.wait, func() { e.After(c.d, fire) }) })
+				}
+			}
+			e.Run(1000)
+			return order
+		}
+		want, got := run(false), run(true)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d: AfterFrom order %v, two-hop order %v", trial, got, want)
+			}
+		}
+	}
+}
+
+func TestAfterFromRejectsPastOrNegative(t *testing.T) {
+	e := New()
+	e.Schedule(5, func() {})
+	e.Run(1)
+	for _, c := range []struct{ from, d float64 }{{4, 1}, {6, -1}, {math.NaN(), 1}, {6, math.NaN()}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("AfterFrom(%v, %v) at now 5 did not panic", c.from, c.d)
+				}
+			}()
+			e.AfterFrom(c.from, c.d, func() {})
+		}()
 	}
 }
