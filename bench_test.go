@@ -4,6 +4,7 @@ import (
 	"io"
 	"testing"
 
+	"tctp/internal/baseline"
 	"tctp/internal/core"
 	"tctp/internal/experiment"
 	"tctp/internal/field"
@@ -210,6 +211,28 @@ func BenchmarkSimulationThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res, err := patrol.Run(s, patrol.Planned(&core.BTCTP{}),
 			patrol.Options{Horizon: 50_000}, xrand.New(1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.TotalVisits() == 0 {
+			b.Fatal("no visits")
+		}
+	}
+}
+
+// BenchmarkSimulationExclusive measures one Sweep replication on a
+// 10-target, 8-mule uniform field at the default 100 000 s horizon:
+// nearly one mule per target, the paper-grid cell where most visits
+// come from a mule parked on a target of its own. Every mule shares no
+// target with another, so each runs ahead of the event heap on its own
+// clock (patrol's run-ahead path); BenchmarkSimulationThroughput's
+// shared B-TCTP circuit never reaches that path.
+func BenchmarkSimulationExclusive(b *testing.B) {
+	s := field.Generate(field.Config{NumTargets: 10, NumMules: 8, Placement: field.Uniform},
+		xrand.New(5))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		res, err := patrol.Run(s, patrol.Planned(&baseline.Sweep{}), patrol.Options{}, xrand.New(1))
 		if err != nil {
 			b.Fatal(err)
 		}

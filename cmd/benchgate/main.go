@@ -57,8 +57,11 @@
 // single threshold cannot fit both:
 //
 //   - '^BenchmarkEngine' at -threshold 0.15: discrete-event engine
-//     microbenchmarks. Tight ops with low run-to-run variance; 15%
-//     catches real regressions without flaking.
+//     microbenchmarks (BenchmarkEngine, BenchmarkEngineCancel). Tight
+//     ops with low run-to-run variance; 15% catches real regressions
+//     without flaking. They take 2000 iterations per run, because at a
+//     handful of iterations one engine step is below the timer's
+//     resolution.
 //   - '^BenchmarkPlan' at -threshold 0.25: whole planner constructions
 //     (tours, clusterings, fleet plans) at n=1000. Bigger working
 //     sets make them more sensitive to machine noise on shared CI
@@ -69,11 +72,23 @@
 //     whole B-TCTP replication (plan, simulate, record): its
 //     allocs/op is a per-run constant only while no mule leg, visit
 //     or interval statistic allocates. Planning dominates that
-//     benchmark's time, so the gate also takes
+//     benchmark's time, so the gate also takes the two simulation
+//     benchmarks, whose allocs/op catch a visit log that regrows:
 //     BenchmarkSimulationThroughput (a 20-target, 4-mule B-TCTP run
-//     over 50 000 s, almost all simulation) to catch a slower
-//     simulate path, and its allocs/op to catch a visit log that
-//     regrows.
+//     over 50 000 s on one shared circuit, almost all simulation on
+//     the event heap) and BenchmarkSimulationExclusive (a 10-target,
+//     8-mule Sweep over 100 000 s, whose mules share no target and so
+//     run ahead of the heap on their own clocks). It also takes the
+//     two service hot paths whose absolute time is the product:
+//     BenchmarkCacheHitSweep (a fully warm sweep) and
+//     BenchmarkRemoteDispatch (one lease round trip). Their allocs/op
+//     moves by one or two between runs of a few iterations, so they
+//     run 2000 iterations per run, where it is constant.
+//
+// A -bench pattern with a '/' level runs no benchmark that lacks
+// sub-benchmarks, so CI runs the n=1000 ladders, the 2000-iteration
+// set and the two simulation benchmarks in three go test invocations
+// and feeds their concatenated output to both gates.
 //
 // The BenchmarkPlan*Brute twins are deliberately ungated and excluded
 // from the replicated runs: they are frozen oracles for the
@@ -95,11 +110,12 @@
 // compute under N duplicate submissions, ~2.3× batched CHB assignment
 // at n=10k) are re-measurable from any single run's output.
 // BenchmarkPlanCHBAssign joins the '^BenchmarkPlan' gate at n=1000;
-// its PerMule twin and the cache benchmarks stay ungated — the former
-// is a frozen baseline, the latter measure wall-clock collapse ratios
-// whose absolute times are dominated by scheduler behavior on shared
-// runners, and both still execute in the rot check so they cannot
-// decay silently.
+// its PerMule twin and the cold and no-share cache twins stay ungated
+// as frozen baselines. BenchmarkCacheDedup runs with the gated set but
+// stays ungated: it measures a wall-clock collapse ratio of eight
+// concurrent sweeps, dominated by scheduler behavior on shared runners.
+// All of them still execute in the rot check so they cannot decay
+// silently.
 package main
 
 import (

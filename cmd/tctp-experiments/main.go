@@ -10,10 +10,12 @@
 //	tctp-experiments -run all -seeds 20 -progress
 //	tctp-experiments -run fig8 -seeds 5 -out fig8.csv -format csv
 //	tctp-experiments -run fig8 -cpuprofile cpu.pprof -memprofile mem.pprof
+//	tctp-experiments -run fig8 -trace trace.out
 //
 // -cpuprofile and -memprofile write runtime/pprof CPU and allocation
-// profiles of the experiments to their own files (see
-// internal/profile); the results are unchanged by them.
+// profiles of the experiments to their own files, and -trace a
+// runtime/trace execution trace (see internal/profile); the results
+// are unchanged by them.
 package main
 
 import (
@@ -42,6 +44,7 @@ func main() {
 		ckptDir  = flag.String("checkpoint", "", "checkpoint directory: sweeps persist fold state here and an interrupted rerun resumes")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile (runtime/pprof) of the experiments to this file")
 		memProf  = flag.String("memprofile", "", "write an allocation profile (runtime/pprof) of the experiments to this file")
+		traceF   = flag.String("trace", "", "write an execution trace (runtime/trace) of the experiments to this file")
 	)
 	flag.Parse()
 
@@ -91,7 +94,7 @@ func main() {
 		names = experiment.Names()
 	}
 
-	stop, err := profile.Start(*cpuProf, *memProf)
+	stop, err := profile.Start(*cpuProf, *memProf, *traceF)
 	if err == nil {
 		err = runAll(names, params, w, f, *progress, os.Stderr)
 		if perr := stop(); err == nil {

@@ -74,8 +74,9 @@
 // regions) are skipped and reported on stderr.
 //
 // -cpuprofile FILE and -memprofile FILE write runtime/pprof CPU and
-// allocation profiles of the whole run to FILE (see internal/profile);
-// the sweep output is unchanged by them.
+// allocation profiles of the whole run to FILE, and -trace FILE a
+// runtime/trace execution trace (see internal/profile); the sweep
+// output is unchanged by them.
 package main
 
 import (
@@ -135,6 +136,7 @@ func main() {
 		quality    = flag.Bool("quality", false, "add the approximation-ratio columns (ratio_tour, ratio_dcdt) computed against the internal/optimal reference bounds")
 		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile (runtime/pprof) of the run to this file")
 		memProf    = flag.String("memprofile", "", "write an allocation profile (runtime/pprof) of the run to this file")
+		traceF     = flag.String("trace", "", "write an execution trace (runtime/trace) of the run to this file")
 	)
 	flag.Parse()
 
@@ -153,7 +155,7 @@ func main() {
 		Shard: *shard, Merge: *merge, MergeInputs: flag.Args(),
 		Server: *server, Quality: *quality,
 	}
-	stop, err := profile.Start(*cpuProf, *memProf)
+	stop, err := profile.Start(*cpuProf, *memProf, *traceF)
 	if err == nil {
 		err = run(cfg, os.Stdout, os.Stderr)
 		if perr := stop(); err == nil {

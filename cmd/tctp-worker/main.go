@@ -8,11 +8,13 @@
 //	tctp-worker -server http://host:8080
 //	tctp-worker -server http://host:8080 -id rack3-a -concurrency 2
 //	tctp-worker -server http://host:8080 -cpuprofile cpu.pprof -memprofile mem.pprof
+//	tctp-worker -server http://host:8080 -trace trace.out
 //
 // -cpuprofile FILE and -memprofile FILE write runtime/pprof CPU and
-// allocation profiles of the worker's whole life (see internal/profile)
-// when it shuts down on SIGINT or SIGTERM; the fold states it posts are
-// the same with and without them.
+// allocation profiles, and -trace FILE a runtime/trace execution trace,
+// of the worker's whole life (see internal/profile) when it shuts down
+// on SIGINT or SIGTERM; the fold states it posts are the same with and
+// without them.
 //
 // Workers are stateless and interchangeable: attach as many as the
 // sweep load needs, kill them freely — a cell lost with its worker is
@@ -41,6 +43,7 @@ func main() {
 		poll        = flag.Duration("poll", 15*time.Second, "lease long-poll horizon")
 		cpuProf     = flag.String("cpuprofile", "", "write a CPU profile (runtime/pprof) of the worker to this file at shutdown")
 		memProf     = flag.String("memprofile", "", "write an allocation profile (runtime/pprof) of the worker to this file at shutdown")
+		traceF      = flag.String("trace", "", "write an execution trace (runtime/trace) of the worker to this file at shutdown")
 	)
 	flag.Parse()
 	if *server == "" {
@@ -50,7 +53,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
-	stopProfile, err := profile.Start(*cpuProf, *memProf)
+	stopProfile, err := profile.Start(*cpuProf, *memProf, *traceF)
 	if err != nil {
 		log.Fatalln("tctp-worker:", err)
 	}

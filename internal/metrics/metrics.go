@@ -72,9 +72,13 @@ func (r *Recorder) NumTargets() int { return len(r.visits) }
 // does not matter for interval metrics: any mule's visit resets the
 // target's clock). It panics on an out-of-range target, and on a time
 // earlier than the target's last recorded visit: every log is
-// time-ordered, which the suffix searches of the ...After aggregates,
-// FirstVisitAfter and the gap metrics rely on. Simulation time is
-// monotone, so only a caller outside a simulation can trip this.
+// time-ordered per target, which the suffix searches of the ...After
+// aggregates, FirstVisitAfter and the gap metrics rely on. Calls are
+// not globally time-ordered: a mule that patrols its own targets ahead
+// of the engine (patrol.Run) records its whole run before the others
+// record theirs. Only that mule visits those targets, so each target's
+// visits still arrive in time order, and only a caller outside a
+// simulation can trip the panic.
 func (r *Recorder) OnVisit(_, target int, t float64) {
 	if target < 0 || target >= len(r.visits) {
 		panic(fmt.Sprintf("metrics: visit to target %d of %d", target, len(r.visits)))

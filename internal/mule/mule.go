@@ -9,14 +9,21 @@
 // the fixed-route planners (B/W/RW-TCTP, CHB, Sweep) and the online
 // Random baseline.
 //
-// A leg is one engine event. On arrival the mule books the leg, visits,
-// asks its Router for the next stop and schedules the next arrival at
-// departure + distance/speed, where the departure instant already
-// includes the collection dwell and any NotBefore hold. sim.AfterFrom
+// On the engine a leg is one event. On arrival the mule books the leg,
+// visits, asks its Router for the next stop and schedules the next
+// arrival at departure + distance/speed, where the departure instant
+// already includes the collection dwell and any NotBefore hold. sim.AfterFrom
 // files that arrival as though scheduled at the departure instant, so
 // simultaneous events keep the order separate departure events gave
 // them. Only Launch and Reroute spend an extra event, to start the
 // first leg; see Reroute for the one ordering this cannot reproduce.
+//
+// A mule whose legs nothing else can observe need not be on the engine
+// at all: RunUntil runs the same legs back to back on the mule's own
+// clock, in place of Launch, and spends no event. arrive and depart
+// take the instant they act at as a parameter, so the engine handlers
+// and RunUntil share every line of leg bookkeeping; patrol.Run decides
+// which mules may run ahead.
 package mule
 
 import (
@@ -106,8 +113,9 @@ type Mule struct {
 	// never more than one); Kill and Reroute cancel it to preempt the
 	// mule mid-leg or mid-dwell.
 	pending sim.Cancel
-	// advanceFn and arriveFn are m.advance and m.arrive bound once in
-	// New: a method value taken at each After would allocate per leg.
+	// advanceFn and arriveFn are m.advance and m.onArrive bound once
+	// in New: a method value taken at each After would allocate per
+	// leg.
 	advanceFn, arriveFn sim.Handler
 	// Leg tracking for preemption: while inFlight, the mule dwells at
 	// legFrom until legDepart and then travels the segment
@@ -118,13 +126,15 @@ type Mule struct {
 	legDepart float64
 	legDist   float64
 	// legWP and legEnergy are the waypoint and move energy of the leg
-	// arriveFn completes. They live here rather than in a per-leg
-	// closure; this is safe because the arrival is the mule's one
-	// pending event and Kill/Reroute cancel it before a new leg
-	// overwrites them, and arrive reads them before it starts the
-	// next leg.
+	// arrive completes, and legDies marks a leg the battery cannot
+	// finish: it ends at legTo, legDist along the way, in the mule's
+	// death. They live here rather than in a per-leg closure; this is
+	// safe because the arrival is the mule's one pending event and
+	// Kill/Reroute cancel it before a new leg overwrites them, and
+	// arrive reads them before it starts the next leg.
 	legWP     Waypoint
 	legEnergy float64
+	legDies   bool
 
 	distance  float64
 	visits    int
@@ -142,7 +152,7 @@ func New(eng *sim.Engine, cfg Config) *Mule {
 		panic("mule: nil router")
 	}
 	m := &Mule{cfg: cfg, eng: eng, pos: cfg.Start}
-	m.advanceFn, m.arriveFn = m.advance, m.arrive
+	m.advanceFn, m.arriveFn = m.advance, m.onArrive
 	return m
 }
 
@@ -180,23 +190,67 @@ func (m *Mule) Recharges() int { return m.recharges }
 // Battery returns the mule's battery, or nil when unconstrained.
 func (m *Mule) Battery() *energy.Battery { return m.cfg.Battery }
 
+// RunUntil runs the mule's legs back to back, on its own clock, up to
+// and including every arrival at or before t, in place of Launch: the
+// mule starts at the engine's current instant and schedules nothing.
+// It leaves the mule exactly as the engine would at t — every arrival
+// at or before t booked and visited, the next leg in flight — but its
+// callbacks fire before any engine event runs, so only a mule that no
+// other part of the simulation can observe may run ahead: its router,
+// battery and callbacks touch nothing another mule or event reads or
+// writes, and no callback depends on the order of visits across mules.
+// Kill and Reroute have nothing to cancel on a mule that ran ahead.
+func (m *Mule) RunUntil(t float64) {
+	if m.dead || m.parked {
+		return
+	}
+	dep := m.eng.Now()
+	for {
+		d, ok := m.depart(dep)
+		if !ok || dep+d > t {
+			return
+		}
+		if dep, ok = m.arrive(dep + d); !ok {
+			return
+		}
+	}
+}
+
 // advance starts a leg from where the mule stands, now: the first leg
 // after Launch or Reroute.
 func (m *Mule) advance() {
 	if m.dead || m.parked {
 		return
 	}
-	m.depart(m.eng.Now())
+	m.schedule(m.eng.Now())
 }
 
-// depart asks the router for the next waypoint and schedules the leg
-// that leaves the current position at instant dep (now, or the end of
-// the dwell and hold at the stop the mule has just reached).
-func (m *Mule) depart(dep float64) {
+// onArrive is the engine handler that ends a leg: it completes the leg
+// and schedules the next one.
+func (m *Mule) onArrive() {
+	if dep, ok := m.arrive(m.eng.Now()); ok {
+		m.schedule(dep)
+	}
+}
+
+// schedule books the leg that leaves at instant dep and files its
+// arrival with the engine.
+func (m *Mule) schedule(dep float64) {
+	if d, ok := m.depart(dep); ok {
+		m.pending = m.eng.AfterFrom(dep, d, m.arriveFn)
+	}
+}
+
+// depart asks the router for the next waypoint and books the leg that
+// leaves the current position at instant dep (now, or the end of the
+// dwell and hold at the stop the mule has just reached). It returns
+// the leg's duration, which ends in arrive, or ok == false when the
+// router parks the mule.
+func (m *Mule) depart(dep float64) (d float64, ok bool) {
 	wp, dist, ok := m.cfg.Router.Next(m)
 	if !ok {
 		m.parked = true
-		return
+		return 0, false
 	}
 	moveEnergy := m.cfg.Energy.MoveEnergy(dist)
 
@@ -217,23 +271,13 @@ func (m *Mule) depart(dep float64) {
 			deathPos = m.pos.Lerp(wp.Pos, affordable/dist)
 		}
 		m.startLeg(deathPos, affordable, dep)
-		m.pending = m.eng.AfterFrom(dep, affordable/m.cfg.Speed, func() {
-			m.inFlight = false
-			m.energyUse += b.Level()
-			b.Drain(b.Level() + 1) // force dead
-			m.distance += affordable
-			m.pos = deathPos
-			m.dead = true
-			if m.cfg.OnDeath != nil {
-				m.cfg.OnDeath(m.cfg.ID, m.eng.Now(), m.pos)
-			}
-		})
-		return
+		m.legDies = true
+		return affordable / m.cfg.Speed, true
 	}
 
 	m.startLeg(wp.Pos, dist, dep)
-	m.legWP, m.legEnergy = wp, moveEnergy
-	m.pending = m.eng.AfterFrom(dep, dist/m.cfg.Speed, m.arriveFn)
+	m.legWP, m.legEnergy, m.legDies = wp, moveEnergy, false
+	return dist / m.cfg.Speed, true
 }
 
 // startLeg records the segment the mule leaves on at instant dep, so
@@ -335,15 +379,22 @@ func (m *Mule) Reroute(r Router) {
 	m.pending = m.eng.After(0, m.advanceFn)
 }
 
-// arrive finalizes the leg started by depart (legWP, legDist,
-// legEnergy): position/energy bookkeeping, recharge and collection,
-// then the next leg, which departs once the dwell and hold are over.
-func (m *Mule) arrive() {
+// arrive completes, at instant now, the leg depart booked (legWP,
+// legDist, legEnergy): position/energy bookkeeping, recharge and
+// collection. It returns the instant the next leg departs, once the
+// dwell and hold are over, or ok == false when the mule is dead.
+func (m *Mule) arrive(now float64) (dep float64, ok bool) {
 	if m.dead {
-		return
+		return 0, false
+	}
+	m.inFlight = false
+	if m.legDies {
+		m.distance += m.legDist
+		m.pos = m.legTo
+		m.die(now)
+		return 0, false
 	}
 	wp, dist, moveEnergy := m.legWP, m.legDist, m.legEnergy
-	m.inFlight = false
 	m.pos = wp.Pos
 	m.distance += dist
 	m.energyUse += moveEnergy
@@ -357,43 +408,49 @@ func (m *Mule) arrive() {
 		}
 		m.recharges++
 		if m.cfg.OnRecharge != nil {
-			m.cfg.OnRecharge(m.cfg.ID, m.eng.Now())
+			m.cfg.OnRecharge(m.cfg.ID, now)
 		}
 	}
 
 	if wp.TargetID == NoTarget {
-		m.depart(m.eng.Now() + m.holdDelay(wp, 0))
-		return
+		return now + holdDelay(wp, 0, now), true
 	}
 
 	// Target visit: the timestamp of record is the arrival instant.
 	m.visits++
 	if m.cfg.OnVisit != nil {
-		m.cfg.OnVisit(m.cfg.ID, wp.TargetID, m.eng.Now())
+		m.cfg.OnVisit(m.cfg.ID, wp.TargetID, now)
 	}
 	visitEnergy := m.cfg.Energy.VisitEnergy()
 	if b := m.cfg.Battery; b != nil {
 		if !b.CanAfford(visitEnergy) {
-			m.energyUse += b.Level()
-			b.Drain(b.Level() + 1)
-			m.dead = true
-			if m.cfg.OnDeath != nil {
-				m.cfg.OnDeath(m.cfg.ID, m.eng.Now(), m.pos)
-			}
-			return
+			m.die(now)
+			return 0, false
 		}
 		b.Drain(visitEnergy)
 	}
 	m.energyUse += visitEnergy
-	m.depart(m.eng.Now() + m.holdDelay(wp, m.cfg.Energy.Dwell))
+	return now + holdDelay(wp, m.cfg.Energy.Dwell, now), true
 }
 
-// holdDelay returns the time to stay at the waypoint: at least the
-// collection dwell, extended so the mule does not leave before
-// wp.NotBefore.
-func (m *Mule) holdDelay(wp Waypoint, dwell float64) float64 {
+// die empties the battery and kills the mule where it stands at
+// instant now.
+func (m *Mule) die(now float64) {
+	b := m.cfg.Battery
+	m.energyUse += b.Level()
+	b.Drain(b.Level() + 1) // force dead
+	m.dead = true
+	if m.cfg.OnDeath != nil {
+		m.cfg.OnDeath(m.cfg.ID, now, m.pos)
+	}
+}
+
+// holdDelay returns the time to stay at the waypoint the mule reached
+// at instant now: at least the collection dwell, extended so the mule
+// does not leave before wp.NotBefore.
+func holdDelay(wp Waypoint, dwell, now float64) float64 {
 	d := dwell
-	if wait := wp.NotBefore - m.eng.Now(); wait > d {
+	if wait := wp.NotBefore - now; wait > d {
 		d = wait
 	}
 	return d

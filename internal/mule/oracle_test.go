@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"tctp/internal/energy"
@@ -501,5 +502,95 @@ func TestOneEventPerLegMatchesTwoEventOracle(t *testing.T) {
 		ties, deaths, midDwell, atDepart, midLeg)
 	if ties == 0 || deaths == 0 || midDwell == 0 || atDepart == 0 || midLeg == 0 {
 		t.Fatal("the randomized scenarios miss a case the oracle must cover")
+	}
+}
+
+// solo runs mule j of the scenario alone to the horizon, on the engine
+// (Launch, then the engine's RunUntil) or on its own clock (RunUntil),
+// and returns its callback log followed by its final state, the leg in
+// flight included. Floats are logged as bits.
+func (sc oracleScenario) solo(j int, ahead bool, horizon float64) []string {
+	eng := sim.New()
+	var log []string
+	var battery *energy.Battery
+	if sc.battery[j] > 0 {
+		battery = energy.NewBattery(sc.battery[j])
+	}
+	route := sc.routes[j]
+	m := New(eng, Config{
+		ID: j, Start: sc.starts[j], Speed: sc.speeds[j], Energy: sc.model, Battery: battery,
+		Router: RouterFunc(func(*Mule) (Waypoint, bool) { return route.next() }),
+		OnVisit: func(_, target int, t float64) {
+			log = append(log, fmt.Sprintf("visit t%d %x", target, math.Float64bits(t)))
+		},
+		OnDeath: func(_ int, t float64, p geom.Point) {
+			log = append(log, fmt.Sprintf("death %x %x %x", math.Float64bits(t), math.Float64bits(p.X), math.Float64bits(p.Y)))
+		},
+		OnRecharge: func(_ int, t float64) {
+			log = append(log, fmt.Sprintf("recharge %x", math.Float64bits(t)))
+		},
+	})
+	if ahead {
+		m.RunUntil(horizon)
+	} else {
+		m.Launch()
+		eng.RunUntil(horizon)
+	}
+	level := -1.0
+	if battery != nil {
+		level = battery.Level()
+	}
+	return append(log, fmt.Sprintf("final dist %x energy %x visits %d recharges %d dead %v parked %v pos %v leg %v %v %v %x %x",
+		math.Float64bits(m.Distance()), math.Float64bits(m.EnergyConsumed()), m.Visits(), m.Recharges(),
+		m.Dead(), m.Parked(), m.Pos(), m.inFlight, m.legFrom, m.legTo,
+		math.Float64bits(m.legDepart), math.Float64bits(m.legDist)), fmt.Sprintf("battery %x", math.Float64bits(level)))
+}
+
+// TestRunUntilMatchesEngine runs each mule of randomized scenarios
+// alone, once on the engine and once ahead of it with RunUntil, and
+// requires the same callbacks, final statistics and leg in flight:
+// battery deaths mid-leg and mid-collection, recharges, holds, parked
+// routes, and horizons that land exactly on an arrival, which both
+// runs must book.
+func TestRunUntilMatchesEngine(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	var onArrival, deaths int
+	for i := 0; i < 1000; i++ {
+		sc := randomOracleScenario(rng)
+		for j := range sc.starts {
+			horizon := sc.horizon
+			if rng.Intn(2) == 0 {
+				// Move the horizon onto one of the mule's arrivals.
+				var arrivals []float64
+				for _, line := range sc.solo(j, false, horizon) {
+					var bits uint64
+					if _, err := fmt.Sscanf(line, "visit t%d %x", new(int), &bits); err == nil {
+						arrivals = append(arrivals, math.Float64frombits(bits))
+					}
+				}
+				if len(arrivals) > 0 {
+					horizon = arrivals[rng.Intn(len(arrivals))]
+					onArrival++
+				}
+			}
+			got, want := sc.solo(j, true, horizon), sc.solo(j, false, horizon)
+			if len(got) != len(want) {
+				t.Fatalf("scenario %d mule %d horizon %v: %d log lines ahead, %d on the engine\nahead  %q\nengine %q",
+					i, j, horizon, len(got), len(want), got, want)
+			}
+			for k := range got {
+				if got[k] != want[k] {
+					t.Fatalf("scenario %d mule %d horizon %v line %d:\nahead  %s\nengine %s", i, j, horizon, k, got[k], want[k])
+				}
+			}
+			for _, line := range got {
+				if strings.HasPrefix(line, "death") {
+					deaths++
+				}
+			}
+		}
+	}
+	if onArrival == 0 || deaths == 0 {
+		t.Fatalf("horizons on an arrival %d, deaths %d: the scenarios miss a case", onArrival, deaths)
 	}
 }

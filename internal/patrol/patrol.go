@@ -50,6 +50,10 @@ type Options struct {
 	// 5 000 000). A mule leg — the dwell and any hold at the stop it
 	// leaves, then the travel — is one event, ending in the arrival
 	// that records a visit, so a run records at most MaxEvents visits.
+	// A mule runs ahead of the engine on its own clock (see Run) only
+	// when the plan's routes prove that the whole run's events up to
+	// the horizon stay within MaxEvents, so the guard stops a run at
+	// the same point whichever clock its mules keep.
 	MaxEvents uint64
 	// NoSynchronizedStart lets each mule begin patrolling the moment
 	// it reaches its start point instead of waiting for the slowest
@@ -60,6 +64,9 @@ type Options struct {
 	// metrics recorder — e.g. the wsn data-collection overlay, an
 	// energy.Audit, or a trace.Tracer. They are invoked after the
 	// built-in bookkeeping for the same event, in slice order.
+	// Attaching an observer keeps every mule on the global clock, so
+	// observers see every event in global time order; without one,
+	// mules that share no target may run ahead (see Run).
 	Observers []Observer
 	// Events is the dynamic-world schedule: mid-horizon mule failures
 	// and target spawns, applied in one batch per distinct time. Empty
@@ -409,20 +416,28 @@ func (r *planRouter) Next(m *mule.Mule) (mule.Waypoint, float64, bool) {
 // cycle length over the mule's speed plus one dwell per target stop,
 // so within the horizon it starts at most ⌊Horizon/period⌋+1 cycles;
 // each target is granted its occurrences per cycle times one cycle
-// more than that, plus its approach occurrences. Online algorithms
-// (no plan) get no capacities, and neither does a plan with a
-// zero-length period (whose visit count only MaxEvents bounds) or one
-// whose capacities add up to more visits than MaxEvents allows: their
-// logs grow as they fill. Capacities only size allocations, never
-// recorded values.
-func visitCaps(n int, plan *core.FleetPlan, opts Options) []int {
+// more than that, plus its approach occurrences. The same count bounds
+// the run's events: each mule's launch, each approach leg and each
+// cycle leg is one event. Online algorithms (no plan) get no
+// capacities, and neither does a plan with a zero-length period (whose
+// event count only MaxEvents bounds) or one whose event bound exceeds
+// MaxEvents: their logs grow as they fill. Capacities only size
+// allocations, never recorded values.
+//
+// With the capacities comes owner, which runsAhead reads: owner[t] is
+// 1 + the index of the one route that stops at target t, 0 when none
+// does and -1 when several do. A non-nil owner therefore also proves
+// that the MaxEvents guard cannot stop the run before the horizon.
+func visitCaps(n int, plan *core.FleetPlan, opts Options) (caps, owner []int) {
 	if plan == nil {
-		return nil
+		return nil, nil
 	}
-	caps := make([]int, n)
-	total := 0
+	// One block for both tables keeps a run's allocation count flat.
+	block := make([]int, 2*n)
+	caps, owner = block[:n:n], block[n:]
+	events := 0.0
 	for i, r := range plan.Routes {
-		length, stops := 0.0, 0
+		length, stops, legs := 0.0, 0, 0
 		for p, ph := range r.Cycle {
 			prev := r.Cycle[(p+len(r.Cycle)-1)%len(r.Cycle)].Stops
 			last := ph.Stops[len(ph.Stops)-1].Pos
@@ -437,40 +452,87 @@ func visitCaps(n int, plan *core.FleetPlan, opts Options) []int {
 					stops += ph.Repeat
 				}
 			}
+			legs += ph.Repeat * len(ph.Stops)
 		}
 		period := length/opts.muleSpeed(i) + float64(stops)*opts.Energy.Dwell
 		if !(period > 0) {
-			return nil
+			return nil, nil
 		}
 		cycles := math.Floor(opts.Horizon/period) + 2
-		if cycles > float64(opts.MaxEvents) {
-			return nil
+		events += 1 + float64(len(r.Approach)) + cycles*float64(legs)
+		if !(events <= float64(opts.MaxEvents)) { // a NaN horizon bounds nothing
+			return nil, nil
 		}
 		for _, wp := range r.Approach {
 			if wp.TargetID != mule.NoTarget {
 				caps[wp.TargetID]++
-				total++
 			}
 		}
 		for _, ph := range r.Cycle {
 			for _, wp := range ph.Stops {
 				if wp.TargetID != mule.NoTarget {
-					c := ph.Repeat * int(cycles)
-					caps[wp.TargetID] += c
-					total += c
+					caps[wp.TargetID] += ph.Repeat * int(cycles)
 				}
 			}
 		}
-		if uint64(total) > opts.MaxEvents {
-			return nil
+		eachStop(r, func(wp mule.Waypoint) {
+			switch t := wp.TargetID; {
+			case t == mule.NoTarget || owner[t] == i+1:
+			case owner[t] == 0:
+				owner[t] = i + 1
+			default:
+				owner[t] = -1
+			}
+		})
+	}
+	return caps, owner
+}
+
+// runsAhead reports whether Run may run mule i, on route r, ahead of
+// the engine with mule.RunUntil: whether nothing else in the run can
+// observe the order of its events. That holds when the run's events
+// provably stay within MaxEvents (owner, from visitCaps, is non-nil),
+// the run has no observers and no event schedule, the mule has no
+// battery and no recharge stop, and no other route stops at any of its
+// targets, so its visits are the only entries in their logs. Such a
+// mule is indistinguishable on the engine and off it.
+func runsAhead(i int, r core.MuleRoute, owner []int, opts Options) bool {
+	if owner == nil || len(opts.Observers) > 0 || len(opts.Events) > 0 || opts.UseBattery ||
+		i < len(opts.Fleet) && opts.Fleet[i].Battery > 0 {
+		return false
+	}
+	ok := true
+	eachStop(r, func(wp mule.Waypoint) {
+		if wp.Recharge || wp.TargetID != mule.NoTarget && owner[wp.TargetID] != i+1 {
+			ok = false
+		}
+	})
+	return ok
+}
+
+// eachStop calls f on every stop of route r, approach first.
+func eachStop(r core.MuleRoute, f func(mule.Waypoint)) {
+	for _, wp := range r.Approach {
+		f(wp)
+	}
+	for _, ph := range r.Cycle {
+		for _, wp := range ph.Stops {
+			f(wp)
 		}
 	}
-	return caps
 }
 
 // Run executes the algorithm on the scenario until opts.Horizon and
 // returns the collected metrics. src drives any randomness the
 // algorithm needs (it may be nil for deterministic planners).
+//
+// Mules whose events nothing else can observe (see runsAhead) run
+// ahead: each patrols to the horizon on its own clock with
+// mule.RunUntil before the engine starts, and only the rest of the
+// fleet goes through the event heap. A Sweep mule parked on a target
+// of its own, one visit per dwell, is the common case. The results are
+// bit-identical to running every mule on the engine, which attaching
+// any observer does.
 func Run(s *field.Scenario, alg Algorithm, opts Options, src *xrand.Source) (*Result, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -524,7 +586,8 @@ func Run(s *field.Scenario, alg Algorithm, opts Options, src *xrand.Source) (*Re
 	}
 
 	eng := sim.New()
-	rec := metrics.NewRecorderCap(s.NumTargets(), visitCaps(s.NumTargets(), plan, opts))
+	caps, owner := visitCaps(s.NumTargets(), plan, opts)
+	rec := metrics.NewRecorderCap(s.NumTargets(), caps)
 	// The recorder is the first observer; user observers follow in
 	// registration order, all peers of one dispatch.
 	dispatch := make(multiObserver, 0, 1+len(opts.Observers))
@@ -570,7 +633,11 @@ func Run(s *field.Scenario, alg Algorithm, opts Options, src *xrand.Source) (*Re
 			OnDeath:    onDeath,
 			OnRecharge: dispatch.OnRecharge,
 		})
-		mules[i].Launch()
+		if plan != nil && runsAhead(i, plan.Routes[i], owner, opts) {
+			mules[i].RunUntil(opts.Horizon)
+		} else {
+			mules[i].Launch()
+		}
 	}
 	if rp != nil {
 		rp.mules = mules

@@ -9,6 +9,13 @@
 // "standard deviation always keeps zero" claim (paper Fig. 8) can be
 // verified to floating-point precision.
 //
+// The engine is the clock of every mule whose events another part of
+// the simulation can observe, not of every mule. A mule that shares no
+// target with any other, in a run with no observers, no event schedule
+// and no batteries, runs its legs back to back on its own clock
+// (mule.RunUntil, chosen by patrol.Run) and schedules nothing here:
+// the events the engine orders are the ones whose order matters.
+//
 // The pending events sit in a typed binary heap ordered by
 // (time, seq), sifted by hand rather than through container/heap so
 // that no schedule or fire goes through an interface call. Event records are pooled: a fired or canceled event
