@@ -19,14 +19,15 @@ import (
 // --- planner hot-path benchmarks ------------------------------------------
 //
 // BenchmarkPlan* measures the spatially indexed planning substrates at
-// n ∈ {100, 1k, 10k} next to their retained brute-force twins
-// (*Brute), which are the pre-index implementations kept as oracles by
-// the equivalence tests. The indexed and brute variants produce
-// bit-identical tours/assignments, so the ratio between the two is
-// pure speedup. ConvexHullInsertionBrute stops at 1k: its cheapest-
-// insertion rescan is Θ(n³)-ish DetourCost evaluations and a single
-// 10k iteration takes minutes, which is itself the reason the cached
-// variant exists.
+// n ∈ {100, 1k, 10k} next to their brute-force twins (*Brute), the
+// pre-index implementations the equivalence tests hold them to. The
+// indexed and brute variants produce bit-identical tours/assignments,
+// so the ratio between the two is pure speedup. NearestNeighborBrute
+// and GreedyEdgeBrute are still the production path below the index
+// threshold, so their twins run here; the twins of the test-only
+// oracles, BenchmarkPlanConvexHullInsertionBrute and
+// BenchmarkPlanKMeansBrute, sit next to those oracles in
+// internal/tour and internal/cluster.
 
 var planSizes = []int{100, 1_000, 10_000}
 
@@ -105,22 +106,6 @@ func BenchmarkPlanConvexHullInsertion(b *testing.B) {
 	}
 }
 
-func BenchmarkPlanConvexHullInsertionBrute(b *testing.B) {
-	for _, n := range planSizes {
-		if n > 1_000 {
-			continue // Θ(n³) DetourCost evaluations: minutes per op at 10k
-		}
-		pts := randomPoints(n)
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			skipLarge(b, n)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				tour.ConvexHullInsertionBrute(pts)
-			}
-		})
-	}
-}
-
 func BenchmarkPlanKMeans(b *testing.B) {
 	for _, n := range planSizes {
 		pts := randomPoints(n)
@@ -130,20 +115,6 @@ func BenchmarkPlanKMeans(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				cluster.KMeans(pts, k, xrand.New(11), 20)
-			}
-		})
-	}
-}
-
-func BenchmarkPlanKMeansBrute(b *testing.B) {
-	for _, n := range planSizes {
-		pts := randomPoints(n)
-		k := n / 20
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			skipLarge(b, n)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				cluster.KMeansBrute(pts, k, xrand.New(11), 20)
 			}
 		})
 	}

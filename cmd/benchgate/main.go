@@ -94,10 +94,14 @@
 // from the replicated runs: they are frozen oracles for the
 // equivalence tests, exist to be slow, and only execute in the
 // single-iteration rot check (-short skips their n=10k rungs, which
-// take minutes by design). allocs/op is gated with zero tolerance in
-// both families — allocation counts are deterministic, so any
-// increase is a real regression, which is what keeps the zero-alloc
-// planning paths zero-alloc.
+// take minutes by design). The NearestNeighbor and GreedyEdge twins
+// live in the root package, because their Brute functions are still
+// the production path below the index threshold; the KMeans and
+// ConvexHullInsertion twins sit next to their test-only oracles, in
+// internal/cluster and internal/tour. allocs/op is gated with zero
+// tolerance in both families — allocation counts are deterministic, so
+// any increase is a real regression, which is what keeps the
+// zero-alloc planning paths zero-alloc.
 //
 // The same twin idiom extends beyond the Brute oracles. The sweep
 // service's cache benchmarks (internal/sweep/cache:

@@ -51,7 +51,6 @@ func main() {
 		cacheDirBytes = flag.Int64("cache-dir-bytes", 0, "disk cell-cache budget in bytes; oldest entries are evicted past it (0 = unbounded)")
 		gate          = flag.Int("gate", runtime.GOMAXPROCS(0), "max cell simulations running at once across all sweeps")
 		maxSweeps     = flag.Int("max-sweeps", 8, "max sweeps in flight before POST /sweeps answers 429")
-		parallel      = flag.Int("parallel", 0, "per-sweep cell-resolution concurrency (0 = GOMAXPROCS)")
 		workers       = flag.String("workers", "local", "where cells compute: local (in-process) or remote (leased to a tctp-worker fleet)")
 		leaseTTL      = flag.Duration("lease-ttl", 30*time.Second, "remote-worker lease deadline; an unreported cell is reassigned past it")
 	)
@@ -69,7 +68,6 @@ func main() {
 	cfg := server.Config{
 		Store:     store,
 		MaxSweeps: *maxSweeps,
-		Parallel:  *parallel,
 	}
 	switch *workers {
 	case "local":

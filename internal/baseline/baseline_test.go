@@ -66,7 +66,7 @@ func TestCHBEntersAtNearestPoint(t *testing.T) {
 		entryDist := s.MuleStarts[i].Dist(entry)
 		total := w.Length(pts)
 		for f := 0.0; f < 1.0; f += 0.001 {
-			q := w.PointAt(pts, f*total)
+			q := w.PointsAt(pts, []float64{f * total})[0]
 			if s.MuleStarts[i].Dist(q) < entryDist-1.0 { // 1 m slack for sampling
 				t.Fatalf("mule %d entry %.2f m but point %v is %.2f m away",
 					i, entryDist, q, s.MuleStarts[i].Dist(q))
@@ -212,11 +212,15 @@ func TestSweepMatchingOrderIndependent(t *testing.T) {
 		t.Fatal(err)
 	}
 	groupOfMule := func(p *core.FleetPlan, mule int) []int {
-		gi := p.GroupOf(mule)
-		if gi < 0 {
-			t.Fatalf("mule %d unassigned", mule)
+		for _, g := range p.Groups {
+			for _, m := range g.Mules {
+				if m == mule {
+					return g.Targets
+				}
+			}
 		}
-		return p.Groups[gi].Targets
+		t.Fatalf("mule %d unassigned", mule)
+		return nil
 	}
 	if got := groupOfMule(p, 1); got[0] != 0 {
 		t.Fatalf("mule 1 (closest) patrols targets %v, want the sink's group {0,1,2}", got)

@@ -355,8 +355,8 @@ func TestGroupsPanicsOnBadLabel(t *testing.T) {
 func TestCostImprovesWithMoreClusters(t *testing.T) {
 	pts := fourCorners()
 	src := xrand.New(11)
-	c1 := Cost(pts, KMeans(pts, 1, src, 100), 1)
-	c4 := Cost(pts, KMeans(pts, 4, src, 100), 4)
+	c1 := cost(pts, KMeans(pts, 1, src, 100), 1)
+	c4 := cost(pts, KMeans(pts, 4, src, 100), 4)
 	if c4 >= c1 {
 		t.Fatalf("cost with 4 clusters (%v) not below 1 cluster (%v)", c4, c1)
 	}
@@ -368,13 +368,13 @@ func TestCostImprovesWithMoreClusters(t *testing.T) {
 func TestKMeansBeatsRandomPartition(t *testing.T) {
 	pts := fourCorners()
 	src := xrand.New(13)
-	km := Cost(pts, KMeans(pts, 4, src, 100), 4)
+	km := cost(pts, KMeans(pts, 4, src, 100), 4)
 	// A deliberately bad partition: round-robin by index.
 	bad := make([]int, len(pts))
 	for i := range bad {
 		bad[i] = i % 4
 	}
-	if km >= Cost(pts, bad, 4) {
-		t.Fatalf("k-means cost %v not below round-robin %v", km, Cost(pts, bad, 4))
+	if km >= cost(pts, bad, 4) {
+		t.Fatalf("k-means cost %v not below round-robin %v", km, cost(pts, bad, 4))
 	}
 }

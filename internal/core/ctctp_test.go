@@ -74,7 +74,7 @@ func TestCBTCTPGroupStartPointsEquallySpaced(t *testing.T) {
 		L := g.Walk.Length(pts)
 		n := len(g.StartPoints)
 		for k, sp := range g.StartPoints {
-			want := g.Walk.PointAt(pts, float64(k)*L/float64(n))
+			want := g.Walk.PointsAt(pts, []float64{float64(k) * L / float64(n)})[0]
 			if !sp.Eq(want) {
 				t.Fatalf("group %d start point %d at %v, want %v", gi, k, sp, want)
 			}

@@ -166,19 +166,6 @@ func (p *FleetPlan) TotalWalkSize() int {
 	return n
 }
 
-// GroupOf returns the index of the group mule i patrols, or -1 when
-// the plan does not assign the mule (an invalid plan).
-func (p *FleetPlan) GroupOf(mule int) int {
-	for gi := range p.Groups {
-		for _, m := range p.Groups[gi].Mules {
-			if m == mule {
-				return gi
-			}
-		}
-	}
-	return -1
-}
-
 // Validate performs structural checks on the plan against the
 // scenario: the groups partition the targets and the fleet, each
 // group's start-point assignment is a bijection, and every route is a

@@ -100,9 +100,6 @@ func (b *Battery) Level() float64 { return b.level }
 // Capacity returns the battery capacity in joules.
 func (b *Battery) Capacity() float64 { return b.capacity }
 
-// Fraction returns the remaining charge as a fraction of capacity.
-func (b *Battery) Fraction() float64 { return b.level / b.capacity }
-
 // Dead reports whether the battery has been fully depleted. A dead
 // battery stays dead until Recharge.
 func (b *Battery) Dead() bool { return b.dead }

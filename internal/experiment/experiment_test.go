@@ -236,7 +236,7 @@ func TestDeliveryShapesHold(t *testing.T) {
 // restores instead of recomputing, and renders identically.
 func TestParamsCheckpointResume(t *testing.T) {
 	dir := t.TempDir()
-	p := Quick()
+	p := Params{Seeds: 3}
 	p.Checkpoint = dir
 
 	render := func() string {

@@ -10,7 +10,7 @@ import (
 // denominators are sound lower bounds, so a smaller value means the
 // bound (or the solver under it) is wrong.
 func TestQualityStudyRatiosAtLeastOne(t *testing.T) {
-	table, err := QualityStudy(Quick(), QualityConfig{})
+	table, err := QualityStudy(Params{Seeds: 3}, QualityConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestQualityStudyRatiosAtLeastOne(t *testing.T) {
 // rely on.
 func TestQualityStudyDeterministic(t *testing.T) {
 	render := func(workers int) []byte {
-		p := Quick()
+		p := Params{Seeds: 3}
 		p.Workers = workers
 		table, err := QualityStudy(p, QualityConfig{})
 		if err != nil {

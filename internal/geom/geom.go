@@ -81,9 +81,6 @@ func (v Vec) Cross(w Vec) float64 { return v.X*w.Y - v.Y*w.X }
 // Scale returns v scaled by s.
 func (v Vec) Scale(s float64) Vec { return Vec{v.X * s, v.Y * s} }
 
-// Neg returns -v.
-func (v Vec) Neg() Vec { return Vec{-v.X, -v.Y} }
-
 // Unit returns v normalized to length 1. The zero vector is returned
 // unchanged.
 func (v Vec) Unit() Vec {
@@ -93,9 +90,6 @@ func (v Vec) Unit() Vec {
 	}
 	return Vec{v.X / l, v.Y / l}
 }
-
-// Angle returns the polar angle of v in (-π, π].
-func (v Vec) Angle() float64 { return math.Atan2(v.Y, v.X) }
 
 // Orientation classifies the turn p→q→r.
 type Orientation int
@@ -125,7 +119,7 @@ func Orient(p, q, r Point) Orientation {
 // rotate vector from onto vector to. This is the "included angle ...
 // in the counterclockwise direction" of the paper's patrolling rule: a
 // data mule arriving at a VIP along direction d continues along the
-// incident edge whose direction minimizes CCWAngle(d.Neg(), edge)
+// incident edge whose direction minimizes CCWAngle(-d, edge)
 // measured counterclockwise. Zero vectors yield 0.
 func CCWAngle(from, to Vec) float64 {
 	a := math.Atan2(from.Cross(to), from.Dot(to))
@@ -135,17 +129,6 @@ func CCWAngle(from, to Vec) float64 {
 	return a
 }
 
-// IncludedAngle returns the unsigned angle in [0, π] between v and w.
-func IncludedAngle(v, w Vec) float64 {
-	lv, lw := v.Len(), w.Len()
-	if lv == 0 || lw == 0 {
-		return 0
-	}
-	c := v.Dot(w) / (lv * lw)
-	c = math.Max(-1, math.Min(1, c))
-	return math.Acos(c)
-}
-
 // Segment is a straight line segment between two points.
 type Segment struct {
 	A, B Point
@@ -153,9 +136,6 @@ type Segment struct {
 
 // Len returns the length of the segment.
 func (s Segment) Len() float64 { return s.A.Dist(s.B) }
-
-// Midpoint returns the midpoint of the segment.
-func (s Segment) Midpoint() Point { return s.A.Lerp(s.B, 0.5) }
 
 // At returns the point a fraction t along the segment from A to B.
 func (s Segment) At(t float64) Point { return s.A.Lerp(s.B, t) }
@@ -171,27 +151,6 @@ func (s Segment) DistToPoint(p Point) float64 {
 	t := p.Sub(s.A).Dot(ab) / l2
 	t = math.Max(0, math.Min(1, t))
 	return p.Dist(s.A.Add(ab.Scale(t)))
-}
-
-// Intersects reports whether segments s and t share at least one
-// point (including touching at endpoints or overlapping collinear
-// segments). Used by the tour tests: a 2-opt-optimal Euclidean tour
-// has no two properly crossing edges.
-func (s Segment) Intersects(t Segment) bool {
-	d1 := Orient(t.A, t.B, s.A)
-	d2 := Orient(t.A, t.B, s.B)
-	d3 := Orient(s.A, s.B, t.A)
-	d4 := Orient(s.A, s.B, t.B)
-	if d1 != d2 && d3 != d4 {
-		return true
-	}
-	// Collinear touching cases.
-	onSeg := func(seg Segment, p Point) bool {
-		return Orient(seg.A, seg.B, p) == Collinear &&
-			p.X >= math.Min(seg.A.X, seg.B.X)-Eps && p.X <= math.Max(seg.A.X, seg.B.X)+Eps &&
-			p.Y >= math.Min(seg.A.Y, seg.B.Y)-Eps && p.Y <= math.Max(seg.A.Y, seg.B.Y)+Eps
-	}
-	return onSeg(t, s.A) || onSeg(t, s.B) || onSeg(s, t.A) || onSeg(s, t.B)
 }
 
 // ProperlyIntersects reports whether the segments cross at a single

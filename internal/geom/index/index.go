@@ -139,9 +139,6 @@ func (g *Grid) scratchCursor(n int) []int32 {
 // Len returns the number of indexed points (alive or removed).
 func (g *Grid) Len() int { return len(g.pts) }
 
-// Live returns the number of points not yet removed.
-func (g *Grid) Live() int { return g.live }
-
 // Remove marks point i as deleted: it stops appearing in query
 // results. Removing an already-removed point is a no-op.
 func (g *Grid) Remove(i int) {

@@ -217,8 +217,8 @@ func TestRemoveMatchesBrute(t *testing.T) {
 				t.Fatalf("%s step %d: grid kNN %v != brute %v", name, step, got, want)
 			}
 		}
-		if g.Live() != 0 {
-			t.Fatalf("%s: %d live points after removing all", name, g.Live())
+		if g.live != 0 {
+			t.Fatalf("%s: %d live points after removing all", name, g.live)
 		}
 		if i, _ := g.Nearest(geom.Pt(0, 0)); i != -1 {
 			t.Fatalf("%s: Nearest on empty grid returned %d", name, i)
@@ -240,8 +240,8 @@ func TestRebuildReuses(t *testing.T) {
 			pts[i] = geom.Pt(rnd.Float64()*500, rnd.Float64()*500)
 		}
 		g.Rebuild(pts)
-		if g.Live() != n {
-			t.Fatalf("round %d: Live() = %d after Rebuild over %d points", round, g.Live(), n)
+		if g.live != n {
+			t.Fatalf("round %d: %d live points after Rebuild over %d points", round, g.live, n)
 		}
 		q := geom.Pt(rnd.Float64()*500, rnd.Float64()*500)
 		gi, _ := g.Nearest(q)

@@ -3,9 +3,8 @@
 // concept") starts from the convex hull of the target set and inserts
 // the interior targets; this package supplies that hull.
 //
-// Two independent algorithms are provided: Andrew's monotone chain
-// (the primary implementation) and a Graham scan (used as a
-// cross-check in tests). Both run in O(n log n).
+// The hull is Andrew's monotone chain, O(n log n); the tests
+// cross-check it against an independent Graham scan.
 package hull
 
 import (
@@ -48,94 +47,9 @@ func Convex(pts []geom.Point) []geom.Point {
 	return hull[:len(hull)-1] // last point repeats the first
 }
 
-// GrahamScan returns the convex hull of pts in counterclockwise order.
-// It is an independent implementation used to cross-validate Convex in
-// property tests. The starting vertex is the bottom-most (then
-// left-most) point, and the result is rotated so that it starts from
-// the lexicographically smallest point, making it directly comparable
-// with Convex.
-func GrahamScan(pts []geom.Point) []geom.Point {
-	distinct := dedupSorted(pts)
-	n := len(distinct)
-	if n < 3 {
-		return distinct
-	}
-
-	// Pivot: lowest Y, then lowest X.
-	pivot := distinct[0]
-	for _, p := range distinct[1:] {
-		if p.Y < pivot.Y || (p.Y == pivot.Y && p.X < pivot.X) {
-			pivot = p
-		}
-	}
-
-	rest := make([]geom.Point, 0, n-1)
-	for _, p := range distinct {
-		if p != pivot {
-			rest = append(rest, p)
-		}
-	}
-	sort.Slice(rest, func(i, j int) bool {
-		o := geom.Orient(pivot, rest[i], rest[j])
-		if o != geom.Collinear {
-			return o == geom.Counterclockwise
-		}
-		return pivot.Dist2(rest[i]) < pivot.Dist2(rest[j])
-	})
-
-	stack := []geom.Point{pivot}
-	for _, p := range rest {
-		for len(stack) >= 2 && geom.Orient(stack[len(stack)-2], stack[len(stack)-1], p) != geom.Counterclockwise {
-			stack = stack[:len(stack)-1]
-		}
-		stack = append(stack, p)
-	}
-	if len(stack) < 3 {
-		return stack
-	}
-	return rotateToLexMin(stack)
-}
-
-// ContainsPoint reports whether p lies inside or on the boundary of
-// the convex polygon hull, whose vertices must be in counterclockwise
-// order.
-func ContainsPoint(hull []geom.Point, p geom.Point) bool {
-	n := len(hull)
-	switch n {
-	case 0:
-		return false
-	case 1:
-		return hull[0].Eq(p)
-	case 2:
-		return geom.Segment{A: hull[0], B: hull[1]}.DistToPoint(p) <= geom.Eps
-	}
-	for i := 0; i < n; i++ {
-		if geom.Orient(hull[i], hull[(i+1)%n], p) == geom.Clockwise {
-			return false
-		}
-	}
-	return true
-}
-
 // Perimeter returns the length of the closed hull boundary.
 func Perimeter(hull []geom.Point) float64 {
 	return geom.CycleLen(hull)
-}
-
-// Area returns the area of the convex polygon via the shoelace
-// formula. Vertices must be in counterclockwise order; the result is
-// non-negative for valid CCW hulls.
-func Area(hull []geom.Point) float64 {
-	n := len(hull)
-	if n < 3 {
-		return 0
-	}
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		j := (i + 1) % n
-		sum += hull[i].X*hull[j].Y - hull[j].X*hull[i].Y
-	}
-	return sum / 2
 }
 
 // dedupSorted returns the distinct points sorted lexicographically
@@ -155,21 +69,5 @@ func dedupSorted(pts []geom.Point) []geom.Point {
 			out = append(out, p)
 		}
 	}
-	return out
-}
-
-// rotateToLexMin rotates the cyclic vertex list so it starts from the
-// lexicographically smallest vertex.
-func rotateToLexMin(h []geom.Point) []geom.Point {
-	best := 0
-	for i, p := range h {
-		b := h[best]
-		if p.X < b.X || (p.X == b.X && p.Y < b.Y) {
-			best = i
-		}
-	}
-	out := make([]geom.Point, 0, len(h))
-	out = append(out, h[best:]...)
-	out = append(out, h[:best]...)
 	return out
 }

@@ -5,7 +5,7 @@
 //     consecutive visits (the paper's headline metric, which the
 //     planners aim to minimize and balance);
 //   - the Data Collection Delay Time (DCDT) series of Fig. 7 — the
-//     k-th visiting interval aggregated over targets;
+//     interval each visit closes, in time order over all targets;
 //   - the per-target SD of Figs. 8 and 10 — the sample standard
 //     deviation of a target's consecutive visiting intervals.
 package metrics
@@ -26,14 +26,9 @@ type Recorder struct {
 	visits [][]float64
 }
 
-// NewRecorder returns a recorder for nTargets targets (indexed
-// 0..nTargets-1).
-func NewRecorder(nTargets int) *Recorder {
-	return NewRecorderCap(nTargets, nil)
-}
-
-// NewRecorderCap is NewRecorder with per-target visit-count capacities:
-// target i's series is carved out of one flat backing array with room
+// NewRecorderCap returns a recorder for nTargets targets (indexed
+// 0..nTargets-1) with per-target visit-count capacities: target i's
+// series is carved out of one flat backing array with room
 // for caps[i] timestamps, so a simulation whose visit counts stay
 // within them performs no recording allocations at all. The
 // full-slice-expression cap means a target that outgrows its slot
@@ -43,7 +38,7 @@ func NewRecorder(nTargets int) *Recorder {
 // must have one entry per target.
 func NewRecorderCap(nTargets int, caps []int) *Recorder {
 	if nTargets <= 0 {
-		panic(fmt.Sprintf("metrics: NewRecorder(%d)", nTargets))
+		panic(fmt.Sprintf("metrics: NewRecorderCap(%d)", nTargets))
 	}
 	if caps != nil && len(caps) != nTargets {
 		panic(fmt.Sprintf("metrics: %d capacities for %d targets", len(caps), nTargets))
@@ -103,68 +98,10 @@ func (r *Recorder) VisitTimes(target int) []float64 {
 	return r.visits[target]
 }
 
-// VisitCount returns the number of recorded visits to target.
-func (r *Recorder) VisitCount(target int) int {
-	return len(r.visits[target])
-}
-
-// MinVisitCount returns the smallest visit count over all targets.
-func (r *Recorder) MinVisitCount() int {
-	min := -1
-	for _, v := range r.visits {
-		if min == -1 || len(v) < min {
-			min = len(v)
-		}
-	}
-	if min == -1 {
-		return 0
-	}
-	return min
-}
-
-// Intervals returns the consecutive visiting intervals of target:
-// interval k is the time between visit k and visit k+1. A target with
-// fewer than two visits yields nil.
-func (r *Recorder) Intervals(target int) []float64 {
-	ts := r.visits[target]
-	if len(ts) < 2 {
-		return nil
-	}
-	out := make([]float64, len(ts)-1)
-	for i := 1; i < len(ts); i++ {
-		out[i-1] = ts[i] - ts[i-1]
-	}
-	return out
-}
-
-// IntervalsAfter returns the visiting intervals of target restricted
-// to visits at or after t0. Use it to discard the location-
-// initialization transient when measuring steady-state behaviour.
-//
-// Intervals and IntervalsAfter build the interval slices; the
-// aggregates below derive the same values from the visit log in place
-// (see visitsAfter and meanGap), and the tests hold them to these two.
-func (r *Recorder) IntervalsAfter(target int, t0 float64) []float64 {
-	ts := r.visits[target]
-	var kept []float64
-	for _, t := range ts {
-		if t >= t0 {
-			kept = append(kept, t)
-		}
-	}
-	if len(kept) < 2 {
-		return nil
-	}
-	out := make([]float64, len(kept)-1)
-	for i := 1; i < len(kept); i++ {
-		out[i-1] = kept[i] - kept[i-1]
-	}
-	return out
-}
-
 // visitsAfter returns the target's visits at or after t0. The log is
 // time-ordered (OnVisit enforces it), so they are a suffix of it, and
-// the intervals of the suffix are exactly IntervalsAfter.
+// the consecutive differences of the suffix are the target's
+// visiting intervals after t0.
 func (r *Recorder) visitsAfter(target int, t0 float64) []float64 {
 	ts := r.visits[target]
 	return ts[sort.SearchFloat64s(ts, t0):]
@@ -172,9 +109,10 @@ func (r *Recorder) visitsAfter(target int, t0 float64) []float64 {
 
 // meanGap is stats.Mean of the consecutive differences of ts (0 for
 // fewer than two visits). The differences are formed on the fly and
-// summed in the order stats.Mean sums the interval slice, so the
-// result is bit-identical to stats.Mean(Intervals) without building
-// the slice.
+// summed in the order stats.Mean sums an interval slice, so the
+// result is bit-identical to stats.Mean of the intervals without
+// building the slice; the tests hold every aggregate to that
+// slice-building oracle.
 func meanGap(ts []float64) float64 {
 	if len(ts) < 2 {
 		return 0
@@ -215,12 +153,6 @@ func (r *Recorder) SD(target int) float64 {
 // SDAfter is SD restricted to visits at or after t0.
 func (r *Recorder) SDAfter(target int, t0 float64) float64 {
 	return sdGap(r.visitsAfter(target, t0))
-}
-
-// MeanInterval returns the mean visiting interval of target (0 when
-// the target has fewer than two visits).
-func (r *Recorder) MeanInterval(target int) float64 {
-	return meanGap(r.visits[target])
 }
 
 // eachTarget invokes fn for every target of the subset — or for every
@@ -326,27 +258,6 @@ func (r *Recorder) MaxIntervalOver(targets []int) float64 {
 	return m
 }
 
-// DCDTSeries returns, for k = 1..maxK, the k-th visiting interval
-// averaged over the targets that have a k-th interval. Targets that
-// never reach the k-th interval simply stop contributing.
-func (r *Recorder) DCDTSeries(maxK int) []float64 {
-	out := make([]float64, 0, maxK)
-	for k := 1; k <= maxK; k++ {
-		var acc stats.Accumulator
-		for t := range r.visits {
-			iv := r.Intervals(t)
-			if len(iv) >= k {
-				acc.Add(iv[k-1])
-			}
-		}
-		if acc.N() == 0 {
-			break
-		}
-		out = append(out, acc.Mean())
-	}
-	return out
-}
-
 // EventDCDTSeries returns the paper's Fig. 7 curve: visit events from
 // all targets are ordered by time, each carrying the interval since
 // that target's previous visit (its "data collection delay"), and the
@@ -437,19 +348,6 @@ func (r *Recorder) maxGap(target int, from, to float64) float64 {
 		gap = g
 	}
 	return gap
-}
-
-// MaxGapOver returns the longest visit-free stretch any member target
-// (nil = all) suffers within [from, to] — the worst-case coverage gap
-// of a degraded fleet.
-func (r *Recorder) MaxGapOver(targets []int, from, to float64) float64 {
-	m := 0.0
-	r.eachTarget(targets, func(t int) {
-		if g := r.maxGap(t, from, to); g > m {
-			m = g
-		}
-	})
-	return m
 }
 
 // AvgMaxGapOver averages the per-target longest visit-free stretch

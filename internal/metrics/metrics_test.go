@@ -12,27 +12,24 @@ import (
 func almost(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
 func TestBasicRecording(t *testing.T) {
-	r := NewRecorder(3)
+	r := NewRecorderCap(3, nil)
 	if r.NumTargets() != 3 {
 		t.Fatalf("NumTargets = %d", r.NumTargets())
 	}
 	r.OnVisit(0, 1, 10)
 	r.OnVisit(1, 1, 25)
 	r.OnVisit(0, 2, 5)
-	if r.VisitCount(1) != 2 || r.VisitCount(2) != 1 || r.VisitCount(0) != 0 {
+	if len(r.VisitTimes(1)) != 2 || len(r.VisitTimes(2)) != 1 || len(r.VisitTimes(0)) != 0 {
 		t.Fatal("visit counts wrong")
 	}
 	ts := r.VisitTimes(1)
 	if len(ts) != 2 || ts[0] != 10 || ts[1] != 25 {
 		t.Fatalf("VisitTimes = %v", ts)
 	}
-	if r.MinVisitCount() != 0 {
-		t.Fatalf("MinVisitCount = %d", r.MinVisitCount())
-	}
 }
 
 func TestIntervals(t *testing.T) {
-	r := NewRecorder(2)
+	r := NewRecorderCap(2, nil)
 	for _, at := range []float64{10, 30, 60, 100} {
 		r.OnVisit(0, 0, at)
 	}
@@ -56,7 +53,7 @@ func TestIntervals(t *testing.T) {
 }
 
 func TestIntervalsAfter(t *testing.T) {
-	r := NewRecorder(1)
+	r := NewRecorderCap(1, nil)
 	for _, at := range []float64{0, 100, 200, 300} {
 		r.OnVisit(0, 0, at)
 	}
@@ -74,7 +71,7 @@ func TestIntervalsAfter(t *testing.T) {
 }
 
 func TestSDPaperFormula(t *testing.T) {
-	r := NewRecorder(1)
+	r := NewRecorderCap(1, nil)
 	// Visits 0, 10, 30: intervals 10, 20 → mean 15, sample SD
 	// sqrt(((10-15)²+(20-15)²)/1) = sqrt(50).
 	for _, at := range []float64{0, 10, 30} {
@@ -87,7 +84,7 @@ func TestSDPaperFormula(t *testing.T) {
 
 func TestSDConstantIntervalsIsZero(t *testing.T) {
 	// The B-TCTP steady state: perfectly periodic visits → SD 0.
-	r := NewRecorder(1)
+	r := NewRecorderCap(1, nil)
 	for k := 0; k < 50; k++ {
 		r.OnVisit(0, 0, float64(k)*137.5)
 	}
@@ -97,17 +94,17 @@ func TestSDConstantIntervalsIsZero(t *testing.T) {
 }
 
 func TestMeanInterval(t *testing.T) {
-	r := NewRecorder(1)
+	r := NewRecorderCap(1, nil)
 	for _, at := range []float64{0, 10, 30} {
 		r.OnVisit(0, 0, at)
 	}
-	if m := r.MeanInterval(0); !almost(m, 15) {
-		t.Fatalf("MeanInterval = %v", m)
+	if m := meanGap(r.VisitTimes(0)); !almost(m, 15) {
+		t.Fatalf("mean interval = %v", m)
 	}
 }
 
 func TestAvgSDAndAvgDCDT(t *testing.T) {
-	r := NewRecorder(3)
+	r := NewRecorderCap(3, nil)
 	// Target 0: intervals 10, 10 (SD 0, mean 10).
 	for _, at := range []float64{0, 10, 20} {
 		r.OnVisit(0, 0, at)
@@ -129,7 +126,7 @@ func TestAvgSDAndAvgDCDT(t *testing.T) {
 }
 
 func TestAvgAfterVariants(t *testing.T) {
-	r := NewRecorder(1)
+	r := NewRecorderCap(1, nil)
 	// Transient: erratic until t=100; steady period 50 after.
 	for _, at := range []float64{0, 7, 100, 150, 200, 250} {
 		r.OnVisit(0, 0, at)
@@ -146,7 +143,7 @@ func TestAvgAfterVariants(t *testing.T) {
 }
 
 func TestMaxInterval(t *testing.T) {
-	r := NewRecorder(2)
+	r := NewRecorderCap(2, nil)
 	for _, at := range []float64{0, 10, 20} {
 		r.OnVisit(0, 0, at)
 	}
@@ -156,39 +153,9 @@ func TestMaxInterval(t *testing.T) {
 	if m := r.MaxInterval(); !almost(m, 55) {
 		t.Fatalf("MaxInterval = %v", m)
 	}
-	empty := NewRecorder(1)
+	empty := NewRecorderCap(1, nil)
 	if m := empty.MaxInterval(); m != 0 {
 		t.Fatalf("empty MaxInterval = %v", m)
-	}
-}
-
-func TestDCDTSeries(t *testing.T) {
-	r := NewRecorder(2)
-	// Target 0 intervals: 10, 20, 30. Target 1 intervals: 30.
-	for _, at := range []float64{0, 10, 30, 60} {
-		r.OnVisit(0, 0, at)
-	}
-	for _, at := range []float64{0, 30} {
-		r.OnVisit(0, 1, at)
-	}
-	s := r.DCDTSeries(5)
-	// k=1: mean(10, 30)=20; k=2: mean(20)=20; k=3: mean(30)=30;
-	// k=4: no data → series stops.
-	want := []float64{20, 20, 30}
-	if len(s) != len(want) {
-		t.Fatalf("DCDTSeries = %v", s)
-	}
-	for i := range want {
-		if !almost(s[i], want[i]) {
-			t.Fatalf("DCDTSeries = %v, want %v", s, want)
-		}
-	}
-}
-
-func TestDCDTSeriesEmpty(t *testing.T) {
-	r := NewRecorder(1)
-	if s := r.DCDTSeries(10); len(s) != 0 {
-		t.Fatalf("series = %v", s)
 	}
 }
 
@@ -196,10 +163,10 @@ func TestPanics(t *testing.T) {
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Fatal("NewRecorder(0) did not panic")
+				t.Fatal("NewRecorderCap(0, nil) did not panic")
 			}
 		}()
-		NewRecorder(0)
+		NewRecorderCap(0, nil)
 	}()
 	func() {
 		defer func() {
@@ -207,7 +174,7 @@ func TestPanics(t *testing.T) {
 				t.Fatal("out-of-range visit did not panic")
 			}
 		}()
-		NewRecorder(2).OnVisit(0, 5, 1)
+		NewRecorderCap(2, nil).OnVisit(0, 5, 1)
 	}()
 	func() {
 		defer func() {
@@ -215,7 +182,7 @@ func TestPanics(t *testing.T) {
 				t.Fatal("negative target did not panic")
 			}
 		}()
-		NewRecorder(2).OnVisit(0, -1, 1)
+		NewRecorderCap(2, nil).OnVisit(0, -1, 1)
 	}()
 	func() {
 		defer func() {
@@ -223,7 +190,7 @@ func TestPanics(t *testing.T) {
 				t.Fatal("visit earlier than the target's last visit did not panic")
 			}
 		}()
-		r := NewRecorder(2)
+		r := NewRecorderCap(2, nil)
 		r.OnVisit(0, 0, 5)
 		r.OnVisit(0, 1, 3) // another target's clock is independent
 		r.OnVisit(0, 0, 5) // a repeated timestamp is in order
@@ -238,7 +205,7 @@ func TestIntervalTelescopeProperty(t *testing.T) {
 		if len(raw) < 2 {
 			return true
 		}
-		r := NewRecorder(1)
+		r := NewRecorderCap(1, nil)
 		t0 := 0.0
 		var first, last float64
 		for i, d := range raw {
@@ -265,7 +232,7 @@ func TestIntervalTelescopeProperty(t *testing.T) {
 }
 
 func TestEventDCDTSeries(t *testing.T) {
-	r := NewRecorder(2)
+	r := NewRecorderCap(2, nil)
 	// Target 0 visits at 0, 10, 30 (intervals 10 at t=10, 20 at t=30).
 	for _, at := range []float64{0, 10, 30} {
 		r.OnVisit(0, 0, at)
@@ -290,13 +257,13 @@ func TestEventDCDTSeries(t *testing.T) {
 		t.Fatalf("truncated series = %v", got)
 	}
 	// Empty recorder.
-	if got := NewRecorder(1).EventDCDTSeries(5); len(got) != 0 {
+	if got := NewRecorderCap(1, nil).EventDCDTSeries(5); len(got) != 0 {
 		t.Fatalf("empty series = %v", got)
 	}
 }
 
 func TestEventDCDTSeriesConstantForPeriodic(t *testing.T) {
-	r := NewRecorder(3)
+	r := NewRecorderCap(3, nil)
 	// Three targets on a perfectly periodic schedule (the B-TCTP
 	// steady state): every event interval is identical.
 	for target := 0; target < 3; target++ {
@@ -316,7 +283,7 @@ func TestEventDCDTSeriesConstantForPeriodic(t *testing.T) {
 // metrics to a target subset, and the nil subset reproduces the
 // global values exactly.
 func TestOverSubsetMetrics(t *testing.T) {
-	r := NewRecorder(3)
+	r := NewRecorderCap(3, nil)
 	// Target 0: intervals 10, 10. Target 1: intervals 20, 40.
 	// Target 2: one visit, no interval.
 	for _, v := range []struct {
@@ -365,7 +332,7 @@ func TestOverSubsetMetrics(t *testing.T) {
 // coverage-gap family, including the censored (never revisited) and
 // empty-window edges.
 func TestDegradedModeWindows(t *testing.T) {
-	r := NewRecorder(3)
+	r := NewRecorderCap(3, nil)
 	// target 0: visits at 10, 20, 80; target 1: visit at 5 only;
 	// target 2: never visited.
 	r.OnVisit(0, 0, 10)
@@ -395,16 +362,13 @@ func TestDegradedModeWindows(t *testing.T) {
 		t.Fatalf("TimeToRecoverOver({0},30,100) = %v, want 50", got)
 	}
 
-	// Max gap in [30, 100]: target 0's is 80→100 = 30 (30→80 = 50,
-	// window edges count); unvisited target 2 spans the whole window.
-	if got := r.MaxGapOver([]int{0}, 30, 100); got != 50 {
-		t.Fatalf("MaxGapOver({0},30,100) = %v, want 50", got)
+	// Max gap in [30, 100]: target 0's is 30→80 = 50 (window edges
+	// count); unvisited target 2 spans the whole window.
+	if got := r.AvgMaxGapOver([]int{0}, 30, 100); got != 50 {
+		t.Fatalf("AvgMaxGapOver({0},30,100) = %v, want 50", got)
 	}
-	if got := r.MaxGapOver([]int{2}, 30, 100); got != 70 {
-		t.Fatalf("MaxGapOver({2},30,100) = %v, want 70", got)
-	}
-	if got := r.MaxGapOver(nil, 30, 100); got != 70 {
-		t.Fatalf("MaxGapOver(nil,30,100) = %v, want 70", got)
+	if got := r.AvgMaxGapOver([]int{2}, 30, 100); got != 70 {
+		t.Fatalf("AvgMaxGapOver({2},30,100) = %v, want 70", got)
 	}
 	// AvgMaxGapOver is the per-target mean: (50 + 70 + 70) / 3.
 	want := (50.0 + 70 + 70) / 3
@@ -412,8 +376,8 @@ func TestDegradedModeWindows(t *testing.T) {
 		t.Fatalf("AvgMaxGapOver(nil,30,100) = %v, want %v", got, want)
 	}
 	// Degenerate window.
-	if got := r.MaxGapOver(nil, 100, 100); got != 0 {
-		t.Fatalf("MaxGapOver(nil,100,100) = %v, want 0", got)
+	if got := r.AvgMaxGapOver(nil, 100, 100); got != 0 {
+		t.Fatalf("AvgMaxGapOver(nil,100,100) = %v, want 0", got)
 	}
 }
 
@@ -435,13 +399,13 @@ func TestInPlaceAggregatesMatchIntervalOracle(t *testing.T) {
 		}
 	}
 	for trial := 0; trial < 2000; trial++ {
-		n := src.IntRange(1, 6)
-		r := NewRecorder(n)
+		n := 1 + src.Intn(6)
+		r := NewRecorderCap(n, nil)
 		var times []float64
 		for target := 0; target < n; target++ {
 			visits := src.Intn(4)
 			if src.Float64() < 0.3 {
-				visits = src.IntRange(4, 12)
+				visits = 4 + src.Intn(9)
 			}
 			at := src.Range(0, 500)
 			for v := 0; v < visits; v++ {
@@ -508,7 +472,7 @@ func TestInPlaceAggregatesMatchIntervalOracle(t *testing.T) {
 		for target := 0; target < n; target++ {
 			same("SD", r.SD(target), stats.SampleSD(r.Intervals(target)))
 			same("SDAfter", r.SDAfter(target, t0), stats.SampleSD(r.IntervalsAfter(target, t0)))
-			same("MeanInterval", r.MeanInterval(target), stats.Mean(r.Intervals(target)))
+			same("meanGap", meanGap(r.VisitTimes(target)), stats.Mean(r.Intervals(target)))
 			first := -1.0
 			for _, v := range r.VisitTimes(target) {
 				if v >= t0 {

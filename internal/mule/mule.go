@@ -171,9 +171,6 @@ func (m *Mule) Pos() geom.Point { return m.pos }
 // Dead reports whether the mule has exhausted its battery.
 func (m *Mule) Dead() bool { return m.dead }
 
-// Parked reports whether the router ended the route.
-func (m *Mule) Parked() bool { return m.parked }
-
 // Distance returns the total distance travelled in metres.
 func (m *Mule) Distance() float64 { return m.distance }
 

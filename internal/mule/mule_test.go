@@ -66,7 +66,7 @@ func TestTravelTiming(t *testing.T) {
 	if math.Abs(visitTimes[1]-100) > 1e-9 {
 		t.Fatalf("second visit at %v, want 100", visitTimes[1])
 	}
-	if !m.Parked() {
+	if !m.parked {
 		t.Fatal("mule not parked after finite route")
 	}
 	if math.Abs(m.Distance()-200) > 1e-9 {
@@ -345,7 +345,7 @@ func TestMuleID(t *testing.T) {
 	}
 	m.Launch()
 	eng.Run(10)
-	if !m.Parked() {
+	if !m.parked {
 		t.Fatal("empty route should park immediately")
 	}
 }
@@ -477,7 +477,7 @@ func TestRerouteMidLegContinuesFromInterpolatedPos(t *testing.T) {
 	if math.Abs(m.Distance()-100) > 1e-9 {
 		t.Fatalf("distance %v, want 50 out + 50 back", m.Distance())
 	}
-	if !m.Parked() {
+	if !m.parked {
 		t.Fatal("mule not parked after the rerouted finite route")
 	}
 }

@@ -542,7 +542,7 @@ func (sc oracleScenario) solo(j int, ahead bool, horizon float64) []string {
 	}
 	return append(log, fmt.Sprintf("final dist %x energy %x visits %d recharges %d dead %v parked %v pos %v leg %v %v %v %x %x",
 		math.Float64bits(m.Distance()), math.Float64bits(m.EnergyConsumed()), m.Visits(), m.Recharges(),
-		m.Dead(), m.Parked(), m.Pos(), m.inFlight, m.legFrom, m.legTo,
+		m.Dead(), m.parked, m.Pos(), m.inFlight, m.legFrom, m.legTo,
 		math.Float64bits(m.legDepart), math.Float64bits(m.legDist)), fmt.Sprintf("battery %x", math.Float64bits(level)))
 }
 

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"tctp/internal/geom"
-	"tctp/internal/hull"
 	"tctp/internal/tour"
 	"tctp/internal/xrand"
 )
@@ -16,40 +15,6 @@ func randPts(n int, src *xrand.Source) []geom.Point {
 		pts[i] = geom.Pt(src.Range(0, 800), src.Range(0, 800))
 	}
 	return pts
-}
-
-// canon returns the tour reflected to the canonical direction (second
-// element smaller than last), matching HeldKarp's output contract.
-func canon(t tour.Tour) tour.Tour {
-	out := append(tour.Tour(nil), t...)
-	canonicalize(out)
-	return out
-}
-
-// Held-Karp must reproduce the brute-force permutation optimum
-// bit-exactly: same canonical permutation, same tour.Length bits.
-// Random coordinates make the optimum unique up to direction with
-// probability 1, and both solvers root the cycle at index 0.
-func TestHeldKarpMatchesBruteForce(t *testing.T) {
-	src := xrand.New(41)
-	for n := 1; n <= 9; n++ {
-		for trial := 0; trial < 20; trial++ {
-			pts := randPts(n, src)
-			ht, hl := HeldKarp(pts)
-			if err := tour.Validate(ht, n); err != nil {
-				t.Fatalf("n=%d trial %d: %v", n, trial, err)
-			}
-			bt := canon(tour.BruteForce(pts))
-			for i := range bt {
-				if ht[i] != bt[i] {
-					t.Fatalf("n=%d trial %d: HeldKarp %v != brute %v", n, trial, ht, bt)
-				}
-			}
-			if bl := tour.Length(pts, bt); hl != bl {
-				t.Fatalf("n=%d trial %d: length %v != brute %v", n, trial, hl, bl)
-			}
-		}
-	}
 }
 
 // The branch-and-bound DCDT search is an independent exact solver; it
@@ -138,20 +103,6 @@ func TestHullPerimeterUnderContainment(t *testing.T) {
 			if l := tour.Length(pts, mk()); h > l*(1+1e-9) {
 				t.Fatalf("trial %d: hull %v exceeds circuit %v", trial, h, l)
 			}
-		}
-	}
-}
-
-func TestHullConvexAgainstGrahamScan(t *testing.T) {
-	// The two hull constructions must agree on perimeter — the bound
-	// must not depend on which one Convex happens to be.
-	src := xrand.New(45)
-	for trial := 0; trial < 30; trial++ {
-		pts := randPts(12, src)
-		a := hull.Perimeter(hull.Convex(pts))
-		b := hull.Perimeter(hull.GrahamScan(pts))
-		if math.Abs(a-b) > 1e-9 {
-			t.Fatalf("trial %d: Convex %v vs GrahamScan %v", trial, a, b)
 		}
 	}
 }

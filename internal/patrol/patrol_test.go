@@ -9,7 +9,7 @@ import (
 	"tctp/internal/energy"
 	"tctp/internal/field"
 	"tctp/internal/geom"
-	"tctp/internal/trace"
+	"tctp/internal/metrics"
 	"tctp/internal/xrand"
 )
 
@@ -30,6 +30,29 @@ func run(t *testing.T, s *field.Scenario, alg Algorithm, opts Options, seed uint
 	return res
 }
 
+// intervalsAfter returns the gaps between target's consecutive visits
+// at or after t0.
+func intervalsAfter(rec *metrics.Recorder, target int, t0 float64) []float64 {
+	var out []float64
+	for i, ts := 1, rec.VisitTimes(target); i < len(ts); i++ {
+		if ts[i-1] >= t0 {
+			out = append(out, ts[i]-ts[i-1])
+		}
+	}
+	return out
+}
+
+// everyTargetVisited reports whether the recorder logged at least one
+// visit to every target.
+func everyTargetVisited(rec *metrics.Recorder) bool {
+	for target := 0; target < rec.NumTargets(); target++ {
+		if len(rec.VisitTimes(target)) == 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // TestBTCTPSteadyStateSDZero is the headline correctness property: in
 // steady state, B-TCTP visits every target at the exact period
 // |P|/(n·v), so the per-target SD of the visiting intervals is zero to
@@ -45,7 +68,7 @@ func TestBTCTPSteadyStateSDZero(t *testing.T) {
 		res := run(t, s, Planned(&core.BTCTP{}), Options{Horizon: 60_000}, 1)
 		warmup := res.PatrolStart + 1 // skip the initialization transient
 		for target := 0; target < s.NumTargets(); target++ {
-			iv := res.Recorder.IntervalsAfter(target, warmup)
+			iv := intervalsAfter(res.Recorder, target, warmup)
 			if len(iv) < 3 {
 				t.Fatalf("mules=%d: target %d has only %d steady intervals", mules, target, len(iv))
 			}
@@ -75,7 +98,7 @@ func TestBTCTPIntervalMatchesTheory(t *testing.T) {
 	want := circuit / 3
 	warmup := res.PatrolStart + 1
 	for target := 0; target < s.NumTargets(); target++ {
-		iv := res.Recorder.IntervalsAfter(target, warmup)
+		iv := intervalsAfter(res.Recorder, target, warmup)
 		for _, x := range iv {
 			if math.Abs(x-want) > 1e-6 {
 				t.Fatalf("target %d interval %v, want %v", target, x, want)
@@ -132,7 +155,7 @@ func TestSweepRuns(t *testing.T) {
 		t.Fatal("sweep fleet never visited anything")
 	}
 	// Every target is eventually visited (each group is patrolled).
-	if res.Recorder.MinVisitCount() == 0 {
+	if !everyTargetVisited(res.Recorder) {
 		t.Fatal("some target never visited under Sweep")
 	}
 }
@@ -146,7 +169,7 @@ func TestWTCTPVIPFrequency(t *testing.T) {
 	s.AssignVIPs(xrand.New(26), 1, 3)
 	vip := s.VIPs()[0]
 	res := run(t, s, Planned(&core.WTCTP{Policy: core.BalancingLength}), Options{Horizon: 100_000}, 1)
-	vipVisits := res.Recorder.VisitCount(vip)
+	vipVisits := len(res.Recorder.VisitTimes(vip))
 	var ntp int
 	for id := range s.Targets {
 		if id != vip {
@@ -154,7 +177,7 @@ func TestWTCTPVIPFrequency(t *testing.T) {
 			break
 		}
 	}
-	ntpVisits := res.Recorder.VisitCount(ntp)
+	ntpVisits := len(res.Recorder.VisitTimes(ntp))
 	ratio := float64(vipVisits) / float64(ntpVisits)
 	if ratio < 2.5 || ratio > 3.5 {
 		t.Fatalf("VIP/NTP visit ratio = %v (visits %d vs %d), want ≈3",
@@ -183,7 +206,7 @@ func TestRWTCTPNeverDies(t *testing.T) {
 			t.Fatalf("mule %d never recharged over a long horizon", i)
 		}
 	}
-	if res.Recorder.MinVisitCount() == 0 {
+	if !everyTargetVisited(res.Recorder) {
 		t.Fatal("some target never visited under RW-TCTP")
 	}
 }
@@ -466,19 +489,28 @@ func TestPartialFleetDeathDegradesGracefully(t *testing.T) {
 	}
 }
 
+// countingObserver tallies every event it sees, by kind.
+type countingObserver struct{ visits, deaths, recharges int }
+
+func (c *countingObserver) OnVisit(int, int, float64)        { c.visits++ }
+func (c *countingObserver) OnDeath(int, float64, geom.Point) { c.deaths++ }
+func (c *countingObserver) OnRecharge(int, float64)          { c.recharges++ }
+
+// TestTracerIntegration: an attached observer sees exactly the
+// recorder's visits, and nothing but visits on a battery-free run.
 func TestTracerIntegration(t *testing.T) {
 	s := scenario(43, 8, 2)
-	tr := trace.New(0)
+	obs := &countingObserver{}
 	opts := Options{
 		Horizon:   20_000,
-		Observers: []Observer{tr},
+		Observers: []Observer{obs},
 	}
 	res := run(t, s, Planned(&core.BTCTP{}), opts, 1)
-	if tr.Len() != res.TotalVisits() {
-		t.Fatalf("trace has %d events, recorder %d visits", tr.Len(), res.TotalVisits())
+	if obs.visits != res.TotalVisits() {
+		t.Fatalf("observer saw %d visits, recorder %d", obs.visits, res.TotalVisits())
 	}
-	if len(tr.Filter(trace.Visit)) != tr.Len() {
-		t.Fatal("unexpected non-visit events")
+	if obs.deaths != 0 || obs.recharges != 0 {
+		t.Fatalf("unexpected non-visit events: %d deaths, %d recharges", obs.deaths, obs.recharges)
 	}
 }
 

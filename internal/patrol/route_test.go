@@ -85,7 +85,7 @@ func TestVisitCapsBoundVisitCounts(t *testing.T) {
 			t.Fatalf("case %d (%s): no capacities for a plan with positive periods", i, alg.Name())
 		}
 		for id := range caps {
-			if got := res.Recorder.VisitCount(id); got > caps[id] {
+			if got := len(res.Recorder.VisitTimes(id)); got > caps[id] {
 				t.Fatalf("case %d (%s, horizon %v, dwell %v): target %d visited %d times, capacity %d",
 					i, alg.Name(), opts.Horizon, opts.Energy.Dwell, id, got, caps[id])
 			}

@@ -183,36 +183,6 @@ func (w Workload) Build(s *field.Scenario, src *xrand.Source) *wsn.Network {
 	return wsn.New(s, w.Data)
 }
 
-// Packets returns the conventional packet workload: one reading per
-// node per minute, 50-packet buffers, a one-hour delivery deadline.
-func Packets() Workload {
-	return Workload{Name: "packets", Data: wsn.Config{
-		GenInterval: 60, BufferCap: 50, Deadline: 3600,
-	}}
-}
-
-// Priority returns the conventional priority workload: the packet
-// workload's parameters with per-class delivery accounting (VIP
-// origins are high-priority).
-func Priority() Workload {
-	return Workload{Name: "priority", Kind: KindPriority, Data: wsn.Config{
-		GenInterval: 60, BufferCap: 50, Deadline: 3600,
-	}}
-}
-
-// Bursts returns the conventional event-driven workload: every fourth
-// target is hot, emitting 10-packet bursts every ~30 minutes on
-// average, with 50-packet buffers and a one-hour deadline.
-func Bursts(targets int) Workload {
-	hot := targets / 4
-	if hot < 1 {
-		hot = 1
-	}
-	return Workload{Name: "bursts", Kind: KindBursts, Bursts: &wsn.BurstConfig{
-		Hot: hot, MeanGap: 1800, Size: 10, BufferCap: 50, Deadline: 3600,
-	}}
-}
-
 // Scenario is the complete declarative description of a simulation
 // run. The zero value is not runnable; construct via the builder, a
 // preset, or JSON.

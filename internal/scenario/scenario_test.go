@@ -75,7 +75,7 @@ func TestValidationErrors(t *testing.T) {
 		{"negative horizon", func(s *Scenario) { s.Horizon = -5 }, "horizon"},
 		{"unnamed workload", func(s *Scenario) { s.Workloads = []Workload{{}} }, "name"},
 		{"duplicate workload", func(s *Scenario) {
-			s.Workloads = []Workload{Packets(), Packets()}
+			s.Workloads = []Workload{{Name: "packets"}, {Name: "packets"}}
 		}, "duplicate"},
 		{"negative workload", func(s *Scenario) {
 			s.Workloads = []Workload{{Name: "w", Data: wsn.Config{Deadline: -1}}}
@@ -247,7 +247,9 @@ func TestBurstWorkloadKind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc.Workloads = append(sc.Workloads, Bursts(8))
+	sc.Workloads = append(sc.Workloads, Workload{Name: "bursts", Kind: KindBursts, Bursts: &wsn.BurstConfig{
+		Hot: 2, MeanGap: 1800, Size: 10, BufferCap: 50, Deadline: 3600,
+	}})
 	if err := sc.Validate(); err != nil {
 		t.Fatal(err)
 	}

@@ -140,12 +140,11 @@ const compactMinHeap = 64
 // Engine is a discrete-event simulator. The zero value is ready to
 // use at time 0.
 type Engine struct {
-	now      float64
-	seq      uint64
-	events   eventHeap
-	executed uint64
-	pending  int      // live count of scheduled, non-canceled events
-	free     []*event // recycled event records
+	now     float64
+	seq     uint64
+	events  eventHeap
+	pending int      // live count of scheduled, non-canceled events
+	free    []*event // recycled event records
 }
 
 // New returns an engine with the clock at 0.
@@ -153,14 +152,6 @@ func New() *Engine { return &Engine{} }
 
 // Now returns the current simulation time in seconds.
 func (e *Engine) Now() float64 { return e.now }
-
-// Pending returns the number of scheduled (non-canceled) events. The
-// count is maintained live on Schedule/Cancel/Step, so the call is
-// O(1).
-func (e *Engine) Pending() int { return e.pending }
-
-// Executed returns how many events have run so far.
-func (e *Engine) Executed() uint64 { return e.executed }
 
 // Cancel is a handle revoking a scheduled event. It is returned by
 // Schedule, is safe to call more than once or after the event has
@@ -277,7 +268,6 @@ func (e *Engine) Step() bool {
 			continue
 		}
 		e.now = ev.time
-		e.executed++
 		e.pending--
 		ev.canceled = true // fired: make a late Cancel a no-op
 		fn := ev.fn

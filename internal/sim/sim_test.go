@@ -80,12 +80,12 @@ func TestCancel(t *testing.T) {
 	cancel := e.Schedule(1, func() { fired = true })
 	cancel.Cancel()
 	cancel.Cancel() // double-cancel is a no-op
-	e.Run(100)
+	n := e.Run(100)
 	if fired {
 		t.Fatal("canceled event fired")
 	}
-	if e.Executed() != 0 {
-		t.Fatalf("Executed = %d", e.Executed())
+	if n != 0 {
+		t.Fatalf("Run executed %d events", n)
 	}
 }
 
@@ -94,7 +94,7 @@ func TestCancelAfterFireNoop(t *testing.T) {
 	cancel := e.Schedule(1, func() {})
 	e.Run(100)
 	cancel.Cancel() // must not panic or corrupt state
-	if e.Pending() != 0 {
+	if e.pending != 0 {
 		t.Fatal("phantom pending events")
 	}
 }
@@ -144,8 +144,8 @@ func TestRunUntilProcessesSpawnedEvents(t *testing.T) {
 	if len(hits) != 2 || hits[0] != 1 || hits[1] != 2 {
 		t.Fatalf("hits = %v", hits)
 	}
-	if e.Pending() != 1 {
-		t.Fatalf("Pending = %d", e.Pending())
+	if e.pending != 1 {
+		t.Fatalf("pending = %d", e.pending)
 	}
 }
 
@@ -203,8 +203,8 @@ func TestPendingSkipsCanceled(t *testing.T) {
 	c1 := e.Schedule(1, func() {})
 	e.Schedule(2, func() {})
 	c1.Cancel()
-	if got := e.Pending(); got != 1 {
-		t.Fatalf("Pending = %d", got)
+	if got := e.pending; got != 1 {
+		t.Fatalf("pending = %d", got)
 	}
 }
 
@@ -213,35 +213,35 @@ func TestPendingSkipsCanceled(t *testing.T) {
 // after execution, and cancels of already-popped events.
 func TestPendingCounterTransitions(t *testing.T) {
 	e := New()
-	if e.Pending() != 0 {
-		t.Fatalf("fresh Pending = %d", e.Pending())
+	if e.pending != 0 {
+		t.Fatalf("fresh pending = %d", e.pending)
 	}
 	c1 := e.Schedule(1, func() {})
 	c2 := e.Schedule(2, func() {})
 	e.Schedule(3, func() { e.After(1, func() {}) })
-	if e.Pending() != 3 {
-		t.Fatalf("after 3 schedules Pending = %d", e.Pending())
+	if e.pending != 3 {
+		t.Fatalf("after 3 schedules pending = %d", e.pending)
 	}
 	c1.Cancel()
 	c1.Cancel() // double cancel is a no-op
-	if e.Pending() != 2 {
-		t.Fatalf("after cancel Pending = %d", e.Pending())
+	if e.pending != 2 {
+		t.Fatalf("after cancel pending = %d", e.pending)
 	}
 	e.Step() // runs the t=2 event
-	if e.Pending() != 1 {
-		t.Fatalf("after step Pending = %d", e.Pending())
+	if e.pending != 1 {
+		t.Fatalf("after step pending = %d", e.pending)
 	}
 	c2.Cancel() // already executed: no-op
-	if e.Pending() != 1 {
-		t.Fatalf("after stale cancel Pending = %d", e.Pending())
+	if e.pending != 1 {
+		t.Fatalf("after stale cancel pending = %d", e.pending)
 	}
 	e.Step() // t=3 event schedules a follow-up at t=4
-	if e.Pending() != 1 {
-		t.Fatalf("after rescheduling step Pending = %d", e.Pending())
+	if e.pending != 1 {
+		t.Fatalf("after rescheduling step pending = %d", e.pending)
 	}
 	e.Step()
-	if e.Pending() != 0 {
-		t.Fatalf("drained Pending = %d", e.Pending())
+	if e.pending != 0 {
+		t.Fatalf("drained pending = %d", e.pending)
 	}
 }
 
@@ -319,7 +319,7 @@ func TestCompaction(t *testing.T) {
 		c.Cancel()
 	}
 	// Compaction keeps tombstones at no more than half the heap.
-	if live, total := e.Pending(), len(e.events); total > 2*live {
+	if live, total := e.pending, len(e.events); total > 2*live {
 		t.Fatalf("heap holds %d entries for %d live events", total, live)
 	}
 	e.Run(n + 1)
@@ -402,8 +402,8 @@ func TestRandomizedPopOrderMatchesSort(t *testing.T) {
 				t.Fatalf("trial %d: event %d fired as %+v, want %+v", trial, i, fired[i], want[i])
 			}
 		}
-		if e.Pending() != 0 {
-			t.Fatalf("trial %d: %d events pending after the run", trial, e.Pending())
+		if e.pending != 0 {
+			t.Fatalf("trial %d: %d events pending after the run", trial, e.pending)
 		}
 	}
 	if compacted == 0 {

@@ -2,16 +2,11 @@
 // containers used by the evaluation harness: sample moments (the
 // paper's SD formula is the sample standard deviation of a target's
 // consecutive visiting intervals), Welford accumulators for streaming
-// aggregation, elementwise aggregation across replicated runs, and the
-// Series/Surface containers that mirror the paper's 2-D line plots
-// (Fig. 7) and 3-D bar plots (Figs. 8–10).
+// aggregation, and the Series/Surface containers that mirror the
+// paper's 2-D line plots (Fig. 7) and 3-D bar plots (Figs. 8–10).
 package stats
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
+import "math"
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
 func Mean(xs []float64) float64 {
@@ -70,62 +65,6 @@ func Max(xs []float64) float64 {
 	return m
 }
 
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) of xs using linear
-// interpolation between order statistics. It panics on an empty slice
-// or q outside [0, 1].
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Quantile of empty slice")
-	}
-	if q < 0 || q > 1 {
-		panic(fmt.Sprintf("stats: Quantile q=%v outside [0,1]", q))
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	if len(sorted) == 1 {
-		return sorted[0]
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// Summary bundles the usual descriptive statistics of a sample.
-type Summary struct {
-	N    int
-	Mean float64
-	SD   float64
-	Min  float64
-	Max  float64
-}
-
-// Summarize computes a Summary. An empty sample yields the zero
-// Summary.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	return Summary{
-		N:    len(xs),
-		Mean: Mean(xs),
-		SD:   SampleSD(xs),
-		Min:  Min(xs),
-		Max:  Max(xs),
-	}
-}
-
-// String implements fmt.Stringer.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.3f sd=%.3f min=%.3f max=%.3f",
-		s.N, s.Mean, s.SD, s.Min, s.Max)
-}
-
 // CI95 returns the half-width of a normal-approximation 95% confidence
 // interval for the mean of xs (1.96·sd/√n). Samples with fewer than
 // two elements yield 0.
@@ -137,10 +76,10 @@ func CI95(xs []float64) float64 {
 }
 
 // Accumulator computes running moments with Welford's algorithm plus
-// streaming extrema; it is the streaming counterpart of Summarize. The
-// zero value is ready to use. Because the update is sequential, two
-// accumulators fed the same samples in the same order produce
-// bit-identical results — the sweep engine relies on this for
+// streaming extrema; it is the streaming counterpart of Mean, SampleSD,
+// Min and Max. The zero value is ready to use. Because the update is
+// sequential, two accumulators fed the same samples in the same order
+// produce bit-identical results — the sweep engine relies on this for
 // worker-count-independent output.
 type Accumulator struct {
 	n        int
@@ -193,11 +132,6 @@ func (a *Accumulator) CI95() float64 {
 	return 1.96 * a.SD() / math.Sqrt(float64(a.n))
 }
 
-// Summary returns the accumulated moments as a Summary.
-func (a *Accumulator) Summary() Summary {
-	return Summary{N: a.n, Mean: a.Mean(), SD: a.SD(), Min: a.min, Max: a.max}
-}
-
 // AccumulatorState is the serializable snapshot of an Accumulator. The
 // floating-point moments travel as raw IEEE-754 bits so a
 // State→Restore round trip through any text encoding (JSON included)
@@ -232,33 +166,6 @@ func (a *Accumulator) Restore(s AccumulatorState) {
 	a.m2 = math.Float64frombits(s.M2)
 	a.min = math.Float64frombits(s.Min)
 	a.max = math.Float64frombits(s.Max)
-}
-
-// MeanAcross averages replicated runs elementwise: runs[r][k] is the
-// k-th value of replication r. Rows may have different lengths; each
-// output position averages the rows that reach it. An empty input
-// yields nil.
-func MeanAcross(runs [][]float64) []float64 {
-	maxLen := 0
-	for _, r := range runs {
-		if len(r) > maxLen {
-			maxLen = len(r)
-		}
-	}
-	if maxLen == 0 {
-		return nil
-	}
-	out := make([]float64, maxLen)
-	for k := 0; k < maxLen; k++ {
-		var acc Accumulator
-		for _, r := range runs {
-			if k < len(r) {
-				acc.Add(r[k])
-			}
-		}
-		out[k] = acc.Mean()
-	}
-	return out
 }
 
 // Series is a named sequence of (x, y) samples — one curve of a line
@@ -311,29 +218,3 @@ func (s *Surface) Set(i, j int, z float64) { s.Z[i][j] = z }
 
 // At returns the value at row i, column j.
 func (s *Surface) At(i, j int) float64 { return s.Z[i][j] }
-
-// MaxZ returns the largest value on the surface (0 for an empty one).
-func (s *Surface) MaxZ() float64 {
-	m := 0.0
-	first := true
-	for _, row := range s.Z {
-		for _, z := range row {
-			if first || z > m {
-				m = z
-				first = false
-			}
-		}
-	}
-	return m
-}
-
-// MeanZ returns the mean of all cells (0 for an empty surface).
-func (s *Surface) MeanZ() float64 {
-	var acc Accumulator
-	for _, row := range s.Z {
-		for _, z := range row {
-			acc.Add(z)
-		}
-	}
-	return acc.Mean()
-}

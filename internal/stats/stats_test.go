@@ -51,71 +51,6 @@ func TestMinMax(t *testing.T) {
 	}
 }
 
-func TestQuantile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	if q := Quantile(xs, 0); !almost(q, 1) {
-		t.Fatalf("q0 = %v", q)
-	}
-	if q := Quantile(xs, 1); !almost(q, 5) {
-		t.Fatalf("q1 = %v", q)
-	}
-	if q := Quantile(xs, 0.5); !almost(q, 3) {
-		t.Fatalf("median = %v", q)
-	}
-	if q := Quantile(xs, 0.25); !almost(q, 2) {
-		t.Fatalf("q25 = %v", q)
-	}
-	// Interpolation between order statistics.
-	if q := Quantile([]float64{0, 10}, 0.5); !almost(q, 5) {
-		t.Fatalf("interpolated median = %v", q)
-	}
-	if q := Quantile([]float64{42}, 0.9); !almost(q, 42) {
-		t.Fatalf("singleton quantile = %v", q)
-	}
-	// Input must not be reordered.
-	in := []float64{5, 1, 3}
-	Quantile(in, 0.5)
-	if in[0] != 5 || in[1] != 1 || in[2] != 3 {
-		t.Fatal("Quantile reordered input")
-	}
-}
-
-func TestQuantilePanics(t *testing.T) {
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("empty did not panic")
-			}
-		}()
-		Quantile(nil, 0.5)
-	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("q>1 did not panic")
-			}
-		}()
-		Quantile([]float64{1}, 1.5)
-	}()
-}
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3})
-	if s.N != 3 || !almost(s.Mean, 2) || !almost(s.Min, 1) || !almost(s.Max, 3) {
-		t.Fatalf("Summary = %+v", s)
-	}
-	if !almost(s.SD, 1) {
-		t.Fatalf("Summary.SD = %v", s.SD)
-	}
-	z := Summarize(nil)
-	if z.N != 0 || z.Mean != 0 {
-		t.Fatalf("empty Summary = %+v", z)
-	}
-	if s.String() == "" {
-		t.Fatal("empty String")
-	}
-}
-
 func TestCI95(t *testing.T) {
 	xs := []float64{10, 12, 8, 11, 9}
 	want := 1.96 * SampleSD(xs) / math.Sqrt(5)
@@ -148,12 +83,6 @@ func TestAccumulatorMatchesBatch(t *testing.T) {
 	}
 	if !almost(a.CI95(), CI95(xs)) {
 		t.Fatalf("Accumulator CI95 %v vs batch %v", a.CI95(), CI95(xs))
-	}
-	want := Summarize(xs)
-	got := a.Summary()
-	if got.N != want.N || !almost(got.Mean, want.Mean) || !almost(got.SD, want.SD) ||
-		!almost(got.Min, want.Min) || !almost(got.Max, want.Max) {
-		t.Fatalf("Summary %v vs batch %v", got, want)
 	}
 }
 
@@ -194,40 +123,6 @@ func TestAccumulatorProperty(t *testing.T) {
 	}
 }
 
-func TestMeanAcross(t *testing.T) {
-	runs := [][]float64{
-		{1, 2, 3},
-		{3, 4, 5},
-	}
-	got := MeanAcross(runs)
-	want := []float64{2, 3, 4}
-	for i := range want {
-		if !almost(got[i], want[i]) {
-			t.Fatalf("MeanAcross = %v", got)
-		}
-	}
-}
-
-func TestMeanAcrossRagged(t *testing.T) {
-	runs := [][]float64{
-		{1, 2, 3},
-		{3},
-	}
-	got := MeanAcross(runs)
-	if len(got) != 3 {
-		t.Fatalf("len = %d", len(got))
-	}
-	if !almost(got[0], 2) || !almost(got[1], 2) || !almost(got[2], 3) {
-		t.Fatalf("MeanAcross ragged = %v", got)
-	}
-	if MeanAcross(nil) != nil {
-		t.Fatal("MeanAcross(nil) != nil")
-	}
-	if MeanAcross([][]float64{{}, {}}) != nil {
-		t.Fatal("MeanAcross of empties != nil")
-	}
-}
-
 func TestSeries(t *testing.T) {
 	var s Series
 	s.Name = "tctp"
@@ -250,25 +145,12 @@ func TestSurface(t *testing.T) {
 	if s.At(1, 2) != 7.5 {
 		t.Fatalf("At = %v", s.At(1, 2))
 	}
-	if !almost(s.MaxZ(), 7.5) {
-		t.Fatalf("MaxZ = %v", s.MaxZ())
-	}
-	if !almost(s.MeanZ(), 7.5/6) {
-		t.Fatalf("MeanZ = %v", s.MeanZ())
-	}
 	// Axes are copied.
 	rows := []float64{1, 2}
 	s2 := NewSurface("x", "a", "b", rows, rows)
 	rows[0] = 99
 	if s2.Rows[0] == 99 {
 		t.Fatal("NewSurface shares axis slice")
-	}
-}
-
-func TestSurfaceEmpty(t *testing.T) {
-	s := NewSurface("e", "a", "b", nil, nil)
-	if s.MaxZ() != 0 || s.MeanZ() != 0 {
-		t.Fatal("empty surface stats not zero")
 	}
 }
 

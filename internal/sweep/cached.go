@@ -82,14 +82,6 @@ type CacheRunOpts struct {
 	// engine's shared byte-identical path. The returned state is still
 	// validated centrally, whatever the resolver did.
 	Resolve func(ctx context.Context, cell ResolveCell) (protocol.FoldState, protocol.Source, error)
-	// Parallel bounds how many cells are resolved concurrently
-	// (default GOMAXPROCS). Cells that miss additionally parallelize
-	// their replications over Spec.Workers inside the compute, so the
-	// effective concurrency of an all-miss run is up to
-	// Parallel × Workers; callers scheduling many jobs onto shared
-	// hardware should gate the computes instead (see
-	// cache.Store's compute gate).
-	Parallel int
 	// Sinks receive the job's cells in enumeration order once every
 	// cell has resolved.
 	Sinks []Sink
@@ -140,9 +132,13 @@ func (j *Job) ComputeCell(ctx context.Context, i int) (protocol.FoldState, error
 // The output is byte-identical to Job.Run of the same job at any mix
 // of hits, misses, and joins — including a fully cold store (every
 // cell computed) and a fully warm one (no simulation at all). Cells
-// resolve concurrently (bounded by Parallel); on error the
-// lowest-indexed failing cell wins, matching the engine's
-// deterministic error selection.
+// resolve concurrently, GOMAXPROCS at a time (at most one per cell).
+// Cells that miss additionally parallelize their replications over
+// Spec.Workers inside the compute, so the effective concurrency of an
+// all-miss run is up to GOMAXPROCS × Workers; callers scheduling many
+// jobs onto shared hardware should gate the computes instead (see
+// cache.Store's compute gate). On error the lowest-indexed failing
+// cell wins, matching the engine's deterministic error selection.
 func (j *Job) RunCached(ctx context.Context, opts CacheRunOpts) (*Result, error) {
 	if opts.Store == nil && opts.Resolve == nil {
 		return nil, fmt.Errorf("sweep: RunCached needs a Store or a Resolve hook")
@@ -153,10 +149,7 @@ func (j *Job) RunCached(ctx context.Context, opts CacheRunOpts) (*Result, error)
 	}
 	sp := &j.spec
 	n := len(j.defs)
-	par := opts.Parallel
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
+	par := runtime.GOMAXPROCS(0)
 	if par > n {
 		par = n
 	}
@@ -175,10 +168,14 @@ func (j *Job) RunCached(ctx context.Context, opts CacheRunOpts) (*Result, error)
 		}
 		mu.Unlock()
 	}
-	failed := func() bool {
+	// settled reports whether cell i can no longer change the outcome:
+	// a lower-indexed cell has already failed, and its error wins. A
+	// cell below every failure so far must still run, since it may fail
+	// too.
+	settled := func(i int) bool {
 		mu.Lock()
 		defer mu.Unlock()
-		return runErr != nil
+		return runErr != nil && errIndex < i
 	}
 
 	idx := make(chan int)
@@ -188,7 +185,7 @@ func (j *Job) RunCached(ctx context.Context, opts CacheRunOpts) (*Result, error)
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				if failed() {
+				if settled(i) {
 					continue
 				}
 				compute := func() (protocol.FoldState, error) {

@@ -3,6 +3,8 @@ package sweep
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -191,7 +193,7 @@ func TestCellKeySensitivity(t *testing.T) {
 		"metric set":  func(s *Spec) { s.Metrics = s.Metrics[:2] },
 		"adaptive":    func(s *Spec) { s.Adaptive = &Adaptive{Metric: "avg_dcdt_s", MinReps: 2, RelCI: 0.5} },
 		"cfg digest":  func(s *Spec) { s.ConfigDigest = "deadbeef" },
-		"workload on": func(s *Spec) { s.Workloads = []scenario.Workload{scenario.Packets()} },
+		"workload on": func(s *Spec) { s.Workloads = []scenario.Workload{packetsWorkload()} },
 	}
 	for what, mutate := range differ {
 		if key(mutate) == base {
@@ -253,7 +255,7 @@ func TestRunCachedRejectsForeignState(t *testing.T) {
 	}
 	store.mu.Unlock()
 
-	_, err = j2.RunCached(ctx, CacheRunOpts{Store: store, Parallel: 1})
+	_, err = j2.RunCached(ctx, CacheRunOpts{Store: store})
 	if err == nil {
 		t.Fatal("foreign cached state was accepted")
 	}
@@ -262,62 +264,33 @@ func TestRunCachedRejectsForeignState(t *testing.T) {
 	}
 }
 
-// TestPartialWireRoundTrip: shard partials survive the protocol wire
-// form losslessly — merging round-tripped partials is byte-identical
-// to merging the originals.
-func TestPartialWireRoundTrip(t *testing.T) {
-	ctx := context.Background()
+// TestRunCachedLowestFailingCellWins: when several cells fail, the
+// lowest-indexed failure is the run's error at any concurrency. Every
+// cell of an eight-cell job fails at once, so a worker that received a
+// low cell just as a higher one failed must still resolve it rather
+// than skip it. GOMAXPROCS is raised so several workers race for
+// cells, and the run repeats so an unlucky interleaving cannot hide.
+func TestRunCachedLowestFailingCellWins(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 4 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	}
 	spec := tinySpec()
+	spec.Targets = []int{4, 5, 6, 7}
 	j, err := Plan(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	var direct, wired []*Partial
-	for i := 0; i < 2; i++ {
-		sh, err := j.Shard(i, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := sh.Run(ctx, RunOpts{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		direct = append(direct, p)
-
-		w := p.Wire()
-		if w.Shard != i || w.Shards != 2 || w.Fingerprint != j.Fingerprint() {
-			t.Fatalf("wire header %+v", w)
-		}
-		for k := 1; k < len(w.Records); k++ {
-			if w.Records[k-1].Cell >= w.Records[k].Cell {
-				t.Fatal("wire records not in ascending cell order")
-			}
-		}
-		rt, err := PartialFromWire(w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wired = append(wired, rt)
+	if j.Cells() != 8 {
+		t.Fatalf("%d cells, want 8", j.Cells())
 	}
-
-	a, aj := sinkBytes(t, func(sinks ...Sink) error {
-		_, err := Merge(spec, direct, sinks...)
-		return err
-	})
-	b, bj := sinkBytes(t, func(sinks ...Sink) error {
-		_, err := Merge(spec, wired, sinks...)
-		return err
-	})
-	if !bytes.Equal(a, b) || !bytes.Equal(aj, bj) {
-		t.Fatal("merge of wire round-tripped partials differs from merge of originals")
+	resolve := func(ctx context.Context, cell ResolveCell) (protocol.FoldState, protocol.Source, error) {
+		return protocol.FoldState{}, "", fmt.Errorf("cell-%d failed", cell.Index)
 	}
-
-	// A wire document repeating a cell is structural corruption.
-	w := direct[0].Wire()
-	w.Records = append(w.Records, w.Records[0])
-	if _, err := PartialFromWire(w); err == nil || !strings.Contains(err.Error(), "repeats cell") {
-		t.Fatalf("duplicate wire cell accepted: %v", err)
+	for run := 0; run < 1000; run++ {
+		_, err := j.RunCached(context.Background(), CacheRunOpts{Resolve: resolve})
+		if err == nil || err.Error() != "cell-0 failed" {
+			t.Fatalf("run %d: error %v, want cell-0's", run, err)
+		}
 	}
 }
 
@@ -387,7 +360,6 @@ func TestRunCachedResolveHook(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = j2.RunCached(ctx, CacheRunOpts{
-		Parallel: 1,
 		Resolve: func(ctx context.Context, cell ResolveCell) (protocol.FoldState, protocol.Source, error) {
 			st, err := cell.Compute()
 			if err != nil {

@@ -419,7 +419,7 @@ func TestAdaptiveDefaults(t *testing.T) {
 // resume under any of them changed is refused.
 func TestResumeFingerprintCoversConfig(t *testing.T) {
 	spec := ckptSpec()
-	spec.Workloads = []scenario.Workload{{}, scenario.Packets()}
+	spec.Workloads = []scenario.Workload{{}, packetsWorkload()}
 	path := filepath.Join(t.TempDir(), "sweep.ckpt")
 	if _, err := RunCheckpointed(context.Background(), spec, path); err != nil {
 		t.Fatal(err)
@@ -435,7 +435,7 @@ func TestResumeFingerprintCoversConfig(t *testing.T) {
 	// Same workload name, different buffer capacity: the point strings
 	// are identical, only the config differs.
 	buffered := spec
-	buffered.Workloads = []scenario.Workload{{}, scenario.Packets()}
+	buffered.Workloads = []scenario.Workload{{}, packetsWorkload()}
 	buffered.Workloads[1].Data.BufferCap = 99
 	refuse("workload-config", buffered)
 	// Hook-carried configuration serialized into ConfigDigest.

@@ -13,8 +13,17 @@ import (
 	"tctp/internal/field"
 	"tctp/internal/patrol"
 	"tctp/internal/scenario"
+	"tctp/internal/wsn"
 	"tctp/internal/xrand"
 )
+
+// packetsWorkload is the conventional packet workload: one reading per
+// node per minute, 50-packet buffers, a one-hour delivery deadline.
+func packetsWorkload() scenario.Workload {
+	return scenario.Workload{Name: "packets", Data: wsn.Config{
+		GenInterval: 60, BufferCap: 50, Deadline: 3600,
+	}}
+}
 
 // tinySpec is a fast multi-cell spec exercising two axes and two
 // algorithm variants against the real simulator.
@@ -323,7 +332,7 @@ func TestWorkloadAxis(t *testing.T) {
 		Horizons:   []float64{20_000},
 		Workloads: []scenario.Workload{
 			{}, // none
-			scenario.Packets(),
+			packetsWorkload(),
 		},
 		Metrics: []Metric{AvgDCDT(), Delivered(), OnTimePct()},
 		Seeds:   2,

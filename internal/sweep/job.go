@@ -23,9 +23,6 @@ package sweep
 import (
 	"context"
 	"fmt"
-	"sort"
-
-	"tctp/internal/sweep/protocol"
 )
 
 // Job is a planned sweep, or one shard of it: the defaults-applied
@@ -158,49 +155,6 @@ func LoadPartial(path string) (*Partial, error) {
 		total: hdr.TotalCells, maxReps: hdr.MaxReps,
 		records: records,
 	}, nil
-}
-
-// Wire renders the partial as its transport-neutral protocol form:
-// the shard coordinates plus every finished cell's fold state, in
-// ascending cell order. The wire form round-trips losslessly through
-// JSON — PartialFromWire(p.Wire()) merges identically to p.
-func (p *Partial) Wire() protocol.Partial {
-	w := protocol.Partial{
-		Sweep:       p.sweep,
-		Fingerprint: p.fp,
-		Shard:       p.shard,
-		Shards:      p.shards,
-		Offset:      p.offset,
-		Cells:       p.cells,
-		TotalCells:  p.total,
-		MaxReps:     p.maxReps,
-		Records:     make([]protocol.CellRecord, 0, len(p.records)),
-	}
-	for local, rec := range p.records {
-		w.Records = append(w.Records, protocol.CellRecord{Cell: local, FoldState: rec.FoldState})
-	}
-	sort.Slice(w.Records, func(i, k int) bool { return w.Records[i].Cell < w.Records[k].Cell })
-	return w
-}
-
-// PartialFromWire rebuilds a mergeable Partial from its wire form.
-// Like LoadPartial, only structural integrity matters here; spec
-// conformance and completeness are Merge's job.
-func PartialFromWire(w protocol.Partial) (*Partial, error) {
-	p := &Partial{
-		sweep: w.Sweep, fp: w.Fingerprint,
-		shard: w.Shard, shards: w.Shards,
-		offset: w.Offset, cells: w.Cells,
-		total: w.TotalCells, maxReps: w.MaxReps,
-		records: make(map[int]checkpointRecord, len(w.Records)),
-	}
-	for _, r := range w.Records {
-		if _, dup := p.records[r.Cell]; dup {
-			return nil, fmt.Errorf("sweep: wire partial repeats cell %d", r.Cell)
-		}
-		p.records[r.Cell] = checkpointRecord{Cell: r.Cell, FoldState: r.FoldState}
-	}
-	return p, nil
 }
 
 // Merge fuses shard partials into the full sweep result, streaming the

@@ -118,30 +118,6 @@ func ValidKey(key string) bool {
 	return err == nil
 }
 
-// CellRecord pairs a cell's local index within a partial with its
-// fold state and (optionally) its content-addressed key.
-type CellRecord struct {
-	Cell int    `json:"cell"`
-	Key  string `json:"key,omitempty"`
-	FoldState
-}
-
-// Partial is the wire form of one job run's output: the shard
-// coordinates sweep.Partial carries, with every finished cell's fold
-// state — the same information a shard's checkpoint JSONL holds, as
-// one JSON document.
-type Partial struct {
-	Sweep       string       `json:"sweep,omitempty"`
-	Fingerprint string       `json:"fingerprint"`
-	Shard       int          `json:"shard"`
-	Shards      int          `json:"shards"`
-	Offset      int          `json:"offset"`
-	Cells       int          `json:"cells"`
-	TotalCells  int          `json:"total_cells"`
-	MaxReps     int          `json:"max_reps"`
-	Records     []CellRecord `json:"records"`
-}
-
 // Source says how a cell's fold state was obtained from a cache-backed
 // run: computed fresh, served from the cache, or joined onto another
 // in-flight computation of the same cell (single-flight dedup).

@@ -23,11 +23,6 @@ func Quality() []Metric {
 	return []Metric{RatioTour(), RatioDCDT()}
 }
 
-// QualityMetricNames lists the metric names Quality adds, in order —
-// the schema contract shared by the quality study, the CSV golden
-// fixtures, and the benchgate quality gate.
-func QualityMetricNames() []string { return []string{"ratio_tour", "ratio_dcdt"} }
-
 // RatioTour is the tour-length approximation ratio: the plan's total
 // walk length over the sum of per-group optimal-tour bounds (exact
 // Held-Karp below optimal.ExactThreshold targets per group, hull/MST

@@ -76,11 +76,6 @@ type Config struct {
 	// beyond it receive 429 + Retry-After. Default 8. Negative means
 	// zero (every submission rejected — useful only in tests).
 	MaxSweeps int
-	// Parallel is each sweep's cell-resolution concurrency
-	// (sweep.CacheRunOpts.Parallel); 0 = GOMAXPROCS. Cells that miss
-	// are additionally gated by the store, so this mostly bounds how
-	// many cache lookups and joins a single sweep keeps in flight.
-	Parallel int
 	// RetryAfter is the Retry-After hint (seconds) on 429 responses;
 	// default 2.
 	RetryAfter int
@@ -245,10 +240,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 func (s *Server) execute(sr *sweepRun, job *sweep.Job) {
 	var csvBuf, jsonlBuf bytes.Buffer
 	opts := sweep.CacheRunOpts{
-		Store:    s.cfg.Store,
-		Parallel: s.cfg.Parallel,
-		Sinks:    []sweep.Sink{sweep.CSV(&csvBuf), sweep.JSONL(&jsonlBuf)},
-		OnCell:   sr.cell,
+		Store:  s.cfg.Store,
+		Sinks:  []sweep.Sink{sweep.CSV(&csvBuf), sweep.JSONL(&jsonlBuf)},
+		OnCell: sr.cell,
 	}
 	if s.cfg.Dispatch != nil {
 		// Remote plane: each cell is probed against the shared cache and,

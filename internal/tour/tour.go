@@ -3,9 +3,8 @@
 // Hamiltonian Circuit [constructed] based on a convex hull concept
 // proposed in [5]" (§2.2-A); ConvexHullInsertion implements that
 // construction. Alternative constructions (nearest neighbour, greedy
-// edge, random) and local-search improvers (2-opt, Or-opt) are
-// provided for the ablation experiments and as independent
-// cross-checks in tests.
+// edge, random) and a 2-opt improver are provided for the ablation
+// experiments and as independent cross-checks in tests.
 //
 // A Tour is a permutation of point indices; the circuit implicitly
 // closes from the last index back to the first.
@@ -282,75 +281,6 @@ func ConvexHullInsertion(pts []geom.Point) Tour {
 				cost[qi], edge[qi] = c, broken+1
 			}
 		}
-	}
-	return EnsureCCW(pts, t)
-}
-
-// ConvexHullInsertionBrute is the original quadratic-scan
-// implementation of ConvexHullInsertion, retained as the reference the
-// accelerated path must reproduce bit-for-bit and as the baseline for
-// the BenchmarkPlan* speedup measurements.
-func ConvexHullInsertionBrute(pts []geom.Point) Tour {
-	n := len(pts)
-	switch n {
-	case 0:
-		return Tour{}
-	case 1:
-		return Tour{0}
-	case 2:
-		return Tour{0, 1}
-	}
-
-	hullPts := hull.Convex(pts)
-	used := make([]bool, n)
-	t := make(Tour, 0, n)
-	for _, hp := range hullPts {
-		// Map hull vertices back to indices; duplicates in pts map to
-		// the first unused match so every index is inserted once.
-		for i, p := range pts {
-			if !used[i] && p == hp {
-				t = append(t, i)
-				used[i] = true
-				break
-			}
-		}
-	}
-	if len(t) == 0 {
-		// All points coincide or are collinear enough for the hull to
-		// be degenerate; fall back to index order.
-		return indexOrder(n)
-	}
-
-	var remaining []int
-	for i := 0; i < n; i++ {
-		if !used[i] {
-			remaining = append(remaining, i)
-		}
-	}
-
-	// Cheapest insertion: repeatedly pick the (point, edge) pair with
-	// the globally smallest detour. O(k²·|t|) overall, fine for the
-	// target counts in the paper's experiments (≤ a few hundred).
-	for len(remaining) > 0 {
-		bestPoint, bestPos := -1, -1
-		bestCost := math.Inf(1)
-		for ri, pi := range remaining {
-			p := pts[pi]
-			for j := range t {
-				a := pts[t[j]]
-				b := pts[t[(j+1)%len(t)]]
-				if c := geom.DetourCost(a, b, p); c < bestCost {
-					bestCost = c
-					bestPoint = ri
-					bestPos = j + 1
-				}
-			}
-		}
-		pi := remaining[bestPoint]
-		remaining = append(remaining[:bestPoint], remaining[bestPoint+1:]...)
-		t = append(t, 0)
-		copy(t[bestPos+1:], t[bestPos:])
-		t[bestPos] = pi
 	}
 	return EnsureCCW(pts, t)
 }
@@ -679,73 +609,6 @@ func Random(n int, src *xrand.Source) Tour {
 	return Tour(src.Perm(n))
 }
 
-// BruteForce returns a provably optimal circuit by exhaustive search.
-// It fixes index 0 as the start (circuits are rotation-invariant) and
-// enumerates the (n−1)! remaining orders, so it is only usable as a
-// test oracle for small n; it panics for n > 10.
-func BruteForce(pts []geom.Point) Tour {
-	n := len(pts)
-	if n > 10 {
-		panic(fmt.Sprintf("tour: BruteForce with %d points (max 10)", n))
-	}
-	if n == 0 {
-		return Tour{}
-	}
-	best := make(Tour, n)
-	for i := range best {
-		best[i] = i
-	}
-	if n < 4 {
-		return best
-	}
-	bestLen := Length(pts, best)
-
-	perm := make(Tour, n)
-	copy(perm, best)
-	var permute func(k int)
-	permute = func(k int) {
-		if k == n {
-			if l := Length(pts, perm); l < bestLen {
-				bestLen = l
-				copy(best, perm)
-			}
-			return
-		}
-		for i := k; i < n; i++ {
-			perm[k], perm[i] = perm[i], perm[k]
-			permute(k + 1)
-			perm[k], perm[i] = perm[i], perm[k]
-		}
-	}
-	permute(1) // index 0 stays fixed
-	return best
-}
-
-// HasProperCrossing reports whether any two non-adjacent tour edges
-// properly cross. A 2-opt-optimal Euclidean tour never has one
-// (uncrossing two edges always shortens the tour), which the property
-// tests exploit.
-func HasProperCrossing(pts []geom.Point, t Tour) bool {
-	n := len(t)
-	if n < 4 {
-		return false
-	}
-	edge := func(i int) geom.Segment {
-		return geom.Segment{A: pts[t[i]], B: pts[t[(i+1)%n]]}
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 2; j < n; j++ {
-			if i == 0 && j == n-1 {
-				continue // adjacent around the wrap
-			}
-			if edge(i).ProperlyIntersects(edge(j)) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // TwoOpt improves the tour with 2-opt moves (reversing a sub-path when
 // that shortens the circuit) until no improving move exists. It
 // returns a new tour; the input is not modified.
@@ -776,97 +639,6 @@ func TwoOpt(pts []geom.Point, t Tour) Tour {
 					a, b = pts[out[i]], pts[out[(i+1)%n]]
 				}
 			}
-		}
-	}
-	return out
-}
-
-// OrOpt improves the tour by relocating chains of 1–3 consecutive
-// targets to a better position, repeating until no improving move
-// exists. It returns a new tour; the input is not modified.
-func OrOpt(pts []geom.Point, t Tour) Tour {
-	n := len(t)
-	out := make(Tour, n)
-	copy(out, t)
-	if n < 5 {
-		return out
-	}
-	dist := func(i, j int) float64 { return pts[out[i]].Dist(pts[out[j]]) }
-	mod := func(i int) int { return ((i % n) + n) % n }
-
-	improved := true
-	for improved {
-		improved = false
-		for segLen := 1; segLen <= 3; segLen++ {
-			for i := 0; i < n; i++ {
-				// Chain occupies positions i .. i+segLen-1 (cyclic).
-				iPrev := mod(i - 1)
-				iEnd := mod(i + segLen - 1)
-				iNext := mod(i + segLen)
-				if iPrev == iEnd || iNext == i {
-					continue
-				}
-				removeGain := dist(iPrev, i) + dist(iEnd, iNext) - dist(iPrev, iNext)
-				if removeGain <= geom.Eps {
-					continue
-				}
-				for j := 0; j < n; j++ {
-					// Insert between positions j and j+1; skip spots
-					// inside or adjacent to the chain.
-					inside := false
-					for k := 0; k < segLen; k++ {
-						if mod(i+k) == j || mod(i+k) == mod(j+1) {
-							inside = true
-							break
-						}
-					}
-					if inside || j == iPrev {
-						continue
-					}
-					insertCost := dist(j, i) + dist(iEnd, mod(j+1)) - dist(j, mod(j+1))
-					if insertCost < removeGain-geom.Eps {
-						out = relocate(out, i, segLen, j)
-						improved = true
-						break
-					}
-				}
-				if improved {
-					break
-				}
-			}
-			if improved {
-				break
-			}
-		}
-	}
-	return out
-}
-
-// relocate moves the cyclic chain starting at position i with length
-// segLen so it follows the element currently at position j. Positions
-// are indices into t.
-func relocate(t Tour, i, segLen, j int) Tour {
-	n := len(t)
-	chain := make([]int, segLen)
-	for k := 0; k < segLen; k++ {
-		chain[k] = t[(i+k)%n]
-	}
-	after := t[j]
-	inChain := make(map[int]bool, segLen)
-	for _, v := range chain {
-		inChain[v] = true
-	}
-	rest := make([]int, 0, n-segLen)
-	for _, v := range t {
-		if !inChain[v] {
-			rest = append(rest, v)
-		}
-	}
-	out := make(Tour, 0, n)
-	for _, v := range rest {
-		out = append(out, v)
-		if v == after {
-			out = append(out, chain...)
 		}
 	}
 	return out

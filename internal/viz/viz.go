@@ -60,10 +60,6 @@ func (c *Canvas) Plot(p geom.Point, r rune) {
 	}
 }
 
-// Line draws a straight segment with '.' marks, leaving endpoints for
-// the caller to label.
-func (c *Canvas) Line(a, b geom.Point) { c.LineGlyph(a, b, '.') }
-
 // LineGlyph draws a straight segment with the given glyph, leaving
 // endpoints for the caller to label.
 func (c *Canvas) LineGlyph(a, b geom.Point, r rune) {
@@ -106,18 +102,6 @@ func (c *Canvas) String() string {
 // single-circuit maps render exactly as before.
 var routeGlyphs = []rune{'.', ',', '~', '^', '`', '"'}
 
-// Map renders a scenario and, optionally, a single patrolling walk
-// over it. Legend: o target, V VIP, S sink, R recharge station,
-// m mule start, '.' route. Prefer MapPlan for plans: it draws every
-// patrol group.
-func Map(s *field.Scenario, w *walk.Walk, width, height int) string {
-	var walks []walk.Walk
-	if w != nil {
-		walks = []walk.Walk{*w}
-	}
-	return MapWalks(s, walks, width, height)
-}
-
 // MapPlan renders a scenario with every patrol group of the plan
 // drawn in its own glyph — the group model is the source of truth, so
 // partitioned plans (C-TCTP, Sweep) show one polyline per region. A
@@ -130,7 +114,8 @@ func MapPlan(s *field.Scenario, plan *core.FleetPlan, width, height int) string 
 }
 
 // MapWalks renders a scenario with the given walks, one glyph per
-// walk (cycling through routeGlyphs).
+// walk (cycling through routeGlyphs). Legend: o target, V VIP, S sink,
+// R recharge station, m mule start, '.' route.
 func MapWalks(s *field.Scenario, walks []walk.Walk, width, height int) string {
 	canvas := NewCanvas(width, height, s.Field)
 	pts := s.Points()

@@ -73,7 +73,7 @@ func TestCanvasPanics(t *testing.T) {
 
 func TestLineDraws(t *testing.T) {
 	c := NewCanvas(40, 20, geom.NewRect(geom.Pt(0, 0), geom.Pt(100, 100)))
-	c.Line(geom.Pt(0, 0), geom.Pt(100, 100))
+	c.LineGlyph(geom.Pt(0, 0), geom.Pt(100, 100), '.')
 	if !strings.ContainsRune(c.String(), '.') {
 		t.Fatal("line left no marks")
 	}
@@ -82,7 +82,7 @@ func TestLineDraws(t *testing.T) {
 func TestMapLegendAndMarkers(t *testing.T) {
 	s := testScenario()
 	w := walk.New([]int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
-	out := Map(s, &w, 60, 30)
+	out := MapWalks(s, []walk.Walk{w}, 60, 30)
 	for _, marker := range []string{"S", "V", "o", "R", "m", "legend"} {
 		if !strings.Contains(out, marker) {
 			t.Fatalf("marker %q missing from map:\n%s", marker, out)
@@ -95,7 +95,7 @@ func TestMapLegendAndMarkers(t *testing.T) {
 
 func TestMapWithoutWalk(t *testing.T) {
 	s := testScenario()
-	out := Map(s, nil, 40, 20)
+	out := MapWalks(s, nil, 40, 20)
 	if !strings.Contains(out, "S") {
 		t.Fatal("sink missing")
 	}
@@ -134,14 +134,14 @@ func TestMapPlanSingleGroupMatchesClassicMap(t *testing.T) {
 	s := testScenario()
 	w := walk.New([]int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
 	plan := &core.FleetPlan{Groups: []core.PatrolGroup{{Walk: w}}}
-	if MapPlan(s, plan, 60, 30) != Map(s, &w, 60, 30) {
+	if MapPlan(s, plan, 60, 30) != MapWalks(s, []walk.Walk{w}, 60, 30) {
 		t.Fatal("single-group plan renders differently from the classic map")
 	}
 }
 
 func TestMapPlanNil(t *testing.T) {
 	s := testScenario()
-	if MapPlan(s, nil, 40, 20) != Map(s, nil, 40, 20) {
+	if MapPlan(s, nil, 40, 20) != MapWalks(s, nil, 40, 20) {
 		t.Fatal("nil plan renders differently from the bare scenario")
 	}
 }

@@ -162,21 +162,10 @@ func (w Walk) closedPoints(pts []geom.Point) []geom.Point {
 	return p
 }
 
-// PointAt returns the point at arc-length d along the closed walk,
-// measured from the walk's first target; d wraps modulo the walk
-// length.
-func (w Walk) PointAt(pts []geom.Point, d float64) geom.Point {
-	closed := w.closedPoints(pts)
-	if len(closed) == 0 {
-		panic("walk: PointAt on empty walk")
-	}
-	return pointAt(closed, geom.PathLen(closed), d)
-}
-
-// PointsAt is PointAt for a batch of arc lengths: the closed polyline
-// and its total length are built once and shared by every query. The
-// result is bit-identical to calling PointAt per offset. It panics on
-// an empty walk.
+// PointsAt returns the points at arc lengths ds along the closed walk,
+// measured from the walk's first target; each d wraps modulo the walk
+// length. The closed polyline and its total length are built once and
+// shared by every query. It panics on an empty walk.
 func (w Walk) PointsAt(pts []geom.Point, ds []float64) []geom.Point {
 	closed := w.closedPoints(pts)
 	if len(closed) == 0 {
@@ -190,7 +179,8 @@ func (w Walk) PointsAt(pts []geom.Point, ds []float64) []geom.Point {
 	return out
 }
 
-// pointAt is PointAt over a prebuilt closed polyline and its length,
+// pointAt is the point at arc length d along a prebuilt closed
+// polyline of length total,
 // letting batch callers (StartPoints) pay for closedPoints and PathLen
 // once instead of per query.
 func pointAt(closed []geom.Point, total, d float64) geom.Point {
@@ -326,13 +316,6 @@ func (w Walk) InsertAfter(pos, via int) Walk {
 	return Walk{Seq: out}
 }
 
-// EdgeCost returns the length of the walk edge starting at position
-// pos (wrapping for the closing edge).
-func (w Walk) EdgeCost(pts []geom.Point, pos int) float64 {
-	n := len(w.Seq)
-	return pts[w.Seq[pos]].Dist(pts[w.Seq[(pos+1)%n]])
-}
-
 // Validate checks the walk against per-target required occurrence
 // counts: target i must occur want[i] times (targets with want[i]==0
 // must be absent). Passing nil want checks that the walk is a
@@ -355,21 +338,4 @@ func (w Walk) Validate(n int, want []int) error {
 		}
 	}
 	return nil
-}
-
-// HasConsecutiveDuplicate reports whether any walk edge is degenerate
-// (two consecutive identical targets, including the wrap edge). The
-// WPP construction never produces such edges; the check backs the
-// property tests.
-func (w Walk) HasConsecutiveDuplicate() bool {
-	n := len(w.Seq)
-	if n < 2 {
-		return false
-	}
-	for i := 0; i < n; i++ {
-		if w.Seq[i] == w.Seq[(i+1)%n] {
-			return true
-		}
-	}
-	return false
 }

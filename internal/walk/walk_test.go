@@ -154,21 +154,21 @@ func TestRotateToNorthmost(t *testing.T) {
 func TestPointAt(t *testing.T) {
 	pts := unitSquare()
 	w := New([]int{0, 1, 2, 3})
-	if p := w.PointAt(pts, 0); !p.Eq(geom.Pt(0, 0)) {
-		t.Fatalf("PointAt(0) = %v", p)
+	if p := w.PointsAt(pts, []float64{0})[0]; !p.Eq(geom.Pt(0, 0)) {
+		t.Fatalf("PointsAt(0) = %v", p)
 	}
-	if p := w.PointAt(pts, 50); !p.Eq(geom.Pt(50, 0)) {
-		t.Fatalf("PointAt(50) = %v", p)
+	if p := w.PointsAt(pts, []float64{50})[0]; !p.Eq(geom.Pt(50, 0)) {
+		t.Fatalf("PointsAt(50) = %v", p)
 	}
-	if p := w.PointAt(pts, 150); !p.Eq(geom.Pt(100, 50)) {
-		t.Fatalf("PointAt(150) = %v", p)
+	if p := w.PointsAt(pts, []float64{150})[0]; !p.Eq(geom.Pt(100, 50)) {
+		t.Fatalf("PointsAt(150) = %v", p)
 	}
 	// Wraps modulo walk length.
-	if p := w.PointAt(pts, 450); !p.Eq(geom.Pt(50, 0)) {
-		t.Fatalf("PointAt(450) = %v", p)
+	if p := w.PointsAt(pts, []float64{450})[0]; !p.Eq(geom.Pt(50, 0)) {
+		t.Fatalf("PointsAt(450) = %v", p)
 	}
-	if p := w.PointAt(pts, -50); !p.Eq(geom.Pt(0, 50)) {
-		t.Fatalf("PointAt(-50) = %v", p)
+	if p := w.PointsAt(pts, []float64{-50})[0]; !p.Eq(geom.Pt(0, 50)) {
+		t.Fatalf("PointsAt(-50) = %v", p)
 	}
 }
 
@@ -323,17 +323,6 @@ func TestInsertAfterDetourLength(t *testing.T) {
 	}
 }
 
-func TestEdgeCost(t *testing.T) {
-	pts := unitSquare()
-	w := New([]int{0, 1, 2, 3})
-	if c := w.EdgeCost(pts, 0); math.Abs(c-100) > 1e-9 {
-		t.Fatalf("EdgeCost(0) = %v", c)
-	}
-	if c := w.EdgeCost(pts, 3); math.Abs(c-100) > 1e-9 {
-		t.Fatalf("closing EdgeCost = %v", c)
-	}
-}
-
 func TestValidate(t *testing.T) {
 	w := New([]int{0, 1, 2})
 	if err := w.Validate(3, nil); err != nil {
@@ -352,21 +341,6 @@ func TestValidate(t *testing.T) {
 	bad := New([]int{0, 5})
 	if err := bad.Validate(3, nil); err == nil {
 		t.Fatal("out-of-range index accepted")
-	}
-}
-
-func TestHasConsecutiveDuplicate(t *testing.T) {
-	if New([]int{0, 1, 2}).HasConsecutiveDuplicate() {
-		t.Fatal("false positive")
-	}
-	if !New([]int{0, 1, 1, 2}).HasConsecutiveDuplicate() {
-		t.Fatal("missed interior duplicate")
-	}
-	if !New([]int{2, 1, 0, 2}).HasConsecutiveDuplicate() {
-		t.Fatal("missed wrap duplicate")
-	}
-	if New([]int{0}).HasConsecutiveDuplicate() {
-		t.Fatal("singleton flagged")
 	}
 }
 
@@ -497,15 +471,15 @@ func TestNearestOffsetsMatchesReference(t *testing.T) {
 }
 
 // TestPointsAtMatchesPointAt: the shared-polyline batch is bit-equal to
-// per-offset PointAt, including negative and wrapping offsets.
+// one query per offset, including negative and wrapping offsets.
 func TestPointsAtMatchesPointAt(t *testing.T) {
 	pts := unitSquare()
 	w := New([]int{0, 1, 2, 3})
 	ds := []float64{0, 30, 100, 399.5, 400, 650, -50, -400}
 	got := w.PointsAt(pts, ds)
 	for i, d := range ds {
-		if want := w.PointAt(pts, d); got[i] != want {
-			t.Fatalf("PointsAt[%d] (d=%v) = %v, PointAt = %v", i, d, got[i], want)
+		if want := w.PointsAt(pts, []float64{d})[0]; got[i] != want {
+			t.Fatalf("PointsAt[%d] (d=%v) = %v, single query = %v", i, d, got[i], want)
 		}
 	}
 }
@@ -523,9 +497,9 @@ func TestNearestOffsetProperty(t *testing.T) {
 	f := func(qx, qy uint16) bool {
 		q := geom.Pt(float64(qx%800), float64(qy%800))
 		off := w.NearestOffset(pts, q)
-		best := q.Dist(w.PointAt(pts, off))
+		best := q.Dist(w.PointsAt(pts, []float64{off})[0])
 		for f := 0.0; f < 1.0; f += 0.002 {
-			if q.Dist(w.PointAt(pts, f*total)) < best-1e-6 {
+			if q.Dist(w.PointsAt(pts, []float64{f * total})[0]) < best-1e-6 {
 				return false
 			}
 		}

@@ -10,19 +10,16 @@ func TestPriorityDeliverySplit(t *testing.T) {
 	s := scenario()
 	s.Targets[1].Weight = 2 // node 1 is the lone VIP origin
 	nw := NewPriority(s, Config{GenInterval: 10, Deadline: 25})
-	if !nw.Priority() {
-		t.Fatal("NewPriority overlay does not report Priority()")
+	if nw.prio == nil {
+		t.Fatal("NewPriority overlay has no priority split")
 	}
 
 	nw.OnVisit(0, 1, 35) // VIP packets born 10, 20, 30
 	nw.OnVisit(0, 2, 45) // normal packets born 10, 20, 30, 40
 	nw.OnVisit(0, 0, 50) // deliver: hi latencies 40,30,20; lo 40,30,20,10
 
-	if nw.DeliveredHigh() != 3 || nw.DeliveredLow() != 4 {
-		t.Fatalf("split = %d hi / %d lo, want 3/4", nw.DeliveredHigh(), nw.DeliveredLow())
-	}
-	if nw.OnTimeHigh() != 1 || nw.OnTimeLow() != 2 {
-		t.Fatalf("on-time split = %d hi / %d lo, want 1/2", nw.OnTimeHigh(), nw.OnTimeLow())
+	if nw.DeliveredHigh() != 3 || nw.delivered-nw.deliveredHi != 4 {
+		t.Fatalf("split = %d hi / %d lo, want 3/4", nw.DeliveredHigh(), nw.delivered-nw.deliveredHi)
 	}
 	if !almost(nw.MeanLatencyHigh(), 30) {
 		t.Fatalf("MeanLatencyHigh = %v, want 30", nw.MeanLatencyHigh())
@@ -30,12 +27,9 @@ func TestPriorityDeliverySplit(t *testing.T) {
 	if !almost(nw.MeanLatencyLow(), 25) {
 		t.Fatalf("MeanLatencyLow = %v, want 25", nw.MeanLatencyLow())
 	}
-	if !almost(nw.MaxLatencyHigh(), 40) {
-		t.Fatalf("MaxLatencyHigh = %v, want 40", nw.MaxLatencyHigh())
-	}
 	// The aggregate view is the union of the classes.
-	if nw.Delivered() != 7 || nw.OnTime() != 3 {
-		t.Fatalf("aggregate delivered=%d onTime=%d, want 7/3", nw.Delivered(), nw.OnTime())
+	if nw.Delivered() != 7 || nw.onTime != 3 {
+		t.Fatalf("aggregate delivered=%d onTime=%d, want 7/3", nw.Delivered(), nw.onTime)
 	}
 	if !almost(nw.MeanLatency(), 190.0/7) {
 		t.Fatalf("MeanLatency = %v, want %v", nw.MeanLatency(), 190.0/7)
@@ -46,8 +40,8 @@ func TestPriorityDeliverySplit(t *testing.T) {
 // and the high-priority accessors stay zero.
 func TestPlainOverlayHasNoPrioritySplit(t *testing.T) {
 	nw := New(scenario(), Config{GenInterval: 10, Deadline: 100})
-	if nw.Priority() {
-		t.Fatal("plain overlay reports Priority()")
+	if nw.prio != nil {
+		t.Fatal("plain overlay has a priority split")
 	}
 	nw.OnVisit(0, 1, 35)
 	nw.OnVisit(0, 0, 50)
@@ -55,7 +49,7 @@ func TestPlainOverlayHasNoPrioritySplit(t *testing.T) {
 		t.Fatalf("plain overlay tracked priority: hi=%d mean=%v",
 			nw.DeliveredHigh(), nw.MeanLatencyHigh())
 	}
-	if nw.DeliveredLow() != 3 {
-		t.Fatalf("DeliveredLow = %d, want all 3", nw.DeliveredLow())
+	if nw.delivered-nw.deliveredHi != 3 {
+		t.Fatalf("low-priority deliveries = %d, want all 3", nw.delivered-nw.deliveredHi)
 	}
 }

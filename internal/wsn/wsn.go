@@ -117,12 +117,10 @@ type Network struct {
 	// prio is non-nil for the priority workload: prio[i] marks node
 	// i's packets high-priority (VIP origins). Delivery statistics
 	// split by class at the sink.
-	prio         []bool
-	deliveredHi  int
-	onTimeHi     int
-	latencyHi    stats.Accumulator
-	latencyLo    stats.Accumulator
-	maxLatencyHi float64
+	prio        []bool
+	deliveredHi int
+	latencyHi   stats.Accumulator
+	latencyLo   stats.Accumulator
 
 	// burst is non-nil for the event-driven burst workload; the
 	// periodic model stays on the arithmetic lazy path.
@@ -277,12 +275,6 @@ func (nw *Network) OnVisit(muleID, target int, t float64) {
 			if nw.prio[p.Origin] {
 				nw.deliveredHi++
 				nw.latencyHi.Add(lat)
-				if lat > nw.maxLatencyHi {
-					nw.maxLatencyHi = lat
-				}
-				if lat <= nw.cfg.Deadline {
-					nw.onTimeHi++
-				}
 			} else {
 				nw.latencyLo.Add(lat)
 			}
@@ -355,9 +347,6 @@ func (nw *Network) OnRecharge(int, float64) {}
 // Delivered returns the number of packets that reached the sink.
 func (nw *Network) Delivered() int { return nw.delivered }
 
-// OnTime returns the number of delivered packets within the deadline.
-func (nw *Network) OnTime() int { return nw.onTime }
-
 // OnTimeFraction returns the on-time share of delivered packets
 // (0 when nothing was delivered).
 func (nw *Network) OnTimeFraction() float64 {
@@ -371,18 +360,6 @@ func (nw *Network) OnTimeFraction() float64 {
 // buffers.
 func (nw *Network) Overflowed() int { return nw.overflowed }
 
-// LostCargo returns the number of packets lost aboard dead mules.
-func (nw *Network) LostCargo() int { return nw.lostCargo }
-
-// InTransit returns the number of packets currently aboard mules.
-func (nw *Network) InTransit() int {
-	t := 0
-	for _, c := range nw.cargo {
-		t += len(c)
-	}
-	return t
-}
-
 // MeanLatency returns the mean generation-to-sink latency of
 // delivered packets in seconds.
 func (nw *Network) MeanLatency() float64 { return nw.latency.Mean() }
@@ -390,26 +367,9 @@ func (nw *Network) MeanLatency() float64 { return nw.latency.Mean() }
 // MaxLatency returns the worst delivery latency in seconds.
 func (nw *Network) MaxLatency() float64 { return nw.maxLatency }
 
-// LatencySD returns the sample standard deviation of delivery
-// latencies.
-func (nw *Network) LatencySD() float64 { return nw.latency.SD() }
-
-// Priority reports whether the overlay splits delivery statistics by
-// packet priority (built with NewPriority).
-func (nw *Network) Priority() bool { return nw.prio != nil }
-
 // DeliveredHigh returns the number of delivered high-priority packets
 // (VIP origins); 0 for overlays without priority tracking.
 func (nw *Network) DeliveredHigh() int { return nw.deliveredHi }
-
-// DeliveredLow returns the number of delivered low-priority packets.
-func (nw *Network) DeliveredLow() int { return nw.delivered - nw.deliveredHi }
-
-// OnTimeHigh returns the number of on-time high-priority deliveries.
-func (nw *Network) OnTimeHigh() int { return nw.onTimeHi }
-
-// OnTimeLow returns the number of on-time low-priority deliveries.
-func (nw *Network) OnTimeLow() int { return nw.onTime - nw.onTimeHi }
 
 // MeanLatencyHigh returns the mean delivery latency of high-priority
 // packets in seconds (0 when none were delivered).
@@ -418,6 +378,3 @@ func (nw *Network) MeanLatencyHigh() float64 { return nw.latencyHi.Mean() }
 // MeanLatencyLow returns the mean delivery latency of low-priority
 // packets in seconds (0 when none were delivered).
 func (nw *Network) MeanLatencyLow() float64 { return nw.latencyLo.Mean() }
-
-// MaxLatencyHigh returns the worst high-priority delivery latency.
-func (nw *Network) MaxLatencyHigh() float64 { return nw.maxLatencyHi }

@@ -18,11 +18,20 @@ func scenario() *field.Scenario {
 
 func almost(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
+// inTransit returns the number of packets currently aboard mules.
+func inTransit(nw *Network) int {
+	n := 0
+	for _, c := range nw.cargo {
+		n += len(c)
+	}
+	return n
+}
+
 func TestPickupAndDelivery(t *testing.T) {
 	nw := New(scenario(), Config{GenInterval: 10, Deadline: 100})
 	// At t=35, node 1 has generated packets at 10, 20, 30.
 	nw.OnVisit(0, 1, 35)
-	if got := nw.InTransit(); got != 3 {
+	if got := inTransit(nw); got != 3 {
 		t.Fatalf("InTransit = %d", got)
 	}
 	if nw.Delivered() != 0 {
@@ -30,8 +39,8 @@ func TestPickupAndDelivery(t *testing.T) {
 	}
 	// Sink visit at t=50: latencies 40, 30, 20 — all within 100.
 	nw.OnVisit(0, 0, 50)
-	if nw.Delivered() != 3 || nw.InTransit() != 0 {
-		t.Fatalf("delivered=%d inTransit=%d", nw.Delivered(), nw.InTransit())
+	if nw.Delivered() != 3 || inTransit(nw) != 0 {
+		t.Fatalf("delivered=%d inTransit=%d", nw.Delivered(), inTransit(nw))
 	}
 	if !almost(nw.MeanLatency(), 30) {
 		t.Fatalf("MeanLatency = %v, want 30", nw.MeanLatency())
@@ -39,8 +48,8 @@ func TestPickupAndDelivery(t *testing.T) {
 	if !almost(nw.MaxLatency(), 40) {
 		t.Fatalf("MaxLatency = %v", nw.MaxLatency())
 	}
-	if nw.OnTime() != 3 || !almost(nw.OnTimeFraction(), 1) {
-		t.Fatalf("OnTime = %d", nw.OnTime())
+	if nw.onTime != 3 || !almost(nw.OnTimeFraction(), 1) {
+		t.Fatalf("OnTime = %d", nw.onTime)
 	}
 }
 
@@ -48,12 +57,12 @@ func TestNoDoubleCollection(t *testing.T) {
 	nw := New(scenario(), Config{GenInterval: 10})
 	nw.OnVisit(0, 1, 35) // picks 3
 	nw.OnVisit(1, 1, 36) // nothing new yet
-	if nw.InTransit() != 3 {
-		t.Fatalf("InTransit = %d", nw.InTransit())
+	if inTransit(nw) != 3 {
+		t.Fatalf("InTransit = %d", inTransit(nw))
 	}
 	nw.OnVisit(1, 1, 45) // one more (t=40)
-	if nw.InTransit() != 4 {
-		t.Fatalf("InTransit = %d", nw.InTransit())
+	if inTransit(nw) != 4 {
+		t.Fatalf("InTransit = %d", inTransit(nw))
 	}
 }
 
@@ -61,8 +70,8 @@ func TestDeadlineClassification(t *testing.T) {
 	nw := New(scenario(), Config{GenInterval: 10, Deadline: 25})
 	nw.OnVisit(0, 2, 30) // packets born 10, 20, 30
 	nw.OnVisit(0, 0, 40) // latencies 30, 20, 10 → 2 on time
-	if nw.Delivered() != 3 || nw.OnTime() != 2 {
-		t.Fatalf("delivered=%d onTime=%d", nw.Delivered(), nw.OnTime())
+	if nw.Delivered() != 3 || nw.onTime != 2 {
+		t.Fatalf("delivered=%d onTime=%d", nw.Delivered(), nw.onTime)
 	}
 	if !almost(nw.OnTimeFraction(), 2.0/3.0) {
 		t.Fatalf("OnTimeFraction = %v", nw.OnTimeFraction())
@@ -77,8 +86,8 @@ func TestBufferOverflowDropsOldest(t *testing.T) {
 	if nw.Overflowed() != 3 {
 		t.Fatalf("Overflowed = %d", nw.Overflowed())
 	}
-	if nw.InTransit() != 2 {
-		t.Fatalf("InTransit = %d", nw.InTransit())
+	if inTransit(nw) != 2 {
+		t.Fatalf("InTransit = %d", inTransit(nw))
 	}
 	nw.OnVisit(0, 0, 60)
 	// Latencies: 20 (born 40) and 10 (born 50).
@@ -90,7 +99,7 @@ func TestBufferOverflowDropsOldest(t *testing.T) {
 func TestSinkGeneratesNothing(t *testing.T) {
 	nw := New(scenario(), Config{GenInterval: 10})
 	nw.OnVisit(0, 0, 1000) // sink visit with empty cargo
-	if nw.Delivered() != 0 || nw.InTransit() != 0 {
+	if nw.Delivered() != 0 || inTransit(nw) != 0 {
 		t.Fatal("sink produced data")
 	}
 }
@@ -99,11 +108,11 @@ func TestDeathLosesCargo(t *testing.T) {
 	nw := New(scenario(), Config{GenInterval: 10})
 	nw.OnVisit(0, 1, 35)
 	nw.OnDeath(0, 40, geom.Pt(0, 0))
-	if nw.LostCargo() != 3 {
-		t.Fatalf("LostCargo = %d", nw.LostCargo())
+	if nw.lostCargo != 3 {
+		t.Fatalf("LostCargo = %d", nw.lostCargo)
 	}
-	if nw.InTransit() != 0 {
-		t.Fatalf("InTransit = %d after death", nw.InTransit())
+	if inTransit(nw) != 0 {
+		t.Fatalf("InTransit = %d after death", inTransit(nw))
 	}
 	// A later sink visit delivers nothing.
 	nw.OnVisit(0, 0, 50)
@@ -115,7 +124,7 @@ func TestDeathLosesCargo(t *testing.T) {
 func TestEarlyVisitNothingPending(t *testing.T) {
 	nw := New(scenario(), Config{GenInterval: 100})
 	nw.OnVisit(0, 1, 50) // before the first generation
-	if nw.InTransit() != 0 {
+	if inTransit(nw) != 0 {
 		t.Fatal("picked up nonexistent packets")
 	}
 }
@@ -135,7 +144,7 @@ func TestDefaults(t *testing.T) {
 	if nw.cfg.GenInterval != 60 || nw.cfg.Deadline != 3600 {
 		t.Fatalf("defaults = %+v", nw.cfg)
 	}
-	if nw.LatencySD() != 0 {
+	if nw.latency.SD() != 0 {
 		t.Fatal("empty latency SD")
 	}
 	if nw.OnTimeFraction() != 0 {
@@ -159,7 +168,7 @@ func TestConservationProperty(t *testing.T) {
 		}
 		// Account for every packet generated by the LAST pickup time
 		// seen per node.
-		accounted := nw.Delivered() + nw.InTransit() + nw.Overflowed() + nw.LostCargo()
+		accounted := nw.Delivered() + inTransit(nw) + nw.Overflowed() + nw.lostCargo
 		generatedCollected := 0
 		for i, c := range nw.collected {
 			if i == nw.sinkID {
@@ -196,7 +205,7 @@ func TestBurstsGenerateOnlyAtHotTargets(t *testing.T) {
 	for i := 1; i < s.NumTargets(); i++ {
 		nw.OnVisit(0, i, 10_000)
 	}
-	if got := nw.InTransit(); got == 0 || got%4 != 0 {
+	if got := inTransit(nw); got == 0 || got%4 != 0 {
 		t.Fatalf("in transit %d, want a positive multiple of the burst size", got)
 	}
 }
@@ -208,7 +217,7 @@ func TestBurstsDeterministicPerSource(t *testing.T) {
 		for i := 1; i < s.NumTargets(); i++ {
 			nw.OnVisit(0, i, 5_000)
 		}
-		return nw.InTransit()
+		return inTransit(nw)
 	}
 	if collect(7) != collect(7) {
 		t.Fatal("equal sources produced different burst workloads")
@@ -253,15 +262,15 @@ func TestBurstsBufferOverflowAndDelivery(t *testing.T) {
 	nw := NewBursts(s, BurstConfig{MeanGap: 10, Size: 5, BufferCap: 7, Deadline: 1_000}, xrand.New(5))
 	// Let many bursts accrue; the 7-packet buffer drops the oldest.
 	nw.OnVisit(0, 1, 50_000)
-	if nw.InTransit() != 7 {
-		t.Fatalf("in transit %d, want buffer cap 7", nw.InTransit())
+	if inTransit(nw) != 7 {
+		t.Fatalf("in transit %d, want buffer cap 7", inTransit(nw))
 	}
 	if nw.Overflowed() == 0 {
 		t.Fatal("no overflow recorded after a long unserviced stretch")
 	}
 	nw.OnVisit(0, s.SinkID, 50_100)
-	if nw.Delivered() != 7 || nw.InTransit() != 0 {
-		t.Fatalf("delivered=%d inTransit=%d", nw.Delivered(), nw.InTransit())
+	if nw.Delivered() != 7 || inTransit(nw) != 0 {
+		t.Fatalf("delivered=%d inTransit=%d", nw.Delivered(), inTransit(nw))
 	}
 	if nw.MaxLatency() <= 0 {
 		t.Fatal("no latency recorded")

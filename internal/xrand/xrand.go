@@ -43,15 +43,6 @@ func (s *Source) Split() *Source {
 	return &Source{state: s.Uint64()}
 }
 
-// SplitN returns n independent sources derived from the receiver.
-func (s *Source) SplitN(n int) []*Source {
-	out := make([]*Source, n)
-	for i := range out {
-		out[i] = s.Split()
-	}
-	return out
-}
-
 // Float64 returns a uniform value in [0, 1).
 func (s *Source) Float64() float64 {
 	// 53 high-quality bits, the standard 64-bit float construction.
@@ -75,45 +66,9 @@ func (s *Source) Intn(n int) int {
 	}
 }
 
-// IntRange returns a uniform value in [lo, hi]. It panics if hi < lo.
-func (s *Source) IntRange(lo, hi int) int {
-	if hi < lo {
-		panic("xrand: IntRange with hi < lo")
-	}
-	return lo + s.Intn(hi-lo+1)
-}
-
 // Range returns a uniform float64 in [lo, hi).
 func (s *Source) Range(lo, hi float64) float64 {
 	return lo + (hi-lo)*s.Float64()
-}
-
-// Norm returns a normally distributed value with the given mean and
-// standard deviation, using the Marsaglia polar method.
-func (s *Source) Norm(mean, stddev float64) float64 {
-	for {
-		u := 2*s.Float64() - 1
-		v := 2*s.Float64() - 1
-		q := u*u + v*v
-		if q == 0 || q >= 1 {
-			continue
-		}
-		return mean + stddev*u*math.Sqrt(-2*math.Log(q)/q)
-	}
-}
-
-// Exp returns an exponentially distributed value with the given rate
-// (mean 1/rate). It panics if rate <= 0.
-func (s *Source) Exp(rate float64) float64 {
-	if rate <= 0 {
-		panic("xrand: Exp with non-positive rate")
-	}
-	for {
-		u := s.Float64()
-		if u > 0 {
-			return -math.Log(u) / rate
-		}
-	}
 }
 
 // Perm returns a uniform random permutation of [0, n).
@@ -134,24 +89,7 @@ func (s *Source) ShuffleInts(p []int) {
 	}
 }
 
-// Shuffle shuffles n elements using the provided swap function.
-func (s *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
 // Bool returns true with probability p.
 func (s *Source) Bool(p float64) bool {
 	return s.Float64() < p
-}
-
-// Pick returns a uniformly random element index of a collection of
-// size n, or -1 if n == 0.
-func (s *Source) Pick(n int) int {
-	if n == 0 {
-		return -1
-	}
-	return s.Intn(n)
 }

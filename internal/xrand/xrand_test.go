@@ -54,22 +54,6 @@ func TestSplitIndependence(t *testing.T) {
 	}
 }
 
-func TestSplitN(t *testing.T) {
-	s := New(3)
-	kids := s.SplitN(5)
-	if len(kids) != 5 {
-		t.Fatalf("SplitN returned %d sources", len(kids))
-	}
-	seen := map[uint64]bool{}
-	for _, k := range kids {
-		v := k.Uint64()
-		if seen[v] {
-			t.Fatalf("two children produced identical first output %#x", v)
-		}
-		seen[v] = true
-	}
-}
-
 func TestFloat64Range(t *testing.T) {
 	s := New(11)
 	for i := 0; i < 10000; i++ {
@@ -129,19 +113,6 @@ func TestIntnUniform(t *testing.T) {
 	}
 }
 
-func TestIntRange(t *testing.T) {
-	s := New(23)
-	for i := 0; i < 1000; i++ {
-		v := s.IntRange(-3, 3)
-		if v < -3 || v > 3 {
-			t.Fatalf("IntRange(-3,3) = %d", v)
-		}
-	}
-	if got := s.IntRange(5, 5); got != 5 {
-		t.Fatalf("IntRange(5,5) = %d", got)
-	}
-}
-
 func TestRange(t *testing.T) {
 	s := New(29)
 	for i := 0; i < 1000; i++ {
@@ -149,41 +120,6 @@ func TestRange(t *testing.T) {
 		if v < 10 || v >= 20 {
 			t.Fatalf("Range(10,20) = %v", v)
 		}
-	}
-}
-
-func TestNormMoments(t *testing.T) {
-	s := New(31)
-	const n = 100000
-	sum, sumSq := 0.0, 0.0
-	for i := 0; i < n; i++ {
-		v := s.Norm(5, 2)
-		sum += v
-		sumSq += v * v
-	}
-	mean := sum / n
-	variance := sumSq/n - mean*mean
-	if math.Abs(mean-5) > 0.05 {
-		t.Fatalf("Norm mean = %v, want ~5", mean)
-	}
-	if math.Abs(math.Sqrt(variance)-2) > 0.05 {
-		t.Fatalf("Norm stddev = %v, want ~2", math.Sqrt(variance))
-	}
-}
-
-func TestExpMean(t *testing.T) {
-	s := New(37)
-	const n = 200000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		v := s.Exp(0.5)
-		if v < 0 {
-			t.Fatalf("Exp produced negative value %v", v)
-		}
-		sum += v
-	}
-	if mean := sum / n; math.Abs(mean-2) > 0.05 {
-		t.Fatalf("Exp(0.5) mean = %v, want ~2", mean)
 	}
 }
 
@@ -220,23 +156,6 @@ func TestPermProperty(t *testing.T) {
 	}
 }
 
-func TestShuffleKeepsElements(t *testing.T) {
-	s := New(47)
-	vals := []int{3, 1, 4, 1, 5, 9, 2, 6}
-	sum := 0
-	for _, v := range vals {
-		sum += v
-	}
-	s.ShuffleInts(vals)
-	got := 0
-	for _, v := range vals {
-		got += v
-	}
-	if got != sum {
-		t.Fatalf("shuffle changed multiset: sum %d != %d", got, sum)
-	}
-}
-
 func TestBoolProbability(t *testing.T) {
 	s := New(53)
 	const n = 100000
@@ -248,12 +167,6 @@ func TestBoolProbability(t *testing.T) {
 	}
 	if p := float64(hits) / n; math.Abs(p-0.3) > 0.01 {
 		t.Fatalf("Bool(0.3) rate = %v", p)
-	}
-}
-
-func TestPickEmpty(t *testing.T) {
-	if got := New(1).Pick(0); got != -1 {
-		t.Fatalf("Pick(0) = %d, want -1", got)
 	}
 }
 
