@@ -19,15 +19,14 @@ import (
 // --- planner hot-path benchmarks ------------------------------------------
 //
 // BenchmarkPlan* measures the spatially indexed planning substrates at
-// n ∈ {100, 1k, 10k} next to their brute-force twins (*Brute), the
-// pre-index implementations the equivalence tests hold them to. The
-// indexed and brute variants produce bit-identical tours/assignments,
-// so the ratio between the two is pure speedup. NearestNeighborBrute
-// and GreedyEdgeBrute are still the production path below the index
-// threshold, so their twins run here; the twins of the test-only
-// oracles, BenchmarkPlanConvexHullInsertionBrute and
-// BenchmarkPlanKMeansBrute, sit next to those oracles in
-// internal/tour and internal/cluster.
+// n ∈ {100, 1k, 10k}. Their brute-force twins (BenchmarkPlan*Brute)
+// time the linear-scan implementations the equivalence tests hold them
+// to; the indexed and scan variants produce bit-identical
+// tours/assignments, so the ratio between the two is pure speedup.
+// The twins need unexported functions, so they sit in the packages
+// that own them: the NearestNeighbor, GreedyEdge and
+// ConvexHullInsertion twins in internal/tour, the KMeans twin in
+// internal/cluster.
 
 var planSizes = []int{100, 1_000, 10_000}
 
@@ -54,19 +53,6 @@ func BenchmarkPlanNearestNeighbor(b *testing.B) {
 	}
 }
 
-func BenchmarkPlanNearestNeighborBrute(b *testing.B) {
-	for _, n := range planSizes {
-		pts := randomPoints(n)
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			skipLarge(b, n)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				tour.NearestNeighborBrute(pts, 0)
-			}
-		})
-	}
-}
-
 func BenchmarkPlanGreedyEdge(b *testing.B) {
 	for _, n := range planSizes {
 		pts := randomPoints(n)
@@ -75,19 +61,6 @@ func BenchmarkPlanGreedyEdge(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				tour.GreedyEdge(pts)
-			}
-		})
-	}
-}
-
-func BenchmarkPlanGreedyEdgeBrute(b *testing.B) {
-	for _, n := range planSizes {
-		pts := randomPoints(n)
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			skipLarge(b, n)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				tour.GreedyEdgeBrute(pts)
 			}
 		})
 	}

@@ -183,7 +183,7 @@ func BenchmarkTwoOpt(b *testing.B) {
 	src := xrand.New(9)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tour.TwoOpt(pts, tour.Random(50, src))
+		tour.TwoOpt(pts, tour.Tour(src.Perm(50)))
 	}
 }
 
@@ -256,7 +256,8 @@ func BenchmarkEventEngine(b *testing.B) {
 			}
 		}
 		eng.Schedule(0, tick)
-		eng.Run(2000)
+		for eng.Step() {
+		}
 	}
 }
 

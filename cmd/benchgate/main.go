@@ -94,10 +94,11 @@
 // from the replicated runs: they are frozen oracles for the
 // equivalence tests, exist to be slow, and only execute in the
 // single-iteration rot check (-short skips their n=10k rungs, which
-// take minutes by design). The NearestNeighbor and GreedyEdge twins
-// live in the root package, because their Brute functions are still
-// the production path below the index threshold; the KMeans and
-// ConvexHullInsertion twins sit next to their test-only oracles, in
+// take minutes by design). Every twin sits in the package that owns
+// the function it times: the NearestNeighbor and GreedyEdge twins time
+// internal/tour's unexported scan paths, which are still the
+// production path below the index threshold, and the KMeans and
+// ConvexHullInsertion twins time the test-only oracles in
 // internal/cluster and internal/tour. allocs/op is gated with zero
 // tolerance in both families — allocation counts are deterministic, so
 // any increase is a real regression, which is what keeps the

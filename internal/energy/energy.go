@@ -97,16 +97,10 @@ func NewBattery(capacity float64) *Battery {
 // Level returns the remaining charge in joules.
 func (b *Battery) Level() float64 { return b.level }
 
-// Capacity returns the battery capacity in joules.
-func (b *Battery) Capacity() float64 { return b.capacity }
-
-// Dead reports whether the battery has been fully depleted. A dead
-// battery stays dead until Recharge.
-func (b *Battery) Dead() bool { return b.dead }
-
 // Drain removes j joules. If the charge would go negative the battery
-// is emptied, marked dead, and Drain returns false. Draining a dead
-// battery returns false. A negative j panics.
+// is emptied, marked dead, and Drain returns false. A dead battery
+// stays dead until Recharge: draining it returns false, and it can
+// afford nothing. A negative j panics.
 func (b *Battery) Drain(j float64) bool {
 	if j < 0 {
 		panic(fmt.Sprintf("energy: Drain(%v) negative", j))

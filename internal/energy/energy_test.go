@@ -82,7 +82,7 @@ func TestRoundsPaperParameters(t *testing.T) {
 
 func TestBatteryLifecycle(t *testing.T) {
 	b := NewBattery(100)
-	if b.Level() != 100 || b.Capacity() != 100 {
+	if b.Level() != 100 || b.capacity != 100 {
 		t.Fatal("fresh battery state wrong")
 	}
 	if !b.Drain(40) {
@@ -100,14 +100,14 @@ func TestBatteryLifecycle(t *testing.T) {
 	if b.Drain(61) {
 		t.Fatal("overdrain succeeded")
 	}
-	if !b.Dead() || b.Level() != 0 {
+	if !b.dead || b.Level() != 0 {
 		t.Fatal("overdrained battery not dead/empty")
 	}
 	if b.Drain(0) {
 		t.Fatal("dead battery accepted drain")
 	}
 	b.Recharge()
-	if b.Dead() || b.Level() != 100 {
+	if b.dead || b.Level() != 100 {
 		t.Fatal("recharge did not restore battery")
 	}
 }
@@ -117,7 +117,7 @@ func TestBatteryExactDrain(t *testing.T) {
 	if !b.Drain(50) {
 		t.Fatal("exact drain failed")
 	}
-	if b.Dead() {
+	if b.dead {
 		t.Fatal("exact drain killed battery")
 	}
 	if b.Level() != 0 {
@@ -160,7 +160,7 @@ func TestBatteryConservation(t *testing.T) {
 			}
 			spent += j
 		}
-		return math.Abs(b.Level()-(1e6-spent)) < 1e-6 && !b.Dead()
+		return math.Abs(b.Level()-(1e6-spent)) < 1e-6 && !b.dead
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

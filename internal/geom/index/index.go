@@ -1,10 +1,13 @@
 // Package index provides a uniform-grid spatial hash over a fixed
 // planar point set — the sub-quadratic geometry substrate behind the
-// planners' hot paths (tour construction, k-means assignment, mule
-// matching). The paper's experiments stop at a few hundred targets,
-// where O(n²) scans are harmless; the 10⁴–10⁵-target regimes that the
-// partitioned planners open up need Nearest/KNearest/Within queries in
-// near-constant time per query.
+// planners' hot paths (nearest-neighbour and greedy-edge tours,
+// k-means assignment, mule matching). The paper's experiments stop at
+// a few hundred targets, where O(n²) scans are harmless; the
+// 10⁴–10⁵-target regimes that the partitioned planners open up need
+// Nearest/KNearest queries in near-constant time per query. Below a
+// few dozen points each planner keeps a private linear scan instead,
+// which is faster there. The convex-hull skeleton needs no index at
+// all: hull.Convex reports input indices directly.
 //
 // Every query breaks ties exactly like the brute-force scans it
 // replaces: by (squared distance, ascending point index), with squared
@@ -135,9 +138,6 @@ func (g *Grid) scratchCursor(n int) []int32 {
 	}
 	return g.cursor[:n]
 }
-
-// Len returns the number of indexed points (alive or removed).
-func (g *Grid) Len() int { return len(g.pts) }
 
 // Remove marks point i as deleted: it stops appearing in query
 // results. Removing an already-removed point is a no-op.
@@ -411,63 +411,6 @@ func (g *Grid) KNearest(q geom.Point, k int, dst []int) []int {
 		h[0] = h[end-1]
 		h = h[:end-1]
 		sift()
-	}
-	return dst
-}
-
-// Within appends the indices of every live point within Euclidean
-// distance r of q (inclusive) onto dst, ordered by ascending (squared
-// distance, index), and returns the extended slice.
-func (g *Grid) Within(q geom.Point, r float64, dst []int) []int {
-	if r < 0 || g.live == 0 {
-		return dst
-	}
-	r2 := r * r
-	h := g.heap[:0]
-	cx0, cy0 := g.cellCoords(q.Add(geom.Vec{X: -r, Y: -r}))
-	cx1, cy1 := g.cellCoords(q.Add(geom.Vec{X: r, Y: r}))
-	if cx0 < 0 {
-		cx0 = 0
-	}
-	if cy0 < 0 {
-		cy0 = 0
-	}
-	if cx1 >= g.cols {
-		cx1 = g.cols - 1
-	}
-	if cy1 >= g.rows {
-		cy1 = g.rows - 1
-	}
-	for cy := cy0; cy <= cy1; cy++ {
-		for cx := cx0; cx <= cx1; cx++ {
-			cell := cy*g.cols + cx
-			if g.liveInCell[cell] == 0 || g.cellDist2(q, cx, cy) > r2 {
-				continue
-			}
-			for _, pi := range g.idx[g.start[cell]:g.start[cell+1]] {
-				if !g.alive[pi] {
-					continue
-				}
-				if d := q.Dist2(g.pts[pi]); d <= r2 {
-					h = append(h, heapItem{d, pi})
-				}
-			}
-		}
-	}
-	g.heap = h
-	// Insertion sort by (d2, index): result sets are typically small,
-	// and the comparison matches every other query's tie-break.
-	for i := 1; i < len(h); i++ {
-		for j := i; j > 0; j-- {
-			if h[j].d2 < h[j-1].d2 || (h[j].d2 == h[j-1].d2 && h[j].i < h[j-1].i) {
-				h[j], h[j-1] = h[j-1], h[j]
-			} else {
-				break
-			}
-		}
-	}
-	for _, it := range h {
-		dst = append(dst, int(it.i))
 	}
 	return dst
 }

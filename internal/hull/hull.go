@@ -13,15 +13,38 @@ import (
 	"tctp/internal/geom"
 )
 
-// Convex returns the convex hull of pts in counterclockwise order
-// starting from the lexicographically smallest point (min X, then min
-// Y). Collinear points on hull edges are omitted, so the result is the
-// minimal vertex set. Inputs with fewer than three distinct points
-// return the distinct points sorted lexicographically.
+// Convex returns the convex hull of pts as indices into pts, in
+// counterclockwise order starting from the lexicographically smallest
+// point (min X, then min Y). Collinear points on hull edges are
+// omitted, so the result is the minimal vertex set. Where several
+// inputs share a vertex's coordinates, the lowest such index stands
+// for the vertex. Inputs with fewer than three distinct points return
+// the distinct points sorted lexicographically.
 //
 // The input slice is not modified.
-func Convex(pts []geom.Point) []geom.Point {
-	sorted := dedupSorted(pts)
+func Convex(pts []geom.Point) []int {
+	order := make([]int, len(pts))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool {
+		p, q := pts[order[a]], pts[order[b]]
+		if p.X != q.X {
+			return p.X < q.X
+		}
+		if p.Y != q.Y {
+			return p.Y < q.Y
+		}
+		return order[a] < order[b]
+	})
+	// Dedup equal coordinates; the (X, Y, index) order keeps the
+	// lowest index of each run.
+	sorted := order[:0]
+	for k, i := range order {
+		if k == 0 || pts[i] != pts[sorted[len(sorted)-1]] {
+			sorted = append(sorted, i)
+		}
+	}
 	n := len(sorted)
 	if n < 3 {
 		return sorted
@@ -29,45 +52,23 @@ func Convex(pts []geom.Point) []geom.Point {
 
 	// Andrew's monotone chain: build the lower hull left to right,
 	// then the upper hull right to left.
-	hull := make([]geom.Point, 0, 2*n)
-	for _, p := range sorted { // lower hull
-		for len(hull) >= 2 && geom.Orient(hull[len(hull)-2], hull[len(hull)-1], p) != geom.Counterclockwise {
+	hull := make([]int, 0, 2*n)
+	turnsLeft := func(i int) bool {
+		return geom.Orient(pts[hull[len(hull)-2]], pts[hull[len(hull)-1]], pts[i]) == geom.Counterclockwise
+	}
+	for _, i := range sorted { // lower hull
+		for len(hull) >= 2 && !turnsLeft(i) {
 			hull = hull[:len(hull)-1]
 		}
-		hull = append(hull, p)
+		hull = append(hull, i)
 	}
 	lower := len(hull) + 1
-	for i := n - 2; i >= 0; i-- { // upper hull
-		p := sorted[i]
-		for len(hull) >= lower && geom.Orient(hull[len(hull)-2], hull[len(hull)-1], p) != geom.Counterclockwise {
+	for k := n - 2; k >= 0; k-- { // upper hull
+		i := sorted[k]
+		for len(hull) >= lower && !turnsLeft(i) {
 			hull = hull[:len(hull)-1]
 		}
-		hull = append(hull, p)
+		hull = append(hull, i)
 	}
-	return hull[:len(hull)-1] // last point repeats the first
-}
-
-// Perimeter returns the length of the closed hull boundary.
-func Perimeter(hull []geom.Point) float64 {
-	return geom.CycleLen(hull)
-}
-
-// dedupSorted returns the distinct points sorted lexicographically
-// (X, then Y) without modifying the input.
-func dedupSorted(pts []geom.Point) []geom.Point {
-	sorted := make([]geom.Point, len(pts))
-	copy(sorted, pts)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].X != sorted[j].X {
-			return sorted[i].X < sorted[j].X
-		}
-		return sorted[i].Y < sorted[j].Y
-	})
-	out := sorted[:0]
-	for i, p := range sorted {
-		if i == 0 || p != sorted[i-1] {
-			out = append(out, p)
-		}
-	}
-	return out
+	return hull[:len(hull)-1] // last vertex repeats the first
 }

@@ -17,7 +17,8 @@ func square() []geom.Point {
 }
 
 func TestConvexSquare(t *testing.T) {
-	h := Convex(square())
+	pts := square()
+	h := at(pts, Convex(pts))
 	if len(h) != 4 {
 		t.Fatalf("hull has %d vertices, want 4: %v", len(h), h)
 	}
@@ -34,7 +35,7 @@ func TestConvexSmallInputs(t *testing.T) {
 		t.Fatalf("empty input: %v", h)
 	}
 	one := []geom.Point{geom.Pt(1, 2)}
-	if h := Convex(one); len(h) != 1 || !h[0].Eq(one[0]) {
+	if h := Convex(one); len(h) != 1 || h[0] != 0 {
 		t.Fatalf("single input: %v", h)
 	}
 	two := []geom.Point{geom.Pt(4, 4), geom.Pt(1, 2)}
@@ -43,7 +44,7 @@ func TestConvexSmallInputs(t *testing.T) {
 		t.Fatalf("two points: %v", h)
 	}
 	dup := []geom.Point{geom.Pt(1, 1), geom.Pt(1, 1), geom.Pt(1, 1)}
-	if h := Convex(dup); len(h) != 1 {
+	if h := Convex(dup); len(h) != 1 || h[0] != 0 {
 		t.Fatalf("duplicates: %v", h)
 	}
 }
@@ -59,7 +60,8 @@ func TestConvexCollinear(t *testing.T) {
 }
 
 func TestConvexIsCCW(t *testing.T) {
-	h := Convex(square())
+	pts := square()
+	h := at(pts, Convex(pts))
 	for i := range h {
 		a, b, c := h[i], h[(i+1)%len(h)], h[(i+2)%len(h)]
 		if geom.Orient(a, b, c) != geom.Counterclockwise {
@@ -69,7 +71,8 @@ func TestConvexIsCCW(t *testing.T) {
 }
 
 func TestContainsPoint(t *testing.T) {
-	h := Convex(square())
+	pts := square()
+	h := at(pts, Convex(pts))
 	if !containsPoint(h, geom.Pt(5, 5)) {
 		t.Fatal("interior point rejected")
 	}
@@ -95,9 +98,9 @@ func TestContainsPoint(t *testing.T) {
 }
 
 func TestPerimeterAndArea(t *testing.T) {
-	h := Convex(square())
-	if p := Perimeter(h); math.Abs(p-40) > 1e-9 {
-		t.Fatalf("Perimeter = %v, want 40", p)
+	pts := square()
+	if p := geom.CycleLen(at(pts, Convex(pts))); math.Abs(p-40) > 1e-9 {
+		t.Fatalf("perimeter = %v, want 40", p)
 	}
 }
 
@@ -115,7 +118,7 @@ func TestHullContainsAllInputs(t *testing.T) {
 	src := xrand.New(99)
 	for trial := 0; trial < 50; trial++ {
 		pts := randomPoints(src, 3+src.Intn(60))
-		h := Convex(pts)
+		h := at(pts, Convex(pts))
 		for _, p := range pts {
 			if !containsPoint(h, p) {
 				t.Fatalf("trial %d: point %v outside hull %v", trial, p, h)
@@ -124,20 +127,59 @@ func TestHullContainsAllInputs(t *testing.T) {
 	}
 }
 
-// TestHullVerticesAreInputs checks that hull vertices are a subset of
-// the input point set.
+// TestHullVerticesAreInputs: every hull vertex is an index into the
+// input, and the lowest index holding its coordinates, on inputs where
+// each point appears up to three times in shuffled order.
 func TestHullVerticesAreInputs(t *testing.T) {
 	src := xrand.New(100)
 	for trial := 0; trial < 30; trial++ {
-		pts := randomPoints(src, 3+src.Intn(40))
-		set := map[geom.Point]bool{}
-		for _, p := range pts {
-			set[p] = true
-		}
-		for _, v := range Convex(pts) {
-			if !set[v] {
-				t.Fatalf("hull vertex %v not in input", v)
+		base := randomPoints(src, 3+src.Intn(40))
+		var pts []geom.Point
+		for _, p := range base {
+			for c := 1 + src.Intn(3); c > 0; c-- {
+				pts = append(pts, p)
 			}
+		}
+		for i, j := range src.Perm(len(pts)) {
+			pts[i], pts[j] = pts[j], pts[i]
+		}
+		first := map[geom.Point]int{}
+		for i := len(pts) - 1; i >= 0; i-- {
+			first[pts[i]] = i
+		}
+		h := Convex(pts)
+		for _, v := range h {
+			if v < 0 || v >= len(pts) || first[pts[v]] != v {
+				t.Fatalf("trial %d: hull vertex %d is not the lowest index of its point (hull %v)", trial, v, h)
+			}
+		}
+	}
+}
+
+// TestConvexSignedZero: +0 and -0 are the same coordinate, so they
+// collapse to one vertex, represented by the lower index whichever
+// zero it holds.
+func TestConvexSignedZero(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	pts := []geom.Point{
+		geom.Pt(5, 5),             // 0: interior
+		geom.Pt(10, negZero),      // 1: (10, 0)
+		geom.Pt(negZero, 0),       // 2: (0, 0)
+		geom.Pt(0, negZero),       // 3: (0, 0) again
+		geom.Pt(10, 10),           // 4
+		geom.Pt(0, 10),            // 5
+		geom.Pt(negZero, negZero), // 6: (0, 0) again
+		geom.Pt(10, 0),            // 7: (10, 0) again
+		geom.Pt(negZero, 10),      // 8: (0, 10) again
+	}
+	want := []int{2, 1, 4, 5}
+	got := Convex(pts)
+	if len(got) != len(want) {
+		t.Fatalf("Convex = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("Convex = %v, want %v", got, want)
 		}
 	}
 }
@@ -148,7 +190,7 @@ func TestGrahamMatchesMonotone(t *testing.T) {
 	src := xrand.New(101)
 	for trial := 0; trial < 50; trial++ {
 		pts := randomPoints(src, 3+src.Intn(80))
-		a := Convex(pts)
+		a := at(pts, Convex(pts))
 		b := GrahamScan(pts)
 		if len(a) != len(b) {
 			t.Fatalf("trial %d: sizes differ %d vs %d\n%v\n%v", trial, len(a), len(b), a, b)
@@ -168,26 +210,27 @@ func TestHullConvexAgainstGrahamScan(t *testing.T) {
 	src := xrand.New(45)
 	for trial := 0; trial < 30; trial++ {
 		pts := randomPoints(src, 12)
-		a := Perimeter(Convex(pts))
-		b := Perimeter(GrahamScan(pts))
+		a := geom.CycleLen(at(pts, Convex(pts)))
+		b := geom.CycleLen(GrahamScan(pts))
 		if math.Abs(a-b) > 1e-9 {
 			t.Fatalf("trial %d: Convex %v vs GrahamScan %v", trial, a, b)
 		}
 	}
 }
 
-// TestHullIdempotent: the hull of a hull is itself.
+// TestHullIdempotent: the hull of a hull is itself, vertex for vertex
+// in the same order, so its indices are 0, 1, 2, ….
 func TestHullIdempotent(t *testing.T) {
 	src := xrand.New(102)
 	pts := randomPoints(src, 50)
-	h := Convex(pts)
+	h := at(pts, Convex(pts))
 	h2 := Convex(h)
 	if len(h) != len(h2) {
 		t.Fatalf("idempotence broken: %d vs %d vertices", len(h), len(h2))
 	}
-	for i := range h {
-		if !h[i].Eq(h2[i]) {
-			t.Fatalf("vertex %d moved: %v vs %v", i, h[i], h2[i])
+	for i, j := range h2 {
+		if j != i {
+			t.Fatalf("vertex %d moved to %d: %v", i, j, h2)
 		}
 	}
 }
@@ -198,8 +241,7 @@ func TestHullIdempotent(t *testing.T) {
 func TestHullPerimeterBound(t *testing.T) {
 	src := xrand.New(103)
 	pts := randomPoints(src, 25)
-	h := Convex(pts)
-	if Perimeter(h) > geom.CycleLen(pts)+1e-9 {
+	if geom.CycleLen(at(pts, Convex(pts))) > geom.CycleLen(pts)+1e-9 {
 		t.Fatal("hull perimeter exceeds an arbitrary enclosing tour")
 	}
 }
@@ -224,7 +266,7 @@ func TestHullPropertyQuick(t *testing.T) {
 		n := int(nRaw%50) + 3
 		src := xrand.New(seed)
 		pts := randomPoints(src, n)
-		h := Convex(pts)
+		h := at(pts, Convex(pts))
 		for _, p := range pts {
 			if !containsPoint(h, p) {
 				return false

@@ -89,3 +89,33 @@ func rotateToLexMin(h []geom.Point) []geom.Point {
 	out = append(out, h[:best]...)
 	return out
 }
+
+// dedupSorted returns the distinct points sorted lexicographically
+// (X, then Y) without modifying the input.
+func dedupSorted(pts []geom.Point) []geom.Point {
+	sorted := make([]geom.Point, len(pts))
+	copy(sorted, pts)
+	sort.Slice(sorted, func(i, j int) bool {
+		if sorted[i].X != sorted[j].X {
+			return sorted[i].X < sorted[j].X
+		}
+		return sorted[i].Y < sorted[j].Y
+	})
+	out := sorted[:0]
+	for i, p := range sorted {
+		if i == 0 || p != sorted[i-1] {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// at maps hull vertex indices back to their points, so Convex can be
+// compared with the point-valued GrahamScan oracle.
+func at(pts []geom.Point, idx []int) []geom.Point {
+	out := make([]geom.Point, len(idx))
+	for k, i := range idx {
+		out[k] = pts[i]
+	}
+	return out
+}

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -422,9 +423,9 @@ func TestInPlaceAggregatesMatchIntervalOracle(t *testing.T) {
 			case 0:
 				t0 = times[src.Intn(len(times))] // exactly on a visit
 			case 1:
-				t0 = stats.Min(times) - 1 // before every first visit
+				t0 = slices.Min(times) - 1 // before every first visit
 			case 2:
-				t0 = stats.Max(times) + 1 // after every last visit
+				t0 = slices.Max(times) + 1 // after every last visit
 			}
 		}
 		var subset, all []int // a nil subset means every target

@@ -66,16 +66,6 @@ type Router interface {
 	Next(m *Mule) (wp Waypoint, dist float64, ok bool)
 }
 
-// RouterFunc adapts a function to the Router interface; Next measures
-// the leg from the mule's position.
-type RouterFunc func(m *Mule) (Waypoint, bool)
-
-// Next implements Router.
-func (f RouterFunc) Next(m *Mule) (Waypoint, float64, bool) {
-	wp, ok := f(m)
-	return wp, m.pos.Dist(wp.Pos), ok
-}
-
 // Config parameterizes a mule.
 type Config struct {
 	// ID identifies the mule in callbacks.
@@ -162,9 +152,6 @@ func (m *Mule) Launch() {
 	m.pending = m.eng.After(0, m.advanceFn)
 }
 
-// ID returns the mule's identifier.
-func (m *Mule) ID() int { return m.cfg.ID }
-
 // Pos returns the mule's current (last event) position.
 func (m *Mule) Pos() geom.Point { return m.pos }
 
@@ -183,9 +170,6 @@ func (m *Mule) EnergyConsumed() float64 { return m.energyUse }
 
 // Recharges returns how many recharge stops the mule has completed.
 func (m *Mule) Recharges() int { return m.recharges }
-
-// Battery returns the mule's battery, or nil when unconstrained.
-func (m *Mule) Battery() *energy.Battery { return m.cfg.Battery }
 
 // RunUntil runs the mule's legs back to back, on its own clock, up to
 // and including every arrival at or before t, in place of Launch: the

@@ -42,6 +42,13 @@ func zeroDwell() energy.Model {
 	return m
 }
 
+// run steps eng until no event remains or max events have run; the
+// cap stops the endless loop routes.
+func run(eng *sim.Engine, max int) {
+	for n := 0; n < max && eng.Step(); n++ {
+	}
+}
+
 func TestTravelTiming(t *testing.T) {
 	eng := sim.New()
 	var visitTimes []float64
@@ -56,7 +63,7 @@ func TestTravelTiming(t *testing.T) {
 		OnVisit: func(_, _ int, tm float64) { visitTimes = append(visitTimes, tm) },
 	})
 	m.Launch()
-	eng.Run(100)
+	run(eng, 100)
 	if len(visitTimes) != 2 {
 		t.Fatalf("visits = %v", visitTimes)
 	}
@@ -93,7 +100,7 @@ func TestDwellDelaysNextLeg(t *testing.T) {
 		OnVisit: func(_, _ int, tm float64) { times = append(times, tm) },
 	})
 	m.Launch()
-	eng.Run(100)
+	run(eng, 100)
 	if math.Abs(times[0]-10) > 1e-9 || math.Abs(times[1]-30) > 1e-9 {
 		t.Fatalf("visit times = %v, want [10 30]", times)
 	}
@@ -148,7 +155,7 @@ func TestVisitAtCurrentPosition(t *testing.T) {
 		},
 	})
 	m.Launch()
-	eng.Run(100)
+	run(eng, 100)
 	if tm != 0 {
 		t.Fatalf("visit time = %v, want 0", tm)
 	}
@@ -175,7 +182,7 @@ func TestEnergyDrainAndDeath(t *testing.T) {
 		OnDeath: func(_ int, tm float64, pos geom.Point) { deathAt, deathPos = tm, pos },
 	})
 	m.Launch()
-	eng.Run(1000)
+	run(eng, 1000)
 	if !m.Dead() {
 		t.Fatal("mule survived an unaffordable route")
 	}
@@ -185,7 +192,7 @@ func TestEnergyDrainAndDeath(t *testing.T) {
 	if !deathPos.Eq(geom.Pt(100, 0)) {
 		t.Fatalf("death pos %v, want (100,0)", deathPos)
 	}
-	if !b.Dead() {
+	if b.CanAfford(0) {
 		t.Fatal("battery not dead")
 	}
 	if m.Visits() != 1 {
@@ -211,7 +218,7 @@ func TestRechargeRestoresBattery(t *testing.T) {
 		OnRecharge: func(_ int, _ float64) { recharges++ },
 	})
 	m.Launch()
-	eng.Run(1000)
+	run(eng, 1000)
 	if m.Dead() {
 		t.Fatal("mule died despite recharge")
 	}
@@ -242,7 +249,7 @@ func TestNonTargetWaypointNotCounted(t *testing.T) {
 		OnVisit: func(_, _ int, _ float64) { visits++ },
 	})
 	m.Launch()
-	eng.Run(100)
+	run(eng, 100)
 	if visits != 1 || m.Visits() != 1 {
 		t.Fatalf("visits = %d/%d, want 1", visits, m.Visits())
 	}
@@ -251,23 +258,24 @@ func TestNonTargetWaypointNotCounted(t *testing.T) {
 func TestEnergyAccounting(t *testing.T) {
 	eng := sim.New()
 	model := energy.Model{MoveCost: 2, CollectCost: 0.5, Dwell: 4, Capacity: 1e6}
+	b := energy.NewBattery(1e6)
 	m := New(eng, Config{
 		Start:   geom.Pt(0, 0),
 		Speed:   1,
 		Energy:  model,
-		Battery: energy.NewBattery(1e6),
+		Battery: b,
 		Router: &finiteRouter{wps: []Waypoint{
 			{Pos: geom.Pt(100, 0), TargetID: 1},
 		}},
 	})
 	m.Launch()
-	eng.Run(100)
+	run(eng, 100)
 	// 100 m × 2 J/m + 0.5 J/s × 4 s dwell = 202 J.
 	if math.Abs(m.EnergyConsumed()-202) > 1e-9 {
 		t.Fatalf("EnergyConsumed = %v, want 202", m.EnergyConsumed())
 	}
-	if math.Abs(m.Battery().Level()-(1e6-202)) > 1e-6 {
-		t.Fatalf("battery level = %v", m.Battery().Level())
+	if math.Abs(b.Level()-(1e6-202)) > 1e-6 {
+		t.Fatalf("battery level = %v", b.Level())
 	}
 }
 
@@ -289,7 +297,7 @@ func TestDeathDuringCollection(t *testing.T) {
 		OnDeath: func(_ int, _ float64, _ geom.Point) { died = true },
 	})
 	m.Launch()
-	eng.Run(1000)
+	run(eng, 1000)
 	if !died || !m.Dead() {
 		t.Fatal("mule should die during collection (5 J left, 10 J needed)")
 	}
@@ -336,17 +344,22 @@ func TestConfigValidation(t *testing.T) {
 	}()
 }
 
+// TestMuleID: the configured id is the one the mule's callbacks
+// report, here OnDeath when a parked mule is killed.
 func TestMuleID(t *testing.T) {
 	eng := sim.New()
+	id := -1
 	m := New(eng, Config{ID: 42, Speed: 1, Energy: zeroDwell(),
-		Router: &finiteRouter{}})
-	if m.ID() != 42 {
-		t.Fatalf("ID = %d", m.ID())
-	}
+		Router:  &finiteRouter{},
+		OnDeath: func(muleID int, _ float64, _ geom.Point) { id = muleID }})
 	m.Launch()
-	eng.Run(10)
+	run(eng, 10)
 	if !m.parked {
 		t.Fatal("empty route should park immediately")
+	}
+	m.Kill()
+	if id != 42 {
+		t.Fatalf("OnDeath reported mule %d, want 42", id)
 	}
 }
 
@@ -364,7 +377,7 @@ func TestNotBeforeHoldsMule(t *testing.T) {
 		OnVisit: func(_, _ int, tm float64) { visitAt = tm },
 	})
 	m.Launch()
-	eng.Run(100)
+	run(eng, 100)
 	if visitAt != 110 {
 		t.Fatalf("visit at %v, want 110 (hold ignored?)", visitAt)
 	}
@@ -384,7 +397,7 @@ func TestNotBeforeInPastIsNoop(t *testing.T) {
 		OnVisit: func(_, _ int, tm float64) { visitAt = tm },
 	})
 	m.Launch()
-	eng.Run(100)
+	run(eng, 100)
 	if visitAt != 20 {
 		t.Fatalf("visit at %v, want 20", visitAt)
 	}
@@ -407,7 +420,7 @@ func TestNotBeforeCombinesWithDwell(t *testing.T) {
 		OnVisit: func(_, _ int, tm float64) { times = append(times, tm) },
 	})
 	m.Launch()
-	eng.Run(100)
+	run(eng, 100)
 	if len(times) != 2 || times[0] != 10 || times[1] != 60 {
 		t.Fatalf("visit times = %v, want [10 60]", times)
 	}

@@ -12,6 +12,17 @@ import (
 	"tctp/internal/sim"
 )
 
+// RouterFunc adapts a function to the Router interface, measuring
+// each leg from the mule's position: the oracles' routes, and
+// reroutes onto them.
+type RouterFunc func(m *Mule) (Waypoint, bool)
+
+// Next implements Router.
+func (f RouterFunc) Next(m *Mule) (Waypoint, float64, bool) {
+	wp, ok := f(m)
+	return wp, m.pos.Dist(wp.Pos), ok
+}
+
 // refMule is the two-event mule the one-event-per-leg Mule replaced,
 // kept as the oracle: an arrival schedules a departure event after the
 // dwell and hold, and only the departure asks for the next stop and

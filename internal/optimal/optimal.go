@@ -233,5 +233,5 @@ func HullBound(pts []geom.Point) float64 {
 	if len(pts) <= 1 {
 		return 0
 	}
-	return hull.Perimeter(hull.Convex(pts))
+	return tour.Length(pts, hull.Convex(pts))
 }

@@ -98,7 +98,7 @@ func TestHullPerimeterUnderContainment(t *testing.T) {
 		h := HullBound(pts)
 		for _, mk := range []func() tour.Tour{
 			func() tour.Tour { return tour.NearestNeighbor(pts, 0) },
-			func() tour.Tour { return tour.Random(len(pts), src) },
+			func() tour.Tour { return tour.Tour(src.Perm(len(pts))) },
 		} {
 			if l := tour.Length(pts, mk()); h > l*(1+1e-9) {
 				t.Fatalf("trial %d: hull %v exceeds circuit %v", trial, h, l)

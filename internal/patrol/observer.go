@@ -3,8 +3,8 @@ package patrol
 import "tctp/internal/geom"
 
 // Observer receives simulation events. The built-in metrics recorder,
-// the energy audit, the wsn data-collection overlay and trace.Tracer
-// all implement it, so a run composes any number of them as peers:
+// the energy audit and the wsn data-collection overlay all implement
+// it, so a run composes any number of them as peers:
 // every observer sees every event, in registration order, with the
 // built-in recorder always first.
 type Observer interface {

@@ -61,9 +61,9 @@ type Options struct {
 	// equal spacing exact; disabling it is the A3-adjacent ablation.
 	NoSynchronizedStart bool
 	// Observers receive simulation events in addition to the built-in
-	// metrics recorder — e.g. the wsn data-collection overlay, an
-	// energy.Audit, or a trace.Tracer. They are invoked after the
-	// built-in bookkeeping for the same event, in slice order.
+	// metrics recorder — e.g. the wsn data-collection overlay or an
+	// energy.Audit. They are invoked after the built-in bookkeeping
+	// for the same event, in slice order.
 	// Attaching an observer keeps every mule on the global clock, so
 	// observers see every event in global time order; without one,
 	// mules that share no target may run ahead (see Run).

@@ -295,18 +295,6 @@ func (e *Engine) RunUntil(t float64) {
 	e.now = t
 }
 
-// Run executes events until none remain or until maxEvents events have
-// run (a safety valve against accidental infinite event loops —
-// patrolling routes are cyclic and schedule forever). It returns the
-// number of events executed by this call.
-func (e *Engine) Run(maxEvents uint64) uint64 {
-	var n uint64
-	for n < maxEvents && e.Step() {
-		n++
-	}
-	return n
-}
-
 // peek returns the next non-canceled event without removing it, or
 // nil.
 func (e *Engine) peek() *event {

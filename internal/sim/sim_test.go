@@ -8,13 +8,24 @@ import (
 	"testing/quick"
 )
 
+// run steps e until no event remains or max events have run, and
+// returns the number run. The cap stops self-rescheduling handler
+// chains, which patrol routes are.
+func run(e *Engine, max int) int {
+	n := 0
+	for n < max && e.Step() {
+		n++
+	}
+	return n
+}
+
 func TestOrdering(t *testing.T) {
 	e := New()
 	var order []int
 	e.Schedule(3, func() { order = append(order, 3) })
 	e.Schedule(1, func() { order = append(order, 1) })
 	e.Schedule(2, func() { order = append(order, 2) })
-	e.Run(100)
+	run(e, 100)
 	want := []int{1, 2, 3}
 	for i := range want {
 		if order[i] != want[i] {
@@ -33,7 +44,7 @@ func TestFIFOTieBreak(t *testing.T) {
 		i := i
 		e.Schedule(5, func() { order = append(order, i) })
 	}
-	e.Run(100)
+	run(e, 100)
 	for i := range order {
 		if order[i] != i {
 			t.Fatalf("same-time events out of FIFO order: %v", order)
@@ -47,7 +58,7 @@ func TestAfter(t *testing.T) {
 	e.Schedule(10, func() {
 		e.After(5, func() { at = e.Now() })
 	})
-	e.Run(100)
+	run(e, 100)
 	if at != 15 {
 		t.Fatalf("After fired at %v, want 15", at)
 	}
@@ -56,7 +67,7 @@ func TestAfter(t *testing.T) {
 func TestSchedulePastPanics(t *testing.T) {
 	e := New()
 	e.Schedule(10, func() {})
-	e.Run(100)
+	run(e, 100)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("scheduling in the past did not panic")
@@ -80,7 +91,7 @@ func TestCancel(t *testing.T) {
 	cancel := e.Schedule(1, func() { fired = true })
 	cancel.Cancel()
 	cancel.Cancel() // double-cancel is a no-op
-	n := e.Run(100)
+	n := run(e, 100)
 	if fired {
 		t.Fatal("canceled event fired")
 	}
@@ -92,7 +103,7 @@ func TestCancel(t *testing.T) {
 func TestCancelAfterFireNoop(t *testing.T) {
 	e := New()
 	cancel := e.Schedule(1, func() {})
-	e.Run(100)
+	run(e, 100)
 	cancel.Cancel() // must not panic or corrupt state
 	if e.pending != 0 {
 		t.Fatal("phantom pending events")
@@ -169,7 +180,7 @@ func TestRunMaxEvents(t *testing.T) {
 		e.After(1, loop)
 	}
 	e.Schedule(0, loop)
-	n := e.Run(50)
+	n := run(e, 50)
 	if n != 50 || count != 50 {
 		t.Fatalf("Run executed %d events, handler ran %d", n, count)
 	}
@@ -255,7 +266,7 @@ func TestExecutionOrderProperty(t *testing.T) {
 			at := float64(raw)
 			e.Schedule(at, func() { got = append(got, at) })
 		}
-		e.Run(uint64(len(times)) + 1)
+		run(e, len(times)+1)
 		if len(got) != len(times) {
 			return false
 		}
@@ -281,7 +292,7 @@ func TestClockMonotoneProperty(t *testing.T) {
 				prev = e.Now()
 			})
 		}
-		e.Run(uint64(len(times)) + 1)
+		run(e, len(times)+1)
 		return ok
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -292,11 +303,11 @@ func TestClockMonotoneProperty(t *testing.T) {
 func TestStaleCancelDoesNotKillRecycledEvent(t *testing.T) {
 	e := New()
 	stale := e.Schedule(1, func() {})
-	e.Run(10) // fires; the record returns to the pool
+	run(e, 10) // fires; the record returns to the pool
 	fired := false
 	e.Schedule(2, func() { fired = true }) // reuses the pooled record
 	stale.Cancel()                         // must not touch the new occupant
-	e.Run(10)
+	run(e, 10)
 	if !fired {
 		t.Fatal("stale cancel killed a recycled event")
 	}
@@ -322,7 +333,7 @@ func TestCompaction(t *testing.T) {
 	if live, total := e.pending, len(e.events); total > 2*live {
 		t.Fatalf("heap holds %d entries for %d live events", total, live)
 	}
-	e.Run(n + 1)
+	run(e, n+1)
 	if fired != 100 {
 		t.Fatalf("%d events fired, want 100", fired)
 	}
@@ -380,7 +391,7 @@ func TestRandomizedPopOrderMatchesSort(t *testing.T) {
 			compacted++
 		}
 		e.RunUntil(float64(rng.IntN(20)))
-		e.Run(1 << 20)
+		run(e, 1<<20)
 
 		var want []rec
 		for _, r := range scheduled {
@@ -419,7 +430,7 @@ func TestStepRecyclesWithoutAllocating(t *testing.T) {
 	var fn Handler
 	fn = func() { e.After(1, fn) }
 	e.Schedule(0, fn)
-	e.Run(64) // warm the pool and the heap slice
+	run(e, 64) // warm the pool and the heap slice
 	if allocs := testing.AllocsPerRun(1000, func() { e.Step() }); allocs > 0 {
 		t.Fatalf("%v allocs per schedule→fire cycle, want 0", allocs)
 	}
@@ -456,7 +467,7 @@ func BenchmarkEngineCancel(b *testing.B) {
 		c.Cancel()
 	}
 	e.Schedule(0, fn)
-	e.Run(256) // steady state
+	run(e, 256) // steady state
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -495,7 +506,7 @@ func TestAfterFromMatchesTwoHops(t *testing.T) {
 					e.Schedule(c.start, func() { e.After(c.wait, func() { e.After(c.d, fire) }) })
 				}
 			}
-			e.Run(1000)
+			run(e, 1000)
 			return order
 		}
 		want, got := run(false), run(true)
@@ -510,7 +521,7 @@ func TestAfterFromMatchesTwoHops(t *testing.T) {
 func TestAfterFromRejectsPastOrNegative(t *testing.T) {
 	e := New()
 	e.Schedule(5, func() {})
-	e.Run(1)
+	run(e, 1)
 	for _, c := range []struct{ from, d float64 }{{4, 1}, {6, -1}, {math.NaN(), 1}, {6, math.NaN()}} {
 		func() {
 			defer func() {

@@ -37,47 +37,9 @@ func SampleSD(xs []float64) float64 {
 	return math.Sqrt(s / float64(n-1))
 }
 
-// Min returns the smallest element; it panics on an empty slice.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Min of empty slice")
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the largest element; it panics on an empty slice.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Max of empty slice")
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// CI95 returns the half-width of a normal-approximation 95% confidence
-// interval for the mean of xs (1.96·sd/√n). Samples with fewer than
-// two elements yield 0.
-func CI95(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	return 1.96 * SampleSD(xs) / math.Sqrt(float64(len(xs)))
-}
-
 // Accumulator computes running moments with Welford's algorithm plus
-// streaming extrema; it is the streaming counterpart of Mean, SampleSD,
-// Min and Max. The zero value is ready to use. Because the update is
+// streaming extrema; it is the streaming counterpart of Mean and
+// SampleSD. The zero value is ready to use. Because the update is
 // sequential, two accumulators fed the same samples in the same order
 // produce bit-identical results — the sweep engine relies on this for
 // worker-count-independent output.
@@ -123,8 +85,7 @@ func (a *Accumulator) Min() float64 { return a.min }
 func (a *Accumulator) Max() float64 { return a.max }
 
 // CI95 returns the half-width of a normal-approximation 95% confidence
-// interval for the mean (0 for n < 2); the streaming counterpart of
-// the slice-based CI95.
+// interval for the mean, 1.96·sd/√n (0 for n < 2).
 func (a *Accumulator) CI95() float64 {
 	if a.n < 2 {
 		return 0

@@ -25,12 +25,14 @@ func ConvexHullInsertionBrute(pts []geom.Point) Tour {
 		return Tour{0, 1}
 	}
 
-	hullPts := hull.Convex(pts)
 	used := make([]bool, n)
 	t := make(Tour, 0, n)
-	for _, hp := range hullPts {
-		// Map hull vertices back to indices; duplicates in pts map to
-		// the first unused match so every index is inserted once.
+	for _, h := range hull.Convex(pts) {
+		// Rematch each hull vertex's point to an index by linear scan,
+		// so the skeleton does not take hull.Convex's indices on
+		// trust: the first unused match, so every index is inserted
+		// once.
+		hp := pts[h]
 		for i, p := range pts {
 			if !used[i] && p == hp {
 				t = append(t, i)
@@ -38,11 +40,6 @@ func ConvexHullInsertionBrute(pts []geom.Point) Tour {
 				break
 			}
 		}
-	}
-	if len(t) == 0 {
-		// All points coincide or are collinear enough for the hull to
-		// be degenerate; fall back to index order.
-		return indexOrder(n)
 	}
 
 	var remaining []int

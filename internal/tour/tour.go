@@ -18,14 +18,13 @@ import (
 	"tctp/internal/geom"
 	"tctp/internal/geom/index"
 	"tctp/internal/hull"
-	"tctp/internal/xrand"
 )
 
-// indexThreshold is the point count below which the constructions stay
-// on their simple quadratic paths: building a spatial index costs more
-// than it saves on tiny inputs. The indexed and brute paths are
-// bit-identical (see the *Brute equivalence tests), so the threshold
-// is purely a performance knob.
+// indexThreshold is the point count below which NearestNeighbor and
+// GreedyEdge stay on their private quadratic scans: building a spatial
+// index costs more than it saves on tiny inputs. The indexed and scan
+// paths are bit-identical (see the equivalence tests), so the
+// threshold is purely a performance knob.
 const indexThreshold = 48
 
 // Tour is an ordering of point indices forming a Hamiltonian circuit.
@@ -41,15 +40,6 @@ func Length(pts []geom.Point, t Tour) float64 {
 		total += pts[t[i]].Dist(pts[t[(i+1)%len(t)]])
 	}
 	return total
-}
-
-// Points materializes the tour as the ordered point sequence.
-func Points(pts []geom.Point, t Tour) []geom.Point {
-	out := make([]geom.Point, len(t))
-	for i, idx := range t {
-		out[i] = pts[idx]
-	}
-	return out
 }
 
 // Validate checks that t is a permutation of [0, n). A nil error means
@@ -69,20 +59,6 @@ func Validate(t Tour, n int) error {
 		seen[v] = true
 	}
 	return nil
-}
-
-// Rotate returns the tour rotated so that it begins at the position
-// holding index start. It panics if start is absent.
-func Rotate(t Tour, start int) Tour {
-	for i, v := range t {
-		if v == start {
-			out := make(Tour, 0, len(t))
-			out = append(out, t[i:]...)
-			out = append(out, t[:i]...)
-			return out
-		}
-	}
-	panic(fmt.Sprintf("tour: start index %d not in tour", start))
 }
 
 // Reverse returns the tour traversed in the opposite direction,
@@ -124,64 +100,26 @@ func EnsureCCW(pts []geom.Point, t Tour) Tour {
 	return t
 }
 
-// hullSkeleton builds the initial convex-hull cycle shared by the
-// accelerated and brute convex-hull-insertion paths: hull vertices
-// mapped back to point indices (duplicates map to the first unused
-// match) plus the list of remaining interior indices. ok is false when
-// the hull is degenerate and the caller should fall back to index
-// order.
-func hullSkeleton(pts []geom.Point) (t Tour, remaining []int, ok bool) {
+// hullSkeleton builds the initial convex-hull cycle of
+// ConvexHullInsertion: the hull's vertex indices, each the lowest index
+// holding its coordinates (see hull.Convex), plus every other index
+// (interior points and duplicates of hull vertices) in ascending
+// order. The hull of n ≥ 1 points has at
+// least one vertex, so the cycle is never empty.
+func hullSkeleton(pts []geom.Point) (t Tour, remaining []int) {
 	n := len(pts)
-	hullPts := hull.Convex(pts)
+	t = hull.Convex(pts)
 	used := make([]bool, n)
-	t = make(Tour, 0, n)
-	if n >= indexThreshold {
-		// An exact-match index query replaces the O(hull·n) linear
-		// scan. Dist2(p, hp) == 0 exactly when p == hp (both squared
-		// terms are non-negative, so the sum is zero only at exact
-		// coordinate equality), so Within(hp, 0) yields precisely the
-		// brute scan's candidates, already in ascending index order.
-		g := index.New(pts)
-		var matches []int
-		for _, hp := range hullPts {
-			matches = g.Within(hp, 0, matches[:0])
-			for _, i := range matches {
-				if !used[i] {
-					t = append(t, i)
-					used[i] = true
-					break
-				}
-			}
-		}
-	} else {
-		for _, hp := range hullPts {
-			for i, p := range pts {
-				if !used[i] && p == hp {
-					t = append(t, i)
-					used[i] = true
-					break
-				}
-			}
-		}
+	for _, i := range t {
+		used[i] = true
 	}
-	if len(t) == 0 {
-		return nil, nil, false
-	}
+	remaining = make([]int, 0, n-len(t))
 	for i := 0; i < n; i++ {
 		if !used[i] {
 			remaining = append(remaining, i)
 		}
 	}
-	return t, remaining, true
-}
-
-// indexOrder returns the degenerate-hull fallback tour 0..n-1.
-func indexOrder(n int) Tour {
-	t := make(Tour, n)
-	for i := range t {
-		t[i] = i
-	}
-	return t
+	return t, remaining
 }
 
 // ConvexHullInsertion builds a circuit with the convex-hull-and-
@@ -192,10 +130,13 @@ func indexOrder(n int) Tour {
 // oriented counterclockwise. This is the "CHB" construction used by
 // both the paper's planners and the CHB baseline.
 //
-// The selection is accelerated by caching, per remaining point, its
-// cheapest (detour, edge) pair and repairing only the caches the last
-// insertion invalidated; the result is bit-identical to
-// ConvexHullInsertionBrute (see the equivalence tests).
+// The skeleton is hull.Convex's vertex indices as they come, so no
+// hull vertex is matched back to the input. The selection is
+// accelerated by caching, per remaining point, its cheapest (detour,
+// edge) pair and repairing only the caches the last insertion
+// invalidated; the result is bit-identical to the quadratic-rescan
+// oracle in oracle_test.go, which rematches the hull's points to
+// indices by linear scan (see the equivalence tests).
 func ConvexHullInsertion(pts []geom.Point) Tour {
 	n := len(pts)
 	switch n {
@@ -206,10 +147,7 @@ func ConvexHullInsertion(pts []geom.Point) Tour {
 	case 2:
 		return Tour{0, 1}
 	}
-	t, remaining, ok := hullSkeleton(pts)
-	if !ok {
-		return indexOrder(n)
-	}
+	t, remaining := hullSkeleton(pts)
 
 	// Per remaining point: the smallest detour over the current tour
 	// edges and the FIRST edge index attaining it — exactly what the
@@ -288,7 +226,7 @@ func ConvexHullInsertion(pts []geom.Point) Tour {
 // NearestNeighbor builds a circuit by repeatedly travelling to the
 // closest unvisited target, starting from index start. Above the index
 // threshold the unvisited set lives in a spatial grid and each step is
-// a Nearest query plus a Remove; the brute scan breaks ties by the
+// a Nearest query plus a Remove; the linear scan breaks ties by the
 // first (lowest) index, which is exactly the grid's (distance, index)
 // tie-break, so both paths yield the same tour bit-for-bit.
 func NearestNeighbor(pts []geom.Point, start int) Tour {
@@ -300,7 +238,7 @@ func NearestNeighbor(pts []geom.Point, start int) Tour {
 		panic(fmt.Sprintf("tour: NearestNeighbor start %d out of range", start))
 	}
 	if n < indexThreshold {
-		return NearestNeighborBrute(pts, start)
+		return nearestNeighborScan(pts, start)
 	}
 	g := index.New(pts)
 	t := make(Tour, 0, n)
@@ -316,18 +254,12 @@ func NearestNeighbor(pts []geom.Point, start int) Tour {
 	return t
 }
 
-// NearestNeighborBrute is the original linear-scan implementation of
-// NearestNeighbor, retained as the reference the indexed path must
-// reproduce bit-for-bit and as the baseline for the BenchmarkPlan*
-// speedup measurements.
-func NearestNeighborBrute(pts []geom.Point, start int) Tour {
+// nearestNeighborScan is NearestNeighbor's linear-scan path for
+// fewer than indexThreshold points, and the reference the indexed path
+// must reproduce bit-for-bit. pts must be non-empty and start in
+// range.
+func nearestNeighborScan(pts []geom.Point, start int) Tour {
 	n := len(pts)
-	if n == 0 {
-		return Tour{}
-	}
-	if start < 0 || start >= n {
-		panic(fmt.Sprintf("tour: NearestNeighbor start %d out of range", start))
-	}
 	visited := make([]bool, n)
 	t := make(Tour, 0, n)
 	cur := start
@@ -360,19 +292,18 @@ func NearestNeighborBrute(pts []geom.Point, start int) Tour {
 // k-way merge of sorted runs), so only the short-edge prefix that the
 // acceptance loop actually consumes is ever materialized — the
 // accepted edges, and hence the tour, are bit-identical to
-// GreedyEdgeBrute's full O(n² log n) sort (see the equivalence tests).
+// greedyEdgeSort's full O(n² log n) sort (see the equivalence tests).
 func GreedyEdge(pts []geom.Point) Tour {
 	if len(pts) < indexThreshold {
-		return GreedyEdgeBrute(pts)
+		return greedyEdgeSort(pts)
 	}
 	return greedyEdgeIndexed(pts)
 }
 
-// GreedyEdgeBrute is the original sort-all-edges implementation of
-// GreedyEdge, retained as the reference the lazy k-NN-stream path must
-// reproduce bit-for-bit and as the baseline for the BenchmarkPlan*
-// speedup measurements.
-func GreedyEdgeBrute(pts []geom.Point) Tour {
+// greedyEdgeSort is GreedyEdge's sort-all-edges path for fewer than
+// indexThreshold points, and the reference the lazy k-NN-stream path
+// must reproduce bit-for-bit.
+func greedyEdgeSort(pts []geom.Point) Tour {
 	n := len(pts)
 	if n == 0 {
 		return Tour{}
@@ -458,7 +389,7 @@ func walkPath(n int, degree []int, adj [][]int) Tour {
 
 // geCand is one lazily generated candidate edge: the head of vertex
 // src's neighbour stream, keyed for the global merge by (d, a, b) with
-// a < b — the same ordering GreedyEdgeBrute sorts the full edge list
+// a < b — the same ordering greedyEdgeSort sorts the full edge list
 // by.
 type geCand struct {
 	d    float64
@@ -515,7 +446,7 @@ func (s *geStream) next(g *index.Grid, pts []geom.Point, u, n int) (nb int, d fl
 // greedyEdgeIndexed is GreedyEdge's lazy candidate-edge mode. Each
 // vertex contributes a sorted neighbour stream; a heap merges the
 // stream heads, so candidate edges pop in exactly the (d, u, v) order
-// of the brute path's full sort (a k-way merge of sorted runs). Each
+// of greedyEdgeSort's full sort (a k-way merge of sorted runs). Each
 // undirected edge appears in two streams; the first pop wins and the
 // duplicate is skipped. A vertex's stream is abandoned once the vertex
 // reaches degree 2 — every remaining candidate it would produce is
@@ -602,11 +533,6 @@ func greedyEdgeIndexed(pts []geom.Point) Tour {
 		}
 	}
 	return walkPath(n, degree, adj)
-}
-
-// Random returns a uniformly random circuit.
-func Random(n int, src *xrand.Source) Tour {
-	return Tour(src.Perm(n))
 }
 
 // TwoOpt improves the tour with 2-opt moves (reversing a sub-path when

@@ -1,10 +1,12 @@
 package tour
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"tctp/internal/geom"
+	"tctp/internal/xrand"
 )
 
 // equivalencePointSets yields point families that stress the indexed
@@ -92,7 +94,7 @@ func TestNearestNeighborMatchesBrute(t *testing.T) {
 		starts := []int{0, len(pts) - 1, len(pts) / 2}
 		for _, s := range starts {
 			got := NearestNeighbor(pts, s)
-			want := NearestNeighborBrute(pts, s)
+			want := nearestNeighborScan(pts, s)
 			if !sameTour(got, want) {
 				t.Errorf("%s start %d: indexed tour differs from brute\n got %v\nwant %v", name, s, got, want)
 			}
@@ -101,7 +103,9 @@ func TestNearestNeighborMatchesBrute(t *testing.T) {
 }
 
 // TestConvexHullInsertionMatchesBrute pins the cached cheapest-
-// insertion path to the quadratic rescan bit-for-bit.
+// insertion path to the quadratic rescan bit-for-bit. The 500 uniform
+// sets of 48–99 points pin that every hull vertex, including those on
+// the bounding box's edge, enters the skeleton.
 func TestConvexHullInsertionMatchesBrute(t *testing.T) {
 	rnd := rand.New(rand.NewSource(12))
 	for name, pts := range equivalencePointSets(rnd) {
@@ -111,6 +115,19 @@ func TestConvexHullInsertionMatchesBrute(t *testing.T) {
 			t.Errorf("%s: accelerated tour differs from brute\n got %v\nwant %v", name, got, want)
 		}
 	}
+	failed := 0
+	for set := 0; set < 500; set++ {
+		pts := make([]geom.Point, 48+rnd.Intn(52))
+		for i := range pts {
+			pts[i] = geom.Pt(rnd.Float64()*800, rnd.Float64()*800)
+		}
+		if !sameTour(ConvexHullInsertion(pts), ConvexHullInsertionBrute(pts)) {
+			failed++
+		}
+	}
+	if failed > 0 {
+		t.Errorf("uniform n in [48,100): %d of 500 accelerated tours differ from brute", failed)
+	}
 }
 
 // TestGreedyEdgeMatchesBrute pins the lazy candidate-edge mode to the
@@ -119,7 +136,7 @@ func TestGreedyEdgeMatchesBrute(t *testing.T) {
 	rnd := rand.New(rand.NewSource(13))
 	for name, pts := range equivalencePointSets(rnd) {
 		got := GreedyEdge(pts)
-		want := GreedyEdgeBrute(pts)
+		want := greedyEdgeSort(pts)
 		if !sameTour(got, want) {
 			t.Errorf("%s: lazy-mode tour differs from brute\n got %v\nwant %v", name, got, want)
 		}
@@ -137,9 +154,37 @@ func TestGreedyEdgeIndexedForced(t *testing.T) {
 			pts[i] = geom.Pt(rnd.Float64()*100, rnd.Float64()*100)
 		}
 		got := greedyEdgeIndexed(pts)
-		want := GreedyEdgeBrute(pts)
+		want := greedyEdgeSort(pts)
 		if !sameTour(got, want) {
 			t.Fatalf("n=%d: lazy-mode tour differs from brute\n got %v\nwant %v", n, got, want)
 		}
+	}
+}
+
+// BenchmarkPlanNearestNeighborBrute and BenchmarkPlanGreedyEdgeBrute
+// time the scan paths on BenchmarkPlanNearestNeighbor's and
+// BenchmarkPlanGreedyEdge's inputs (root package), so the ratio is the
+// indexed path's speedup. They are not gated; -short skips their n=10k
+// rungs, which the quadratic scans take seconds to minutes over.
+func BenchmarkPlanNearestNeighborBrute(b *testing.B) {
+	benchPlanLadder(b, func(pts []geom.Point) { nearestNeighborScan(pts, 0) })
+}
+
+func BenchmarkPlanGreedyEdgeBrute(b *testing.B) {
+	benchPlanLadder(b, func(pts []geom.Point) { greedyEdgeSort(pts) })
+}
+
+func benchPlanLadder(b *testing.B, plan func([]geom.Point)) {
+	for _, n := range []int{100, 1_000, 10_000} {
+		pts := randomPoints(xrand.New(7), n)
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			if n >= 10_000 && testing.Short() {
+				b.Skipf("n=%d skipped under -short", n)
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				plan(pts)
+			}
+		})
 	}
 }

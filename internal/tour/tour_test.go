@@ -17,6 +17,11 @@ func randomPoints(src *xrand.Source, n int) []geom.Point {
 	return pts
 }
 
+// randomTour returns a uniformly random circuit over n points.
+func randomTour(n int, src *xrand.Source) Tour {
+	return Tour(src.Perm(n))
+}
+
 func gridPoints() []geom.Point {
 	return []geom.Point{
 		geom.Pt(0, 0), geom.Pt(100, 0), geom.Pt(200, 0),
@@ -54,30 +59,6 @@ func TestValidate(t *testing.T) {
 	if err := Validate(Tour{0, -1, 1}, 3); err == nil {
 		t.Fatal("negative accepted")
 	}
-}
-
-func TestRotate(t *testing.T) {
-	tr := Tour{3, 1, 4, 0, 2}
-	got := Rotate(tr, 4)
-	want := Tour{4, 0, 2, 3, 1}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Rotate = %v, want %v", got, want)
-		}
-	}
-	// Original untouched.
-	if tr[0] != 3 {
-		t.Fatal("Rotate modified input")
-	}
-}
-
-func TestRotatePanicsOnMissing(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Rotate with missing index did not panic")
-		}
-	}()
-	Rotate(Tour{0, 1}, 5)
 }
 
 func TestReverse(t *testing.T) {
@@ -220,7 +201,7 @@ func TestGreedyEdgeValid(t *testing.T) {
 
 func TestRandomTourValid(t *testing.T) {
 	src := xrand.New(19)
-	tr := Random(25, src)
+	tr := randomTour(25, src)
 	if err := Validate(tr, 25); err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +210,7 @@ func TestRandomTourValid(t *testing.T) {
 func TestTwoOptImproves(t *testing.T) {
 	src := xrand.New(23)
 	pts := randomPoints(src, 40)
-	start := Random(40, src)
+	start := randomTour(40, src)
 	input := append(Tour(nil), start...)
 	before := Length(pts, start)
 	after := TwoOpt(pts, start)
@@ -255,7 +236,7 @@ func TestTwoOptImproves(t *testing.T) {
 func TestTwoOptFixedPoint(t *testing.T) {
 	src := xrand.New(29)
 	pts := randomPoints(src, 25)
-	once := TwoOpt(pts, Random(25, src))
+	once := TwoOpt(pts, randomTour(25, src))
 	twice := TwoOpt(pts, once)
 	if math.Abs(Length(pts, once)-Length(pts, twice)) > 1e-9 {
 		t.Fatal("2-opt not at a fixed point after convergence")
@@ -282,7 +263,7 @@ func TestHeuristicQualityOrdering(t *testing.T) {
 		pts := randomPoints(src, 35)
 		chb += Length(pts, ConvexHullInsertion(pts))
 		nn += Length(pts, NearestNeighbor(pts, 0))
-		rnd += Length(pts, Random(35, src))
+		rnd += Length(pts, randomTour(35, src))
 	}
 	if chb >= rnd {
 		t.Fatalf("convex-hull insertion (%v) not better than random (%v)", chb/trials, rnd/trials)
@@ -325,14 +306,6 @@ func TestTourPropertyQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestPoints(t *testing.T) {
-	pts := gridPoints()
-	got := Points(pts, Tour{2, 0})
-	if len(got) != 2 || !got[0].Eq(pts[2]) || !got[1].Eq(pts[0]) {
-		t.Fatalf("Points = %v", got)
 	}
 }
 
@@ -391,7 +364,7 @@ func TestTwoOptNoProperCrossing(t *testing.T) {
 	src := xrand.New(67)
 	for trial := 0; trial < 15; trial++ {
 		pts := randomPoints(src, 25)
-		tr := TwoOpt(pts, Random(25, src))
+		tr := TwoOpt(pts, randomTour(25, src))
 		if HasProperCrossing(pts, tr) {
 			t.Fatalf("trial %d: 2-opt-optimal tour has a crossing", trial)
 		}
