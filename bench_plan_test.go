@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"testing"
 
+	"tctp/internal/baseline"
 	"tctp/internal/cluster"
 	"tctp/internal/core"
 	"tctp/internal/field"
@@ -110,6 +111,38 @@ func BenchmarkPlanFleet(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkPlanRegions measures the region pipeline (core.Regions:
+// partition, per-region walks, mule allocation and matching, then each
+// planner's placement) for the two partitioned TCTP planners at k=4
+// and for Sweep, which makes one region per mule. One target in 50 is
+// a weight-3 VIP, so C-WTCTP's regions get break-edge insertions.
+func BenchmarkPlanRegions(b *testing.B) {
+	kmeans4 := core.PartitionConfig{Method: core.KMeansMethod, K: 4}
+	for _, n := range planSizes {
+		s := field.Generate(field.Config{NumTargets: n, NumMules: 8, Placement: field.Clusters},
+			xrand.New(23))
+		s.AssignVIPs(xrand.New(29), n/50, 3)
+		for _, p := range []struct {
+			name    string
+			planner core.Planner
+		}{
+			{"cbtctp-kmeans4", &core.CBTCTP{Config: kmeans4}},
+			{"cwtctp-kmeans4", &core.CWTCTP{Config: kmeans4}},
+			{"sweep", &baseline.Sweep{}},
+		} {
+			b.Run(fmt.Sprintf("n=%d/%s", n, p.name), func(b *testing.B) {
+				skipLarge(b, n)
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := p.planner.Plan(s); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -248,27 +248,9 @@ func buildSpec(cfg config) (sweep.Spec, error) {
 	return spec, err
 }
 
-// Thin aliases for the shared builder, kept under their historical
-// local names.
-func algorithm(name string) (patrol.Algorithm, error) { return build.Algorithm(name) }
-
-func parseInts(s string) ([]int, error) { return build.Ints(s) }
-
-func parseFloats(s string) ([]float64, error) { return build.Floats(s) }
-
-func parsePlacements(s string) ([]field.Placement, error) { return build.Placements(s) }
-
-func parseFleets(s string) ([]scenario.Fleet, error) { return build.Fleets(s) }
-
+// parseAdaptive is the CLI's name for the shared builder's -adaptive
+// parser.
 func parseAdaptive(s string) (*sweep.Adaptive, error) { return build.Adaptive(s) }
-
-func parseWorkloads(cfg config) ([]scenario.Workload, error) {
-	return build.Workloads(protocol.SweepRequest{
-		Workloads: cfg.Workloads, WorkloadGen: cfg.WorkloadGen,
-		WorkloadBuffer: cfg.WorkloadBuf, WorkloadDeadline: cfg.WorkloadDeadline,
-		BurstHot: cfg.BurstHot, BurstGap: cfg.BurstGap, BurstSize: cfg.BurstSize,
-	})
-}
 
 // parseShard decodes a 1-based "i/n" shard selector into the job API's
 // 0-based index.

@@ -16,60 +16,6 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the golden fixture")
 
-func TestParseInts(t *testing.T) {
-	got, err := parseInts("10, 20,30")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 || got[0] != 10 || got[1] != 20 || got[2] != 30 {
-		t.Fatalf("parseInts = %v", got)
-	}
-	if _, err := parseInts("10,x"); err == nil {
-		t.Fatal("bad integer accepted")
-	}
-}
-
-func TestParseFloats(t *testing.T) {
-	got, err := parseFloats("1.5, 2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0] != 1.5 || got[1] != 2 {
-		t.Fatalf("parseFloats = %v", got)
-	}
-	if _, err := parseFloats("1;2"); err == nil {
-		t.Fatal("bad number accepted")
-	}
-}
-
-func TestParsePlacements(t *testing.T) {
-	got, err := parsePlacements("uniform, clusters")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 {
-		t.Fatalf("parsePlacements = %v", got)
-	}
-	if _, err := parsePlacements("hexgrid"); err == nil {
-		t.Fatal("bad placement accepted")
-	}
-}
-
-func TestAlgorithmSelector(t *testing.T) {
-	for _, name := range []string{"btctp", "wtctp", "chb", "sweep", "random"} {
-		alg, err := algorithm(name)
-		if err != nil || alg == nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if alg.Name() == "" {
-			t.Fatalf("%s: empty name", name)
-		}
-	}
-	if _, err := algorithm("nope"); err == nil {
-		t.Fatal("unknown algorithm accepted")
-	}
-}
-
 // goldenConfig is the fixed workload pinned by testdata/golden.csv.
 func goldenConfig() config {
 	return config{
@@ -262,26 +208,6 @@ func TestPresetDefaults(t *testing.T) {
 	}
 	if rec[6] != "100000" { // preset horizon
 		t.Fatalf("horizon = %s", rec[6])
-	}
-}
-
-func TestParseFleetsAndWorkloads(t *testing.T) {
-	fs, err := parseFleets("2x2; 1x1+1x3")
-	if err != nil || len(fs) != 2 || fs[1].Size() != 2 {
-		t.Fatalf("parseFleets = %v, %v", fs, err)
-	}
-	if _, err := parseFleets("2x2;;"); err == nil {
-		t.Fatal("empty fleet spec accepted")
-	}
-	ws, err := parseWorkloads(config{Workloads: "off,on", WorkloadGen: 30, WorkloadBuf: 5, WorkloadDeadline: 900})
-	if err != nil || len(ws) != 2 {
-		t.Fatalf("parseWorkloads = %v, %v", ws, err)
-	}
-	if ws[0].Enabled() || !ws[1].Enabled() {
-		t.Fatalf("workload enable flags wrong: %v", ws)
-	}
-	if ws[1].Data.GenInterval != 30 || ws[1].Data.BufferCap != 5 || ws[1].Data.Deadline != 900 {
-		t.Fatalf("workload knobs ignored: %+v", ws[1].Data)
 	}
 }
 

@@ -9,22 +9,23 @@
 //     partitioned into one group per mule and each mule patrols a
 //     Hamiltonian circuit over its own group. Group path lengths
 //     differ, which is exactly why its DCDT oscillates in Fig. 7.
+//     The groups come from core.Regions, the C-planners' region
+//     pipeline, with k = fleet size.
 //   - CHB (after Wu et al., MDM'09) — all mules follow one
-//     convex-hull-based Hamiltonian circuit, but without B-TCTP's
-//     location initialization: each mule enters the circuit at the
-//     point nearest its initial position, so the inter-mule spacing is
-//     arbitrary and the visiting intervals are unbalanced.
+//     convex-hull-based Hamiltonian circuit (core.Circuit, as in
+//     B-TCTP), but without B-TCTP's location initialization: each
+//     mule enters the circuit at the point nearest its initial
+//     position, so the inter-mule spacing is arbitrary and the
+//     visiting intervals are unbalanced.
 package baseline
 
 import (
 	"fmt"
 
-	"tctp/internal/cluster"
 	"tctp/internal/core"
 	"tctp/internal/field"
 	"tctp/internal/geom"
 	"tctp/internal/mule"
-	"tctp/internal/tour"
 	"tctp/internal/walk"
 	"tctp/internal/xrand"
 )
@@ -43,12 +44,12 @@ func (c *CHB) Plan(s *field.Scenario) (*core.FleetPlan, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	pts := s.Points()
-	t := tour.EnsureCCW(pts, tour.ConvexHullInsertion(pts))
-	if err := tour.Validate(t, len(pts)); err != nil {
+	w, err := core.Circuit(s, nil, core.HullInsertion, false)
+	if err != nil {
 		return nil, fmt.Errorf("baseline: CHB circuit: %w", err)
 	}
-	w := walk.New(t).RotateToNorthmost(pts)
+	pts := s.Points()
+	w = w.RotateToNorthmost(pts)
 
 	n := s.NumMules()
 	// CHB is a one-group plan: the whole fleet shares the circuit, but
@@ -79,34 +80,10 @@ func (c *CHB) Plan(s *field.Scenario) (*core.FleetPlan, error) {
 	return plan, nil
 }
 
-// Partition selects how Sweep groups targets.
-type Partition int
-
-// Supported partitions.
-const (
-	// KMeansPartition groups targets with Lloyd's algorithm.
-	KMeansPartition Partition = iota
-	// SectorPartition splits targets into angular sectors around the
-	// centroid.
-	SectorPartition
-)
-
-// String implements fmt.Stringer.
-func (p Partition) String() string {
-	switch p {
-	case KMeansPartition:
-		return "kmeans"
-	case SectorPartition:
-		return "sectors"
-	default:
-		return fmt.Sprintf("partition(%d)", int(p))
-	}
-}
-
 // Sweep is the group-patrolling baseline planner.
 type Sweep struct {
 	// Partition selects the grouping method (default k-means).
-	Partition Partition
+	Partition core.PartitionMethod
 	// Rand seeds k-means; nil uses a fixed seed so planning is
 	// deterministic.
 	Rand *xrand.Source
@@ -115,83 +92,39 @@ type Sweep struct {
 // Name implements core.Planner.
 func (sw *Sweep) Name() string { return "Sweep" }
 
-// Plan implements core.Planner: one target group per mule, one circuit
-// per group, each mule assigned to an exclusive group by centroid
-// distance (closest mules settle first, ties by index). The plan is
-// expressed in the group model: one PatrolGroup per region, each
-// patrolled by exactly one mule.
+// Plan implements core.Planner: core.Regions with one region per mule
+// (allocated by count, so each region gets exactly one mule, matched by
+// centroid distance with the closest mules settling first, ties by
+// index), one hull-insertion circuit per region, and each mule entering
+// its circuit at the point nearest its start.
 func (sw *Sweep) Plan(s *field.Scenario) (*core.FleetPlan, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	pts := s.Points()
 	n := s.NumMules()
 	if n > s.NumTargets() {
 		return nil, fmt.Errorf("baseline: Sweep needs at least one target per mule (%d mules, %d targets)",
 			n, s.NumTargets())
 	}
-
-	rnd := sw.Rand
-	if rnd == nil {
-		rnd = xrand.New(1)
-	}
-	var assign []int
-	switch sw.Partition {
-	case KMeansPartition:
-		assign = cluster.KMeans(pts, n, rnd, 100)
-	case SectorPartition:
-		assign = cluster.Sectors(pts, n)
-	default:
-		return nil, fmt.Errorf("baseline: unknown partition %v", sw.Partition)
-	}
-	groups := cluster.Groups(assign, n)
-
-	// Build one circuit (as a walk over global target ids) per group.
-	groupWalks := make([]walk.Walk, n)
-	centroids := make([]geom.Point, n)
-	for g, members := range groups {
-		groupPts := make([]geom.Point, len(members))
-		for i, id := range members {
-			groupPts[i] = pts[id]
-		}
-		centroids[g] = geom.Centroid(groupPts)
-		t := tour.EnsureCCW(groupPts, tour.ConvexHullInsertion(groupPts))
-		seq := make([]int, len(t))
-		for i, local := range t {
-			seq[i] = members[local]
-		}
-		groupWalks[g] = walk.New(seq)
+	cfg := core.PartitionConfig{Method: sw.Partition, K: n, Alloc: core.AllocByCount}
+	groups, err := core.Regions(s, cfg, sw.Rand, func(members []int) (walk.Walk, error) {
+		return core.Circuit(s, members, core.HullInsertion, false)
+	})
+	if err != nil {
+		return nil, err
 	}
 
-	// Unique mule→group matching by centroid distance. Mules settle in
-	// ascending (distance, index) order — like the location
-	// initialization's conflict resolution — so the matching does not
-	// depend on the mules' enumeration order beyond exact ties.
-	capacity := make([]int, n)
-	for g := range capacity {
-		capacity[g] = 1
-	}
-	muleGroup := core.MatchMulesToGroups(s.MuleStarts, centroids, capacity)
-
+	pts := s.Points()
 	plan := &core.FleetPlan{
 		Algorithm: sw.Name(),
-		Groups:    make([]core.PatrolGroup, n),
+		Groups:    groups,
 		Routes:    make([]core.MuleRoute, n),
 	}
 	for g := range plan.Groups {
-		plan.Groups[g] = core.PatrolGroup{
-			Walk:    groupWalks[g],
-			Targets: groups[g],
-		}
-	}
-	for i, g := range muleGroup {
-		w := groupWalks[g]
-		d := w.NearestOffset(pts, s.MuleStarts[i])
-		plan.Routes[i] = core.RouteFromArc(pts, w, d)
+		group := &plan.Groups[g]
+		i := group.Mules[0]
+		d := group.Walk.NearestOffset(pts, s.MuleStarts[i])
+		plan.Routes[i] = core.RouteFromArc(pts, group.Walk, d)
 		entry := plan.Routes[i].Approach[0].Pos
-		plan.Groups[g].Mules = []int{i}
-		plan.Groups[g].StartPoints = []geom.Point{entry}
-		plan.Groups[g].Assignment = []int{0}
+		group.StartPoints = []geom.Point{entry}
+		group.Assignment = []int{0}
 		if dist := s.MuleStarts[i].Dist(entry); dist > plan.MaxApproach {
 			plan.MaxApproach = dist
 		}

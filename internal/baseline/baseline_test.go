@@ -128,7 +128,7 @@ func TestCHBNoLocationInit(t *testing.T) {
 
 func TestSweepPlanValid(t *testing.T) {
 	s := scenario(4, 20, 4)
-	for _, part := range []Partition{KMeansPartition, SectorPartition} {
+	for _, part := range []core.PartitionMethod{core.KMeansMethod, core.SectorsMethod} {
 		sw := &Sweep{Partition: part}
 		p, err := sw.Plan(s)
 		if err != nil {
@@ -250,6 +250,19 @@ func TestSweepTooManyMules(t *testing.T) {
 	}
 }
 
+// TestPlannersRejectInvalidScenario: CHB validates in Plan and Sweep
+// through core.Regions; both report the field validator's error.
+func TestPlannersRejectInvalidScenario(t *testing.T) {
+	s := scenario(8, 12, 3)
+	s.Targets[2].Weight = 0
+	want := s.Validate()
+	for _, p := range []core.Planner{&CHB{}, &Sweep{}, &Sweep{Partition: core.SectorsMethod}} {
+		if _, err := p.Plan(s); err == nil || want == nil || err.Error() != want.Error() {
+			t.Errorf("%s: error %v, want %v", p.Name(), err, want)
+		}
+	}
+}
+
 func TestSweepDeterministicWithNilRand(t *testing.T) {
 	s := scenario(7, 15, 3)
 	a, err := (&Sweep{}).Plan(s)
@@ -323,11 +336,23 @@ func TestRandomRoutersIndependent(t *testing.T) {
 	}
 }
 
+// TestPartitionString: Sweep's partition field is the C-planners'
+// method, k-means by default, under the names the CLI parses.
 func TestPartitionString(t *testing.T) {
-	for _, p := range []Partition{KMeansPartition, SectorPartition, Partition(9)} {
-		if p.String() == "" {
-			t.Fatal("empty partition name")
+	if got := (Sweep{}).Partition.String(); got != "kmeans" {
+		t.Fatalf("default Sweep partition = %q, want kmeans", got)
+	}
+	for _, name := range []string{"kmeans", "sectors"} {
+		m, err := core.ParsePartitionMethod(name)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if got := (Sweep{Partition: m}).Partition.String(); got != name {
+			t.Fatalf("Sweep partition %q renders as %q", name, got)
+		}
+	}
+	if (Sweep{Partition: 9}).Partition.String() == "" {
+		t.Fatal("empty partition name")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"tctp/internal/field"
+	"tctp/internal/geom"
 	"tctp/internal/tour"
 	"tctp/internal/walk"
 )
@@ -66,7 +67,10 @@ func (b *BTCTP) Name() string { return "B-TCTP" }
 // the location-initialization assignment sends exactly one mule to
 // each arc endpoint.
 func (b *BTCTP) Plan(s *field.Scenario) (*FleetPlan, error) {
-	circuit, err := b.buildCircuit(s)
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	circuit, err := Circuit(s, nil, b.Heuristic, b.Improve)
 	if err != nil {
 		return nil, err
 	}
@@ -78,29 +82,63 @@ func (b *BTCTP) Plan(s *field.Scenario) (*FleetPlan, error) {
 	return plan, nil
 }
 
-// buildCircuit constructs the common Hamiltonian circuit as a walk.
-func (b *BTCTP) buildCircuit(s *field.Scenario) (walk.Walk, error) {
-	if err := s.Validate(); err != nil {
+// Circuit builds a counterclockwise Hamiltonian circuit over the member
+// targets (global ids; nil means every target) with heuristic h, then
+// 2-opt when improve is set, and returns it as a walk over global
+// target ids. The nearest-neighbour tour starts at the sink when the
+// sink is a member. Every planner's circuit comes from here: B-TCTP,
+// W-TCTP and CHB over all targets, and C-BTCTP, C-WTCTP, Sweep and the
+// absorb replan per region. The scenario must already be valid.
+func Circuit(s *field.Scenario, members []int, h TourHeuristic, improve bool) (walk.Walk, error) {
+	if members == nil {
+		// Every target: the kernel runs on the scenario's points
+		// as they are, with no subset copy.
+		t, err := circuit(s.Points(), s.SinkID, h, improve)
+		if err != nil {
+			return walk.Walk{}, err
+		}
+		return walk.Walk{Seq: t}, nil
+	}
+	sub := make([]geom.Point, len(members))
+	start := 0
+	for i, id := range members {
+		sub[i] = s.Targets[id].Pos
+		if id == s.SinkID {
+			start = i
+		}
+	}
+	t, err := circuit(sub, start, h, improve)
+	if err != nil {
 		return walk.Walk{}, err
 	}
-	pts := s.Points()
+	for i, local := range t {
+		t[i] = members[local]
+	}
+	return walk.Walk{Seq: t}, nil
+}
+
+// circuit is the tour kernel behind Circuit: heuristic h over pts (the
+// nearest-neighbour tour starts at index start), optional 2-opt, and
+// counterclockwise orientation. The tour is freshly allocated, so
+// Circuit relabels it in place and wraps it without a copy.
+func circuit(pts []geom.Point, start int, h TourHeuristic, improve bool) (tour.Tour, error) {
 	var t tour.Tour
-	switch b.Heuristic {
+	switch h {
 	case HullInsertion:
 		t = tour.ConvexHullInsertion(pts)
 	case NearestNeighborTour:
-		t = tour.NearestNeighbor(pts, s.SinkID)
+		t = tour.NearestNeighbor(pts, start)
 	case GreedyEdgeTour:
 		t = tour.GreedyEdge(pts)
 	default:
-		return walk.Walk{}, fmt.Errorf("core: unknown tour heuristic %v", b.Heuristic)
+		return nil, fmt.Errorf("core: unknown tour heuristic %v", h)
 	}
-	if b.Improve {
+	if improve {
 		t = tour.TwoOpt(pts, t)
 	}
 	t = tour.EnsureCCW(pts, t)
 	if err := tour.Validate(t, len(pts)); err != nil {
-		return walk.Walk{}, fmt.Errorf("core: circuit construction: %w", err)
+		return nil, fmt.Errorf("core: circuit construction: %w", err)
 	}
-	return walk.New(t), nil
+	return t, nil
 }

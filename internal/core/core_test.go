@@ -379,7 +379,7 @@ func TestWTCTPNoVIPsEqualsCircuit(t *testing.T) {
 	if err := wpp.Validate(s.NumTargets(), nil); err != nil {
 		t.Fatal(err)
 	}
-	base, err := (&BTCTP{}).buildCircuit(s)
+	base, err := Circuit(s, nil, HullInsertion, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,7 +450,7 @@ func TestWTCTPBalancingBalancesBetter(t *testing.T) {
 func TestWTCTPWPPLongerThanBase(t *testing.T) {
 	s := scenario(33, 15, 2)
 	s.AssignVIPs(xrand.New(34), 2, 3)
-	base, err := (&BTCTP{}).buildCircuit(s)
+	base, err := Circuit(s, nil, HullInsertion, false)
 	if err != nil {
 		t.Fatal(err)
 	}

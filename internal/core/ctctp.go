@@ -6,12 +6,14 @@ package core
 // target set into k regions (k-means or angular sectors, independent
 // of the fleet size), build one circuit — or one WPP — per region, and
 // then run B-TCTP's start-point partition and location initialization
-// machinery per region. The motivation is the paper's own clustered
-// deployments: when targets sit in disconnected discs, a global tour
-// wastes travel crossing the gaps every cycle, while per-region tours
-// keep each mule inside one disc (the partitioned strategies of
-// Scherer & Rinner, arXiv:1906.11539, and the facility-location mule
-// coordination of Hermelin et al., arXiv:1702.04142).
+// machinery per region. Regions is that pipeline up to the per-region
+// placement; the Sweep baseline calls it too. The motivation is the
+// paper's own clustered deployments: when targets sit in disconnected
+// discs, a global tour wastes travel crossing the gaps every cycle,
+// while per-region tours keep each mule inside one disc (the
+// partitioned strategies of Scherer & Rinner, arXiv:1906.11539, and
+// the facility-location mule coordination of Hermelin et al.,
+// arXiv:1702.04142).
 
 import (
 	"fmt"
@@ -22,7 +24,6 @@ import (
 	"tctp/internal/field"
 	"tctp/internal/geom"
 	"tctp/internal/geom/index"
-	"tctp/internal/tour"
 	"tctp/internal/walk"
 	"tctp/internal/xrand"
 )
@@ -175,8 +176,8 @@ func (c *CBTCTP) Name() string { return fmt.Sprintf("C-BTCTP(%s)", c.Config) }
 
 // Plan implements Planner.
 func (c *CBTCTP) Plan(s *field.Scenario) (*FleetPlan, error) {
-	groups, err := partitionGroups(s, c.Config, c.Rand, func(members []int) (walk.Walk, error) {
-		return buildGroupCircuit(s, members, c.Heuristic, c.Improve)
+	groups, err := Regions(s, c.Config, c.Rand, func(members []int) (walk.Walk, error) {
+		return Circuit(s, members, c.Heuristic, c.Improve)
 	})
 	if err != nil {
 		return nil, err
@@ -205,14 +206,15 @@ func (c *CWTCTP) Name() string {
 	return fmt.Sprintf("C-WTCTP(%s,%s)", c.Policy, c.Config)
 }
 
-// Plan implements Planner.
+// Plan implements Planner. One random source serves every region's
+// RandomBreak choices, in region order.
 func (c *CWTCTP) Plan(s *field.Scenario) (*FleetPlan, error) {
 	rnd := c.Rand
 	if rnd == nil {
 		rnd = xrand.New(0)
 	}
-	groups, err := partitionGroups(s, c.Config, c.Rand, func(members []int) (walk.Walk, error) {
-		return c.buildGroupWPP(s, members, rnd)
+	groups, err := Regions(s, c.Config, c.Rand, func(members []int) (walk.Walk, error) {
+		return c.wpp(s, members, rnd)
 	})
 	if err != nil {
 		return nil, err
@@ -225,63 +227,16 @@ func (c *CWTCTP) Plan(s *field.Scenario) (*FleetPlan, error) {
 	return plan, nil
 }
 
-// buildGroupWPP builds one region's WPP: the region circuit extended
-// with w−1 extra occurrences of every member VIP (descending weight,
-// ascending id — the same priority order as the global WPP), then
-// re-traversed under the angle rule unless disabled.
-func (c *CWTCTP) buildGroupWPP(s *field.Scenario, members []int, rnd *xrand.Source) (walk.Walk, error) {
-	w, err := buildGroupCircuit(s, members, c.Heuristic, c.Improve)
-	if err != nil {
-		return walk.Walk{}, err
-	}
-	pts := s.Points()
-
-	var vips []int
-	for _, id := range members {
-		if s.Targets[id].IsVIP() {
-			vips = append(vips, id)
-		}
-	}
-	sort.Slice(vips, func(a, b int) bool {
-		wa, wb := s.Targets[vips[a]].Weight, s.Targets[vips[b]].Weight
-		if wa != wb {
-			return wa > wb
-		}
-		return vips[a] < vips[b]
-	})
-	for _, vip := range vips {
-		weight := s.Targets[vip].Weight
-		for x := 1; x < weight; x++ {
-			pos, err := c.selectBreakEdge(pts, w, vip, rnd)
-			if err != nil {
-				return walk.Walk{}, err
-			}
-			w = w.InsertAfter(pos, vip)
-		}
-	}
-	if !c.DisableAngleRule {
-		w = TraverseAngleRule(pts, w)
-	}
-	// Per-region Definition 3: member targets occur as often as their
-	// weight, non-members not at all.
-	want := make([]int, s.NumTargets())
-	for _, id := range members {
-		want[id] = s.Targets[id].Weight
-	}
-	if err := w.Validate(s.NumTargets(), want); err != nil {
-		return walk.Walk{}, fmt.Errorf("core: region WPP construction: %w", err)
-	}
-	return w, nil
-}
-
-// circuitBuilder builds one region's walk from its member target ids.
-type circuitBuilder func(members []int) (walk.Walk, error)
-
-// partitionGroups runs the shared partition pipeline of the C-planners:
-// split the targets into cfg.K regions, build each region's walk,
-// allocate mules to regions under the configured policy, and match the
-// physical mules to regions by proximity.
-func partitionGroups(s *field.Scenario, cfg PartitionConfig, src *xrand.Source, build circuitBuilder) ([]groupSpec, error) {
+// Regions validates the scenario and splits it into cfg.K patrol
+// regions: it partitions the targets with cfg.Method (src seeds
+// k-means; nil means a fixed seed), builds each region's walk with
+// build (given the region's member target ids, ascending), and staffs
+// the regions with the fleet under cfg.Alloc. The groups carry Walk,
+// Targets and Mules; start points and assignments are left to the
+// caller. C-BTCTP and C-WTCTP place each region's mules by location
+// initialization; Sweep (K = fleet size) gives each mule its own region
+// and lets it enter at the nearest point.
+func Regions(s *field.Scenario, cfg PartitionConfig, src *xrand.Source, build func(members []int) (walk.Walk, error)) ([]PatrolGroup, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -292,8 +247,7 @@ func partitionGroups(s *field.Scenario, cfg PartitionConfig, src *xrand.Source, 
 	if k > s.NumTargets() {
 		return nil, fmt.Errorf("core: partition k=%d exceeds %d targets", k, s.NumTargets())
 	}
-	n := s.NumMules()
-	if n < k {
+	if n := s.NumMules(); n < k {
 		return nil, fmt.Errorf("core: %d regions need at least %d mules, fleet has %d", k, k, n)
 	}
 
@@ -301,91 +255,71 @@ func partitionGroups(s *field.Scenario, cfg PartitionConfig, src *xrand.Source, 
 	var assign []int
 	switch cfg.Method {
 	case KMeansMethod:
-		rnd := src
-		if rnd == nil {
-			rnd = xrand.New(1)
+		if src == nil {
+			src = xrand.New(1)
 		}
-		assign = cluster.KMeans(pts, k, rnd, 100)
+		assign = cluster.KMeans(pts, k, src, 100)
 	case SectorsMethod:
 		assign = cluster.Sectors(pts, k)
 	default:
 		return nil, fmt.Errorf("core: unknown partition method %v", cfg.Method)
 	}
 	members := cluster.Groups(assign, k)
-
 	walks := make([]walk.Walk, k)
-	weights := make([]float64, k)
-	centroids := make([]geom.Point, k)
 	for g, m := range members {
 		w, err := build(m)
 		if err != nil {
 			return nil, fmt.Errorf("core: region %d (%d targets): %w", g, len(m), err)
 		}
 		walks[g] = w
-		groupPts := make([]geom.Point, len(m))
-		for i, id := range m {
-			groupPts[i] = pts[id]
-		}
-		centroids[g] = geom.Centroid(groupPts)
-		switch cfg.Alloc {
+	}
+	return staffRegions(s, pts, members, walks, cfg.Alloc)
+}
+
+// staffRegions divides the fleet among the regions (member target ids
+// and walk per region) under alloc and matches the physical mules to
+// regions by proximity of their starts to the region centroids. Regions
+// and AbsorbReplan share it.
+func staffRegions(s *field.Scenario, pts []geom.Point, members [][]int, walks []walk.Walk, alloc AllocPolicy) ([]PatrolGroup, error) {
+	weights := make([]float64, len(members))
+	centroids := make([]geom.Point, len(members))
+	for g, m := range members {
+		centroids[g] = centroidOf(pts, m)
+		switch alloc {
 		case AllocByLength:
-			weights[g] = w.Length(pts)
+			weights[g] = walks[g].Length(pts)
 		case AllocByCount:
 			weights[g] = float64(len(m))
 		default:
-			return nil, fmt.Errorf("core: unknown allocation policy %v", cfg.Alloc)
+			return nil, fmt.Errorf("core: unknown allocation policy %v", alloc)
 		}
 	}
-
-	counts := allocateMules(n, weights)
+	counts := allocateMules(s.NumMules(), weights)
 	muleGroup := MatchMulesToGroups(s.MuleStarts, centroids, counts)
 
-	groups := make([]groupSpec, k)
+	groups := make([]PatrolGroup, len(members))
 	for g := range groups {
-		groups[g] = groupSpec{walk: walks[g], targets: members[g]}
+		groups[g] = PatrolGroup{Walk: walks[g], Targets: members[g]}
 	}
 	for mi, g := range muleGroup {
-		groups[g].mules = append(groups[g].mules, mi)
+		groups[g].Mules = append(groups[g].Mules, mi)
 	}
 	return groups, nil
 }
 
-// buildGroupCircuit constructs one region's Hamiltonian circuit as a
-// walk over global target ids, mirroring BTCTP.buildCircuit on the
-// member subset.
-func buildGroupCircuit(s *field.Scenario, members []int, h TourHeuristic, improve bool) (walk.Walk, error) {
-	pts := s.Points()
-	groupPts := make([]geom.Point, len(members))
-	start := 0 // local tour start: the sink when it is a member
-	for i, id := range members {
-		groupPts[i] = pts[id]
-		if id == s.SinkID {
-			start = i
-		}
+// centroidOf is geom.Centroid of the points with the given ids, summed
+// in the same order (so bit-identical) without copying them out.
+func centroidOf(pts []geom.Point, ids []int) geom.Point {
+	if len(ids) == 0 {
+		panic("core: centroid of an empty region")
 	}
-	var t tour.Tour
-	switch h {
-	case HullInsertion:
-		t = tour.ConvexHullInsertion(groupPts)
-	case NearestNeighborTour:
-		t = tour.NearestNeighbor(groupPts, start)
-	case GreedyEdgeTour:
-		t = tour.GreedyEdge(groupPts)
-	default:
-		return walk.Walk{}, fmt.Errorf("core: unknown tour heuristic %v", h)
+	var sx, sy float64
+	for _, id := range ids {
+		sx += pts[id].X
+		sy += pts[id].Y
 	}
-	if improve {
-		t = tour.TwoOpt(groupPts, t)
-	}
-	t = tour.EnsureCCW(groupPts, t)
-	if err := tour.Validate(t, len(groupPts)); err != nil {
-		return walk.Walk{}, fmt.Errorf("core: region circuit construction: %w", err)
-	}
-	seq := make([]int, len(t))
-	for i, local := range t {
-		seq[i] = members[local]
-	}
-	return walk.New(seq), nil
+	n := float64(len(ids))
+	return geom.Point{X: sx / n, Y: sy / n}
 }
 
 // allocateMules divides n mules among regions with the given weights:

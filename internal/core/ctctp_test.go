@@ -5,6 +5,7 @@ import (
 
 	"tctp/internal/field"
 	"tctp/internal/geom"
+	"tctp/internal/walk"
 	"tctp/internal/xrand"
 )
 
@@ -301,4 +302,43 @@ func TestMatchMulesToGroupsPanicsOnBadCapacity(t *testing.T) {
 		}
 	}()
 	MatchMulesToGroups(make([]geom.Point, 3), make([]geom.Point, 2), []int{1, 1})
+}
+
+// TestPublicEntriesValidate: validation lives at the public entries
+// only, so each of them must still refuse an invalid scenario with the
+// field validator's error before any planning starts.
+func TestPublicEntriesValidate(t *testing.T) {
+	s := clusteredScenario(6, 12, 3)
+	s.HasRecharge = true
+	s.Targets[3].Weight = 0
+	cfg := PartitionConfig{Method: KMeansMethod, K: 2}
+	want := s.Validate()
+	if want == nil {
+		t.Fatal("scenario unexpectedly valid")
+	}
+	entries := map[string]func() error{
+		"B-TCTP":   func() error { _, err := (&BTCTP{}).Plan(s); return err },
+		"W-TCTP":   func() error { _, err := (&WTCTP{}).Plan(s); return err },
+		"RW-TCTP":  func() error { _, err := (&RWTCTP{}).Plan(s); return err },
+		"C-BTCTP":  func() error { _, err := (&CBTCTP{Config: cfg}).Plan(s); return err },
+		"C-WTCTP":  func() error { _, err := (&CWTCTP{Config: cfg}).Plan(s); return err },
+		"BuildWPP": func() error { _, err := (&WTCTP{}).BuildWPP(s); return err },
+		"Regions": func() error {
+			_, err := Regions(s, cfg, nil, func(members []int) (walk.Walk, error) {
+				t.Fatal("Regions built a region of an invalid scenario")
+				return walk.Walk{}, nil
+			})
+			return err
+		},
+		"AbsorbReplan": func() error {
+			prev := []PatrolGroup{{Targets: SeqIDs(s.NumTargets()), Mules: SeqIDs(s.NumMules())}}
+			_, err := AbsorbReplan(s, prev, nil, nil, nil, ReplanConfig{})
+			return err
+		},
+	}
+	for name, entry := range entries {
+		if err := entry(); err == nil || err.Error() != want.Error() {
+			t.Errorf("%s: error %v, want %v", name, err, want)
+		}
+	}
 }

@@ -18,6 +18,23 @@
 //     one WRP traversal so mules recharge before exhausting their
 //     batteries.
 //
+// The partitioned variants C-BTCTP and C-WTCTP run the same path
+// construction per region. Every planner, the §V baselines in
+// internal/baseline included, is built from the same few steps, each
+// written once:
+//
+//   - Circuit: the Hamiltonian circuit over all targets or a region,
+//     holding the only tour-heuristic switch;
+//   - the W-TCTP WPP builder, over all targets or a region;
+//   - Regions: partition, per-region walks, mule allocation and
+//     mule-to-region matching (its allocation and matching tail is
+//     shared with AbsorbReplan);
+//   - assembleGroups: the equal-arc start points and location
+//     initialization per group.
+//
+// Validation happens once, at the public entries (each Plan, BuildWPP,
+// Regions, AbsorbReplan); the private steps assume a valid scenario.
+//
 // Planners emit a FleetPlan — a purely geometric artifact (walks,
 // start points, per-mule routes) that internal/patrol turns into a
 // running simulation.
@@ -409,16 +426,6 @@ func RoutesFromArcs(pts []geom.Point, w walk.Walk, ds []float64) []MuleRoute {
 	return out
 }
 
-// groupSpec is the planner-side description of one patrol group before
-// fleet assembly: the walk over global target ids, the member target
-// ids (ascending), and the global indices of the mules assigned to it
-// (ascending).
-type groupSpec struct {
-	walk    walk.Walk
-	targets []int
-	mules   []int
-}
-
 // SeqIDs returns 0..n-1: the member list of a degenerate one-group
 // plan (every target, every mule). Baselines building such plans by
 // hand (CHB) share it.
@@ -434,15 +441,13 @@ func SeqIDs(n int) []int {
 // applying B-TCTP's §2.2 machinery per group: each group's walk is
 // rotated to its most-north target and partitioned into equal-length
 // arcs, and the group's mules run the location-initialization
-// assignment against those start points. anchors[i] is mule i's loop
-// anchor (the walk position of its first stop), which RW-TCTP needs to
-// locate the recharge insertion point. energies (nil = all equal) are
-// indexed by global mule id; dwell feeds the per-group
-// phase-equalizing holds.
-func assembleGroups(s *field.Scenario, groups []groupSpec, energies []float64, dwell float64) (*FleetPlan, []int, error) {
-	if err := s.Validate(); err != nil {
-		return nil, nil, err
-	}
+// assignment against those start points. Only each group's Walk,
+// Targets and Mules are read. anchors[i] is mule i's loop anchor (the
+// walk position of its first stop), which RW-TCTP needs to locate the
+// recharge insertion point. energies (nil = all equal) are indexed by
+// global mule id; dwell feeds the per-group phase-equalizing holds.
+// The scenario must already be valid.
+func assembleGroups(s *field.Scenario, groups []PatrolGroup, energies []float64, dwell float64) (*FleetPlan, []int, error) {
 	pts := s.Points()
 	plan := &FleetPlan{
 		Groups: make([]PatrolGroup, len(groups)),
@@ -450,18 +455,18 @@ func assembleGroups(s *field.Scenario, groups []groupSpec, energies []float64, d
 	}
 	anchors := make([]int, s.NumMules())
 	for gi, g := range groups {
-		if len(g.mules) == 0 {
-			return nil, nil, fmt.Errorf("core: group %d (%d targets) has no mules", gi, len(g.targets))
+		if len(g.Mules) == 0 {
+			return nil, nil, fmt.Errorf("core: group %d (%d targets) has no mules", gi, len(g.Targets))
 		}
-		w := g.walk.RotateToNorthmost(pts)
-		n := len(g.mules)
+		w := g.Walk.RotateToNorthmost(pts)
+		n := len(g.Mules)
 		startPts := w.StartPoints(pts, n)
 		muleStarts := make([]geom.Point, n)
 		var groupEnergies []float64
 		if energies != nil {
 			groupEnergies = make([]float64, n)
 		}
-		for k, mi := range g.mules {
+		for k, mi := range g.Mules {
 			muleStarts[k] = s.MuleStarts[mi]
 			if energies != nil {
 				groupEnergies[k] = energies[mi]
@@ -475,7 +480,7 @@ func assembleGroups(s *field.Scenario, groups []groupSpec, energies []float64, d
 		offsets := w.ArcOffsets(pts)
 		holds := make([]float64, n)
 		minHold := math.Inf(1)
-		for k, mi := range g.mules {
+		for k, mi := range g.Mules {
 			spIdx := assign[k]
 			sp := startPts[spIdx]
 			d := float64(spIdx) * total / float64(n)
@@ -502,13 +507,13 @@ func assembleGroups(s *field.Scenario, groups []groupSpec, energies []float64, d
 				}},
 			}
 		}
-		for k, mi := range g.mules {
+		for k, mi := range g.Mules {
 			plan.Routes[mi].ExtraHold = holds[k] - minHold
 		}
 		plan.Groups[gi] = PatrolGroup{
 			Walk:        w,
-			Targets:     g.targets,
-			Mules:       g.mules,
+			Targets:     g.Targets,
+			Mules:       g.Mules,
 			StartPoints: startPts,
 			Assignment:  assign,
 		}
@@ -519,11 +524,8 @@ func assembleGroups(s *field.Scenario, groups []groupSpec, energies []float64, d
 // assembleFleet builds the degenerate one-group plan for a common
 // walk: every target and every mule in a single patrol group. It is
 // shared by B-TCTP, W-TCTP, and RW-TCTP; the partitioned planners call
-// assembleGroups with their own partition.
+// assembleGroups with the groups Regions returns.
 func assembleFleet(s *field.Scenario, w walk.Walk, energies []float64, dwell float64) (*FleetPlan, []int, error) {
-	if err := s.Validate(); err != nil {
-		return nil, nil, err
-	}
-	g := groupSpec{walk: w, targets: SeqIDs(s.NumTargets()), mules: SeqIDs(s.NumMules())}
-	return assembleGroups(s, []groupSpec{g}, energies, dwell)
+	g := PatrolGroup{Walk: w, Targets: SeqIDs(s.NumTargets()), Mules: SeqIDs(s.NumMules())}
+	return assembleGroups(s, []PatrolGroup{g}, energies, dwell)
 }

@@ -58,7 +58,7 @@ func goldenPlanners(seed uint64) map[string][]core.Planner {
 	policies := []core.BreakPolicy{core.ShortestLength, core.BalancingLength, core.RandomBreak}
 	ps := map[string][]core.Planner{
 		"chb":   {&baseline.CHB{}},
-		"sweep": {&baseline.Sweep{Rand: xrand.New(seed)}, &baseline.Sweep{Partition: baseline.SectorPartition}},
+		"sweep": {&baseline.Sweep{Rand: xrand.New(seed)}, &baseline.Sweep{Partition: core.SectorsMethod}},
 	}
 	for _, h := range heuristics {
 		for _, improve := range []bool{false, true} {

@@ -256,11 +256,7 @@ func AbsorbReplan(s *field.Scenario, prev []PatrolGroup, active, alive []bool, p
 	pts := view.Points()
 	centroids := make([]geom.Point, len(surv))
 	for si := range surv {
-		groupPts := make([]geom.Point, len(members[si]))
-		for i, li := range members[si] {
-			groupPts[i] = pts[li]
-		}
-		centroids[si] = geom.Centroid(groupPts)
+		centroids[si] = centroidOf(pts, members[si])
 	}
 	nearest := func(p geom.Point) int {
 		best, bestD := 0, p.Dist2(centroids[0])
@@ -287,11 +283,7 @@ func AbsorbReplan(s *field.Scenario, prev []PatrolGroup, active, alive []bool, p
 		if len(block) == 0 {
 			continue
 		}
-		blockPts := make([]geom.Point, len(block))
-		for i, li := range block {
-			blockPts[i] = pts[li]
-		}
-		si := nearest(geom.Centroid(blockPts))
+		si := nearest(centroidOf(pts, block))
 		members[si] = append(members[si], block...)
 		changed[si] = true
 	}
@@ -305,42 +297,29 @@ func AbsorbReplan(s *field.Scenario, prev []PatrolGroup, active, alive []bool, p
 	}
 
 	// Circuits: rebuild where the target set changed, remap otherwise.
+	globalToView := make([]int, s.NumTargets())
+	for li, t := range tids {
+		globalToView[t] = li
+	}
 	walks := make([]walk.Walk, len(surv))
-	weights := make([]float64, len(surv))
 	for si, gi := range surv {
 		sort.Ints(members[si])
-		if changed[si] {
-			w, err := buildGroupCircuit(view, members[si], cfg.Heuristic, cfg.Improve)
-			if err != nil {
-				return nil, fmt.Errorf("core: replan group %d: %w", gi, err)
-			}
-			walks[si] = w
-		} else {
-			globalToView := make([]int, s.NumTargets())
-			for li, t := range tids {
-				globalToView[t] = li
-			}
+		if !changed[si] {
 			walks[si] = remapWalk(prev[gi].Walk, globalToView)
+			continue
 		}
-		weights[si] = walks[si].Length(pts)
-		groupPts := make([]geom.Point, len(members[si]))
-		for i, li := range members[si] {
-			groupPts[i] = pts[li]
+		w, err := Circuit(view, members[si], cfg.Heuristic, cfg.Improve)
+		if err != nil {
+			return nil, fmt.Errorf("core: replan group %d: %w", gi, err)
 		}
-		centroids[si] = geom.Centroid(groupPts)
+		walks[si] = w
+	}
+	regions, err := staffRegions(view, pts, members, walks, AllocByLength)
+	if err != nil {
+		return nil, err
 	}
 
-	counts := allocateMules(len(mids), weights)
-	muleGroup := MatchMulesToGroups(view.MuleStarts, centroids, counts)
-	specs := make([]groupSpec, len(surv))
-	for si := range surv {
-		specs[si] = groupSpec{walk: walks[si], targets: members[si]}
-	}
-	for mi, si := range muleGroup {
-		specs[si].mules = append(specs[si].mules, mi)
-	}
-
-	plan, _, err := assembleGroups(view, specs, nil, effectiveDwell(cfg.Dwell))
+	plan, _, err := assembleGroups(view, regions, nil, effectiveDwell(cfg.Dwell))
 	if err != nil {
 		return nil, err
 	}

@@ -90,22 +90,46 @@ func (wt *WTCTP) Plan(s *field.Scenario) (*FleetPlan, error) {
 	return plan, nil
 }
 
-// BuildWPP constructs the Weighted Patrolling Path for the scenario:
-// a closed walk in which every weight-w VIP occurs w times
+// BuildWPP validates the scenario and constructs its Weighted
+// Patrolling Path over every target.
+func (wt *WTCTP) BuildWPP(s *field.Scenario) (walk.Walk, error) {
+	if err := s.Validate(); err != nil {
+		return walk.Walk{}, err
+	}
+	rnd := wt.Rand
+	if rnd == nil {
+		rnd = xrand.New(0)
+	}
+	return wt.wpp(s, nil, rnd)
+}
+
+// wpp builds the WPP over the member targets (nil means every target;
+// C-WTCTP passes one region at a time): a closed walk in which every
+// member VIP of weight w occurs w times and no non-member occurs at all
 // (Definition 3 holds by construction; see walk.CyclesAt for the cycle
 // decomposition). VIPs are processed in descending weight order
-// (priority p_i = w_i, §3.1-B), each contributing w_i − 1 break-edge
-// insertions chosen by the configured policy.
-func (wt *WTCTP) BuildWPP(s *field.Scenario) (walk.Walk, error) {
-	base := &BTCTP{Heuristic: wt.Heuristic, Improve: wt.Improve}
-	w, err := base.buildCircuit(s)
+// (priority p_i = w_i, §3.1-B), ties by ascending id, each
+// contributing w_i − 1 break-edge insertions chosen by the configured
+// policy; rnd drives RandomBreak. The walk is then re-traversed under
+// the §3.2 angle rule unless disabled.
+func (wt *WTCTP) wpp(s *field.Scenario, members []int, rnd *xrand.Source) (walk.Walk, error) {
+	w, err := Circuit(s, members, wt.Heuristic, wt.Improve)
 	if err != nil {
 		return walk.Walk{}, err
 	}
+	if members == nil {
+		members = SeqIDs(s.NumTargets())
+	}
 	pts := s.Points()
 
-	// Descending weight, ascending id: deterministic priority order.
-	vips := s.VIPs()
+	want := make([]int, s.NumTargets())
+	var vips []int
+	for _, id := range members {
+		want[id] = s.Targets[id].Weight
+		if s.Targets[id].IsVIP() {
+			vips = append(vips, id)
+		}
+	}
 	sort.Slice(vips, func(a, b int) bool {
 		wa, wb := s.Targets[vips[a]].Weight, s.Targets[vips[b]].Weight
 		if wa != wb {
@@ -113,12 +137,6 @@ func (wt *WTCTP) BuildWPP(s *field.Scenario) (walk.Walk, error) {
 		}
 		return vips[a] < vips[b]
 	})
-
-	rnd := wt.Rand
-	if rnd == nil {
-		rnd = xrand.New(0)
-	}
-
 	for _, vip := range vips {
 		weight := s.Targets[vip].Weight
 		for x := 1; x < weight; x++ {
@@ -133,7 +151,7 @@ func (wt *WTCTP) BuildWPP(s *field.Scenario) (walk.Walk, error) {
 	if !wt.DisableAngleRule {
 		w = TraverseAngleRule(pts, w)
 	}
-	if err := w.Validate(s.NumTargets(), s.Weights()); err != nil {
+	if err := w.Validate(s.NumTargets(), want); err != nil {
 		return walk.Walk{}, fmt.Errorf("core: WPP construction: %w", err)
 	}
 	return w, nil

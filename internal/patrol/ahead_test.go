@@ -75,10 +75,10 @@ func randomAheadCase(rng *rand.Rand, family string) (s *field.Scenario, alg func
 	switch family {
 	case "sweep-kmeans":
 		alg = func() Algorithm {
-			return Planned(&baseline.Sweep{Partition: baseline.KMeansPartition, Rand: xrand.New(seed)})
+			return Planned(&baseline.Sweep{Partition: core.KMeansMethod, Rand: xrand.New(seed)})
 		}
 	case "sweep-sectors":
-		alg = func() Algorithm { return Planned(&baseline.Sweep{Partition: baseline.SectorPartition}) }
+		alg = func() Algorithm { return Planned(&baseline.Sweep{Partition: core.SectorsMethod}) }
 	case "cbtctp", "cwtctp":
 		var p core.Planner = &core.BTCTP{Dwell: dwell}
 		if family == "cwtctp" {

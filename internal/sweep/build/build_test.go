@@ -94,3 +94,77 @@ func TestSpecScenarioVIPs(t *testing.T) {
 		t.Fatalf("VIP-free preset set the axis: %v", spec.VIPs)
 	}
 }
+
+func TestParseInts(t *testing.T) {
+	got, err := Ints("10, 20,30")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 3 || got[0] != 10 || got[1] != 20 || got[2] != 30 {
+		t.Fatalf("Ints = %v", got)
+	}
+	if _, err := Ints("10,x"); err == nil {
+		t.Fatal("bad integer accepted")
+	}
+}
+
+func TestParseFloats(t *testing.T) {
+	got, err := Floats("1.5, 2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || got[0] != 1.5 || got[1] != 2 {
+		t.Fatalf("Floats = %v", got)
+	}
+	if _, err := Floats("1;2"); err == nil {
+		t.Fatal("bad number accepted")
+	}
+}
+
+func TestParsePlacements(t *testing.T) {
+	got, err := Placements("uniform, clusters")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 {
+		t.Fatalf("Placements = %v", got)
+	}
+	if _, err := Placements("hexgrid"); err == nil {
+		t.Fatal("bad placement accepted")
+	}
+}
+
+func TestAlgorithmSelector(t *testing.T) {
+	for _, name := range []string{"btctp", "wtctp", "chb", "sweep", "random"} {
+		alg, err := Algorithm(name)
+		if err != nil || alg == nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if alg.Name() == "" {
+			t.Fatalf("%s: empty name", name)
+		}
+	}
+	if _, err := Algorithm("nope"); err == nil {
+		t.Fatal("unknown algorithm accepted")
+	}
+}
+
+func TestParseFleetsAndWorkloads(t *testing.T) {
+	fs, err := Fleets("2x2; 1x1+1x3")
+	if err != nil || len(fs) != 2 || fs[1].Size() != 2 {
+		t.Fatalf("Fleets = %v, %v", fs, err)
+	}
+	if _, err := Fleets("2x2;;"); err == nil {
+		t.Fatal("empty fleet spec accepted")
+	}
+	ws, err := Workloads(protocol.SweepRequest{Workloads: "off,on", WorkloadGen: 30, WorkloadBuffer: 5, WorkloadDeadline: 900})
+	if err != nil || len(ws) != 2 {
+		t.Fatalf("Workloads = %v, %v", ws, err)
+	}
+	if ws[0].Enabled() || !ws[1].Enabled() {
+		t.Fatalf("workload enable flags wrong: %v", ws)
+	}
+	if ws[1].Data.GenInterval != 30 || ws[1].Data.BufferCap != 5 || ws[1].Data.Deadline != 900 {
+		t.Fatalf("workload knobs ignored: %+v", ws[1].Data)
+	}
+}

@@ -110,7 +110,6 @@ type Network struct {
 	delivered  int
 	onTime     int
 	overflowed int
-	lostCargo  int
 	latency    stats.Accumulator
 	maxLatency float64
 
@@ -336,7 +335,6 @@ func (nw *Network) collectBurst(muleID, target int, t float64) {
 // OnDeath is the patrol observer event for battery death: the mule's
 // cargo is lost.
 func (nw *Network) OnDeath(muleID int, _ float64, _ geom.Point) {
-	nw.lostCargo += len(nw.cargo[muleID])
 	nw.cargo[muleID] = nil
 }
 

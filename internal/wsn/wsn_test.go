@@ -107,10 +107,10 @@ func TestSinkGeneratesNothing(t *testing.T) {
 func TestDeathLosesCargo(t *testing.T) {
 	nw := New(scenario(), Config{GenInterval: 10})
 	nw.OnVisit(0, 1, 35)
-	nw.OnDeath(0, 40, geom.Pt(0, 0))
-	if nw.lostCargo != 3 {
-		t.Fatalf("LostCargo = %d", nw.lostCargo)
+	if inTransit(nw) != 3 {
+		t.Fatalf("InTransit = %d before death", inTransit(nw))
 	}
+	nw.OnDeath(0, 40, geom.Pt(0, 0))
 	if inTransit(nw) != 0 {
 		t.Fatalf("InTransit = %d after death", inTransit(nw))
 	}
@@ -153,8 +153,8 @@ func TestDefaults(t *testing.T) {
 }
 
 // Conservation property: generated = delivered + in transit +
-// overflowed + lost + still buffered at nodes, for arbitrary visit
-// sequences.
+// overflowed + still buffered at nodes, for arbitrary visit sequences
+// (no mule dies, so no cargo is lost).
 func TestConservationProperty(t *testing.T) {
 	s := scenario()
 	f := func(steps []uint16) bool {
@@ -168,7 +168,7 @@ func TestConservationProperty(t *testing.T) {
 		}
 		// Account for every packet generated by the LAST pickup time
 		// seen per node.
-		accounted := nw.Delivered() + inTransit(nw) + nw.Overflowed() + nw.lostCargo
+		accounted := nw.Delivered() + inTransit(nw) + nw.Overflowed()
 		generatedCollected := 0
 		for i, c := range nw.collected {
 			if i == nw.sinkID {
