@@ -242,6 +242,26 @@ func BenchmarkSimulationExclusive(b *testing.B) {
 	}
 }
 
+// BenchmarkSimulationExclusiveRegions measures one Sweep replication
+// on a 50-target, 4-mule uniform field at the default 100 000 s
+// horizon: each mule runs ahead of the event heap around a region of
+// about 12 stops, the multi-stop cycle that
+// BenchmarkSimulationExclusive's parked mules never exercise.
+func BenchmarkSimulationExclusiveRegions(b *testing.B) {
+	s := field.Generate(field.Config{NumTargets: 50, NumMules: 4, Placement: field.Uniform},
+		xrand.New(5))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		res, err := patrol.Run(s, patrol.Planned(&baseline.Sweep{}), patrol.Options{}, xrand.New(1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.TotalVisits() == 0 {
+			b.Fatal("no visits")
+		}
+	}
+}
+
 // BenchmarkEventEngine measures the bare discrete-event engine.
 func BenchmarkEventEngine(b *testing.B) {
 	b.ReportAllocs()

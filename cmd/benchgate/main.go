@@ -76,9 +76,12 @@
 //     benchmarks, whose allocs/op catch a visit log that regrows:
 //     BenchmarkSimulationThroughput (a 20-target, 4-mule B-TCTP run
 //     over 50 000 s on one shared circuit, almost all simulation on
-//     the event heap) and BenchmarkSimulationExclusive (a 10-target,
+//     the event heap), BenchmarkSimulationExclusive (a 10-target,
 //     8-mule Sweep over 100 000 s, whose mules share no target and so
-//     run ahead of the heap on their own clocks). It also takes the
+//     run ahead of the heap on their own clocks, most of them parked
+//     on one target) and BenchmarkSimulationExclusiveRegions (a
+//     50-target, 4-mule Sweep over 100 000 s, whose mules run ahead
+//     around regions of about 12 stops). It also takes the
 //     two service hot paths whose absolute time is the product:
 //     BenchmarkCacheHitSweep (a fully warm sweep) and
 //     BenchmarkRemoteDispatch (one lease round trip). Their allocs/op
@@ -87,7 +90,7 @@
 //
 // A -bench pattern with a '/' level runs no benchmark that lacks
 // sub-benchmarks, so CI runs the n=1000 ladders, the 2000-iteration
-// set and the two simulation benchmarks in three go test invocations
+// set and the three simulation benchmarks in three go test invocations
 // and feeds their concatenated output to both gates.
 //
 // The BenchmarkPlan*Brute twins are deliberately ungated and excluded

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"tctp/internal/geom"
 	"tctp/internal/stats"
@@ -24,6 +25,9 @@ import (
 // experiment harness parallelizes across independent runs instead).
 type Recorder struct {
 	visits [][]float64
+	// flat is the backing array the logs are carved from, kept so a
+	// RecorderPool can hand it to the next run.
+	flat []float64
 }
 
 // NewRecorderCap returns a recorder for nTargets targets (indexed
@@ -37,26 +41,72 @@ type Recorder struct {
 // recorded values. A nil caps means no preallocation; otherwise it
 // must have one entry per target.
 func NewRecorderCap(nTargets int, caps []int) *Recorder {
+	r := new(Recorder)
+	r.reset(nTargets, caps)
+	return r
+}
+
+// reset empties the recorder for nTargets targets with capacities
+// caps, as NewRecorderCap describes, reusing its log table and
+// backing array where they are large enough. Logs start empty, so no
+// earlier run's timestamps are reachable through them.
+func (r *Recorder) reset(nTargets int, caps []int) {
 	if nTargets <= 0 {
 		panic(fmt.Sprintf("metrics: NewRecorderCap(%d)", nTargets))
 	}
 	if caps != nil && len(caps) != nTargets {
 		panic(fmt.Sprintf("metrics: %d capacities for %d targets", len(caps), nTargets))
 	}
-	r := &Recorder{visits: make([][]float64, nTargets)}
-	if caps != nil {
-		total := 0
-		for _, c := range caps {
-			total += c
-		}
-		flat := make([]float64, total)
-		off := 0
-		for i, c := range caps {
-			r.visits[i] = flat[off : off : off+c]
-			off += c
-		}
+	if cap(r.visits) < nTargets {
+		r.visits = make([][]float64, nTargets)
 	}
+	r.visits = r.visits[:nTargets]
+	if caps == nil {
+		clear(r.visits)
+		return
+	}
+	total := 0
+	for _, c := range caps {
+		total += c
+	}
+	if r.flat == nil || cap(r.flat) < total {
+		r.flat = make([]float64, total)
+	}
+	off := 0
+	for i, c := range caps {
+		r.visits[i] = r.flat[off : off : off+c]
+		off += c
+	}
+}
+
+// RecorderPool recycles recorders, their flat backing arrays above
+// all, from one run to the next, so a caller that runs simulation
+// after simulation does not allocate and zero a visit log per run. It
+// is safe for concurrent use. The nil pool allocates every recorder
+// afresh and keeps none.
+type RecorderPool struct{ pool sync.Pool }
+
+// NewRecorderCap is the package-level NewRecorderCap, reusing a
+// released recorder when the pool has one.
+func (p *RecorderPool) NewRecorderCap(nTargets int, caps []int) *Recorder {
+	if p == nil {
+		return NewRecorderCap(nTargets, caps)
+	}
+	r, _ := p.pool.Get().(*Recorder)
+	if r == nil {
+		return NewRecorderCap(nTargets, caps)
+	}
+	r.reset(nTargets, caps)
 	return r
+}
+
+// Release hands r back to the pool for a later NewRecorderCap. Neither
+// r nor any log read from it may be used afterwards: the next run
+// overwrites them.
+func (p *RecorderPool) Release(r *Recorder) {
+	if p != nil && r != nil {
+		p.pool.Put(r)
+	}
 }
 
 // NumTargets returns the number of tracked targets.
@@ -71,18 +121,41 @@ func (r *Recorder) NumTargets() int { return len(r.visits) }
 // aggregates, FirstVisitAfter and the gap metrics rely on. Calls are
 // not globally time-ordered: a mule that patrols its own targets ahead
 // of the engine (patrol.Run) records its whole run before the others
-// record theirs. Only that mule visits those targets, so each target's
-// visits still arrive in time order, and only a caller outside a
-// simulation can trip the panic.
+// record theirs, most of it through Append. Only that mule visits those
+// targets, so each target's visits still arrive in time order, and
+// only a caller outside a simulation can trip the panic.
 func (r *Recorder) OnVisit(_, target int, t float64) {
 	if target < 0 || target >= len(r.visits) {
 		panic(fmt.Sprintf("metrics: visit to target %d of %d", target, len(r.visits)))
 	}
-	ts := r.visits[target]
+	Append(&r.visits[target], target, t)
+}
+
+// Logs returns the visit logs, indexed by target, for a caller that
+// records visits with Append on &Logs()[target] instead of OnVisit: a
+// mule running its compiled cycle ahead of the engine (mule.RunUntil).
+// The logs are the recorder's own, valid for its lifetime.
+func (r *Recorder) Logs() [][]float64 { return r.visits }
+
+// Append records a visit to target at time t in log, target's log. It
+// panics, as OnVisit does, on a time earlier than the last one logged.
+func Append(log *[]float64, target int, t float64) {
+	ts := *log
 	if n := len(ts); n > 0 && t < ts[n-1] {
-		panic(fmt.Sprintf("metrics: visit to target %d at %v before its last visit at %v", target, t, ts[n-1]))
+		panic(orderError{target, t, ts[n-1]})
 	}
-	r.visits[target] = append(ts, t)
+	*log = append(ts, t)
+}
+
+// orderError is Append's panic value; it formats only when printed,
+// which keeps Append small enough to inline.
+type orderError struct {
+	target  int
+	t, last float64
+}
+
+func (e orderError) Error() string {
+	return fmt.Sprintf("metrics: visit to target %d at %v before its last visit at %v", e.target, e.t, e.last)
 }
 
 // OnDeath completes the patrol.Observer interface; battery deaths do

@@ -197,6 +197,70 @@ func TestPanics(t *testing.T) {
 		r.OnVisit(0, 0, 5) // a repeated timestamp is in order
 		r.OnVisit(0, 0, 4)
 	}()
+	func() {
+		const want = "metrics: visit to target 1 at 4 before its last visit at 5"
+		defer func() {
+			err, ok := recover().(error)
+			if !ok || err.Error() != want {
+				t.Fatalf("out-of-order Append panicked with %v, want %q", err, want)
+			}
+		}()
+		r := NewRecorderCap(2, nil)
+		r.OnVisit(0, 1, 5)
+		Append(&r.Logs()[1], 1, 5)
+		Append(&r.Logs()[1], 1, 4)
+	}()
+}
+
+// TestRecorderPool: a recorder from the pool, released and taken again
+// for another shape, starts with every log empty, carved to the new
+// capacities, and records exactly what a fresh recorder records; the
+// nil pool hands out fresh recorders. Goroutines share one pool.
+func TestRecorderPool(t *testing.T) {
+	var nilPool *RecorderPool
+	if r := nilPool.NewRecorderCap(2, []int{1, 1}); r.NumTargets() != 2 {
+		t.Fatalf("nil pool: %d targets", r.NumTargets())
+	}
+	nilPool.Release(NewRecorderCap(1, nil))
+	var pool RecorderPool
+	done := make(chan struct{})
+	for g := 0; g < 4; g++ {
+		go func(g int) {
+			defer func() { done <- struct{}{} }()
+			src := xrand.New(uint64(g))
+			for i := 0; i < 50; i++ {
+				n := 1 + src.Intn(6)
+				var caps []int
+				if src.Intn(4) > 0 {
+					caps = make([]int, n)
+					for j := range caps {
+						caps[j] = src.Intn(5)
+					}
+				}
+				r, fresh := pool.NewRecorderCap(n, caps), NewRecorderCap(n, caps)
+				for id := 0; id < n; id++ {
+					if got := r.VisitTimes(id); len(got) != 0 || caps != nil && cap(got) != caps[id] {
+						t.Errorf("target %d of a pooled recorder starts with %v (cap %d), capacities %v",
+							id, got, cap(got), caps)
+					}
+				}
+				for k := src.Intn(20); k > 0; k-- {
+					id, at := src.Intn(n), float64(k)
+					r.OnVisit(0, id, -at)
+					fresh.OnVisit(0, id, -at)
+				}
+				for id := 0; id < n; id++ {
+					if !slices.Equal(r.VisitTimes(id), fresh.VisitTimes(id)) {
+						t.Errorf("target %d: pooled %v, fresh %v", id, r.VisitTimes(id), fresh.VisitTimes(id))
+					}
+				}
+				pool.Release(r)
+			}
+		}(g)
+	}
+	for g := 0; g < 4; g++ {
+		<-done
+	}
 }
 
 // Property: for any monotone visit sequence, intervals are positive

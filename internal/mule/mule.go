@@ -22,8 +22,12 @@
 // at all: RunUntil runs the same legs back to back on the mule's own
 // clock, in place of Launch, and spends no event. arrive and depart
 // take the instant they act at as a parameter, so the engine handlers
-// and RunUntil share every line of leg bookkeeping; patrol.Run decides
-// which mules may run ahead.
+// and RunUntil share their leg bookkeeping; patrol.Run decides which
+// mules may run ahead. A fixed route is a Route, whose cycle is a leg
+// table walked by a cursor; compiled for the mule, it lets RunUntil run
+// the cycle in a tight loop over the table, with the float expressions
+// of depart and arrive in their order, and append each visit straight
+// to its target's log.
 package mule
 
 import (
@@ -130,6 +134,7 @@ type Mule struct {
 	visits    int
 	energyUse float64
 	recharges int
+	cycleLegs int
 }
 
 // New creates a mule bound to the engine. It panics on invalid
@@ -181,12 +186,27 @@ func (m *Mule) Recharges() int { return m.recharges }
 // battery and callbacks touch nothing another mule or event reads or
 // writes, and no callback depends on the order of visits across mules.
 // Kill and Reroute have nothing to cancel on a mule that ran ahead.
+//
+// A mule without a battery whose router is a compiled Route runs the
+// route's cycle from its leg table: no Next call, no square root, no
+// callback per leg, each visit appended straight to its target's log
+// (see Route.Compile). Only the legs the table cannot serve go through
+// depart and arrive: the approach, a first cycle leg that starts off
+// the table's from point, a recharge stop, and the final leg, which
+// stays in flight.
 func (m *Mule) RunUntil(t float64) {
 	if m.dead || m.parked {
 		return
 	}
+	r, _ := m.cfg.Router.(*Route)
+	if r != nil && (r.logs == nil || m.cfg.Battery != nil) {
+		r = nil
+	}
 	dep := m.eng.Now()
 	for {
+		if r != nil && r.done == len(r.approach) {
+			dep = m.runCycle(r, dep, t)
+		}
 		d, ok := m.depart(dep)
 		if !ok || dep+d > t {
 			return
@@ -196,6 +216,10 @@ func (m *Mule) RunUntil(t float64) {
 		}
 	}
 }
+
+// CycleLegs returns how many legs RunUntil ran from a compiled Route's
+// leg table rather than through the router.
+func (m *Mule) CycleLegs() int { return m.cycleLegs }
 
 // advance starts a leg from where the mule stands, now: the first leg
 // after Launch or Reroute.

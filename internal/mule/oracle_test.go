@@ -562,7 +562,11 @@ func (sc oracleScenario) solo(j int, ahead bool, horizon float64) []string {
 // requires the same callbacks, final statistics and leg in flight:
 // battery deaths mid-leg and mid-collection, recharges, holds, parked
 // routes, and horizons that land exactly on an arrival, which both
-// runs must book.
+// runs must book. Then it does the same for mules on plan-like routes
+// whose cycle RunUntil runs from a compiled leg table, and requires
+// the same visit logs: parked one-target routes, multi-stop cycles,
+// repeated phases, approaches that end on and off the table's entry
+// point, horizons on an arrival and zero dwell.
 func TestRunUntilMatchesEngine(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	var onArrival, deaths int
@@ -603,5 +607,57 @@ func TestRunUntilMatchesEngine(t *testing.T) {
 	}
 	if onArrival == 0 || deaths == 0 {
 		t.Fatalf("horizons on an arrival %d, deaths %d: the scenarios miss a case", onArrival, deaths)
+	}
+
+	var tabled, parked, multiStop, repeated, offEntry, tableArrival, noDwell int
+	for i := 0; i < 2000; i++ {
+		c := randomCycleCase(rng)
+		horizon := float64(100 + rng.Intn(700))
+		onArrival := false
+		if rng.Intn(2) == 0 {
+			if arr := c.arrivals(horizon); len(arr) > 0 {
+				horizon, onArrival = arr[rng.Intn(len(arr))], true
+			}
+		}
+		got, legs := c.run(true, horizon)
+		want, _ := c.run(false, horizon)
+		if len(got) != len(want) {
+			t.Fatalf("cycle case %d horizon %v: %d log lines ahead, %d on the engine\nahead  %q\nengine %q",
+				i, horizon, len(got), len(want), got, want)
+		}
+		for k := range got {
+			if got[k] != want[k] {
+				t.Fatalf("cycle case %d (%+v) horizon %v line %d:\nahead  %s\nengine %s", i, c, horizon, k, got[k], want[k])
+			}
+		}
+		if legs == 0 {
+			continue
+		}
+		tabled++
+		if c.parked {
+			parked++
+		} else if len(c.route.phases) > 1 || len(c.route.phases[0]) > 1 {
+			multiStop++
+		}
+		for _, r := range c.route.repeats {
+			if r > 1 {
+				repeated++
+				break
+			}
+		}
+		if n := len(c.route.approach); n > 0 && c.route.approach[n-1].Pos != c.route.entry() {
+			offEntry++
+		}
+		if onArrival {
+			tableArrival++
+		}
+		if c.model.Dwell == 0 {
+			noDwell++
+		}
+	}
+	t.Logf("%d cycle mules ran legs from the table: %d parked, %d multi-stop, %d with a repeated phase, %d entering off the table, %d with the horizon on an arrival, %d without dwell",
+		tabled, parked, multiStop, repeated, offEntry, tableArrival, noDwell)
+	if tabled == 0 || parked == 0 || multiStop == 0 || repeated == 0 || offEntry == 0 || tableArrival == 0 || noDwell == 0 {
+		t.Fatal("the cycle cases miss a case the table path must cover")
 	}
 }

@@ -194,11 +194,13 @@ func anyVisit(rng *rand.Rand, res *Result) float64 {
 // runs of every family, Run must produce the same visit logs, mule and
 // group statistics, patrol start and plan with and without one. Some
 // runs also carry a mid-run failure, which must keep every mule on the
-// engine; some have horizons that land exactly on an arrival.
+// engine; some have horizons that land exactly on an arrival. Mules
+// that run ahead run their cycles from the compiled leg table, and the
+// test fails unless some did.
 func TestRunAheadMatchesEventPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	const n = 1200
-	var ran, mixed, onArrival, failures, skipped, fleets, unsynced, noDwell int
+	var ran, mixed, onArrival, failures, skipped, fleets, unsynced, noDwell, tabled int
 	families := map[string]int{}
 	for i := 0; i < n; i++ {
 		family := aheadFamilies[i%len(aheadFamilies)]
@@ -221,7 +223,7 @@ func TestRunAheadMatchesEventPath(t *testing.T) {
 				onArrival++
 			}
 		}
-		got, err := Run(s, alg(), opts, xrand.New(uint64(i)))
+		got, mules, err := simulate(s, alg(), opts, xrand.New(uint64(i)))
 		want, werr := Run(s, alg(), observed, xrand.New(uint64(i)))
 		if (err == nil) != (werr == nil) {
 			t.Fatalf("case %d (%s): errors %v and %v", i, family, err, werr)
@@ -236,6 +238,11 @@ func TestRunAheadMatchesEventPath(t *testing.T) {
 				opts.NoSynchronizedStart, opts.Events, d)
 		}
 		ran++
+		for _, m := range mules {
+			if m.CycleLegs() > 0 {
+				tabled++
+			}
+		}
 		some := 0
 		for _, a := range aheadMules(s, got.Plan, opts) {
 			if a {
@@ -261,8 +268,11 @@ func TestRunAheadMatchesEventPath(t *testing.T) {
 			failures++
 		}
 	}
-	t.Logf("%d runs (%d skipped): %v ran mules ahead, %d with mules on both clocks, %d with fleet speeds, %d unsynchronized, %d without dwell; %d horizons on an arrival, %d with a failure",
-		ran, skipped, families, mixed, fleets, unsynced, noDwell, onArrival, failures)
+	t.Logf("%d runs (%d skipped): %v ran mules ahead, %d mules ran legs from their compiled cycle, %d with mules on both clocks, %d with fleet speeds, %d unsynchronized, %d without dwell; %d horizons on an arrival, %d with a failure",
+		ran, skipped, families, tabled, mixed, fleets, unsynced, noDwell, onArrival, failures)
+	if tabled == 0 {
+		t.Fatal("no mule ran legs from its compiled cycle")
+	}
 	for _, f := range []string{"sweep-kmeans", "sweep-sectors", "cbtctp", "cwtctp", "btctp-1"} {
 		if families[f] == 0 {
 			t.Fatalf("no %s run ran a mule ahead", f)

@@ -80,6 +80,11 @@ type Options struct {
 	// untouched, HandoffAbsorb swaps in a replanned FleetPlan at each
 	// event boundary.
 	Handoff Handoff
+	// Recorders, when non-nil, supplies the run's Result.Recorder from
+	// a pool of recycled visit logs, and the caller hands it back with
+	// Recorders.Release once it is done with the Result. Nil (the
+	// default) gives the caller a recorder of its own.
+	Recorders *metrics.RecorderPool
 }
 
 func (o Options) withDefaults() Options {
@@ -243,9 +248,9 @@ func (r *Result) DeadMules() int {
 // route planner (via Planned) or an online policy (via Online).
 type Algorithm interface {
 	Name() string
-	// prepare returns one router per mule and, if the algorithm is
-	// plan-based, its plan.
-	prepare(s *field.Scenario, opts Options, src *xrand.Source) ([]mule.Router, *core.FleetPlan, error)
+	// prepare returns the plan of a plan-based algorithm, whose
+	// routers Run builds, or one router per mule of an online one.
+	prepare(s *field.Scenario, src *xrand.Source) ([]mule.Router, *core.FleetPlan, error)
 }
 
 // Planned adapts a core.Planner (B/W/RW-TCTP, CHB, Sweep) to
@@ -256,7 +261,7 @@ type plannedAlg struct{ p core.Planner }
 
 func (a plannedAlg) Name() string { return a.p.Name() }
 
-func (a plannedAlg) prepare(s *field.Scenario, opts Options, _ *xrand.Source) ([]mule.Router, *core.FleetPlan, error) {
+func (a plannedAlg) prepare(s *field.Scenario, _ *xrand.Source) ([]mule.Router, *core.FleetPlan, error) {
 	plan, err := a.p.Plan(s)
 	if err != nil {
 		return nil, nil, err
@@ -264,12 +269,12 @@ func (a plannedAlg) prepare(s *field.Scenario, opts Options, _ *xrand.Source) ([
 	if err := plan.Validate(s); err != nil {
 		return nil, nil, err
 	}
-	return planRouters(plan, opts, s.NumMules()), plan, nil
+	return nil, plan, nil
 }
 
-// planRouters builds one router per route, holding every mule at its
-// start point until the synchronized patrol start.
-func planRouters(plan *core.FleetPlan, opts Options, n int) []mule.Router {
+// planRouters builds one mule.Route per route, holding every mule at
+// its start point until the synchronized patrol start.
+func planRouters(plan *core.FleetPlan, opts Options, n int) []mule.Route {
 	hold := 0.0
 	if !opts.NoSynchronizedStart {
 		// The slowest mule travelling the longest approach bounds every
@@ -278,12 +283,7 @@ func planRouters(plan *core.FleetPlan, opts Options, n int) []mule.Router {
 		// MaxApproach / Speed.
 		hold = plan.MaxApproach / opts.slowestSpeed(n)
 	}
-	rs := newPlanRouters(plan.Routes, hold)
-	routers := make([]mule.Router, len(rs))
-	for i := range rs {
-		routers[i] = &rs[i]
-	}
-	return routers
+	return newPlanRouters(plan.Routes, hold)
 }
 
 // Partitioned derives the per-region variant of a plan-based
@@ -316,98 +316,32 @@ type onlineAlg struct{ m RouterMaker }
 
 func (a onlineAlg) Name() string { return a.m.Name() }
 
-func (a onlineAlg) prepare(s *field.Scenario, _ Options, src *xrand.Source) ([]mule.Router, *core.FleetPlan, error) {
+func (a onlineAlg) prepare(s *field.Scenario, src *xrand.Source) ([]mule.Router, *core.FleetPlan, error) {
 	return a.m.NewRouters(s, src), nil, nil
 }
 
-// planRouter walks a core.MuleRoute: approach once (holding at the
-// final approach stop until holdUntil), then loop the cycle phases
-// forever, honouring each phase's Repeat count.
-type planRouter struct {
-	route     core.MuleRoute
-	holdUntil float64
-	// legs is the route's leg-length table. Phase p takes
-	// len(Stops)+1 entries from offset off(p): entry i < len(Stops) is
-	// the leg into stop i from the stop before it in the phase (stop
-	// 0's from the phase's own last stop, which precedes it when the
-	// phase repeats); the last entry is the leg into stop 0 from the
-	// previous phase's last stop.
-	legs []float64
-
-	approachIdx int
-	phase       int
-	off         int // offset of phase's entries in legs
-	rep         int
-	idx         int
-}
-
-// newPlanRouters builds one router per route in one block, carving
-// every route's leg-length table from one flat array.
-func newPlanRouters(routes []core.MuleRoute, hold float64) []planRouter {
+// newPlanRouters builds one mule.Route per route in one block,
+// carving every route's leg table from one flat array. Each route holds
+// its mule at its start point, the last approach stop, until hold plus
+// the route's ExtraHold.
+func newPlanRouters(routes []core.MuleRoute, hold float64) []mule.Route {
 	n := 0
 	for _, r := range routes {
 		for _, ph := range r.Cycle {
 			n += len(ph.Stops) + 1
 		}
 	}
-	flat := make([]float64, 0, n)
-	rs := make([]planRouter, len(routes))
+	flat := make([]mule.Leg, 0, n)
+	rs := make([]mule.Route, len(routes))
 	for i, r := range routes {
 		start := len(flat)
 		for p, ph := range r.Cycle {
-			stops := ph.Stops
-			flat = append(flat, stops[len(stops)-1].Pos.Dist(stops[0].Pos))
-			for j := 1; j < len(stops); j++ {
-				flat = append(flat, stops[j-1].Pos.Dist(stops[j].Pos))
-			}
 			prev := r.Cycle[(p+len(r.Cycle)-1)%len(r.Cycle)].Stops
-			flat = append(flat, prev[len(prev)-1].Pos.Dist(stops[0].Pos))
+			flat = mule.AppendPhase(flat, ph.Stops, ph.Repeat, prev[len(prev)-1].Pos)
 		}
-		rs[i] = planRouter{route: r, holdUntil: hold, legs: flat[start:len(flat):len(flat)]}
+		rs[i] = mule.NewRoute(r.Approach, hold+r.ExtraHold, flat[start:len(flat):len(flat)])
 	}
 	return rs
-}
-
-// Next implements mule.Router. A cycle leg's length comes from the
-// table when the mule stands exactly at the stop the table measured
-// it from; the first leg after the approach, or any leg the mule
-// starts from elsewhere, is measured from the mule's position.
-func (r *planRouter) Next(m *mule.Mule) (mule.Waypoint, float64, bool) {
-	if r.approachIdx < len(r.route.Approach) {
-		wp := r.route.Approach[r.approachIdx]
-		r.approachIdx++
-		if r.approachIdx == len(r.route.Approach) {
-			wp.NotBefore = r.holdUntil + r.route.ExtraHold
-		}
-		return wp, m.Pos().Dist(wp.Pos), true
-	}
-	ph := r.route.Cycle[r.phase]
-	wp := ph.Stops[r.idx]
-	from, dist := ph.Stops[len(ph.Stops)-1].Pos, r.legs[r.off+r.idx]
-	switch {
-	case r.idx > 0:
-		from = ph.Stops[r.idx-1].Pos
-	case r.rep == 0:
-		prev := r.route.Cycle[(r.phase+len(r.route.Cycle)-1)%len(r.route.Cycle)].Stops
-		from, dist = prev[len(prev)-1].Pos, r.legs[r.off+len(ph.Stops)]
-	}
-	if m.Pos() != from {
-		dist = m.Pos().Dist(wp.Pos)
-	}
-	r.idx++
-	if r.idx == len(ph.Stops) {
-		r.idx = 0
-		r.rep++
-		if r.rep >= ph.Repeat {
-			r.rep = 0
-			r.off += len(ph.Stops) + 1
-			r.phase++
-			if r.phase == len(r.route.Cycle) {
-				r.phase, r.off = 0, 0
-			}
-		}
-	}
-	return wp, dist, true
 }
 
 // visitCaps bounds each target's visit count over the horizon from
@@ -530,16 +464,24 @@ func eachStop(r core.MuleRoute, f func(mule.Waypoint)) {
 // ahead: each patrols to the horizon on its own clock with
 // mule.RunUntil before the engine starts, and only the rest of the
 // fleet goes through the event heap. A Sweep mule parked on a target
-// of its own, one visit per dwell, is the common case. The results are
-// bit-identical to running every mule on the engine, which attaching
-// any observer does.
+// of its own, one visit per dwell, is the common case. Such a mule
+// runs its cycle from its route's compiled leg table and appends its
+// visits straight to its targets' logs in the recorder, which is the
+// run's only observer. The results are bit-identical to running every
+// mule on the engine, which attaching any observer does.
 func Run(s *field.Scenario, alg Algorithm, opts Options, src *xrand.Source) (*Result, error) {
+	res, _, err := simulate(s, alg, opts, src)
+	return res, err
+}
+
+// simulate is Run, also returning the run's mules.
+func simulate(s *field.Scenario, alg Algorithm, opts Options, src *xrand.Source) (*Result, []*mule.Mule, error) {
 	if err := s.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	opts = opts.withDefaults()
 	if opts.Fleet != nil && len(opts.Fleet) != s.NumMules() {
-		return nil, fmt.Errorf("patrol: options carry %d fleet members for %d mules",
+		return nil, nil, fmt.Errorf("patrol: options carry %d fleet members for %d mules",
 			len(opts.Fleet), s.NumMules())
 	}
 	if src == nil {
@@ -547,7 +489,7 @@ func Run(s *field.Scenario, alg Algorithm, opts Options, src *xrand.Source) (*Re
 	}
 	events, active, err := normalizeEvents(s, opts)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	var routers []mule.Router
@@ -559,35 +501,40 @@ func Run(s *field.Scenario, alg Algorithm, opts Options, src *xrand.Source) (*Re
 		// omits the dormant targets, so it is not re-validated against s.
 		pa, ok := alg.(plannedAlg)
 		if !ok {
-			return nil, fmt.Errorf("patrol: %s cannot patrol dormant targets (target spawns need a plan)", alg.Name())
+			return nil, nil, fmt.Errorf("patrol: %s cannot patrol dormant targets (target spawns need a plan)", alg.Name())
 		}
 		view, tids, _, verr := core.ActiveView(s, active, nil, nil)
 		if verr != nil {
-			return nil, verr
+			return nil, nil, verr
 		}
 		local, lerr := pa.p.Plan(view)
 		if lerr != nil {
-			return nil, lerr
+			return nil, nil, lerr
 		}
 		if verr := local.Validate(view); verr != nil {
-			return nil, verr
+			return nil, nil, verr
 		}
 		plan = core.RemapPlan(local, tids)
-		routers = planRouters(plan, opts, s.NumMules())
 	} else {
-		routers, plan, err = alg.prepare(s, opts, src)
+		routers, plan, err = alg.prepare(s, src)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
-	if len(routers) != s.NumMules() {
-		return nil, fmt.Errorf("patrol: %s produced %d routers for %d mules",
-			alg.Name(), len(routers), s.NumMules())
+	var rs []mule.Route
+	n := len(routers)
+	if plan != nil {
+		rs = planRouters(plan, opts, s.NumMules())
+		n = len(rs)
+	}
+	if n != s.NumMules() {
+		return nil, nil, fmt.Errorf("patrol: %s produced %d routers for %d mules",
+			alg.Name(), n, s.NumMules())
 	}
 
 	eng := sim.New()
 	caps, owner := visitCaps(s.NumTargets(), plan, opts)
-	rec := metrics.NewRecorderCap(s.NumTargets(), caps)
+	rec := opts.Recorders.NewRecorderCap(s.NumTargets(), caps)
 	// The recorder is the first observer; user observers follow in
 	// registration order, all peers of one dispatch.
 	dispatch := make(multiObserver, 0, 1+len(opts.Observers))
@@ -622,18 +569,25 @@ func Run(s *field.Scenario, alg Algorithm, opts Options, src *xrand.Source) (*Re
 		case opts.UseBattery:
 			battery = energy.NewBattery(opts.Energy.Capacity)
 		}
+		var router mule.Router
+		if plan != nil {
+			router = &rs[i]
+		} else {
+			router = routers[i]
+		}
 		mules[i] = mule.New(eng, mule.Config{
 			ID:         i,
 			Start:      s.MuleStarts[i],
 			Speed:      opts.muleSpeed(i),
 			Energy:     opts.Energy,
 			Battery:    battery,
-			Router:     routers[i],
+			Router:     router,
 			OnVisit:    dispatch.OnVisit,
 			OnDeath:    onDeath,
 			OnRecharge: dispatch.OnRecharge,
 		})
 		if plan != nil && runsAhead(i, plan.Routes[i], owner, opts) {
+			rs[i].Compile(opts.muleSpeed(i), opts.Energy, rec)
 			mules[i].RunUntil(opts.Horizon)
 		} else {
 			mules[i].Launch()
@@ -655,7 +609,7 @@ func Run(s *field.Scenario, alg Algorithm, opts Options, src *xrand.Source) (*Re
 		eng.Step()
 		executed++
 		if rp != nil && rp.err != nil {
-			return nil, rp.err
+			return nil, nil, rp.err
 		}
 	}
 	if executed < opts.MaxEvents {
@@ -702,5 +656,5 @@ func Run(s *field.Scenario, alg Algorithm, opts Options, src *xrand.Source) (*Re
 			res.Groups[gi] = gs
 		}
 	}
-	return res, nil
+	return res, mules, nil
 }

@@ -124,10 +124,10 @@ func TestVisitCapsFallBack(t *testing.T) {
 	}
 }
 
-// legChecker records every leg a planRouter hands out whose length
+// legChecker records every leg a plan's mule.Route hands out whose length
 // differs from the mule's own measurement.
 type legChecker struct {
-	r    *planRouter
+	r    *mule.Route
 	legs int
 	bad  []string
 }

@@ -330,8 +330,11 @@ func loadCheckpoint(path string, j *Job) (map[int]checkpointRecord, int64, error
 // downstream of it. It refuses a replication counter outside
 // [1, maxReps], accumulator shapes that differ from the spec's
 // metrics, a scalar whose sample count disagrees with the counter, and
-// an adaptive stop under a spec with no adaptive rule. final also
-// requires a finished cell: stopped, or folded to the ceiling.
+// an adaptive stop the engine cannot have made: under a spec with no
+// adaptive rule, or outside [MinReps, MaxReps), since the rule is
+// only consulted from MinReps folded replications on and a cell folded
+// to the ceiling has nothing left to stop. final also requires a
+// finished cell: stopped, or folded to the ceiling.
 func (s *Spec) checkState(st *protocol.FoldState, final bool) error {
 	maxReps := s.maxReps()
 	if st.Next < 1 || st.Next > maxReps {
@@ -356,8 +359,15 @@ func (s *Spec) checkState(st *protocol.FoldState, final bool) error {
 				i, len(accs), s.Vectors[i].Len)
 		}
 	}
-	if st.Stopped && s.Adaptive == nil {
-		return fmt.Errorf("is adaptively stopped, spec has no adaptive rule")
+	if st.Stopped {
+		ad := s.Adaptive
+		if ad == nil {
+			return fmt.Errorf("is adaptively stopped, spec has no adaptive rule")
+		}
+		if st.Next < ad.MinReps || st.Next >= ad.MaxReps {
+			return fmt.Errorf("is adaptively stopped after %d replications, the rule stops only in [%d, %d)",
+				st.Next, ad.MinReps, ad.MaxReps)
+		}
 	}
 	if final && !st.Stopped && st.Next != maxReps {
 		return fmt.Errorf("is incomplete: %d of %d replications folded", st.Next, maxReps)

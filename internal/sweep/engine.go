@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"tctp/internal/field"
+	"tctp/internal/metrics"
 	"tctp/internal/patrol"
 	"tctp/internal/stats"
 	"tctp/internal/wsn"
@@ -553,6 +554,10 @@ func (e *engine) abortedNow() bool {
 	return e.aborted
 }
 
+// recorders recycles the replications' visit logs: runOne releases
+// each run's recorder once its metrics are extracted.
+var recorders metrics.RecorderPool
+
 // runOne executes a single replication of a single cell.
 func (e *engine) runOne(j job) (*runValues, error) {
 	sp := e.spec
@@ -647,10 +652,12 @@ func (e *engine) runOne(j job) (*runValues, error) {
 			return nil, fmt.Errorf("sweep: cell %v: %w", p, cerr)
 		}
 	}
+	opts.Recorders = &recorders
 	res, err := patrol.Run(scn, alg, opts, AlgorithmSource(seed))
 	if err != nil {
 		return nil, fmt.Errorf("sweep: cell %v seed %d: %w", p, seed, err)
 	}
+	defer recorders.Release(res.Recorder)
 
 	env := Env{Point: p, Variant: d.variant, Seed: seed, Scenario: scn, Result: res, Fleet: sc.Fleet, Data: data}
 	vals := &runValues{scalars: make([]float64, len(sp.Metrics))}
