@@ -15,6 +15,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"tctp/internal/geom"
 	"tctp/internal/stats"
@@ -26,9 +27,18 @@ import (
 type Recorder struct {
 	visits [][]float64
 	// flat is the backing array the logs are carved from, kept so a
-	// RecorderPool can hand it to the next run.
+	// released recorder can hand it to the next run.
 	flat []float64
 }
+
+// recorders holds released recorders for NewRecorderCap to reuse.
+// released records that Release has ever run: until then
+// NewRecorderCap skips the pool, whose Get allocates after every
+// garbage collection.
+var (
+	recorders sync.Pool
+	released  atomic.Bool
+)
 
 // NewRecorderCap returns a recorder for nTargets targets (indexed
 // 0..nTargets-1) with per-target visit-count capacities: target i's
@@ -39,23 +49,21 @@ type Recorder struct {
 // reallocates independently instead of clobbering its neighbour's
 // slot, so the capacities affect only allocation behaviour, never
 // recorded values. A nil caps means no preallocation; otherwise it
-// must have one entry per target.
+// must have one entry per target. The recorder reuses the log table
+// and backing array of a released one (see Release) when there is one.
 func NewRecorderCap(nTargets int, caps []int) *Recorder {
-	r := new(Recorder)
-	r.reset(nTargets, caps)
-	return r
-}
-
-// reset empties the recorder for nTargets targets with capacities
-// caps, as NewRecorderCap describes, reusing its log table and
-// backing array where they are large enough. Logs start empty, so no
-// earlier run's timestamps are reachable through them.
-func (r *Recorder) reset(nTargets int, caps []int) {
 	if nTargets <= 0 {
 		panic(fmt.Sprintf("metrics: NewRecorderCap(%d)", nTargets))
 	}
 	if caps != nil && len(caps) != nTargets {
 		panic(fmt.Sprintf("metrics: %d capacities for %d targets", len(caps), nTargets))
+	}
+	var r *Recorder
+	if released.Load() {
+		r, _ = recorders.Get().(*Recorder)
+	}
+	if r == nil {
+		r = new(Recorder)
 	}
 	if cap(r.visits) < nTargets {
 		r.visits = make([][]float64, nTargets)
@@ -63,13 +71,13 @@ func (r *Recorder) reset(nTargets int, caps []int) {
 	r.visits = r.visits[:nTargets]
 	if caps == nil {
 		clear(r.visits)
-		return
+		return r
 	}
 	total := 0
 	for _, c := range caps {
 		total += c
 	}
-	if r.flat == nil || cap(r.flat) < total {
+	if cap(r.flat) < total {
 		r.flat = make([]float64, total)
 	}
 	off := 0
@@ -77,36 +85,17 @@ func (r *Recorder) reset(nTargets int, caps []int) {
 		r.visits[i] = r.flat[off : off : off+c]
 		off += c
 	}
-}
-
-// RecorderPool recycles recorders, their flat backing arrays above
-// all, from one run to the next, so a caller that runs simulation
-// after simulation does not allocate and zero a visit log per run. It
-// is safe for concurrent use. The nil pool allocates every recorder
-// afresh and keeps none.
-type RecorderPool struct{ pool sync.Pool }
-
-// NewRecorderCap is the package-level NewRecorderCap, reusing a
-// released recorder when the pool has one.
-func (p *RecorderPool) NewRecorderCap(nTargets int, caps []int) *Recorder {
-	if p == nil {
-		return NewRecorderCap(nTargets, caps)
-	}
-	r, _ := p.pool.Get().(*Recorder)
-	if r == nil {
-		return NewRecorderCap(nTargets, caps)
-	}
-	r.reset(nTargets, caps)
 	return r
 }
 
-// Release hands r back to the pool for a later NewRecorderCap. Neither
-// r nor any log read from it may be used afterwards: the next run
-// overwrites them.
-func (p *RecorderPool) Release(r *Recorder) {
-	if p != nil && r != nil {
-		p.pool.Put(r)
-	}
+// Release hands r back for a later NewRecorderCap to reuse, so a
+// caller that runs simulation after simulation does not allocate and
+// zero a visit log per run. Neither r nor any log read from it may be
+// used afterwards: the next run overwrites them. A caller that never
+// releases its recorder keeps it for good.
+func Release(r *Recorder) {
+	released.Store(true)
+	recorders.Put(r)
 }
 
 // NumTargets returns the number of tracked targets.
@@ -128,23 +117,20 @@ func (r *Recorder) OnVisit(_, target int, t float64) {
 	if target < 0 || target >= len(r.visits) {
 		panic(fmt.Sprintf("metrics: visit to target %d of %d", target, len(r.visits)))
 	}
-	Append(&r.visits[target], target, t)
+	r.Append(target, t)
 }
 
-// Logs returns the visit logs, indexed by target, for a caller that
-// records visits with Append on &Logs()[target] instead of OnVisit: a
-// mule running its compiled cycle ahead of the engine (mule.RunUntil).
-// The logs are the recorder's own, valid for its lifetime.
-func (r *Recorder) Logs() [][]float64 { return r.visits }
-
-// Append records a visit to target at time t in log, target's log. It
-// panics, as OnVisit does, on a time earlier than the last one logged.
-func Append(log *[]float64, target int, t float64) {
-	ts := *log
+// Append is OnVisit without the mule, for a caller that calls the
+// recorder directly on every visit: a mule running its compiled cycle
+// ahead of the engine (mule.RunUntil). It panics, as OnVisit does, on
+// a time earlier than target's last visit, and is small enough to
+// inline.
+func (r *Recorder) Append(target int, t float64) {
+	ts := r.visits[target]
 	if n := len(ts); n > 0 && t < ts[n-1] {
 		panic(orderError{target, t, ts[n-1]})
 	}
-	*log = append(ts, t)
+	r.visits[target] = append(ts, t)
 }
 
 // orderError is Append's panic value; it formats only when printed,

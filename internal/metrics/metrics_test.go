@@ -207,22 +207,16 @@ func TestPanics(t *testing.T) {
 		}()
 		r := NewRecorderCap(2, nil)
 		r.OnVisit(0, 1, 5)
-		Append(&r.Logs()[1], 1, 5)
-		Append(&r.Logs()[1], 1, 4)
+		r.Append(1, 5)
+		r.Append(1, 4)
 	}()
 }
 
-// TestRecorderPool: a recorder from the pool, released and taken again
-// for another shape, starts with every log empty, carved to the new
-// capacities, and records exactly what a fresh recorder records; the
-// nil pool hands out fresh recorders. Goroutines share one pool.
-func TestRecorderPool(t *testing.T) {
-	var nilPool *RecorderPool
-	if r := nilPool.NewRecorderCap(2, []int{1, 1}); r.NumTargets() != 2 {
-		t.Fatalf("nil pool: %d targets", r.NumTargets())
-	}
-	nilPool.Release(NewRecorderCap(1, nil))
-	var pool RecorderPool
+// TestRecorderRelease: a recorder released and taken again by
+// NewRecorderCap for another shape starts with every log empty, carved
+// to the new capacities, and records exactly what it is given.
+// Goroutines share the released recorders.
+func TestRecorderRelease(t *testing.T) {
 	done := make(chan struct{})
 	for g := 0; g < 4; g++ {
 		go func(g int) {
@@ -237,24 +231,25 @@ func TestRecorderPool(t *testing.T) {
 						caps[j] = src.Intn(5)
 					}
 				}
-				r, fresh := pool.NewRecorderCap(n, caps), NewRecorderCap(n, caps)
+				r := NewRecorderCap(n, caps)
 				for id := 0; id < n; id++ {
 					if got := r.VisitTimes(id); len(got) != 0 || caps != nil && cap(got) != caps[id] {
-						t.Errorf("target %d of a pooled recorder starts with %v (cap %d), capacities %v",
+						t.Errorf("target %d of a reused recorder starts with %v (cap %d), capacities %v",
 							id, got, cap(got), caps)
 					}
 				}
+				want := make([][]float64, n)
 				for k := src.Intn(20); k > 0; k-- {
-					id, at := src.Intn(n), float64(k)
-					r.OnVisit(0, id, -at)
-					fresh.OnVisit(0, id, -at)
+					id, at := src.Intn(n), -float64(k)
+					r.OnVisit(0, id, at)
+					want[id] = append(want[id], at)
 				}
 				for id := 0; id < n; id++ {
-					if !slices.Equal(r.VisitTimes(id), fresh.VisitTimes(id)) {
-						t.Errorf("target %d: pooled %v, fresh %v", id, r.VisitTimes(id), fresh.VisitTimes(id))
+					if !slices.Equal(r.VisitTimes(id), want[id]) {
+						t.Errorf("target %d: recorded %v, want %v", id, r.VisitTimes(id), want[id])
 					}
 				}
-				pool.Release(r)
+				Release(r)
 			}
 		}(g)
 	}

@@ -24,10 +24,10 @@
 // take the instant they act at as a parameter, so the engine handlers
 // and RunUntil share their leg bookkeeping; patrol.Run decides which
 // mules may run ahead. A fixed route is a Route, whose cycle is a leg
-// table walked by a cursor; compiled for the mule, it lets RunUntil run
-// the cycle in a tight loop over the table, with the float expressions
-// of depart and arrive in their order, and append each visit straight
-// to its target's log.
+// table walked by a cursor; compiled for the run's recorder, it lets
+// RunUntil run the cycle in a tight loop over the table, with the float
+// expressions of depart and arrive in their order, and hand each visit
+// straight to the recorder.
 package mule
 
 import (
@@ -134,7 +134,6 @@ type Mule struct {
 	visits    int
 	energyUse float64
 	recharges int
-	cycleLegs int
 }
 
 // New creates a mule bound to the engine. It panics on invalid
@@ -189,8 +188,8 @@ func (m *Mule) Recharges() int { return m.recharges }
 //
 // A mule without a battery whose router is a compiled Route runs the
 // route's cycle from its leg table: no Next call, no square root, no
-// callback per leg, each visit appended straight to its target's log
-// (see Route.Compile). Only the legs the table cannot serve go through
+// callback per leg, each visit appended straight to the recorder (see
+// Route.Compile). Only the legs the table cannot serve go through
 // depart and arrive: the approach, a first cycle leg that starts off
 // the table's from point, a recharge stop, and the final leg, which
 // stays in flight.
@@ -199,7 +198,7 @@ func (m *Mule) RunUntil(t float64) {
 		return
 	}
 	r, _ := m.cfg.Router.(*Route)
-	if r != nil && (r.logs == nil || m.cfg.Battery != nil) {
+	if r != nil && (r.rec == nil || m.cfg.Battery != nil) {
 		r = nil
 	}
 	dep := m.eng.Now()
@@ -216,10 +215,6 @@ func (m *Mule) RunUntil(t float64) {
 		}
 	}
 }
-
-// CycleLegs returns how many legs RunUntil ran from a compiled Route's
-// leg table rather than through the router.
-func (m *Mule) CycleLegs() int { return m.cycleLegs }
 
 // advance starts a leg from where the mule stands, now: the first leg
 // after Launch or Reroute.

@@ -619,7 +619,7 @@ func TestRunUntilMatchesEngine(t *testing.T) {
 				horizon, onArrival = arr[rng.Intn(len(arr))], true
 			}
 		}
-		got, legs := c.run(true, horizon)
+		got, tableVisits := c.run(true, horizon)
 		want, _ := c.run(false, horizon)
 		if len(got) != len(want) {
 			t.Fatalf("cycle case %d horizon %v: %d log lines ahead, %d on the engine\nahead  %q\nengine %q",
@@ -630,7 +630,7 @@ func TestRunUntilMatchesEngine(t *testing.T) {
 				t.Fatalf("cycle case %d (%+v) horizon %v line %d:\nahead  %s\nengine %s", i, c, horizon, k, got[k], want[k])
 			}
 		}
-		if legs == 0 {
+		if tableVisits == 0 {
 			continue
 		}
 		tabled++
@@ -655,7 +655,7 @@ func TestRunUntilMatchesEngine(t *testing.T) {
 			noDwell++
 		}
 	}
-	t.Logf("%d cycle mules ran legs from the table: %d parked, %d multi-stop, %d with a repeated phase, %d entering off the table, %d with the horizon on an arrival, %d without dwell",
+	t.Logf("%d cycle mules made visits from the table: %d parked, %d multi-stop, %d with a repeated phase, %d entering off the table, %d with the horizon on an arrival, %d without dwell",
 		tabled, parked, multiStop, repeated, offEntry, tableArrival, noDwell)
 	if tabled == 0 || parked == 0 || multiStop == 0 || repeated == 0 || offEntry == 0 || tableArrival == 0 || noDwell == 0 {
 		t.Fatal("the cycle cases miss a case the table path must cover")

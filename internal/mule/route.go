@@ -1,7 +1,6 @@
 package mule
 
 import (
-	"tctp/internal/energy"
 	"tctp/internal/geom"
 	"tctp/internal/metrics"
 )
@@ -10,57 +9,61 @@ import (
 // mule held at its last stop until a given instant, then a cycle of
 // phases looped forever, each phase run its repeat count of times in a
 // row. The cycle is a leg table of consecutive AppendPhase blocks, one
-// per phase in cycle order, walked by a cursor. Compiled for the mule
-// that runs it, the table also lets RunUntil run the cycle without the
-// router (see Compile).
+// per phase in cycle order, and a phase table, walked by a cursor.
+// Compiled for the recorder of the mule that runs it, the table also
+// lets RunUntil run the cycle without the router (see Compile).
 type Route struct {
 	approach []Waypoint
 	hold     float64
 	// done counts the approach stops handed out.
-	done int
-	legs []Leg
-	cur  cursor
-	// logs is the recorder's visit logs, indexed by target, once
-	// Compile has run; nil before.
-	logs [][]float64
+	done   int
+	legs   []Leg
+	phases []Phase
+	cur    cursor
+	// from is the stop the table measured the leg at the cursor from:
+	// the stop of the cycle leg handed out last, and the last phase's
+	// last stop before the first.
+	from geom.Point
+	// rec is the recorder the cycle's visits go to once Compile has
+	// run; nil before.
+	rec *metrics.Recorder
 }
 
 // NewRoute returns the router of a route that walks approach, holds
 // the mule at the approach's last stop until hold (that stop's
-// NotBefore), and then loops the cycle in legs, its cursor at the leg
-// into the first phase's first stop from the last phase's last stop.
-func NewRoute(approach []Waypoint, hold float64, legs []Leg) Route {
-	return Route{approach: approach, hold: hold, legs: legs}
+// NotBefore), and then loops the cycle in legs and phases, its cursor
+// at the leg into the first phase's first stop from the last phase's
+// last stop, which the next-to-last leg entry leads into.
+func NewRoute(approach []Waypoint, hold float64, legs []Leg, phases []Phase) Route {
+	return Route{approach: approach, hold: hold, legs: legs, phases: phases, from: legs[len(legs)-2].wp.Pos}
 }
 
-// Leg is one entry of a Route's leg table: the leg into stop wp from
-// the stop at from, whose length is dist.
+// Leg is one entry of a Route's leg table: the leg into stop *wp and
+// its length, dist, from the stop before it in the cycle.
 type Leg struct {
-	wp   Waypoint
-	from geom.Point
+	wp   *Waypoint
 	dist float64
-	// dur and move are set by Compile: the leg's duration and move
-	// energy for the mule that runs the route.
-	dur, move float64
-	// stops and repeat describe the leg's phase: its stop count and
-	// how many times it runs before the next phase.
-	stops, repeat int
 }
 
-// AppendPhase appends one cycle phase's entries to a leg table: stops,
-// run repeat times in a row, entered from prev, the previous phase's
-// last stop (the phase's own last stop when it is the only one). Entry
-// i < len(stops) is the leg into stop i from the stop before it in the
-// phase (stop 0's from the phase's own last stop, which precedes it
-// when the phase repeats); the last entry is the leg into stop 0 from
-// prev.
-func AppendPhase(legs []Leg, stops []Waypoint, repeat int, prev geom.Point) []Leg {
+// Phase is one entry of a Route's phase table: a cycle phase's stop
+// count and how many times it runs in a row before the next phase.
+type Phase struct{ stops, repeat int }
+
+// AppendPhase appends one cycle phase to a leg and a phase table:
+// stops, run repeat times in a row, entered from prev, the previous
+// phase's last stop (the phase's own last stop when it is the only
+// one). Leg entry i < len(stops) is the leg into stop i from the stop
+// before it in the phase (stop 0's from the phase's own last stop,
+// which precedes it when the phase repeats); the last entry is the leg
+// into stop 0 from prev. The entries point into stops, which must stay
+// unchanged while the table is in use.
+func AppendPhase(legs []Leg, phases []Phase, stops []Waypoint, repeat int, prev geom.Point) ([]Leg, []Phase) {
 	n := len(stops)
-	for i, wp := range stops {
-		from := stops[(i+n-1)%n].Pos
-		legs = append(legs, Leg{wp: wp, from: from, dist: from.Dist(wp.Pos), stops: n, repeat: repeat})
+	for i := range stops {
+		legs = append(legs, Leg{wp: &stops[i], dist: stops[(i+n-1)%n].Pos.Dist(stops[i].Pos)})
 	}
-	return append(legs, Leg{wp: stops[0], from: prev, dist: prev.Dist(stops[0].Pos), stops: n, repeat: repeat})
+	legs = append(legs, Leg{wp: &stops[0], dist: prev.Dist(stops[0].Pos)})
+	return legs, append(phases, Phase{stops: n, repeat: repeat})
 }
 
 // Next implements Router. An approach leg is measured from the mule's
@@ -77,46 +80,40 @@ func (r *Route) Next(m *Mule) (Waypoint, float64, bool) {
 		}
 		return wp, m.pos.Dist(wp.Pos), true
 	}
-	l := &r.legs[r.cur.leg(r.legs)]
-	r.cur = r.cur.next(r.legs)
-	if m.pos != l.from {
-		return l.wp, m.pos.Dist(l.wp.Pos), true
+	l := &r.legs[r.cur.leg(r.phases)]
+	r.cur = r.cur.next(r.phases)
+	from := r.from
+	r.from = l.wp.Pos
+	if m.pos != from {
+		return *l.wp, m.pos.Dist(l.wp.Pos), true
 	}
-	return l.wp, l.dist, true
+	return *l.wp, l.dist, true
 }
 
-// Compile readies the route for RunUntil: each leg's duration at speed
-// and move energy under model, which must be the running mule's, and
-// the visit logs of rec, which RunUntil appends the cycle's visits to
-// in place of calling OnVisit. Only a compiled route runs its cycle
-// from the table, so only a mule whose visits nothing but rec may
-// observe should run one.
-func (r *Route) Compile(speed float64, model energy.Model, rec *metrics.Recorder) {
-	for i := range r.legs {
-		l := &r.legs[i]
-		l.dur, l.move = l.dist/speed, model.MoveEnergy(l.dist)
-	}
-	r.logs = rec.Logs()
-}
+// Compile readies the route for RunUntil: the cycle's visits go to rec
+// through Recorder.Append in place of the mule's OnVisit. Only a
+// compiled route runs its cycle from the table, so only a mule whose
+// visits nothing but rec may observe should run one.
+func (r *Route) Compile(rec *metrics.Recorder) { r.rec = rec }
 
-// cursor is a position in a leg table: the offset of the current
-// phase's block, the repetition of the phase and the index of the next
-// stop in it.
-type cursor struct{ off, rep, idx int }
+// cursor is a position in a route's tables: the current phase, the
+// offset of its block in the leg table, the repetition of the phase
+// and the index of the next stop in it.
+type cursor struct{ ph, off, rep, idx int }
 
-// leg returns the index in legs of the leg at the cursor: into stop idx
-// of the current phase, from the previous phase's last stop at the
-// phase's first.
-func (k cursor) leg(legs []Leg) int {
+// leg returns the index in the leg table of the leg at the cursor: into
+// stop idx of the current phase, from the previous phase's last stop
+// at the phase's first.
+func (k cursor) leg(phases []Phase) int {
 	if k.idx == 0 && k.rep == 0 {
-		return k.off + legs[k.off].stops
+		return k.off + phases[k.ph].stops
 	}
 	return k.off + k.idx
 }
 
 // next returns the cursor past the leg at k.
-func (k cursor) next(legs []Leg) cursor {
-	ph := &legs[k.off]
+func (k cursor) next(phases []Phase) cursor {
+	ph := phases[k.ph]
 	if k.idx++; k.idx < ph.stops {
 		return k
 	}
@@ -125,8 +122,9 @@ func (k cursor) next(legs []Leg) cursor {
 		return k
 	}
 	k.rep = 0
-	if k.off += ph.stops + 1; k.off == len(legs) {
-		k.off = 0
+	k.off += ph.stops + 1
+	if k.ph++; k.ph == len(phases) {
+		k.ph, k.off = 0, 0
 	}
 	return k
 }
@@ -136,35 +134,41 @@ func (k cursor) next(legs []Leg) cursor {
 // is no recharge stop and it arrives at or before t, and returns the
 // instant the next leg departs. It books each leg as depart and arrive
 // would for a mule without a battery — the same float expressions in
-// the same order — except that a visit goes straight to its target's
-// log. The cursor and the mule's bookkeeping live in locals while it
-// runs.
+// the same order — except that a visit goes straight to the recorder.
+// Each leg leaves the mule at the next one's from point, so only the
+// first is checked. The cursor and the mule's bookkeeping live in
+// locals while it runs.
 func (m *Mule) runCycle(r *Route, dep, t float64) float64 {
-	dwell, visitEnergy := m.cfg.Energy.Dwell, m.cfg.Energy.VisitEnergy()
-	legs, cur, logs := r.legs, r.cur, r.logs
-	pos, distance, energyUse, visits, n := m.pos, m.distance, m.energyUse, m.visits, 0
+	if m.pos != r.from {
+		return dep
+	}
+	speed, model := m.cfg.Speed, m.cfg.Energy
+	dwell, visitEnergy := model.Dwell, model.VisitEnergy()
+	legs, phases, cur, rec := r.legs, r.phases, r.cur, r.rec
+	pos, distance, energyUse, visits := m.pos, m.distance, m.energyUse, m.visits
 	for {
-		l := &legs[cur.leg(legs)]
-		now := dep + l.dur
-		if pos != l.from || l.wp.Recharge || now > t {
+		l := &legs[cur.leg(phases)]
+		wp := l.wp
+		now := dep + l.dist/speed
+		if wp.Recharge || now > t {
 			break
 		}
-		cur = cur.next(legs)
-		n++
-		pos = l.wp.Pos
+		cur = cur.next(phases)
+		pos = wp.Pos
 		distance += l.dist
-		energyUse += l.move
-		if l.wp.TargetID == NoTarget {
-			dep = now + holdDelay(l.wp, 0, now)
+		// The conversion rounds the product, as depart's does, where
+		// a fused multiply-add would not.
+		energyUse += float64(model.MoveEnergy(l.dist))
+		if wp.TargetID == NoTarget {
+			dep = now + holdDelay(*wp, 0, now)
 			continue
 		}
 		visits++
-		metrics.Append(&logs[l.wp.TargetID], l.wp.TargetID, now)
+		rec.Append(wp.TargetID, now)
 		energyUse += visitEnergy
-		dep = now + holdDelay(l.wp, dwell, now)
+		dep = now + holdDelay(*wp, dwell, now)
 	}
-	r.cur = cur
+	r.cur, r.from = cur, pos
 	m.pos, m.distance, m.energyUse, m.visits = pos, distance, energyUse, visits
-	m.cycleLegs += n
 	return dep
 }

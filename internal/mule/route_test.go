@@ -24,11 +24,12 @@ type cycleRoute struct {
 // router builds a fresh Route over the route's leg table.
 func (cr cycleRoute) router() *Route {
 	var legs []Leg
+	var phases []Phase
 	for p, ph := range cr.phases {
 		prev := cr.phases[(p+len(cr.phases)-1)%len(cr.phases)]
-		legs = AppendPhase(legs, ph, cr.repeats[p], prev[len(prev)-1].Pos)
+		legs, phases = AppendPhase(legs, phases, ph, cr.repeats[p], prev[len(prev)-1].Pos)
 	}
-	r := NewRoute(cr.approach, cr.hold, legs)
+	r := NewRoute(cr.approach, cr.hold, legs, phases)
 	return &r
 }
 
@@ -113,24 +114,28 @@ func randomCycleCase(rng *rand.Rand) cycleCase {
 
 // run runs the mule to the horizon on the engine or ahead of it with
 // RunUntil, recording visits in a recorder (through OnVisit on the
-// engine, straight into the logs from the compiled table ahead), and
-// returns every target's log, the recharges and the final state, the
-// leg in flight included, with floats as bits; and how many legs ran
-// from the table.
+// engine, straight into the recorder from the compiled table ahead),
+// and returns every target's log, the recharges and the final state,
+// the leg in flight included, with floats as bits; and how many visits
+// ran from the table, which are the ones that bypassed OnVisit.
 func (c cycleCase) run(ahead bool, horizon float64) ([]string, int) {
 	eng := sim.New()
 	rec := metrics.NewRecorderCap(6, nil)
 	var log []string
+	calls := 0
 	r := c.route.router()
 	m := New(eng, Config{
 		Start: c.start, Speed: c.speed, Energy: c.model, Router: r,
-		OnVisit: rec.OnVisit,
+		OnVisit: func(mule, target int, t float64) {
+			calls++
+			rec.OnVisit(mule, target, t)
+		},
 		OnRecharge: func(_ int, t float64) {
 			log = append(log, fmt.Sprintf("recharge %x", math.Float64bits(t)))
 		},
 	})
 	if ahead {
-		r.Compile(c.speed, c.model, rec)
+		r.Compile(rec)
 		m.RunUntil(horizon)
 	} else {
 		m.Launch()
@@ -146,7 +151,7 @@ func (c cycleCase) run(ahead bool, horizon float64) ([]string, int) {
 	return append(log, fmt.Sprintf("final dist %x energy %x visits %d recharges %d pos %v leg %v %v %v %x %x %+v %x %v",
 		math.Float64bits(m.Distance()), math.Float64bits(m.EnergyConsumed()), m.Visits(), m.Recharges(),
 		m.Pos(), m.inFlight, m.legFrom, m.legTo, math.Float64bits(m.legDepart), math.Float64bits(m.legDist),
-		m.legWP, math.Float64bits(m.legEnergy), m.legDies)), m.CycleLegs()
+		m.legWP, math.Float64bits(m.legEnergy), m.legDies)), m.Visits() - calls
 }
 
 // arrivals returns every visit instant of an engine run to horizon.

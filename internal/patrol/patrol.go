@@ -80,11 +80,6 @@ type Options struct {
 	// untouched, HandoffAbsorb swaps in a replanned FleetPlan at each
 	// event boundary.
 	Handoff Handoff
-	// Recorders, when non-nil, supplies the run's Result.Recorder from
-	// a pool of recycled visit logs, and the caller hands it back with
-	// Recorders.Release once it is done with the Result. Nil (the
-	// default) gives the caller a recorder of its own.
-	Recorders *metrics.RecorderPool
 }
 
 func (o Options) withDefaults() Options {
@@ -158,7 +153,9 @@ type GroupStats struct {
 type Result struct {
 	// Algorithm names the executed algorithm.
 	Algorithm string
-	// Recorder holds the per-target visit log.
+	// Recorder holds the per-target visit log. It is the caller's; one
+	// that runs simulation after simulation may hand it to
+	// metrics.Release once done with the Result.
 	Recorder *metrics.Recorder
 	// Mules holds per-mule statistics.
 	Mules []MuleStats
@@ -321,25 +318,27 @@ func (a onlineAlg) prepare(s *field.Scenario, src *xrand.Source) ([]mule.Router,
 }
 
 // newPlanRouters builds one mule.Route per route in one block,
-// carving every route's leg table from one flat array. Each route holds
-// its mule at its start point, the last approach stop, until hold plus
-// the route's ExtraHold.
+// carving every route's leg and phase tables from one flat array each.
+// Each route holds its mule at its start point, the last approach
+// stop, until hold plus the route's ExtraHold.
 func newPlanRouters(routes []core.MuleRoute, hold float64) []mule.Route {
-	n := 0
+	nl, np := 0, 0
 	for _, r := range routes {
 		for _, ph := range r.Cycle {
-			n += len(ph.Stops) + 1
+			nl += len(ph.Stops) + 1
 		}
+		np += len(r.Cycle)
 	}
-	flat := make([]mule.Leg, 0, n)
+	legs, phases := make([]mule.Leg, 0, nl), make([]mule.Phase, 0, np)
 	rs := make([]mule.Route, len(routes))
 	for i, r := range routes {
-		start := len(flat)
+		l0, p0 := len(legs), len(phases)
 		for p, ph := range r.Cycle {
 			prev := r.Cycle[(p+len(r.Cycle)-1)%len(r.Cycle)].Stops
-			flat = mule.AppendPhase(flat, ph.Stops, ph.Repeat, prev[len(prev)-1].Pos)
+			legs, phases = mule.AppendPhase(legs, phases, ph.Stops, ph.Repeat, prev[len(prev)-1].Pos)
 		}
-		rs[i] = mule.NewRoute(r.Approach, hold+r.ExtraHold, flat[start:len(flat):len(flat)])
+		rs[i] = mule.NewRoute(r.Approach, hold+r.ExtraHold,
+			legs[l0:len(legs):len(legs)], phases[p0:len(phases):len(phases)])
 	}
 	return rs
 }
@@ -470,18 +469,12 @@ func eachStop(r core.MuleRoute, f func(mule.Waypoint)) {
 // run's only observer. The results are bit-identical to running every
 // mule on the engine, which attaching any observer does.
 func Run(s *field.Scenario, alg Algorithm, opts Options, src *xrand.Source) (*Result, error) {
-	res, _, err := simulate(s, alg, opts, src)
-	return res, err
-}
-
-// simulate is Run, also returning the run's mules.
-func simulate(s *field.Scenario, alg Algorithm, opts Options, src *xrand.Source) (*Result, []*mule.Mule, error) {
 	if err := s.Validate(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	opts = opts.withDefaults()
 	if opts.Fleet != nil && len(opts.Fleet) != s.NumMules() {
-		return nil, nil, fmt.Errorf("patrol: options carry %d fleet members for %d mules",
+		return nil, fmt.Errorf("patrol: options carry %d fleet members for %d mules",
 			len(opts.Fleet), s.NumMules())
 	}
 	if src == nil {
@@ -489,7 +482,7 @@ func simulate(s *field.Scenario, alg Algorithm, opts Options, src *xrand.Source)
 	}
 	events, active, err := normalizeEvents(s, opts)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
 	var routers []mule.Router
@@ -501,24 +494,24 @@ func simulate(s *field.Scenario, alg Algorithm, opts Options, src *xrand.Source)
 		// omits the dormant targets, so it is not re-validated against s.
 		pa, ok := alg.(plannedAlg)
 		if !ok {
-			return nil, nil, fmt.Errorf("patrol: %s cannot patrol dormant targets (target spawns need a plan)", alg.Name())
+			return nil, fmt.Errorf("patrol: %s cannot patrol dormant targets (target spawns need a plan)", alg.Name())
 		}
 		view, tids, _, verr := core.ActiveView(s, active, nil, nil)
 		if verr != nil {
-			return nil, nil, verr
+			return nil, verr
 		}
 		local, lerr := pa.p.Plan(view)
 		if lerr != nil {
-			return nil, nil, lerr
+			return nil, lerr
 		}
 		if verr := local.Validate(view); verr != nil {
-			return nil, nil, verr
+			return nil, verr
 		}
 		plan = core.RemapPlan(local, tids)
 	} else {
 		routers, plan, err = alg.prepare(s, src)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
 	var rs []mule.Route
@@ -528,13 +521,13 @@ func simulate(s *field.Scenario, alg Algorithm, opts Options, src *xrand.Source)
 		n = len(rs)
 	}
 	if n != s.NumMules() {
-		return nil, nil, fmt.Errorf("patrol: %s produced %d routers for %d mules",
+		return nil, fmt.Errorf("patrol: %s produced %d routers for %d mules",
 			alg.Name(), n, s.NumMules())
 	}
 
 	eng := sim.New()
 	caps, owner := visitCaps(s.NumTargets(), plan, opts)
-	rec := opts.Recorders.NewRecorderCap(s.NumTargets(), caps)
+	rec := metrics.NewRecorderCap(s.NumTargets(), caps)
 	// The recorder is the first observer; user observers follow in
 	// registration order, all peers of one dispatch.
 	dispatch := make(multiObserver, 0, 1+len(opts.Observers))
@@ -587,7 +580,7 @@ func simulate(s *field.Scenario, alg Algorithm, opts Options, src *xrand.Source)
 			OnRecharge: dispatch.OnRecharge,
 		})
 		if plan != nil && runsAhead(i, plan.Routes[i], owner, opts) {
-			rs[i].Compile(opts.muleSpeed(i), opts.Energy, rec)
+			rs[i].Compile(rec)
 			mules[i].RunUntil(opts.Horizon)
 		} else {
 			mules[i].Launch()
@@ -609,7 +602,7 @@ func simulate(s *field.Scenario, alg Algorithm, opts Options, src *xrand.Source)
 		eng.Step()
 		executed++
 		if rp != nil && rp.err != nil {
-			return nil, nil, rp.err
+			return nil, rp.err
 		}
 	}
 	if executed < opts.MaxEvents {
@@ -656,5 +649,5 @@ func simulate(s *field.Scenario, alg Algorithm, opts Options, src *xrand.Source)
 			res.Groups[gi] = gs
 		}
 	}
-	return res, mules, nil
+	return res, nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
 	"tctp/internal/field"
@@ -554,10 +555,6 @@ func (e *engine) abortedNow() bool {
 	return e.aborted
 }
 
-// recorders recycles the replications' visit logs: runOne releases
-// each run's recorder once its metrics are extracted.
-var recorders metrics.RecorderPool
-
 // runOne executes a single replication of a single cell.
 func (e *engine) runOne(j job) (*runValues, error) {
 	sp := e.spec
@@ -652,12 +649,14 @@ func (e *engine) runOne(j job) (*runValues, error) {
 			return nil, fmt.Errorf("sweep: cell %v: %w", p, cerr)
 		}
 	}
-	opts.Recorders = &recorders
 	res, err := patrol.Run(scn, alg, opts, AlgorithmSource(seed))
 	if err != nil {
 		return nil, fmt.Errorf("sweep: cell %v seed %d: %w", p, seed, err)
 	}
-	defer recorders.Release(res.Recorder)
+	// The recorder goes back for a later replication once every metric
+	// has been read; vectors are copied first, since a Vector.Fn may
+	// return a slice of one of its logs.
+	defer metrics.Release(res.Recorder)
 
 	env := Env{Point: p, Variant: d.variant, Seed: seed, Scenario: scn, Result: res, Fleet: sc.Fleet, Data: data}
 	vals := &runValues{scalars: make([]float64, len(sp.Metrics))}
@@ -671,7 +670,7 @@ func (e *engine) runOne(j job) (*runValues, error) {
 			if len(v) > vm.Len {
 				v = v[:vm.Len]
 			}
-			vals.vectors[i] = v
+			vals.vectors[i] = slices.Clone(v)
 		}
 	}
 	return vals, nil

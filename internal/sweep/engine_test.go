@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -164,6 +165,44 @@ func TestRunVectorMetric(t *testing.T) {
 	for k, n := range vs.N {
 		if n == 0 {
 			t.Fatalf("position %d has no samples yet is inside the trimmed mean", k)
+		}
+	}
+}
+
+// TestRunVectorOfRawLog: a vector may return a slice of the
+// recorder's own visit log. The engine recycles each replication's
+// recorder once its metrics are read, so it must copy the slice before
+// another worker's replication overwrites it: the raw vector folds to
+// exactly what a vector returning its own copy folds to.
+func TestRunVectorOfRawLog(t *testing.T) {
+	const n = 8
+	spec := Spec{
+		Name: "rawlog",
+		Algorithms: []Variant{
+			Algo("btctp", patrol.Planned(&core.BTCTP{})),
+			Algo("sweep", patrol.Planned(&baseline.Sweep{})),
+		},
+		Targets:  []int{6, 10},
+		Mules:    []int{2},
+		Horizons: []float64{4_000},
+		Vectors: []VectorMetric{
+			{Name: "raw", Len: n, Fn: func(e Env) []float64 { return e.Result.Recorder.VisitTimes(0) }},
+			{Name: "copy", Len: n, Fn: func(e Env) []float64 { return slices.Clone(e.Result.Recorder.VisitTimes(0)) }},
+		},
+		Seeds:   40,
+		Workers: 4,
+	}
+	res, err := Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range res.Cells {
+		raw, cp := c.Vector("raw"), c.Vector("copy")
+		if len(cp.Mean) == 0 {
+			t.Fatalf("cell %v: empty vector", c.Point)
+		}
+		if !slices.Equal(raw.N, cp.N) || !slices.Equal(raw.Mean, cp.Mean) {
+			t.Fatalf("cell %v: raw log folds to %v %v, its copy to %v %v", c.Point, raw.N, raw.Mean, cp.N, cp.Mean)
 		}
 	}
 }

@@ -293,8 +293,8 @@ func Algo(name string, alg patrol.Algorithm) Variant {
 // Env is what a metric function sees: one finished replication of one
 // cell. Result.Recorder is valid only while the metric functions run:
 // the engine recycles it for a later replication once every metric has
-// been read, so a metric must neither keep it nor return a slice of
-// one of its logs.
+// been read, so a metric must not keep it. A vector may return a slice
+// of one of its logs; the engine copies what a vector returns.
 type Env struct {
 	Point    Point
 	Variant  Variant
