@@ -202,15 +202,30 @@ func BenchmarkWPPConstruction(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulationThroughput measures raw event throughput of a
-// 4-mule B-TCTP simulation (events/op via ns and the fixed horizon).
+// BenchmarkSimulationThroughput measures one 4-mule B-TCTP
+// replication on a 20-target uniform field over 50 000 s: the shared
+// circuit of the paper's figures, whose mules run ahead of the event
+// heap on their own clocks and whose visit logs the recorder merges
+// from one run per mule. BenchmarkSimulationEngine runs the same
+// replication on the heap.
 func BenchmarkSimulationThroughput(b *testing.B) {
+	benchmarkThroughput(b, patrol.Options{Horizon: 50_000})
+}
+
+// BenchmarkSimulationEngine is BenchmarkSimulationThroughput with a
+// no-op observer attached, which keeps every mule on the event heap:
+// the engine path that observers, event schedules and batteries still
+// take, and the oracle of the run-ahead path.
+func BenchmarkSimulationEngine(b *testing.B) {
+	benchmarkThroughput(b, patrol.Options{Horizon: 50_000, Observers: []patrol.Observer{patrol.ObserverFuncs{}}})
+}
+
+func benchmarkThroughput(b *testing.B, opts patrol.Options) {
 	s := field.Generate(field.Config{NumTargets: 20, NumMules: 4, Placement: field.Uniform},
 		xrand.New(5))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := patrol.Run(s, patrol.Planned(&core.BTCTP{}),
-			patrol.Options{Horizon: 50_000}, xrand.New(1))
+		res, err := patrol.Run(s, patrol.Planned(&core.BTCTP{}), opts, xrand.New(1))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -223,10 +238,9 @@ func BenchmarkSimulationThroughput(b *testing.B) {
 // BenchmarkSimulationExclusive measures one Sweep replication on a
 // 10-target, 8-mule uniform field at the default 100 000 s horizon:
 // nearly one mule per target, the paper-grid cell where most visits
-// come from a mule parked on a target of its own. Every mule shares no
-// target with another, so each runs ahead of the event heap on its own
-// clock (patrol's run-ahead path); BenchmarkSimulationThroughput's
-// shared B-TCTP circuit never reaches that path.
+// come from a mule parked on a target of its own. Every mule runs ahead
+// of the event heap on its own clock (patrol's run-ahead path) and
+// shares no target with another, so no visit log needs a merge.
 func BenchmarkSimulationExclusive(b *testing.B) {
 	s := field.Generate(field.Config{NumTargets: 10, NumMules: 8, Placement: field.Uniform},
 		xrand.New(5))

@@ -72,15 +72,17 @@
 //     whole B-TCTP replication (plan, simulate, record): its
 //     allocs/op is a per-run constant only while no mule leg, visit
 //     or interval statistic allocates. Planning dominates that
-//     benchmark's time, so the gate also takes the two simulation
+//     benchmark's time, so the gate also takes the simulation
 //     benchmarks, whose allocs/op catch a visit log that regrows:
 //     BenchmarkSimulationThroughput (a 20-target, 4-mule B-TCTP run
-//     over 50 000 s on one shared circuit, almost all simulation on
-//     the event heap), BenchmarkSimulationExclusive (a 10-target,
-//     8-mule Sweep over 100 000 s, whose mules share no target and so
-//     run ahead of the heap on their own clocks, most of them parked
-//     on one target) and BenchmarkSimulationExclusiveRegions (a
-//     50-target, 4-mule Sweep over 100 000 s, whose mules run ahead
+//     over 50 000 s on one shared circuit, whose mules run ahead of
+//     the event heap on their own clocks and whose visit logs the
+//     recorder merges), BenchmarkSimulationEngine (the same run with a
+//     no-op observer, which keeps every mule on the heap),
+//     BenchmarkSimulationExclusive (a 10-target, 8-mule Sweep over
+//     100 000 s, whose mules share no target and run ahead, most of
+//     them parked on one target) and BenchmarkSimulationExclusiveRegions
+//     (a 50-target, 4-mule Sweep over 100 000 s, whose mules run ahead
 //     around regions of about 12 stops). It also takes the
 //     two service hot paths whose absolute time is the product:
 //     BenchmarkCacheHitSweep (a fully warm sweep) and
@@ -90,7 +92,7 @@
 //
 // A -bench pattern with a '/' level runs no benchmark that lacks
 // sub-benchmarks, so CI runs the n=1000 ladders, the 2000-iteration
-// set and the three simulation benchmarks in three go test invocations
+// set and the four simulation benchmarks in three go test invocations
 // and feeds their concatenated output to both gates.
 //
 // The BenchmarkPlan*Brute twins are deliberately ungated and excluded

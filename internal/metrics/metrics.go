@@ -26,9 +26,17 @@ import (
 // experiment harness parallelizes across independent runs instead).
 type Recorder struct {
 	visits [][]float64
-	// flat is the backing array the logs are carved from, kept so a
-	// released recorder can hand it to the next run.
-	flat []float64
+	// flat is the backing array the logs are carved from, and scratch
+	// MergeRuns's buffer, both kept so a released recorder can hand
+	// them to the next run.
+	flat, scratch []float64
+	// runs reports that Append takes a visit earlier than its target's
+	// last as the start of a new run (see AllowRuns); breaks counts the
+	// runs so started and not yet merged, longest is the largest
+	// capacity of a log among them, and merged is the most runs the
+	// last MergeRuns merged into one log.
+	runs                    bool
+	breaks, longest, merged int
 }
 
 // recorders holds released recorders for NewRecorderCap to reuse.
@@ -49,8 +57,9 @@ var (
 // reallocates independently instead of clobbering its neighbour's
 // slot, so the capacities affect only allocation behaviour, never
 // recorded values. A nil caps means no preallocation; otherwise it
-// must have one entry per target. The recorder reuses the log table
-// and backing array of a released one (see Release) when there is one.
+// must have one entry per target. The recorder reuses the log table,
+// backing array and merge buffer of a released one (see Release) when
+// there is one.
 func NewRecorderCap(nTargets int, caps []int) *Recorder {
 	if nTargets <= 0 {
 		panic(fmt.Sprintf("metrics: NewRecorderCap(%d)", nTargets))
@@ -65,6 +74,7 @@ func NewRecorderCap(nTargets int, caps []int) *Recorder {
 	if r == nil {
 		r = new(Recorder)
 	}
+	r.runs, r.breaks, r.longest, r.merged = false, 0, 0, 0
 	if cap(r.visits) < nTargets {
 		r.visits = make([][]float64, nTargets)
 	}
@@ -108,11 +118,12 @@ func (r *Recorder) NumTargets() int { return len(r.visits) }
 // earlier than the target's last recorded visit: every log is
 // time-ordered per target, which the suffix searches of the ...After
 // aggregates, FirstVisitAfter and the gap metrics rely on. Calls are
-// not globally time-ordered: a mule that patrols its own targets ahead
-// of the engine (patrol.Run) records its whole run before the others
-// record theirs, most of it through Append. Only that mule visits those
-// targets, so each target's visits still arrive in time order, and
-// only a caller outside a simulation can trip the panic.
+// not globally time-ordered when mules run ahead of the engine
+// (patrol.Run): each such mule records its whole run, most of it
+// through Append, before the next one records its own. After AllowRuns
+// the recorder therefore takes an earlier visit as the start of a new
+// run, and MergeRuns restores the order before any metric reads the
+// log.
 func (r *Recorder) OnVisit(_, target int, t float64) {
 	if target < 0 || target >= len(r.visits) {
 		panic(fmt.Sprintf("metrics: visit to target %d of %d", target, len(r.visits)))
@@ -122,15 +133,122 @@ func (r *Recorder) OnVisit(_, target int, t float64) {
 
 // Append is OnVisit without the mule, for a caller that calls the
 // recorder directly on every visit: a mule running its compiled cycle
-// ahead of the engine (mule.RunUntil). It panics, as OnVisit does, on
-// a time earlier than target's last visit, and is small enough to
-// inline.
+// ahead of the engine (mule.RunUntil). It treats a time earlier than
+// target's last visit as OnVisit does, and is small enough to inline.
 func (r *Recorder) Append(target int, t float64) {
 	ts := r.visits[target]
 	if n := len(ts); n > 0 && t < ts[n-1] {
-		panic(orderError{target, t, ts[n-1]})
+		r.startRun(target, t)
+		return
 	}
+	r.visits[target] = append(r.visits[target], t)
+}
+
+// startRun is Append for a visit earlier than the target's last: the
+// first visit of a new run on a recorder that takes runs, a panic on
+// any other.
+func (r *Recorder) startRun(target int, t float64) {
+	ts := r.visits[target]
+	if !r.runs {
+		panic(orderError{target, t, ts[len(ts)-1]})
+	}
+	r.breaks++
+	r.longest = max(r.longest, cap(ts))
 	r.visits[target] = append(ts, t)
+}
+
+// AllowRuns readies r for a simulation whose mules do not all record
+// in global time order (patrol.Run's run-ahead mules): each mule
+// appends its own visits in time order, one mule after another, so a
+// target's log becomes a sequence of time-sorted runs. Append then
+// takes a visit earlier than its target's last as the start of a new
+// run instead of panicking, until MergeRuns merges every log's runs
+// into one.
+func (r *Recorder) AllowRuns() { r.runs = true }
+
+// MergeRuns merges each log's time-sorted runs into one time-sorted
+// log and makes Append strict again, as it is until AllowRuns. A log
+// is the sorted multiset of its visit times, so the result is the log
+// the visits would have made had they been appended in time order, bit
+// for bit. A log that is one run already is left as it is. The merge
+// buffer has room for the largest capacity of a log that holds several
+// runs; it is the recorder's own, so a recorder taken again after
+// Release (see NewRecorderCap) merges without allocating.
+func (r *Recorder) MergeRuns() {
+	r.runs, r.merged = false, 0
+	if r.breaks > 0 && len(r.scratch) < r.longest {
+		r.scratch = make([]float64, r.longest)
+	}
+	for i := 0; r.breaks > 0 && i < len(r.visits); i++ {
+		n := mergeRuns(r.visits[i], r.scratch)
+		r.breaks -= n - 1
+		r.merged = max(r.merged, n)
+	}
+	r.breaks = 0
+}
+
+// Merged returns the most time-sorted runs the last MergeRuns merged
+// into one log, or 0 when every log was one run.
+func (r *Recorder) Merged() int { return r.merged }
+
+// mergeRuns sorts ts, a sequence of time-sorted runs, and returns how
+// many runs it held. Each pass merges adjacent pairs of runs from one
+// of ts and buf into the other, halving the runs, whose ends it keeps
+// in an array on the stack (which moves to the heap only past 130
+// runs). buf must have room for ts unless ts is one run, which is left
+// as it is; a buf too short is replaced by a new one.
+func mergeRuns(ts, buf []float64) int {
+	var stack [130]int
+	ends := stack[:0]
+	for i := 1; i < len(ts); i++ {
+		if ts[i] < ts[i-1] {
+			ends = append(ends, i)
+		}
+	}
+	if len(ends) == 0 {
+		return 1
+	}
+	ends = append(ends, len(ts))
+	runs := len(ends)
+	if len(buf) < len(ts) {
+		buf = make([]float64, len(ts))
+	}
+	src, dst := ts, buf[:len(ts)]
+	for len(ends) > 1 {
+		lo, n := 0, 0
+		for k := 0; k < len(ends); k += 2 {
+			mid, hi := ends[k], ends[k]
+			if k+1 < len(ends) {
+				hi = ends[k+1]
+			}
+			merge(dst[lo:hi], src[lo:mid], src[mid:hi])
+			ends[n] = hi
+			lo, n = hi, n+1
+		}
+		ends = ends[:n]
+		src, dst = dst, src
+	}
+	if &src[0] != &ts[0] {
+		copy(ts, src)
+	}
+	return runs
+}
+
+// merge merges the time-sorted a and b into dst, which has room for
+// both.
+func merge(dst, a, b []float64) {
+	i, j, k := 0, 0, 0
+	for ; i < len(a) && j < len(b); k++ {
+		if b[j] < a[i] {
+			dst[k] = b[j]
+			j++
+		} else {
+			dst[k] = a[i]
+			i++
+		}
+	}
+	k += copy(dst[k:], a[i:])
+	copy(dst[k:], b[j:])
 }
 
 // orderError is Append's panic value; it formats only when printed,

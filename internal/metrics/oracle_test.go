@@ -1,5 +1,7 @@
 package metrics
 
+import "slices"
+
 // The slice-building interval definitions: the Recorder's aggregates
 // derive the same values from the visit log in place (see visitsAfter
 // and meanGap), and the tests hold them to these two bit for bit.
@@ -38,4 +40,15 @@ func (r *Recorder) IntervalsAfter(target int, t0 float64) []float64 {
 		out[i-1] = kept[i] - kept[i-1]
 	}
 	return out
+}
+
+// sortedRuns is the run merge's oracle: the runs concatenated and
+// sorted by slices.Sort.
+func sortedRuns(runs [][]float64) []float64 {
+	var all []float64
+	for _, r := range runs {
+		all = append(all, r...)
+	}
+	slices.Sort(all)
+	return all
 }

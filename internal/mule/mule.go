@@ -18,16 +18,18 @@
 // them. Only Launch and Reroute spend an extra event, to start the
 // first leg; see Reroute for the one ordering this cannot reproduce.
 //
-// A mule whose legs nothing else can observe need not be on the engine
-// at all: RunUntil runs the same legs back to back on the mule's own
-// clock, in place of Launch, and spends no event. arrive and depart
-// take the instant they act at as a parameter, so the engine handlers
-// and RunUntil share their leg bookkeeping; patrol.Run decides which
-// mules may run ahead. A fixed route is a Route, whose cycle is a leg
-// table walked by a cursor; compiled for the run's recorder, it lets
-// RunUntil run the cycle in a tight loop over the table, with the float
-// expressions of depart and arrive in their order, and hand each visit
-// straight to the recorder.
+// A mule whose legs depend on nothing but its own route need not be on
+// the engine at all: RunUntil runs the same legs back to back on the
+// mule's own clock, in place of Launch, and spends no event. arrive and
+// depart take the instant they act at as a parameter, so the engine
+// handlers and RunUntil share their leg bookkeeping; patrol.Run decides
+// which mules may run ahead. A fixed route is a Route, whose cycle is a
+// leg table walked by a cursor; compiled for the run's recorder, it
+// lets RunUntil run the cycle in a tight loop over the table, with the
+// float expressions of depart and arrive in their order, and hand each
+// visit straight to the recorder. Mules that run ahead may share
+// targets: each appends its visits to a target's log as one time-sorted
+// run, and the recorder merges the runs (metrics.Recorder.AllowRuns).
 package mule
 
 import (
@@ -180,11 +182,14 @@ func (m *Mule) Recharges() int { return m.recharges }
 // mule starts at the engine's current instant and schedules nothing.
 // It leaves the mule exactly as the engine would at t — every arrival
 // at or before t booked and visited, the next leg in flight — but its
-// callbacks fire before any engine event runs, so only a mule that no
-// other part of the simulation can observe may run ahead: its router,
+// callbacks fire before any engine event runs, so only a mule whose
+// legs depend on nothing but its own route may run ahead: its router,
 // battery and callbacks touch nothing another mule or event reads or
 // writes, and no callback depends on the order of visits across mules.
-// Kill and Reroute have nothing to cancel on a mule that ran ahead.
+// Its visits to a target it shares with other mules reach the recorder
+// as one time-sorted run among theirs, and a recorder that allows runs
+// (metrics.Recorder.AllowRuns) merges them. Kill and Reroute have
+// nothing to cancel on a mule that ran ahead.
 //
 // A mule without a battery whose router is a compiled Route runs the
 // route's cycle from its leg table: no Next call, no square root, no

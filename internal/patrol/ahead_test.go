@@ -16,8 +16,8 @@ import (
 )
 
 // aheadFamilies names the algorithm families randomAheadCase draws;
-// the last four never run a mule ahead.
-var aheadFamilies = []string{"sweep-kmeans", "sweep-sectors", "cbtctp", "cwtctp", "btctp-1", "btctp", "wtctp", "chb", "random"}
+// only the last never runs a mule ahead.
+var aheadFamilies = []string{"sweep-kmeans", "sweep-sectors", "cbtctp", "cwtctp", "btctp-1", "btctp", "wtctp", "chb", "speeds", "mixed", "random"}
 
 // randomAheadCase draws a run for the run-ahead tests from the named
 // family: Sweep by k-means or sectors, C-BTCTP or C-WTCTP with fewer
@@ -25,7 +25,11 @@ var aheadFamilies = []string{"sweep-kmeans", "sweep-sectors", "cbtctp", "cwtctp"
 // a one-mule B-TCTP, a B-TCTP, W-TCTP or CHB fleet of at least two
 // mules on one shared circuit, or the online Random baseline. Speeds,
 // dwells, fleet speeds, unsynchronized starts and small MaxEvents are
-// drawn across all of them. A planner that draws random numbers
+// drawn across all of them. Two families put a shared circuit under
+// stress: in "speeds" every member of the fleet has a speed of its
+// own, up to seven times another's, so mules overtake each other, and
+// in "mixed" one member has a battery of its own, which keeps it on the
+// engine while the rest run ahead. A planner that draws random numbers
 // consumes its source, so each call of the returned alg builds the
 // algorithm afresh from the same seed.
 func randomAheadCase(rng *rand.Rand, family string) (s *field.Scenario, alg func() Algorithm, opts Options) {
@@ -33,7 +37,7 @@ func randomAheadCase(rng *rand.Rand, family string) (s *field.Scenario, alg func
 	switch family {
 	case "btctp-1":
 		mules = 1
-	case "btctp", "wtctp", "chb":
+	case "btctp", "wtctp", "chb", "speeds", "mixed":
 		mules++
 	}
 	targets := mules + rng.Intn(16)
@@ -72,6 +76,20 @@ func randomAheadCase(rng *rand.Rand, family string) (s *field.Scenario, alg func
 		dwell = core.NoDwell
 	}
 	seed := uint64(rng.Int63())
+	switch family {
+	case "speeds":
+		opts.Fleet = make([]FleetMember, mules)
+		for i, k := range rng.Perm(mules) {
+			opts.Fleet[i].Speed = 0.5 * float64(1+k%7)
+		}
+		family = []string{"btctp", "wtctp", "chb"}[rng.Intn(3)]
+	case "mixed":
+		if opts.Fleet == nil {
+			opts.Fleet = make([]FleetMember, mules)
+		}
+		opts.Fleet[rng.Intn(mules)].Battery = 1e12
+		family = []string{"btctp", "wtctp", "chb"}[rng.Intn(3)]
+	}
 	switch family {
 	case "sweep-kmeans":
 		alg = func() Algorithm {
@@ -112,10 +130,10 @@ func randomAheadCase(rng *rand.Rand, family string) (s *field.Scenario, alg func
 // aheadMules returns which mules Run lets run ahead for these inputs.
 func aheadMules(s *field.Scenario, plan *core.FleetPlan, opts Options) []bool {
 	opts = opts.withDefaults()
-	_, owner := visitCaps(s.NumTargets(), plan, opts)
+	caps := visitCaps(s.NumTargets(), plan, opts)
 	ahead := make([]bool, s.NumMules())
 	for i := range ahead {
-		ahead[i] = plan != nil && runsAhead(i, plan.Routes[i], owner, opts)
+		ahead[i] = plan != nil && runsAhead(i, plan.Routes[i], caps, opts)
 	}
 	return ahead
 }
@@ -198,11 +216,15 @@ func anyVisit(rng *rand.Rand, res *Result) float64 {
 // that run ahead run their cycles from the compiled leg table, and the
 // test fails unless some did: an ahead mule that made two cycle visits
 // took the table path for the second at least, since it then stood at
-// the first visit's stop, the second leg's from point.
+// the first visit's stop, the second leg's from point. Mules that share
+// a circuit leave each target's log in several time-sorted runs, and
+// the test fails unless the recorder merged some log from at least two
+// runs, some while a mule kept to the engine, and unless some fleet
+// with speeds of its own saw a mule lap another.
 func TestRunAheadMatchesEventPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
-	const n = 1200
-	var ran, mixed, onArrival, failures, skipped, fleets, unsynced, noDwell, tabled int
+	const n = 1320
+	var ran, mixed, onArrival, failures, skipped, fleets, unsynced, noDwell, tabled, merged, mixedMerged, lapped int
 	families := map[string]int{}
 	for i := 0; i < n; i++ {
 		family := aheadFamilies[i%len(aheadFamilies)]
@@ -239,6 +261,9 @@ func TestRunAheadMatchesEventPath(t *testing.T) {
 				i, family, got.Algorithm, opts.Horizon, opts.Energy.Dwell, opts.MaxEvents, opts.Fleet,
 				opts.NoSynchronizedStart, opts.Events, d)
 		}
+		if want.Recorder.Merged() != 0 {
+			t.Fatalf("case %d (%s): the engine path merged runs", i, family)
+		}
 		ran++
 		some := 0
 		for j, a := range aheadMules(s, got.Plan, opts) {
@@ -259,6 +284,15 @@ func TestRunAheadMatchesEventPath(t *testing.T) {
 		if some > 0 {
 			families[family]++
 		}
+		if got.Recorder.Merged() >= 2 {
+			merged++
+			if some < s.NumMules() {
+				mixedMerged++
+			}
+		}
+		if family == "speeds" && some > 0 && laps(got) {
+			lapped++
+		}
 		if some > 0 && some < s.NumMules() {
 			mixed++
 		}
@@ -275,24 +309,44 @@ func TestRunAheadMatchesEventPath(t *testing.T) {
 			failures++
 		}
 	}
-	t.Logf("%d runs (%d skipped): %v ran mules ahead, %d mules made visits from their compiled cycle, %d with mules on both clocks, %d with fleet speeds, %d unsynchronized, %d without dwell; %d horizons on an arrival, %d with a failure",
-		ran, skipped, families, tabled, mixed, fleets, unsynced, noDwell, onArrival, failures)
+	t.Logf("%d runs (%d skipped): %v ran mules ahead, %d mules made visits from their compiled cycle, %d merged a log from several runs (%d with a mule on the engine), %d lapped a mule, %d with mules on both clocks, %d with fleet speeds, %d unsynchronized, %d without dwell; %d horizons on an arrival, %d with a failure",
+		ran, skipped, families, tabled, merged, mixedMerged, lapped, mixed, fleets, unsynced, noDwell, onArrival, failures)
 	if tabled == 0 {
 		t.Fatal("no mule made visits from its compiled cycle")
 	}
-	for _, f := range []string{"sweep-kmeans", "sweep-sectors", "cbtctp", "cwtctp", "btctp-1"} {
+	if merged == 0 || mixedMerged == 0 {
+		t.Fatal("no log was merged from several runs, with and without a mule on the engine")
+	}
+	if lapped == 0 {
+		t.Fatal("no mule lapped another on a shared circuit")
+	}
+	for _, f := range aheadFamilies[:len(aheadFamilies)-1] {
 		if families[f] == 0 {
-			t.Fatalf("no %s run ran a mule ahead", f)
+			t.Fatalf("no %s run ran a mule ahead: %v", f, families)
 		}
 	}
-	for _, f := range []string{"btctp", "wtctp", "chb", "random"} {
-		if families[f] > 0 {
-			t.Fatalf("shared-circuit or online runs ran a mule ahead: %v", families)
-		}
+	if families["random"] > 0 {
+		t.Fatalf("an online run ran a mule ahead: %v", families)
 	}
 	if mixed == 0 || fleets == 0 || unsynced == 0 || noDwell == 0 || onArrival == 0 || failures == 0 {
 		t.Fatal("the random runs miss a case the oracle must cover")
 	}
+}
+
+// laps reports whether some mule of a shared circuit visited at least
+// two rounds of its group's walk more than another: the mules start
+// less than one round apart, so it has overtaken that mule.
+func laps(res *Result) bool {
+	for _, g := range res.Plan.Groups {
+		lo, hi := math.MaxInt, 0
+		for _, m := range g.Mules {
+			lo, hi = min(lo, res.Mules[m].Visits), max(hi, res.Mules[m].Visits)
+		}
+		if len(g.Mules) > 1 && hi-lo >= 2*g.Walk.Size() {
+			return true
+		}
+	}
+	return false
 }
 
 // metamorphicCase draws a Sweep, C-BTCTP or B-TCTP run for the
@@ -448,7 +502,7 @@ func TestRunAheadDisqualifiers(t *testing.T) {
 		}), base, except(2)},
 		{"shared target", withStops(5, func(w []mule.Waypoint) []mule.Waypoint {
 			return append(w, other)
-		}), base, except(0, 5)},
+		}), base, all},
 		{"zero-period route", plan, zeroDwell, none},
 		{"event bound above MaxEvents", plan, Options{Horizon: base.Horizon, MaxEvents: 100_000}, none},
 		{"NaN horizon", plan, Options{Horizon: math.NaN()}, none},
@@ -463,8 +517,8 @@ func TestRunAheadDisqualifiers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := aheadMules(s, btctp, base); !reflect.DeepEqual(got, none) {
-		t.Errorf("shared B-TCTP circuit: ahead %v, want none", got)
+	if got := aheadMules(s, btctp, base); !reflect.DeepEqual(got, all) {
+		t.Errorf("shared B-TCTP circuit: ahead %v, want every mule", got)
 	}
 	one := scenario(37, 10, 1)
 	solo, err := (&core.BTCTP{}).Plan(one)

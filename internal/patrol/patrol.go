@@ -50,10 +50,10 @@ type Options struct {
 	// 5 000 000). A mule leg — the dwell and any hold at the stop it
 	// leaves, then the travel — is one event, ending in the arrival
 	// that records a visit, so a run records at most MaxEvents visits.
-	// A mule runs ahead of the engine on its own clock (see Run) only
+	// Mules run ahead of the engine on their own clocks (see Run) only
 	// when the plan's routes prove that the whole run's events up to
-	// the horizon stay within MaxEvents, so the guard stops a run at
-	// the same point whichever clock its mules keep.
+	// the horizon stay within MaxEvents, so the guard never stops such
+	// a run, whichever clock its mules keep.
 	MaxEvents uint64
 	// NoSynchronizedStart lets each mule begin patrolling the moment
 	// it reaches its start point instead of waiting for the slowest
@@ -66,7 +66,8 @@ type Options struct {
 	// for the same event, in slice order.
 	// Attaching an observer keeps every mule on the global clock, so
 	// observers see every event in global time order; without one,
-	// mules that share no target may run ahead (see Run).
+	// every mule with no battery and no recharge stop may run ahead,
+	// whether or not it shares targets (see Run).
 	Observers []Observer
 	// Events is the dynamic-world schedule: mid-horizon mule failures
 	// and target spawns, applied in one batch per distinct time. Empty
@@ -355,19 +356,14 @@ func newPlanRouters(routes []core.MuleRoute, hold float64) []mule.Route {
 // capacities, and neither does a plan with a zero-length period (whose
 // event count only MaxEvents bounds) or one whose event bound exceeds
 // MaxEvents: their logs grow as they fill. Capacities only size
-// allocations, never recorded values.
-//
-// With the capacities comes owner, which runsAhead reads: owner[t] is
-// 1 + the index of the one route that stops at target t, 0 when none
-// does and -1 when several do. A non-nil owner therefore also proves
-// that the MaxEvents guard cannot stop the run before the horizon.
-func visitCaps(n int, plan *core.FleetPlan, opts Options) (caps, owner []int) {
+// allocations, never recorded values. Non-nil caps therefore also
+// prove that the MaxEvents guard cannot stop the run before the
+// horizon, which runsAhead relies on.
+func visitCaps(n int, plan *core.FleetPlan, opts Options) []int {
 	if plan == nil {
-		return nil, nil
+		return nil
 	}
-	// One block for both tables keeps a run's allocation count flat.
-	block := make([]int, 2*n)
-	caps, owner = block[:n:n], block[n:]
+	caps := make([]int, n)
 	events := 0.0
 	for i, r := range plan.Routes {
 		length, stops, legs := 0.0, 0, 0
@@ -389,12 +385,12 @@ func visitCaps(n int, plan *core.FleetPlan, opts Options) (caps, owner []int) {
 		}
 		period := length/opts.muleSpeed(i) + float64(stops)*opts.Energy.Dwell
 		if !(period > 0) {
-			return nil, nil
+			return nil
 		}
 		cycles := math.Floor(opts.Horizon/period) + 2
 		events += 1 + float64(len(r.Approach)) + cycles*float64(legs)
 		if !(events <= float64(opts.MaxEvents)) { // a NaN horizon bounds nothing
-			return nil, nil
+			return nil
 		}
 		for _, wp := range r.Approach {
 			if wp.TargetID != mule.NoTarget {
@@ -408,66 +404,57 @@ func visitCaps(n int, plan *core.FleetPlan, opts Options) (caps, owner []int) {
 				}
 			}
 		}
-		eachStop(r, func(wp mule.Waypoint) {
-			switch t := wp.TargetID; {
-			case t == mule.NoTarget || owner[t] == i+1:
-			case owner[t] == 0:
-				owner[t] = i + 1
-			default:
-				owner[t] = -1
-			}
-		})
 	}
-	return caps, owner
+	return caps
 }
 
 // runsAhead reports whether Run may run mule i, on route r, ahead of
-// the engine with mule.RunUntil: whether nothing else in the run can
-// observe the order of its events. That holds when the run's events
-// provably stay within MaxEvents (owner, from visitCaps, is non-nil),
-// the run has no observers and no event schedule, the mule has no
-// battery and no recharge stop, and no other route stops at any of its
-// targets, so its visits are the only entries in their logs. Such a
-// mule is indistinguishable on the engine and off it.
-func runsAhead(i int, r core.MuleRoute, owner []int, opts Options) bool {
-	if owner == nil || len(opts.Observers) > 0 || len(opts.Events) > 0 || opts.UseBattery ||
+// the engine with mule.RunUntil: whether nothing in the run depends on
+// the order of its events relative to other mules'. That holds when
+// the run's events provably stay within MaxEvents (caps, from
+// visitCaps, is non-nil), the run has no observers and no event
+// schedule, and the mule has no battery and no recharge stop. Its visit
+// times then depend on nothing but its own route, whichever clock it
+// keeps, and the recorder, the one observer left, merges the runs its
+// logs gather (see Run).
+func runsAhead(i int, r core.MuleRoute, caps []int, opts Options) bool {
+	if caps == nil || len(opts.Observers) > 0 || len(opts.Events) > 0 || opts.UseBattery ||
 		i < len(opts.Fleet) && opts.Fleet[i].Battery > 0 {
 		return false
 	}
-	ok := true
-	eachStop(r, func(wp mule.Waypoint) {
-		if wp.Recharge || wp.TargetID != mule.NoTarget && owner[wp.TargetID] != i+1 {
-			ok = false
-		}
-	})
-	return ok
-}
-
-// eachStop calls f on every stop of route r, approach first.
-func eachStop(r core.MuleRoute, f func(mule.Waypoint)) {
 	for _, wp := range r.Approach {
-		f(wp)
+		if wp.Recharge {
+			return false
+		}
 	}
 	for _, ph := range r.Cycle {
 		for _, wp := range ph.Stops {
-			f(wp)
+			if wp.Recharge {
+				return false
+			}
 		}
 	}
+	return true
 }
 
 // Run executes the algorithm on the scenario until opts.Horizon and
 // returns the collected metrics. src drives any randomness the
 // algorithm needs (it may be nil for deterministic planners).
 //
-// Mules whose events nothing else can observe (see runsAhead) run
-// ahead: each patrols to the horizon on its own clock with
-// mule.RunUntil before the engine starts, and only the rest of the
-// fleet goes through the event heap. A Sweep mule parked on a target
-// of its own, one visit per dwell, is the common case. Such a mule
-// runs its cycle from its route's compiled leg table and appends its
-// visits straight to its targets' logs in the recorder, which is the
-// run's only observer. The results are bit-identical to running every
-// mule on the engine, which attaching any observer does.
+// Mules whose visit times depend on nothing but their own routes (see
+// runsAhead) run ahead: each patrols to the horizon on its own clock
+// with mule.RunUntil before the engine starts, and only the rest of the
+// fleet goes through the event heap. In the static, battery-free world
+// of the paper's figures that is every mule of a plan, whether it
+// patrols targets of its own (Sweep) or shares a circuit (B-TCTP,
+// W-TCTP, CHB). Such a mule runs its cycle from its route's compiled
+// leg table and appends its visits straight to its targets' logs in the
+// recorder, which is the run's only observer. A target's log thus
+// gathers one time-sorted run per mule that visits it, the engine's
+// mules counting as one, and the recorder merges them before Run
+// returns. A log is the sorted multiset of its visit times, so the
+// results are bit-identical to running every mule on the engine, which
+// attaching any observer does.
 func Run(s *field.Scenario, alg Algorithm, opts Options, src *xrand.Source) (*Result, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -526,7 +513,7 @@ func Run(s *field.Scenario, alg Algorithm, opts Options, src *xrand.Source) (*Re
 	}
 
 	eng := sim.New()
-	caps, owner := visitCaps(s.NumTargets(), plan, opts)
+	caps := visitCaps(s.NumTargets(), plan, opts)
 	rec := metrics.NewRecorderCap(s.NumTargets(), caps)
 	// The recorder is the first observer; user observers follow in
 	// registration order, all peers of one dispatch.
@@ -579,7 +566,8 @@ func Run(s *field.Scenario, alg Algorithm, opts Options, src *xrand.Source) (*Re
 			OnDeath:    onDeath,
 			OnRecharge: dispatch.OnRecharge,
 		})
-		if plan != nil && runsAhead(i, plan.Routes[i], owner, opts) {
+		if plan != nil && runsAhead(i, plan.Routes[i], caps, opts) {
+			rec.AllowRuns()
 			rs[i].Compile(rec)
 			mules[i].RunUntil(opts.Horizon)
 		} else {
@@ -608,6 +596,7 @@ func Run(s *field.Scenario, alg Algorithm, opts Options, src *xrand.Source) (*Re
 	if executed < opts.MaxEvents {
 		eng.RunUntil(opts.Horizon) // no events remain ≤ horizon; set the clock
 	}
+	rec.MergeRuns()
 
 	res := &Result{
 		Algorithm: alg.Name(),

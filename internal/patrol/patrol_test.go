@@ -107,6 +107,68 @@ func TestBTCTPIntervalMatchesTheory(t *testing.T) {
 	}
 }
 
+// TestBTCTPClosedForm pins the paper's Fig. 8 claim in closed form
+// across random static, battery-free scenarios: m equal-speed mules on
+// one B-TCTP circuit of length L, visiting s targets with dwell d, each
+// go round in P = L/v + s·d, so once the patrol has started every
+// target's interval is P/m, within 1e-6 s, and its SD is 0 within
+// 1e-6 s. It must hold both where every mule runs ahead of the engine,
+// with each target's log merged from one run per mule, and where a
+// no-op observer keeps every mule on the engine.
+func TestBTCTPClosedForm(t *testing.T) {
+	const tol = 1e-6
+	rng := xrand.New(19)
+	merged := 0
+	for i := 0; i < 200; i++ {
+		mules := 1 + rng.Intn(8)
+		s := field.Generate(field.Config{
+			NumTargets: mules + 2 + rng.Intn(30),
+			NumMules:   mules,
+			Placement:  []field.Placement{field.Uniform, field.Clusters, field.Grid}[rng.Intn(3)],
+		}, xrand.New(rng.Uint64()))
+		model := energy.Default()
+		model.Dwell = []float64{0, 0.5, 1, 3}[rng.Intn(4)]
+		dwell := model.Dwell
+		if dwell == 0 {
+			dwell = core.NoDwell
+		}
+		opts := Options{Horizon: 60_000, Energy: model, Speed: []float64{1, 2, 5}[rng.Intn(3)]}
+		observed := opts
+		observed.Observers = []Observer{ObserverFuncs{}}
+		for _, o := range []Options{opts, observed} {
+			res := run(t, s, Planned(&core.BTCTP{Dwell: dwell}), o, 1)
+			g := res.Plan.Groups[0]
+			p := g.Walk.Length(s.Points())/o.Speed + float64(g.Walk.Size())*model.Dwell
+			want := p / float64(mules)
+			warm := res.PatrolStart
+			for _, r := range res.Plan.Routes {
+				warm = math.Max(warm, res.PatrolStart+r.ExtraHold)
+			}
+			for target := 0; target < s.NumTargets(); target++ {
+				iv := intervalsAfter(res.Recorder, target, warm)
+				if len(iv) < 3 {
+					t.Fatalf("case %d: target %d has %d steady intervals", i, target, len(iv))
+				}
+				for _, x := range iv {
+					if math.Abs(x-want) > tol {
+						t.Fatalf("case %d (%d mules, %d targets, observers %d): target %d interval %v, want P/m = %v",
+							i, mules, s.NumTargets(), len(o.Observers), target, x, want)
+					}
+				}
+				if sd := res.Recorder.SDAfter(target, warm); sd > tol {
+					t.Fatalf("case %d: target %d SD %v", i, target, sd)
+				}
+			}
+			if len(o.Observers) == 0 && res.Recorder.Merged() >= 2 {
+				merged++
+			}
+		}
+	}
+	if merged == 0 {
+		t.Fatal("no run merged a log from several mules' runs")
+	}
+}
+
 func TestCHBUnbalancedIntervals(t *testing.T) {
 	// CHB with clumped mules has no balancing: SD must be clearly
 	// positive (paper Fig. 8 contrast).
@@ -638,6 +700,36 @@ func TestPartitionedAdapter(t *testing.T) {
 // fixedPlan replays one precomputed plan, so an allocation count
 // covers the run and not the planner, whose count can vary by one from
 // call to call with map iteration order.
+// TestMergeAllocatesNothing: a shared-circuit run whose mules all run
+// ahead makes every target's log of one run per mule, and the recorder
+// merges them all in one buffer, sized once for the longest, so the run
+// allocates as much with four times the targets. A merge that
+// allocates per log fails it.
+func TestMergeAllocatesNothing(t *testing.T) {
+	for _, planner := range []core.Planner{&core.BTCTP{}, &core.WTCTP{}, &baseline.CHB{}} {
+		allocs := func(targets int) float64 {
+			s := scenario(41, targets, 4)
+			plan, err := planner.Plan(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			alg := Planned(fixedPlan{plan})
+			least := math.Inf(1)
+			for i := 0; i < 3; i++ {
+				least = math.Min(least, testing.AllocsPerRun(5, func() {
+					if res, err := Run(s, alg, Options{Horizon: 20_000}, nil); err != nil || res.Recorder.Merged() < 4 {
+						t.Fatalf("%s: error %v, or no log merged from one run per mule", planner.Name(), err)
+					}
+				}))
+			}
+			return least
+		}
+		if few, many := allocs(10), allocs(40); few != many {
+			t.Fatalf("%s: %v allocations with 10 targets, %v with 40", planner.Name(), few, many)
+		}
+	}
+}
+
 type fixedPlan struct{ plan *core.FleetPlan }
 
 func (f fixedPlan) Name() string                                  { return "fixed" }

@@ -80,7 +80,7 @@ func TestVisitCapsBoundVisitCounts(t *testing.T) {
 		if err != nil {
 			continue // e.g. a fleet the planner refuses
 		}
-		caps, _ := visitCaps(s.NumTargets(), res.Plan, opts.withDefaults())
+		caps := visitCaps(s.NumTargets(), res.Plan, opts.withDefaults())
 		if caps == nil {
 			t.Fatalf("case %d (%s): no capacities for a plan with positive periods", i, alg.Name())
 		}
@@ -104,22 +104,22 @@ func TestVisitCapsBoundVisitCounts(t *testing.T) {
 // (one stop, no dwell) and capacities beyond what MaxEvents allows.
 func TestVisitCapsFallBack(t *testing.T) {
 	opts := Options{Horizon: 1000}.withDefaults()
-	if caps, _ := visitCaps(3, nil, opts); caps != nil {
+	if caps := visitCaps(3, nil, opts); caps != nil {
 		t.Fatalf("online run got capacities %v", caps)
 	}
 	stop := mule.Waypoint{Pos: geom.Pt(10, 10), TargetID: 1}
 	plan := &core.FleetPlan{Routes: []core.MuleRoute{{Cycle: []core.Phase{{Stops: []mule.Waypoint{stop}, Repeat: 1}}}}}
 	opts.Energy.Dwell = 0
-	if caps, _ := visitCaps(3, plan, opts); caps != nil {
+	if caps := visitCaps(3, plan, opts); caps != nil {
 		t.Fatalf("zero-period route got capacities %v", caps)
 	}
 	opts.Energy.Dwell = 1
-	caps, _ := visitCaps(3, plan, opts)
+	caps := visitCaps(3, plan, opts)
 	if caps == nil || caps[1] != 1002 || caps[0] != 0 {
 		t.Fatalf("one-stop route with a 1 s dwell: capacities %v, want 1002 for target 1", caps)
 	}
 	opts.MaxEvents = 1001
-	if caps, _ := visitCaps(3, plan, opts); caps != nil {
+	if caps := visitCaps(3, plan, opts); caps != nil {
 		t.Fatalf("capacities %v beyond MaxEvents", caps)
 	}
 }
