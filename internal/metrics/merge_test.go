@@ -148,14 +148,13 @@ func TestMergeRuns(t *testing.T) {
 	}
 }
 
-// TestMergeRunsAllocations: the recorder keeps its merge buffer, so
-// only its first merge allocates.
+// TestMergeRunsAllocations: a recorder merges in a buffer it keeps, so
+// only its first merge allocates, or, reused with a flat block longer
+// than the run needs, in the block's spare tail, without allocating at
+// all.
 func TestMergeRunsAllocations(t *testing.T) {
 	runs := [][]float64{{5, 6, 7}, {1, 2}, {3, 9}, {0}}
-	rec := NewRecorderCap(1, []int{8})
-	rec.AllowRuns()
-	if allocs := testing.AllocsPerRun(10, func() {
-		rec.visits[0] = rec.visits[0][:0]
+	record := func(rec *Recorder) {
 		rec.AllowRuns()
 		for _, r := range runs {
 			for _, v := range r {
@@ -163,8 +162,22 @@ func TestMergeRunsAllocations(t *testing.T) {
 			}
 		}
 		rec.MergeRuns()
-	}); allocs != 0 {
-		t.Fatalf("a merge allocates %v times", allocs)
+	}
+	rec := NewRecorderCap(1, []int{8})
+	if allocs := testing.AllocsPerRun(10, func() {
+		rec.visits[0] = rec.visits[0][:0]
+		record(rec)
+	}); allocs != 0 || len(rec.scratch) != 8 {
+		t.Fatalf("repeated merges allocate %v times, buffer %d", allocs, len(rec.scratch))
+	}
+	checkMerged(t, rec, [][][]float64{runs})
+
+	rec = NewRecorderCap(1, []int{64})
+	if allocs := testing.AllocsPerRun(10, func() {
+		rec.reset(1, []int{8})
+		record(rec)
+	}); allocs != 0 || rec.scratch != nil {
+		t.Fatalf("a reused recorder's merge allocates %v times, buffer %d", allocs, len(rec.scratch))
 	}
 	checkMerged(t, rec, [][][]float64{runs})
 }

@@ -26,10 +26,12 @@ import (
 // experiment harness parallelizes across independent runs instead).
 type Recorder struct {
 	visits [][]float64
-	// flat is the backing array the logs are carved from, and scratch
-	// MergeRuns's buffer, both kept so a released recorder can hand
-	// them to the next run.
+	// The logs are carved from the first used values of flat, the
+	// backing array; MergeRuns merges in its spare tail or in scratch,
+	// a buffer of the recorder's own. Both arrays are kept so a
+	// released recorder can hand them to the next run.
 	flat, scratch []float64
+	used          int
 	// runs reports that Append takes a visit earlier than its target's
 	// last as the start of a new run (see AllowRuns); breaks counts the
 	// runs so started and not yet merged, longest is the largest
@@ -74,14 +76,21 @@ func NewRecorderCap(nTargets int, caps []int) *Recorder {
 	if r == nil {
 		r = new(Recorder)
 	}
-	r.runs, r.breaks, r.longest, r.merged = false, 0, 0, 0
+	r.reset(nTargets, caps)
+	return r
+}
+
+// reset empties r for nTargets targets with capacities caps, as
+// NewRecorderCap describes, reusing what r holds.
+func (r *Recorder) reset(nTargets int, caps []int) {
+	r.runs, r.breaks, r.longest, r.merged, r.used = false, 0, 0, 0, 0
 	if cap(r.visits) < nTargets {
 		r.visits = make([][]float64, nTargets)
 	}
 	r.visits = r.visits[:nTargets]
 	if caps == nil {
 		clear(r.visits)
-		return r
+		return
 	}
 	total := 0
 	for _, c := range caps {
@@ -90,12 +99,12 @@ func NewRecorderCap(nTargets int, caps []int) *Recorder {
 	if cap(r.flat) < total {
 		r.flat = make([]float64, total)
 	}
+	r.used = total
 	off := 0
 	for i, c := range caps {
 		r.visits[i] = r.flat[off : off : off+c]
 		off += c
 	}
-	return r
 }
 
 // Release hands r back for a later NewRecorderCap to reuse, so a
@@ -170,21 +179,34 @@ func (r *Recorder) AllowRuns() { r.runs = true }
 // log and makes Append strict again, as it is until AllowRuns. A log
 // is the sorted multiset of its visit times, so the result is the log
 // the visits would have made had they been appended in time order, bit
-// for bit. A log that is one run already is left as it is. The merge
-// buffer has room for the largest capacity of a log that holds several
-// runs; it is the recorder's own, so a recorder taken again after
-// Release (see NewRecorderCap) merges without allocating.
+// for bit. A log that is one run already is left as it is.
 func (r *Recorder) MergeRuns() {
 	r.runs, r.merged = false, 0
-	if r.breaks > 0 && len(r.scratch) < r.longest {
-		r.scratch = make([]float64, r.longest)
+	if r.breaks == 0 {
+		return
 	}
+	buf := r.mergeBuffer()
 	for i := 0; r.breaks > 0 && i < len(r.visits); i++ {
-		n := mergeRuns(r.visits[i], r.scratch)
+		n := mergeRuns(r.visits[i], buf)
 		r.breaks -= n - 1
 		r.merged = max(r.merged, n)
 	}
 	r.breaks = 0
+}
+
+// mergeBuffer returns room for the largest capacity of a log that holds
+// several runs: the flat block's spare tail, past the logs, when a
+// released recorder brought a block longer than this run needs, else
+// the recorder's own buffer, grown when too short and kept for the
+// runs that take the recorder again after Release.
+func (r *Recorder) mergeBuffer() []float64 {
+	if spare := r.flat[r.used:cap(r.flat)]; len(spare) >= r.longest {
+		return spare
+	}
+	if len(r.scratch) < r.longest {
+		r.scratch = make([]float64, r.longest)
+	}
+	return r.scratch
 }
 
 // Merged returns the most time-sorted runs the last MergeRuns merged

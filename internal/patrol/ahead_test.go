@@ -439,7 +439,8 @@ func TestLongerHorizonExtendsShorter(t *testing.T) {
 
 // TestRunAheadDisqualifiers shows each condition that keeps a mule on
 // the engine. The base run, Sweep with nearly one mule per target,
-// runs every mule ahead.
+// runs every mule ahead, and a target two routes share, or a shared
+// B-TCTP circuit, keeps none on the engine.
 func TestRunAheadDisqualifiers(t *testing.T) {
 	s := scenario(36, 10, 8)
 	plan, err := (&baseline.Sweep{}).Plan(s)
