@@ -244,3 +244,115 @@ func FuzzMergeRuns(f *testing.F) {
 		checkMerged(t, &Recorder{visits: [][]float64{ts}}, runs)
 	})
 }
+
+// appendLoop is AppendEvery's oracle: Append on t0, t0+step, … while
+// at or before t, each time the one before plus step. It returns the
+// first time past t and the visits appended, or ok == false after
+// limit visits or on a step too small to move the time, where
+// AppendEvery would not return either.
+func appendLoop(r *Recorder, target int, t0, step, t float64, limit int) (next float64, n int, ok bool) {
+	for ; t0 <= t; t0 += step {
+		if n == limit || t0+step == t0 {
+			return t0, n, false
+		}
+		r.Append(target, t0)
+		n++
+	}
+	return t0, n, true
+}
+
+// FuzzAppendEvery holds AppendEvery to a loop of Append from t0 by
+// step up to t, on a log holding the runs fuzzRuns decodes from prior
+// (sorted into one run unless runs are allowed): the same log, the
+// same next time and count, bit for bit, the same panic on a t0 before
+// the log's last visit when runs are not allowed, and, when they are,
+// the same logs after MergeRuns. A span of more than 4096 visits is
+// cut at the 4096th.
+func FuzzAppendEvery(f *testing.F) {
+	f.Add(0.0, 1.0, 10.0, []byte{}, false)
+	f.Add(131071.5, 0.3, 131076.0, []byte{1, 2}, false)
+	f.Add(3.0, 0.7, 9.0, []byte{1, 2, 3, 0xF1, 0, 1}, true)
+	f.Add(0.25, 3.0, 0.25, []byte{7, 7}, true)
+	f.Add(2.0, 1.0, 1.0, []byte{0xF5}, false)
+	f.Fuzz(func(t *testing.T, t0, step, end float64, prior []byte, runs bool) {
+		if !(step > 0) || math.IsInf(step, 0) || math.IsInf(end, 0) {
+			t.Skip("AppendEvery needs a positive step and a finite end")
+		}
+		var visits []float64
+		for _, r := range fuzzRuns(prior) {
+			visits = append(visits, r...)
+		}
+		if !runs {
+			slices.Sort(visits)
+		}
+		// fill records the prior visits on target 0, and on target 1
+		// merged into one run: a log the stride leaves alone.
+		fill := func() *Recorder {
+			rec := NewRecorderCap(2, nil)
+			rec.AllowRuns()
+			for _, v := range visits {
+				rec.Append(1, v)
+			}
+			rec.MergeRuns()
+			if runs {
+				rec.AllowRuns()
+			}
+			for _, v := range visits {
+				rec.Append(0, v)
+			}
+			return rec
+		}
+		panics := func(fn func()) (p any) {
+			defer func() { p = recover() }()
+			fn()
+			return nil
+		}
+		want := fill()
+		var wantNext float64
+		var wantN int
+		ok := true
+		wantPanic := panics(func() { wantNext, wantN, ok = appendLoop(want, 0, t0, step, end, 4096) })
+		if !ok && wantN == 4096 {
+			// Too many visits: end the span at the last one appended.
+			ts := want.VisitTimes(0)
+			end = ts[len(ts)-1]
+			want = fill()
+			wantNext, wantN, ok = appendLoop(want, 0, t0, step, end, 4096)
+		}
+		if !ok {
+			t.Skip("a step too small to move the time")
+		}
+		got := fill()
+		var next float64
+		var n int
+		gotPanic := panics(func() { next, n = got.AppendEvery(0, t0, step, end) })
+		if (gotPanic == nil) != (wantPanic == nil) {
+			t.Fatalf("AppendEvery panicked with %v, the loop with %v", gotPanic, wantPanic)
+		}
+		if wantPanic != nil {
+			return
+		}
+		if math.Float64bits(next) != math.Float64bits(wantNext) || n != wantN {
+			t.Fatalf("AppendEvery returned (%v, %d), the loop (%v, %d)", next, n, wantNext, wantN)
+		}
+		same := func(stage string) {
+			t.Helper()
+			for id := 0; id < 2; id++ {
+				if !slices.EqualFunc(got.VisitTimes(id), want.VisitTimes(id), func(a, b float64) bool {
+					return math.Float64bits(a) == math.Float64bits(b)
+				}) {
+					t.Fatalf("%s: target %d logs %v, the loop %v", stage, id, got.VisitTimes(id), want.VisitTimes(id))
+				}
+			}
+		}
+		same("appended")
+		if runs {
+			got.MergeRuns()
+			want.MergeRuns()
+			same("merged")
+			if got.Merged() != want.Merged() {
+				t.Fatalf("Merged() = %d, the loop's %d", got.Merged(), want.Merged())
+			}
+		}
+	})
+}

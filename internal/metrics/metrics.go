@@ -34,11 +34,14 @@ type Recorder struct {
 	used          int
 	// runs reports that Append takes a visit earlier than its target's
 	// last as the start of a new run (see AllowRuns); breaks counts the
-	// runs so started and not yet merged, longest is the largest
-	// capacity of a log among them, and merged is the most runs the
-	// last MergeRuns merged into one log.
-	runs                    bool
-	breaks, longest, merged int
+	// runs so started and not yet merged, and merged is the most runs
+	// the last MergeRuns merged into one log.
+	runs           bool
+	breaks, merged int
+	// gaps is the fused gap summary of every log at one cut (see
+	// summary), valid while gapsOK; every change to a log clears it.
+	gaps   gapSummary
+	gapsOK bool
 }
 
 // recorders holds released recorders for NewRecorderCap to reuse.
@@ -83,7 +86,7 @@ func NewRecorderCap(nTargets int, caps []int) *Recorder {
 // reset empties r for nTargets targets with capacities caps, as
 // NewRecorderCap describes, reusing what r holds.
 func (r *Recorder) reset(nTargets int, caps []int) {
-	r.runs, r.breaks, r.longest, r.merged, r.used = false, 0, 0, 0, 0
+	r.runs, r.breaks, r.merged, r.used, r.gapsOK = false, 0, 0, 0, false
 	if cap(r.visits) < nTargets {
 		r.visits = make([][]float64, nTargets)
 	}
@@ -143,27 +146,47 @@ func (r *Recorder) OnVisit(_, target int, t float64) {
 // Append is OnVisit without the mule, for a caller that calls the
 // recorder directly on every visit: a mule running its compiled cycle
 // ahead of the engine (mule.RunUntil). It treats a time earlier than
-// target's last visit as OnVisit does, and is small enough to inline.
+// target's last visit as OnVisit does. It calls nothing, so it is
+// small enough to inline.
 func (r *Recorder) Append(target int, t float64) {
 	ts := r.visits[target]
 	if n := len(ts); n > 0 && t < ts[n-1] {
-		r.startRun(target, t)
-		return
+		if !r.runs {
+			panic(orderError{target, t, ts[n-1]})
+		}
+		r.breaks++
 	}
-	r.visits[target] = append(r.visits[target], t)
+	r.visits[target] = append(ts, t)
+	r.gapsOK = false
 }
 
-// startRun is Append for a visit earlier than the target's last: the
-// first visit of a new run on a recorder that takes runs, a panic on
-// any other.
-func (r *Recorder) startRun(target int, t float64) {
-	ts := r.visits[target]
-	if !r.runs {
-		panic(orderError{target, t, ts[len(ts)-1]})
+// AppendEvery appends to target's log the visits of a mule parked at
+// it: t0, then each time the one before plus step — summed one step at
+// a time, never t0 + k·step — while it is at or before t. It returns
+// the first time past t and how many it appended, and appends exactly
+// what Append would, called on each time in turn: a t0 earlier than the
+// log's last visit starts a run, or panics. step must be positive.
+func (r *Recorder) AppendEvery(target int, t0, step, t float64) (next float64, n int) {
+	if !(step > 0) {
+		panic(fmt.Sprintf("metrics: AppendEvery step %v", step))
 	}
-	r.breaks++
-	r.longest = max(r.longest, cap(ts))
-	r.visits[target] = append(ts, t)
+	if !(t0 <= t) {
+		return t0, 0
+	}
+	ts := r.visits[target]
+	if k := len(ts); k > 0 && t0 < ts[k-1] {
+		if !r.runs {
+			panic(orderError{target, t0, ts[k-1]})
+		}
+		r.breaks++
+	}
+	k := len(ts)
+	for ; t0 <= t; t0 += step {
+		ts = append(ts, t0)
+	}
+	r.visits[target] = ts
+	r.gapsOK = false
+	return t0, len(ts) - k
 }
 
 // AllowRuns readies r for a simulation whose mules do not all record
@@ -181,11 +204,15 @@ func (r *Recorder) AllowRuns() { r.runs = true }
 // the visits would have made had they been appended in time order, bit
 // for bit. A log that is one run already is left as it is.
 func (r *Recorder) MergeRuns() {
-	r.runs, r.merged = false, 0
+	r.runs, r.merged, r.gapsOK = false, 0, false
 	if r.breaks == 0 {
 		return
 	}
-	buf := r.mergeBuffer()
+	longest := 0
+	for _, ts := range r.visits {
+		longest = max(longest, cap(ts))
+	}
+	buf := r.mergeBuffer(longest)
 	for i := 0; r.breaks > 0 && i < len(r.visits); i++ {
 		n := mergeRuns(r.visits[i], buf)
 		r.breaks -= n - 1
@@ -194,17 +221,17 @@ func (r *Recorder) MergeRuns() {
 	r.breaks = 0
 }
 
-// mergeBuffer returns room for the largest capacity of a log that holds
-// several runs: the flat block's spare tail, past the logs, when a
-// released recorder brought a block longer than this run needs, else
-// the recorder's own buffer, grown when too short and kept for the
-// runs that take the recorder again after Release.
-func (r *Recorder) mergeBuffer() []float64 {
-	if spare := r.flat[r.used:cap(r.flat)]; len(spare) >= r.longest {
+// mergeBuffer returns room for n visits, the largest capacity of a
+// log: the flat block's spare tail, past the logs, when a released
+// recorder brought a block longer than this run needs, else the
+// recorder's own buffer, grown when too short and kept for the runs
+// that take the recorder again after Release.
+func (r *Recorder) mergeBuffer(n int) []float64 {
+	if spare := r.flat[r.used:cap(r.flat)]; len(spare) >= n {
 		return spare
 	}
-	if len(r.scratch) < r.longest {
-		r.scratch = make([]float64, r.longest)
+	if len(r.scratch) < n {
+		r.scratch = make([]float64, n)
 	}
 	return r.scratch
 }
@@ -274,7 +301,7 @@ func merge(dst, a, b []float64) {
 }
 
 // orderError is Append's panic value; it formats only when printed,
-// which keeps Append small enough to inline.
+// so Append builds it without a call.
 type orderError struct {
 	target  int
 	t, last float64
@@ -292,7 +319,8 @@ func (r *Recorder) OnDeath(int, float64, geom.Point) {}
 // do not affect interval metrics.
 func (r *Recorder) OnRecharge(int, float64) {}
 
-// VisitTimes returns the visit timestamps of target in order.
+// VisitTimes returns the visit timestamps of target in order: the
+// recorder's own log, which the caller must not modify.
 func (r *Recorder) VisitTimes(target int) []float64 {
 	return r.visits[target]
 }
@@ -370,26 +398,67 @@ func (r *Recorder) eachTarget(targets []int, fn func(t int)) {
 	}
 }
 
+// gapSummary is what the default scalar metrics read of every log at
+// one cut t0: the average over targets of the mean and of the SD of
+// their visiting intervals at or after t0 (AvgDCDTAfter and
+// AvgSDAfter), and the longest interval of any whole log (MaxInterval).
+type gapSummary struct{ t0, avgDCDT, avgSD, max float64 }
+
+// summary returns the gap summary at t0, from the cache when it holds
+// the summary at t0, else computed and cached. It walks each log once,
+// forming each interval once for the whole-log maximum and, past the
+// cut, for the sum meanGap takes, then walks the steady-state suffix
+// again for the SD with that mean, as sdGap does. Each metric sums,
+// folds and compares the same values in the same order as meanGap,
+// sdGap and MaxIntervalOver (the oracles), so each is bit-identical to
+// its own pass.
+func (r *Recorder) summary(t0 float64) gapSummary {
+	if r.gapsOK && r.gaps.t0 == t0 {
+		return r.gaps
+	}
+	var dcdt, sd stats.Accumulator
+	most := 0.0
+	for _, ts := range r.visits {
+		k := sort.SearchFloat64s(ts, t0)
+		for i := 1; i <= k && i < len(ts); i++ {
+			if iv := ts[i] - ts[i-1]; iv > most {
+				most = iv
+			}
+		}
+		s := 0.0
+		for i := k + 1; i < len(ts); i++ {
+			iv := ts[i] - ts[i-1]
+			if iv > most {
+				most = iv
+			}
+			s += iv
+		}
+		n := len(ts) - k - 1 // the intervals past the cut
+		if n < 1 {
+			continue
+		}
+		m := s / float64(n)
+		dcdt.Add(m)
+		if n < 2 {
+			continue
+		}
+		s = 0
+		for i := k + 1; i < len(ts); i++ {
+			d := ts[i] - ts[i-1] - m
+			s += d * d
+		}
+		sd.Add(math.Sqrt(s / float64(n-1)))
+	}
+	r.gaps, r.gapsOK = gapSummary{t0: t0, avgDCDT: dcdt.Mean(), avgSD: sd.Mean(), max: most}, true
+	return r.gaps
+}
+
 // AvgSD returns the SD metric averaged over all targets that have at
 // least two intervals — the z-axis of Figs. 8 and 10.
-func (r *Recorder) AvgSD() float64 { return r.AvgSDOver(nil) }
-
-// AvgSDOver is AvgSD restricted to a target subset (nil = all
-// targets) — the per-group regularity of a partitioned plan.
-func (r *Recorder) AvgSDOver(targets []int) float64 {
-	var acc stats.Accumulator
-	r.eachTarget(targets, func(t int) {
-		if ts := r.visits[t]; len(ts) >= 3 {
-			acc.Add(sdGap(ts))
-		}
-	})
-	return acc.Mean()
-}
+func (r *Recorder) AvgSD() float64 { return r.AvgSDAfter(math.Inf(-1)) }
 
 // AvgSDAfter is AvgSD restricted to visits at or after t0.
-func (r *Recorder) AvgSDAfter(t0 float64) float64 {
-	return r.AvgSDAfterOver(nil, t0)
-}
+func (r *Recorder) AvgSDAfter(t0 float64) float64 { return r.summary(t0).avgSD }
 
 // AvgSDAfterOver is AvgSDAfter restricted to a target subset (nil =
 // all targets).
@@ -405,24 +474,10 @@ func (r *Recorder) AvgSDAfterOver(targets []int, t0 float64) float64 {
 
 // AvgDCDT returns the mean visiting interval averaged over all targets
 // with at least one interval — the z-axis of Fig. 9.
-func (r *Recorder) AvgDCDT() float64 { return r.AvgDCDTOver(nil) }
-
-// AvgDCDTOver is AvgDCDT restricted to a target subset (nil = all
-// targets) — the per-group delay of a partitioned plan.
-func (r *Recorder) AvgDCDTOver(targets []int) float64 {
-	var acc stats.Accumulator
-	r.eachTarget(targets, func(t int) {
-		if ts := r.visits[t]; len(ts) >= 2 {
-			acc.Add(meanGap(ts))
-		}
-	})
-	return acc.Mean()
-}
+func (r *Recorder) AvgDCDT() float64 { return r.AvgDCDTAfter(math.Inf(-1)) }
 
 // AvgDCDTAfter is AvgDCDT restricted to visits at or after t0.
-func (r *Recorder) AvgDCDTAfter(t0 float64) float64 {
-	return r.AvgDCDTAfterOver(nil, t0)
-}
+func (r *Recorder) AvgDCDTAfter(t0 float64) float64 { return r.summary(t0).avgDCDT }
 
 // AvgDCDTAfterOver is AvgDCDTAfter restricted to a target subset
 // (nil = all targets).
@@ -439,22 +494,14 @@ func (r *Recorder) AvgDCDTAfterOver(targets []int, t0 float64) float64 {
 // MaxInterval returns the maximal visiting interval over all targets
 // and intervals — the quantity the paper's problem statement
 // minimizes ("the goal ... is to minimize the maximal visiting
-// interval"). Returns 0 when no target has two visits.
-func (r *Recorder) MaxInterval() float64 { return r.MaxIntervalOver(nil) }
-
-// MaxIntervalOver is MaxInterval restricted to a target subset (nil =
-// all targets).
-func (r *Recorder) MaxIntervalOver(targets []int) float64 {
-	m := 0.0
-	r.eachTarget(targets, func(t int) {
-		ts := r.visits[t]
-		for i := 1; i < len(ts); i++ {
-			if iv := ts[i] - ts[i-1]; iv > m {
-				m = iv
-			}
-		}
-	})
-	return m
+// interval"). Returns 0 when no target has two visits. It reads the
+// cached gap summary, whatever its cut, and computes a whole-log one
+// when there is none.
+func (r *Recorder) MaxInterval() float64 {
+	if r.gapsOK {
+		return r.gaps.max
+	}
+	return r.summary(math.Inf(-1)).max
 }
 
 // EventDCDTSeries returns the paper's Fig. 7 curve: visit events from

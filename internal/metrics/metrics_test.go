@@ -552,5 +552,71 @@ func TestInPlaceAggregatesMatchIntervalOracle(t *testing.T) {
 		same("AvgDCDTAfterOver", r.AvgDCDTAfterOver(subset, t0), avg(subset, true, meanFold))
 		same("MaxIntervalOver", r.MaxIntervalOver(subset), maxIv(subset))
 		same("MaxInterval", r.MaxInterval(), maxIv(nil))
+		checkSummary(t, r, t0)
+	}
+}
+
+// checkSummary fails unless the three metrics the fused gap summary
+// serves, read at cut t0, equal the per-metric passes it replaced bit
+// for bit.
+func checkSummary(t *testing.T, r *Recorder, t0 float64) {
+	t.Helper()
+	for _, m := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"AvgDCDTAfter", r.AvgDCDTAfter(t0), r.AvgDCDTAfterOver(nil, t0)},
+		{"AvgSDAfter", r.AvgSDAfter(t0), r.AvgSDAfterOver(nil, t0)},
+		{"MaxInterval", r.MaxInterval(), r.MaxIntervalOver(nil)},
+		{"AvgDCDT", r.AvgDCDT(), r.AvgDCDTOver(nil)},
+		{"AvgSD", r.AvgSD(), r.AvgSDOver(nil)},
+		{"MaxInterval", r.MaxInterval(), r.MaxIntervalOver(nil)},
+	} {
+		if math.Float64bits(m.got) != math.Float64bits(m.want) {
+			t.Fatalf("%s at cut %v = %v, its own pass %v", m.name, t0, m.got, m.want)
+		}
+	}
+}
+
+// TestGapSummaryNeverStale: the gap summary is cached per cut, and a
+// read after any change to a log — OnVisit, Append, AppendEvery,
+// MergeRuns, or the reset of a released recorder taken again — sees
+// the change, at the cut the cache holds and at another.
+func TestGapSummaryNeverStale(t *testing.T) {
+	src := xrand.New(21)
+	r := NewRecorderCap(3, nil)
+	last := make([]float64, 3)
+	for i := 0; i < 3000; i++ {
+		t0 := float64(src.Intn(60))
+		r.AvgDCDTAfter(t0) // fill the cache at t0
+		id := src.Intn(3)
+		switch src.Intn(6) {
+		case 0:
+			r.OnVisit(0, id, last[id]+float64(src.Intn(4)))
+			last[id] = r.VisitTimes(id)[len(r.VisitTimes(id))-1]
+		case 1, 2:
+			r.Append(id, last[id]+float64(src.Intn(9))/2)
+			last[id] = r.VisitTimes(id)[len(r.VisitTimes(id))-1]
+		case 3:
+			if _, n := r.AppendEvery(id, last[id]+0.5, 0.7, last[id]+float64(src.Intn(5))); n > 0 {
+				last[id] = r.VisitTimes(id)[len(r.VisitTimes(id))-1]
+			}
+		case 4:
+			// A run earlier than the log's last visit, read before it
+			// is merged.
+			r.AllowRuns()
+			r.Append(id, float64(src.Intn(20)))
+			r.AvgDCDTAfter(t0)
+			r.MergeRuns()
+			last[id] = r.VisitTimes(id)[len(r.VisitTimes(id))-1]
+		case 5:
+			if src.Intn(10) == 0 {
+				Release(r)
+				r = NewRecorderCap(3, []int{4, 4, 4})
+				clear(last)
+			}
+		}
+		checkSummary(t, r, t0)
+		checkSummary(t, r, t0+float64(src.Intn(3)))
 	}
 }

@@ -1,6 +1,10 @@
 package metrics
 
-import "slices"
+import (
+	"slices"
+
+	"tctp/internal/stats"
+)
 
 // The slice-building interval definitions: the Recorder's aggregates
 // derive the same values from the visit log in place (see visitsAfter
@@ -51,4 +55,48 @@ func sortedRuns(runs [][]float64) []float64 {
 	}
 	slices.Sort(all)
 	return all
+}
+
+// The per-metric passes the fused gap summary replaced: AvgDCDTAfter,
+// AvgSDAfter and MaxInterval each computed their value on their own
+// walk over every log, the first two at a cut, the last over whole
+// logs. The tests hold summary to them bit for bit.
+
+// AvgDCDTOver is AvgDCDT restricted to a target subset (nil = all
+// targets): the mean visiting interval of each whole log, averaged.
+func (r *Recorder) AvgDCDTOver(targets []int) float64 {
+	var acc stats.Accumulator
+	r.eachTarget(targets, func(t int) {
+		if ts := r.visits[t]; len(ts) >= 2 {
+			acc.Add(meanGap(ts))
+		}
+	})
+	return acc.Mean()
+}
+
+// AvgSDOver is AvgSD restricted to a target subset (nil = all
+// targets): the SD of each whole log's visiting intervals, averaged.
+func (r *Recorder) AvgSDOver(targets []int) float64 {
+	var acc stats.Accumulator
+	r.eachTarget(targets, func(t int) {
+		if ts := r.visits[t]; len(ts) >= 3 {
+			acc.Add(sdGap(ts))
+		}
+	})
+	return acc.Mean()
+}
+
+// MaxIntervalOver is MaxInterval restricted to a target subset (nil =
+// all targets).
+func (r *Recorder) MaxIntervalOver(targets []int) float64 {
+	m := 0.0
+	r.eachTarget(targets, func(t int) {
+		ts := r.visits[t]
+		for i := 1; i < len(ts); i++ {
+			if iv := ts[i] - ts[i-1]; iv > m {
+				m = iv
+			}
+		}
+	})
+	return m
 }

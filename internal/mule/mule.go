@@ -27,7 +27,8 @@
 // leg table walked by a cursor; compiled for the run's recorder, it
 // lets RunUntil run the cycle in a tight loop over the table, with the
 // float expressions of depart and arrive in their order, and hand each
-// visit straight to the recorder. Mules that run ahead may share
+// visit straight to the recorder, or, for a mule parked at one target,
+// every visit in one stride. Mules that run ahead may share
 // targets: each appends its visits to a target's log as one time-sorted
 // run, and the recorder merges the runs (metrics.Recorder.AllowRuns).
 package mule
@@ -194,7 +195,9 @@ func (m *Mule) Recharges() int { return m.recharges }
 // A mule without a battery whose router is a compiled Route runs the
 // route's cycle from its leg table: no Next call, no square root, no
 // callback per leg, each visit appended straight to the recorder (see
-// Route.Compile). Only the legs the table cannot serve go through
+// Route.Compile). A mule parked at one target hands the recorder all
+// its visits to t in one stride (see runCycle). Only the legs the
+// table cannot serve go through
 // depart and arrive: the approach, a first cycle leg that starts off
 // the table's from point, a recharge stop, and the final leg, which
 // stays in flight.

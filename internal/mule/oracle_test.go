@@ -564,9 +564,11 @@ func (sc oracleScenario) solo(j int, ahead bool, horizon float64) []string {
 // routes, and horizons that land exactly on an arrival, which both
 // runs must book. Then it does the same for mules on plan-like routes
 // whose cycle RunUntil runs from a compiled leg table, and requires
-// the same visit logs: parked one-target routes, multi-stop cycles,
-// repeated phases, approaches that end on and off the table's entry
-// point, horizons on an arrival and zero dwell.
+// the same visit logs and cursor: parked one-target routes, which
+// stride (some past 2^17 s, some held at the stop past their first
+// departure), multi-stop cycles, repeated phases, approaches that end
+// on and off the table's entry point, horizons on an arrival and zero
+// dwell.
 func TestRunUntilMatchesEngine(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	var onArrival, deaths int
@@ -609,10 +611,13 @@ func TestRunUntilMatchesEngine(t *testing.T) {
 		t.Fatalf("horizons on an arrival %d, deaths %d: the scenarios miss a case", onArrival, deaths)
 	}
 
-	var tabled, parked, multiStop, repeated, offEntry, tableArrival, noDwell int
+	var tabled, parked, longParked, heldParked, multiStop, repeated, offEntry, tableArrival, noDwell int
 	for i := 0; i < 2000; i++ {
 		c := randomCycleCase(rng)
 		horizon := float64(100 + rng.Intn(700))
+		if c.parked && rng.Intn(40) == 0 {
+			horizon = 1<<17 + float64(rng.Intn(5000)) // past a binade of the visit times
+		}
 		onArrival := false
 		if rng.Intn(2) == 0 {
 			if arr := c.arrivals(horizon); len(arr) > 0 {
@@ -636,6 +641,12 @@ func TestRunUntilMatchesEngine(t *testing.T) {
 		tabled++
 		if c.parked {
 			parked++
+			if horizon > 1<<17 {
+				longParked++
+			}
+			if c.route.phases[0][0].NotBefore > 0 {
+				heldParked++
+			}
 		} else if len(c.route.phases) > 1 || len(c.route.phases[0]) > 1 {
 			multiStop++
 		}
@@ -655,9 +666,9 @@ func TestRunUntilMatchesEngine(t *testing.T) {
 			noDwell++
 		}
 	}
-	t.Logf("%d cycle mules made visits from the table: %d parked, %d multi-stop, %d with a repeated phase, %d entering off the table, %d with the horizon on an arrival, %d without dwell",
-		tabled, parked, multiStop, repeated, offEntry, tableArrival, noDwell)
-	if tabled == 0 || parked == 0 || multiStop == 0 || repeated == 0 || offEntry == 0 || tableArrival == 0 || noDwell == 0 {
+	t.Logf("%d cycle mules made visits from the table: %d parked (%d past 2^17 s, %d held at the stop), %d multi-stop, %d with a repeated phase, %d entering off the table, %d with the horizon on an arrival, %d without dwell",
+		tabled, parked, longParked, heldParked, multiStop, repeated, offEntry, tableArrival, noDwell)
+	if tabled == 0 || parked == 0 || longParked == 0 || heldParked == 0 || multiStop == 0 || repeated == 0 || offEntry == 0 || tableArrival == 0 || noDwell == 0 {
 		t.Fatal("the cycle cases miss a case the table path must cover")
 	}
 }

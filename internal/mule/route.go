@@ -137,13 +137,17 @@ func (k cursor) next(phases []Phase) cursor {
 // the same order — except that a visit goes straight to the recorder.
 // Each leg leaves the mule at the next one's from point, so only the
 // first is checked. The cursor and the mule's bookkeeping live in
-// locals while it runs.
+// locals while it runs. A parked mule strides instead (see stride).
 func (m *Mule) runCycle(r *Route, dep, t float64) float64 {
 	if m.pos != r.from {
 		return dep
 	}
 	speed, model := m.cfg.Speed, m.cfg.Energy
 	dwell, visitEnergy := model.Dwell, model.VisitEnergy()
+	if wp := r.parked(); wp != nil && !wp.Recharge && wp.TargetID != NoTarget &&
+		wp.NotBefore <= dep && dwell > 0 && model.MoveEnergy(0) == 0 {
+		return m.stride(r, wp, dep, t)
+	}
 	legs, phases, cur, rec := r.legs, r.phases, r.cur, r.rec
 	pos, distance, energyUse, visits := m.pos, m.distance, m.energyUse, m.visits
 	for {
@@ -171,4 +175,46 @@ func (m *Mule) runCycle(r *Route, dep, t float64) float64 {
 	r.cur, r.from = cur, pos
 	m.pos, m.distance, m.energyUse, m.visits = pos, distance, energyUse, visits
 	return dep
+}
+
+// parked returns the stop of a parked route, whose cycle is one phase
+// of one stop with both its legs of length 0, or nil.
+func (r *Route) parked() *Waypoint {
+	if len(r.phases) != 1 || r.phases[0].stops != 1 || r.legs[0].dist != 0 || r.legs[1].dist != 0 {
+		return nil
+	}
+	return r.legs[0].wp
+}
+
+// stride is runCycle for a mule parked at target stop wp, leaving at
+// dep no earlier than wp.NotBefore, with a positive dwell and no energy
+// to move 0 m: the loop's legs all stay at wp and arrive as they
+// leave, each leg's hold is exactly the dwell, and the recorder appends
+// the whole span of visits at once (metrics.Recorder.AppendEvery), each
+// arrival the one before plus the dwell, as the loop sums them. It
+// books what the loop would: the first leg's distance and move energy,
+// zeros that can only turn a sum of -0 into +0, after which the loop's
+// later zeros change no bit; then each visit's energy, one add at a
+// time in order; and the cursor n legs on.
+func (m *Mule) stride(r *Route, wp *Waypoint, dep, t float64) float64 {
+	l := &r.legs[r.cur.leg(r.phases)]
+	next, n := r.rec.AppendEvery(wp.TargetID, dep+l.dist/m.cfg.Speed, m.cfg.Energy.Dwell, t)
+	if n == 0 {
+		return dep
+	}
+	m.pos, r.from = wp.Pos, wp.Pos
+	m.distance += l.dist
+	m.energyUse += float64(m.cfg.Energy.MoveEnergy(l.dist))
+	visitEnergy := m.cfg.Energy.VisitEnergy()
+	energyUse := m.energyUse
+	for range n {
+		energyUse += visitEnergy
+	}
+	m.energyUse = energyUse
+	m.visits += n
+	// The one-stop phase's cursor moves only its repetition.
+	if rp := r.phases[0].repeat; rp > 1 {
+		r.cur.rep = (r.cur.rep + n) % rp
+	}
+	return next
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 
 	"tctp/internal/energy"
 	"tctp/internal/geom"
@@ -50,7 +51,9 @@ type cycleCase struct {
 }
 
 // randomCycleCase draws a parked one-target route (a zero-length leg
-// per lap) or a multi-stop cycle of up to three phases, some repeated,
+// per lap, a dwell of 0.3, 0.7, 1, 2.5, 3 or 10 s, and now and then a
+// hold at the stop itself) or a multi-stop cycle of up to three
+// phases, some repeated,
 // with non-target stops, recharge stops and holds; its approach ends on
 // the table's entry point or off it. A zero dwell comes with a cycle
 // of positive length, so no case spins at one instant.
@@ -78,8 +81,15 @@ func randomCycleCase(rng *rand.Rand) cycleCase {
 		return wp
 	}
 	if c.parked = c.model.Dwell > 0 && rng.Intn(3) == 0; c.parked {
-		c.route.phases = [][]Waypoint{{{Pos: gridPoint(rng), TargetID: rng.Intn(6)}}}
-		c.route.repeats = []int{1 + rng.Intn(2)}
+		c.model.Dwell = []float64{0.3, 0.7, 3, c.model.Dwell}[rng.Intn(4)]
+		stop := Waypoint{Pos: gridPoint(rng), TargetID: rng.Intn(6)}
+		if rng.Intn(6) == 0 {
+			// A hold at the stop itself, which may outlast the first
+			// departure from it.
+			stop.NotBefore = float64(rng.Intn(300))
+		}
+		c.route.phases = [][]Waypoint{{stop}}
+		c.route.repeats = []int{1 + rng.Intn(3)}
 	} else {
 		for p := 1 + rng.Intn(3); p > 0; p-- {
 			ph := make([]Waypoint, 1+rng.Intn(4))
@@ -116,8 +126,9 @@ func randomCycleCase(rng *rand.Rand) cycleCase {
 // RunUntil, recording visits in a recorder (through OnVisit on the
 // engine, straight into the recorder from the compiled table ahead),
 // and returns every target's log, the recharges and the final state,
-// the leg in flight included, with floats as bits; and how many visits
-// ran from the table, which are the ones that bypassed OnVisit.
+// the leg in flight and the route's cursor included, with floats as
+// bits; and how many visits ran from the table, which are the ones
+// that bypassed OnVisit.
 func (c cycleCase) run(ahead bool, horizon float64) ([]string, int) {
 	eng := sim.New()
 	rec := metrics.NewRecorderCap(6, nil)
@@ -142,16 +153,16 @@ func (c cycleCase) run(ahead bool, horizon float64) ([]string, int) {
 		eng.RunUntil(horizon)
 	}
 	for id := 0; id < rec.NumTargets(); id++ {
-		line := fmt.Sprintf("t%d:", id)
+		line := fmt.Appendf(nil, "t%d:", id)
 		for _, v := range rec.VisitTimes(id) {
-			line += fmt.Sprintf(" %x", math.Float64bits(v))
+			line = strconv.AppendUint(append(line, ' '), math.Float64bits(v), 16)
 		}
-		log = append(log, line)
+		log = append(log, string(line))
 	}
-	return append(log, fmt.Sprintf("final dist %x energy %x visits %d recharges %d pos %v leg %v %v %v %x %x %+v %x %v",
+	return append(log, fmt.Sprintf("final dist %x energy %x visits %d recharges %d pos %v leg %v %v %v %x %x %+v %x %v cursor %+v from %v",
 		math.Float64bits(m.Distance()), math.Float64bits(m.EnergyConsumed()), m.Visits(), m.Recharges(),
 		m.Pos(), m.inFlight, m.legFrom, m.legTo, math.Float64bits(m.legDepart), math.Float64bits(m.legDist),
-		m.legWP, math.Float64bits(m.legEnergy), m.legDies)), m.Visits() - calls
+		m.legWP, math.Float64bits(m.legEnergy), m.legDies, r.cur, r.from)), m.Visits() - calls
 }
 
 // arrivals returns every visit instant of an engine run to horizon.

@@ -17,7 +17,7 @@ import (
 
 // aheadFamilies names the algorithm families randomAheadCase draws;
 // only the last never runs a mule ahead.
-var aheadFamilies = []string{"sweep-kmeans", "sweep-sectors", "cbtctp", "cwtctp", "btctp-1", "btctp", "wtctp", "chb", "speeds", "mixed", "random"}
+var aheadFamilies = []string{"sweep-kmeans", "sweep-sectors", "cbtctp", "cwtctp", "btctp-1", "btctp", "wtctp", "chb", "speeds", "mixed", "parked", "random"}
 
 // randomAheadCase draws a run for the run-ahead tests from the named
 // family: Sweep by k-means or sectors, C-BTCTP or C-WTCTP with fewer
@@ -29,7 +29,11 @@ var aheadFamilies = []string{"sweep-kmeans", "sweep-sectors", "cbtctp", "cwtctp"
 // stress: in "speeds" every member of the fleet has a speed of its
 // own, up to seven times another's, so mules overtake each other, and
 // in "mixed" one member has a battery of its own, which keeps it on the
-// engine while the rest run ahead. A planner that draws random numbers
+// engine while the rest run ahead. In "parked" about as many targets
+// as mules leave regions of one target, whose mules park there and
+// visit every dwell (0.3, 0.7 or 3 s) past 2^17 s, under Sweep or
+// under C-BTCTP, where one mule of a region may keep a battery and so
+// the engine. A planner that draws random numbers
 // consumes its source, so each call of the returned alg builds the
 // algorithm afresh from the same seed.
 func randomAheadCase(rng *rand.Rand, family string) (s *field.Scenario, alg func() Algorithm, opts Options) {
@@ -41,8 +45,17 @@ func randomAheadCase(rng *rand.Rand, family string) (s *field.Scenario, alg func
 		mules++
 	}
 	targets := mules + rng.Intn(16)
-	if family == "btctp-1" {
+	parked := family == "parked"
+	switch family {
+	case "btctp-1":
 		targets++ // a one-target circuit has no travel to pace it
+	case "parked":
+		family = []string{"sweep-kmeans", "sweep-sectors", "cbtctp"}[rng.Intn(3)]
+		targets = 1 + rng.Intn(3)
+		mules = targets + 1 - rng.Intn(targets+1) // Sweep needs a target per mule, the sink included
+		if family == "cbtctp" {
+			mules = targets + 2
+		}
 	}
 	s = field.Generate(field.Config{
 		NumTargets: targets,
@@ -55,6 +68,16 @@ func randomAheadCase(rng *rand.Rand, family string) (s *field.Scenario, alg func
 		Horizon: float64(200 + rng.Intn(20_000)),
 		Energy:  model,
 		Speed:   []float64{1, 2, 5}[rng.Intn(3)],
+	}
+	if parked {
+		model.Dwell = []float64{0.3, 0.7, 3}[rng.Intn(3)]
+		opts.Energy = model
+		// A parked mule visits every dwell: keep its runs short but
+		// for some past 2^17 s, where the visit times cross a binade.
+		opts.Horizon = float64(200 + rng.Intn(3000))
+		if rng.Intn(4) == 0 && family != "cbtctp" {
+			opts.Horizon = 1<<17 + float64(rng.Intn(20_000))
+		}
 	}
 	if model.Dwell == 0 {
 		// A mule alone with one target and no dwell has a zero period
@@ -90,6 +113,12 @@ func randomAheadCase(rng *rand.Rand, family string) (s *field.Scenario, alg func
 		opts.Fleet[rng.Intn(mules)].Battery = 1e12
 		family = []string{"btctp", "wtctp", "chb"}[rng.Intn(3)]
 	}
+	if parked && family == "cbtctp" && rng.Intn(2) == 0 {
+		if opts.Fleet == nil {
+			opts.Fleet = make([]FleetMember, mules)
+		}
+		opts.Fleet[rng.Intn(mules)].Battery = 1e12
+	}
 	switch family {
 	case "sweep-kmeans":
 		alg = func() Algorithm {
@@ -107,6 +136,11 @@ func randomAheadCase(rng *rand.Rand, family string) (s *field.Scenario, alg func
 			Method: []core.PartitionMethod{core.KMeansMethod, core.SectorsMethod}[rng.Intn(2)],
 			K:      1 + rng.Intn(mules),
 			Alloc:  []core.AllocPolicy{core.AllocByLength, core.AllocByCount}[rng.Intn(2)],
+		}
+		if parked {
+			// A region per target, the sink included, and more mules:
+			// several park at one target.
+			cfg.K, cfg.Alloc = s.NumTargets(), core.AllocByCount
 		}
 		alg = func() Algorithm {
 			a, err := Partitioned(Planned(p), cfg, xrand.New(seed))
@@ -220,11 +254,14 @@ func anyVisit(rng *rand.Rand, res *Result) float64 {
 // a circuit leave each target's log in several time-sorted runs, and
 // the test fails unless the recorder merged some log from at least two
 // runs, some while a mule kept to the engine, and unless some fleet
-// with speeds of its own saw a mule lap another.
+// with speeds of its own saw a mule lap another. A parked mule, alone
+// on a one-target cycle, strides: it fails unless some parked mule made
+// two cycle visits, the second at least in the stride, and unless
+// some did so at a target that a mule on the engine visits too.
 func TestRunAheadMatchesEventPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	const n = 1320
-	var ran, mixed, onArrival, failures, skipped, fleets, unsynced, noDwell, tabled, merged, mixedMerged, lapped int
+	var ran, mixed, onArrival, failures, skipped, fleets, unsynced, noDwell, tabled, merged, mixedMerged, lapped, strided, parkedMixed int
 	families := map[string]int{}
 	for i := 0; i < n; i++ {
 		family := aheadFamilies[i%len(aheadFamilies)]
@@ -266,7 +303,8 @@ func TestRunAheadMatchesEventPath(t *testing.T) {
 		}
 		ran++
 		some := 0
-		for j, a := range aheadMules(s, got.Plan, opts) {
+		ahead := aheadMules(s, got.Plan, opts)
+		for j, a := range ahead {
 			if !a {
 				continue
 			}
@@ -277,8 +315,18 @@ func TestRunAheadMatchesEventPath(t *testing.T) {
 					visits--
 				}
 			}
-			if visits >= 2 {
-				tabled++
+			if visits < 2 {
+				continue
+			}
+			tabled++
+			if id, ok := parkedAt(got.Plan.Routes[j]); ok && opts.Energy.Dwell > 0 {
+				strided++
+				for k, r := range got.Plan.Routes {
+					if !ahead[k] && visitsTarget(r, id) {
+						parkedMixed++
+						break
+					}
+				}
 			}
 		}
 		if some > 0 {
@@ -309,8 +357,8 @@ func TestRunAheadMatchesEventPath(t *testing.T) {
 			failures++
 		}
 	}
-	t.Logf("%d runs (%d skipped): %v ran mules ahead, %d mules made visits from their compiled cycle, %d merged a log from several runs (%d with a mule on the engine), %d lapped a mule, %d with mules on both clocks, %d with fleet speeds, %d unsynchronized, %d without dwell; %d horizons on an arrival, %d with a failure",
-		ran, skipped, families, tabled, merged, mixedMerged, lapped, mixed, fleets, unsynced, noDwell, onArrival, failures)
+	t.Logf("%d runs (%d skipped): %v ran mules ahead, %d mules made visits from their compiled cycle (%d parked, striding, %d of them at a target a mule on the engine visits too), %d merged a log from several runs (%d with a mule on the engine), %d lapped a mule, %d with mules on both clocks, %d with fleet speeds, %d unsynchronized, %d without dwell; %d horizons on an arrival, %d with a failure",
+		ran, skipped, families, tabled, strided, parkedMixed, merged, mixedMerged, lapped, mixed, fleets, unsynced, noDwell, onArrival, failures)
 	if tabled == 0 {
 		t.Fatal("no mule made visits from its compiled cycle")
 	}
@@ -319,6 +367,9 @@ func TestRunAheadMatchesEventPath(t *testing.T) {
 	}
 	if lapped == 0 {
 		t.Fatal("no mule lapped another on a shared circuit")
+	}
+	if strided == 0 || parkedMixed == 0 {
+		t.Fatalf("%d parked mules strided, %d at a target a mule on the engine visits too: the runs miss a case", strided, parkedMixed)
 	}
 	for _, f := range aheadFamilies[:len(aheadFamilies)-1] {
 		if families[f] == 0 {
@@ -331,6 +382,27 @@ func TestRunAheadMatchesEventPath(t *testing.T) {
 	if mixed == 0 || fleets == 0 || unsynced == 0 || noDwell == 0 || onArrival == 0 || failures == 0 {
 		t.Fatal("the random runs miss a case the oracle must cover")
 	}
+}
+
+// parkedAt returns the target of a route that parks its mule, a cycle
+// of one target stop.
+func parkedAt(r core.MuleRoute) (int, bool) {
+	if len(r.Cycle) != 1 || len(r.Cycle[0].Stops) != 1 || r.Cycle[0].Stops[0].TargetID == mule.NoTarget {
+		return 0, false
+	}
+	return r.Cycle[0].Stops[0].TargetID, true
+}
+
+// visitsTarget reports whether route r visits target id.
+func visitsTarget(r core.MuleRoute, id int) bool {
+	for _, ph := range r.Cycle {
+		for _, wp := range ph.Stops {
+			if wp.TargetID == id {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // laps reports whether some mule of a shared circuit visited at least
