@@ -8,17 +8,18 @@ package sweep
 // single-cell job (exactly the replications, seeds, and fold order an
 // uncached run would use) and publishes the resulting state, and a
 // concurrent computation of the same cell elsewhere is joined rather
-// than repeated (single-flight, when the store provides it). Because
-// the stored state is the same bit-exact record the checkpoint layer
-// persists, and the engine restores and emits it exactly as it does a
-// resumed checkpoint or a merged shard, a run served entirely from the
-// cache produces sink output byte-identical to a cold run.
+// than repeated (single-flight, when the store provides it). Each
+// cell is one job in the engine's own Spec.Workers-wide pool: the job
+// resolves the cell, and the engine restores the validated state as a
+// finished cell and streams it to the sinks in enumeration order, the
+// path a resumed checkpoint or a merged shard takes. Because the
+// stored state is the same bit-exact record the checkpoint layer
+// persists, a run served entirely from the cache produces sink output
+// byte-identical to a cold run.
 
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
 
 	"tctp/internal/sweep/protocol"
 )
@@ -82,8 +83,8 @@ type CacheRunOpts struct {
 	// engine's shared byte-identical path. The returned state is still
 	// validated centrally, whatever the resolver did.
 	Resolve func(ctx context.Context, cell ResolveCell) (protocol.FoldState, protocol.Source, error)
-	// Sinks receive the job's cells in enumeration order once every
-	// cell has resolved.
+	// Sinks receive the job's cells in enumeration order as they
+	// resolve: cell i as soon as cells 0..i have.
 	Sinks []Sink
 	// OnCell, when non-nil, is called once per cell as it resolves,
 	// in completion order (not enumeration order), possibly from
@@ -91,164 +92,93 @@ type CacheRunOpts struct {
 	OnCell func(CellUpdate)
 }
 
-// computeCell runs the job's i-th cell as a single-cell job — the
-// same seeds, seed-ordered fold, and adaptive stop decisions the cell
-// would see inside any larger run of the same spec (the shard-
-// equivalence guarantee of the job API, narrowed to one cell) — and
-// returns its final fold state.
-func (j *Job) computeCell(ctx context.Context, i int) (protocol.FoldState, error) {
-	sub := *j
-	sub.defs = j.defs[i : i+1]
-	sub.offset = j.offset + i
-	p, err := sub.run(ctx, RunOpts{}, true, nil)
-	if err != nil {
-		return protocol.FoldState{}, err
-	}
-	rec, ok := p.records[0]
-	if !ok {
-		return protocol.FoldState{}, fmt.Errorf("sweep: cell %v produced no fold record", j.defs[i].point)
-	}
-	return rec.FoldState, nil
-}
-
 // ComputeCell computes the job's i-th cell (job-local index) as a
-// single-cell sub-job and returns its final fold state — the exported
-// face of the compute path RunCached uses on a cache miss. It is what
-// a remote worker runs for a leased cell: same seeds, same seed-ordered
-// fold, same adaptive stop decisions as the cell would see inside any
-// larger run of the same spec, so the returned state is bit-identical
-// to the one a local run would hold and restores byte-identically
-// through the shared emission path.
+// single-cell sub-job and returns its final fold state: the compute
+// path of a RunCached cache miss, and what a remote worker runs for a
+// leased cell. The sub-job sees the same seeds, seed-ordered fold, and
+// adaptive stop decisions as the cell would inside any larger run of
+// the same spec (the shard-equivalence guarantee of the job API,
+// narrowed to one cell), so the returned state is bit-identical to the
+// one a local run would hold and restores byte-identically through the
+// shared emission path.
 func (j *Job) ComputeCell(ctx context.Context, i int) (protocol.FoldState, error) {
 	if i < 0 || i >= len(j.defs) {
 		return protocol.FoldState{}, fmt.Errorf("sweep: cell %d outside [0,%d)", i, len(j.defs))
 	}
-	return j.computeCell(ctx, i)
+	sub := *j
+	sub.defs = j.defs[i : i+1]
+	sub.offset = j.offset + i
+	// The sub-job's totals are not the caller's: a cached run reports
+	// progress once, when it settles the cell.
+	sub.spec.Progress = nil
+	p, err := sub.run(ctx, RunOpts{}, nil, nil)
+	if err != nil {
+		return protocol.FoldState{}, err
+	}
+	return p.records[0].FoldState, nil
+}
+
+// cachedCells is what RunCached hands the engine in place of live
+// replications: resolve returns job-local cell i's validated final
+// fold state and how it was obtained, and onCell, when non-nil, sees
+// each settled cell's finished result.
+type cachedCells struct {
+	resolve func(ctx context.Context, i int) (protocol.FoldState, protocol.Source, error)
+	onCell  func(i int, src protocol.Source, cr *CellResult)
 }
 
 // RunCached executes the job with every cell folded through the
-// store, then hands the validated states to the engine as restored
-// finished cells, which streams them to the sinks in enumeration order.
-// The output is byte-identical to Job.Run of the same job at any mix
-// of hits, misses, and joins — including a fully cold store (every
-// cell computed) and a fully warm one (no simulation at all). Cells
-// resolve concurrently, GOMAXPROCS at a time (at most one per cell).
+// store (or the Resolve hook) and restored as a finished cell. The
+// output is byte-identical to Job.Run of the same job at any mix of
+// hits, misses, and joins — including a fully cold store (every cell
+// computed) and a fully warm one (no simulation at all). Cells resolve
+// as jobs of the engine's pool, Spec.Workers at a time in enumeration
+// order, and reach the sinks in enumeration order as they resolve.
 // Cells that miss additionally parallelize their replications over
 // Spec.Workers inside the compute, so the effective concurrency of an
-// all-miss run is up to GOMAXPROCS × Workers; callers scheduling many
+// all-miss run is up to Workers × Workers; callers scheduling many
 // jobs onto shared hardware should gate the computes instead (see
-// cache.Store's compute gate). On error the lowest-indexed failing
-// cell wins, matching the engine's deterministic error selection.
+// cache.Store's compute gate). Spec.Progress sees the job's totals
+// once per settled cell. On error the lowest-indexed failing cell
+// wins, by the engine's (cell, replication) rule; like Job.Run, a
+// failed run may leave the cells before the failure in its sinks.
 func (j *Job) RunCached(ctx context.Context, opts CacheRunOpts) (*Result, error) {
-	if opts.Store == nil && opts.Resolve == nil {
-		return nil, fmt.Errorf("sweep: RunCached needs a Store or a Resolve hook")
+	resolve := opts.Resolve
+	if resolve == nil {
+		if opts.Store == nil {
+			return nil, fmt.Errorf("sweep: RunCached needs a Store or a Resolve hook")
+		}
+		resolve = func(_ context.Context, cell ResolveCell) (protocol.FoldState, protocol.Source, error) {
+			return opts.Store.Fold(cell.Key, cell.Compute)
+		}
 	}
 	keys, err := j.CellKeys()
 	if err != nil {
 		return nil, err
 	}
-	sp := &j.spec
-	n := len(j.defs)
-	par := runtime.GOMAXPROCS(0)
-	if par > n {
-		par = n
-	}
-
-	restored := make(map[int]checkpointRecord, n)
-	validate := func(st *protocol.FoldState) error { return sp.checkState(st, true) }
-	var (
-		mu       sync.Mutex
-		runErr   error
-		errIndex int
-	)
-	fail := func(i int, err error) {
-		mu.Lock()
-		if runErr == nil || i < errIndex {
-			runErr, errIndex = err, i
-		}
-		mu.Unlock()
-	}
-	// settled reports whether cell i can no longer change the outcome:
-	// a lower-indexed cell has already failed, and its error wins. A
-	// cell below every failure so far must still run, since it may fail
-	// too.
-	settled := func(i int) bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return runErr != nil && errIndex < i
-	}
-
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < par; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				if settled(i) {
-					continue
-				}
-				compute := func() (protocol.FoldState, error) {
-					return j.computeCell(ctx, i)
-				}
-				var (
-					st  protocol.FoldState
-					src protocol.Source
-					err error
-				)
-				if opts.Resolve != nil {
-					st, src, err = opts.Resolve(ctx, ResolveCell{
-						Index:    j.offset + i,
-						Key:      keys[i],
-						Compute:  compute,
-						Validate: validate,
-					})
-				} else {
-					st, src, err = opts.Store.Fold(keys[i], compute)
-				}
-				if err == nil {
-					if verr := validate(&st); verr != nil {
-						err = fmt.Errorf("sweep: cached state %s %v", keys[i], verr)
-					}
-				}
-				if err != nil {
-					fail(i, err)
-					continue
-				}
-				mu.Lock()
-				restored[i] = checkpointRecord{Cell: i, FoldState: st}
-				mu.Unlock()
-				if opts.OnCell != nil {
-					c := sp.newCollector()
-					c.restore(checkpointRecord{Cell: i, FoldState: st})
-					opts.OnCell(CellUpdate{
-						Index:  j.offset + i,
-						Key:    keys[i],
-						Source: src,
-						Result: finalizeCell(sp, j.offset+i, j.defs[i].point, c),
-					})
+	validate := func(st *protocol.FoldState) error { return j.spec.checkState(st, true) }
+	cached := &cachedCells{
+		resolve: func(ctx context.Context, i int) (protocol.FoldState, protocol.Source, error) {
+			st, src, err := resolve(ctx, ResolveCell{
+				Index:    j.offset + i,
+				Key:      keys[i],
+				Compute:  func() (protocol.FoldState, error) { return j.ComputeCell(ctx, i) },
+				Validate: validate,
+			})
+			if err == nil {
+				if verr := validate(&st); verr != nil {
+					err = fmt.Errorf("sweep: cached state %s %v", keys[i], verr)
 				}
 			}
-		}()
+			return st, src, err
+		},
 	}
-dispatch:
-	for i := 0; i < n; i++ {
-		select {
-		case idx <- i:
-		case <-ctx.Done():
-			break dispatch
+	if opts.OnCell != nil {
+		cached.onCell = func(i int, src protocol.Source, cr *CellResult) {
+			opts.OnCell(CellUpdate{Index: j.offset + i, Key: keys[i], Source: src, Result: cr})
 		}
 	}
-	close(idx)
-	wg.Wait()
-
-	if runErr != nil {
-		return nil, runErr
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	p, err := j.run(ctx, RunOpts{Sinks: opts.Sinks}, false, restored)
+	p, err := j.run(ctx, RunOpts{Sinks: opts.Sinks}, nil, cached)
 	if err != nil {
 		return nil, err
 	}

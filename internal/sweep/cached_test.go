@@ -5,9 +5,11 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"tctp/internal/scenario"
 	"tctp/internal/sweep/protocol"
@@ -374,5 +376,91 @@ func TestRunCachedResolveHook(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), keys[0]) {
 		t.Fatalf("error should name the cell key, got: %v", err)
+	}
+}
+
+// TestRunCachedProgress: Spec.Progress sees the job's totals once per
+// settled cell, on a cold run (every cell computed by a sub-job that
+// reports nothing of its own) and on a warm one alike.
+func TestRunCachedProgress(t *testing.T) {
+	spec := tinySpec()
+	var (
+		mu    sync.Mutex
+		calls []Progress
+	)
+	spec.Progress = func(p Progress) {
+		mu.Lock()
+		calls = append(calls, p)
+		mu.Unlock()
+	}
+	j, err := Plan(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := newMapStore()
+	for _, run := range []string{"cold", "warm"} {
+		calls = nil
+		if _, err := j.RunCached(context.Background(), CacheRunOpts{Store: store}); err != nil {
+			t.Fatal(err)
+		}
+		if len(calls) != 4 {
+			t.Fatalf("%s run: %d progress calls %v, want one per cell", run, len(calls), calls)
+		}
+		for i, p := range calls {
+			want := Progress{CellsDone: i + 1, CellsTotal: 4, RunsDone: 3 * (i + 1), RunsTotal: 12}
+			if p != want {
+				t.Fatalf("%s run: call %d = %+v, want %+v", run, i, p, want)
+			}
+		}
+	}
+}
+
+// orderSink records the cell indices it receives and closes first on
+// cell 0.
+type orderSink struct {
+	first chan struct{}
+	cells []int
+}
+
+func (s *orderSink) Begin(*Spec, int) error { return nil }
+func (s *orderSink) End(*Result) error      { return nil }
+func (s *orderSink) Cell(c *CellResult) error {
+	if c.Index == 0 {
+		close(s.first)
+	}
+	s.cells = append(s.cells, c.Index)
+	return nil
+}
+
+// TestRunCachedStreamsInOrder: a cached run streams each cell to the
+// sinks as soon as every cell before it has resolved, rather than after
+// the whole job: the last cell's resolver waits until a sink has
+// received cell 0.
+func TestRunCachedStreamsInOrder(t *testing.T) {
+	j, err := Plan(tinySpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := j.Cells() - 1
+	sink := &orderSink{first: make(chan struct{})}
+	_, err = j.RunCached(context.Background(), CacheRunOpts{
+		Resolve: func(ctx context.Context, cell ResolveCell) (protocol.FoldState, protocol.Source, error) {
+			if cell.Index == last {
+				select {
+				case <-sink.first:
+				case <-time.After(5 * time.Second):
+					return protocol.FoldState{}, "", fmt.Errorf("no sink saw cell 0 before cell %d resolved", last)
+				}
+			}
+			st, err := cell.Compute()
+			return st, protocol.SourceComputed, err
+		},
+		Sinks: []Sink{sink},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{0, 1, 2, 3}; !slices.Equal(sink.cells, want) {
+		t.Fatalf("sink saw cells %v, want %v", sink.cells, want)
 	}
 }

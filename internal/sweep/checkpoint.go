@@ -187,7 +187,7 @@ func (w *checkpointWriter) write(rec *checkpointRecord) error {
 	return w.enc.Encode(rec)
 }
 
-// Close is idempotent: runSpec closes explicitly on success to surface
+// Close is idempotent: Job.run closes explicitly on success to surface
 // the error, and once more via defer on every other path.
 func (w *checkpointWriter) Close() error {
 	if w == nil || w.f == nil {
@@ -329,8 +329,10 @@ func loadCheckpoint(path string, j *Job) (map[int]checkpointRecord, int64, error
 // the spec cannot have produced would poison every aggregate folded
 // downstream of it. It refuses a replication counter outside
 // [1, maxReps], accumulator shapes that differ from the spec's
-// metrics, a scalar whose sample count disagrees with the counter, and
-// an adaptive stop the engine cannot have made: under a spec with no
+// metrics, a scalar whose sample count disagrees with the counter, a
+// vector position with a negative sample count or more samples than
+// the counter (a replication reaches a position at most once), and an
+// adaptive stop the engine cannot have made: under a spec with no
 // adaptive rule, or outside [MinReps, MaxReps), since the rule is
 // only consulted from MinReps folded replications on and a cell folded
 // to the ceiling has nothing left to stop. final also requires a
@@ -357,6 +359,12 @@ func (s *Spec) checkState(st *protocol.FoldState, final bool) error {
 		if len(accs) != s.Vectors[i].Len {
 			return fmt.Errorf("vector %d has %d positions, spec declares %d",
 				i, len(accs), s.Vectors[i].Len)
+		}
+		for k, a := range accs {
+			if a.N < 0 || a.N > st.Next {
+				return fmt.Errorf("vector %d position %d folded %d samples, counter says at most %d",
+					i, k, a.N, st.Next)
+			}
 		}
 	}
 	if st.Stopped {

@@ -163,6 +163,7 @@ type engine struct {
 	progress []func(Progress)
 	watch    int               // index of the adaptive metric, or -1
 	ck       *checkpointWriter // nil when not checkpointing
+	cached   *cachedCells      // nil unless every cell is settled whole
 
 	mu         sync.Mutex
 	collectors []*collector
@@ -218,9 +219,7 @@ func runWrapped(ctx context.Context, spec Spec, opts RunOpts) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The wrappers return only the Result, so the engine is told not
-	// to retain the per-cell fold records a mergeable Partial carries.
-	p, err := j.run(ctx, opts, false, nil)
+	p, err := j.Run(ctx, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -254,23 +253,20 @@ type RunOpts struct {
 // unsharded run. On success the returned Partial carries every cell's
 // final fold record, ready for Merge.
 func (j *Job) Run(ctx context.Context, opts RunOpts) (*Partial, error) {
-	return j.run(ctx, opts, true, nil)
+	return j.run(ctx, opts, nil, nil)
 }
 
 // run executes the job. It is the one pipeline every way of driving a
 // sweep goes through: restored maps job-local cell indices to fold
 // states validated by Spec.checkState — Merge passes its partials'
-// final records, RunCached its resolved cells, and Resume the records
-// loaded from opts.Checkpoint — and every other cell folds live. Each
+// final records, and Resume the records loaded from opts.Checkpoint —
+// and every other cell folds live, or, when cached is non-nil
+// (RunCached), is settled whole by one job in the same pool. Each
 // restored cell continues from its record, or, when finished, is
 // finalized in the same pass and emitted through the one ordered path
-// live cells take, so no source of fold state can drift from another.
-// keepRecords selects whether each finished cell's fold snapshot is
-// retained for the Partial — the job API needs them for in-process
-// merging, the other callers drop them, so retaining there would only
-// hold an extra copy of every cell's accumulator state for the length
-// of the sweep.
-func (j *Job) run(ctx context.Context, opts RunOpts, keepRecords bool, restored map[int]checkpointRecord) (*Partial, error) {
+// live and settled cells take, so no source of fold state can drift
+// from another.
+func (j *Job) run(ctx context.Context, opts RunOpts, restored map[int]checkpointRecord, cached *cachedCells) (*Partial, error) {
 	if opts.Resume && opts.Checkpoint == "" {
 		return nil, fmt.Errorf("sweep: Resume needs a checkpoint path")
 	}
@@ -312,12 +308,11 @@ func (j *Job) run(ctx context.Context, opts RunOpts, keepRecords bool, restored 
 		sinks:      sinks,
 		watch:      -1,
 		ck:         ck,
+		cached:     cached,
 		collectors: make([]*collector, len(defs)),
+		records:    make(map[int]checkpointRecord, len(defs)),
 		ready:      make(map[int]*CellResult),
 		result:     result,
-	}
-	if keepRecords {
-		e.records = make(map[int]checkpointRecord, len(defs))
 	}
 	if sp.Progress != nil {
 		e.progress = append(e.progress, sp.Progress)
@@ -334,6 +329,11 @@ func (j *Job) run(ctx context.Context, opts RunOpts, keepRecords bool, restored 
 		}
 	}
 	maxReps := sp.maxReps()
+	// A cached run dispatches one job per cell, its replication 0.
+	endRep := maxReps
+	if cached != nil {
+		endRep = 1
+	}
 	startRep := make([]int, len(defs))
 	remaining := 0
 	// Restored cells that are already finished are finalized and
@@ -351,20 +351,15 @@ func (j *Job) run(ctx context.Context, opts RunOpts, keepRecords bool, restored 
 			}
 			result.Runs += rec.Next
 		}
+		e.collectors[i] = c
 		if c.next == c.stop {
-			if e.records != nil {
-				e.records[i] = *snapshotRecord(i, c)
-			}
-			e.ready[i] = e.finalize(i, c)
-			e.cellsDone++
-			startRep[i] = maxReps
+			e.finishLocked(i, c, nil)
+			startRep[i] = endRep
 			continue
 		}
 		startRep[i] = c.next
-		remaining += maxReps - c.next
-		e.collectors[i] = c
+		remaining += endRep - c.next
 	}
-	e.emitReadyLocked()
 	preErr := e.err
 	e.mu.Unlock()
 	if preErr != nil {
@@ -382,6 +377,10 @@ func (j *Job) run(ctx context.Context, opts RunOpts, keepRecords bool, restored 
 		go func() {
 			defer wg.Done()
 			for j := range jobs {
+				if cached != nil {
+					e.settle(ctx, j.cell)
+					continue
+				}
 				vals, err := e.runOne(j)
 				e.deliver(j, vals, err)
 			}
@@ -396,7 +395,7 @@ func (j *Job) run(ctx context.Context, opts RunOpts, keepRecords bool, restored 
 	var ctxErr error
 dispatch:
 	for c := range defs {
-		for r := startRep[c]; r < maxReps; r++ {
+		for r := startRep[c]; r < endRep; r++ {
 			if r >= e.cellStop(c) {
 				break // adaptive stop: free the pool for later cells
 			}
@@ -755,27 +754,67 @@ func (e *engine) fold(j job, vals *runValues, err error) *checkpointRecord {
 	if advanced && e.ck != nil {
 		rec = snapshotRecord(j.cell, c)
 	}
-
 	if c.next == c.stop {
-		if e.records != nil {
-			// The checkpoint snapshot above, when taken, is already the
-			// cell's final state — don't deep-copy the accumulators
-			// twice.
-			final := rec
-			if final == nil {
-				final = snapshotRecord(j.cell, c)
-			}
-			e.records[j.cell] = *final
-		}
-		e.ready[j.cell] = e.finalize(j.cell, c)
-		e.collectors[j.cell] = nil
-		e.emitReadyLocked()
-		if e.aborted {
+		// The checkpoint snapshot above, when taken, is already the
+		// cell's final state — don't deep-copy the accumulators twice.
+		if e.finishLocked(j.cell, c, rec); e.aborted {
 			return rec
 		}
+	}
+	e.reportLocked()
+	return rec
+}
+
+// settle resolves a cached run's cell whole — a cache hit, a compute,
+// or a remote worker's result, validated by the resolver — and
+// restores it as finished. A failed resolve enters fold as the cell's
+// replication 0, so the lowest (cell, replication) failure still
+// chooses the run's error.
+func (e *engine) settle(ctx context.Context, cell int) {
+	st, src, err := e.cached.resolve(ctx, cell)
+	if err != nil {
+		e.fold(job{cell: cell}, nil, err)
+		return
+	}
+	e.mu.Lock()
+	if e.aborted {
+		e.mu.Unlock()
+		return
+	}
+	rec := checkpointRecord{Cell: cell, FoldState: st}
+	c := e.collectors[cell]
+	c.restore(rec)
+	e.result.Runs += c.next
+	cr := e.finishLocked(cell, c, &rec)
+	e.reportLocked()
+	e.mu.Unlock()
+	if e.cached.onCell != nil {
+		e.cached.onCell(cell, src, cr)
+	}
+}
+
+// finishLocked retires a cell folded to its stop: it keeps the cell's
+// final record (rec, or a snapshot when rec is nil), finalizes its
+// result and emits every cell now in enumeration order. Callers hold
+// e.mu.
+func (e *engine) finishLocked(cell int, c *collector, rec *checkpointRecord) *CellResult {
+	if rec == nil {
+		rec = snapshotRecord(cell, c)
+	}
+	e.records[cell] = *rec
+	cr := e.finalize(cell, c)
+	e.ready[cell] = cr
+	e.collectors[cell] = nil
+	e.emitReadyLocked()
+	if !e.aborted {
 		e.cellsDone++
 	}
+	return cr
+}
 
+// reportLocked hands the job's totals to the progress hooks. Callers
+// hold e.mu.
+func (e *engine) reportLocked() {
 	for _, fn := range e.progress {
 		fn(Progress{
 			CellsDone:  e.cellsDone,
@@ -784,7 +823,6 @@ func (e *engine) fold(j job, vals *runValues, err error) *checkpointRecord {
 			RunsTotal:  len(e.defs) * e.spec.maxReps(),
 		})
 	}
-	return rec
 }
 
 func (c *collector) fold(v *runValues) {
@@ -802,14 +840,9 @@ func (c *collector) fold(v *runValues) {
 // is global to the plan, so a shard's cells carry the same indices an
 // unsharded run would give them.
 func (e *engine) finalize(cell int, c *collector) *CellResult {
-	return finalizeCell(e.spec, e.offset+cell, e.defs[cell].point, c)
-}
-
-// finalizeCell renders a finished collector as a CellResult; it is
-// shared by the engine and by RunCached's per-cell progress updates.
-func finalizeCell(sp *Spec, index int, p Point, c *collector) *CellResult {
+	sp := e.spec
 	cr := &CellResult{
-		Index: index, Point: p,
+		Index: e.offset + cell, Point: e.defs[cell].point,
 		Reps: c.next, StopReason: c.stopReason,
 	}
 	for i, m := range sp.Metrics {

@@ -223,7 +223,7 @@ func Merge(spec Spec, partials []*Partial, sinks ...Sink) (*Result, error) {
 				i, j.defs[i].point)
 		}
 	}
-	p, err := j.run(context.TODO(), RunOpts{Sinks: sinks}, false, global)
+	p, err := j.run(context.TODO(), RunOpts{Sinks: sinks}, global, nil)
 	if err != nil {
 		return nil, err
 	}

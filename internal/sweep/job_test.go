@@ -293,6 +293,45 @@ func TestLoadPartialErrors(t *testing.T) {
 	}
 }
 
+// FuzzLoadPartial drives the shard-file trust boundary: the two inputs
+// are written as the two shard checkpoint files of ckptSpec, loaded
+// with LoadPartial and merged. Nothing may panic, and every merge that
+// is accepted emits only vector sample counts in [0, reps]. The seed
+// corpus under testdata/fuzz holds a real 2-shard run and the same run
+// with one final record's vector counts forged to 1000000 and -3.
+func FuzzLoadPartial(f *testing.F) {
+	spec := ckptSpec()
+	f.Fuzz(func(t *testing.T, shard0, shard1 []byte) {
+		dir := t.TempDir()
+		var parts []*Partial
+		for i, b := range [][]byte{shard0, shard1} {
+			path := filepath.Join(dir, fmt.Sprintf("shard%d.jsonl", i))
+			if err := os.WriteFile(path, b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			p, err := LoadPartial(path)
+			if err != nil {
+				return
+			}
+			parts = append(parts, p)
+		}
+		res, err := Merge(spec, parts)
+		if err != nil {
+			return
+		}
+		for _, c := range res.Cells {
+			for _, v := range c.Vectors {
+				for k, n := range v.N {
+					if n < 0 || n > c.Reps {
+						t.Fatalf("cell %d vector %s position %d emits %d samples of %d replications",
+							c.Index, v.Name, k, n, c.Reps)
+					}
+				}
+			}
+		}
+	})
+}
+
 // TestForgedStopRefused: a shard checkpoint hand-edited so that a cell
 // claims an adaptive stop after one replication, under a spec with no
 // adaptive rule, is refused by both Merge and Resume rather than

@@ -3,12 +3,14 @@ package sweep
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"tctp/internal/stats"
 	"tctp/internal/sweep/dispatch"
 	"tctp/internal/sweep/protocol"
 )
@@ -23,12 +25,19 @@ func stopSpec() Spec {
 }
 
 // forgeStop returns a copy of st marked adaptively stopped after next
-// replications, its scalar sample counts matching, so that only the
-// stop itself can be wrong.
+// replications, its scalar sample counts matching and no vector
+// position above them, so that only the stop itself can be wrong.
 func forgeStop(st protocol.FoldState, next int) protocol.FoldState {
 	st.Scalars = append(st.Scalars[:0:0], st.Scalars...)
 	for i := range st.Scalars {
 		st.Scalars[i].N = next
+	}
+	st.Vectors = append(st.Vectors[:0:0], st.Vectors...)
+	for i := range st.Vectors {
+		st.Vectors[i] = append(st.Vectors[i][:0:0], st.Vectors[i]...)
+		for k := range st.Vectors[i] {
+			st.Vectors[i][k].N = min(st.Vectors[i][k].N, next)
+		}
 	}
 	st.Next, st.Stopped, st.Reason = next, true, "forged"
 	return st
@@ -65,6 +74,45 @@ func TestCheckStateRefusesImpossibleStops(t *testing.T) {
 	}
 }
 
+// forgeVectorCounts returns a copy of st whose first vector's leading
+// positions claim the given sample counts, everything else untouched.
+func forgeVectorCounts(st protocol.FoldState, counts ...int) protocol.FoldState {
+	vec := append(st.Vectors[0][:0:0], st.Vectors[0]...)
+	for k, n := range counts {
+		vec[k].N = n
+	}
+	st.Vectors = append([][]stats.AccumulatorState{vec}, st.Vectors[1:]...)
+	return st
+}
+
+// TestCheckStateRefusesImpossibleVectorCounts: a replication reaches
+// each vector position at most once, so a position claiming a negative
+// sample count or more samples than the counter is refused, final or
+// not; the engine's own state passes.
+func TestCheckStateRefusesImpossibleVectorCounts(t *testing.T) {
+	j, err := Plan(ckptSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := j.ComputeCell(context.Background(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := &j.spec
+	if err := sp.checkState(&st, true); err != nil {
+		t.Fatalf("the engine's own state is refused: %v", err)
+	}
+	for _, n := range []int{-3, st.Next + 1, 1_000_000} {
+		forged := forgeVectorCounts(st, st.Vectors[0][0].N, n)
+		want := fmt.Sprintf("vector 0 position 1 folded %d samples", n)
+		for _, final := range []bool{false, true} {
+			if err := sp.checkState(&forged, final); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("count %d (final %v): err = %v", n, final, err)
+			}
+		}
+	}
+}
+
 // Probe and Put make mapStore a dispatch.Store as well.
 func (s *mapStore) Probe(key string) (protocol.FoldState, bool) {
 	s.mu.Lock()
@@ -84,9 +132,29 @@ func (s *mapStore) Put(key string, st protocol.FoldState) {
 // in RefusedResults, and the cell is leased again; the genuine result
 // that follows is accepted and resolves the cell.
 func TestDispatchRefusesImpossibleStop(t *testing.T) {
+	testDispatchRefuses(t, stopSpec(), "adaptively stopped after 1 replications",
+		func(genuine protocol.FoldState) protocol.FoldState { return forgeStop(genuine, 1) })
+}
+
+// TestDispatchRefusesImpossibleVectorCount: a worker result whose
+// vector positions claim more samples than the counter, or a negative
+// count, is refused and the cell leased again.
+func TestDispatchRefusesImpossibleVectorCount(t *testing.T) {
+	testDispatchRefuses(t, ckptSpec(), "vector 0 position 0 folded 1000000 samples",
+		func(genuine protocol.FoldState) protocol.FoldState {
+			return forgeVectorCounts(genuine, 1_000_000, -3)
+		})
+}
+
+// testDispatchRefuses leases cell 0 of spec twice: the first result,
+// forge of the genuine state, must be refused with an error containing
+// want and counted in RefusedResults; the genuine result that follows
+// must be accepted and resolve the cell.
+func testDispatchRefuses(t *testing.T, spec Spec, want string, forge func(protocol.FoldState) protocol.FoldState) {
+	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	j, err := Plan(stopSpec())
+	j, err := Plan(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +172,7 @@ func TestDispatchRefusesImpossibleStop(t *testing.T) {
 	}
 	defer sched.Close()
 	sp := &j.spec
-	cell := dispatch.Cell{Sweep: "stop", Index: 0, Key: keys[0],
+	cell := dispatch.Cell{Sweep: spec.Name, Index: 0, Key: keys[0],
 		Validate: func(st *protocol.FoldState) error { return sp.checkState(st, true) }}
 	type outcome struct {
 		st  protocol.FoldState
@@ -127,10 +195,10 @@ func TestDispatchRefusesImpossibleStop(t *testing.T) {
 		return l
 	}
 	l := lease()
-	forged := forgeStop(genuine, 1)
+	forged := forge(genuine)
 	if ack := sched.Complete(protocol.FoldResult{Lease: l.ID, Key: l.Key, State: &forged}); ack.Accepted ||
-		!strings.Contains(ack.Error, "adaptively stopped after 1 replications") {
-		t.Fatalf("a one-replication stop was not refused: %+v", ack)
+		!strings.Contains(ack.Error, want) {
+		t.Fatalf("the forged result was not refused with %q: %+v", want, ack)
 	}
 	if st := sched.Stats(); st.RefusedResults != 1 || st.RemoteComputed != 0 {
 		t.Fatalf("after the forged result: stats %+v", st)
@@ -140,7 +208,7 @@ func TestDispatchRefusesImpossibleStop(t *testing.T) {
 		t.Fatalf("the genuine result was refused: %+v", ack)
 	}
 	got := <-done
-	if got.err != nil || got.st.Next != genuine.Next || !got.st.Stopped {
+	if got.err != nil || got.st.Next != genuine.Next || got.st.Stopped != genuine.Stopped {
 		t.Fatalf("resolved %+v, %v; want the genuine state", got.st, got.err)
 	}
 	if st := sched.Stats(); st.RefusedResults != 1 || st.RemoteComputed != 1 {
