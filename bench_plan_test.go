@@ -21,10 +21,10 @@ import (
 //
 // BenchmarkPlan* measures the spatially indexed planning substrates at
 // n ∈ {100, 1k, 10k}. Their brute-force twins (BenchmarkPlan*Brute)
-// time the linear-scan implementations the equivalence tests hold them
-// to; the indexed and scan variants produce bit-identical
+// time the test-only scan oracles the equivalence tests hold them to;
+// the indexed and scan variants produce bit-identical
 // tours/assignments, so the ratio between the two is pure speedup.
-// The twins need unexported functions, so they sit in the packages
+// The oracles live in _test.go files, so the twins sit in the packages
 // that own them: the NearestNeighbor, GreedyEdge and
 // ConvexHullInsertion twins in internal/tour, the KMeans twin in
 // internal/cluster.

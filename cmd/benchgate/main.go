@@ -100,11 +100,10 @@
 // equivalence tests, exist to be slow, and only execute in the
 // single-iteration rot check (-short skips their n=10k rungs, which
 // take minutes by design). Every twin sits in the package that owns
-// the function it times: the NearestNeighbor and GreedyEdge twins time
-// internal/tour's unexported scan paths, which are still the
-// production path below the index threshold, and the KMeans and
+// the oracle it times: the NearestNeighbor, GreedyEdge and
 // ConvexHullInsertion twins time the test-only oracles in
-// internal/cluster and internal/tour. allocs/op is gated with zero
+// internal/tour, and the KMeans twin the one in internal/cluster. No
+// twin times a production path. allocs/op is gated with zero
 // tolerance in both families — allocation counts are deterministic, so
 // any increase is a real regression, which is what keeps the
 // zero-alloc planning paths zero-alloc.

@@ -32,7 +32,7 @@ func main() {
 		mules     = flag.Int("mules", 4, "number of data mules")
 		vips      = flag.Int("vips", 0, "number of VIP targets")
 		weight    = flag.Int("weight", 3, "VIP weight")
-		placement = flag.String("placement", "uniform", "target placement: uniform, clusters, grid")
+		placement = flag.String("placement", "uniform", "target placement: "+field.PlacementNames)
 		seed      = flag.Uint64("seed", 1, "scenario seed")
 		horizon   = flag.Float64("horizon", 60_000, "simulated seconds")
 		battery   = flag.Float64("battery", energy.DefaultCapacity, "battery capacity (J), used with -alg rwtctp")
@@ -69,16 +69,9 @@ func loadScenario(path string) (*field.Scenario, error) {
 func run(alg, policy string, targets, mules, vips, weight int, placement string,
 	seed uint64, horizon, battery float64, mapW, mapH int, loadPath, savePath string) error {
 
-	var place field.Placement
-	switch placement {
-	case "uniform":
-		place = field.Uniform
-	case "clusters":
-		place = field.Clusters
-	case "grid":
-		place = field.Grid
-	default:
-		return fmt.Errorf("unknown placement %q", placement)
+	place, err := field.ParsePlacement(placement)
+	if err != nil {
+		return err
 	}
 
 	src := xrand.New(seed)

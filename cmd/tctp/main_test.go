@@ -16,6 +16,18 @@ func TestRunAllAlgorithms(t *testing.T) {
 	}
 }
 
+// TestRunAllPlacements runs every placement field.ParsePlacement
+// accepts, corridor and hotspot included, so -placement takes what
+// tctp-sweep -placements takes.
+func TestRunAllPlacements(t *testing.T) {
+	for _, placement := range []string{"uniform", "clusters", "grid", "corridor", "hotspot"} {
+		if err := run("btctp", "shortest", 10, 2, 0, 3, placement, 1, 5_000,
+			200_000, 0, 0, "", ""); err != nil {
+			t.Fatalf("%s: %v", placement, err)
+		}
+	}
+}
+
 func TestRunRejectsBadInputs(t *testing.T) {
 	if err := run("nope", "shortest", 10, 2, 0, 3, "uniform", 1, 1_000, 1e5, 0, 0, "", ""); err == nil {
 		t.Fatal("unknown algorithm accepted")

@@ -23,17 +23,9 @@ import (
 	"tctp/internal/cluster"
 	"tctp/internal/field"
 	"tctp/internal/geom"
-	"tctp/internal/geom/index"
 	"tctp/internal/walk"
 	"tctp/internal/xrand"
 )
-
-// indexThreshold is the point count above which core's nearest-point
-// scans (mule-to-group matching, start-point assignment) go through a
-// spatial grid. Below it a linear scan is faster than building the
-// grid; both paths are bit-identical, so the threshold is purely a
-// performance knob.
-const indexThreshold = 48
 
 // PartitionMethod selects how the C-planners split targets into
 // regions.
@@ -377,11 +369,9 @@ func allocateMules(n int, weights []float64) []int {
 // by index. capacity[g] is how many mules group g accepts; capacities
 // must sum to len(starts). The result maps mule index to group index.
 //
-// Above the index threshold the centroid scans go through a spatial
-// grid: the settle keys are plain Nearest queries, and the capacity-
-// constrained pass removes a group from the grid once its capacity is
-// exhausted, making "nearest group with a free seat" a Nearest query
-// over the live set. Both paths are bit-identical (equivalence tests).
+// Both passes are linear scans over the centroids: at the fleet sizes
+// the planners see (up to 64 mules), a scan beats building a spatial
+// grid.
 func MatchMulesToGroups(starts, centroids []geom.Point, capacity []int) []int {
 	n := len(starts)
 	totalCap := 0
@@ -391,53 +381,6 @@ func MatchMulesToGroups(starts, centroids []geom.Point, capacity []int) []int {
 	if totalCap != n {
 		panic(fmt.Sprintf("core: %d mules but capacities sum to %d", n, totalCap))
 	}
-	if len(centroids) < indexThreshold {
-		return matchMulesToGroupsBrute(starts, centroids, capacity)
-	}
-
-	g := index.New(centroids)
-	// Static settle key: each mule's distance to its nearest centroid.
-	nearest := make([]float64, n)
-	for i, p := range starts {
-		_, d := g.Nearest(p)
-		nearest[i] = d
-	}
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		ia, ib := order[a], order[b]
-		if nearest[ia] != nearest[ib] {
-			return nearest[ia] < nearest[ib]
-		}
-		return ia < ib
-	})
-
-	free := make([]int, len(capacity))
-	copy(free, capacity)
-	for gi, f := range free {
-		if f == 0 {
-			g.Remove(gi)
-		}
-	}
-	out := make([]int, n)
-	for _, mi := range order {
-		best, _ := g.Nearest(starts[mi])
-		free[best]--
-		if free[best] == 0 {
-			g.Remove(best)
-		}
-		out[mi] = best
-	}
-	return out
-}
-
-// matchMulesToGroupsBrute is the original linear-scan implementation
-// of MatchMulesToGroups, retained as the reference the indexed path
-// must reproduce bit-for-bit.
-func matchMulesToGroupsBrute(starts, centroids []geom.Point, capacity []int) []int {
-	n := len(starts)
 	// Static settle key: each mule's distance to its nearest centroid.
 	nearest := make([]float64, n)
 	for i, p := range starts {

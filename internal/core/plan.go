@@ -47,7 +47,6 @@ import (
 	"tctp/internal/energy"
 	"tctp/internal/field"
 	"tctp/internal/geom"
-	"tctp/internal/geom/index"
 	"tctp/internal/mule"
 	"tctp/internal/walk"
 )
@@ -332,29 +331,14 @@ func assignStartPoints(muleStarts, startPts []geom.Point, energies []float64) []
 		}
 	}
 
-	// Above the index threshold the initial nearest-start-point lookup
-	// is a grid query; the brute scan's strict < breaks ties by the
-	// lower index, which is the grid's tie-break, so both paths pick
-	// the same point bit-for-bit. The cyclic probe over taken points is
-	// unchanged — it depends on the start-point ring order, not on
-	// proximity.
-	var g *index.Grid
-	if n >= indexThreshold {
-		g = index.New(startPts)
-	}
 	taken := make([]bool, n)
 	assign := make([]int, n)
 	for _, mi := range order {
 		// Nearest start point, ties by lower index.
-		var best int
-		if g != nil {
-			best, _ = g.Nearest(muleStarts[mi])
-		} else {
-			bestD := math.Inf(1)
-			for k, sp := range startPts {
-				if d := muleStarts[mi].Dist2(sp); d < bestD {
-					best, bestD = k, d
-				}
+		best, bestD := 0, math.Inf(1)
+		for k, sp := range startPts {
+			if d := muleStarts[mi].Dist2(sp); d < bestD {
+				best, bestD = k, d
 			}
 		}
 		for taken[best] {

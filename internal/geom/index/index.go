@@ -1,13 +1,14 @@
 // Package index provides a uniform-grid spatial hash over a fixed
 // planar point set — the sub-quadratic geometry substrate behind the
 // planners' hot paths (nearest-neighbour and greedy-edge tours,
-// k-means assignment, mule matching). The paper's experiments stop at
-// a few hundred targets, where O(n²) scans are harmless; the
-// 10⁴–10⁵-target regimes that the partitioned planners open up need
-// Nearest/KNearest queries in near-constant time per query. Below a
-// few dozen points each planner keeps a private linear scan instead,
-// which is faster there. The convex-hull skeleton needs no index at
-// all: hull.Convex reports input indices directly.
+// k-means assignment). The paper's experiments stop at a few hundred
+// targets, where O(n²) scans are harmless; the 10⁴–10⁵-target regimes
+// that the partitioned planners open up need Nearest/KNearest queries
+// in near-constant time per query. k-means keeps a linear scan below
+// 32 centres, and core's mule-to-region matching and start-point
+// assignment scan always: fleets are far too small for a grid to pay.
+// The convex-hull skeleton needs no index at all: hull.Convex reports
+// input indices directly.
 //
 // Every query breaks ties exactly like the brute-force scans it
 // replaces: by (squared distance, ascending point index), with squared

@@ -3,6 +3,7 @@ package tour
 import (
 	"fmt"
 	"math"
+	"sort"
 	"testing"
 
 	"tctp/internal/geom"
@@ -74,6 +75,94 @@ func ConvexHullInsertionBrute(pts []geom.Point) Tour {
 		t[bestPos] = pi
 	}
 	return EnsureCCW(pts, t)
+}
+
+// nearestNeighborScan is the linear-scan construction NearestNeighbor
+// must reproduce bit-for-bit: each step takes the first unvisited
+// index at the strictly smallest squared distance. start must be in
+// range when pts is non-empty.
+func nearestNeighborScan(pts []geom.Point, start int) Tour {
+	n := len(pts)
+	if n == 0 {
+		return Tour{}
+	}
+	visited := make([]bool, n)
+	t := make(Tour, 0, n)
+	cur := start
+	visited[cur] = true
+	t = append(t, cur)
+	for len(t) < n {
+		best, bestD := -1, math.Inf(1)
+		for i := 0; i < n; i++ {
+			if visited[i] {
+				continue
+			}
+			if d := pts[cur].Dist2(pts[i]); d < bestD {
+				best, bestD = i, d
+			}
+		}
+		visited[best] = true
+		t = append(t, best)
+		cur = best
+	}
+	return t
+}
+
+// greedyEdgeSort is the sort-all-edges construction GreedyEdge must
+// reproduce bit-for-bit: every edge sorted by (squared length, u, v),
+// then the same acceptance loop.
+func greedyEdgeSort(pts []geom.Point) Tour {
+	n := len(pts)
+	if n == 0 {
+		return Tour{}
+	}
+	if n == 1 {
+		return Tour{0}
+	}
+
+	type edge struct {
+		u, v int
+		d    float64
+	}
+	edges := make([]edge, 0, n*(n-1)/2)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			edges = append(edges, edge{i, j, pts[i].Dist2(pts[j])})
+		}
+	}
+	sort.Slice(edges, func(a, b int) bool {
+		if edges[a].d != edges[b].d {
+			return edges[a].d < edges[b].d
+		}
+		if edges[a].u != edges[b].u {
+			return edges[a].u < edges[b].u
+		}
+		return edges[a].v < edges[b].v
+	})
+
+	uf := newUnionFind(n)
+	degree := make([]int, n)
+	adj := make([][]int, n)
+	accepted := 0
+	for _, e := range edges {
+		if accepted == n-1 {
+			break
+		}
+		if degree[e.u] >= 2 || degree[e.v] >= 2 {
+			continue
+		}
+		if uf.find(e.u) == uf.find(e.v) {
+			continue // would close a subcycle early
+		}
+		uf.union(e.u, e.v)
+		degree[e.u]++
+		degree[e.v]++
+		adj[e.u] = append(adj[e.u], e.v)
+		adj[e.v] = append(adj[e.v], e.u)
+		accepted++
+	}
+
+	return walkPath(n, degree, adj)
 }
 
 // BruteForce returns a provably optimal circuit by exhaustive search.

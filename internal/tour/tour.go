@@ -13,19 +13,11 @@ package tour
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"tctp/internal/geom"
 	"tctp/internal/geom/index"
 	"tctp/internal/hull"
 )
-
-// indexThreshold is the point count below which NearestNeighbor and
-// GreedyEdge stay on their private quadratic scans: building a spatial
-// index costs more than it saves on tiny inputs. The indexed and scan
-// paths are bit-identical (see the equivalence tests), so the
-// threshold is purely a performance knob.
-const indexThreshold = 48
 
 // Tour is an ordering of point indices forming a Hamiltonian circuit.
 type Tour []int
@@ -224,11 +216,11 @@ func ConvexHullInsertion(pts []geom.Point) Tour {
 }
 
 // NearestNeighbor builds a circuit by repeatedly travelling to the
-// closest unvisited target, starting from index start. Above the index
-// threshold the unvisited set lives in a spatial grid and each step is
-// a Nearest query plus a Remove; the linear scan breaks ties by the
-// first (lowest) index, which is exactly the grid's (distance, index)
-// tie-break, so both paths yield the same tour bit-for-bit.
+// closest unvisited target, starting from index start. The unvisited
+// set lives in a spatial grid, and each step is a Nearest query plus a
+// Remove. The grid breaks distance ties by the lower index, so the
+// tour is bit-identical to a linear scan's strict-< first match (the
+// oracle in oracle_test.go).
 func NearestNeighbor(pts []geom.Point, start int) Tour {
 	n := len(pts)
 	if n == 0 {
@@ -236,9 +228,6 @@ func NearestNeighbor(pts []geom.Point, start int) Tour {
 	}
 	if start < 0 || start >= n {
 		panic(fmt.Sprintf("tour: NearestNeighbor start %d out of range", start))
-	}
-	if n < indexThreshold {
-		return nearestNeighborScan(pts, start)
 	}
 	g := index.New(pts)
 	t := make(Tour, 0, n)
@@ -252,109 +241,6 @@ func NearestNeighbor(pts []geom.Point, start int) Tour {
 		cur = best
 	}
 	return t
-}
-
-// nearestNeighborScan is NearestNeighbor's linear-scan path for
-// fewer than indexThreshold points, and the reference the indexed path
-// must reproduce bit-for-bit. pts must be non-empty and start in
-// range.
-func nearestNeighborScan(pts []geom.Point, start int) Tour {
-	n := len(pts)
-	visited := make([]bool, n)
-	t := make(Tour, 0, n)
-	cur := start
-	visited[cur] = true
-	t = append(t, cur)
-	for len(t) < n {
-		best, bestD := -1, math.Inf(1)
-		for i := 0; i < n; i++ {
-			if visited[i] {
-				continue
-			}
-			if d := pts[cur].Dist2(pts[i]); d < bestD {
-				best, bestD = i, d
-			}
-		}
-		visited[best] = true
-		t = append(t, best)
-		cur = best
-	}
-	return t
-}
-
-// GreedyEdge builds a circuit by considering candidate edges in
-// ascending length order and accepting each edge that keeps every
-// vertex at degree ≤ 2 and creates no premature subcycle, finally
-// closing the two loose ends. Union-find tracks connectivity.
-//
-// Above the index threshold the sorted edge stream is generated lazily
-// from per-vertex k-nearest-neighbour streams merged through a heap (a
-// k-way merge of sorted runs), so only the short-edge prefix that the
-// acceptance loop actually consumes is ever materialized — the
-// accepted edges, and hence the tour, are bit-identical to
-// greedyEdgeSort's full O(n² log n) sort (see the equivalence tests).
-func GreedyEdge(pts []geom.Point) Tour {
-	if len(pts) < indexThreshold {
-		return greedyEdgeSort(pts)
-	}
-	return greedyEdgeIndexed(pts)
-}
-
-// greedyEdgeSort is GreedyEdge's sort-all-edges path for fewer than
-// indexThreshold points, and the reference the lazy k-NN-stream path
-// must reproduce bit-for-bit.
-func greedyEdgeSort(pts []geom.Point) Tour {
-	n := len(pts)
-	if n == 0 {
-		return Tour{}
-	}
-	if n == 1 {
-		return Tour{0}
-	}
-
-	type edge struct {
-		u, v int
-		d    float64
-	}
-	edges := make([]edge, 0, n*(n-1)/2)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			edges = append(edges, edge{i, j, pts[i].Dist2(pts[j])})
-		}
-	}
-	sort.Slice(edges, func(a, b int) bool {
-		if edges[a].d != edges[b].d {
-			return edges[a].d < edges[b].d
-		}
-		if edges[a].u != edges[b].u {
-			return edges[a].u < edges[b].u
-		}
-		return edges[a].v < edges[b].v
-	})
-
-	uf := newUnionFind(n)
-	degree := make([]int, n)
-	adj := make([][]int, n)
-	accepted := 0
-	for _, e := range edges {
-		if accepted == n-1 {
-			break
-		}
-		if degree[e.u] >= 2 || degree[e.v] >= 2 {
-			continue
-		}
-		if uf.find(e.u) == uf.find(e.v) {
-			continue // would close a subcycle early
-		}
-		uf.union(e.u, e.v)
-		degree[e.u]++
-		degree[e.v]++
-		adj[e.u] = append(adj[e.u], e.v)
-		adj[e.v] = append(adj[e.v], e.u)
-		accepted++
-	}
-
-	return walkPath(n, degree, adj)
 }
 
 // walkPath walks the Hamiltonian path assembled by the greedy-edge
@@ -389,8 +275,7 @@ func walkPath(n int, degree []int, adj [][]int) Tour {
 
 // geCand is one lazily generated candidate edge: the head of vertex
 // src's neighbour stream, keyed for the global merge by (d, a, b) with
-// a < b — the same ordering greedyEdgeSort sorts the full edge list
-// by.
+// a < b.
 type geCand struct {
 	d    float64
 	a, b int32
@@ -443,17 +328,32 @@ func (s *geStream) next(g *index.Grid, pts []geom.Point, u, n int) (nb int, d fl
 	}
 }
 
-// greedyEdgeIndexed is GreedyEdge's lazy candidate-edge mode. Each
-// vertex contributes a sorted neighbour stream; a heap merges the
-// stream heads, so candidate edges pop in exactly the (d, u, v) order
-// of greedyEdgeSort's full sort (a k-way merge of sorted runs). Each
-// undirected edge appears in two streams; the first pop wins and the
-// duplicate is skipped. A vertex's stream is abandoned once the vertex
-// reaches degree 2 — every remaining candidate it would produce is
-// rejected by the degree check no matter when it surfaces, because
-// degrees never decrease.
-func greedyEdgeIndexed(pts []geom.Point) Tour {
+// GreedyEdge builds a circuit by considering candidate edges in
+// ascending length order and accepting each edge that keeps every
+// vertex at degree ≤ 2 and creates no premature subcycle, finally
+// closing the two loose ends. Union-find tracks connectivity.
+//
+// Each vertex contributes a sorted neighbour stream drawn lazily from
+// k-nearest queries on a spatial grid, and a heap merges the stream
+// heads, so candidate edges pop in ascending (d, u, v) order (a k-way
+// merge of sorted runs). Only the short-edge prefix that the
+// acceptance loop consumes is ever materialized. The tour is
+// bit-identical to sorting all n(n−1)/2 edges (the oracle in
+// oracle_test.go). Each undirected edge appears in two streams, and
+// the second copy needs no bookkeeping: the acceptance checks only
+// tighten (degrees never decrease, components only merge), so a copy
+// the first pop accepted or rejected is rejected the second time. For
+// the same reason a vertex's stream is abandoned once the vertex
+// reaches degree 2: the degree check rejects every candidate it would
+// still produce.
+func GreedyEdge(pts []geom.Point) Tour {
 	n := len(pts)
+	switch n {
+	case 0:
+		return Tour{}
+	case 1:
+		return Tour{0}
+	}
 	g := index.New(pts)
 	streams := make([]geStream, n)
 
@@ -508,22 +408,16 @@ func greedyEdgeIndexed(pts []geom.Point) Tour {
 	uf := newUnionFind(n)
 	degree := make([]int, n)
 	adj := make([][]int, n)
-	seen := make(map[uint64]struct{}, 4*n)
 	accepted := 0
 	for accepted < n-1 && len(heap) > 0 {
 		c := pop()
-		key := uint64(c.a)*uint64(n) + uint64(c.b)
-		if _, dup := seen[key]; !dup {
-			seen[key] = struct{}{}
-			u, v := int(c.a), int(c.b)
-			if degree[u] < 2 && degree[v] < 2 && uf.find(u) != uf.find(v) {
-				uf.union(u, v)
-				degree[u]++
-				degree[v]++
-				adj[u] = append(adj[u], v)
-				adj[v] = append(adj[v], u)
-				accepted++
-			}
+		if u, v := int(c.a), int(c.b); degree[u] < 2 && degree[v] < 2 && uf.find(u) != uf.find(v) {
+			uf.union(u, v)
+			degree[u]++
+			degree[v]++
+			adj[u] = append(adj[u], v)
+			adj[v] = append(adj[v], u)
+			accepted++
 		}
 		src := int(c.src)
 		if degree[src] < 2 {

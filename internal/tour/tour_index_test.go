@@ -10,12 +10,12 @@ import (
 )
 
 // equivalencePointSets yields point families that stress the indexed
-// constructions: uniform random (above and below the index threshold),
+// constructions: uniform random from empty to 400 points,
 // duplicate-heavy, collinear, clustered, and near-coincident sets.
 func equivalencePointSets(rnd *rand.Rand) map[string][]geom.Point {
 	sets := map[string][]geom.Point{}
 
-	for _, n := range []int{3, 10, indexThreshold - 1, indexThreshold, 120, 400} {
+	for _, n := range []int{0, 1, 2, 3, 10, 47, 48, 120, 400} {
 		pts := make([]geom.Point, n)
 		for i := range pts {
 			pts[i] = geom.Pt(rnd.Float64()*800, rnd.Float64()*800)
@@ -87,11 +87,14 @@ func sameTour(a, b Tour) bool {
 }
 
 // TestNearestNeighborMatchesBrute pins the indexed construction to the
-// brute scan bit-for-bit, across starts.
+// linear-scan oracle bit-for-bit, across starts.
 func TestNearestNeighborMatchesBrute(t *testing.T) {
 	rnd := rand.New(rand.NewSource(11))
 	for name, pts := range equivalencePointSets(rnd) {
 		starts := []int{0, len(pts) - 1, len(pts) / 2}
+		if len(pts) == 0 {
+			starts = []int{0}
+		}
 		for _, s := range starts {
 			got := NearestNeighbor(pts, s)
 			want := nearestNeighborScan(pts, s)
@@ -130,8 +133,9 @@ func TestConvexHullInsertionMatchesBrute(t *testing.T) {
 	}
 }
 
-// TestGreedyEdgeMatchesBrute pins the lazy candidate-edge mode to the
-// full-sort path bit-for-bit.
+// TestGreedyEdgeMatchesBrute pins the lazy candidate-edge construction
+// to the full-sort oracle bit-for-bit, on the equivalence families and
+// on every uniform size from 2 to 40 points.
 func TestGreedyEdgeMatchesBrute(t *testing.T) {
 	rnd := rand.New(rand.NewSource(13))
 	for name, pts := range equivalencePointSets(rnd) {
@@ -141,19 +145,13 @@ func TestGreedyEdgeMatchesBrute(t *testing.T) {
 			t.Errorf("%s: lazy-mode tour differs from brute\n got %v\nwant %v", name, got, want)
 		}
 	}
-}
-
-// TestGreedyEdgeIndexedForced exercises the lazy mode below the
-// dispatch threshold too, so the equivalence does not silently rest on
-// both paths taking the brute branch.
-func TestGreedyEdgeIndexedForced(t *testing.T) {
-	rnd := rand.New(rand.NewSource(14))
+	rnd = rand.New(rand.NewSource(14))
 	for n := 2; n <= 40; n++ {
 		pts := make([]geom.Point, n)
 		for i := range pts {
 			pts[i] = geom.Pt(rnd.Float64()*100, rnd.Float64()*100)
 		}
-		got := greedyEdgeIndexed(pts)
+		got := GreedyEdge(pts)
 		want := greedyEdgeSort(pts)
 		if !sameTour(got, want) {
 			t.Fatalf("n=%d: lazy-mode tour differs from brute\n got %v\nwant %v", n, got, want)
@@ -161,8 +159,57 @@ func TestGreedyEdgeIndexedForced(t *testing.T) {
 	}
 }
 
+// latticePoints decodes up to 64 points from data, one byte each: the
+// high nibble is x and the low nibble y on a 16 × 16 integer lattice,
+// so exact distance ties, duplicates and collinear runs are common.
+func latticePoints(data []byte) []geom.Point {
+	if len(data) > 64 {
+		data = data[:64]
+	}
+	pts := make([]geom.Point, len(data))
+	for i, b := range data {
+		pts[i] = geom.Pt(float64(b>>4), float64(b&15))
+	}
+	return pts
+}
+
+// FuzzNearestNeighbor holds NearestNeighbor to the linear-scan oracle,
+// bit for bit, from every start on a lattice point set.
+func FuzzNearestNeighbor(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		pts := latticePoints(data)
+		if len(pts) == 0 {
+			if got := NearestNeighbor(pts, 0); len(got) != 0 {
+				t.Fatalf("empty input gave tour %v", got)
+			}
+			return
+		}
+		for s := range pts {
+			got := NearestNeighbor(pts, s)
+			if want := nearestNeighborScan(pts, s); !sameTour(got, want) {
+				t.Fatalf("%v start %d:\n got %v\nwant %v", pts, s, got, want)
+			}
+		}
+	})
+}
+
+// FuzzGreedyEdge holds GreedyEdge to the full-sort oracle, bit for bit,
+// on a lattice point set.
+func FuzzGreedyEdge(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		pts := latticePoints(data)
+		got := GreedyEdge(pts)
+		if want := greedyEdgeSort(pts); !sameTour(got, want) {
+			t.Fatalf("%v:\n got %v\nwant %v", pts, got, want)
+		}
+		if err := Validate(got, len(pts)); err != nil {
+			t.Fatalf("%v: %v", pts, err)
+		}
+	})
+}
+
 // BenchmarkPlanNearestNeighborBrute and BenchmarkPlanGreedyEdgeBrute
-// time the scan paths on BenchmarkPlanNearestNeighbor's and
+// time the test-only scan oracles on BenchmarkPlanNearestNeighbor's and
 // BenchmarkPlanGreedyEdge's inputs (root package), so the ratio is the
 // indexed path's speedup. They are not gated; -short skips their n=10k
 // rungs, which the quadratic scans take seconds to minutes over.
