@@ -134,8 +134,7 @@ func TestConvexHullInsertionMatchesBrute(t *testing.T) {
 }
 
 // TestGreedyEdgeMatchesBrute pins the lazy candidate-edge construction
-// to the full-sort oracle bit-for-bit, on the equivalence families and
-// on every uniform size from 2 to 40 points.
+// to the full-sort oracle bit-for-bit on the equivalence families.
 func TestGreedyEdgeMatchesBrute(t *testing.T) {
 	rnd := rand.New(rand.NewSource(13))
 	for name, pts := range equivalencePointSets(rnd) {
@@ -145,7 +144,13 @@ func TestGreedyEdgeMatchesBrute(t *testing.T) {
 			t.Errorf("%s: lazy-mode tour differs from brute\n got %v\nwant %v", name, got, want)
 		}
 	}
-	rnd = rand.New(rand.NewSource(14))
+}
+
+// TestGreedyEdgeIndexedForced pins the lazy mode to the sort oracle on
+// every uniform size from 2 to 40 points, the small inputs a size
+// threshold would otherwise route away from the grid.
+func TestGreedyEdgeIndexedForced(t *testing.T) {
+	rnd := rand.New(rand.NewSource(14))
 	for n := 2; n <= 40; n++ {
 		pts := make([]geom.Point, n)
 		for i := range pts {
