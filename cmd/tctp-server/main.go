@@ -12,6 +12,7 @@
 //	tctp-server -addr :8080 -cache-dir /var/cache/tctp -cache-dir-bytes 10737418240
 //	tctp-server -addr :8080 -gate 8 -max-sweeps 4
 //	tctp-server -addr :8080 -workers remote -lease-ttl 30s
+//	tctp-server -addr :8080 -cpuprofile cpu.pprof -memprofile mem.pprof -trace trace.out
 //
 //	# then, from any client machine:
 //	tctp-sweep -alg btctp -preset paper51 -seeds 5 -server http://host:8080 > sweep.csv
@@ -28,16 +29,26 @@
 // Retry-After beyond -max-sweeps), the -gate compute bound shared by
 // all sweeps, single-flight dedup of concurrent identical submissions,
 // and internal/sweep/dispatch for the cache-aware lease scheduler.
+//
+// -cpuprofile FILE and -memprofile FILE write runtime/pprof CPU and
+// allocation profiles, and -trace FILE a runtime/trace execution trace,
+// of the server's whole life (see internal/profile) when it shuts down
+// on SIGINT or SIGTERM; what it serves is the same with and without
+// them.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
 	"net/http"
+	"os/signal"
 	"runtime"
+	"syscall"
 	"time"
 
+	"tctp/internal/profile"
 	"tctp/internal/sweep/cache"
 	"tctp/internal/sweep/dispatch"
 	"tctp/internal/sweep/server"
@@ -53,8 +64,18 @@ func main() {
 		maxSweeps     = flag.Int("max-sweeps", 8, "max sweeps in flight before POST /sweeps answers 429")
 		workers       = flag.String("workers", "local", "where cells compute: local (in-process) or remote (leased to a tctp-worker fleet)")
 		leaseTTL      = flag.Duration("lease-ttl", 30*time.Second, "remote-worker lease deadline; an unreported cell is reassigned past it")
+		cpuProf       = flag.String("cpuprofile", "", "write a CPU profile (runtime/pprof) of the server to this file at shutdown")
+		memProf       = flag.String("memprofile", "", "write an allocation profile (runtime/pprof) of the server to this file at shutdown")
+		traceF        = flag.String("trace", "", "write an execution trace (runtime/trace) of the server to this file at shutdown")
 	)
 	flag.Parse()
+
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	defer stop()
+	stopProfile, err := profile.Start(*cpuProf, *memProf, *traceF)
+	if err != nil {
+		log.Fatalln("tctp-server:", err)
+	}
 
 	store, err := cache.New(cache.Options{
 		MaxBytes:    *cacheBytes,
@@ -94,7 +115,21 @@ func main() {
 	if cfg.Dispatch != nil {
 		compute = fmt.Sprintf("remote workers, %s leases", *leaseTTL)
 	}
+	hs := &http.Server{Addr: *addr, Handler: srv}
+	served := make(chan error, 1)
+	go func() { served <- hs.ListenAndServe() }()
 	log.Printf("tctp-server: listening on %s (%s, %d-byte budget, gate %d, max %d sweeps, %s)",
 		*addr, persistence, *cacheBytes, *gate, *maxSweeps, compute)
-	log.Fatalln("tctp-server:", http.ListenAndServe(*addr, srv))
+	select {
+	case err = <-served:
+	case <-ctx.Done():
+		err = hs.Close()
+	}
+	if perr := stopProfile(); err == nil {
+		err = perr
+	}
+	if err != nil {
+		log.Fatalln("tctp-server:", err)
+	}
+	log.Printf("tctp-server: shut down")
 }

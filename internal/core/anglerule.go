@@ -35,12 +35,13 @@ type edge struct {
 // lists.
 type multigraph struct {
 	edges []*edge
-	inc   map[int][]*edge
+	inc   [][]*edge // by vertex
 }
 
-// graphFromWalk builds the multigraph induced by the closed walk.
-func graphFromWalk(w walk.Walk) *multigraph {
-	g := &multigraph{inc: make(map[int][]*edge)}
+// graphFromWalk builds the multigraph induced by the closed walk over
+// vertices [0, nv).
+func graphFromWalk(w walk.Walk, nv int) *multigraph {
+	g := &multigraph{inc: make([][]*edge, nv)}
 	n := len(w.Seq)
 	for i := 0; i < n; i++ {
 		u, v := w.Seq[i], w.Seq[(i+1)%n]
@@ -101,7 +102,7 @@ func TraverseAngleRule(pts []geom.Point, w walk.Walk) walk.Walk {
 	if n < 3 {
 		return w.Clone()
 	}
-	g := graphFromWalk(w)
+	g := graphFromWalk(w, len(pts))
 	start := w.Seq[0]
 
 	// The first hop follows the walk's own first edge, which fixes

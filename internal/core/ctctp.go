@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 
 	"tctp/internal/cluster"
 	"tctp/internal/field"
@@ -117,7 +118,7 @@ type PartitionConfig struct {
 // String renders the canonical "method:k[:alloc]" form (the alloc
 // suffix only when it differs from the default).
 func (c PartitionConfig) String() string {
-	s := fmt.Sprintf("%s:%d", c.Method, c.K)
+	s := c.Method.String() + ":" + strconv.Itoa(c.K)
 	if c.Alloc != AllocByLength {
 		s += ":" + c.Alloc.String()
 	}
@@ -164,7 +165,7 @@ type CBTCTP struct {
 }
 
 // Name implements Planner.
-func (c *CBTCTP) Name() string { return fmt.Sprintf("C-BTCTP(%s)", c.Config) }
+func (c *CBTCTP) Name() string { return "C-BTCTP(" + c.Config.String() + ")" }
 
 // Plan implements Planner.
 func (c *CBTCTP) Plan(s *field.Scenario) (*FleetPlan, error) {
@@ -195,7 +196,7 @@ type CWTCTP struct {
 
 // Name implements Planner.
 func (c *CWTCTP) Name() string {
-	return fmt.Sprintf("C-WTCTP(%s,%s)", c.Policy, c.Config)
+	return "C-WTCTP(" + c.Policy.String() + "," + c.Config.String() + ")"
 }
 
 // Plan implements Planner. One random source serves every region's

@@ -226,12 +226,8 @@ func (p *FleetPlan) Validate(s *field.Scenario) error {
 			}
 			targetOwner[t] = gi
 		}
-		member := make(map[int]bool, len(g.Targets))
-		for _, t := range g.Targets {
-			member[t] = true
-		}
 		for _, v := range g.Walk.Seq {
-			if !member[v] {
+			if v < 0 || v >= len(targetOwner) || targetOwner[v] != gi {
 				return fmt.Errorf("core: group %d walk visits non-member target %d", gi, v)
 			}
 		}

@@ -29,7 +29,7 @@ type RWTCTP struct {
 
 // Name implements Planner.
 func (r *RWTCTP) Name() string {
-	return fmt.Sprintf("RW-TCTP(%s)", r.Policy)
+	return "RW-TCTP(" + r.Policy.String() + ")"
 }
 
 // model returns the configured energy model, defaulting to the

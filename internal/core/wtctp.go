@@ -70,7 +70,7 @@ type WTCTP struct {
 
 // Name implements Planner.
 func (wt *WTCTP) Name() string {
-	return fmt.Sprintf("W-TCTP(%s)", wt.Policy)
+	return "W-TCTP(" + wt.Policy.String() + ")"
 }
 
 // Plan implements Planner: it builds the WPP and hands it to the same

@@ -9,7 +9,8 @@ package sweep
 // uncached run would use) and publishes the resulting state, and a
 // concurrent computation of the same cell elsewhere is joined rather
 // than repeated (single-flight, when the store provides it). Each
-// cell is one job in the engine's own Spec.Workers-wide pool: the job
+// cell is one job in the engine's own pool — Spec.Workers wide, or as
+// wide as the job when a Resolve hook waits on a worker fleet: the job
 // resolves the cell, and the engine restores the validated state as a
 // finished cell and streams it to the sinks in enumeration order, the
 // path a resumed checkpoint or a merged shard takes. Because the
@@ -81,7 +82,11 @@ type CacheRunOpts struct {
 	// — probing the shared cache, leasing cold cells to remote workers,
 	// and falling back however it chooses — while emission stays on the
 	// engine's shared byte-identical path. The returned state is still
-	// validated centrally, whatever the resolver did.
+	// validated centrally, whatever the resolver did. Resolving is
+	// taken to be waiting, not computing: every cell's resolve is in
+	// flight at once, so a resolver that computes locally must bound
+	// its own concurrency. When a cell fails, the resolves of the cells
+	// after it are cancelled through their contexts.
 	Resolve func(ctx context.Context, cell ResolveCell) (protocol.FoldState, protocol.Source, error)
 	// Sinks receive the job's cells in enumeration order as they
 	// resolve: cell i as soon as cells 0..i have.
@@ -125,6 +130,11 @@ func (j *Job) ComputeCell(ctx context.Context, i int) (protocol.FoldState, error
 type cachedCells struct {
 	resolve func(ctx context.Context, i int) (protocol.FoldState, protocol.Source, error)
 	onCell  func(i int, src protocol.Source, cr *CellResult)
+	// waits marks a resolve that waits on an outside party (the
+	// Resolve hook) rather than computing: the engine then resolves
+	// every cell at once, and cancels later cells' resolves when a
+	// cell fails.
+	waits bool
 }
 
 // RunCached executes the job with every cell folded through the
@@ -132,16 +142,18 @@ type cachedCells struct {
 // output is byte-identical to Job.Run of the same job at any mix of
 // hits, misses, and joins — including a fully cold store (every cell
 // computed) and a fully warm one (no simulation at all). Cells resolve
-// as jobs of the engine's pool, Spec.Workers at a time in enumeration
-// order, and reach the sinks in enumeration order as they resolve.
-// Cells that miss additionally parallelize their replications over
-// Spec.Workers inside the compute, so the effective concurrency of an
-// all-miss run is up to Workers × Workers; callers scheduling many
-// jobs onto shared hardware should gate the computes instead (see
-// cache.Store's compute gate). Spec.Progress sees the job's totals
-// once per settled cell. On error the lowest-indexed failing cell
-// wins, by the engine's (cell, replication) rule; like Job.Run, a
-// failed run may leave the cells before the failure in its sinks.
+// as jobs of the engine's pool — Spec.Workers at a time through the
+// Store, every cell at once through a Resolve hook — dispatched in
+// enumeration order, and reach the sinks in enumeration order as they
+// resolve. Cells that miss the Store additionally parallelize their
+// replications over Spec.Workers inside the compute, so the effective
+// concurrency of an all-miss run is up to Workers × Workers; callers
+// scheduling many jobs onto shared hardware should gate the computes
+// instead (see cache.Store's compute gate). Spec.Progress sees the
+// job's totals once per settled cell. On error the lowest-indexed
+// failing cell wins, by the engine's (cell, replication) rule; like
+// Job.Run, a failed run may leave the cells before the failure in its
+// sinks.
 func (j *Job) RunCached(ctx context.Context, opts CacheRunOpts) (*Result, error) {
 	resolve := opts.Resolve
 	if resolve == nil {
@@ -158,6 +170,7 @@ func (j *Job) RunCached(ctx context.Context, opts CacheRunOpts) (*Result, error)
 	}
 	validate := func(st *protocol.FoldState) error { return j.spec.checkState(st, true) }
 	cached := &cachedCells{
+		waits: opts.Resolve != nil,
 		resolve: func(ctx context.Context, i int) (protocol.FoldState, protocol.Source, error) {
 			st, src, err := resolve(ctx, ResolveCell{
 				Index:    j.offset + i,

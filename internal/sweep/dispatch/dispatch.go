@@ -16,12 +16,28 @@
 //     later callers join and wait for the same result. Exactly one
 //     worker result is ever folded per cell.
 //
-//   - Leases with deadlines. A granted cell must report (or heartbeat)
-//     within the lease TTL; an expired lease is revoked and the cell
-//     requeued at the front for the next worker (Stats.Expired,
+//   - One queue per sweep, chunks by guided self-scheduling. A sweep's
+//     cells queue in cell-index order. A worker that asks for a chunk
+//     (LeaseChunk) is granted ceil(Q/2W) cells of one sweep in one
+//     exchange, where Q is that sweep's queued cells and W the live
+//     workers — those holding a lease or polling for one. Chunks shrink
+//     as the queue drains, so the tail stays balanced with no tuning
+//     constant (Polychronopoulos & Kuck, IEEE Trans. Computers 1987).
+//     Sweeps take turns, one chunk each, so a small sweep never waits
+//     behind a large one's whole queue. Lease, for workers that do not
+//     opt in, grants one cell.
+//
+//   - Leases with deadlines. Every granted cell, chunk or not, has its
+//     own lease: it must report (or heartbeat) within the lease TTL; an
+//     expired lease is revoked and the cell requeued ahead of its
+//     sweep's queued cells, its sweep's turn next (Stats.Expired,
 //     Stats.Reassigned). A result posted under a revoked or completed
 //     lease is refused as stale (Stats.StaleResults) — a reassigned
 //     cell that reports twice still folds once.
+//
+//   - Nothing computed for nobody. A cell whose every resolver has
+//     gone (its sweeps failed or were cancelled) leaves the queue at
+//     once, or, when leased, at its lease's expiry (Stats.Withdrawn).
 //
 //   - Validation before trust. Worker results are checked against the
 //     requesting spec's shape (the Validate closure each cell carries)
@@ -39,6 +55,7 @@ import (
 	"container/list"
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -96,6 +113,10 @@ type Stats struct {
 	// Joined counts resolvers that attached to another sweep's
 	// already-queued computation of the same cell.
 	Joined int64 `json:"joined"`
+	// Withdrawn counts cells dropped from the queue because no
+	// resolver waited on them any more (their sweeps failed or were
+	// cancelled).
+	Withdrawn int64 `json:"withdrawn"`
 	// StaleResults counts results refused because their lease was
 	// expired, completed, or never existed; RefusedResults counts
 	// results whose state failed validation; WorkerErrors counts
@@ -109,9 +130,11 @@ type Stats struct {
 
 // WorkerStats is one worker's row in Stats.Workers.
 type WorkerStats struct {
-	// Active is the worker's outstanding leases; Completed its
-	// accepted results; Expired the leases it lost to the deadline.
+	// Active is the worker's outstanding leases; Polling its lease
+	// requests waiting for work; Completed its accepted results;
+	// Expired the leases it lost to the deadline.
 	Active    int   `json:"active"`
+	Polling   int   `json:"polling"`
 	Completed int64 `json:"completed"`
 	Expired   int64 `json:"expired"`
 }
@@ -138,10 +161,12 @@ type Cell struct {
 // task is the scheduler-side state of one distinct cell key.
 type task struct {
 	cell     Cell
+	q        *sweepQueue   // the queue holding it while queued
 	elem     *list.Element // non-nil while queued
 	lease    *lease        // non-nil while checked out
 	requeued bool          // true once reassignment made this a retry
 	refusals int
+	waiters  int // resolvers waiting on done
 
 	done chan struct{} // closed when st/err are final
 	st   protocol.FoldState
@@ -156,6 +181,18 @@ type lease struct {
 	deadline time.Time
 }
 
+// queueKey names a sweep's queue: its id and plan fingerprint, so the
+// cells of one chunk always share one request.
+type queueKey struct{ sweep, fingerprint string }
+
+// sweepQueue is one sweep's queued tasks, in cell-index order. A queue
+// exists only while it holds tasks, and then has a turn in the
+// scheduler's round-robin.
+type sweepQueue struct {
+	key   queueKey
+	tasks list.List // *task
+}
+
 // Scheduler is the cache-aware cell scheduler. Create with New, stop
 // with Close.
 type Scheduler struct {
@@ -164,7 +201,10 @@ type Scheduler struct {
 	maxRefusals int
 
 	mu       sync.Mutex
-	queue    *list.List // *task, front = next to lease
+	queues   map[queueKey]*sweepQueue
+	turns    []*sweepQueue // the queues, in round-robin order: [0] leases next
+	spare    *sweepQueue   // an emptied queue, kept for the next sweep
+	queued   int           // tasks across all queues
 	byKey    map[string]*task
 	leases   map[string]*lease
 	byWorker map[string]*WorkerStats
@@ -191,7 +231,7 @@ func New(opts Options) (*Scheduler, error) {
 		store:       opts.Store,
 		ttl:         opts.LeaseTTL,
 		maxRefusals: opts.MaxRefusals,
-		queue:       list.New(),
+		queues:      make(map[queueKey]*sweepQueue),
 		byKey:       make(map[string]*task),
 		leases:      make(map[string]*lease),
 		byWorker:    make(map[string]*WorkerStats),
@@ -234,7 +274,7 @@ func (s *Scheduler) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.stats
-	st.QueueLen = s.queue.Len()
+	st.QueueLen = s.queued
 	st.ActiveLeases = len(s.leases)
 	st.Workers = make(map[string]WorkerStats, len(s.byWorker))
 	for id, w := range s.byWorker {
@@ -248,7 +288,9 @@ func (s *Scheduler) Stats() Stats {
 // accepted result. Concurrent Resolves of the same key share one queue
 // entry. The returned Source is a cache hit, "worker:<id>" for the
 // resolver that enqueued the cell, or joined for resolvers that
-// attached to an existing entry.
+// attached to an existing entry. When ctx ends first, Resolve returns
+// its error, and a cell still queued with no other resolver waiting on
+// it is withdrawn, so no worker computes it for nobody.
 func (s *Scheduler) Resolve(ctx context.Context, cell Cell) (protocol.FoldState, protocol.Source, error) {
 	if cell.Validate == nil {
 		return protocol.FoldState{}, "", fmt.Errorf("dispatch: cell %s has no Validate", cell.Key)
@@ -275,16 +317,23 @@ func (s *Scheduler) Resolve(ctx context.Context, cell Cell) (protocol.FoldState,
 		return st, protocol.SourceHit, nil
 	} else {
 		t = &task{cell: cell, done: make(chan struct{})}
-		t.elem = s.queue.PushBack(t)
 		s.byKey[cell.Key] = t
+		s.enqueueLocked(t)
 		s.stats.Queued++
 		s.wakeLocked()
 	}
+	t.waiters++
 	s.mu.Unlock()
 
 	select {
 	case <-t.done:
 	case <-ctx.Done():
+		s.mu.Lock()
+		if t.waiters--; t.waiters == 0 && t.elem != nil {
+			s.dequeueLocked(t)
+			s.retireLocked(t)
+		}
+		s.mu.Unlock()
 		return protocol.FoldState{}, "", ctx.Err()
 	}
 	if t.err != nil {
@@ -306,54 +355,191 @@ func (t *task) srcOf() protocol.Source {
 	return protocol.SourceComputed
 }
 
+// enqueueLocked queues a task in its sweep's queue, in cell-index
+// order, creating the queue with a turn at the back of the round-robin.
+// A retry (requeued) moves its sweep's turn to the front instead: a
+// retried cell is usually the lowest its sweep lacks, so the sweep's
+// output waits on it. Cells mostly arrive in index order, so the walk
+// from the tail is short. Caller holds s.mu.
+func (s *Scheduler) enqueueLocked(t *task) {
+	key := queueKey{t.cell.Sweep, t.cell.Fingerprint}
+	q := s.queues[key]
+	if q == nil {
+		if q = s.spare; q == nil {
+			q = new(sweepQueue)
+		}
+		s.spare = nil
+		q.key = key
+		s.queues[key] = q
+		s.turns = append(s.turns, q)
+	}
+	if t.requeued {
+		i := slices.Index(s.turns, q)
+		copy(s.turns[1:i+1], s.turns[:i])
+		s.turns[0] = q
+	}
+	at := q.tasks.Back()
+	for at != nil && at.Value.(*task).cell.Index > t.cell.Index {
+		at = at.Prev()
+	}
+	if at == nil {
+		t.elem = q.tasks.PushFront(t)
+	} else {
+		t.elem = q.tasks.InsertAfter(t, at)
+	}
+	t.q = q
+	s.queued++
+}
+
+// requeueLocked queues a task whose lease ended without a result
+// again, or retires it when no resolver waits on it any more. Caller
+// holds s.mu.
+func (s *Scheduler) requeueLocked(t *task) {
+	t.lease = nil
+	if t.waiters == 0 {
+		s.retireLocked(t)
+		return
+	}
+	t.requeued = true
+	s.enqueueLocked(t)
+}
+
+// dequeueLocked takes a queued task out of its sweep's queue, dropping
+// the queue once empty (it becomes the spare). Caller holds s.mu.
+func (s *Scheduler) dequeueLocked(t *task) {
+	q := t.q
+	q.tasks.Remove(t.elem)
+	t.elem, t.q = nil, nil
+	s.queued--
+	if q.tasks.Len() == 0 {
+		i := slices.Index(s.turns, q)
+		s.turns = slices.Delete(s.turns, i, i+1)
+		delete(s.queues, q.key)
+		s.spare = q
+	}
+}
+
+// retireLocked forgets a task nobody waits on: a later Resolve of its
+// key starts afresh. Caller holds s.mu.
+func (s *Scheduler) retireLocked(t *task) {
+	delete(s.byKey, t.cell.Key)
+	s.stats.Withdrawn++
+}
+
 // Lease grants the next queued cell to worker, blocking until work
 // arrives or ctx is done (long poll). A nil lease with a nil error
 // means the poll timed out empty.
 func (s *Scheduler) Lease(ctx context.Context, worker string) (*protocol.CellLease, error) {
+	return s.lease(ctx, worker, false)
+}
+
+// LeaseChunk is Lease for a worker that takes a chunk: up to
+// ceil(Q/2W) cells of one sweep, where Q is that sweep's queued cells
+// and W the live workers — those holding a lease or polling, worker
+// included. This is guided self-scheduling: each grant takes a share
+// of what remains, so chunks shrink as a sweep drains and its tail
+// stays balanced across the fleet. Sweeps take turns, one chunk each,
+// so a small sweep never waits behind a large one's whole queue.
+func (s *Scheduler) LeaseChunk(ctx context.Context, worker string) (*protocol.CellLease, error) {
+	return s.lease(ctx, worker, true)
+}
+
+func (s *Scheduler) lease(ctx context.Context, worker string, chunk bool) (*protocol.CellLease, error) {
 	if worker == "" {
 		return nil, fmt.Errorf("dispatch: empty worker id")
 	}
+	s.mu.Lock()
+	w := s.workerLocked(worker)
+	w.Polling++
 	for {
-		s.mu.Lock()
 		s.expireLocked(time.Now())
-		if front := s.queue.Front(); front != nil {
-			t := front.Value.(*task)
-			s.queue.Remove(front)
-			t.elem = nil
-			l := s.grantLocked(t, worker)
-			wire := s.leaseWireLocked(l)
+		if len(s.turns) > 0 {
+			q, n := s.turns[0], 1
+			if chunk {
+				live := 2 * s.liveLocked()
+				n = (q.tasks.Len() + live - 1) / live
+			}
+			wire := s.grantLocked(q, worker, n)
+			w.Polling--
 			s.mu.Unlock()
 			return wire, nil
 		}
 		wake := s.wake
 		s.mu.Unlock()
+		var err error
 		select {
 		case <-wake:
+			s.mu.Lock()
+			continue
 		case <-ctx.Done():
-			return nil, nil
 		case <-s.stop:
-			return nil, fmt.Errorf("dispatch: scheduler closed")
+			err = fmt.Errorf("dispatch: scheduler closed")
 		}
+		s.mu.Lock()
+		w.Polling--
+		s.mu.Unlock()
+		return nil, err
 	}
 }
 
-// grantLocked checks t out to worker. Caller holds s.mu.
-func (s *Scheduler) grantLocked(t *task, worker string) *lease {
-	s.nextID++
-	l := &lease{
-		id:       fmt.Sprintf("L%d", s.nextID),
-		worker:   worker,
-		task:     t,
-		deadline: time.Now().Add(s.ttl),
+// liveLocked counts the workers holding a lease or polling for one.
+// Caller holds s.mu.
+func (s *Scheduler) liveLocked() int {
+	n := 0
+	for _, w := range s.byWorker {
+		if w.Active > 0 || w.Polling > 0 {
+			n++
+		}
 	}
-	t.lease = l
-	s.leases[l.id] = l
-	s.stats.Leased++
-	if t.requeued {
-		s.stats.Reassigned++
+	return n
+}
+
+// grantLocked checks the first n tasks of q, whose turn it is, out to
+// worker, one lease each, and moves q's turn to the back of the
+// round-robin. Caller holds s.mu.
+func (s *Scheduler) grantLocked(q *sweepQueue, worker string, n int) *protocol.CellLease {
+	ttl := int(s.ttl / time.Second)
+	if ttl < 1 {
+		ttl = 1
 	}
-	s.workerLocked(worker).Active++
-	return l
+	var wire *protocol.CellLease
+	for range n {
+		t := q.tasks.Front().Value.(*task)
+		s.dequeueLocked(t)
+		s.nextID++
+		l := &lease{
+			id:       fmt.Sprintf("L%d", s.nextID),
+			worker:   worker,
+			task:     t,
+			deadline: time.Now().Add(s.ttl),
+		}
+		t.lease = l
+		s.leases[l.id] = l
+		s.stats.Leased++
+		if t.requeued {
+			s.stats.Reassigned++
+		}
+		s.workerLocked(worker).Active++
+		if wire == nil {
+			wire = &protocol.CellLease{
+				ID:          l.id,
+				Worker:      worker,
+				Sweep:       t.cell.Sweep,
+				Cell:        t.cell.Index,
+				Key:         t.cell.Key,
+				Fingerprint: t.cell.Fingerprint,
+				TTLSeconds:  ttl,
+				Request:     t.cell.Request,
+			}
+			continue
+		}
+		wire.More = append(wire.More, protocol.ChunkCell{ID: l.id, Cell: t.cell.Index, Key: t.cell.Key})
+	}
+	if q.tasks.Len() > 0 {
+		copy(s.turns, s.turns[1:])
+		s.turns[len(s.turns)-1] = q
+	}
+	return wire
 }
 
 // workerLocked returns worker's stats row, creating it. Caller holds
@@ -365,24 +551,6 @@ func (s *Scheduler) workerLocked(id string) *WorkerStats {
 		s.byWorker[id] = w
 	}
 	return w
-}
-
-// leaseWireLocked renders a lease for the wire. Caller holds s.mu.
-func (s *Scheduler) leaseWireLocked(l *lease) *protocol.CellLease {
-	ttl := int(s.ttl / time.Second)
-	if ttl < 1 {
-		ttl = 1
-	}
-	return &protocol.CellLease{
-		ID:          l.id,
-		Worker:      l.worker,
-		Sweep:       l.task.cell.Sweep,
-		Cell:        l.task.cell.Index,
-		Key:         l.task.cell.Key,
-		Fingerprint: l.task.cell.Fingerprint,
-		TTLSeconds:  ttl,
-		Request:     l.task.cell.Request,
-	}
 }
 
 // expireLocked revokes leases past their deadline and requeues their
@@ -399,10 +567,7 @@ func (s *Scheduler) expireLocked(now time.Time) bool {
 		w := s.workerLocked(l.worker)
 		w.Active--
 		w.Expired++
-		t := l.task
-		t.lease = nil
-		t.requeued = true
-		t.elem = s.queue.PushFront(t)
+		s.requeueLocked(l.task)
 		requeued = true
 	}
 	return requeued
@@ -414,25 +579,48 @@ func (s *Scheduler) wakeLocked() {
 	s.wake = make(chan struct{})
 }
 
-// Heartbeat extends a live lease's deadline to a fresh TTL.
+// Heartbeat extends live leases' deadlines to a fresh TTL: hb.Lease
+// and every lease in hb.More, each acked on its own.
 func (s *Scheduler) Heartbeat(hb protocol.LeaseHeartbeat) protocol.LeaseAck {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	l, ok := s.leases[hb.Lease]
+	ack := s.heartbeatLocked(hb.Lease)
+	for _, id := range hb.More {
+		ack.More = append(ack.More, s.heartbeatLocked(id))
+	}
+	return ack
+}
+
+func (s *Scheduler) heartbeatLocked(id string) protocol.LeaseAck {
+	l, ok := s.leases[id]
 	if !ok {
-		return protocol.LeaseAck{Stale: true, Error: fmt.Sprintf("unknown or expired lease %q", hb.Lease)}
+		return protocol.LeaseAck{Stale: true, Error: fmt.Sprintf("unknown or expired lease %q", id)}
 	}
 	l.deadline = time.Now().Add(s.ttl)
 	return protocol.LeaseAck{Accepted: true}
 }
 
-// Complete accepts a worker's result for a leased cell. The first
-// valid result per cell wins: it is validated, published to the
-// store, and handed to every waiting resolver. Results under an
-// expired, completed, or unknown lease are refused as stale; results
-// that fail validation requeue the cell (up to MaxRefusals, then the
-// cell fails); worker-reported errors fail the cell's waiters.
+// Complete accepts a worker's results: res, and each result in
+// res.More, acked in the returned ack's More. The first valid result
+// per cell wins: it is validated, published to the store, and handed
+// to every waiting resolver. Results under an expired, completed, or
+// unknown lease are refused as stale; results that fail validation
+// requeue the cell (up to MaxRefusals, then the cell fails);
+// worker-reported errors fail the cell's waiters.
 func (s *Scheduler) Complete(res protocol.FoldResult) protocol.LeaseAck {
+	ack := s.complete(res)
+	for _, r := range res.More {
+		if len(r.More) > 0 {
+			ack.More = append(ack.More, protocol.LeaseAck{Error: fmt.Sprintf("result of lease %q nests a chunk", r.Lease)})
+			continue
+		}
+		ack.More = append(ack.More, s.complete(r))
+	}
+	return ack
+}
+
+// complete settles one result under its lease.
+func (s *Scheduler) complete(res protocol.FoldResult) protocol.LeaseAck {
 	s.mu.Lock()
 	l, ok := s.leases[res.Lease]
 	if !ok {
@@ -464,14 +652,13 @@ func (s *Scheduler) Complete(res protocol.FoldResult) protocol.LeaseAck {
 	if verr != nil {
 		s.stats.RefusedResults++
 		t.refusals++
-		t.lease = nil
 		if t.refusals >= s.maxRefusals {
+			t.lease = nil
 			s.finishLocked(t, protocol.FoldState{},
 				fmt.Errorf("dispatch: cell %s: %d invalid worker results, last from %s: %v",
 					t.cell.Key, t.refusals, l.worker, verr))
 		} else {
-			t.requeued = true
-			t.elem = s.queue.PushFront(t)
+			s.requeueLocked(t)
 			s.wakeLocked()
 		}
 		s.mu.Unlock()
@@ -498,8 +685,7 @@ func (s *Scheduler) Complete(res protocol.FoldResult) protocol.LeaseAck {
 // key. Caller holds s.mu.
 func (s *Scheduler) finishLocked(t *task, st protocol.FoldState, err error) {
 	if t.elem != nil {
-		s.queue.Remove(t.elem)
-		t.elem = nil
+		s.dequeueLocked(t)
 	}
 	t.st, t.err = st, err
 	delete(s.byKey, t.cell.Key)

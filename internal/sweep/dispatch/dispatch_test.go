@@ -3,6 +3,7 @@ package dispatch
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -450,6 +451,8 @@ func TestLeasePollTimesOutEmpty(t *testing.T) {
 	}
 }
 
+// TestResolveCancelled: a Resolve returns when its context ends, and
+// its cell, which no one else waits on, is withdrawn from the queue.
 func TestResolveCancelled(t *testing.T) {
 	s, _ := newTestScheduler(t, Options{})
 	ctx, cancel := context.WithCancel(context.Background())
@@ -458,6 +461,16 @@ func TestResolveCancelled(t *testing.T) {
 	cancel()
 	if r := <-got; r.err != context.Canceled {
 		t.Fatalf("Resolve after cancel: %v", r.err)
+	}
+	// Nobody waits on the cell any more: it leaves the queue rather
+	// than wait for a worker to compute it for nobody.
+	if st := s.Stats(); st.QueueLen != 0 || st.Withdrawn != 1 {
+		t.Fatalf("cancelled cell still queued: %+v", st)
+	}
+	lctx, lcancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer lcancel()
+	if l, err := s.Lease(lctx, "w1"); l != nil || err != nil {
+		t.Fatalf("withdrawn cell leased: %+v, %v", l, err)
 	}
 }
 
@@ -478,7 +491,7 @@ func TestHammer(t *testing.T) {
 	go func() {
 		for ctx.Err() == nil {
 			lctx, lcancel := context.WithTimeout(ctx, 20*time.Millisecond)
-			l, err := s.Lease(lctx, "flaky")
+			l, err := s.LeaseChunk(lctx, "flaky")
 			lcancel()
 			if err != nil {
 				return
@@ -490,30 +503,47 @@ func TestHammer(t *testing.T) {
 		}
 	}()
 
-	// Three real workers: compute from the lease, post the result, and
-	// post it again (the duplicate must be refused as stale).
+	// Three real workers, two taking chunks: compute from the lease,
+	// post the results, and post them again (every duplicate must be
+	// refused as stale).
 	var wg sync.WaitGroup
 	for w := 0; w < 3; w++ {
 		wg.Add(1)
-		go func(id string) {
+		go func(id string, chunk bool) {
 			defer wg.Done()
+			lease := s.Lease
+			if chunk {
+				lease = s.LeaseChunk
+			}
 			for ctx.Err() == nil {
 				lctx, lcancel := context.WithTimeout(ctx, 20*time.Millisecond)
-				l, err := s.Lease(lctx, id)
+				l, err := lease(lctx, id)
 				lcancel()
 				if err != nil || l == nil {
 					continue
 				}
-				st := stateFor(l.Cell)
-				res := protocol.FoldResult{Lease: l.ID, Worker: id, Key: l.Key, State: &st}
+				var res protocol.FoldResult
+				for i, c := range append([]protocol.ChunkCell{{ID: l.ID, Cell: l.Cell, Key: l.Key}}, l.More...) {
+					st := stateFor(c.Cell)
+					r := protocol.FoldResult{Lease: c.ID, Worker: id, Key: c.Key, State: &st}
+					if i == 0 {
+						res = r
+					} else {
+						res.More = append(res.More, r)
+					}
+				}
 				first := s.Complete(res)
-				if dup := s.Complete(res); dup.Accepted {
-					t.Errorf("duplicate post of lease %s accepted", l.ID)
-				} else if first.Accepted && !dup.Stale {
-					t.Errorf("duplicate post of completed lease %s not stale: %+v", l.ID, dup)
+				dup := s.Complete(res)
+				firsts := append([]protocol.LeaseAck{first}, first.More...)
+				for i, d := range append([]protocol.LeaseAck{dup}, dup.More...) {
+					if d.Accepted {
+						t.Errorf("duplicate post of a lease of chunk %s accepted", l.ID)
+					} else if firsts[i].Accepted && !d.Stale {
+						t.Errorf("duplicate post of a completed lease of chunk %s not stale: %+v", l.ID, d)
+					}
 				}
 			}
-		}(fmt.Sprintf("w%d", w))
+		}(fmt.Sprintf("w%d", w), w > 0)
 	}
 
 	// Two resolvers per cell: one enqueues, one joins (or probes warm).
@@ -560,4 +590,172 @@ func TestHammer(t *testing.T) {
 		t.Errorf("flaky worker abandoned %d leases but none expired: %+v", abandoned.Load(), st)
 	}
 	t.Logf("hammer: %+v (flaky abandoned %d)", st, abandoned.Load())
+}
+
+// TestJoinedCellWithdrawnWithItsLastWaiter: a queued cell two sweeps
+// wait on stays queued while either waits, and leaves the queue with
+// the last of them.
+func TestJoinedCellWithdrawnWithItsLastWaiter(t *testing.T) {
+	s, _ := newTestScheduler(t, Options{})
+	ctx1, cancel1 := context.WithCancel(context.Background())
+	ctx2, cancel2 := context.WithCancel(context.Background())
+	r1 := resolveAsync(ctx1, s, testCell(4))
+	r2 := resolveAsync(ctx2, s, testCell(4))
+	waitStats(t, s, "second resolver joined", func(st Stats) bool { return st.Joined == 1 })
+	cancel1()
+	<-r1
+	if st := s.Stats(); st.QueueLen != 1 || st.Withdrawn != 0 {
+		t.Fatalf("cell withdrawn while a resolver still waits: %+v", st)
+	}
+	cancel2()
+	<-r2
+	if st := s.Stats(); st.QueueLen != 0 || st.Withdrawn != 1 {
+		t.Fatalf("cell kept with no resolver left: %+v", st)
+	}
+}
+
+// queueCells resolves cells in the background, under sweep, and waits
+// until all of them are queued.
+func queueCells(t *testing.T, ctx context.Context, s *Scheduler, sweep string, idx ...int) {
+	t.Helper()
+	want := s.Stats().QueueLen + len(idx)
+	for _, i := range idx {
+		c := testCell(i)
+		c.Sweep = sweep
+		resolveAsync(ctx, s, c)
+	}
+	waitStats(t, s, "cells queued", func(st Stats) bool { return st.QueueLen == want })
+}
+
+// chunkCells lists a lease's cell indices, top-level cell first.
+func chunkCells(l *protocol.CellLease) []int {
+	cells := []int{l.Cell}
+	for _, c := range l.More {
+		cells = append(cells, c.Cell)
+	}
+	return cells
+}
+
+func mustLeaseChunk(t *testing.T, s *Scheduler, worker string) *protocol.CellLease {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	l, err := s.LeaseChunk(ctx, worker)
+	if err != nil || l == nil {
+		t.Fatalf("LeaseChunk(%s): %v, %v", worker, l, err)
+	}
+	return l
+}
+
+// TestLeaseChunkGuided: a chunk is ceil(Q/2W) of its sweep's queued
+// cells, in cell order whatever order they were queued in, where W
+// counts the workers holding a lease or polling; a bare Lease is one
+// cell.
+func TestLeaseChunkGuided(t *testing.T) {
+	s, _ := newTestScheduler(t, Options{})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	queueCells(t, ctx, s, "s1", 11, 3, 7, 0, 9, 1, 5, 2, 10, 4, 8, 6)
+
+	for _, step := range []struct {
+		worker string
+		chunk  bool
+		want   []int
+	}{
+		{"w1", true, []int{0, 1, 2, 3, 4, 5}}, // Q 12, W 1 (w1 polling)
+		{"w2", false, []int{6}},               // bare
+		{"w1", true, []int{7, 8}},             // Q 5, W 2 (w2 holds a lease)
+		{"w3", true, []int{9}},                // Q 3, W 3
+		{"w3", true, []int{10}},               // Q 2, W 3
+		{"w2", true, []int{11}},               // Q 1
+	} {
+		var l *protocol.CellLease
+		if step.chunk {
+			l = mustLeaseChunk(t, s, step.worker)
+		} else {
+			l = mustLease(t, s, step.worker)
+		}
+		if got := chunkCells(l); !slices.Equal(got, step.want) {
+			t.Fatalf("%s granted cells %v, want %v", step.worker, got, step.want)
+		}
+	}
+	if st := s.Stats(); st.QueueLen != 0 || st.ActiveLeases != 12 || st.Workers["w1"].Active != 8 {
+		t.Fatalf("stats %+v", st)
+	}
+}
+
+// TestLeaseChunkRoundRobin: sweeps take turns, one chunk each, so a
+// small sweep queued behind a large one is served at the next grant;
+// a chunk never mixes sweeps; and a cell requeued by expiry is granted
+// first, in its sweep's next turn.
+func TestLeaseChunkRoundRobin(t *testing.T) {
+	s, _ := newTestScheduler(t, Options{LeaseTTL: 50 * time.Millisecond})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	queueCells(t, ctx, s, "big", 0, 1, 2, 3, 4, 5, 6, 7)
+	queueCells(t, ctx, s, "small", 20, 21)
+
+	var got [][]int
+	var sweeps []string
+	var small []*protocol.CellLease
+	for range 4 {
+		l := mustLeaseChunk(t, s, "w1")
+		got, sweeps = append(got, chunkCells(l)), append(sweeps, l.Sweep)
+		if l.Sweep == "small" {
+			small = append(small, l)
+		}
+	}
+	want := [][]int{{0, 1, 2, 3}, {20}, {4, 5}, {21}}
+	if !slices.EqualFunc(got, want, slices.Equal) || !slices.Equal(sweeps, []string{"big", "small", "big", "small"}) {
+		t.Fatalf("grants %v from %v, want %v alternating big and small", got, sweeps, want)
+	}
+
+	// The small sweep finishes; the big one's leases expire, and its
+	// cells go back in cell order ahead of its unleased ones.
+	for _, l := range small {
+		st := stateFor(l.Cell)
+		if ack := s.Complete(protocol.FoldResult{Lease: l.ID, Key: l.Key, State: &st}); !ack.Accepted {
+			t.Fatalf("small sweep's result refused: %+v", ack)
+		}
+	}
+	waitStats(t, s, "leases expired", func(st Stats) bool { return st.Expired == 6 })
+	if l := mustLeaseChunk(t, s, "w1"); !slices.Equal(chunkCells(l), []int{0, 1, 2, 3}) || l.Sweep != "big" {
+		t.Fatalf("after expiry granted %v of %s, want big's cells 0-3", chunkCells(l), l.Sweep)
+	}
+}
+
+// TestChunkedPostsAckEachEntry: a chunked heartbeat or result is acked
+// entry by entry — a stale or unknown lease is refused without
+// touching its neighbours, a lease repeated within one post folds once,
+// and a result that nests a chunk of its own is refused.
+func TestChunkedPostsAckEachEntry(t *testing.T) {
+	s, _ := newTestScheduler(t, Options{})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	queueCells(t, ctx, s, "s1", 0, 1, 2, 3)
+	l := mustLeaseChunk(t, s, "w1") // ceil(4/2) = cells 0 and 1
+	if len(l.More) != 1 {
+		t.Fatalf("chunk %v, want two cells", chunkCells(l))
+	}
+	next := l.More[0]
+
+	hb := s.Heartbeat(protocol.LeaseHeartbeat{Lease: l.ID, More: []string{"L999", next.ID}})
+	if !hb.Accepted || len(hb.More) != 2 || !hb.More[0].Stale || !hb.More[1].Accepted {
+		t.Fatalf("chunked heartbeat ack %+v", hb)
+	}
+
+	st0, st1 := stateFor(0), stateFor(1)
+	nested := protocol.FoldResult{Lease: next.ID, Key: next.Key, State: &st1,
+		More: []protocol.FoldResult{{Lease: next.ID, Key: next.Key, State: &st1}}}
+	ack := s.Complete(protocol.FoldResult{Lease: l.ID, Key: l.Key, State: &st0, More: []protocol.FoldResult{
+		{Lease: l.ID, Key: l.Key, State: &st0}, // repeated: already folded
+		nested,                                 // refused whole
+		{Lease: "L999", Key: next.Key, State: &st1},
+	}})
+	if !ack.Accepted || len(ack.More) != 3 || !ack.More[0].Stale || ack.More[1].Accepted || ack.More[1].Stale || !ack.More[2].Stale {
+		t.Fatalf("chunked result ack %+v", ack)
+	}
+	if st := s.Stats(); st.RemoteComputed != 1 || st.ActiveLeases != 1 || st.StaleResults != 2 {
+		t.Fatalf("stats %+v", st)
+	}
 }

@@ -164,6 +164,9 @@ type engine struct {
 	watch    int               // index of the adaptive metric, or -1
 	ck       *checkpointWriter // nil when not checkpointing
 	cached   *cachedCells      // nil unless every cell is settled whole
+	// cancels holds each in-flight waiting resolve's cancel, by cell;
+	// nil unless cached.waits.
+	cancels []context.CancelFunc
 
 	mu         sync.Mutex
 	collectors []*collector
@@ -367,6 +370,13 @@ func (j *Job) run(ctx context.Context, opts RunOpts, restored map[int]checkpoint
 	}
 
 	workers := sp.Workers
+	if cached != nil && cached.waits {
+		// A resolve that waits on an outside party holds no CPU, so
+		// every cell resolves at once: a worker fleet sees the whole
+		// sweep queued, not a pool's width of it.
+		workers = remaining
+		e.cancels = make([]context.CancelFunc, len(defs))
+	}
 	if workers > remaining {
 		workers = remaining
 	}
@@ -535,6 +545,7 @@ func (e *engine) emitReadyLocked() {
 			if serr := s.Cell(cr); serr != nil && e.err == nil {
 				e.err = fmt.Errorf("sweep: sink cell %d: %w", cr.Index, serr)
 				e.aborted = true
+				e.cancelAfterLocked()
 				return
 			}
 		}
@@ -734,6 +745,7 @@ func (e *engine) fold(j job, vals *runValues, err error) *checkpointRecord {
 				e.err, e.errOrder = v.err, order
 			}
 			e.aborted = true
+			e.cancelAfterLocked()
 			return nil // freeze the cell at its failing replication
 		}
 		c.fold(v)
@@ -771,6 +783,17 @@ func (e *engine) fold(j job, vals *runValues, err error) *checkpointRecord {
 // replication 0, so the lowest (cell, replication) failure still
 // chooses the run's error.
 func (e *engine) settle(ctx context.Context, cell int) {
+	if e.cancels != nil {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithCancel(ctx)
+		defer cancel()
+		e.mu.Lock()
+		e.cancels[cell] = cancel
+		if e.aborted {
+			e.cancelAfterLocked()
+		}
+		e.mu.Unlock()
+	}
 	st, src, err := e.cached.resolve(ctx, cell)
 	if err != nil {
 		e.fold(job{cell: cell}, nil, err)
@@ -790,6 +813,22 @@ func (e *engine) settle(ctx context.Context, cell int) {
 	e.mu.Unlock()
 	if e.cached.onCell != nil {
 		e.cached.onCell(cell, src, cr)
+	}
+}
+
+// cancelAfterLocked cancels the waiting resolves of every cell after
+// the one whose error the run reports: nothing they return can change
+// that error, and a scheduler withdraws a cancelled cell rather than
+// have a worker compute it for nobody. Resolves of earlier cells run
+// on, since a failure among them would win. Callers hold e.mu.
+func (e *engine) cancelAfterLocked() {
+	if e.cancels == nil {
+		return
+	}
+	for _, cancel := range e.cancels[e.errOrder/e.spec.maxReps()+1:] {
+		if cancel != nil {
+			cancel()
+		}
 	}
 }
 

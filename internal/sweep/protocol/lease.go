@@ -5,23 +5,34 @@ package protocol
 // A tctp-server running with remote workers (-workers remote) does not
 // compute missing cells itself; it enumerates them, probes the cell
 // cache (warm cells are served directly and never reach the queue),
-// and hands each cold cell out as a CellLease. A worker long-polls
-// POST /workers/lease, computes the leased cell through the same
+// and hands cold cells out as leases. A worker long-polls
+// POST /workers/lease, computes each leased cell through the same
 // single-cell sub-job path a local run uses, and posts the bit-exact
 // FoldState back as a FoldResult. Because the fold state is the same
 // record the checkpoint layer persists, a remotely computed cell
 // restores through the shared emission path byte-identically to a
 // local computation — the fleet changes throughput, never bytes.
 //
-// Leases carry deadlines. A worker that dies (or stalls past its
-// heartbeats) loses the lease: the scheduler expires it and requeues
-// the cell for the next worker. Exactly one result is ever folded per
-// cell — a result posted under an expired or already-completed lease
-// is refused as stale, so a reassigned cell that later reports twice
-// still folds once.
+// A worker that sets LeaseRequest.Chunk may be granted a chunk: several
+// cells of one sweep in one exchange, sized by guided self-scheduling
+// (a share of that sweep's queued cells, shrinking as the queue
+// drains; see internal/sweep/dispatch). The chunked forms keep the
+// first cell at the top level — a CellLease, FoldResult,
+// LeaseHeartbeat or LeaseAck reads exactly as its one-cell form — and
+// list the further cells under More. The SweepRequest travels once per
+// chunk; each further cell carries only its lease ID, cell index and
+// key. A request without Chunk (an older worker, or curl) is granted
+// exactly one cell.
+//
+// Leases carry deadlines, one per cell, chunk or not. A worker that
+// dies (or stalls past its heartbeats) loses its leases: the scheduler
+// expires each and requeues its cell for the next worker. Exactly one
+// result is ever folded per cell — a result posted under an expired or
+// already-completed lease is refused as stale, so a reassigned cell
+// that later reports twice still folds once.
 
 // LeaseRequest is the body of POST /workers/lease: a worker asking for
-// one cell to compute.
+// work to compute.
 type LeaseRequest struct {
 	// Worker identifies the requesting worker (stable across its
 	// leases); required.
@@ -30,6 +41,9 @@ type LeaseRequest struct {
 	// many seconds for work to arrive before answering 204. 0 means
 	// answer immediately; servers clamp large values.
 	WaitSeconds int `json:"wait_seconds,omitempty"`
+	// Chunk opts in to a chunked grant (CellLease.More may be
+	// non-empty); without it the grant is exactly one cell.
+	Chunk bool `json:"chunk,omitempty"`
 }
 
 // CellLease is one cell checked out to one worker: everything the
@@ -60,6 +74,18 @@ type CellLease struct {
 	// plain data, so the worker builds the identical spec with
 	// internal/sweep/build.
 	Request SweepRequest `json:"request"`
+	// More lists the chunk's further cells, in the order the worker
+	// should compute them. They share Worker, Sweep, Fingerprint,
+	// TTLSeconds and Request with the top-level cell; each has its own
+	// lease and deadline.
+	More []ChunkCell `json:"more,omitempty"`
+}
+
+// ChunkCell is one further cell of a chunked CellLease.
+type ChunkCell struct {
+	ID   string `json:"id"`
+	Cell int    `json:"cell"`
+	Key  string `json:"key"`
 }
 
 // FoldResult is the body of POST /workers/result: the computed fold
@@ -73,6 +99,10 @@ type FoldResult struct {
 	// worker failed, with Error saying why.
 	State *FoldState `json:"state,omitempty"`
 	Error string     `json:"error,omitempty"`
+	// More carries further results posted in the same exchange, each
+	// under its own lease; the server acks them in LeaseAck.More. A
+	// result inside More may not carry a More of its own.
+	More []FoldResult `json:"more,omitempty"`
 }
 
 // LeaseHeartbeat is the body of POST /workers/heartbeat: a worker
@@ -80,6 +110,9 @@ type FoldResult struct {
 type LeaseHeartbeat struct {
 	Lease  string `json:"lease"`
 	Worker string `json:"worker,omitempty"`
+	// More names further leases to extend in the same exchange; the
+	// server acks them in LeaseAck.More.
+	More []string `json:"more,omitempty"`
 }
 
 // LeaseAck answers a result or heartbeat post.
@@ -91,6 +124,10 @@ type LeaseAck struct {
 	Accepted bool   `json:"accepted"`
 	Stale    bool   `json:"stale,omitempty"`
 	Error    string `json:"error,omitempty"`
+	// More acks a chunked post's further entries, one per entry of its
+	// More, in order. The HTTP status of the post speaks for the
+	// top-level entry only.
+	More []LeaseAck `json:"more,omitempty"`
 }
 
 // SourceWorker is the Source attributed to a cell computed by a remote

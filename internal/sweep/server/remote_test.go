@@ -312,13 +312,110 @@ func TestLeaseRequestValidation(t *testing.T) {
 	}
 }
 
+// waitQueued polls /stats until n cells are queued.
+func waitQueued(t *testing.T, ts *httptest.Server, n int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for serverStats(t, ts).Scheduler.QueueLen != n {
+		if time.Now().After(deadline) {
+			t.Fatalf("queue never reached %d cells: %+v", n, serverStats(t, ts).Scheduler)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestWorkerErrorFailsSweepEarly: a worker error on a sweep's first
+// cell fails the sweep at once. The cells behind it, queued but not
+// leased, are withdrawn instead of computed for nobody: no lease is
+// granted afterwards and the queue ends empty.
+func TestWorkerErrorFailsSweepEarly(t *testing.T) {
+	ts, _, _ := newRemoteServer(t, 30*time.Second, server.Config{})
+	req := testRequest()
+	req.Targets = "6,7,8,9" // 8 cells
+	sub := submit(t, ts, req)
+	waitQueued(t, ts, 8)
+
+	status, body := postJSON(t, ts.URL+"/workers/lease", protocol.LeaseRequest{Worker: "w1"})
+	var l protocol.CellLease
+	if status != http.StatusOK || json.Unmarshal(body, &l) != nil {
+		t.Fatalf("lease: HTTP %d %s", status, body)
+	}
+	if l.Cell != 0 {
+		t.Fatalf("first lease names cell %d, want 0", l.Cell)
+	}
+	postJSON(t, ts.URL+"/workers/result", protocol.FoldResult{Lease: l.ID, Worker: "w1", Key: l.Key, Error: "disk full"})
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/sweeps/"+sub.ID+"/result.csv", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(hreq)
+	if err != nil {
+		t.Fatalf("the sweep did not fail promptly: %v", err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusConflict || !strings.Contains(string(msg), "disk full") {
+		t.Fatalf("failed sweep's result: HTTP %d %q", resp.StatusCode, msg)
+	}
+	st := serverStats(t, ts).Scheduler
+	if st.QueueLen != 0 || st.Withdrawn != 7 || st.Leased != 1 || st.ActiveLeases != 0 {
+		t.Fatalf("failed sweep left work behind: %+v", st)
+	}
+	if status, body := postJSON(t, ts.URL+"/workers/lease", protocol.LeaseRequest{Worker: "w2", Chunk: true}); status != http.StatusNoContent {
+		t.Fatalf("lease after the sweep failed: HTTP %d %s", status, body)
+	}
+}
+
+// computeChunk computes a chunk's cells in-process and posts them as
+// one chunked result, checking each cell's key against the plan.
+func computeChunk(t *testing.T, ts *httptest.Server, l protocol.CellLease) {
+	t.Helper()
+	spec, err := build.Spec(l.Request)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, err := sweep.Plan(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res protocol.FoldResult
+	for i, c := range append([]protocol.ChunkCell{{ID: l.ID, Cell: l.Cell, Key: l.Key}}, l.More...) {
+		if key, err := job.CellKey(c.Cell); err != nil || key != c.Key {
+			t.Fatalf("chunk cell %d of %s has key %s, plan says %s (%v)", c.Cell, l.Sweep, c.Key, key, err)
+		}
+		st, err := job.ComputeCell(context.Background(), c.Cell)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := protocol.FoldResult{Lease: c.ID, Worker: "hand", Key: c.Key, State: &st}
+		if i == 0 {
+			res = r
+		} else {
+			res.More = append(res.More, r)
+		}
+	}
+	status, body := postJSON(t, ts.URL+"/workers/result", res)
+	var ack protocol.LeaseAck
+	if status != http.StatusOK || json.Unmarshal(body, &ack) != nil || len(ack.More) != len(l.More) {
+		t.Fatalf("chunk result: HTTP %d %s", status, body)
+	}
+	for _, a := range append([]protocol.LeaseAck{ack}, ack.More...) {
+		if !a.Accepted {
+			t.Fatalf("chunk result refused: %+v", ack)
+		}
+	}
+}
+
 // TestConcurrentSweepsShareFleet: several distinct sweeps in flight at
 // once are all served by the same two workers, each byte-identical to
-// its local run — the fleet is a shared resource, not per-sweep.
+// its local run — the fleet is a shared resource, not per-sweep. While
+// they are all queued, consecutive chunks come from different sweeps,
+// so each progresses rather than waiting behind another's whole queue.
 func TestConcurrentSweepsShareFleet(t *testing.T) {
 	ts, _, _ := newRemoteServer(t, 30*time.Second, server.Config{MaxSweeps: 3})
-	startWorker(t, ts, "w1")
-	startWorker(t, ts, "w2")
 
 	reqs := []protocol.SweepRequest{testRequest(), testRequest(), testRequest()}
 	reqs[1].Seeds = 3     // distinct protocol → distinct cells
@@ -328,10 +425,44 @@ func TestConcurrentSweepsShareFleet(t *testing.T) {
 	// collect each result (the blocking fetch is the completion wait).
 	ids := make([]string, len(reqs))
 	wants := make([][]byte, len(reqs))
+	cells := 0
 	for i, req := range reqs {
 		wants[i], _ = localReference(t, req)
-		ids[i] = submit(t, ts, req).ID
+		sub := submit(t, ts, req)
+		ids[i] = sub.ID
+		cells += sub.Cells
+		waitQueued(t, ts, cells)
 	}
+
+	// Hand-compute two chunks while every sweep is queued: they come
+	// from the first two sweeps in turn, and the first sweep still has
+	// cells queued when the second sweep's chunk is granted.
+	var sweeps []string
+	for range 2 {
+		status, body := postJSON(t, ts.URL+"/workers/lease", protocol.LeaseRequest{Worker: "hand", Chunk: true})
+		var l protocol.CellLease
+		if status != http.StatusOK || json.Unmarshal(body, &l) != nil {
+			t.Fatalf("lease: HTTP %d %s", status, body)
+		}
+		sweeps = append(sweeps, l.Sweep)
+		computeChunk(t, ts, l)
+	}
+	if sweeps[0] != ids[0] || sweeps[1] != ids[1] {
+		t.Fatalf("first chunks came from sweeps %v, want %v then %v", sweeps, ids[0], ids[1])
+	}
+	for i, id := range ids[:2] {
+		deadline := time.Now().Add(10 * time.Second)
+		st := sweepStatus(t, ts, id)
+		for ; st.CellsDone == 0 && time.Now().Before(deadline); st = sweepStatus(t, ts, id) {
+			time.Sleep(time.Millisecond)
+		}
+		if st.CellsDone == 0 || st.CellsDone == st.Cells {
+			t.Fatalf("sweep %d after one chunk each: %+v, want partly done", i, st)
+		}
+	}
+
+	startWorker(t, ts, "w1")
+	startWorker(t, ts, "w2")
 	for i, id := range ids {
 		if got := fetch(t, ts.URL+"/sweeps/"+id+"/result.csv"); !bytes.Equal(got, wants[i]) {
 			t.Errorf("sweep %d differs from its local run", i)

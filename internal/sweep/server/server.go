@@ -23,10 +23,11 @@
 // -workers remote), the server stops computing cells in-process and
 // instead serves a worker fleet over three more endpoints:
 //
-//	POST /workers/lease          long-poll for a CellLease (204 = no work)
-//	POST /workers/result         post a leased cell's FoldState; stale
+//	POST /workers/lease          long-poll for a CellLease (204 = no work);
+//	                             "chunk": true opts in to several cells
+//	POST /workers/result         post leased cells' FoldStates; stale
 //	                             leases answer 409, invalid states 422
-//	POST /workers/heartbeat      extend a lease mid-computation
+//	POST /workers/heartbeat      extend leases mid-computation
 //
 // Scheduling stays cache-aware — every cell is probed against the
 // shared store before it can enter the lease queue, so warm cells are
@@ -439,8 +440,9 @@ func (s *Server) requireDispatch(w http.ResponseWriter) bool {
 	return true
 }
 
-// handleLease long-polls the scheduler for one cell lease. 204 means
-// the poll elapsed with no work.
+// handleLease long-polls the scheduler for one cell lease, or a chunk
+// of them when the request opts in. 204 means the poll elapsed with no
+// work.
 func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	if !s.requireDispatch(w) {
 		return
@@ -463,22 +465,28 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), time.Duration(wait)*time.Second)
 	defer cancel()
-	lease, err := s.cfg.Dispatch.Lease(ctx, req.Worker)
+	lease := s.cfg.Dispatch.Lease
+	if req.Chunk {
+		lease = s.cfg.Dispatch.LeaseChunk
+	}
+	granted, err := lease(ctx, req.Worker)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, "lease: %v", err)
 		return
 	}
-	if lease == nil {
+	if granted == nil {
 		w.WriteHeader(http.StatusNoContent)
 		return
 	}
-	writeJSON(w, http.StatusOK, lease)
+	writeJSON(w, http.StatusOK, granted)
 }
 
-// handleWorkerResult accepts a leased cell's fold state. Stale leases
-// (expired, reassigned, already completed) answer 409; states the
-// scheduler refuses answer 422 — in both cases with the LeaseAck body,
-// so workers act on the ack rather than the status line.
+// handleWorkerResult accepts leased cells' fold states: one, or a
+// chunk's under FoldResult.More. Stale leases (expired, reassigned,
+// already completed) answer 409; states the scheduler refuses answer
+// 422 — in both cases with the LeaseAck body, so workers act on the
+// ack rather than the status line. The status speaks for the
+// top-level result; the ack's More carries the others'.
 func (s *Server) handleWorkerResult(w http.ResponseWriter, r *http.Request) {
 	if !s.requireDispatch(w) {
 		return

@@ -14,9 +14,16 @@
 // fold — same seeds, same seed-ordered fold, same adaptive stops — so
 // a fleet of these workers changes sweep throughput, never bytes.
 //
-// Long cells are kept alive by heartbeats at a third of the lease TTL;
-// a stale heartbeat ack (the server expired or reassigned the lease)
-// cancels the computation rather than wasting the rest of it.
+// Each lease request opts in to a chunk: several cells of one sweep,
+// granted in one exchange and computed in order (see
+// internal/sweep/dispatch for how the server sizes it). One heartbeat
+// loop per chunk ticks at a third of the lease TTL. Each tick first
+// posts, in one exchange, the results finished since the last tick,
+// then extends every lease still held, the cells not yet started
+// included. So a chunk may outlast the TTL many times over, and a
+// worker that dies loses at most a tick of finished work. A stale ack
+// (the server expired or reassigned a lease) skips that cell, or
+// cancels it mid-compute rather than wasting the rest of it.
 package worker
 
 import (
@@ -27,6 +34,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -91,11 +99,17 @@ func (o *Options) withDefaults() (Options, error) {
 // logged and retried with backoff, never fatal: a worker outlives the
 // server restarts around it.
 func Run(ctx context.Context, o Options) error {
+	return run(ctx, o, (*sweep.Job).ComputeCell)
+}
+
+// run is Run with the cell computation as a parameter, so tests can
+// slow or stall it.
+func run(ctx context.Context, o Options, computeCell func(*sweep.Job, context.Context, int) (protocol.FoldState, error)) error {
 	opts, err := o.withDefaults()
 	if err != nil {
 		return err
 	}
-	w := &worker{opts: opts, jobs: make(map[string]*sweep.Job)}
+	w := &worker{opts: opts, jobs: make(map[string]*sweep.Job), computeCell: computeCell}
 	var wg sync.WaitGroup
 	for i := 0; i < opts.Concurrency; i++ {
 		wg.Add(1)
@@ -109,13 +123,14 @@ func Run(ctx context.Context, o Options) error {
 }
 
 type worker struct {
-	opts Options
+	opts        Options
+	computeCell func(*sweep.Job, context.Context, int) (protocol.FoldState, error)
 
 	mu   sync.Mutex
 	jobs map[string]*sweep.Job // by plan fingerprint
 }
 
-// loop is one lease slot: poll, compute, report, repeat.
+// loop is one lease slot: poll, compute the granted chunk, repeat.
 func (w *worker) loop(ctx context.Context) {
 	for ctx.Err() == nil {
 		lease, err := w.pullLease(ctx)
@@ -134,14 +149,14 @@ func (w *worker) loop(ctx context.Context) {
 	}
 }
 
-// pullLease long-polls the server for one lease; nil means the poll
-// came back empty.
+// pullLease long-polls the server for a chunk of leases; nil means the
+// poll came back empty.
 func (w *worker) pullLease(ctx context.Context) (*protocol.CellLease, error) {
 	// Bound the request a margin past the server's poll horizon so a
 	// hung connection cannot park the slot forever.
 	rctx, cancel := context.WithTimeout(ctx, w.opts.Poll+15*time.Second)
 	defer cancel()
-	req := protocol.LeaseRequest{Worker: w.opts.ID, WaitSeconds: int(w.opts.Poll / time.Second)}
+	req := protocol.LeaseRequest{Worker: w.opts.ID, WaitSeconds: int(w.opts.Poll / time.Second), Chunk: true}
 	status, body, err := w.post(rctx, "/workers/lease", req)
 	if err != nil {
 		return nil, err
@@ -160,63 +175,105 @@ func (w *worker) pullLease(ctx context.Context) (*protocol.CellLease, error) {
 	}
 }
 
-// serve computes one leased cell and reports the outcome.
-func (w *worker) serve(ctx context.Context, lease *protocol.CellLease) {
-	res := protocol.FoldResult{Lease: lease.ID, Worker: w.opts.ID, Key: lease.Key}
+// chunk is one granted chunk in progress: its cells, top-level cell
+// first, and what the worker knows of each.
+type chunk struct {
+	lease *protocol.CellLease
+	cells []protocol.ChunkCell
 
-	st, err := w.compute(ctx, lease)
-	if err != nil {
-		if ctx.Err() != nil {
-			return // dying mid-cell: say nothing, the lease will expire
-		}
-		res.Error = err.Error()
-		w.opts.Logf("worker %s: cell %d (%s): %v", w.opts.ID, lease.Cell, lease.ID, err)
-	} else {
-		res.State = &st
-	}
-	w.report(ctx, lease, res)
+	mu       sync.Mutex
+	finished []bool                // computed (or failed): its lease needs no more beats
+	stale    []bool                // the server revoked the lease: skip the cell
+	current  int                   // cell being computed, or -1
+	cancel   context.CancelFunc    // cancels the current cell's compute
+	pending  []protocol.FoldResult // finished results not yet posted
 }
 
-// compute rebuilds the sweep from the lease's request, verifies the
-// lease names the cell this binary would compute, and runs it. The
-// cell context is cancelled if a heartbeat comes back stale.
-func (w *worker) compute(ctx context.Context, lease *protocol.CellLease) (protocol.FoldState, error) {
-	job, err := w.job(lease)
-	if err != nil {
-		return protocol.FoldState{}, err
+// serve computes a chunk's cells in order and posts their results.
+// One heartbeat loop keeps every held lease alive, the cells not yet
+// started included, and posts the results finished since its last
+// tick, so a worker that dies loses at most a tick of finished work. A
+// cell whose lease comes back stale is skipped, or abandoned mid-
+// compute.
+func (w *worker) serve(ctx context.Context, lease *protocol.CellLease) {
+	cells := append([]protocol.ChunkCell{{ID: lease.ID, Cell: lease.Cell, Key: lease.Key}}, lease.More...)
+	ch := &chunk{
+		lease:    lease,
+		cells:    cells,
+		finished: make([]bool, len(cells)),
+		stale:    make([]bool, len(cells)),
+		current:  -1,
 	}
-	if lease.Cell < 0 || lease.Cell >= job.Cells() {
-		return protocol.FoldState{}, fmt.Errorf("lease cell %d outside plan of %d cells", lease.Cell, job.Cells())
-	}
-	key, err := job.CellKey(lease.Cell)
-	if err != nil {
-		return protocol.FoldState{}, err
-	}
-	if key != lease.Key {
-		return protocol.FoldState{}, fmt.Errorf("cell %d key mismatch: lease says %s, this build computes %s",
-			lease.Cell, lease.Key, key)
-	}
+	stop := w.heartbeat(ctx, ch)
 
-	cellCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	stop := w.heartbeat(cellCtx, cancel, lease)
-	defer stop()
-
-	start := time.Now()
-	st, err := job.ComputeCell(cellCtx, lease.Cell)
-	if err != nil {
-		if cellCtx.Err() != nil && ctx.Err() == nil {
-			return protocol.FoldState{}, fmt.Errorf("lease %s went stale mid-compute", lease.ID)
+	job, jerr := w.job(lease)
+	for i, c := range cells {
+		cellCtx, cancel := context.WithCancel(ctx)
+		ch.mu.Lock()
+		if ch.stale[i] {
+			ch.mu.Unlock()
+			cancel()
+			continue
 		}
+		ch.current, ch.cancel = i, cancel
+		ch.mu.Unlock()
+
+		res := protocol.FoldResult{Lease: c.ID, Worker: w.opts.ID, Key: c.Key}
+		err := jerr
+		if err == nil {
+			var st protocol.FoldState
+			if st, err = w.compute(cellCtx, job, lease.Sweep, c); err == nil {
+				res.State = &st
+			}
+		}
+		cancel()
+		if ctx.Err() != nil {
+			stop()
+			return // dying mid-chunk: say nothing more, the leases will expire
+		}
+
+		ch.mu.Lock()
+		ch.current, ch.cancel = -1, nil
+		ch.finished[i] = true
+		if !ch.stale[i] {
+			if err != nil {
+				res.Error = err.Error()
+				w.opts.Logf("worker %s: cell %d (%s): %v", w.opts.ID, c.Cell, c.ID, err)
+			}
+			ch.pending = append(ch.pending, res)
+		}
+		ch.mu.Unlock()
+	}
+	stop()
+	w.flush(ctx, ch)
+}
+
+// compute verifies a chunk cell is the one this binary would compute
+// and runs it.
+func (w *worker) compute(ctx context.Context, job *sweep.Job, sweepID string, c protocol.ChunkCell) (protocol.FoldState, error) {
+	if c.Cell < 0 || c.Cell >= job.Cells() {
+		return protocol.FoldState{}, fmt.Errorf("lease cell %d outside plan of %d cells", c.Cell, job.Cells())
+	}
+	key, err := job.CellKey(c.Cell)
+	if err != nil {
 		return protocol.FoldState{}, err
 	}
-	w.opts.Logf("worker %s: computed cell %d of %s in %v", w.opts.ID, lease.Cell, lease.Sweep, time.Since(start).Round(time.Millisecond))
+	if key != c.Key {
+		return protocol.FoldState{}, fmt.Errorf("cell %d key mismatch: lease says %s, this build computes %s",
+			c.Cell, c.Key, key)
+	}
+	start := time.Now()
+	st, err := w.computeCell(job, ctx, c.Cell)
+	if err != nil {
+		return protocol.FoldState{}, err
+	}
+	w.opts.Logf("worker %s: computed cell %d of %s in %v", w.opts.ID, c.Cell, sweepID, time.Since(start).Round(time.Millisecond))
 	return st, nil
 }
 
 // job returns the planned job for the lease's request, memoized by
 // plan fingerprint — a fleet serving one sweep plans it once, not once
-// per cell.
+// per chunk.
 func (w *worker) job(lease *protocol.CellLease) (*sweep.Job, error) {
 	w.mu.Lock()
 	if job, ok := w.jobs[lease.Fingerprint]; ok {
@@ -243,10 +300,11 @@ func (w *worker) job(lease *protocol.CellLease) (*sweep.Job, error) {
 	return job, nil
 }
 
-// heartbeat extends the lease at a third of its TTL until stopped; a
-// stale ack cancels the cell's computation. Returns the stop function.
-func (w *worker) heartbeat(ctx context.Context, cancel context.CancelFunc, lease *protocol.CellLease) func() {
-	ttl := time.Duration(lease.TTLSeconds) * time.Second
+// heartbeat ticks at a third of the lease TTL until stopped: each tick
+// posts the chunk's finished results, then extends its held leases.
+// The returned stop waits for the loop to end.
+func (w *worker) heartbeat(ctx context.Context, ch *chunk) (stop func()) {
+	ttl := time.Duration(ch.lease.TTLSeconds) * time.Second
 	if ttl <= 0 {
 		ttl = 30 * time.Second
 	}
@@ -254,26 +312,16 @@ func (w *worker) heartbeat(ctx context.Context, cancel context.CancelFunc, lease
 	if interval < 200*time.Millisecond {
 		interval = 200 * time.Millisecond
 	}
-	done := make(chan struct{})
+	done, exited := make(chan struct{}), make(chan struct{})
 	go func() {
+		defer close(exited)
 		tick := time.NewTicker(interval)
 		defer tick.Stop()
 		for {
 			select {
 			case <-tick.C:
-				hctx, hcancel := context.WithTimeout(ctx, interval)
-				status, body, err := w.post(hctx, "/workers/heartbeat",
-					protocol.LeaseHeartbeat{Lease: lease.ID, Worker: w.opts.ID})
-				hcancel()
-				if err != nil {
-					continue // transient; the next beat retries
-				}
-				var ack protocol.LeaseAck
-				if json.Unmarshal(body, &ack) == nil && (ack.Stale || status == http.StatusConflict) {
-					w.opts.Logf("worker %s: lease %s went stale; abandoning cell %d", w.opts.ID, lease.ID, lease.Cell)
-					cancel()
-					return
-				}
+				w.flush(ctx, ch)
+				w.beat(ctx, ch, interval)
 			case <-done:
 				return
 			case <-ctx.Done():
@@ -281,13 +329,75 @@ func (w *worker) heartbeat(ctx context.Context, cancel context.CancelFunc, lease
 			}
 		}
 	}()
-	return func() { close(done) }
+	return func() {
+		close(done)
+		<-exited
+	}
 }
 
-// report posts the cell's result, retrying transient transport errors
-// briefly — an unreported success costs a whole recompute elsewhere. A
-// stale ack is normal after reassignment and just logged.
-func (w *worker) report(ctx context.Context, lease *protocol.CellLease, res protocol.FoldResult) {
+// beat extends the chunk's held leases in one post. A stale ack marks
+// its cell stale: skipped if not started, cancelled if computing, and
+// its result dropped if finished since the beat was sent.
+func (w *worker) beat(ctx context.Context, ch *chunk, timeout time.Duration) {
+	var idx []int
+	var hb protocol.LeaseHeartbeat
+	ch.mu.Lock()
+	for i, done := range ch.finished {
+		if done || ch.stale[i] {
+			continue
+		}
+		if idx = append(idx, i); len(idx) == 1 {
+			hb = protocol.LeaseHeartbeat{Lease: ch.cells[i].ID, Worker: w.opts.ID}
+		} else {
+			hb.More = append(hb.More, ch.cells[i].ID)
+		}
+	}
+	ch.mu.Unlock()
+	if len(idx) == 0 {
+		return
+	}
+	hctx, cancel := context.WithTimeout(ctx, timeout)
+	status, body, err := w.post(hctx, "/workers/heartbeat", hb)
+	cancel()
+	if err != nil {
+		return // transient; the next beat retries
+	}
+	var ack protocol.LeaseAck
+	if json.Unmarshal(body, &ack) != nil {
+		return
+	}
+	acks := append([]protocol.LeaseAck{ack}, ack.More...)
+	acks[0].Stale = ack.Stale || status == http.StatusConflict
+	ch.mu.Lock()
+	defer ch.mu.Unlock()
+	for k, i := range idx {
+		if k >= len(acks) || !acks[k].Stale {
+			continue
+		}
+		ch.stale[i] = true
+		w.opts.Logf("worker %s: lease %s went stale; abandoning cell %d", w.opts.ID, ch.cells[i].ID, ch.cells[i].Cell)
+		if ch.current == i {
+			ch.cancel()
+		}
+		// The cell may have finished since the beat was sent.
+		ch.pending = slices.DeleteFunc(ch.pending, func(r protocol.FoldResult) bool { return r.Lease == ch.cells[i].ID })
+	}
+}
+
+// flush posts the chunk's finished results in one exchange, retrying
+// transient transport errors briefly — an unreported success costs a
+// whole recompute elsewhere. A stale ack is normal after reassignment
+// and just logged.
+func (w *worker) flush(ctx context.Context, ch *chunk) {
+	ch.mu.Lock()
+	pending := ch.pending
+	ch.pending = nil
+	ch.mu.Unlock()
+	if len(pending) == 0 {
+		return
+	}
+	res := pending[0]
+	res.More = pending[1:]
 	for attempt := 0; attempt < 5; attempt++ {
 		rctx, cancel := context.WithTimeout(ctx, 30*time.Second)
 		status, body, err := w.post(rctx, "/workers/result", res)
@@ -296,18 +406,27 @@ func (w *worker) report(ctx context.Context, lease *protocol.CellLease, res prot
 			if ctx.Err() != nil {
 				return
 			}
-			w.opts.Logf("worker %s: posting result of lease %s: %v", w.opts.ID, lease.ID, err)
+			w.opts.Logf("worker %s: posting %d result(s) from lease %s: %v", w.opts.ID, len(pending), res.Lease, err)
 			w.sleep(ctx, time.Second)
 			continue
 		}
 		var ack protocol.LeaseAck
 		_ = json.Unmarshal(body, &ack)
-		switch {
-		case ack.Accepted:
-		case ack.Stale || status == http.StatusConflict:
-			w.opts.Logf("worker %s: result of lease %s refused as stale (cell was reassigned)", w.opts.ID, lease.ID)
-		default:
-			w.opts.Logf("worker %s: result of lease %s refused: %s", w.opts.ID, lease.ID, httpError(status, body))
+		acks := append([]protocol.LeaseAck{ack}, ack.More...)
+		for k, r := range pending {
+			switch {
+			case k >= len(acks):
+				w.opts.Logf("worker %s: result of lease %s not acked: %s", w.opts.ID, r.Lease, httpError(status, body))
+			case acks[k].Accepted:
+			case acks[k].Stale || (k == 0 && status == http.StatusConflict):
+				w.opts.Logf("worker %s: result of lease %s refused as stale (cell was reassigned)", w.opts.ID, r.Lease)
+			default:
+				msg := acks[k].Error
+				if msg == "" {
+					msg = httpError(status, body)
+				}
+				w.opts.Logf("worker %s: result of lease %s refused: %s", w.opts.ID, r.Lease, msg)
+			}
 		}
 		return
 	}
