@@ -29,7 +29,7 @@ base=${4:+$(realpath "$4")}
 #      iterations per run;
 #   3. the root package's simulation benchmarks, 5 iterations per run.
 bench1='^(BenchmarkPlanNearestNeighbor|BenchmarkPlanGreedyEdge|BenchmarkPlanConvexHullInsertion|BenchmarkPlanKMeans|BenchmarkPlanFleet|BenchmarkPlanRegions|BenchmarkPlanCHBAssign|BenchmarkReplanAbsorb|BenchmarkOptimalHeldKarp|BenchmarkCellSimulation)$/^n=(1000|15)$'
-bench2='^(BenchmarkEngine|BenchmarkEngineCancel|BenchmarkCacheHitSweep|BenchmarkCacheDedup|BenchmarkRemoteDispatch)$'
+bench2='^(BenchmarkEngine|BenchmarkEngineCancel|BenchmarkCacheHitSweep|BenchmarkCacheDedup|BenchmarkRemoteDispatch|BenchmarkServerWarmSweep)$'
 bench3='^(BenchmarkSimulationThroughput|BenchmarkSimulationEngine|BenchmarkSimulationExclusive|BenchmarkSimulationExclusiveRegions)$'
 
 # build compiles, for the checkout $1, the test binary of every
@@ -72,7 +72,7 @@ run() {
 round() {
 	local dir=$1 bin=$out/.benchbin-$2 dst=$out/bench-$2.txt
 	run "$dir" "$bin" "$dst" "$bench1" 5x $(cat "$bin/pkgs")
-	run "$dir" "$bin" "$dst" "$bench2" 2000x ./internal/sim ./internal/sweep/cache ./internal/sweep/dispatch
+	run "$dir" "$bin" "$dst" "$bench2" 2000x ./internal/sim ./internal/sweep/cache ./internal/sweep/dispatch ./internal/sweep/server
 	run "$dir" "$bin" "$dst" "$bench3" 5x .
 }
 

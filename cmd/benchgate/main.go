@@ -84,11 +84,13 @@
 //     them parked on one target) and BenchmarkSimulationExclusiveRegions
 //     (a 50-target, 4-mule Sweep over 100 000 s, whose mules run ahead
 //     around regions of about 12 stops). It also takes the
-//     two service hot paths whose absolute time is the product:
-//     BenchmarkCacheHitSweep (a fully warm sweep) and
-//     BenchmarkRemoteDispatch (one lease round trip). Their allocs/op
-//     moves by one or two between runs of a few iterations, so they
-//     run 2000 iterations per run, where it is constant.
+//     three service hot paths whose absolute time is the product:
+//     BenchmarkCacheHitSweep (a fully warm sweep),
+//     BenchmarkServerWarmSweep (a warm tctp-server's sub-grid POST
+//     and result.csv round trip) and BenchmarkRemoteDispatch (one
+//     lease round trip). Their allocs/op moves by one or two between
+//     runs of a few iterations, so they run 2000 iterations per run,
+//     where it is constant.
 //
 // A -bench pattern with a '/' level runs no benchmark that lacks
 // sub-benchmarks, so CI runs the n=1000 ladders, the 2000-iteration

@@ -164,10 +164,7 @@ func (j *Job) RunCached(ctx context.Context, opts CacheRunOpts) (*Result, error)
 			return opts.Store.Fold(cell.Key, cell.Compute)
 		}
 	}
-	keys, err := j.CellKeys()
-	if err != nil {
-		return nil, err
-	}
+	keys := j.CellKeys()
 	validate := func(st *protocol.FoldState) error { return j.spec.checkState(st, true) }
 	cached := &cachedCells{
 		waits: opts.Resolve != nil,

@@ -67,6 +67,12 @@ type checkpointRecord struct {
 // constructors) cannot be hashed; callers whose hooks close over
 // external configuration must fold that configuration into
 // Spec.ConfigDigest, as cmd/tctp-sweep does for -preset/-scenario.
+//
+// The hashed bytes are the JSON of the struct below with a last
+// member "points" listing every cell's point; the points are the
+// encodings encodeCells stored in defs, spliced in rather than
+// encoded again (internal/sweep/oracle_test.go keeps the one-struct
+// encoding as the oracle).
 func (s *Spec) fingerprint(defs []cellDef) (string, error) {
 	type vectorID struct {
 		Name string `json:"name"`
@@ -82,7 +88,6 @@ func (s *Spec) fingerprint(defs []cellDef) (string, error) {
 		Workloads []scenario.Workload `json:"workloads,omitempty"`
 		Fleets    []scenario.Fleet    `json:"fleets,omitempty"`
 		Digest    string              `json:"digest,omitempty"`
-		Points    []Point             `json:"points"`
 	}{
 		Name:      s.Name,
 		Seeds:     s.Seeds,
@@ -92,7 +97,6 @@ func (s *Spec) fingerprint(defs []cellDef) (string, error) {
 		Workloads: s.Workloads,
 		Fleets:    s.Fleets,
 		Digest:    s.ConfigDigest,
-		Points:    make([]Point, len(defs)),
 	}
 	for i, m := range s.Metrics {
 		id.Metrics[i] = m.Name
@@ -100,15 +104,21 @@ func (s *Spec) fingerprint(defs []cellDef) (string, error) {
 	for _, vm := range s.Vectors {
 		id.Vectors = append(id.Vectors, vectorID{Name: vm.Name, Len: vm.Len})
 	}
-	for i, d := range defs {
-		id.Points[i] = d.point
-	}
 	b, err := json.Marshal(id)
 	if err != nil {
 		return "", fmt.Errorf("sweep: fingerprint: %w", err)
 	}
-	sum := sha256.Sum256(b)
-	return "sha256:" + hex.EncodeToString(sum[:]), nil
+	h := sha256.New()
+	h.Write(b[:len(b)-1]) // every member but the closing brace
+	h.Write([]byte(`,"points":[`))
+	for i := range defs {
+		if i > 0 {
+			h.Write([]byte{','})
+		}
+		h.Write(defs[i].enc)
+	}
+	h.Write([]byte("]}"))
+	return "sha256:" + hex.EncodeToString(h.Sum(nil)), nil
 }
 
 // checkpointWriter appends records to the checkpoint file. Each Encode

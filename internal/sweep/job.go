@@ -36,10 +36,11 @@ type Job struct {
 	defs    []cellDef // this job's executable cells
 	skipped []SkippedCell
 	fp      string
-	shard   int // this job's shard index in [0, shards)
-	shards  int // 1 for an unsharded plan
-	offset  int // global index of defs[0] in the full plan
-	total   int // executable cells in the full plan
+	tail    []byte // the cell identities' shared tail (cellkey.go)
+	shard   int    // this job's shard index in [0, shards)
+	shards  int    // 1 for an unsharded plan
+	offset  int    // global index of defs[0] in the full plan
+	total   int    // executable cells in the full plan
 }
 
 // Plan validates the spec, enumerates its executable cells (consulting
@@ -63,12 +64,19 @@ func Plan(spec Spec) (*Job, error) {
 		}
 		defs = append(defs, d)
 	}
+	if err := sp.encodeCells(defs); err != nil {
+		return nil, err
+	}
 	fp, err := sp.fingerprint(defs)
 	if err != nil {
 		return nil, err
 	}
+	tail, err := sp.identityTail()
+	if err != nil {
+		return nil, err
+	}
 	return &Job{
-		spec: sp, defs: defs, skipped: skipped, fp: fp,
+		spec: sp, defs: defs, skipped: skipped, fp: fp, tail: tail,
 		shards: 1, total: len(defs),
 	}, nil
 }

@@ -19,6 +19,14 @@
 //	GET  /sweeps/{id}/result.jsonl  the sweep's JSONL, blocking until done
 //	GET  /stats                  cache, admission, and scheduler counters
 //
+// A sweep renders its CSV as its cells resolve, since every client
+// fetches it. Nothing else is encoded until asked for: a finished sweep
+// keeps its CSV bytes and its sweep.Result, GET result.jsonl replays
+// that result through the JSONL sink (sweep.ReplayJSONL), and a cell
+// event keeps its cell's result and is encoded when /events streams
+// it. Both stay byte-identical to what a JSONL sink on the run would
+// have written: an event's result is that cell's result.jsonl line.
+//
 // With a dispatch scheduler attached (Config.Dispatch; tctp-server
 // -workers remote), the server stops computing cells in-process and
 // instead serves a worker fleet over three more endpoints:
@@ -106,9 +114,14 @@ type sweepRun struct {
 	fp  string
 	req protocol.SweepRequest // normalized request, what leases carry
 
+	// name, seeds and baseSeed are what the JSONL header records.
+	name     string
+	seeds    int
+	baseSeed uint64
+
 	mu       sync.Mutex
 	state    string // "running", "done", "failed"
-	events   []protocol.Event
+	events   []event
 	notify   chan struct{} // closed and replaced on every append
 	cells    int
 	done     int
@@ -117,9 +130,17 @@ type sweepRun struct {
 	joined   int
 	remote   int
 	csv      []byte
-	jsonl    []byte
+	res      *sweep.Result // the finished sweep's cells, for result.jsonl
 	errMsg   string
 	finished chan struct{}
+}
+
+// event is one recorded event of a sweep. A cell event keeps its
+// cell's result, which handleEvents encodes into the event's Result
+// only when it streams it.
+type event struct {
+	protocol.Event
+	result *sweep.CellResult
 }
 
 // Server is the sweep service. It implements http.Handler.
@@ -219,6 +240,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		id:       fmt.Sprintf("s%d", s.nextID),
 		fp:       job.Fingerprint(),
 		req:      req,
+		name:     spec.Name,
+		seeds:    spec.Seeds,
+		baseSeed: spec.BaseSeed,
 		state:    "running",
 		cells:    job.Cells(),
 		notify:   make(chan struct{}),
@@ -239,10 +263,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // through the dispatch scheduler's worker fleet — and records its
 // events and final artifacts.
 func (s *Server) execute(sr *sweepRun, job *sweep.Job) {
-	var csvBuf, jsonlBuf bytes.Buffer
+	var csvBuf bytes.Buffer
 	opts := sweep.CacheRunOpts{
 		Store:  s.cfg.Store,
-		Sinks:  []sweep.Sink{sweep.CSV(&csvBuf), sweep.JSONL(&jsonlBuf)},
+		Sinks:  []sweep.Sink{sweep.CSV(&csvBuf)},
 		OnCell: sr.cell,
 	}
 	if s.cfg.Dispatch != nil {
@@ -279,12 +303,12 @@ func (s *Server) execute(sr *sweepRun, job *sweep.Job) {
 	if err != nil {
 		sr.state = "failed"
 		sr.errMsg = err.Error()
-		sr.append(protocol.Event{Type: "error", Error: sr.errMsg})
+		sr.append(event{Event: protocol.Event{Type: "error", Error: sr.errMsg}})
 	} else {
 		sr.state = "done"
 		sr.csv = csvBuf.Bytes()
-		sr.jsonl = jsonlBuf.Bytes()
-		sr.append(protocol.Event{Type: "done", Cells: sr.done, Runs: res.Runs})
+		sr.res = res
+		sr.append(event{Event: protocol.Event{Type: "done", Cells: sr.done, Runs: res.Runs}})
 	}
 	sr.mu.Unlock()
 	close(sr.finished)
@@ -293,7 +317,6 @@ func (s *Server) execute(sr *sweepRun, job *sweep.Job) {
 // cell records one resolved cell as an event (called concurrently by
 // the cached run).
 func (sr *sweepRun) cell(u sweep.CellUpdate) {
-	res, _ := json.Marshal(u.Result)
 	sr.mu.Lock()
 	defer sr.mu.Unlock()
 	sr.done++
@@ -307,13 +330,14 @@ func (sr *sweepRun) cell(u sweep.CellUpdate) {
 	default:
 		sr.computed++
 	}
-	sr.append(protocol.Event{
-		Type: "cell", Cell: u.Index, Key: u.Key, Source: u.Source, Result: res,
+	sr.append(event{
+		Event:  protocol.Event{Type: "cell", Cell: u.Index, Key: u.Key, Source: u.Source},
+		result: u.Result,
 	})
 }
 
 // append records an event and wakes the streamers. Caller holds sr.mu.
-func (sr *sweepRun) append(ev protocol.Event) {
+func (sr *sweepRun) append(ev event) {
 	sr.events = append(sr.events, ev)
 	close(sr.notify)
 	sr.notify = make(chan struct{})
@@ -349,7 +373,8 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleEvents streams the sweep's events as NDJSON: everything
-// recorded so far, then live until the terminal event.
+// recorded so far, then live until the terminal event. A cell event's
+// result is encoded here, as the JSONL sink would encode the cell.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	sr := s.lookup(w, r)
 	if sr == nil {
@@ -367,7 +392,11 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		notify := sr.notify
 		sr.mu.Unlock()
 		for _, ev := range batch {
-			if err := enc.Encode(ev); err != nil {
+			if ev.result != nil {
+				// A result JSON cannot encode goes out without one.
+				ev.Result, _ = json.Marshal(ev.result)
+			}
+			if err := enc.Encode(ev.Event); err != nil {
 				return
 			}
 		}
@@ -386,8 +415,8 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleResult serves the finished sweep's CSV or JSONL, blocking
-// until the sweep completes. A failed sweep answers 409 with its
-// error.
+// until the sweep completes; the JSONL is rendered from the kept
+// result on each request. A failed sweep answers 409 with its error.
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	sr := s.lookup(w, r)
 	if sr == nil {
@@ -400,16 +429,20 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 	sr.mu.Lock()
 	failed, errMsg := sr.state == "failed", sr.errMsg
-	body := sr.csv
-	ctype := "text/csv"
-	if strings.HasSuffix(r.URL.Path, ".jsonl") {
-		body = sr.jsonl
-		ctype = "application/x-ndjson"
-	}
+	body, res := sr.csv, sr.res
 	sr.mu.Unlock()
 	if failed {
 		httpError(w, http.StatusConflict, "sweep %s failed: %s", sr.id, errMsg)
 		return
+	}
+	ctype := "text/csv"
+	if strings.HasSuffix(r.URL.Path, ".jsonl") {
+		var buf bytes.Buffer
+		if err := sweep.ReplayJSONL(&buf, sr.name, sr.seeds, sr.baseSeed, res); err != nil {
+			httpError(w, http.StatusInternalServerError, "sweep %s: %v", sr.id, err)
+			return
+		}
+		body, ctype = buf.Bytes(), "application/x-ndjson"
 	}
 	w.Header().Set("Content-Type", ctype)
 	w.Write(body)

@@ -30,7 +30,7 @@ func testRequest() protocol.SweepRequest {
 	}
 }
 
-func newServer(t *testing.T, cfg server.Config) *httptest.Server {
+func newServer(t testing.TB, cfg server.Config) *httptest.Server {
 	t.Helper()
 	if cfg.Store == nil {
 		store, err := cache.New(cache.Options{})

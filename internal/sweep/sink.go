@@ -132,6 +132,24 @@ func (s *jsonlSink) End(r *Result) error {
 	}{summary{len(r.Cells), r.Runs, r.Skipped, r.Stopped}})
 }
 
+// ReplayJSONL writes a finished result to w through the JSONL sink,
+// byte for byte as the sink streams it during a run of a sweep with
+// that name, seed count and base seed: the header, every cell, the
+// summary. It lets a caller keep a result and render its JSONL only
+// when asked for it.
+func ReplayJSONL(w io.Writer, name string, seeds int, baseSeed uint64, r *Result) error {
+	s := JSONL(w)
+	if err := s.Begin(&Spec{Name: name, Seeds: seeds, BaseSeed: baseSeed}, len(r.Cells)); err != nil {
+		return err
+	}
+	for _, c := range r.Cells {
+		if err := s.Cell(c); err != nil {
+			return err
+		}
+	}
+	return s.End(r)
+}
+
 // textSink renders an aligned table for terminals: only the axes that
 // actually vary become columns, each metric shows mean ±CI95, and the
 // run summary (including skipped cells) lands in a footer.

@@ -690,15 +690,23 @@ type cellDef struct {
 	workload  scenario.Workload
 	partition Partition
 	failure   Failure
+	// enc is the point's JSON encoding and axes the fleet, workload
+	// and failure members of the cell identity, both filled by
+	// encodeCells at plan time (see cellkey.go).
+	enc  []byte
+	axes []byte
 }
 
 // cells enumerates the cartesian product in canonical order
 // (Algorithms outermost, Failures innermost).
 func (s *Spec) cells() []cellDef {
-	var out []cellDef
+	fleets := s.fleetChoices()
+	out := make([]cellDef, 0, len(s.Algorithms)*len(s.Targets)*len(fleets)*
+		len(s.Placements)*len(s.Horizons)*len(s.Battery)*len(s.VIPs)*
+		len(s.VIPWeights)*len(s.Workloads)*len(s.Partitions)*len(s.Failures))
 	for _, v := range s.Algorithms {
 		for _, nt := range s.Targets {
-			for _, fc := range s.fleetChoices() {
+			for _, fc := range fleets {
 				for _, pl := range s.Placements {
 					for _, h := range s.Horizons {
 						for _, b := range s.Battery {
