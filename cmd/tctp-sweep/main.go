@@ -315,6 +315,17 @@ func run(cfg config, out, errw io.Writer) error {
 		return err
 	}
 
+	// The in-place progress line is terminated after the run returns,
+	// not at RunsDone == RunsTotal: under adaptive replication the
+	// total is a ceiling early-stopped cells never reach.
+	progressed := false
+	if cfg.Progress {
+		spec.Progress = func(p sweep.Progress) {
+			progressed = true
+			fmt.Fprintf(errw, "\rcells %d/%d runs %d/%d",
+				p.CellsDone, p.CellsTotal, p.RunsDone, p.RunsTotal)
+		}
+	}
 	job, err := sweep.Plan(spec)
 	if err != nil {
 		return err
@@ -330,23 +341,11 @@ func run(cfg config, out, errw io.Writer) error {
 		fmt.Fprintf(errw, "tctp-sweep: shard %d/%d: %d of %d cells, plan %s\n",
 			i+1, n, job.Cells(), job.TotalCells(), job.Fingerprint())
 	}
-	opts := sweep.RunOpts{
+	partial, err := job.Run(context.Background(), sweep.RunOpts{
 		Checkpoint: cfg.Checkpoint,
 		Resume:     cfg.Resume,
 		Sinks:      []sweep.Sink{snk},
-	}
-	// The in-place progress line is terminated after the run returns,
-	// not at RunsDone == RunsTotal: under adaptive replication the
-	// total is a ceiling early-stopped cells never reach.
-	progressed := false
-	if cfg.Progress {
-		opts.Progress = func(p sweep.Progress) {
-			progressed = true
-			fmt.Fprintf(errw, "\rcells %d/%d runs %d/%d",
-				p.CellsDone, p.CellsTotal, p.RunsDone, p.RunsTotal)
-		}
-	}
-	partial, err := job.Run(context.Background(), opts)
+	})
 	if progressed {
 		fmt.Fprintln(errw)
 	}

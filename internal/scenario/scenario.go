@@ -9,9 +9,10 @@
 // hotspot layouts, mixed-speed fleets, packet workloads.
 //
 // A Scenario is pure data. Materialize turns it into a concrete
-// field.Scenario deterministically from a random source, and Run
-// executes an algorithm on it end to end, attaching the declared
-// workload overlays as peer observers. The builder (New) and the
+// field.Scenario deterministically from a random source, Attach wires
+// its events and workload overlays into a run, and Run executes an
+// algorithm on it end to end for one replication seed, drawing every
+// random choice from the seed's Streams. The builder (New) and the
 // named presets (Paper51, Clustered, Corridor, Hotspot) are the two
 // ways to construct one; both validate.
 package scenario
@@ -305,8 +306,8 @@ func (s *Scenario) Materialize(src *xrand.Source) (*field.Scenario, error) {
 
 // PatrolOptions derives the run options the scenario implies: horizon,
 // fleet speed, and — only when the fleet is heterogeneous — the
-// per-mule overrides. Workload observers are attached by Run, not
-// here.
+// per-mule overrides. Events and workload observers are attached by
+// Attach, not here.
 func (s *Scenario) PatrolOptions() patrol.Options {
 	o := patrol.Options{Horizon: s.Horizon}
 	if s.Fleet.Size() == 0 {
@@ -329,45 +330,79 @@ type Result struct {
 	Data []*wsn.Network
 }
 
-// Run materializes the scenario from the replication seed, attaches
-// the declared workloads and any extra observers as peers, and
-// executes the algorithm. Seed derivation follows the engine-wide
-// contract (see sweep.ScenarioSource): stream 1 of the seed feeds
-// scenario generation, stream 2 the algorithm's randomness, stream 3
-// the workloads' (each workload splits its own sub-stream in
-// declaration order), stream 4 is reserved for the partition layer,
-// and stream 5 drives failure injection (attrition picks).
-func (s *Scenario) Run(alg patrol.Algorithm, seed uint64, obs ...patrol.Observer) (*Result, error) {
-	root := xrand.New(seed)
-	scnSrc := root.Split()
-	algSrc := root.Split()
-	wlSrc := root.Split()
-	root.Split() // stream 4: partition (consumed by the sweep engine)
-	failSrc := root.Split()
+// Streams are the independent SplitMix64 streams of one replication
+// seed, in the order of the seed-derivation contract: stream 1
+// generates the scenario (target layout, mule starts, VIP assignment),
+// stream 2 drives the algorithm (random baseline picks, k-means
+// seeding, random break edges), stream 3 the workloads (each workload
+// splits its own sub-stream in declaration order), stream 4 the
+// partition layer (k-means restarts) and stream 5 failure injection
+// (event attrition picks, then the sweep's failure-axis draws). Since
+// each consumer owns its stream, changing an algorithm's randomness
+// never perturbs the world it runs on, and enabling failures never
+// changes the world or the algorithm.
+type Streams struct {
+	Scenario, Algorithm, Workload, Partition, Failure xrand.Source
+}
 
-	scn, err := s.Materialize(scnSrc)
-	if err != nil {
-		return nil, err
+// SeedStreams splits the replication seed into its five streams.
+func SeedStreams(seed uint64) Streams {
+	root := xrand.New(seed)
+	// Operands evaluate left to right, so the fields take the splits in
+	// contract order.
+	return Streams{
+		Scenario:  *root.Split(),
+		Algorithm: *root.Split(),
+		Workload:  *root.Split(),
+		Partition: *root.Split(),
+		Failure:   *root.Split(),
 	}
-	opts := s.PatrolOptions()
+}
+
+// Attach wires the scenario's dynamic world and workloads into opts
+// for a materialized instance: it appends the declared events,
+// resolved on st's failure stream, and sets their handoff policy, then
+// builds each declared workload on its own sub-stream of st's workload
+// stream and appends it as an observer. It returns the workload
+// overlays in declaration order.
+func (s *Scenario) Attach(scn *field.Scenario, st *Streams, opts *patrol.Options) ([]*wsn.Network, error) {
 	if s.Events.Enabled() {
-		evs, err := s.Events.Resolve(scn, failSrc)
+		evs, err := s.Events.Resolve(scn, &st.Failure)
 		if err != nil {
 			return nil, err
 		}
-		opts.Events = evs
+		opts.Events = append(opts.Events, evs...)
 		if opts.Handoff, err = s.Events.Policy(); err != nil {
 			return nil, err
 		}
 	}
 	data := make([]*wsn.Network, len(s.Workloads))
 	for i, w := range s.Workloads {
-		data[i] = w.Build(scn, wlSrc.Split())
+		data[i] = w.Build(scn, st.Workload.Split())
 		opts.Observers = append(opts.Observers, data[i])
+	}
+	return data, nil
+}
+
+// Run executes the algorithm on the scenario for one replication seed:
+// it materializes the world from the seed's scenario stream, attaches
+// the declared events and workloads (Attach), then any extra observers
+// as peers, and runs on the algorithm stream. A one-seed sweep of the
+// same scenario runs exactly this replication.
+func (s *Scenario) Run(alg patrol.Algorithm, seed uint64, obs ...patrol.Observer) (*Result, error) {
+	st := SeedStreams(seed)
+	scn, err := s.Materialize(&st.Scenario)
+	if err != nil {
+		return nil, err
+	}
+	opts := s.PatrolOptions()
+	data, err := s.Attach(scn, &st, &opts)
+	if err != nil {
+		return nil, err
 	}
 	opts.Observers = append(opts.Observers, obs...)
 
-	res, err := patrol.Run(scn, alg, opts, algSrc)
+	res, err := patrol.Run(scn, alg, opts, &st.Algorithm)
 	if err != nil {
 		return nil, err
 	}

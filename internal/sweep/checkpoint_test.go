@@ -458,7 +458,8 @@ func TestAdaptiveDiscardsErrorsBeyondStop(t *testing.T) {
 	// at MinReps=3, so those replications must never surface.
 	bad := map[uint64]bool{}
 	for r := 4; r < 12; r++ {
-		bad[ScenarioSource(uint64(r)).Uint64()] = true
+		st := scenario.SeedStreams(uint64(r))
+		bad[st.Scenario.Uint64()] = true
 	}
 	var outputs []string
 	for _, workers := range []int{1, 8} {

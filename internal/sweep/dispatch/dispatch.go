@@ -17,20 +17,18 @@
 //     worker result is ever folded per cell.
 //
 //   - One queue per sweep, chunks by guided self-scheduling. A sweep's
-//     cells queue in cell-index order. A worker that asks for a chunk
-//     (LeaseChunk) is granted ceil(Q/2W) cells of one sweep in one
-//     exchange, where Q is that sweep's queued cells and W the live
-//     workers — those holding a lease or polling for one. Chunks shrink
-//     as the queue drains, so the tail stays balanced with no tuning
-//     constant (Polychronopoulos & Kuck, IEEE Trans. Computers 1987).
-//     Sweeps take turns, one chunk each, so a small sweep never waits
-//     behind a large one's whole queue. Lease, for workers that do not
-//     opt in, grants one cell.
+//     cells queue in cell-index order. A lease grants ceil(Q/2W) cells
+//     of one sweep in one exchange, where Q is that sweep's queued
+//     cells and W the live workers — those holding a lease or polling
+//     for one. Chunks shrink as the queue drains, so the tail stays
+//     balanced with no tuning constant (Polychronopoulos & Kuck, IEEE
+//     Trans. Computers 1987). Sweeps take turns, one chunk each, so a
+//     small sweep never waits behind a large one's whole queue.
 //
-//   - Leases with deadlines. Every granted cell, chunk or not, has its
-//     own lease: it must report (or heartbeat) within the lease TTL; an
-//     expired lease is revoked and the cell requeued ahead of its
-//     sweep's queued cells, its sweep's turn next (Stats.Expired,
+//   - Leases with deadlines. Every granted cell has its own lease: it
+//     must report (or heartbeat) within the lease TTL; an expired
+//     lease is revoked and the cell requeued ahead of its sweep's
+//     queued cells, its sweep's turn next (Stats.Expired,
 //     Stats.Reassigned). A result posted under a revoked or completed
 //     lease is refused as stale (Stats.StaleResults) — a reassigned
 //     cell that reports twice still folds once.
@@ -426,25 +424,16 @@ func (s *Scheduler) retireLocked(t *task) {
 	s.stats.Withdrawn++
 }
 
-// Lease grants the next queued cell to worker, blocking until work
-// arrives or ctx is done (long poll). A nil lease with a nil error
+// Lease grants worker a chunk of queued cells, blocking until work
+// arrives or ctx is done (long poll): up to ceil(Q/2W) cells of one
+// sweep, where Q is that sweep's queued cells and W the live workers —
+// those holding a lease or polling, worker included. This is guided
+// self-scheduling: each grant takes a share of what remains, so chunks
+// shrink as a sweep drains and its tail stays balanced across the
+// fleet. Sweeps take turns, one chunk each, so a small sweep never
+// waits behind a large one's whole queue. A nil lease with a nil error
 // means the poll timed out empty.
 func (s *Scheduler) Lease(ctx context.Context, worker string) (*protocol.CellLease, error) {
-	return s.lease(ctx, worker, false)
-}
-
-// LeaseChunk is Lease for a worker that takes a chunk: up to
-// ceil(Q/2W) cells of one sweep, where Q is that sweep's queued cells
-// and W the live workers — those holding a lease or polling, worker
-// included. This is guided self-scheduling: each grant takes a share
-// of what remains, so chunks shrink as a sweep drains and its tail
-// stays balanced across the fleet. Sweeps take turns, one chunk each,
-// so a small sweep never waits behind a large one's whole queue.
-func (s *Scheduler) LeaseChunk(ctx context.Context, worker string) (*protocol.CellLease, error) {
-	return s.lease(ctx, worker, true)
-}
-
-func (s *Scheduler) lease(ctx context.Context, worker string, chunk bool) (*protocol.CellLease, error) {
 	if worker == "" {
 		return nil, fmt.Errorf("dispatch: empty worker id")
 	}
@@ -454,12 +443,8 @@ func (s *Scheduler) lease(ctx context.Context, worker string, chunk bool) (*prot
 	for {
 		s.expireLocked(time.Now())
 		if len(s.turns) > 0 {
-			q, n := s.turns[0], 1
-			if chunk {
-				live := 2 * s.liveLocked()
-				n = (q.tasks.Len() + live - 1) / live
-			}
-			wire := s.grantLocked(q, worker, n)
+			q, live := s.turns[0], 2*s.liveLocked()
+			wire := s.grantLocked(q, worker, (q.tasks.Len()+live-1)/live)
 			w.Polling--
 			s.mu.Unlock()
 			return wire, nil

@@ -491,7 +491,7 @@ func TestHammer(t *testing.T) {
 	go func() {
 		for ctx.Err() == nil {
 			lctx, lcancel := context.WithTimeout(ctx, 20*time.Millisecond)
-			l, err := s.LeaseChunk(lctx, "flaky")
+			l, err := s.Lease(lctx, "flaky")
 			lcancel()
 			if err != nil {
 				return
@@ -503,21 +503,16 @@ func TestHammer(t *testing.T) {
 		}
 	}()
 
-	// Three real workers, two taking chunks: compute from the lease,
-	// post the results, and post them again (every duplicate must be
-	// refused as stale).
+	// Three real workers: compute from the lease, post the results,
+	// and post them again (every duplicate must be refused as stale).
 	var wg sync.WaitGroup
 	for w := 0; w < 3; w++ {
 		wg.Add(1)
-		go func(id string, chunk bool) {
+		go func(id string) {
 			defer wg.Done()
-			lease := s.Lease
-			if chunk {
-				lease = s.LeaseChunk
-			}
 			for ctx.Err() == nil {
 				lctx, lcancel := context.WithTimeout(ctx, 20*time.Millisecond)
-				l, err := lease(lctx, id)
+				l, err := s.Lease(lctx, id)
 				lcancel()
 				if err != nil || l == nil {
 					continue
@@ -543,7 +538,7 @@ func TestHammer(t *testing.T) {
 					}
 				}
 			}
-		}(fmt.Sprintf("w%d", w), w > 0)
+		}(fmt.Sprintf("w%d", w))
 	}
 
 	// Two resolvers per cell: one enqueues, one joins (or probes warm).
@@ -636,21 +631,9 @@ func chunkCells(l *protocol.CellLease) []int {
 	return cells
 }
 
-func mustLeaseChunk(t *testing.T, s *Scheduler, worker string) *protocol.CellLease {
-	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	l, err := s.LeaseChunk(ctx, worker)
-	if err != nil || l == nil {
-		t.Fatalf("LeaseChunk(%s): %v, %v", worker, l, err)
-	}
-	return l
-}
-
-// TestLeaseChunkGuided: a chunk is ceil(Q/2W) of its sweep's queued
+// TestLeaseChunkGuided: a lease is ceil(Q/2W) of its sweep's queued
 // cells, in cell order whatever order they were queued in, where W
-// counts the workers holding a lease or polling; a bare Lease is one
-// cell.
+// counts the workers holding a lease or polling.
 func TestLeaseChunkGuided(t *testing.T) {
 	s, _ := newTestScheduler(t, Options{})
 	ctx, cancel := context.WithCancel(context.Background())
@@ -659,27 +642,20 @@ func TestLeaseChunkGuided(t *testing.T) {
 
 	for _, step := range []struct {
 		worker string
-		chunk  bool
 		want   []int
 	}{
-		{"w1", true, []int{0, 1, 2, 3, 4, 5}}, // Q 12, W 1 (w1 polling)
-		{"w2", false, []int{6}},               // bare
-		{"w1", true, []int{7, 8}},             // Q 5, W 2 (w2 holds a lease)
-		{"w3", true, []int{9}},                // Q 3, W 3
-		{"w3", true, []int{10}},               // Q 2, W 3
-		{"w2", true, []int{11}},               // Q 1
+		{"w1", []int{0, 1, 2, 3, 4, 5}}, // Q 12, W 1 (w1 polling)
+		{"w2", []int{6, 7}},             // Q 6, W 2 (w1 holds leases)
+		{"w1", []int{8}},                // Q 4, W 2
+		{"w3", []int{9}},                // Q 3, W 3
+		{"w3", []int{10}},               // Q 2, W 3
+		{"w2", []int{11}},               // Q 1
 	} {
-		var l *protocol.CellLease
-		if step.chunk {
-			l = mustLeaseChunk(t, s, step.worker)
-		} else {
-			l = mustLease(t, s, step.worker)
-		}
-		if got := chunkCells(l); !slices.Equal(got, step.want) {
+		if got := chunkCells(mustLease(t, s, step.worker)); !slices.Equal(got, step.want) {
 			t.Fatalf("%s granted cells %v, want %v", step.worker, got, step.want)
 		}
 	}
-	if st := s.Stats(); st.QueueLen != 0 || st.ActiveLeases != 12 || st.Workers["w1"].Active != 8 {
+	if st := s.Stats(); st.QueueLen != 0 || st.ActiveLeases != 12 || st.Workers["w1"].Active != 7 {
 		t.Fatalf("stats %+v", st)
 	}
 }
@@ -699,7 +675,7 @@ func TestLeaseChunkRoundRobin(t *testing.T) {
 	var sweeps []string
 	var small []*protocol.CellLease
 	for range 4 {
-		l := mustLeaseChunk(t, s, "w1")
+		l := mustLease(t, s, "w1")
 		got, sweeps = append(got, chunkCells(l)), append(sweeps, l.Sweep)
 		if l.Sweep == "small" {
 			small = append(small, l)
@@ -719,7 +695,7 @@ func TestLeaseChunkRoundRobin(t *testing.T) {
 		}
 	}
 	waitStats(t, s, "leases expired", func(st Stats) bool { return st.Expired == 6 })
-	if l := mustLeaseChunk(t, s, "w1"); !slices.Equal(chunkCells(l), []int{0, 1, 2, 3}) || l.Sweep != "big" {
+	if l := mustLease(t, s, "w1"); !slices.Equal(chunkCells(l), []int{0, 1, 2, 3}) || l.Sweep != "big" {
 		t.Fatalf("after expiry granted %v of %s, want big's cells 0-3", chunkCells(l), l.Sweep)
 	}
 }
@@ -733,7 +709,7 @@ func TestChunkedPostsAckEachEntry(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	queueCells(t, ctx, s, "s1", 0, 1, 2, 3)
-	l := mustLeaseChunk(t, s, "w1") // ceil(4/2) = cells 0 and 1
+	l := mustLease(t, s, "w1") // ceil(4/2) = cells 0 and 1
 	if len(l.More) != 1 {
 		t.Fatalf("chunk %v, want two cells", chunkCells(l))
 	}

@@ -109,7 +109,7 @@ func FuzzWorkerResult(f *testing.F) {
 			time.Sleep(10 * time.Microsecond)
 		}
 		for s.Stats().QueueLen > 0 {
-			if _, err := s.LeaseChunk(ctx, "w1"); err != nil {
+			if _, err := s.Lease(ctx, "w1"); err != nil {
 				t.Fatal(err)
 			}
 		}

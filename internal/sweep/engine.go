@@ -10,6 +10,7 @@ import (
 	"tctp/internal/field"
 	"tctp/internal/metrics"
 	"tctp/internal/patrol"
+	"tctp/internal/scenario"
 	"tctp/internal/stats"
 	"tctp/internal/wsn"
 )
@@ -156,14 +157,13 @@ type job struct {
 
 // engine is the shared state of one Job.Run call.
 type engine struct {
-	spec     *Spec
-	defs     []cellDef
-	offset   int // global index of defs[0] in the full plan
-	sinks    []Sink
-	progress []func(Progress)
-	watch    int               // index of the adaptive metric, or -1
-	ck       *checkpointWriter // nil when not checkpointing
-	cached   *cachedCells      // nil unless every cell is settled whole
+	spec   *Spec
+	defs   []cellDef
+	offset int // global index of defs[0] in the full plan
+	sinks  []Sink
+	watch  int               // index of the adaptive metric, or -1
+	ck     *checkpointWriter // nil when not checkpointing
+	cached *cachedCells      // nil unless every cell is settled whole
 	// cancels holds each in-flight waiting resolve's cancel, by cell;
 	// nil unless cached.waits.
 	cancels []context.CancelFunc
@@ -241,11 +241,6 @@ type RunOpts struct {
 	Resume bool
 	// Sinks receive this job's cells in enumeration order.
 	Sinks []Sink
-	// Progress, when non-nil, is called after every completed
-	// replication and cell, in addition to the Spec's own Progress
-	// hook and under the same constraints (engine lock held — keep it
-	// fast). Totals are job-local: a shard reports its own cells.
-	Progress func(Progress)
 }
 
 // Run executes the job's cells and streams them to the sinks in
@@ -316,12 +311,6 @@ func (j *Job) run(ctx context.Context, opts RunOpts, restored map[int]checkpoint
 		records:    make(map[int]checkpointRecord, len(defs)),
 		ready:      make(map[int]*CellResult),
 		result:     result,
-	}
-	if sp.Progress != nil {
-		e.progress = append(e.progress, sp.Progress)
-	}
-	if opts.Progress != nil {
-		e.progress = append(e.progress, opts.Progress)
 	}
 	if sp.Adaptive != nil {
 		for i, m := range sp.Metrics {
@@ -576,13 +565,14 @@ func (e *engine) runOne(j job) (*runValues, error) {
 	// from the replication's scenario stream, or the Spec's bespoke
 	// generator. Options always derive from the cell scenario, so the
 	// Fleets axis reaches the simulation on both paths.
+	st := scenario.SeedStreams(seed)
 	sc := sp.cellScenario(d)
 	var scn *field.Scenario
 	if sp.Scenario != nil {
-		scn = sp.Scenario(p, ScenarioSource(seed))
+		scn = sp.Scenario(p, &st.Scenario)
 	} else {
 		var err error
-		if scn, err = sc.Materialize(ScenarioSource(seed)); err != nil {
+		if scn, err = sc.Materialize(&st.Scenario); err != nil {
 			return nil, fmt.Errorf("sweep: cell %v seed %d: %w", p, seed, err)
 		}
 	}
@@ -595,71 +585,53 @@ func (e *engine) runOne(j job) (*runValues, error) {
 		d.variant.Options(&opts)
 	}
 
-	// Dynamic world: resolve the scenario's declared event schedule,
-	// then the Failures axis's kill draws, both from the dedicated
-	// failure stream in that fixed order — the resolution is a pure
-	// function of (cell, seed), so shards, worker counts, and cache
-	// replays all see the same world. The axis handoff policy, when
-	// the axis is enabled, wins over the scenario's.
-	if sc.Events.Enabled() || d.failure.Enabled() {
-		failSrc := FailureSource(seed)
-		if sc.Events.Enabled() {
-			evs, eerr := sc.Events.Resolve(scn, failSrc)
-			if eerr != nil {
-				return nil, fmt.Errorf("sweep: cell %v seed %d: %w", p, seed, eerr)
-			}
-			opts.Events = append(opts.Events, evs...)
-			if opts.Handoff, eerr = sc.Events.Policy(); eerr != nil {
-				return nil, fmt.Errorf("sweep: cell %v: %w", p, eerr)
-			}
-		}
-		if d.failure.Enabled() {
-			h := opts.Horizon
-			if h == 0 {
-				h = 100_000 // patrol.Options' default horizon
-			}
-			opts.Events = append(opts.Events,
-				patrol.RandomFailures(scn.NumMules(), d.failure.Rate, h, failSrc)...)
-			pol, perr := d.failure.Policy()
-			if perr != nil {
-				return nil, fmt.Errorf("sweep: cell %v: %w", p, perr)
-			}
-			opts.Handoff = pol
-		}
+	// The scenario's events and workloads, after the hooks: their
+	// observers come first and the events' handoff policy wins over a
+	// hook's. The axis workload sits last (cellScenario appends it), so
+	// Env.Data points at it when the axis is on, else at the first
+	// declared overlay.
+	nets, err := sc.Attach(scn, &st, &opts)
+	if err != nil {
+		return nil, fmt.Errorf("sweep: cell %v seed %d: %w", p, seed, err)
 	}
-
-	// Attach the scenario's workload overlays as peer observers. The
-	// axis workload sits last (cellScenario appends it); Env.Data
-	// points at it when the axis is on, else at the first declared
-	// overlay. Each workload builds from its own sub-stream of the
-	// replication's workload source (matching scenario.Run), so burst
-	// arrivals are deterministic per seed.
 	var data *wsn.Network
-	if len(sc.Workloads) > 0 {
-		wlSrc := WorkloadSource(seed)
-		nets := make([]*wsn.Network, len(sc.Workloads))
-		for i, w := range sc.Workloads {
-			nets[i] = w.Build(scn, wlSrc.Split())
-			opts.Observers = append(opts.Observers, nets[i])
-		}
+	if len(nets) > 0 {
+		data = nets[0]
 		if d.workload.Enabled() {
 			data = nets[len(nets)-1]
-		} else {
-			data = nets[0]
 		}
 	}
 
-	alg := d.variant.Make(AlgorithmSource(seed))
+	// The Failures axis draws its kills from the failure stream after
+	// the scenario's attrition picks, and its handoff policy wins over
+	// the scenario's. Every draw is a pure function of (cell, seed), so
+	// shards, worker counts and cache replays all see the same world.
+	if d.failure.Enabled() {
+		h := opts.Horizon
+		if h == 0 {
+			h = 100_000 // patrol.Options' default horizon
+		}
+		opts.Events = append(opts.Events,
+			patrol.RandomFailures(scn.NumMules(), d.failure.Rate, h, &st.Failure)...)
+		if opts.Handoff, err = d.failure.Policy(); err != nil {
+			return nil, fmt.Errorf("sweep: cell %v: %w", p, err)
+		}
+	}
+
+	// The variant and the run each take their own copy of the
+	// algorithm stream.
+	makeSrc, runSrc := st.Algorithm, st.Algorithm
+	alg := d.variant.Make(&makeSrc)
 	if d.partition.Enabled() {
 		cfg, cerr := d.partition.Config()
 		if cerr == nil {
-			alg, cerr = patrol.Partitioned(alg, cfg, PartitionSource(seed))
+			alg, cerr = patrol.Partitioned(alg, cfg, &st.Partition)
 		}
 		if cerr != nil {
 			return nil, fmt.Errorf("sweep: cell %v: %w", p, cerr)
 		}
 	}
-	res, err := patrol.Run(scn, alg, opts, AlgorithmSource(seed))
+	res, err := patrol.Run(scn, alg, opts, &runSrc)
 	if err != nil {
 		return nil, fmt.Errorf("sweep: cell %v seed %d: %w", p, seed, err)
 	}
@@ -851,17 +823,18 @@ func (e *engine) finishLocked(cell int, c *collector, rec *checkpointRecord) *Ce
 	return cr
 }
 
-// reportLocked hands the job's totals to the progress hooks. Callers
+// reportLocked hands the job's totals to Spec.Progress. Callers
 // hold e.mu.
 func (e *engine) reportLocked() {
-	for _, fn := range e.progress {
-		fn(Progress{
-			CellsDone:  e.cellsDone,
-			CellsTotal: len(e.defs),
-			RunsDone:   e.result.Runs,
-			RunsTotal:  len(e.defs) * e.spec.maxReps(),
-		})
+	if e.spec.Progress == nil {
+		return
 	}
+	e.spec.Progress(Progress{
+		CellsDone:  e.cellsDone,
+		CellsTotal: len(e.defs),
+		RunsDone:   e.result.Runs,
+		RunsTotal:  len(e.defs) * e.spec.maxReps(),
+	})
 }
 
 func (c *collector) fold(v *runValues) {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -282,17 +283,77 @@ func TestRunProgress(t *testing.T) {
 }
 
 func TestSeedSourcesMatchExperimentScheme(t *testing.T) {
-	// The contract documented in the README: stream 1 of seed s is the
-	// scenario stream, stream 2 the algorithm stream.
+	// The contract documented in the README: streams 1–5 of seed s are
+	// the scenario, algorithm, workload, partition and failure streams,
+	// each the next Split of a generator seeded with s.
 	for _, seed := range []uint64{0, 1, 42} {
 		root := xrand.New(seed)
-		want1 := root.Split().Uint64()
-		want2 := root.Split().Uint64()
-		if got := ScenarioSource(seed).Uint64(); got != want1 {
-			t.Fatalf("seed %d: scenario stream = %d, want %d", seed, got, want1)
+		var want [5]uint64
+		for i := range want {
+			want[i] = root.Split().Uint64()
 		}
-		if got := AlgorithmSource(seed).Uint64(); got != want2 {
-			t.Fatalf("seed %d: algorithm stream = %d, want %d", seed, got, want2)
+		st := scenario.SeedStreams(seed)
+		for i, src := range []*xrand.Source{&st.Scenario, &st.Algorithm, &st.Workload, &st.Partition, &st.Failure} {
+			if got := src.Uint64(); got != want[i] {
+				t.Fatalf("seed %d: stream %d = %d, want %d", seed, i+1, got, want[i])
+			}
+		}
+	}
+}
+
+// TestRunMatchesSweepReplication: Scenario.Run and the sweep engine
+// assemble a replication through the same seed streams and Attach, so
+// a one-seed sweep of a scenario set through Configure, with an
+// attrition event and a burst workload, reproduces Scenario.Run bit
+// for bit.
+func TestRunMatchesSweepReplication(t *testing.T) {
+	base := scenario.New("replication").Targets(10).Fleet(3, 2).Horizon(20_000).MustBuild()
+	base.Workloads = []scenario.Workload{{
+		Name: "bursts", Kind: scenario.KindBursts,
+		Bursts: &wsn.BurstConfig{Hot: 4, MeanGap: 1800},
+	}}
+	base.Events = &scenario.Events{
+		Schedule: []scenario.Event{{Time: 6_000, Kind: scenario.EventAttrition}},
+		Handoff:  "absorb",
+	}
+	for _, v := range []Variant{
+		Algo("btctp", patrol.Planned(&core.BTCTP{})),
+		Algo("random", patrol.Online(&baseline.Random{})),
+	} {
+		for _, seed := range []uint64{1, 7, 42} {
+			spec := Spec{
+				Name:       "replication",
+				Algorithms: []Variant{v},
+				Targets:    []int{base.Targets.Count},
+				Mules:      []int{base.Fleet.Size()},
+				Horizons:   []float64{base.Horizon},
+				Configure:  func(_ Point, sc *scenario.Scenario) { *sc = *base },
+				Metrics:    []Metric{AvgDCDT(), AvgSD(), Delivered()},
+				Seeds:      1,
+				BaseSeed:   seed,
+			}
+			swept, err := Run(context.Background(), spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run, err := base.Run(v.Make(nil), seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			warm := run.PatrolStart + 1
+			want := map[string]float64{
+				"avg_dcdt_s": run.Recorder.AvgDCDTAfter(warm),
+				"avg_sd_s":   run.Recorder.AvgSDAfter(warm),
+				"delivered":  float64(run.Data[0].Delivered()),
+			}
+			if want["delivered"] == 0 {
+				t.Fatalf("%s seed %d: the workload delivered nothing", v.Name, seed)
+			}
+			for name, w := range want {
+				if got := swept.Cells[0].Metric(name).Mean; math.Float64bits(got) != math.Float64bits(w) {
+					t.Errorf("%s seed %d: sweep %s = %v, Scenario.Run %v", v.Name, seed, name, got, w)
+				}
+			}
 		}
 	}
 }

@@ -46,11 +46,17 @@ type Job struct {
 // Plan validates the spec, enumerates its executable cells (consulting
 // the Skip hook), and fingerprints the plan. The fingerprint pins the
 // full plan — every shard of the same spec carries the same one, which
-// is how Merge and Resume refuse artifacts from a different sweep.
+// is how Merge and Resume refuse artifacts from a different sweep. A
+// spec whose axes span more than MaxPlanCells cells is refused before
+// any cell is enumerated.
 func Plan(spec Spec) (*Job, error) {
 	sp := spec.withDefaults()
 	if err := sp.validate(); err != nil {
 		return nil, err
+	}
+	if n := sp.GridCells(); n > MaxPlanCells {
+		return nil, fmt.Errorf("sweep: spec %q spans %d cells; one plan holds at most %d",
+			sp.Name, n, MaxPlanCells)
 	}
 	all := sp.cells()
 	defs := make([]cellDef, 0, len(all))

@@ -13,20 +13,20 @@ package protocol
 // restores through the shared emission path byte-identically to a
 // local computation — the fleet changes throughput, never bytes.
 //
-// A worker that sets LeaseRequest.Chunk may be granted a chunk: several
-// cells of one sweep in one exchange, sized by guided self-scheduling
-// (a share of that sweep's queued cells, shrinking as the queue
-// drains; see internal/sweep/dispatch). The chunked forms keep the
-// first cell at the top level — a CellLease, FoldResult,
-// LeaseHeartbeat or LeaseAck reads exactly as its one-cell form — and
-// list the further cells under More. The SweepRequest travels once per
-// chunk; each further cell carries only its lease ID, cell index and
-// key. A request without Chunk (an older worker, or curl) is granted
-// exactly one cell.
+// A lease grants a chunk: one or more cells of one sweep in one
+// exchange, sized by guided self-scheduling (a share of that sweep's
+// queued cells, shrinking as the queue drains; see
+// internal/sweep/dispatch). The chunked forms keep the first cell at
+// the top level — a CellLease, FoldResult, LeaseHeartbeat or LeaseAck
+// of a one-cell chunk has no More — and list the further cells under
+// More. The SweepRequest travels once per chunk; each further cell
+// carries only its lease ID, cell index and key. A request body that
+// still carries the retired "chunk" field decodes unchanged, since
+// unknown fields are ignored.
 //
-// Leases carry deadlines, one per cell, chunk or not. A worker that
-// dies (or stalls past its heartbeats) loses its leases: the scheduler
-// expires each and requeues its cell for the next worker. Exactly one
+// Leases carry deadlines, one per cell. A worker that dies (or stalls
+// past its heartbeats) loses its leases: the scheduler expires each
+// and requeues its cell for the next worker. Exactly one
 // result is ever folded per cell — a result posted under an expired or
 // already-completed lease is refused as stale, so a reassigned cell
 // that later reports twice still folds once.
@@ -41,9 +41,6 @@ type LeaseRequest struct {
 	// many seconds for work to arrive before answering 204. 0 means
 	// answer immediately; servers clamp large values.
 	WaitSeconds int `json:"wait_seconds,omitempty"`
-	// Chunk opts in to a chunked grant (CellLease.More may be
-	// non-empty); without it the grant is exactly one cell.
-	Chunk bool `json:"chunk,omitempty"`
 }
 
 // CellLease is one cell checked out to one worker: everything the

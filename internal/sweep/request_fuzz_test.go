@@ -2,37 +2,61 @@ package sweep_test
 
 import (
 	"encoding/json"
+	"math"
+	"strconv"
+	"strings"
 	"testing"
 
+	"tctp/internal/field"
 	"tctp/internal/sweep"
 	"tctp/internal/sweep/build"
 	"tctp/internal/sweep/protocol"
 )
 
-// maxFuzzCells bounds the plans FuzzSweepRequest enumerates: a short
-// request can name a grid of millions of cells, and planning one is a
-// test of memory, not of the builder.
+// maxFuzzCells bounds the plans FuzzSweepRequest enumerates, well
+// under MaxPlanCells: planning tens of thousands of cells per input
+// would slow the fuzzer without testing the builder any further.
 const maxFuzzCells = 4096
 
-// gridBound is an upper bound on the cells a spec plans: the product
-// of its axis lengths, an empty axis counting as its one default.
-func gridBound(s *sweep.Spec) int {
-	n := 1
-	fleets := len(s.Fleets)
-	if fleets == 0 {
-		fleets = max(1, len(s.Mules)) * max(1, len(s.Speeds))
-	}
-	for _, l := range []int{
-		len(s.Algorithms), len(s.Targets), fleets, len(s.Placements),
-		len(s.Horizons), len(s.Battery), len(s.VIPs), len(s.VIPWeights),
-		len(s.Workloads), len(s.Partitions), len(s.Failures),
-	} {
-		n *= max(1, l)
-		if n > maxFuzzCells {
-			return n
+// TestGridCells counts the cells a spec spans without planning it:
+// a request of a few hundred bytes naming 30 values on each of five
+// axes spans 30⁵ cells, and a product past math.MaxInt saturates.
+// Both are far over MaxPlanCells.
+func TestGridCells(t *testing.T) {
+	axis := func(f func(i int) string) string {
+		vals := make([]string, 30)
+		for i := range vals {
+			vals[i] = f(i)
 		}
+		return strings.Join(vals, ",")
 	}
-	return n
+	req := protocol.SweepRequest{
+		Algorithms: "btctp",
+		Targets:    axis(func(i int) string { return strconv.Itoa(10 + i) }),
+		Mules:      axis(func(i int) string { return strconv.Itoa(1 + i) }),
+		Speeds:     axis(func(i int) string { return strconv.Itoa(1 + i) }),
+		Partition:  axis(func(i int) string { return "kmeans:" + strconv.Itoa(2+i) }),
+		Failures:   axis(func(i int) string { return "0." + strconv.Itoa(10+i) }),
+	}
+	spec, err := build.Spec(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := spec.GridCells(), 30*30*30*30*30; got != want {
+		t.Fatalf("30⁵ request spans %d cells, want %d", got, want)
+	}
+
+	wide := make([]int, 1000)
+	huge := sweep.Spec{
+		Algorithms: spec.Algorithms,
+		Targets:    wide, Mules: wide, VIPs: wide, VIPWeights: wide,
+		Placements: make([]field.Placement, 1000),
+		Horizons:   make([]float64, 1000),
+		Battery:    make([]bool, 1000),
+	}
+	if got := huge.GridCells(); got != math.MaxInt {
+		t.Fatalf("a 1000⁷-cell spec counts %d cells, want math.MaxInt", got)
+	}
 }
 
 // FuzzSweepRequest drives the server's submit path across its trust
@@ -50,7 +74,7 @@ func FuzzSweepRequest(f *testing.F) {
 			return
 		}
 		spec, err := build.Spec(req)
-		if err != nil || gridBound(&spec) > maxFuzzCells {
+		if err != nil || spec.GridCells() > maxFuzzCells {
 			return
 		}
 		job, err := sweep.Plan(spec)

@@ -361,10 +361,13 @@ func TestWorkerErrorFailsSweepEarly(t *testing.T) {
 		t.Fatalf("failed sweep's result: HTTP %d %q", resp.StatusCode, msg)
 	}
 	st := serverStats(t, ts).Scheduler
-	if st.QueueLen != 0 || st.Withdrawn != 7 || st.Leased != 1 || st.ActiveLeases != 0 {
+	// The lease took ceil(8/2) = 4 cells; the 4 queued behind it are
+	// withdrawn, and the chunk's other 3 leases stay held until they
+	// expire.
+	if st.QueueLen != 0 || st.Withdrawn != 4 || st.Leased != 4 || st.ActiveLeases != 3 {
 		t.Fatalf("failed sweep left work behind: %+v", st)
 	}
-	if status, body := postJSON(t, ts.URL+"/workers/lease", protocol.LeaseRequest{Worker: "w2", Chunk: true}); status != http.StatusNoContent {
+	if status, body := postJSON(t, ts.URL+"/workers/lease", protocol.LeaseRequest{Worker: "w2"}); status != http.StatusNoContent {
 		t.Fatalf("lease after the sweep failed: HTTP %d %s", status, body)
 	}
 }
@@ -439,7 +442,7 @@ func TestConcurrentSweepsShareFleet(t *testing.T) {
 	// cells queued when the second sweep's chunk is granted.
 	var sweeps []string
 	for range 2 {
-		status, body := postJSON(t, ts.URL+"/workers/lease", protocol.LeaseRequest{Worker: "hand", Chunk: true})
+		status, body := postJSON(t, ts.URL+"/workers/lease", protocol.LeaseRequest{Worker: "hand"})
 		var l protocol.CellLease
 		if status != http.StatusOK || json.Unmarshal(body, &l) != nil {
 			t.Fatalf("lease: HTTP %d %s", status, body)

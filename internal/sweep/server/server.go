@@ -31,8 +31,8 @@
 // -workers remote), the server stops computing cells in-process and
 // instead serves a worker fleet over three more endpoints:
 //
-//	POST /workers/lease          long-poll for a CellLease (204 = no work);
-//	                             "chunk": true opts in to several cells
+//	POST /workers/lease          long-poll for a chunk of leases, one
+//	                             CellLease (204 = no work)
 //	POST /workers/result         post leased cells' FoldStates; stale
 //	                             leases answer 409, invalid states 422
 //	POST /workers/heartbeat      extend leases mid-computation
@@ -473,9 +473,8 @@ func (s *Server) requireDispatch(w http.ResponseWriter) bool {
 	return true
 }
 
-// handleLease long-polls the scheduler for one cell lease, or a chunk
-// of them when the request opts in. 204 means the poll elapsed with no
-// work.
+// handleLease long-polls the scheduler for a chunk of cell leases.
+// 204 means the poll elapsed with no work.
 func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	if !s.requireDispatch(w) {
 		return
@@ -498,11 +497,7 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), time.Duration(wait)*time.Second)
 	defer cancel()
-	lease := s.cfg.Dispatch.Lease
-	if req.Chunk {
-		lease = s.cfg.Dispatch.LeaseChunk
-	}
-	granted, err := lease(ctx, req.Worker)
+	granted, err := s.cfg.Dispatch.Lease(ctx, req.Worker)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, "lease: %v", err)
 		return

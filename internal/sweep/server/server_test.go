@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -247,6 +248,34 @@ func TestBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown id: status %s, want 404", resp.Status)
+	}
+}
+
+// TestOversizedPlanRefused: a request whose axes span just over
+// sweep.MaxPlanCells cells (257 target counts × 256 fleet sizes) is
+// refused with 400 before it is planned.
+func TestOversizedPlanRefused(t *testing.T) {
+	ts := newServer(t, server.Config{})
+	axis := func(n int) string {
+		vals := make([]string, n)
+		for i := range vals {
+			vals[i] = strconv.Itoa(i + 1)
+		}
+		return strings.Join(vals, ",")
+	}
+	req := protocol.SweepRequest{Algorithms: "btctp", Targets: axis(257), Mules: axis(256), Seeds: 1, Horizon: 100}
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/sweeps", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "65792 cells") {
+		t.Fatalf("a %d-cell request: %s %q, want 400 naming its size", 257*256, resp.Status, msg)
 	}
 }
 

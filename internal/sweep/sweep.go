@@ -17,9 +17,11 @@
 // # Determinism
 //
 // Replication r of every cell derives all randomness from the seed
-// BaseSeed+r via two independent SplitMix64 streams: ScenarioSource
-// feeds scenario generation, AlgorithmSource feeds algorithm
-// randomness. Per-cell aggregation folds replications in seed order
+// BaseSeed+r through the five independent streams of
+// scenario.SeedStreams (scenario, algorithm, workload, partition,
+// failure), wired into the run as scenario.Scenario.Run wires them, so
+// a one-seed sweep of a scenario replicates Scenario.Run bit for bit.
+// Per-cell aggregation folds replications in seed order
 // (out-of-order arrivals are buffered until their predecessors land),
 // and cells are emitted to sinks in declaration order, so the output
 // is bit-identical regardless of worker count.
@@ -201,7 +203,8 @@ func ParsePartition(s string) (Partition, error) {
 // injection the cell's fleet is subjected to. The zero Failure (rate
 // 0) means the static world and is the axis's single default value.
 // Enabled failures derive each replication's kill schedule from the
-// dedicated failure stream (FailureSource): every mule independently
+// replication's failure stream (scenario.Streams.Failure), after any
+// scenario-event attrition picks: every mule independently
 // dies with probability Rate at a uniform time before the horizon, and
 // the fleet answers with the Handoff policy.
 type Failure struct {
@@ -268,8 +271,8 @@ func ParseFailure(s string) (Failure, error) {
 }
 
 // Variant is one value of the algorithm axis: a named constructor for
-// the algorithm under test. Make receives the replication's
-// AlgorithmSource so constructions that embed randomness (e.g. the
+// the algorithm under test. Make receives a copy of the replication's
+// algorithm stream so constructions that embed randomness (e.g. the
 // random break-edge policy) stay deterministic per seed.
 type Variant struct {
 	Name string
@@ -466,7 +469,8 @@ type Spec struct {
 	Scenario func(p Point, src *xrand.Source) *field.Scenario
 	// Progress, when non-nil, is called after every completed
 	// replication and cell. It runs under the engine lock: keep it
-	// fast and do not call back into the engine.
+	// fast and do not call back into the engine. Totals are job-local:
+	// a shard reports its own cells.
 	Progress func(pr Progress)
 }
 
@@ -697,13 +701,44 @@ type cellDef struct {
 	axes []byte
 }
 
+// MaxPlanCells bounds the cells one plan may enumerate, skipped cells
+// included. A sweep request of a few hundred bytes can name an axis
+// product of millions of cells; Plan refuses it before allocating
+// anything.
+const MaxPlanCells = 1 << 16
+
+// GridCells returns the number of cells the spec's axes span before
+// skipping: the product of its axis lengths, an empty axis counting as
+// its one default. A product that overflows int saturates at
+// math.MaxInt.
+func (s Spec) GridCells() int {
+	sp := s.withDefaults()
+	axes := []int{
+		len(sp.Algorithms), len(sp.Targets), len(sp.Placements),
+		len(sp.Horizons), len(sp.Battery), len(sp.VIPs), len(sp.VIPWeights),
+		len(sp.Workloads), len(sp.Partitions), len(sp.Failures),
+	}
+	if len(sp.Fleets) > 0 {
+		axes = append(axes, len(sp.Fleets))
+	} else {
+		axes = append(axes, len(sp.Mules), len(sp.Speeds))
+	}
+	n := 1
+	for _, l := range axes {
+		if l > 0 && n > math.MaxInt/l {
+			return math.MaxInt
+		}
+		n *= l
+	}
+	return n
+}
+
 // cells enumerates the cartesian product in canonical order
-// (Algorithms outermost, Failures innermost).
+// (Algorithms outermost, Failures innermost). Plan bounds its size
+// first.
 func (s *Spec) cells() []cellDef {
 	fleets := s.fleetChoices()
-	out := make([]cellDef, 0, len(s.Algorithms)*len(s.Targets)*len(fleets)*
-		len(s.Placements)*len(s.Horizons)*len(s.Battery)*len(s.VIPs)*
-		len(s.VIPWeights)*len(s.Workloads)*len(s.Partitions)*len(s.Failures))
+	out := make([]cellDef, 0, s.GridCells())
 	for _, v := range s.Algorithms {
 		for _, nt := range s.Targets {
 			for _, fc := range fleets {
@@ -749,73 +784,6 @@ func (s *Spec) cells() []cellDef {
 		}
 	}
 	return out
-}
-
-// Points returns every cell of the sweep (before skipping) in
-// canonical enumeration order.
-func (s Spec) Points() []Point {
-	sp := s.withDefaults()
-	defs := sp.cells()
-	out := make([]Point, len(defs))
-	for i, d := range defs {
-		out[i] = d.point
-	}
-	return out
-}
-
-// ScenarioSource derives the scenario-generation stream for a
-// replication seed. It is the engine-wide seed-derivation contract,
-// shared with internal/experiment: scenario randomness and algorithm
-// randomness are independent SplitMix64 streams of the same seed, so
-// changing an algorithm's internal randomness never perturbs the
-// workload it runs on.
-func ScenarioSource(seed uint64) *xrand.Source {
-	return xrand.New(seed).Split()
-}
-
-// AlgorithmSource derives the algorithm-randomness stream (random
-// baseline picks, k-means seeding, random break edges) for a
-// replication seed.
-func AlgorithmSource(seed uint64) *xrand.Source {
-	s := xrand.New(seed)
-	s.Split() // skip the scenario stream
-	return s.Split()
-}
-
-// WorkloadSource derives the workload-randomness stream (burst
-// arrival processes) for a replication seed — stream 3 of the seed,
-// matching scenario.Scenario.Run's derivation.
-func WorkloadSource(seed uint64) *xrand.Source {
-	s := xrand.New(seed)
-	s.Split() // scenario stream
-	s.Split() // algorithm stream
-	return s.Split()
-}
-
-// PartitionSource derives the partition-randomness stream (k-means
-// seeding of the Partitions axis) for a replication seed — stream 4,
-// independent of the algorithm's own randomness so enabling a
-// partition never perturbs the variant's stream.
-func PartitionSource(seed uint64) *xrand.Source {
-	s := xrand.New(seed)
-	s.Split() // scenario stream
-	s.Split() // algorithm stream
-	s.Split() // workload stream
-	return s.Split()
-}
-
-// FailureSource derives the failure-injection stream (the Failures
-// axis's kill schedules and scenario-event attrition picks) for a
-// replication seed — stream 5, independent of every other stream so
-// enabling failure injection never perturbs the world the fleet
-// patrols or the algorithm's own randomness.
-func FailureSource(seed uint64) *xrand.Source {
-	s := xrand.New(seed)
-	s.Split() // scenario stream
-	s.Split() // algorithm stream
-	s.Split() // workload stream
-	s.Split() // partition stream
-	return s.Split()
 }
 
 // cellScenario derives the declarative scenario of a cell: the point's

@@ -156,7 +156,7 @@ func (w *worker) pullLease(ctx context.Context) (*protocol.CellLease, error) {
 	// hung connection cannot park the slot forever.
 	rctx, cancel := context.WithTimeout(ctx, w.opts.Poll+15*time.Second)
 	defer cancel()
-	req := protocol.LeaseRequest{Worker: w.opts.ID, WaitSeconds: int(w.opts.Poll / time.Second), Chunk: true}
+	req := protocol.LeaseRequest{Worker: w.opts.ID, WaitSeconds: int(w.opts.Poll / time.Second)}
 	status, body, err := w.post(rctx, "/workers/lease", req)
 	if err != nil {
 		return nil, err
@@ -357,7 +357,7 @@ func (w *worker) beat(ctx context.Context, ch *chunk, timeout time.Duration) {
 		return
 	}
 	hctx, cancel := context.WithTimeout(ctx, timeout)
-	status, body, err := w.post(hctx, "/workers/heartbeat", hb)
+	_, body, err := w.post(hctx, "/workers/heartbeat", hb)
 	cancel()
 	if err != nil {
 		return // transient; the next beat retries
@@ -367,7 +367,6 @@ func (w *worker) beat(ctx context.Context, ch *chunk, timeout time.Duration) {
 		return
 	}
 	acks := append([]protocol.LeaseAck{ack}, ack.More...)
-	acks[0].Stale = ack.Stale || status == http.StatusConflict
 	ch.mu.Lock()
 	defer ch.mu.Unlock()
 	for k, i := range idx {
@@ -418,7 +417,7 @@ func (w *worker) flush(ctx context.Context, ch *chunk) {
 			case k >= len(acks):
 				w.opts.Logf("worker %s: result of lease %s not acked: %s", w.opts.ID, r.Lease, httpError(status, body))
 			case acks[k].Accepted:
-			case acks[k].Stale || (k == 0 && status == http.StatusConflict):
+			case acks[k].Stale:
 				w.opts.Logf("worker %s: result of lease %s refused as stale (cell was reassigned)", w.opts.ID, r.Lease)
 			default:
 				msg := acks[k].Error

@@ -4,7 +4,7 @@ package worker
 // chunks outlive the lease TTL on heartbeats, finished results reach
 // the server within a heartbeat interval, a stale lease skips only its
 // cell, a worker killed mid-chunk loses nothing but time, and a lease
-// request that does not opt in to a chunk gets one cell.
+// request that still sends the retired chunk field gets the same grant.
 
 import (
 	"bytes"
@@ -206,42 +206,39 @@ func slowly(d time.Duration) func(*sweep.Job, context.Context, int) (protocol.Fo
 	}
 }
 
-// TestBareLeaseGetsOneCell: a lease request that does not opt in to a
-// chunk (an older worker, or curl) is granted exactly one cell, while
-// a chunked request is granted ceil(Q/2W) of them.
-func TestBareLeaseGetsOneCell(t *testing.T) {
-	f := newFleet(t, 30*time.Second)
-	req := request(8)
-	id := f.submit(req, 8)
+// TestLeaseGrantIgnoresChunkField: every lease request is granted a
+// chunk of ceil(Q/2W) cells. A body that still sends the retired
+// "chunk" field decodes unchanged, since unknown fields are ignored, so
+// the same queue grants the same cells with the field and without it.
+func TestLeaseGrantIgnoresChunkField(t *testing.T) {
+	for _, body := range []string{`{"worker":"w1"}`, `{"worker":"w1","chunk":true}`} {
+		f := newFleet(t, 30*time.Second)
+		id := f.submit(request(8), 8)
 
-	status, body := f.post("/workers/lease", protocol.LeaseRequest{Worker: "bare"})
-	var bare protocol.CellLease
-	if status != http.StatusOK || json.Unmarshal(body, &bare) != nil {
-		t.Fatalf("bare lease: HTTP %d %s", status, body)
-	}
-	if len(bare.More) != 0 || bare.Cell != 0 {
-		t.Fatalf("bare lease granted cell %d and %d more, want cell 0 alone", bare.Cell, len(bare.More))
-	}
-	// 7 cells queued, 2 live workers (bare holds a lease, chunky polls):
-	// ceil(7/4) = 2 cells.
-	status, body = f.post("/workers/lease", protocol.LeaseRequest{Worker: "chunky", Chunk: true})
-	var chunk protocol.CellLease
-	if status != http.StatusOK || json.Unmarshal(body, &chunk) != nil {
-		t.Fatalf("chunked lease: HTTP %d %s", status, body)
-	}
-	if chunk.Cell != 1 || len(chunk.More) != 1 || chunk.More[0].Cell != 2 {
-		t.Fatalf("chunked lease granted cell %d and %+v, want cells 1 and 2", chunk.Cell, chunk.More)
-	}
-
-	// Fail the sweep so nothing is left waiting: its queued cells are
-	// withdrawn.
-	f.post("/workers/result", protocol.FoldResult{Lease: bare.ID, Key: bare.Key, Error: "test over"})
-	deadline := time.Now().Add(10 * time.Second)
-	for st := f.sched.Stats(); st.QueueLen != 0 || st.Withdrawn != 5; st = f.sched.Stats() {
-		if time.Now().After(deadline) {
-			t.Fatalf("failed sweep %s left cells queued: %+v", id, st)
+		status, resp := f.post("/workers/lease", json.RawMessage(body))
+		var l protocol.CellLease
+		if status != http.StatusOK || json.Unmarshal(resp, &l) != nil {
+			t.Fatalf("lease %s: HTTP %d %s", body, status, resp)
 		}
-		time.Sleep(time.Millisecond)
+		// 8 cells queued, 1 live worker: ceil(8/2) = 4 cells.
+		got := []int{l.Cell}
+		for _, c := range l.More {
+			got = append(got, c.Cell)
+		}
+		if !slices.Equal(got, []int{0, 1, 2, 3}) {
+			t.Fatalf("lease %s granted cells %v, want 0-3", body, got)
+		}
+
+		// Fail the sweep so nothing is left waiting: its queued cells
+		// are withdrawn.
+		f.post("/workers/result", protocol.FoldResult{Lease: l.ID, Key: l.Key, Error: "test over"})
+		deadline := time.Now().Add(10 * time.Second)
+		for st := f.sched.Stats(); st.QueueLen != 0 || st.Withdrawn != 4; st = f.sched.Stats() {
+			if time.Now().After(deadline) {
+				t.Fatalf("failed sweep %s left cells queued: %+v", id, st)
+			}
+			time.Sleep(time.Millisecond)
+		}
 	}
 }
 
