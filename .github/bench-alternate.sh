@@ -27,10 +27,11 @@ base=${4:+$(realpath "$4")}
 #      or n=15 for the exact solver), 5 iterations per run;
 #   2. the engine microbenchmarks and the service hot paths, 2000
 #      iterations per run;
-#   3. the root package's simulation benchmarks, 5 iterations per run.
+#   3. the root package's simulation and cell benchmarks, 5 iterations
+#      per run.
 bench1='^(BenchmarkPlanNearestNeighbor|BenchmarkPlanGreedyEdge|BenchmarkPlanConvexHullInsertion|BenchmarkPlanKMeans|BenchmarkPlanFleet|BenchmarkPlanRegions|BenchmarkPlanCHBAssign|BenchmarkReplanAbsorb|BenchmarkOptimalHeldKarp|BenchmarkCellSimulation)$/^n=(1000|15)$'
 bench2='^(BenchmarkEngine|BenchmarkEngineCancel|BenchmarkCacheHitSweep|BenchmarkCacheDedup|BenchmarkRemoteDispatch|BenchmarkServerWarmSweep)$'
-bench3='^(BenchmarkSimulationThroughput|BenchmarkSimulationEngine|BenchmarkSimulationExclusive|BenchmarkSimulationExclusiveRegions)$'
+bench3='^(BenchmarkSimulationThroughput|BenchmarkSimulationEngine|BenchmarkSimulationExclusive|BenchmarkSimulationExclusiveRegions|BenchmarkCellExclusive)$'
 
 # build compiles, for the checkout $1, the test binary of every
 # package with tests into the directory $2, and lists the package

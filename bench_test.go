@@ -256,6 +256,31 @@ func BenchmarkSimulationExclusive(b *testing.B) {
 	}
 }
 
+// BenchmarkCellExclusive is BenchmarkSimulationExclusive's
+// replication plus the default metrics a sweep cell reads of it at the
+// warm-up cut: avg_dcdt_s, avg_sd_s and max_interval_s, which share
+// one gap summary. Most of its intervals are the parked mules', which
+// the summary folds one binade segment at a time without writing their
+// visits out. Like BenchmarkSimulationExclusive it takes a new
+// recorder each time rather than a released one, whose pool misses
+// when the goroutine changes processor, so its allocs/op stay exact
+// for the CI gate.
+func BenchmarkCellExclusive(b *testing.B) {
+	s := field.Generate(field.Config{NumTargets: 10, NumMules: 8, Placement: field.Uniform},
+		xrand.New(5))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		res, err := patrol.Run(s, patrol.Planned(&baseline.Sweep{}), patrol.Options{}, xrand.New(1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		rec, warm := res.Recorder, res.PatrolStart+1
+		if rec.AvgDCDTAfter(warm) <= 0 || rec.AvgSDAfter(warm) < 0 || rec.MaxInterval() <= 0 {
+			b.Fatal("implausible metrics")
+		}
+	}
+}
+
 // BenchmarkSimulationExclusiveRegions measures one Sweep replication
 // on a 50-target, 4-mule uniform field at the default 100 000 s
 // horizon: each mule runs ahead of the event heap around a region of

@@ -267,7 +267,8 @@ func appendLoop(r *Recorder, target int, t0, step, t float64, limit int) (next f
 // same next time and count, bit for bit, the same panic on a t0 before
 // the log's last visit when runs are not allowed, and, when they are,
 // the same logs after MergeRuns. A span of more than 4096 visits is
-// cut at the 4096th.
+// cut at the 4096th. It reads the logs through VisitTimes, which writes
+// a span out first; FuzzParkedSpan reads the spans unwritten.
 func FuzzAppendEvery(f *testing.F) {
 	f.Add(0.0, 1.0, 10.0, []byte{}, false)
 	f.Add(131071.5, 0.3, 131076.0, []byte{1, 2}, false)

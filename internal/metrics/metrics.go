@@ -8,11 +8,22 @@
 //     interval each visit closes, in time order over all targets;
 //   - the per-target SD of Figs. 8 and 10 — the sample standard
 //     deviation of a target's consecutive visiting intervals.
+//
+// A mule parked alone at one target visits it every dwell for the rest
+// of the run. AppendEvery keeps such a run of visits as a span: the log
+// holds only its first and last times, and a side list its count and
+// step. The gap summary behind AvgDCDTAfter, AvgSDAfter and MaxInterval
+// folds a span one binade segment at a time (stats.StepRuns and
+// stats.AddN), where each interval and each partial sum is the one the
+// written-out log gives, bit for bit. Every other reader, VisitTimes
+// first, writes the span out on its first read, with the chained sums
+// the mule's loop takes, so its bytes are what they would have been.
 package metrics
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -42,7 +53,26 @@ type Recorder struct {
 	// summary), valid while gapsOK; every change to a log clears it.
 	gaps   gapSummary
 	gapsOK bool
+	// spans are the runs of parked visits AppendEvery left unwritten,
+	// in (target, at) order, held in spanBuf until they outgrow it: a
+	// run with a mule parked at each of up to 8 targets, as many as the
+	// paper grid's largest fleet, allocates none.
+	spans   []span
+	spanBuf [8]span
 }
+
+// span is a run of n visits, a parked mule's: the first at the log's
+// index at, each later one the one before plus step, summed one step at
+// a time. The log holds only the first and the last, at at+1; the n−2
+// between them are written out when a reader needs them (writeOut).
+type span struct {
+	target, at, n int
+	step          float64
+}
+
+// spanMin is the fewest visits AppendEvery keeps as a span; a shorter
+// run is written out at once.
+const spanMin = 64
 
 // recorders holds released recorders for NewRecorderCap to reuse.
 // released records that Release has ever run: until then
@@ -87,6 +117,10 @@ func NewRecorderCap(nTargets int, caps []int) *Recorder {
 // NewRecorderCap describes, reusing what r holds.
 func (r *Recorder) reset(nTargets int, caps []int) {
 	r.runs, r.breaks, r.merged, r.used, r.gapsOK = false, 0, 0, 0, false
+	if r.spans == nil {
+		r.spans = r.spanBuf[:0]
+	}
+	r.spans = r.spans[:0]
 	if cap(r.visits) < nTargets {
 		r.visits = make([][]float64, nTargets)
 	}
@@ -165,7 +199,13 @@ func (r *Recorder) Append(target int, t float64) {
 // a time, never t0 + k·step — while it is at or before t. It returns
 // the first time past t and how many it appended, and appends exactly
 // what Append would, called on each time in turn: a t0 earlier than the
-// log's last visit starts a run, or panics. step must be positive.
+// log's last visit starts a run, or panics. step must be positive, and
+// must move the time: a step the sum absorbs before t panics.
+//
+// It counts the visits one binade segment at a time (stats.StepRuns),
+// and keeps a run of spanMin or more as a span: the log gets only the
+// first and the last time, as Append's order check needs, and the rest
+// are written out when a reader other than the gap summary asks.
 func (r *Recorder) AppendEvery(target int, t0, step, t float64) (next float64, n int) {
 	if !(step > 0) {
 		panic(fmt.Sprintf("metrics: AppendEvery step %v", step))
@@ -180,13 +220,77 @@ func (r *Recorder) AppendEvery(target int, t0, step, t float64) (next float64, n
 		}
 		r.breaks++
 	}
-	k := len(ts)
-	for ; t0 <= t; t0 += step {
-		ts = append(ts, t0)
+	r.gapsOK = false
+	last := t0
+	n = 1
+	stats.StepRuns(t0, step, math.MaxInt, func(iv, base float64, k int) bool {
+		if !(iv > 0) {
+			panic(fmt.Sprintf("metrics: AppendEvery step %v absorbed at %v", step, base))
+		}
+		// The run's later ends are base + (i+1)·iv for i < k.
+		i := sort.Search(k, func(i int) bool { return !(base+float64(float64(i+1)*iv) <= t) })
+		n += i
+		if i == k {
+			return true
+		}
+		last, next = base+float64(float64(i)*iv), base+float64(float64(i+1)*iv)
+		return false
+	})
+	if n < spanMin {
+		for ; t0 <= t; t0 += step {
+			ts = append(ts, t0)
+		}
+		r.visits[target] = ts
+		return t0, n
+	}
+	r.visits[target] = append(ts, t0, last)
+	i := len(r.spans)
+	for i > 0 && r.spans[i-1].target > target {
+		i--
+	}
+	r.spans = slices.Insert(r.spans, i, span{target: target, at: len(ts), n: n, step: step})
+	return next, n
+}
+
+// ownSpans returns the spans of target's log, a range of r.spans.
+func (r *Recorder) ownSpans(target int) (lo, hi int) {
+	for lo < len(r.spans) && r.spans[lo].target < target {
+		lo++
+	}
+	for hi = lo; hi < len(r.spans) && r.spans[hi].target == target; hi++ {
+	}
+	return lo, hi
+}
+
+// writeOut writes target's spans out into its log, each visit the one
+// before plus the step, as the parked mule's loop sums them, and drops
+// them: the log then holds every visit, as Append would have left it.
+// It moves the log's later visits up in place when its capacity allows,
+// which a recorder sized by NewRecorderCap's capacities does.
+func (r *Recorder) writeOut(target int) {
+	lo, hi := r.ownSpans(target)
+	if lo == hi {
+		return
+	}
+	ts := r.visits[target]
+	src, grow := len(ts), 0
+	for _, sp := range r.spans[lo:hi] {
+		grow += sp.n - 2
+	}
+	ts = slices.Grow(ts, grow)[:src+grow]
+	end := len(ts)
+	for i := hi - 1; i >= lo; i-- {
+		sp := r.spans[i]
+		end -= copy(ts[end-(src-sp.at-2):end], ts[sp.at+2:src])
+		x := ts[sp.at]
+		for j := end - sp.n; j < end; j++ {
+			ts[j] = x
+			x += sp.step
+		}
+		end, src = end-sp.n, sp.at
 	}
 	r.visits[target] = ts
-	r.gapsOK = false
-	return t0, len(ts) - k
+	r.spans = slices.Delete(r.spans, lo, hi)
 }
 
 // AllowRuns readies r for a simulation whose mules do not all record
@@ -207,6 +311,15 @@ func (r *Recorder) MergeRuns() {
 	r.runs, r.merged, r.gapsOK = false, 0, false
 	if r.breaks == 0 {
 		return
+	}
+	// A span lies inside one run, so a log whose stored times descend
+	// somewhere has runs to merge, and its spans are written out first.
+	for i := 0; i < len(r.spans); {
+		if t := r.spans[i].target; !slices.IsSorted(r.visits[t]) {
+			r.writeOut(t) // drops t's spans, the next one's at i
+			continue
+		}
+		i++
 	}
 	longest := 0
 	for _, ts := range r.visits {
@@ -320,8 +433,13 @@ func (r *Recorder) OnDeath(int, float64, geom.Point) {}
 func (r *Recorder) OnRecharge(int, float64) {}
 
 // VisitTimes returns the visit timestamps of target in order: the
-// recorder's own log, which the caller must not modify.
+// recorder's own log, which the caller must not modify. Its first call
+// on a target with a span (see AppendEvery) writes the span out, which
+// allocates when the log's capacity is short of it.
 func (r *Recorder) VisitTimes(target int) []float64 {
+	if len(r.spans) > 0 {
+		r.writeOut(target)
+	}
 	return r.visits[target]
 }
 
@@ -330,7 +448,7 @@ func (r *Recorder) VisitTimes(target int) []float64 {
 // the consecutive differences of the suffix are the target's
 // visiting intervals after t0.
 func (r *Recorder) visitsAfter(target int, t0 float64) []float64 {
-	ts := r.visits[target]
+	ts := r.VisitTimes(target)
 	return ts[sort.SearchFloat64s(ts, t0):]
 }
 
@@ -354,7 +472,9 @@ func meanGap(ts []float64) float64 {
 // sdGap is stats.SampleSD of the consecutive differences of ts (0 for
 // fewer than three visits), bit-identical to it in the way meanGap is
 // to stats.Mean: the same two passes over the same values in the same
-// order.
+// order. Here, in summary and in SampleSD, the conversion float64(d*d)
+// rounds the square before the add, where a fused multiply-add would
+// not, so the sums agree on every GOARCH.
 func sdGap(ts []float64) float64 {
 	n := len(ts) - 1
 	if n < 2 {
@@ -364,7 +484,7 @@ func sdGap(ts []float64) float64 {
 	s := 0.0
 	for i := 1; i < len(ts); i++ {
 		d := ts[i] - ts[i-1] - m
-		s += d * d
+		s += float64(d * d)
 	}
 	return math.Sqrt(s / float64(n-1))
 }
@@ -374,7 +494,7 @@ func sdGap(ts []float64) float64 {
 // (SD = sqrt(1/(n−1)·Σ(t_k − t̄)²) over the n intervals). Targets with
 // fewer than two intervals yield 0.
 func (r *Recorder) SD(target int) float64 {
-	return sdGap(r.visits[target])
+	return sdGap(r.VisitTimes(target))
 }
 
 // SDAfter is SD restricted to visits at or after t0.
@@ -411,29 +531,40 @@ type gapSummary struct{ t0, avgDCDT, avgSD, max float64 }
 // again for the SD with that mean, as sdGap does. Each metric sums,
 // folds and compares the same values in the same order as meanGap,
 // sdGap and MaxIntervalOver (the oracles), so each is bit-identical to
-// its own pass.
+// its own pass. A log with spans is walked in runs of equal intervals
+// (see spanRuns), which leaves its spans unwritten.
 func (r *Recorder) summary(t0 float64) gapSummary {
 	if r.gapsOK && r.gaps.t0 == t0 {
 		return r.gaps
 	}
 	var dcdt, sd stats.Accumulator
 	most := 0.0
-	for _, ts := range r.visits {
-		k := sort.SearchFloat64s(ts, t0)
-		for i := 1; i <= k && i < len(ts); i++ {
-			if iv := ts[i] - ts[i-1]; iv > most {
-				most = iv
-			}
+	for target, ts := range r.visits {
+		var own []span
+		if len(r.spans) > 0 {
+			lo, hi := r.ownSpans(target)
+			own = r.spans[lo:hi]
 		}
-		s := 0.0
-		for i := k + 1; i < len(ts); i++ {
-			iv := ts[i] - ts[i-1]
-			if iv > most {
-				most = iv
+		var s float64
+		var n int // the intervals past the cut
+		if len(own) > 0 {
+			s, n = spannedSum(ts, own, t0, &most)
+		} else {
+			k := sort.SearchFloat64s(ts, t0)
+			for i := 1; i <= k && i < len(ts); i++ {
+				if iv := ts[i] - ts[i-1]; iv > most {
+					most = iv
+				}
 			}
-			s += iv
+			for i := k + 1; i < len(ts); i++ {
+				iv := ts[i] - ts[i-1]
+				if iv > most {
+					most = iv
+				}
+				s += iv
+			}
+			n = len(ts) - k - 1
 		}
-		n := len(ts) - k - 1 // the intervals past the cut
 		if n < 1 {
 			continue
 		}
@@ -442,15 +573,77 @@ func (r *Recorder) summary(t0 float64) gapSummary {
 		if n < 2 {
 			continue
 		}
-		s = 0
-		for i := k + 1; i < len(ts); i++ {
-			d := ts[i] - ts[i-1] - m
-			s += d * d
+		if len(own) > 0 {
+			s = spannedSquares(ts, own, t0, m)
+		} else {
+			s = 0
+			for i := len(ts) - n; i < len(ts); i++ {
+				d := ts[i] - ts[i-1] - m
+				s += float64(d * d)
+			}
 		}
 		sd.Add(math.Sqrt(s / float64(n-1)))
 	}
 	r.gaps, r.gapsOK = gapSummary{t0: t0, avgDCDT: dcdt.Mean(), avgSD: sd.Mean(), max: most}, true
 	return r.gaps
+}
+
+// spanRuns calls fold with the intervals of a log holding spans, own,
+// in order, as runs of equal intervals: the run (iv, base, n) is n
+// intervals of iv whose earlier ends are base + i·iv, exactly, for
+// i < n. Between two stored times that are no span's ends, a run is
+// one interval; a span's runs are its binade segments (stats.StepRuns).
+func spanRuns(ts []float64, own []span, fold func(iv, base float64, n int)) {
+	yield := func(iv, base float64, n int) bool {
+		fold(iv, base, n)
+		return true
+	}
+	at := 0
+	for _, sp := range own {
+		for i := at + 1; i <= sp.at; i++ {
+			fold(ts[i]-ts[i-1], ts[i-1], 1)
+		}
+		stats.StepRuns(ts[sp.at], sp.step, sp.n-1, yield)
+		at = sp.at + 1
+	}
+	for i := at + 1; i < len(ts); i++ {
+		fold(ts[i]-ts[i-1], ts[i-1], 1)
+	}
+}
+
+// pastCut returns how many intervals of the run (iv, base, n) lie past
+// the cut t0, those whose earlier end is at or after it, as
+// sort.SearchFloat64s places the cut in a log.
+func pastCut(iv, base float64, n int, t0 float64) int {
+	return n - sort.Search(n, func(i int) bool { return base+float64(float64(i)*iv) >= t0 })
+}
+
+// spannedSum is summary's first pass over a log with spans: it raises
+// *most to the log's longest interval and returns the sum and count of
+// the intervals past the cut, each run past it added in one
+// stats.AddN, which is the sum one interval at a time.
+func spannedSum(ts []float64, own []span, t0 float64, most *float64) (s float64, n int) {
+	spanRuns(ts, own, func(iv, base float64, k int) {
+		if iv > *most {
+			*most = iv
+		}
+		if k = pastCut(iv, base, k, t0); k > 0 {
+			s, n = stats.AddN(s, iv, k), n+k
+		}
+	})
+	return s, n
+}
+
+// spannedSquares is summary's second pass over a log with spans: the
+// sum of the squared deviations from m of the intervals past the cut.
+func spannedSquares(ts []float64, own []span, t0, m float64) (s float64) {
+	spanRuns(ts, own, func(iv, base float64, k int) {
+		if k = pastCut(iv, base, k, t0); k > 0 {
+			d := iv - m
+			s = stats.AddN(s, float64(d*d), k)
+		}
+	})
+	return s
 }
 
 // AvgSD returns the SD metric averaged over all targets that have at
@@ -515,6 +708,9 @@ func (r *Recorder) MaxInterval() float64 {
 func (r *Recorder) EventDCDTSeries(maxK int) []float64 {
 	type event struct {
 		t, interval float64
+	}
+	for len(r.spans) > 0 {
+		r.writeOut(r.spans[0].target)
 	}
 	var events []event
 	for target := range r.visits {

@@ -14,7 +14,7 @@ import (
 // interval k is the time between visit k and visit k+1. A target with
 // fewer than two visits yields nil.
 func (r *Recorder) Intervals(target int) []float64 {
-	ts := r.visits[target]
+	ts := r.VisitTimes(target)
 	if len(ts) < 2 {
 		return nil
 	}
@@ -29,7 +29,7 @@ func (r *Recorder) Intervals(target int) []float64 {
 // to visits at or after t0. Use it to discard the location-
 // initialization transient when measuring steady-state behaviour.
 func (r *Recorder) IntervalsAfter(target int, t0 float64) []float64 {
-	ts := r.visits[target]
+	ts := r.VisitTimes(target)
 	var kept []float64
 	for _, t := range ts {
 		if t >= t0 {
@@ -67,7 +67,7 @@ func sortedRuns(runs [][]float64) []float64 {
 func (r *Recorder) AvgDCDTOver(targets []int) float64 {
 	var acc stats.Accumulator
 	r.eachTarget(targets, func(t int) {
-		if ts := r.visits[t]; len(ts) >= 2 {
+		if ts := r.VisitTimes(t); len(ts) >= 2 {
 			acc.Add(meanGap(ts))
 		}
 	})
@@ -79,7 +79,7 @@ func (r *Recorder) AvgDCDTOver(targets []int) float64 {
 func (r *Recorder) AvgSDOver(targets []int) float64 {
 	var acc stats.Accumulator
 	r.eachTarget(targets, func(t int) {
-		if ts := r.visits[t]; len(ts) >= 3 {
+		if ts := r.VisitTimes(t); len(ts) >= 3 {
 			acc.Add(sdGap(ts))
 		}
 	})
@@ -91,7 +91,7 @@ func (r *Recorder) AvgSDOver(targets []int) float64 {
 func (r *Recorder) MaxIntervalOver(targets []int) float64 {
 	m := 0.0
 	r.eachTarget(targets, func(t int) {
-		ts := r.visits[t]
+		ts := r.VisitTimes(t)
 		for i := 1; i < len(ts); i++ {
 			if iv := ts[i] - ts[i-1]; iv > m {
 				m = iv

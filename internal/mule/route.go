@@ -3,6 +3,7 @@ package mule
 import (
 	"tctp/internal/geom"
 	"tctp/internal/metrics"
+	"tctp/internal/stats"
 )
 
 // Route is the Router of a fixed route: an approach walked once, the
@@ -194,8 +195,8 @@ func (r *Route) parked() *Waypoint {
 // arrival the one before plus the dwell, as the loop sums them. It
 // books what the loop would: the first leg's distance and move energy,
 // zeros that can only turn a sum of -0 into +0, after which the loop's
-// later zeros change no bit; then each visit's energy, one add at a
-// time in order; and the cursor n legs on.
+// later zeros change no bit; then the n visit energies, added as the
+// loop adds them one at a time (stats.AddN); and the cursor n legs on.
 func (m *Mule) stride(r *Route, wp *Waypoint, dep, t float64) float64 {
 	l := &r.legs[r.cur.leg(r.phases)]
 	next, n := r.rec.AppendEvery(wp.TargetID, dep+l.dist/m.cfg.Speed, m.cfg.Energy.Dwell, t)
@@ -205,12 +206,7 @@ func (m *Mule) stride(r *Route, wp *Waypoint, dep, t float64) float64 {
 	m.pos, r.from = wp.Pos, wp.Pos
 	m.distance += l.dist
 	m.energyUse += float64(m.cfg.Energy.MoveEnergy(l.dist))
-	visitEnergy := m.cfg.Energy.VisitEnergy()
-	energyUse := m.energyUse
-	for range n {
-		energyUse += visitEnergy
-	}
-	m.energyUse = energyUse
+	m.energyUse = stats.AddN(m.energyUse, m.cfg.Energy.VisitEnergy(), n)
 	m.visits += n
 	// The one-stop phase's cursor moves only its repetition.
 	if rp := r.phases[0].repeat; rp > 1 {

@@ -257,7 +257,9 @@ func anyVisit(rng *rand.Rand, res *Result) float64 {
 // with speeds of its own saw a mule lap another. A parked mule, alone
 // on a one-target cycle, strides: it fails unless some parked mule made
 // two cycle visits, the second at least in the stride, and unless
-// some did so at a target that a mule on the engine visits too.
+// some did so at a target that a mule on the engine visits too. In the
+// parked family the gap summary at the warm-up cut must match too,
+// read while the strides' spans are still unwritten.
 func TestRunAheadMatchesEventPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	const n = 1320
@@ -292,6 +294,24 @@ func TestRunAheadMatchesEventPath(t *testing.T) {
 		if err != nil {
 			skipped++ // e.g. a fleet the planner refuses
 			continue
+		}
+		if family == "parked" {
+			// A parked mule's visits stay one unwritten span until a log
+			// is read: the gap summary at the warm-up cut folds it as it
+			// is, before diffResults writes every span out.
+			for _, m := range []struct {
+				name      string
+				got, want float64
+			}{
+				{"AvgDCDTAfter", got.Recorder.AvgDCDTAfter(got.PatrolStart), want.Recorder.AvgDCDTAfter(want.PatrolStart)},
+				{"AvgSDAfter", got.Recorder.AvgSDAfter(got.PatrolStart), want.Recorder.AvgSDAfter(want.PatrolStart)},
+				{"MaxInterval", got.Recorder.MaxInterval(), want.Recorder.MaxInterval()},
+			} {
+				if math.Float64bits(m.got) != math.Float64bits(m.want) {
+					t.Fatalf("case %d (%s, horizon %v, dwell %v): %s %v, on the engine %v",
+						i, got.Algorithm, opts.Horizon, opts.Energy.Dwell, m.name, m.got, m.want)
+				}
+			}
 		}
 		if d := diffResults(got, want); d != "" {
 			t.Fatalf("case %d (%s, %s, horizon %v, dwell %v, max events %d, fleet %v, unsynced %v, events %v): %s",

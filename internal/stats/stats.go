@@ -32,7 +32,7 @@ func SampleSD(xs []float64) float64 {
 	s := 0.0
 	for _, x := range xs {
 		d := x - m
-		s += d * d
+		s += float64(d * d) // rounded, never fused into the add
 	}
 	return math.Sqrt(s / float64(n-1))
 }

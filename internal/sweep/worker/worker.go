@@ -109,7 +109,7 @@ func run(ctx context.Context, o Options, computeCell func(*sweep.Job, context.Co
 	if err != nil {
 		return err
 	}
-	w := &worker{opts: opts, jobs: make(map[string]*sweep.Job), computeCell: computeCell}
+	w := &worker{opts: opts, computeCell: computeCell}
 	var wg sync.WaitGroup
 	for i := 0; i < opts.Concurrency; i++ {
 		wg.Add(1)
@@ -127,7 +127,18 @@ type worker struct {
 	computeCell func(*sweep.Job, context.Context, int) (protocol.FoldState, error)
 
 	mu   sync.Mutex
-	jobs map[string]*sweep.Job // by plan fingerprint
+	jobs []plannedJob // the most recently used first, at most maxJobs
+}
+
+// maxJobs is how many planned jobs a worker keeps. A fleet serves few
+// sweeps at once, so a small memo is enough, and a long-lived worker's
+// memory does not grow with every sweep it has ever served.
+const maxJobs = 8
+
+// plannedJob is a memoized plan and its fingerprint.
+type plannedJob struct {
+	fingerprint string
+	job         *sweep.Job
 }
 
 // loop is one lease slot: poll, compute the granted chunk, repeat.
@@ -273,15 +284,11 @@ func (w *worker) compute(ctx context.Context, job *sweep.Job, sweepID string, c 
 
 // job returns the planned job for the lease's request, memoized by
 // plan fingerprint — a fleet serving one sweep plans it once, not once
-// per chunk.
+// per chunk. A lease for a job the memo has evicted plans it again.
 func (w *worker) job(lease *protocol.CellLease) (*sweep.Job, error) {
-	w.mu.Lock()
-	if job, ok := w.jobs[lease.Fingerprint]; ok {
-		w.mu.Unlock()
+	if job := w.memo(lease.Fingerprint, nil); job != nil {
 		return job, nil
 	}
-	w.mu.Unlock()
-
 	spec, err := build.Spec(lease.Request)
 	if err != nil {
 		return nil, fmt.Errorf("rebuilding sweep from lease: %w", err)
@@ -294,10 +301,31 @@ func (w *worker) job(lease *protocol.CellLease) (*sweep.Job, error) {
 		return nil, fmt.Errorf("plan fingerprint mismatch: lease says %s, this build plans %s",
 			lease.Fingerprint, job.Fingerprint())
 	}
+	return w.memo(lease.Fingerprint, job), nil
+}
+
+// memo returns the job memoized under fingerprint fp and makes it the
+// most recently used. When there is none, it memoizes job, unless job
+// is nil, in place of the least recently used one once the memo holds
+// maxJobs, and returns job.
+func (w *worker) memo(fp string, job *sweep.Job) *sweep.Job {
 	w.mu.Lock()
-	w.jobs[lease.Fingerprint] = job
-	w.mu.Unlock()
-	return job, nil
+	defer w.mu.Unlock()
+	i := slices.IndexFunc(w.jobs, func(p plannedJob) bool { return p.fingerprint == fp })
+	if i < 0 {
+		if job == nil {
+			return nil
+		}
+		if len(w.jobs) < maxJobs {
+			w.jobs = append(w.jobs, plannedJob{})
+		}
+		i = len(w.jobs) - 1
+		w.jobs[i] = plannedJob{fp, job}
+	}
+	p := w.jobs[i]
+	copy(w.jobs[1:i+1], w.jobs[:i])
+	w.jobs[0] = p
+	return p.job
 }
 
 // heartbeat ticks at a third of the lease TTL until stopped: each tick

@@ -393,3 +393,91 @@ func TestWorkerKilledMidChunk(t *testing.T) {
 		t.Fatal("the doomed worker never held a chunk")
 	}
 }
+
+// TestJobMemoEvictsLeastRecentlyUsed: the worker keeps its maxJobs most
+// recently used plans. Planning one more evicts the least recently used
+// one, not the first planned, and a lease for the evicted fingerprint
+// plans it again: a new job with the same fingerprint and cell keys.
+// Lease slots that share the memo stay bounded by it.
+func TestJobMemoEvictsLeastRecentlyUsed(t *testing.T) {
+	leases := make([]*protocol.CellLease, maxJobs+1)
+	for i := range leases {
+		req := request(4)
+		req.Horizon = float64(1000 + i) // a plan of its own
+		spec, err := build.Spec(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		job, err := sweep.Plan(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		leases[i] = &protocol.CellLease{Request: req, Fingerprint: job.Fingerprint()}
+	}
+	w := &worker{}
+	job := func(i int) *sweep.Job {
+		t.Helper()
+		j, err := w.job(leases[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j
+	}
+	planned := make([]*sweep.Job, maxJobs)
+	for i := range planned {
+		planned[i] = job(i)
+	}
+	if job(0) != planned[0] {
+		t.Fatal("a memoized fingerprint was planned again")
+	}
+	// Job 1 is now the least recently used; one more plan evicts it.
+	job(maxJobs)
+	if len(w.jobs) != maxJobs {
+		t.Fatalf("the memo holds %d jobs, want %d", len(w.jobs), maxJobs)
+	}
+	for i, p := range w.jobs {
+		if p.fingerprint == leases[1].Fingerprint {
+			t.Fatalf("job 1, the least recently used, is still memoized at %d", i)
+		}
+	}
+	for i := range planned {
+		if i != 1 && job(i) != planned[i] {
+			t.Fatalf("job %d was evicted in place of the least recently used", i)
+		}
+	}
+	again := job(1)
+	if again == planned[1] {
+		t.Fatal("the evicted job was not planned again")
+	}
+	if again.Fingerprint() != planned[1].Fingerprint() || again.Cells() != planned[1].Cells() {
+		t.Fatalf("re-planned job %s of %d cells, first planned %s of %d", again.Fingerprint(), again.Cells(),
+			planned[1].Fingerprint(), planned[1].Cells())
+	}
+	for c := 0; c < again.Cells(); c++ {
+		k1, err1 := again.CellKey(c)
+		k0, err0 := planned[1].CellKey(c)
+		if err1 != nil || err0 != nil || k1 != k0 {
+			t.Fatalf("cell %d: re-planned key %s (%v), first planned %s (%v)", c, k1, err1, k0, err0)
+		}
+	}
+	// Lease slots share the memo: concurrent leases for more plans
+	// than it keeps each get their own plan, and it stays bounded.
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range 3 * len(leases) {
+				l := leases[(g+k)%len(leases)]
+				if j, err := w.job(l); err != nil || j.Fingerprint() != l.Fingerprint {
+					t.Errorf("concurrent lease for %s got %v, %v", l.Fingerprint, j, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if len(w.jobs) != maxJobs {
+		t.Fatalf("after concurrent leases the memo holds %d jobs, want %d", len(w.jobs), maxJobs)
+	}
+}
