@@ -248,10 +248,6 @@ func buildSpec(cfg config) (sweep.Spec, error) {
 	return spec, err
 }
 
-// parseAdaptive is the CLI's name for the shared builder's -adaptive
-// parser.
-func parseAdaptive(s string) (*sweep.Adaptive, error) { return build.Adaptive(s) }
-
 // parseShard decodes a 1-based "i/n" shard selector into the job API's
 // 0-based index.
 func parseShard(s string) (i, n int, err error) {

@@ -311,22 +311,6 @@ func TestScenarioFileErrors(t *testing.T) {
 	}
 }
 
-func TestParseAdaptive(t *testing.T) {
-	a, err := parseAdaptive("avg_dcdt_s:0.05")
-	if err != nil || a.Metric != "avg_dcdt_s" || a.RelCI != 0.05 || a.MinReps != 0 || a.MaxReps != 0 {
-		t.Fatalf("parseAdaptive = %+v, %v", a, err)
-	}
-	a, err = parseAdaptive("avg_sd_s:0.1:4:40")
-	if err != nil || a.MinReps != 4 || a.MaxReps != 40 {
-		t.Fatalf("parseAdaptive = %+v, %v", a, err)
-	}
-	for _, bad := range []string{"", "m", "m:x", ":0.1", "m:0.1:x", "m:0.1:2:x", "m:0.1:2:3:4"} {
-		if _, err := parseAdaptive(bad); err == nil {
-			t.Fatalf("parseAdaptive(%q) accepted", bad)
-		}
-	}
-}
-
 // TestAdaptiveSweepCLI: the acceptance path end to end — a low-variance
 // cell stops before the cap, the CSV reps column carries the actual
 // count, and the stop is reported on stderr.

@@ -9,15 +9,22 @@
 //   - the per-target SD of Figs. 8 and 10 — the sample standard
 //     deviation of a target's consecutive visiting intervals.
 //
+// Every interval aggregate — AvgDCDTAfter, AvgSDAfter, their ...Over
+// forms on a target subset, SD, SDAfter and MaxInterval — reads one
+// fold over the logs (summary), which sums, squares and compares each
+// interval in the order stats.Mean and stats.SampleSD would.
+//
 // A mule parked alone at one target visits it every dwell for the rest
 // of the run. AppendEvery keeps such a run of visits as a span: the log
 // holds only its first and last times, and a side list its count and
-// step. The gap summary behind AvgDCDTAfter, AvgSDAfter and MaxInterval
-// folds a span one binade segment at a time (stats.StepRuns and
-// stats.AddN), where each interval and each partial sum is the one the
-// written-out log gives, bit for bit. Every other reader, VisitTimes
-// first, writes the span out on its first read, with the chained sums
-// the mule's loop takes, so its bytes are what they would have been.
+// step. The interval fold walks a span one binade segment at a time
+// (stats.StepRuns and stats.AddN), where each interval and each partial
+// sum is the one the written-out log gives, bit for bit. The readers of
+// visit times — VisitTimes, EventDCDTSeries, MergeRuns on a log with
+// breaks, and the window metrics FirstVisitAfter, TimeToRecoverOver and
+// AvgMaxGapOver — write the span out on its first read, with the
+// chained sums the mule's loop takes, so its bytes are what they would
+// have been.
 package metrics
 
 import (
@@ -61,18 +68,15 @@ type Recorder struct {
 	spanBuf [8]span
 }
 
-// span is a run of n visits, a parked mule's: the first at the log's
-// index at, each later one the one before plus step, summed one step at
-// a time. The log holds only the first and the last, at at+1; the n−2
-// between them are written out when a reader needs them (writeOut).
+// span is a run of n ≥ 2 visits, a parked mule's: the first at the
+// log's index at, each later one the one before plus step, summed one
+// step at a time. The log holds only the first and the last, at at+1;
+// the n−2 between them are written out when a reader needs them
+// (writeOut).
 type span struct {
 	target, at, n int
 	step          float64
 }
-
-// spanMin is the fewest visits AppendEvery keeps as a span; a shorter
-// run is written out at once.
-const spanMin = 64
 
 // recorders holds released recorders for NewRecorderCap to reuse.
 // released records that Release has ever run: until then
@@ -86,8 +90,9 @@ var (
 // NewRecorderCap returns a recorder for nTargets targets (indexed
 // 0..nTargets-1) with per-target visit-count capacities: target i's
 // series is carved out of one flat backing array with room
-// for caps[i] timestamps, so a simulation whose visit counts stay
-// within them performs no recording allocations at all. The
+// for caps[i] timestamps, so a simulation whose logs stay within them
+// performs no recording allocations at all; a span (see AppendEvery)
+// takes two, its stored ends, until a reader writes it out. The
 // full-slice-expression cap means a target that outgrows its slot
 // reallocates independently instead of clobbering its neighbour's
 // slot, so the capacities affect only allocation behaviour, never
@@ -203,9 +208,10 @@ func (r *Recorder) Append(target int, t float64) {
 // must move the time: a step the sum absorbs before t panics.
 //
 // It counts the visits one binade segment at a time (stats.StepRuns),
-// and keeps a run of spanMin or more as a span: the log gets only the
-// first and the last time, as Append's order check needs, and the rest
-// are written out when a reader other than the gap summary asks.
+// and keeps a run of two or more as a span: the log gets only the first
+// and the last time, as Append's order check needs, so two entries of
+// capacity hold the run whatever its length, and the rest are written
+// out when a reader other than the interval fold asks (see VisitTimes).
 func (r *Recorder) AppendEvery(target int, t0, step, t float64) (next float64, n int) {
 	if !(step > 0) {
 		panic(fmt.Sprintf("metrics: AppendEvery step %v", step))
@@ -233,15 +239,12 @@ func (r *Recorder) AppendEvery(target int, t0, step, t float64) (next float64, n
 		if i == k {
 			return true
 		}
-		last, next = base+float64(float64(i)*iv), base+float64(float64(i+1)*iv)
+		last = base + float64(float64(i)*iv)
 		return false
 	})
-	if n < spanMin {
-		for ; t0 <= t; t0 += step {
-			ts = append(ts, t0)
-		}
-		r.visits[target] = ts
-		return t0, n
+	if n == 1 {
+		r.visits[target] = append(ts, t0)
+		return t0 + step, 1
 	}
 	r.visits[target] = append(ts, t0, last)
 	i := len(r.spans)
@@ -249,7 +252,7 @@ func (r *Recorder) AppendEvery(target int, t0, step, t float64) (next float64, n
 		i--
 	}
 	r.spans = slices.Insert(r.spans, i, span{target: target, at: len(ts), n: n, step: step})
-	return next, n
+	return last + step, n
 }
 
 // ownSpans returns the spans of target's log, a range of r.spans.
@@ -435,7 +438,8 @@ func (r *Recorder) OnRecharge(int, float64) {}
 // VisitTimes returns the visit timestamps of target in order: the
 // recorder's own log, which the caller must not modify. Its first call
 // on a target with a span (see AppendEvery) writes the span out, which
-// allocates when the log's capacity is short of it.
+// grows the log: a log sized for the span's two stored ends (see
+// NewRecorderCap) reallocates then. No interval aggregate calls it.
 func (r *Recorder) VisitTimes(target int) []float64 {
 	if len(r.spans) > 0 {
 		r.writeOut(target)
@@ -452,54 +456,15 @@ func (r *Recorder) visitsAfter(target int, t0 float64) []float64 {
 	return ts[sort.SearchFloat64s(ts, t0):]
 }
 
-// meanGap is stats.Mean of the consecutive differences of ts (0 for
-// fewer than two visits). The differences are formed on the fly and
-// summed in the order stats.Mean sums an interval slice, so the
-// result is bit-identical to stats.Mean of the intervals without
-// building the slice; the tests hold every aggregate to that
-// slice-building oracle.
-func meanGap(ts []float64) float64 {
-	if len(ts) < 2 {
-		return 0
-	}
-	s := 0.0
-	for i := 1; i < len(ts); i++ {
-		s += ts[i] - ts[i-1]
-	}
-	return s / float64(len(ts)-1)
-}
-
-// sdGap is stats.SampleSD of the consecutive differences of ts (0 for
-// fewer than three visits), bit-identical to it in the way meanGap is
-// to stats.Mean: the same two passes over the same values in the same
-// order. Here, in summary and in SampleSD, the conversion float64(d*d)
-// rounds the square before the add, where a fused multiply-add would
-// not, so the sums agree on every GOARCH.
-func sdGap(ts []float64) float64 {
-	n := len(ts) - 1
-	if n < 2 {
-		return 0
-	}
-	m := meanGap(ts)
-	s := 0.0
-	for i := 1; i < len(ts); i++ {
-		d := ts[i] - ts[i-1] - m
-		s += float64(d * d)
-	}
-	return math.Sqrt(s / float64(n-1))
-}
-
 // SD returns the paper's per-target SD metric: the sample standard
 // deviation of the target's consecutive visiting intervals
 // (SD = sqrt(1/(n−1)·Σ(t_k − t̄)²) over the n intervals). Targets with
 // fewer than two intervals yield 0.
-func (r *Recorder) SD(target int) float64 {
-	return sdGap(r.VisitTimes(target))
-}
+func (r *Recorder) SD(target int) float64 { return r.SDAfter(target, math.Inf(-1)) }
 
 // SDAfter is SD restricted to visits at or after t0.
 func (r *Recorder) SDAfter(target int, t0 float64) float64 {
-	return sdGap(r.visitsAfter(target, t0))
+	return r.summary([]int{target}, t0).avgSD
 }
 
 // eachTarget invokes fn for every target of the subset — or for every
@@ -518,28 +483,32 @@ func (r *Recorder) eachTarget(targets []int, fn func(t int)) {
 	}
 }
 
-// gapSummary is what the default scalar metrics read of every log at
-// one cut t0: the average over targets of the mean and of the SD of
-// their visiting intervals at or after t0 (AvgDCDTAfter and
-// AvgSDAfter), and the longest interval of any whole log (MaxInterval).
+// gapSummary is what the interval aggregates read of a subset of the
+// logs at one cut t0: the average over the subset's targets of the mean
+// and of the SD of their visiting intervals at or after t0
+// (AvgDCDTAfterOver and AvgSDAfterOver, and SDAfter for a subset of
+// one), and the longest interval of any of their whole logs
+// (MaxInterval).
 type gapSummary struct{ t0, avgDCDT, avgSD, max float64 }
 
-// summary returns the gap summary at t0, from the cache when it holds
-// the summary at t0, else computed and cached. It walks each log once,
-// forming each interval once for the whole-log maximum and, past the
-// cut, for the sum meanGap takes, then walks the steady-state suffix
-// again for the SD with that mean, as sdGap does. Each metric sums,
-// folds and compares the same values in the same order as meanGap,
-// sdGap and MaxIntervalOver (the oracles), so each is bit-identical to
-// its own pass. A log with spans is walked in runs of equal intervals
-// (see spanRuns), which leaves its spans unwritten.
-func (r *Recorder) summary(t0 float64) gapSummary {
-	if r.gapsOK && r.gaps.t0 == t0 {
+// summary folds the logs of the subset targets (nil = every log, in
+// target order) at cut t0. It walks each log once, forming each
+// interval once for the whole-log maximum and, past the cut, for the
+// mean, then walks the steady-state suffix again for the SD with that
+// mean: stats.Mean and stats.SampleSD of the log's intervals past the
+// cut, summed, squared and compared in their order, so each aggregate
+// is bit-identical to the slice-building definition (the tests' oracle
+// passes). A log with spans is walked in runs of equal intervals (see
+// spanRuns), which leaves its spans unwritten. The summary of every log
+// is cached: it comes from the cache when that holds the summary at t0.
+func (r *Recorder) summary(targets []int, t0 float64) gapSummary {
+	if targets == nil && r.gapsOK && r.gaps.t0 == t0 {
 		return r.gaps
 	}
 	var dcdt, sd stats.Accumulator
 	most := 0.0
-	for target, ts := range r.visits {
+	r.eachTarget(targets, func(target int) {
+		ts := r.visits[target]
 		var own []span
 		if len(r.spans) > 0 {
 			lo, hi := r.ownSpans(target)
@@ -566,12 +535,12 @@ func (r *Recorder) summary(t0 float64) gapSummary {
 			n = len(ts) - k - 1
 		}
 		if n < 1 {
-			continue
+			return
 		}
 		m := s / float64(n)
 		dcdt.Add(m)
 		if n < 2 {
-			continue
+			return
 		}
 		if len(own) > 0 {
 			s = spannedSquares(ts, own, t0, m)
@@ -579,13 +548,16 @@ func (r *Recorder) summary(t0 float64) gapSummary {
 			s = 0
 			for i := len(ts) - n; i < len(ts); i++ {
 				d := ts[i] - ts[i-1] - m
-				s += float64(d * d)
+				s += float64(d * d) // rounded, never fused into the add
 			}
 		}
 		sd.Add(math.Sqrt(s / float64(n-1)))
+	})
+	g := gapSummary{t0: t0, avgDCDT: dcdt.Mean(), avgSD: sd.Mean(), max: most}
+	if targets == nil {
+		r.gaps, r.gapsOK = g, true
 	}
-	r.gaps, r.gapsOK = gapSummary{t0: t0, avgDCDT: dcdt.Mean(), avgSD: sd.Mean(), max: most}, true
-	return r.gaps
+	return g
 }
 
 // spanRuns calls fold with the intervals of a log holding spans, own,
@@ -651,18 +623,12 @@ func spannedSquares(ts []float64, own []span, t0, m float64) (s float64) {
 func (r *Recorder) AvgSD() float64 { return r.AvgSDAfter(math.Inf(-1)) }
 
 // AvgSDAfter is AvgSD restricted to visits at or after t0.
-func (r *Recorder) AvgSDAfter(t0 float64) float64 { return r.summary(t0).avgSD }
+func (r *Recorder) AvgSDAfter(t0 float64) float64 { return r.AvgSDAfterOver(nil, t0) }
 
 // AvgSDAfterOver is AvgSDAfter restricted to a target subset (nil =
 // all targets).
 func (r *Recorder) AvgSDAfterOver(targets []int, t0 float64) float64 {
-	var acc stats.Accumulator
-	r.eachTarget(targets, func(t int) {
-		if ts := r.visitsAfter(t, t0); len(ts) >= 3 {
-			acc.Add(sdGap(ts))
-		}
-	})
-	return acc.Mean()
+	return r.summary(targets, t0).avgSD
 }
 
 // AvgDCDT returns the mean visiting interval averaged over all targets
@@ -670,18 +636,12 @@ func (r *Recorder) AvgSDAfterOver(targets []int, t0 float64) float64 {
 func (r *Recorder) AvgDCDT() float64 { return r.AvgDCDTAfter(math.Inf(-1)) }
 
 // AvgDCDTAfter is AvgDCDT restricted to visits at or after t0.
-func (r *Recorder) AvgDCDTAfter(t0 float64) float64 { return r.summary(t0).avgDCDT }
+func (r *Recorder) AvgDCDTAfter(t0 float64) float64 { return r.AvgDCDTAfterOver(nil, t0) }
 
 // AvgDCDTAfterOver is AvgDCDTAfter restricted to a target subset
 // (nil = all targets).
 func (r *Recorder) AvgDCDTAfterOver(targets []int, t0 float64) float64 {
-	var acc stats.Accumulator
-	r.eachTarget(targets, func(t int) {
-		if ts := r.visitsAfter(t, t0); len(ts) >= 2 {
-			acc.Add(meanGap(ts))
-		}
-	})
-	return acc.Mean()
+	return r.summary(targets, t0).avgDCDT
 }
 
 // MaxInterval returns the maximal visiting interval over all targets
@@ -694,7 +654,7 @@ func (r *Recorder) MaxInterval() float64 {
 	if r.gapsOK {
 		return r.gaps.max
 	}
-	return r.summary(math.Inf(-1)).max
+	return r.summary(nil, math.Inf(-1)).max
 }
 
 // EventDCDTSeries returns the paper's Fig. 7 curve: visit events from

@@ -357,17 +357,17 @@ func TestOverSubsetMetrics(t *testing.T) {
 		r.OnVisit(0, v.target, v.t)
 	}
 
-	if got, want := r.AvgDCDTOver(nil), r.AvgDCDT(); got != want {
-		t.Fatalf("AvgDCDTOver(nil) = %v, AvgDCDT = %v", got, want)
+	if got, want := r.dcdtPass(nil, math.Inf(-1)), r.AvgDCDT(); got != want {
+		t.Fatalf("dcdtPass(nil) = %v, AvgDCDT = %v", got, want)
 	}
-	if got := r.AvgDCDTOver([]int{0}); got != 10 {
-		t.Fatalf("AvgDCDTOver({0}) = %v, want 10", got)
+	if got := r.AvgDCDTAfterOver([]int{0}, math.Inf(-1)); got != 10 {
+		t.Fatalf("AvgDCDTAfterOver({0}, -Inf) = %v, want 10", got)
 	}
-	if got := r.AvgDCDTOver([]int{1}); got != 30 {
-		t.Fatalf("AvgDCDTOver({1}) = %v, want 30", got)
+	if got := r.AvgDCDTAfterOver([]int{1}, math.Inf(-1)); got != 30 {
+		t.Fatalf("AvgDCDTAfterOver({1}, -Inf) = %v, want 30", got)
 	}
-	if got := r.AvgDCDTOver([]int{2}); got != 0 {
-		t.Fatalf("AvgDCDTOver({2}) = %v, want 0 (no interval)", got)
+	if got := r.AvgDCDTAfterOver([]int{2}, math.Inf(-1)); got != 0 {
+		t.Fatalf("AvgDCDTAfterOver({2}, -Inf) = %v, want 0 (no interval)", got)
 	}
 	if got := r.MaxIntervalOver([]int{0}); got != 10 {
 		t.Fatalf("MaxIntervalOver({0}) = %v", got)
@@ -375,8 +375,8 @@ func TestOverSubsetMetrics(t *testing.T) {
 	if got, want := r.MaxIntervalOver(nil), r.MaxInterval(); got != want {
 		t.Fatalf("MaxIntervalOver(nil) = %v, MaxInterval = %v", got, want)
 	}
-	if got := r.AvgSDOver([]int{0}); got != 0 {
-		t.Fatalf("AvgSDOver({0}) = %v, want 0 (constant intervals)", got)
+	if got := r.AvgSDAfterOver([]int{0}, math.Inf(-1)); got != 0 {
+		t.Fatalf("AvgSDAfterOver({0}, -Inf) = %v, want 0 (constant intervals)", got)
 	}
 	if got, want := r.AvgSDAfterOver(nil, 0), r.AvgSDAfter(0); got != want {
 		t.Fatalf("AvgSDAfterOver(nil) = %v, AvgSDAfter = %v", got, want)
@@ -543,11 +543,11 @@ func TestInPlaceAggregatesMatchIntervalOracle(t *testing.T) {
 			same("FirstVisitAfter", r.FirstVisitAfter(target, t0), first)
 		}
 		same("AvgSD", r.AvgSD(), avg(nil, false, sdFold))
-		same("AvgSDOver", r.AvgSDOver(subset), avg(subset, false, sdFold))
+		same("AvgSDAfterOver at -Inf", r.AvgSDAfterOver(subset, math.Inf(-1)), avg(subset, false, sdFold))
 		same("AvgSDAfter", r.AvgSDAfter(t0), avg(nil, true, sdFold))
 		same("AvgSDAfterOver", r.AvgSDAfterOver(subset, t0), avg(subset, true, sdFold))
 		same("AvgDCDT", r.AvgDCDT(), avg(nil, false, meanFold))
-		same("AvgDCDTOver", r.AvgDCDTOver(subset), avg(subset, false, meanFold))
+		same("AvgDCDTAfterOver at -Inf", r.AvgDCDTAfterOver(subset, math.Inf(-1)), avg(subset, false, meanFold))
 		same("AvgDCDTAfter", r.AvgDCDTAfter(t0), avg(nil, true, meanFold))
 		same("AvgDCDTAfterOver", r.AvgDCDTAfterOver(subset, t0), avg(subset, true, meanFold))
 		same("MaxIntervalOver", r.MaxIntervalOver(subset), maxIv(subset))
@@ -565,11 +565,11 @@ func checkSummary(t *testing.T, r *Recorder, t0 float64) {
 		name      string
 		got, want float64
 	}{
-		{"AvgDCDTAfter", r.AvgDCDTAfter(t0), r.AvgDCDTAfterOver(nil, t0)},
-		{"AvgSDAfter", r.AvgSDAfter(t0), r.AvgSDAfterOver(nil, t0)},
+		{"AvgDCDTAfter", r.AvgDCDTAfter(t0), r.dcdtPass(nil, t0)},
+		{"AvgSDAfter", r.AvgSDAfter(t0), r.sdPass(nil, t0)},
 		{"MaxInterval", r.MaxInterval(), r.MaxIntervalOver(nil)},
-		{"AvgDCDT", r.AvgDCDT(), r.AvgDCDTOver(nil)},
-		{"AvgSD", r.AvgSD(), r.AvgSDOver(nil)},
+		{"AvgDCDT", r.AvgDCDT(), r.dcdtPass(nil, math.Inf(-1))},
+		{"AvgSD", r.AvgSD(), r.sdPass(nil, math.Inf(-1))},
 		{"MaxInterval", r.MaxInterval(), r.MaxIntervalOver(nil)},
 	} {
 		if math.Float64bits(m.got) != math.Float64bits(m.want) {

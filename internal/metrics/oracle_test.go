@@ -1,14 +1,15 @@
 package metrics
 
 import (
+	"math"
 	"slices"
 
 	"tctp/internal/stats"
 )
 
 // The slice-building interval definitions: the Recorder's aggregates
-// derive the same values from the visit log in place (see visitsAfter
-// and meanGap), and the tests hold them to these two bit for bit.
+// derive the same values from the visit log in place (see summary), and
+// the tests hold them to these two bit for bit.
 
 // Intervals returns the consecutive visiting intervals of target:
 // interval k is the time between visit k and visit k+1. A target with
@@ -57,29 +58,63 @@ func sortedRuns(runs [][]float64) []float64 {
 	return all
 }
 
-// The per-metric passes the fused gap summary replaced: AvgDCDTAfter,
-// AvgSDAfter and MaxInterval each computed their value on their own
-// walk over every log, the first two at a cut, the last over whole
+// meanGap is stats.Mean of the consecutive differences of ts (0 for
+// fewer than two visits). The differences are formed on the fly and
+// summed in the order stats.Mean sums an interval slice, so the result
+// is bit-identical to stats.Mean of the intervals without building the
+// slice.
+func meanGap(ts []float64) float64 {
+	if len(ts) < 2 {
+		return 0
+	}
+	s := 0.0
+	for i := 1; i < len(ts); i++ {
+		s += ts[i] - ts[i-1]
+	}
+	return s / float64(len(ts)-1)
+}
+
+// sdGap is stats.SampleSD of the consecutive differences of ts (0 for
+// fewer than three visits), bit-identical to it in the way meanGap is
+// to stats.Mean: the same two passes over the same values in the same
+// order.
+func sdGap(ts []float64) float64 {
+	n := len(ts) - 1
+	if n < 2 {
+		return 0
+	}
+	m := meanGap(ts)
+	s := 0.0
+	for i := 1; i < len(ts); i++ {
+		d := ts[i] - ts[i-1] - m
+		s += float64(d * d)
+	}
+	return math.Sqrt(s / float64(n-1))
+}
+
+// The per-metric passes the interval fold replaced: the mean and the
+// SD aggregates each computed their value on their own walk over the
+// written-out logs of a subset, at a cut, and MaxInterval over whole
 // logs. The tests hold summary to them bit for bit.
 
-// AvgDCDTOver is AvgDCDT restricted to a target subset (nil = all
-// targets): the mean visiting interval of each whole log, averaged.
-func (r *Recorder) AvgDCDTOver(targets []int) float64 {
+// dcdtPass is AvgDCDTAfterOver on its own pass: meanGap of each log's
+// visits at or after t0, averaged over the subset (nil = all targets).
+func (r *Recorder) dcdtPass(targets []int, t0 float64) float64 {
 	var acc stats.Accumulator
 	r.eachTarget(targets, func(t int) {
-		if ts := r.VisitTimes(t); len(ts) >= 2 {
+		if ts := r.visitsAfter(t, t0); len(ts) >= 2 {
 			acc.Add(meanGap(ts))
 		}
 	})
 	return acc.Mean()
 }
 
-// AvgSDOver is AvgSD restricted to a target subset (nil = all
-// targets): the SD of each whole log's visiting intervals, averaged.
-func (r *Recorder) AvgSDOver(targets []int) float64 {
+// sdPass is AvgSDAfterOver on its own pass: sdGap of each log's visits
+// at or after t0, averaged over the subset (nil = all targets).
+func (r *Recorder) sdPass(targets []int, t0 float64) float64 {
 	var acc stats.Accumulator
 	r.eachTarget(targets, func(t int) {
-		if ts := r.VisitTimes(t); len(ts) >= 3 {
+		if ts := r.visitsAfter(t, t0); len(ts) >= 3 {
 			acc.Add(sdGap(ts))
 		}
 	})

@@ -78,13 +78,16 @@ func parkedLogs(oracle, exact, split, runs bool, prior, later []float64, t0, ste
 }
 
 // FuzzParkedSpan holds the recorder's parked spans to a recorder filled
-// one Append at a time, bit for bit. Before any write-out, AvgDCDTAfter,
-// AvgSDAfter and MaxInterval must match at cuts before, on, between and
-// after the parked visits and at -Inf, with the spans still unwritten;
-// then the written-out logs must match through VisitTimes, through
-// EventDCDTSeries on a recorder whose spans it writes out first, and
-// after MergeRuns merges a log holding spans and a second run. The
-// parked runs are not capped short of a span: up to 2^16 visits.
+// one Append at a time, bit for bit. Before any write-out, every
+// interval aggregate must match at cuts before, on, between and after
+// the parked visits and at -Inf: AvgDCDTAfter, AvgSDAfter and
+// MaxInterval, AvgDCDTAfterOver and AvgSDAfterOver on a subset with the
+// parked target and on one without, and SD and SDAfter of each target,
+// with the spans still unwritten; then the written-out logs must match
+// through VisitTimes, through EventDCDTSeries on a recorder whose spans
+// it writes out first, and after MergeRuns merges a log holding spans
+// and a second run. The parked runs are not capped short of a span: up
+// to 2^16 visits.
 func FuzzParkedSpan(f *testing.F) {
 	f.Add(131070.2, 0.3, 131100.0, []byte{1, 2, 3}, []byte{4, 9}, uint32(50), false, false, false)
 	f.Add(0.0, 1.0, 5000.0, []byte{}, []byte{}, uint32(4200), true, true, false)
@@ -120,24 +123,25 @@ func FuzzParkedSpan(f *testing.F) {
 			got.MergeRuns()
 			want.MergeRuns()
 		}
-		// Target 2's parked run, alone in its log, is a span when long
-		// enough, and stays one until a reader other than the summary
-		// asks.
+		// Target 2's parked run, alone in its log, is a span from two
+		// visits on, and stays one until a reader other than the
+		// interval fold asks.
 		ts := want.VisitTimes(2)
 		spanned := func() bool {
 			lo, hi := got.ownSpans(2)
 			return hi > lo
 		}
-		if spanned() != (len(ts) >= spanMin) {
+		if spanned() != (len(ts) >= 2) {
 			t.Fatalf("%d parked visits, spans %v", len(ts), got.spans)
 		}
 
-		// The gap summary, read before any write-out.
+		// The interval fold, read before any write-out.
 		cuts := []float64{math.Inf(-1), t0 - 1, end + 1, t0, math.Nextafter(end, math.Inf(1))}
 		if len(ts) > 0 {
 			v := ts[int(cut)%len(ts)]
 			cuts = append(cuts, v, math.Nextafter(v, math.Inf(1)), math.Nextafter(v, math.Inf(-1)))
 		}
+		parked, unparked := []int{2, 0}, []int{1}
 		for _, c := range cuts {
 			for _, m := range []struct {
 				name      string
@@ -146,6 +150,16 @@ func FuzzParkedSpan(f *testing.F) {
 				{"AvgDCDTAfter", got.AvgDCDTAfter(c), want.AvgDCDTAfter(c)},
 				{"AvgSDAfter", got.AvgSDAfter(c), want.AvgSDAfter(c)},
 				{"MaxInterval", got.MaxInterval(), want.MaxInterval()},
+				{"AvgDCDTAfterOver parked", got.AvgDCDTAfterOver(parked, c), want.AvgDCDTAfterOver(parked, c)},
+				{"AvgSDAfterOver parked", got.AvgSDAfterOver(parked, c), want.AvgSDAfterOver(parked, c)},
+				{"AvgDCDTAfterOver unparked", got.AvgDCDTAfterOver(unparked, c), want.AvgDCDTAfterOver(unparked, c)},
+				{"AvgSDAfterOver unparked", got.AvgSDAfterOver(unparked, c), want.AvgSDAfterOver(unparked, c)},
+				{"SD(0)", got.SD(0), want.SD(0)},
+				{"SD(1)", got.SD(1), want.SD(1)},
+				{"SD(2)", got.SD(2), want.SD(2)},
+				{"SDAfter(0)", got.SDAfter(0, c), want.SDAfter(0, c)},
+				{"SDAfter(1)", got.SDAfter(1, c), want.SDAfter(1, c)},
+				{"SDAfter(2)", got.SDAfter(2, c), want.SDAfter(2, c)},
 			} {
 				if math.Float64bits(m.got) != math.Float64bits(m.want) {
 					t.Fatalf("%s at cut %v = %v (%#x), one Append at a time %v (%#x)",
@@ -153,8 +167,8 @@ func FuzzParkedSpan(f *testing.F) {
 				}
 			}
 		}
-		if len(ts) >= spanMin && !spanned() {
-			t.Fatal("the gap summary wrote a span out")
+		if len(ts) >= 2 && !spanned() {
+			t.Fatal("an interval aggregate wrote a span out")
 		}
 
 		// The written-out logs.

@@ -1,6 +1,9 @@
 package mule
 
 import (
+	"math"
+
+	"tctp/internal/energy"
 	"tctp/internal/geom"
 	"tctp/internal/metrics"
 	"tctp/internal/stats"
@@ -12,7 +15,9 @@ import (
 // row. The cycle is a leg table of consecutive AppendPhase blocks, one
 // per phase in cycle order, and a phase table, walked by a cursor.
 // Compiled for the recorder of the mule that runs it, the table also
-// lets RunUntil run the cycle without the router (see Compile).
+// lets RunUntil run the cycle without the router (see Compile). The
+// same tables bound what a run of the route records (see Bound), so a
+// recorder can be sized before the run.
 type Route struct {
 	approach []Waypoint
 	hold     float64
@@ -97,6 +102,83 @@ func (r *Route) Next(m *Mule) (Waypoint, float64, bool) {
 // visits nothing but rec may observe should run one.
 func (r *Route) Compile(rec *metrics.Recorder) { r.rec = rec }
 
+// Recharges reports whether the route has a recharge stop, on its
+// approach or in its cycle.
+func (r *Route) Recharges() bool {
+	for _, wp := range r.approach {
+		if wp.Recharge {
+			return true
+		}
+	}
+	for _, l := range r.legs {
+		if l.wp.Recharge {
+			return true
+		}
+	}
+	return false
+}
+
+// Bound bounds what a mule of the given speed and energy model records
+// on the route up to horizon. It adds to caps, indexed by target, the
+// most log entries the run's visits leave in the recorder, and returns
+// the most engine events the run spends on the engine: its launch,
+// each approach leg and each cycle leg. The cycle's period is at least
+// its length over the speed plus one dwell per target stop, so within
+// the horizon the mule starts at most ⌊horizon/period⌋+1 cycles; each
+// target gets its occurrences per cycle times one cycle more than that,
+// plus its approach occurrences. With compiled, for a mule that runs
+// the route compiled (see Compile) and so strides at a parked stop (see
+// strider), that stop gets instead the two stored ends of the one span
+// the stride leaves, plus one entry when the mule reaches the stop off
+// its approach's end. A route with a zero period, whose events nothing
+// bounds, returns +Inf and leaves caps unchanged; so does a horizon of
+// infinitely many cycles.
+func (r *Route) Bound(caps []int, speed float64, model energy.Model, horizon float64, compiled bool) (events float64) {
+	length, stops, legs, off := 0.0, 0, 0, 0
+	for _, ph := range r.phases {
+		in := 0.0
+		for _, l := range r.legs[off+1 : off+ph.stops] {
+			in += l.dist
+		}
+		length += r.legs[off+ph.stops].dist + float64(ph.repeat-1)*r.legs[off].dist + float64(ph.repeat)*in
+		for _, l := range r.legs[off : off+ph.stops] {
+			if l.wp.TargetID != NoTarget {
+				stops += ph.repeat
+			}
+		}
+		legs += ph.repeat * ph.stops
+		off += ph.stops + 1
+	}
+	period := length/speed + float64(stops)*model.Dwell
+	cycles := math.Floor(horizon/period) + 2
+	if !(period > 0 && cycles < math.Inf(1)) {
+		return math.Inf(1)
+	}
+	for _, wp := range r.approach {
+		if wp.TargetID != NoTarget {
+			caps[wp.TargetID]++
+		}
+	}
+	events = 1 + float64(len(r.approach)) + cycles*float64(legs)
+	if wp := r.strider(model); wp != nil && compiled {
+		caps[wp.TargetID] += 2
+		if n := len(r.approach); n == 0 || r.approach[n-1].Pos != wp.Pos {
+			caps[wp.TargetID]++
+		}
+		return events
+	}
+	off = 0
+	for _, ph := range r.phases {
+		for _, l := range r.legs[off : off+ph.stops] {
+			if l.wp.TargetID != NoTarget {
+				caps[l.wp.TargetID] += ph.repeat * int(cycles)
+			}
+		}
+		off += ph.stops + 1
+	}
+	return events
+}
+
 // cursor is a position in a route's tables: the current phase, the
 // offset of its block in the leg table, the repetition of the phase
 // and the index of the next stop in it.
@@ -138,15 +220,14 @@ func (k cursor) next(phases []Phase) cursor {
 // the same order — except that a visit goes straight to the recorder.
 // Each leg leaves the mule at the next one's from point, so only the
 // first is checked. The cursor and the mule's bookkeeping live in
-// locals while it runs. A parked mule strides instead (see stride).
+// locals while it runs. A parked mule strides instead (see strider).
 func (m *Mule) runCycle(r *Route, dep, t float64) float64 {
 	if m.pos != r.from {
 		return dep
 	}
 	speed, model := m.cfg.Speed, m.cfg.Energy
 	dwell, visitEnergy := model.Dwell, model.VisitEnergy()
-	if wp := r.parked(); wp != nil && !wp.Recharge && wp.TargetID != NoTarget &&
-		wp.NotBefore <= dep && dwell > 0 && model.MoveEnergy(0) == 0 {
+	if wp := r.strider(model); wp != nil {
 		return m.stride(r, wp, dep, t)
 	}
 	legs, phases, cur, rec := r.legs, r.phases, r.cur, r.rec
@@ -178,21 +259,29 @@ func (m *Mule) runCycle(r *Route, dep, t float64) float64 {
 	return dep
 }
 
-// parked returns the stop of a parked route, whose cycle is one phase
-// of one stop with both its legs of length 0, or nil.
-func (r *Route) parked() *Waypoint {
+// strider returns the stop at which a mule with energy model strides
+// on the route, or nil: the stop of a parked route, whose cycle is one
+// phase of one target stop, with no recharge and no hold, and both its
+// legs of length 0, for a model with a positive dwell and no energy to
+// move 0 m. runCycle strides there, and Bound sizes the stop's log for
+// the span the stride leaves.
+func (r *Route) strider(model energy.Model) *Waypoint {
 	if len(r.phases) != 1 || r.phases[0].stops != 1 || r.legs[0].dist != 0 || r.legs[1].dist != 0 {
 		return nil
 	}
-	return r.legs[0].wp
+	wp := r.legs[0].wp
+	if wp.Recharge || wp.TargetID == NoTarget || wp.NotBefore > 0 || !(model.Dwell > 0) || model.MoveEnergy(0) != 0 {
+		return nil
+	}
+	return wp
 }
 
-// stride is runCycle for a mule parked at target stop wp, leaving at
-// dep no earlier than wp.NotBefore, with a positive dwell and no energy
-// to move 0 m: the loop's legs all stay at wp and arrive as they
-// leave, each leg's hold is exactly the dwell, and the recorder appends
-// the whole span of visits at once (metrics.Recorder.AppendEvery), each
-// arrival the one before plus the dwell, as the loop sums them. It
+// stride is runCycle for a mule at the stop wp of a route that strides
+// there (see strider), leaving at dep: the loop's legs all stay at wp
+// and arrive as they leave, each leg's hold is exactly the dwell, and
+// the recorder appends the whole span of visits at once
+// (metrics.Recorder.AppendEvery), each arrival the one before plus the
+// dwell, as the loop sums them. It
 // books what the loop would: the first leg's distance and move energy,
 // zeros that can only turn a sum of -0 into +0, after which the loop's
 // later zeros change no bit; then the n visit energies, added as the

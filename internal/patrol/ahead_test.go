@@ -164,10 +164,14 @@ func randomAheadCase(rng *rand.Rand, family string) (s *field.Scenario, alg func
 // aheadMules returns which mules Run lets run ahead for these inputs.
 func aheadMules(s *field.Scenario, plan *core.FleetPlan, opts Options) []bool {
 	opts = opts.withDefaults()
-	caps := visitCaps(s.NumTargets(), plan, opts)
+	var rs []mule.Route
+	if plan != nil {
+		rs = newPlanRouters(plan.Routes, 0)
+	}
+	caps := visitCaps(s.NumTargets(), rs, opts)
 	ahead := make([]bool, s.NumMules())
 	for i := range ahead {
-		ahead[i] = plan != nil && runsAhead(i, plan.Routes[i], caps, opts)
+		ahead[i] = caps != nil && runsAhead(i, &rs[i], opts)
 	}
 	return ahead
 }

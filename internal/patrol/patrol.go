@@ -7,7 +7,6 @@ package patrol
 
 import (
 	"fmt"
-	"math"
 
 	"tctp/internal/core"
 	"tctp/internal/energy"
@@ -270,20 +269,6 @@ func (a plannedAlg) prepare(s *field.Scenario, _ *xrand.Source) ([]mule.Router, 
 	return nil, plan, nil
 }
 
-// planRouters builds one mule.Route per route, holding every mule at
-// its start point until the synchronized patrol start.
-func planRouters(plan *core.FleetPlan, opts Options, n int) []mule.Route {
-	hold := 0.0
-	if !opts.NoSynchronizedStart {
-		// The slowest mule travelling the longest approach bounds every
-		// arrival, so holding until then starts the fleet together even
-		// when speeds differ. For a homogeneous fleet this is exactly
-		// MaxApproach / Speed.
-		hold = plan.MaxApproach / opts.slowestSpeed(n)
-	}
-	return newPlanRouters(plan.Routes, hold)
-}
-
 // Partitioned derives the per-region variant of a plan-based
 // algorithm: the underlying planner must implement core.Partitionable
 // (B-TCTP → C-BTCTP, W-TCTP → C-WTCTP). src seeds the partition's
@@ -344,97 +329,45 @@ func newPlanRouters(routes []core.MuleRoute, hold float64) []mule.Route {
 	return rs
 }
 
-// visitCaps bounds each target's visit count over the horizon from
-// the plan's routes, so the recorder can carve every target's log from
-// one flat block and never grow it. A route's period is at least its
-// cycle length over the mule's speed plus one dwell per target stop,
-// so within the horizon it starts at most ⌊Horizon/period⌋+1 cycles;
-// each target is granted its occurrences per cycle times one cycle
-// more than that, plus its approach occurrences. The same count bounds
-// the run's events: each mule's launch, each approach leg and each
-// cycle leg is one event. Online algorithms (no plan) get no
-// capacities, and neither does a plan with a zero-length period (whose
-// event count only MaxEvents bounds) or one whose event bound exceeds
-// MaxEvents: their logs grow as they fill. Capacities only size
-// allocations, never recorded values. Non-nil caps therefore also
-// prove that the MaxEvents guard cannot stop the run before the
-// horizon, which runsAhead relies on.
-func visitCaps(n int, plan *core.FleetPlan, opts Options) []int {
-	if plan == nil {
+// visitCaps bounds each target's log entries over the horizon from the
+// plan's routes (mule.Route.Bound), each for the clock its mule will
+// keep (see runsAhead), so the recorder can carve every target's log
+// from one flat block and never grow it while the run records. The
+// same bounds sum to a bound on the run's events. A run without routes
+// (an online algorithm) gets no capacities, and neither does a plan
+// with a zero-length period (whose event count only MaxEvents bounds)
+// or one whose event bound exceeds MaxEvents: their logs grow as they
+// fill. Capacities only size allocations, never recorded values.
+// Non-nil caps therefore also prove that the MaxEvents guard cannot
+// stop the run before the horizon, which the mules that run ahead rely
+// on.
+func visitCaps(n int, rs []mule.Route, opts Options) []int {
+	if rs == nil {
 		return nil
 	}
 	caps := make([]int, n)
 	events := 0.0
-	for i, r := range plan.Routes {
-		length, stops, legs := 0.0, 0, 0
-		for p, ph := range r.Cycle {
-			prev := r.Cycle[(p+len(r.Cycle)-1)%len(r.Cycle)].Stops
-			last := ph.Stops[len(ph.Stops)-1].Pos
-			in := 0.0
-			for j := 1; j < len(ph.Stops); j++ {
-				in += ph.Stops[j-1].Pos.Dist(ph.Stops[j].Pos)
-			}
-			length += prev[len(prev)-1].Pos.Dist(ph.Stops[0].Pos) +
-				float64(ph.Repeat-1)*last.Dist(ph.Stops[0].Pos) + float64(ph.Repeat)*in
-			for _, wp := range ph.Stops {
-				if wp.TargetID != mule.NoTarget {
-					stops += ph.Repeat
-				}
-			}
-			legs += ph.Repeat * len(ph.Stops)
-		}
-		period := length/opts.muleSpeed(i) + float64(stops)*opts.Energy.Dwell
-		if !(period > 0) {
-			return nil
-		}
-		cycles := math.Floor(opts.Horizon/period) + 2
-		events += 1 + float64(len(r.Approach)) + cycles*float64(legs)
+	for i := range rs {
+		events += rs[i].Bound(caps, opts.muleSpeed(i), opts.Energy, opts.Horizon, runsAhead(i, &rs[i], opts))
 		if !(events <= float64(opts.MaxEvents)) { // a NaN horizon bounds nothing
 			return nil
-		}
-		for _, wp := range r.Approach {
-			if wp.TargetID != mule.NoTarget {
-				caps[wp.TargetID]++
-			}
-		}
-		for _, ph := range r.Cycle {
-			for _, wp := range ph.Stops {
-				if wp.TargetID != mule.NoTarget {
-					caps[wp.TargetID] += ph.Repeat * int(cycles)
-				}
-			}
 		}
 	}
 	return caps
 }
 
 // runsAhead reports whether Run may run mule i, on route r, ahead of
-// the engine with mule.RunUntil: whether nothing in the run depends on
-// the order of its events relative to other mules'. That holds when
-// the run's events provably stay within MaxEvents (caps, from
-// visitCaps, is non-nil), the run has no observers and no event
-// schedule, and the mule has no battery and no recharge stop. Its visit
-// times then depend on nothing but its own route, whichever clock it
-// keeps, and the recorder, the one observer left, merges the runs its
-// logs gather (see Run).
-func runsAhead(i int, r core.MuleRoute, caps []int, opts Options) bool {
-	if caps == nil || len(opts.Observers) > 0 || len(opts.Events) > 0 || opts.UseBattery ||
-		i < len(opts.Fleet) && opts.Fleet[i].Battery > 0 {
-		return false
-	}
-	for _, wp := range r.Approach {
-		if wp.Recharge {
-			return false
-		}
-	}
-	for _, ph := range r.Cycle {
-		for _, wp := range ph.Stops {
-			if wp.Recharge {
-				return false
-			}
-		}
-	}
-	return true
+// the engine with mule.RunUntil, once visitCaps has proved that the
+// run's events stay within MaxEvents: whether nothing in the run
+// depends on the order of its events relative to other mules'. That
+// holds when the run has no observers and no event schedule, and the
+// mule has no battery and no recharge stop. Its visit times then
+// depend on nothing but its own route, whichever clock it keeps, and
+// the recorder, the one observer left, merges the runs its logs gather
+// (see Run).
+func runsAhead(i int, r *mule.Route, opts Options) bool {
+	return len(opts.Observers) == 0 && len(opts.Events) == 0 && !opts.UseBattery &&
+		!(i < len(opts.Fleet) && opts.Fleet[i].Battery > 0) && !r.Recharges()
 }
 
 // Run executes the algorithm on the scenario until opts.Horizon and
@@ -502,9 +435,16 @@ func Run(s *field.Scenario, alg Algorithm, opts Options, src *xrand.Source) (*Re
 		}
 	}
 	var rs []mule.Route
-	n := len(routers)
+	n, hold := len(routers), 0.0
 	if plan != nil {
-		rs = planRouters(plan, opts, s.NumMules())
+		if !opts.NoSynchronizedStart {
+			// The slowest mule travelling the longest approach bounds
+			// every arrival, so holding until then starts the fleet
+			// together even when speeds differ. For a homogeneous fleet
+			// this is exactly MaxApproach / Speed.
+			hold = plan.MaxApproach / opts.slowestSpeed(s.NumMules())
+		}
+		rs = newPlanRouters(plan.Routes, hold)
 		n = len(rs)
 	}
 	if n != s.NumMules() {
@@ -513,7 +453,7 @@ func Run(s *field.Scenario, alg Algorithm, opts Options, src *xrand.Source) (*Re
 	}
 
 	eng := sim.New()
-	caps := visitCaps(s.NumTargets(), plan, opts)
+	caps := visitCaps(s.NumTargets(), rs, opts)
 	rec := metrics.NewRecorderCap(s.NumTargets(), caps)
 	// The recorder is the first observer; user observers follow in
 	// registration order, all peers of one dispatch.
@@ -566,7 +506,7 @@ func Run(s *field.Scenario, alg Algorithm, opts Options, src *xrand.Source) (*Re
 			OnDeath:    onDeath,
 			OnRecharge: dispatch.OnRecharge,
 		})
-		if plan != nil && runsAhead(i, plan.Routes[i], caps, opts) {
+		if caps != nil && runsAhead(i, &rs[i], opts) {
 			rec.AllowRuns()
 			rs[i].Compile(rec)
 			mules[i].RunUntil(opts.Horizon)
@@ -599,17 +539,15 @@ func Run(s *field.Scenario, alg Algorithm, opts Options, src *xrand.Source) (*Re
 	rec.MergeRuns()
 
 	res := &Result{
-		Algorithm: alg.Name(),
-		Recorder:  rec,
-		Mules:     make([]MuleStats, len(mules)),
-		Plan:      plan,
+		Algorithm:   alg.Name(),
+		Recorder:    rec,
+		Mules:       make([]MuleStats, len(mules)),
+		Plan:        plan,
+		PatrolStart: hold,
 	}
 	if rp != nil {
 		res.Failures = rp.failures
 		res.Replans = rp.replans
-	}
-	if plan != nil && !opts.NoSynchronizedStart {
-		res.PatrolStart = plan.MaxApproach / opts.slowestSpeed(s.NumMules())
 	}
 	for i, m := range mules {
 		res.Mules[i] = MuleStats{

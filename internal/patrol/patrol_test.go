@@ -741,7 +741,10 @@ func (f fixedPlan) Plan(*field.Scenario) (*core.FleetPlan, error) { return f.pla
 // horizon H and at 4H. Whatever a run allocates is set-up (routers,
 // mules, the recorder's one flat block, sized from the routes); no
 // leg, visit or interval statistic allocates, and no visit log
-// regrows, however many of them the horizon holds. The Sweep fleet
+// regrows, however many of them the horizon holds. The statistics read
+// every group's and one target's too, and allocate nothing: the run
+// allocates as much without them. An aggregate that wrote a parked
+// span out would grow its log, which is sized for the span's two ends. The Sweep fleet
 // with nearly one mule per target has routes whose period the dwell
 // sets rather than the walk.
 func TestRunAllocationsIndependentOfHorizon(t *testing.T) {
@@ -767,7 +770,7 @@ func TestRunAllocationsIndependentOfHorizon(t *testing.T) {
 			// objects of its own inside a measurement; that noise only
 			// ever adds, so the least of three measurements is the
 			// run's own count, and a per-leg allocation shows in all.
-			allocs := func(horizon float64) (float64, int) {
+			allocs := func(horizon float64, read bool) (float64, int) {
 				visits, least := 0, math.Inf(1)
 				for i := 0; i < 3; i++ {
 					least = math.Min(least, testing.AllocsPerRun(5, func() {
@@ -775,24 +778,36 @@ func TestRunAllocationsIndependentOfHorizon(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
+						visits = res.TotalVisits()
 						rec, warm := res.Recorder, res.PatrolStart
-						if rec.AvgDCDTAfter(warm) <= 0 || rec.AvgSDAfter(warm) < 0 || rec.MaxInterval() <= 0 {
+						if !read {
+							return
+						}
+						if rec.AvgDCDTAfter(warm) <= 0 || rec.AvgSDAfter(warm) < 0 || rec.MaxInterval() <= 0 ||
+							rec.SDAfter(res.Groups[0].Targets[0], warm) < 0 {
 							t.Fatal("implausible metrics")
 						}
-						visits = res.TotalVisits()
+						for g := range res.Groups {
+							if res.GroupDCDTAfter(g, warm) <= 0 || res.GroupSDAfter(g, warm) < 0 {
+								t.Fatalf("implausible metrics of group %d", g)
+							}
+						}
 					}))
 				}
 				return least, visits
 			}
 			h := tc.h
-			a1, v1 := allocs(h)
-			a4, v4 := allocs(4 * h)
+			a1, v1 := allocs(h, true)
+			a4, v4 := allocs(4*h, true)
 			if v4 < 3*v1 {
 				t.Fatalf("visits %d at %v s and %d at %v s: the longer run must do more work", v1, h, v4, 4*h)
 			}
 			if a1 != a4 {
 				t.Fatalf("%v allocations at horizon %v s (%d visits), %v at %v s (%d visits): the simulate path allocates per leg or visit",
 					a1, h, v1, a4, 4*h, v4)
+			}
+			if a0, _ := allocs(h, false); a0 != a1 {
+				t.Fatalf("%v allocations with the interval statistics read, %v without: a statistic allocates", a1, a0)
 			}
 		})
 	}

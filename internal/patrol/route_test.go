@@ -2,6 +2,7 @@ package patrol
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"tctp/internal/baseline"
@@ -67,24 +68,74 @@ func randomPlanCase(rng *rand.Rand) (*field.Scenario, Algorithm, Options) {
 	return s, alg, opts
 }
 
+// striderTarget returns the target at which mule i strides when it
+// runs ahead on route r, or -1: a cycle of one phase of one target stop
+// with no recharge and no hold, under a positive dwell and a model that
+// spends nothing to move 0 m.
+func striderTarget(i int, r core.MuleRoute, rs []mule.Route, opts Options) int {
+	if len(r.Cycle) != 1 || len(r.Cycle[0].Stops) != 1 || !runsAhead(i, &rs[i], opts) {
+		return -1
+	}
+	wp := r.Cycle[0].Stops[0]
+	if wp.TargetID == mule.NoTarget || wp.Recharge || wp.NotBefore > 0 ||
+		!(opts.Energy.Dwell > 0) || opts.Energy.MoveEnergy(0) != 0 {
+		return -1
+	}
+	return wp.TargetID
+}
+
 // TestVisitCapsBoundVisitCounts is the property the recorder's sizing
-// rests on: across random plans, horizons, speeds and dwells, every
-// target's capacity is at least the visits it actually receives, so
-// no log regrows.
+// rests on, across random plans, horizons, speeds and dwells. Every
+// target that no striding mule visits gets a capacity of at least the
+// visits it actually receives, so no log regrows. A target at which
+// mules stride (every Sweep mule alone with one target) gets exactly
+// the entries its log stores: its approach visits plus the two ends of
+// one span per striding mule, each of which entered at the stop and
+// visited it twice or more.
 func TestVisitCapsBoundVisitCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	multiPhase := 0
-	for i := 0; i < 100; i++ {
+	multiPhase, strode := 0, 0
+	for i := 0; i < 200; i++ {
 		s, alg, opts := randomPlanCase(rng)
+		if i%2 == 1 {
+			// Few targets per mule: Sweep parks mules alone at one.
+			s = field.Generate(field.Config{NumTargets: s.NumMules() + rng.Intn(3), NumMules: s.NumMules()},
+				xrand.New(uint64(rng.Int63())))
+		}
 		res, err := Run(s, alg, opts, nil)
 		if err != nil {
 			continue // e.g. a fleet the planner refuses
 		}
-		caps := visitCaps(s.NumTargets(), res.Plan, opts.withDefaults())
+		opts = opts.withDefaults()
+		rs := newPlanRouters(res.Plan.Routes, res.PatrolStart)
+		caps := visitCaps(s.NumTargets(), rs, opts)
 		if caps == nil {
 			t.Fatalf("case %d (%s): no capacities for a plan with positive periods", i, alg.Name())
 		}
+		approach := make([]int, s.NumTargets())
+		striders := make([]int, s.NumTargets())
+		for j, r := range res.Plan.Routes {
+			for _, wp := range r.Approach {
+				if wp.TargetID != mule.NoTarget {
+					approach[wp.TargetID]++
+				}
+			}
+			if id := striderTarget(j, r, rs, opts); id >= 0 {
+				striders[id]++
+				if res.Mules[j].Visits < 2 {
+					t.Fatalf("case %d (%s): mule %d strode to %d visits", i, alg.Name(), j, res.Mules[j].Visits)
+				}
+			}
+		}
 		for id := range caps {
+			if striders[id] > 0 {
+				strode++
+				if want := approach[id] + 2*striders[id]; caps[id] != want {
+					t.Fatalf("case %d (%s): target %d with %d striding mules and %d approach visits: capacity %d, want %d",
+						i, alg.Name(), id, striders[id], approach[id], caps[id], want)
+				}
+				continue
+			}
 			if got := len(res.Recorder.VisitTimes(id)); got > caps[id] {
 				t.Fatalf("case %d (%s, horizon %v, dwell %v): target %d visited %d times, capacity %d",
 					i, alg.Name(), opts.Horizon, opts.Energy.Dwell, id, got, caps[id])
@@ -94,33 +145,51 @@ func TestVisitCapsBoundVisitCounts(t *testing.T) {
 			multiPhase++
 		}
 	}
-	if multiPhase == 0 {
-		t.Fatal("no multi-phase plan drawn")
+	if multiPhase == 0 || strode == 0 {
+		t.Fatalf("%d multi-phase plans, %d targets with striding mules: the cases miss one", multiPhase, strode)
 	}
 }
 
 // TestVisitCapsFallBack covers the plans that get no capacities, whose
 // logs grow instead: online algorithms, a route with a zero period
-// (one stop, no dwell) and capacities beyond what MaxEvents allows.
+// (one stop, no dwell) and capacities beyond what MaxEvents allows; and
+// the one-stop route with a dwell, which gets a slot per visit on the
+// engine and the two ends of its span when it runs ahead and strides,
+// plus one for a first visit off its approach's end.
 func TestVisitCapsFallBack(t *testing.T) {
 	opts := Options{Horizon: 1000}.withDefaults()
 	if caps := visitCaps(3, nil, opts); caps != nil {
 		t.Fatalf("online run got capacities %v", caps)
 	}
 	stop := mule.Waypoint{Pos: geom.Pt(10, 10), TargetID: 1}
-	plan := &core.FleetPlan{Routes: []core.MuleRoute{{Cycle: []core.Phase{{Stops: []mule.Waypoint{stop}, Repeat: 1}}}}}
+	route := core.MuleRoute{Cycle: []core.Phase{{Stops: []mule.Waypoint{stop}, Repeat: 1}}}
+	caps := func(opts Options) []int {
+		return visitCaps(3, newPlanRouters([]core.MuleRoute{route}, 0), opts)
+	}
 	opts.Energy.Dwell = 0
-	if caps := visitCaps(3, plan, opts); caps != nil {
-		t.Fatalf("zero-period route got capacities %v", caps)
+	if c := caps(opts); c != nil {
+		t.Fatalf("zero-period route got capacities %v", c)
 	}
 	opts.Energy.Dwell = 1
-	caps := visitCaps(3, plan, opts)
-	if caps == nil || caps[1] != 1002 || caps[0] != 0 {
-		t.Fatalf("one-stop route with a 1 s dwell: capacities %v, want 1002 for target 1", caps)
+	for _, tc := range []struct {
+		name      string
+		approach  []mule.Waypoint
+		observers []Observer
+		want      []int
+	}{
+		{"on the engine", nil, []Observer{ObserverFuncs{}}, []int{0, 1002, 0}},
+		{"striding, off the approach", nil, nil, []int{0, 3, 0}},
+		{"striding, entering at the stop", []mule.Waypoint{{Pos: stop.Pos, TargetID: mule.NoTarget}}, nil, []int{0, 2, 0}},
+		{"striding after an approach visit", []mule.Waypoint{{Pos: stop.Pos, TargetID: 2}}, nil, []int{0, 2, 1}},
+	} {
+		route.Approach, opts.Observers = tc.approach, tc.observers
+		if c := caps(opts); !slices.Equal(c, tc.want) {
+			t.Fatalf("one-stop route with a 1 s dwell, %s: capacities %v, want %v", tc.name, c, tc.want)
+		}
 	}
 	opts.MaxEvents = 1001
-	if caps := visitCaps(3, plan, opts); caps != nil {
-		t.Fatalf("capacities %v beyond MaxEvents", caps)
+	if c := caps(opts); c != nil {
+		t.Fatalf("capacities %v beyond MaxEvents", c)
 	}
 }
 

@@ -61,7 +61,7 @@ func (a *Accumulator) Add(x float64) {
 	}
 	d := x - a.mean
 	a.mean += d / float64(a.n)
-	a.m2 += d * (x - a.mean)
+	a.m2 += float64(d * (x - a.mean)) // rounded, never fused into the add
 }
 
 // N returns the number of samples added.

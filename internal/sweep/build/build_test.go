@@ -168,3 +168,21 @@ func TestParseFleetsAndWorkloads(t *testing.T) {
 		t.Fatalf("workload knobs ignored: %+v", ws[1].Data)
 	}
 }
+
+// TestParseAdaptive covers the -adaptive spec metric:relci[:min[:max]]
+// that the CLI flag and a sweep request's adaptive field share.
+func TestParseAdaptive(t *testing.T) {
+	a, err := Adaptive("avg_dcdt_s:0.05")
+	if err != nil || a.Metric != "avg_dcdt_s" || a.RelCI != 0.05 || a.MinReps != 0 || a.MaxReps != 0 {
+		t.Fatalf("Adaptive = %+v, %v", a, err)
+	}
+	a, err = Adaptive("avg_sd_s:0.1:4:40")
+	if err != nil || a.MinReps != 4 || a.MaxReps != 40 {
+		t.Fatalf("Adaptive = %+v, %v", a, err)
+	}
+	for _, bad := range []string{"", "m", "m:x", ":0.1", "m:0.1:x", "m:0.1:2:x", "m:0.1:2:3:4"} {
+		if _, err := Adaptive(bad); err == nil {
+			t.Fatalf("Adaptive(%q) accepted", bad)
+		}
+	}
+}
