@@ -301,6 +301,28 @@ func BenchmarkSimulationExclusiveRegions(b *testing.B) {
 	}
 }
 
+// BenchmarkSimulationRandom measures one 4-mule Random replication on
+// a 20-target uniform field over 20 000 s: the online baseline, whose
+// routers declare themselves independent, so its mules run ahead of the
+// event heap on their own clocks and the recorder merges the logs they
+// share. Each op takes a new recorder, as BenchmarkCellExclusive does:
+// a released one that the pool misses would grow its logs afresh, which
+// the allocation gate would read as a regression.
+func BenchmarkSimulationRandom(b *testing.B) {
+	s := field.Generate(field.Config{NumTargets: 20, NumMules: 4, Placement: field.Uniform},
+		xrand.New(5))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		res, err := patrol.Run(s, patrol.Online(&baseline.Random{}), patrol.Options{Horizon: 20_000}, xrand.New(1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.TotalVisits() == 0 || res.Events != 0 {
+			b.Fatalf("%d visits, %d engine events", res.TotalVisits(), res.Events)
+		}
+	}
+}
+
 // BenchmarkEventEngine measures the bare discrete-event engine.
 func BenchmarkEventEngine(b *testing.B) {
 	b.ReportAllocs()

@@ -21,6 +21,7 @@ package baseline
 
 import (
 	"fmt"
+	"slices"
 
 	"tctp/internal/core"
 	"tctp/internal/field"
@@ -40,11 +41,14 @@ func (*CHB) Name() string { return "CHB" }
 // to B-TCTP's; the difference is the missing location initialization:
 // each mule enters the circuit where it happens to be closest, keeping
 // whatever spacing chance provides.
-func (c *CHB) Plan(s *field.Scenario) (*core.FleetPlan, error) {
+func (c *CHB) Plan(s *field.Scenario) (*core.FleetPlan, error) { return c.PlanMemo(s, nil) }
+
+// PlanMemo implements core.MemoPlanner: Plan with the circuit from m.
+func (c *CHB) PlanMemo(s *field.Scenario, m *core.Memo) (*core.FleetPlan, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	w, err := core.Circuit(s, nil, core.HullInsertion, false)
+	w, err := m.Circuit(s, nil, core.HullInsertion, false)
 	if err != nil {
 		return nil, fmt.Errorf("baseline: CHB circuit: %w", err)
 	}
@@ -150,6 +154,12 @@ func (r *Random) NewRouters(s *field.Scenario, src *xrand.Source) []mule.Router 
 	return routers
 }
 
+// RoutersIndependent declares patrol.IndependentRouters: each router
+// reads only its own mule's position and the scenario's targets, draws
+// only from its own stream and only in Next, and hands out only
+// targets, so patrol.Run may run Random's mules ahead of the engine.
+func (*Random) RoutersIndependent() {}
+
 // randomRouter implements the Random policy for one mule: visit every
 // target once per epoch in uniformly random order.
 type randomRouter struct {
@@ -161,7 +171,8 @@ type randomRouter struct {
 // Next implements mule.Router.
 func (r *randomRouter) Next(m *mule.Mule) (mule.Waypoint, float64, bool) {
 	if len(r.remaining) == 0 {
-		r.remaining = make([]int, r.s.NumTargets())
+		// A new epoch refills the same array.
+		r.remaining = slices.Grow(r.remaining, r.s.NumTargets())[:r.s.NumTargets()]
 		for i := range r.remaining {
 			r.remaining[i] = i
 		}

@@ -66,11 +66,14 @@ func (b *BTCTP) Name() string { return "B-TCTP" }
 // partitioned into equal-length arcs from the most-north target, and
 // the location-initialization assignment sends exactly one mule to
 // each arc endpoint.
-func (b *BTCTP) Plan(s *field.Scenario) (*FleetPlan, error) {
+func (b *BTCTP) Plan(s *field.Scenario) (*FleetPlan, error) { return b.PlanMemo(s, nil) }
+
+// PlanMemo implements MemoPlanner: Plan with the circuit from m.
+func (b *BTCTP) PlanMemo(s *field.Scenario, m *Memo) (*FleetPlan, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	circuit, err := Circuit(s, nil, b.Heuristic, b.Improve)
+	circuit, err := m.Circuit(s, nil, b.Heuristic, b.Improve)
 	if err != nil {
 		return nil, err
 	}
@@ -90,10 +93,17 @@ func (b *BTCTP) Plan(s *field.Scenario) (*FleetPlan, error) {
 // W-TCTP and CHB over all targets, and C-BTCTP, C-WTCTP, Sweep and the
 // absorb replan per region. The scenario must already be valid.
 func Circuit(s *field.Scenario, members []int, h TourHeuristic, improve bool) (walk.Walk, error) {
+	return (*Memo)(nil).Circuit(s, members, h, improve)
+}
+
+// Circuit is the package's Circuit with the kernel's tour remembered
+// in m (see Memo): the same points, start, heuristic and flag build one
+// tour, relabelled for each caller's members.
+func (m *Memo) Circuit(s *field.Scenario, members []int, h TourHeuristic, improve bool) (walk.Walk, error) {
 	if members == nil {
 		// Every target: the kernel runs on the scenario's points
 		// as they are, with no subset copy.
-		t, err := circuit(s.Points(), s.SinkID, h, improve)
+		t, err := m.circuit(s.Points(), s.SinkID, h, improve)
 		if err != nil {
 			return walk.Walk{}, err
 		}
@@ -107,7 +117,7 @@ func Circuit(s *field.Scenario, members []int, h TourHeuristic, improve bool) (w
 			start = i
 		}
 	}
-	t, err := circuit(sub, start, h, improve)
+	t, err := m.circuit(sub, start, h, improve)
 	if err != nil {
 		return walk.Walk{}, err
 	}

@@ -168,9 +168,13 @@ type CBTCTP struct {
 func (c *CBTCTP) Name() string { return "C-BTCTP(" + c.Config.String() + ")" }
 
 // Plan implements Planner.
-func (c *CBTCTP) Plan(s *field.Scenario) (*FleetPlan, error) {
+func (c *CBTCTP) Plan(s *field.Scenario) (*FleetPlan, error) { return c.PlanMemo(s, nil) }
+
+// PlanMemo implements MemoPlanner: Plan with the region circuits from
+// m.
+func (c *CBTCTP) PlanMemo(s *field.Scenario, m *Memo) (*FleetPlan, error) {
 	groups, err := Regions(s, c.Config, c.Rand, func(members []int) (walk.Walk, error) {
-		return Circuit(s, members, c.Heuristic, c.Improve)
+		return m.Circuit(s, members, c.Heuristic, c.Improve)
 	})
 	if err != nil {
 		return nil, err
@@ -201,13 +205,17 @@ func (c *CWTCTP) Name() string {
 
 // Plan implements Planner. One random source serves every region's
 // RandomBreak choices, in region order.
-func (c *CWTCTP) Plan(s *field.Scenario) (*FleetPlan, error) {
+func (c *CWTCTP) Plan(s *field.Scenario) (*FleetPlan, error) { return c.PlanMemo(s, nil) }
+
+// PlanMemo implements MemoPlanner: Plan with the region circuits from
+// m.
+func (c *CWTCTP) PlanMemo(s *field.Scenario, m *Memo) (*FleetPlan, error) {
 	rnd := c.Rand
 	if rnd == nil {
 		rnd = xrand.New(0)
 	}
 	groups, err := Regions(s, c.Config, c.Rand, func(members []int) (walk.Walk, error) {
-		return c.wpp(s, members, rnd)
+		return c.wpp(s, members, rnd, m)
 	})
 	if err != nil {
 		return nil, err

@@ -45,11 +45,15 @@ func (r *RWTCTP) model() energy.Model {
 // alternates a WPP phase repeated r−1 times with a WRP phase executed
 // once; mules therefore pass the recharge station exactly once every r
 // rounds ("each DM should patrol along WRP P̄ every r rounds", §4.2).
-func (r *RWTCTP) Plan(s *field.Scenario) (*FleetPlan, error) {
+func (r *RWTCTP) Plan(s *field.Scenario) (*FleetPlan, error) { return r.PlanMemo(s, nil) }
+
+// PlanMemo implements MemoPlanner: Plan with the WPP and its circuit
+// from m.
+func (r *RWTCTP) PlanMemo(s *field.Scenario, m *Memo) (*FleetPlan, error) {
 	if !s.HasRecharge {
 		return nil, fmt.Errorf("core: RW-TCTP requires a recharge station in the scenario")
 	}
-	wpp, err := r.BuildWPP(s)
+	wpp, err := r.buildWPP(s, m)
 	if err != nil {
 		return nil, err
 	}

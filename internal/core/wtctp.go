@@ -77,8 +77,12 @@ func (wt *WTCTP) Name() string {
 // start-point partition and location initialization as B-TCTP
 // (§3.2: "each DM executes the location initialization task as
 // proposed in B-TCTP").
-func (wt *WTCTP) Plan(s *field.Scenario) (*FleetPlan, error) {
-	wpp, err := wt.BuildWPP(s)
+func (wt *WTCTP) Plan(s *field.Scenario) (*FleetPlan, error) { return wt.PlanMemo(s, nil) }
+
+// PlanMemo implements MemoPlanner: Plan with the WPP and its circuit
+// from m.
+func (wt *WTCTP) PlanMemo(s *field.Scenario, m *Memo) (*FleetPlan, error) {
+	wpp, err := wt.buildWPP(s, m)
 	if err != nil {
 		return nil, err
 	}
@@ -92,7 +96,10 @@ func (wt *WTCTP) Plan(s *field.Scenario) (*FleetPlan, error) {
 
 // BuildWPP validates the scenario and constructs its Weighted
 // Patrolling Path over every target.
-func (wt *WTCTP) BuildWPP(s *field.Scenario) (walk.Walk, error) {
+func (wt *WTCTP) BuildWPP(s *field.Scenario) (walk.Walk, error) { return wt.buildWPP(s, nil) }
+
+// buildWPP is BuildWPP with the path and its circuit from m.
+func (wt *WTCTP) buildWPP(s *field.Scenario, m *Memo) (walk.Walk, error) {
 	if err := s.Validate(); err != nil {
 		return walk.Walk{}, err
 	}
@@ -100,7 +107,16 @@ func (wt *WTCTP) BuildWPP(s *field.Scenario) (walk.Walk, error) {
 	if rnd == nil {
 		rnd = xrand.New(0)
 	}
-	return wt.wpp(s, nil, rnd)
+	if m != nil {
+		if key := wppKeyOf(wt, s); key != nil {
+			seq, err := m.do(key, func() ([]int, error) {
+				w, err := wt.wpp(s, nil, rnd, m)
+				return w.Seq, err
+			})
+			return walk.Walk{Seq: seq}, err
+		}
+	}
+	return wt.wpp(s, nil, rnd, m)
 }
 
 // wpp builds the WPP over the member targets (nil means every target;
@@ -111,9 +127,9 @@ func (wt *WTCTP) BuildWPP(s *field.Scenario) (walk.Walk, error) {
 // (priority p_i = w_i, §3.1-B), ties by ascending id, each
 // contributing w_i − 1 break-edge insertions chosen by the configured
 // policy; rnd drives RandomBreak. The walk is then re-traversed under
-// the §3.2 angle rule unless disabled.
-func (wt *WTCTP) wpp(s *field.Scenario, members []int, rnd *xrand.Source) (walk.Walk, error) {
-	w, err := Circuit(s, members, wt.Heuristic, wt.Improve)
+// the §3.2 angle rule unless disabled. The circuit comes from m.
+func (wt *WTCTP) wpp(s *field.Scenario, members []int, rnd *xrand.Source, m *Memo) (walk.Walk, error) {
+	w, err := m.Circuit(s, members, wt.Heuristic, wt.Improve)
 	if err != nil {
 		return walk.Walk{}, err
 	}

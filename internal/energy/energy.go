@@ -51,18 +51,23 @@ func Default() Model {
 	}
 }
 
+// The products below are each rounded by an explicit conversion, so
+// that a caller's sum cannot fuse them into a multiply-add, which
+// rounds once and would make the energy bookkeeping depend on the
+// architecture.
+
 // MoveEnergy returns the energy to travel dist metres.
-func (m Model) MoveEnergy(dist float64) float64 { return m.MoveCost * dist }
+func (m Model) MoveEnergy(dist float64) float64 { return float64(m.MoveCost * dist) }
 
 // VisitEnergy returns the energy to collect one target's data
 // (c_s × dwell).
-func (m Model) VisitEnergy() float64 { return m.CollectCost * m.Dwell }
+func (m Model) VisitEnergy() float64 { return float64(m.CollectCost * m.Dwell) }
 
 // RoundEnergy returns the energy to traverse a patrolling path of the
 // given length visiting h targets once each — the denominator of
 // Equ. 4: |P̄|·c_m + h·c_s.
 func (m Model) RoundEnergy(pathLen float64, visits int) float64 {
-	return m.MoveEnergy(pathLen) + float64(visits)*m.VisitEnergy()
+	return m.MoveEnergy(pathLen) + float64(float64(visits)*m.VisitEnergy())
 }
 
 // Rounds implements Equ. 4: the number of complete patrolling rounds

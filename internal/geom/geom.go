@@ -57,7 +57,8 @@ func (p Point) Eq(q Point) bool {
 // Lerp returns the point a fraction t of the way from p to q.
 // t=0 yields p, t=1 yields q; t outside [0,1] extrapolates.
 func (p Point) Lerp(q Point, t float64) Point {
-	return Point{p.X + (q.X-p.X)*t, p.Y + (q.Y-p.Y)*t}
+	// Each product is rounded before the add, never fused into it.
+	return Point{p.X + float64((q.X-p.X)*t), p.Y + float64((q.Y-p.Y)*t)}
 }
 
 // Vec is a displacement in the plane.

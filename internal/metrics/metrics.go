@@ -99,7 +99,8 @@ var (
 // recorded values. A nil caps means no preallocation; otherwise it
 // must have one entry per target. The recorder reuses the log table,
 // backing array and merge buffer of a released one (see Release) when
-// there is one.
+// there is one; with nil caps, each of its logs keeps its backing
+// array and grows from the room it has.
 func NewRecorderCap(nTargets int, caps []int) *Recorder {
 	if nTargets <= 0 {
 		panic(fmt.Sprintf("metrics: NewRecorderCap(%d)", nTargets))
@@ -126,12 +127,27 @@ func (r *Recorder) reset(nTargets int, caps []int) {
 		r.spans = r.spanBuf[:0]
 	}
 	r.spans = r.spans[:0]
+	keep := len(r.visits) // the last run's logs, pairwise disjoint
 	if cap(r.visits) < nTargets {
-		r.visits = make([][]float64, nTargets)
+		r.visits, keep = make([][]float64, nTargets), 0
 	}
 	r.visits = r.visits[:nTargets]
 	if caps == nil {
-		clear(r.visits)
+		// Each log keeps its backing array, emptied, and grows from
+		// there: a run without capacities (an online algorithm's)
+		// starts from the room the last run's logs reached. An entry
+		// past the last run's logs may point into memory a later log
+		// of that run took, so it starts empty. A kept log may lie in
+		// the flat block, so none of the block is spare for
+		// mergeBuffer.
+		for i := range r.visits {
+			if i < keep {
+				r.visits[i] = r.visits[i][:0]
+			} else {
+				r.visits[i] = nil
+			}
+		}
+		r.used = len(r.flat)
 		return
 	}
 	total := 0

@@ -18,12 +18,15 @@
 // them. Only Launch and Reroute spend an extra event, to start the
 // first leg; see Reroute for the one ordering this cannot reproduce.
 //
-// A mule whose legs depend on nothing but its own route need not be on
+// A mule whose legs depend on nothing but its own router need not be on
 // the engine at all: RunUntil runs the same legs back to back on the
 // mule's own clock, in place of Launch, and spends no event. arrive and
 // depart take the instant they act at as a parameter, so the engine
-// handlers and RunUntil share their leg bookkeeping; patrol.Run decides
-// which mules may run ahead. A fixed route is a Route, whose cycle is a
+// handlers and RunUntil share their leg bookkeeping, and RunUntil
+// serves any Router: an online router that reads only its own mule and
+// draws only from its own stream (Random's) runs ahead leg by leg,
+// through depart and arrive. patrol.Run decides which mules may run
+// ahead. A fixed route is a Route, whose cycle is a
 // leg table walked by a cursor; compiled for the run's recorder, it
 // lets RunUntil run the cycle in a tight loop over the table, with the
 // float expressions of depart and arrive in their order, and hand each

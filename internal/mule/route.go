@@ -140,7 +140,8 @@ func (r *Route) Bound(caps []int, speed float64, model energy.Model, horizon flo
 		for _, l := range r.legs[off+1 : off+ph.stops] {
 			in += l.dist
 		}
-		length += r.legs[off+ph.stops].dist + float64(ph.repeat-1)*r.legs[off].dist + float64(ph.repeat)*in
+		// Each product is rounded before the add, never fused into it.
+		length += r.legs[off+ph.stops].dist + float64(float64(ph.repeat-1)*r.legs[off].dist) + float64(float64(ph.repeat)*in)
 		for _, l := range r.legs[off : off+ph.stops] {
 			if l.wp.TargetID != NoTarget {
 				stops += ph.repeat
@@ -149,7 +150,7 @@ func (r *Route) Bound(caps []int, speed float64, model energy.Model, horizon flo
 		legs += ph.repeat * ph.stops
 		off += ph.stops + 1
 	}
-	period := length/speed + float64(stops)*model.Dwell
+	period := length/speed + float64(float64(stops)*model.Dwell)
 	cycles := math.Floor(horizon/period) + 2
 	if !(period > 0 && cycles < math.Inf(1)) {
 		return math.Inf(1)
@@ -159,7 +160,7 @@ func (r *Route) Bound(caps []int, speed float64, model energy.Model, horizon flo
 			caps[wp.TargetID]++
 		}
 	}
-	events = 1 + float64(len(r.approach)) + cycles*float64(legs)
+	events = 1 + float64(len(r.approach)) + float64(cycles*float64(legs))
 	if wp := r.strider(model); wp != nil && compiled {
 		caps[wp.TargetID] += 2
 		if n := len(r.approach); n == 0 || r.approach[n-1].Pos != wp.Pos {
@@ -242,9 +243,7 @@ func (m *Mule) runCycle(r *Route, dep, t float64) float64 {
 		cur = cur.next(phases)
 		pos = wp.Pos
 		distance += l.dist
-		// The conversion rounds the product, as depart's does, where
-		// a fused multiply-add would not.
-		energyUse += float64(model.MoveEnergy(l.dist))
+		energyUse += model.MoveEnergy(l.dist)
 		if wp.TargetID == NoTarget {
 			dep = now + holdDelay(*wp, 0, now)
 			continue
@@ -294,7 +293,7 @@ func (m *Mule) stride(r *Route, wp *Waypoint, dep, t float64) float64 {
 	}
 	m.pos, r.from = wp.Pos, wp.Pos
 	m.distance += l.dist
-	m.energyUse += float64(m.cfg.Energy.MoveEnergy(l.dist))
+	m.energyUse += m.cfg.Energy.MoveEnergy(l.dist)
 	m.energyUse = stats.AddN(m.energyUse, m.cfg.Energy.VisitEnergy(), n)
 	m.visits += n
 	// The one-stop phase's cursor moves only its repetition.

@@ -16,7 +16,8 @@ import (
 )
 
 // aheadFamilies names the algorithm families randomAheadCase draws;
-// only the last never runs a mule ahead.
+// each runs its mules ahead in most draws, the online Random baseline
+// included.
 var aheadFamilies = []string{"sweep-kmeans", "sweep-sectors", "cbtctp", "cwtctp", "btctp-1", "btctp", "wtctp", "chb", "speeds", "mixed", "parked", "random"}
 
 // randomAheadCase draws a run for the run-ahead tests from the named
@@ -161,19 +162,40 @@ func randomAheadCase(rng *rand.Rand, family string) (s *field.Scenario, alg func
 	return s, alg, opts
 }
 
-// aheadMules returns which mules Run lets run ahead for these inputs.
-func aheadMules(s *field.Scenario, plan *core.FleetPlan, opts Options) []bool {
+// aheadMules returns which mules Run lets run ahead for these inputs:
+// a plan's mules when visitCaps sizes the logs, or else an online
+// maker's when it declares IndependentRouters, the dwell is positive
+// and the fleet's event bound, m·(2 + ⌊2H/dwell⌋) for m mules, is at
+// most MaxEvents; either way only mules that runsAhead lets go.
+func aheadMules(s *field.Scenario, plan *core.FleetPlan, maker RouterMaker, opts Options) []bool {
 	opts = opts.withDefaults()
 	var rs []mule.Route
+	bounded := false
 	if plan != nil {
 		rs = newPlanRouters(plan.Routes, 0)
+		bounded = visitCaps(s.NumTargets(), rs, opts) != nil
+	} else if _, ok := maker.(IndependentRouters); ok && opts.Energy.Dwell > 0 {
+		bounded = float64(onlineBound(s.NumMules(), opts)) <= float64(opts.MaxEvents)
 	}
-	caps := visitCaps(s.NumTargets(), rs, opts)
 	ahead := make([]bool, s.NumMules())
 	for i := range ahead {
-		ahead[i] = caps != nil && runsAhead(i, &rs[i], opts)
+		ahead[i] = bounded && runsAhead(i, rs, opts)
 	}
 	return ahead
+}
+
+// onlineBound is the online fleet's event bound m·(2 + ⌊2H/dwell⌋),
+// for a defaults-applied opts with a positive dwell.
+func onlineBound(m int, opts Options) uint64 {
+	return uint64(m) * (2 + uint64(math.Floor(2*opts.Horizon/opts.Energy.Dwell)))
+}
+
+// makerOf returns the maker of an online algorithm, or nil.
+func makerOf(a Algorithm) RouterMaker {
+	if oa, ok := a.(onlineAlg); ok {
+		return oa.m
+	}
+	return nil
 }
 
 // diffResults describes the first difference between two results,
@@ -254,7 +276,10 @@ func anyVisit(rng *rand.Rand, res *Result) float64 {
 // that run ahead run their cycles from the compiled leg table, and the
 // test fails unless some did: an ahead mule that made two cycle visits
 // took the table path for the second at least, since it then stood at
-// the first visit's stop, the second leg's from point. Mules that share
+// the first visit's stop, the second leg's from point. Random's mules
+// run ahead too, and the test fails unless most Random runs ran every
+// mule ahead; a run whose mules all ran ahead must execute no engine
+// event, and any other must execute some. Mules that share
 // a circuit leave each target's log in several time-sorted runs, and
 // the test fails unless the recorder merged some log from at least two
 // runs, some while a mule kept to the engine, and unless some fleet
@@ -267,7 +292,7 @@ func anyVisit(rng *rand.Rand, res *Result) float64 {
 func TestRunAheadMatchesEventPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	const n = 1320
-	var ran, mixed, onArrival, failures, skipped, fleets, unsynced, noDwell, tabled, merged, mixedMerged, lapped, strided, parkedMixed int
+	var ran, mixed, onArrival, failures, skipped, fleets, unsynced, noDwell, tabled, merged, mixedMerged, lapped, strided, parkedMixed, online, onlineAhead int
 	families := map[string]int{}
 	for i := 0; i < n; i++ {
 		family := aheadFamilies[i%len(aheadFamilies)]
@@ -327,12 +352,15 @@ func TestRunAheadMatchesEventPath(t *testing.T) {
 		}
 		ran++
 		some := 0
-		ahead := aheadMules(s, got.Plan, opts)
+		ahead := aheadMules(s, got.Plan, makerOf(alg()), opts)
 		for j, a := range ahead {
 			if !a {
 				continue
 			}
 			some++
+			if got.Plan == nil {
+				continue // an online mule has no compiled cycle
+			}
 			visits := got.Mules[j].Visits
 			for _, wp := range got.Plan.Routes[j].Approach {
 				if wp.TargetID != mule.NoTarget {
@@ -353,8 +381,17 @@ func TestRunAheadMatchesEventPath(t *testing.T) {
 				}
 			}
 		}
+		if (some == s.NumMules()) != (got.Events == 0) {
+			t.Fatalf("case %d (%s): %d of %d mules ahead, %d engine events", i, family, some, s.NumMules(), got.Events)
+		}
 		if some > 0 {
 			families[family]++
+		}
+		if got.Plan == nil {
+			online++
+			if some == s.NumMules() {
+				onlineAhead++
+			}
 		}
 		if got.Recorder.Merged() >= 2 {
 			merged++
@@ -381,8 +418,8 @@ func TestRunAheadMatchesEventPath(t *testing.T) {
 			failures++
 		}
 	}
-	t.Logf("%d runs (%d skipped): %v ran mules ahead, %d mules made visits from their compiled cycle (%d parked, striding, %d of them at a target a mule on the engine visits too), %d merged a log from several runs (%d with a mule on the engine), %d lapped a mule, %d with mules on both clocks, %d with fleet speeds, %d unsynchronized, %d without dwell; %d horizons on an arrival, %d with a failure",
-		ran, skipped, families, tabled, strided, parkedMixed, merged, mixedMerged, lapped, mixed, fleets, unsynced, noDwell, onArrival, failures)
+	t.Logf("%d runs (%d skipped): %v ran mules ahead (%d of %d online runs every mule), %d mules made visits from their compiled cycle (%d parked, striding, %d of them at a target a mule on the engine visits too), %d merged a log from several runs (%d with a mule on the engine), %d lapped a mule, %d with mules on both clocks, %d with fleet speeds, %d unsynchronized, %d without dwell; %d horizons on an arrival, %d with a failure",
+		ran, skipped, families, onlineAhead, online, tabled, strided, parkedMixed, merged, mixedMerged, lapped, mixed, fleets, unsynced, noDwell, onArrival, failures)
 	if tabled == 0 {
 		t.Fatal("no mule made visits from its compiled cycle")
 	}
@@ -395,13 +432,13 @@ func TestRunAheadMatchesEventPath(t *testing.T) {
 	if strided == 0 || parkedMixed == 0 {
 		t.Fatalf("%d parked mules strided, %d at a target a mule on the engine visits too: the runs miss a case", strided, parkedMixed)
 	}
-	for _, f := range aheadFamilies[:len(aheadFamilies)-1] {
+	for _, f := range aheadFamilies {
 		if families[f] == 0 {
 			t.Fatalf("no %s run ran a mule ahead: %v", f, families)
 		}
 	}
-	if families["random"] > 0 {
-		t.Fatalf("an online run ran a mule ahead: %v", families)
+	if 2*onlineAhead <= online {
+		t.Fatalf("%d of %d online runs ran every mule ahead, want most", onlineAhead, online)
 	}
 	if mixed == 0 || fleets == 0 || unsynced == 0 || noDwell == 0 || onArrival == 0 || failures == 0 {
 		t.Fatal("the random runs miss a case the oracle must cover")
@@ -536,7 +573,12 @@ func TestLongerHorizonExtendsShorter(t *testing.T) {
 // TestRunAheadDisqualifiers shows each condition that keeps a mule on
 // the engine. The base run, Sweep with nearly one mule per target,
 // runs every mule ahead, and a target two routes share, or a shared
-// B-TCTP circuit, keeps none on the engine.
+// B-TCTP circuit, keeps none on the engine. Random's mules run ahead
+// under the same run conditions, unless the dwell is zero or MaxEvents
+// is below the fleet's online event bound; a maker that does not
+// declare IndependentRouters keeps its mules on the engine. Each online
+// case is also run: it executes engine events exactly when some mule
+// stays on the engine.
 func TestRunAheadDisqualifiers(t *testing.T) {
 	s := scenario(36, 10, 8)
 	plan, err := (&baseline.Sweep{}).Plan(s)
@@ -548,7 +590,7 @@ func TestRunAheadDisqualifiers(t *testing.T) {
 	for i := range all {
 		all[i] = true
 	}
-	if got := aheadMules(s, plan, base); !reflect.DeepEqual(got, all) {
+	if got := aheadMules(s, plan, nil, base); !reflect.DeepEqual(got, all) {
 		t.Fatalf("base run: ahead %v, want every mule", got)
 	}
 	none := make([]bool, s.NumMules())
@@ -583,30 +625,52 @@ func TestRunAheadDisqualifiers(t *testing.T) {
 	if !lone {
 		t.Fatal("the base plan has no one-stop route for the zero-period case")
 	}
+	random := &baseline.Random{}
+	atBound := base
+	atBound.MaxEvents = onlineBound(s.NumMules(), base.withDefaults())
+	belowBound := atBound
+	belowBound.MaxEvents--
 	for _, tc := range []struct {
-		name string
-		plan *core.FleetPlan
-		opts Options
-		want []bool
+		name  string
+		plan  *core.FleetPlan
+		maker RouterMaker
+		opts  Options
+		want  []bool
 	}{
-		{"observer", plan, Options{Horizon: base.Horizon, Observers: []Observer{ObserverFuncs{}}}, none},
-		{"event", plan, Options{Horizon: base.Horizon, Events: []Event{{Time: 2 * base.Horizon, Kind: KillMule}}}, none},
-		{"run battery", plan, Options{Horizon: base.Horizon, UseBattery: true}, none},
-		{"fleet-member battery", plan, battery, except(3)},
+		{"observer", plan, nil, Options{Horizon: base.Horizon, Observers: []Observer{ObserverFuncs{}}}, none},
+		{"event", plan, nil, Options{Horizon: base.Horizon, Events: []Event{{Time: 2 * base.Horizon, Kind: KillMule}}}, none},
+		{"run battery", plan, nil, Options{Horizon: base.Horizon, UseBattery: true}, none},
+		{"fleet-member battery", plan, nil, battery, except(3)},
 		{"recharge stop", withStops(2, func(w []mule.Waypoint) []mule.Waypoint {
 			w[0].Recharge = true
 			return w
-		}), base, except(2)},
+		}), nil, base, except(2)},
 		{"shared target", withStops(5, func(w []mule.Waypoint) []mule.Waypoint {
 			return append(w, other)
-		}), base, all},
-		{"zero-period route", plan, zeroDwell, none},
-		{"event bound above MaxEvents", plan, Options{Horizon: base.Horizon, MaxEvents: 100_000}, none},
-		{"NaN horizon", plan, Options{Horizon: math.NaN()}, none},
-		{"online algorithm", nil, base, none},
+		}), nil, base, all},
+		{"zero-period route", plan, nil, zeroDwell, none},
+		{"event bound above MaxEvents", plan, nil, Options{Horizon: base.Horizon, MaxEvents: 100_000}, none},
+		{"NaN horizon", plan, nil, Options{Horizon: math.NaN()}, none},
+		{"online algorithm", nil, random, base, all},
+		{"online observer", nil, random, Options{Horizon: base.Horizon, Observers: []Observer{ObserverFuncs{}}}, none},
+		{"online fleet-member battery", nil, random, battery, except(3)},
+		{"undeclared maker", nil, undeclared{random}, base, none},
+		{"online zero dwell", nil, random, zeroDwell, none},
+		{"MaxEvents one below the online bound", nil, random, belowBound, none},
+		{"MaxEvents at the online bound", nil, random, atBound, all},
 	} {
-		if got := aheadMules(s, tc.plan, tc.opts); !reflect.DeepEqual(got, tc.want) {
+		if got := aheadMules(s, tc.plan, tc.maker, tc.opts); !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("%s: ahead %v, want %v", tc.name, got, tc.want)
+		}
+		if tc.maker == nil {
+			continue
+		}
+		res, err := Run(s, Online(tc.maker), tc.opts, xrand.New(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if onEngine := !reflect.DeepEqual(tc.want, all); onEngine != (res.Events > 0) {
+			t.Errorf("%s: Run executed %d engine events, want some: %v", tc.name, res.Events, onEngine)
 		}
 	}
 	// A shared-circuit fleet and a one-mule circuit, as planned.
@@ -614,7 +678,7 @@ func TestRunAheadDisqualifiers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := aheadMules(s, btctp, base); !reflect.DeepEqual(got, all) {
+	if got := aheadMules(s, btctp, nil, base); !reflect.DeepEqual(got, all) {
 		t.Errorf("shared B-TCTP circuit: ahead %v, want every mule", got)
 	}
 	one := scenario(37, 10, 1)
@@ -622,7 +686,17 @@ func TestRunAheadDisqualifiers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := aheadMules(one, solo, base); !reflect.DeepEqual(got, []bool{true}) {
+	if got := aheadMules(one, solo, nil, base); !reflect.DeepEqual(got, []bool{true}) {
 		t.Errorf("one-mule B-TCTP: ahead %v, want [true]", got)
 	}
+}
+
+// undeclared is a RouterMaker that builds Random's routers without
+// declaring IndependentRouters.
+type undeclared struct{ r *baseline.Random }
+
+func (u undeclared) Name() string { return u.r.Name() }
+
+func (u undeclared) NewRouters(s *field.Scenario, src *xrand.Source) []mule.Router {
+	return u.r.NewRouters(s, src)
 }

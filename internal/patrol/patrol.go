@@ -7,6 +7,7 @@ package patrol
 
 import (
 	"fmt"
+	"math"
 
 	"tctp/internal/core"
 	"tctp/internal/energy"
@@ -50,9 +51,12 @@ type Options struct {
 	// leaves, then the travel — is one event, ending in the arrival
 	// that records a visit, so a run records at most MaxEvents visits.
 	// Mules run ahead of the engine on their own clocks (see Run) only
-	// when the plan's routes prove that the whole run's events up to
-	// the horizon stay within MaxEvents, so the guard never stops such
-	// a run, whichever clock its mules keep.
+	// when the whole run's events up to the horizon provably stay
+	// within MaxEvents — by the plan's routes, or for an online
+	// algorithm by m·(2 + ⌊2·Horizon/dwell⌋) for m mules, each arrival
+	// at least half a dwell after the one before (see onlineEvents) —
+	// so the guard never stops such a run, whichever clock its mules
+	// keep.
 	MaxEvents uint64
 	// NoSynchronizedStart lets each mule begin patrolling the moment
 	// it reaches its start point instead of waiting for the slowest
@@ -65,8 +69,10 @@ type Options struct {
 	// for the same event, in slice order.
 	// Attaching an observer keeps every mule on the global clock, so
 	// observers see every event in global time order; without one,
-	// every mule with no battery and no recharge stop may run ahead,
-	// whether or not it shares targets (see Run).
+	// every plan mule with no battery and no recharge stop may run
+	// ahead, whether or not it shares targets, and so may an online
+	// algorithm's mules whose maker declares IndependentRouters (see
+	// Run).
 	Observers []Observer
 	// Events is the dynamic-world schedule: mid-horizon mule failures
 	// and target spawns, applied in one batch per distinct time. Empty
@@ -177,6 +183,10 @@ type Result struct {
 	// Replans records each successful mid-run plan swap performed by
 	// the absorb handoff policy, in time order.
 	Replans []ReplanRecord
+	// Events counts the engine events the run executed. A mule that
+	// runs ahead (see Run) spends none, so a run whose every mule ran
+	// ahead executes 0.
+	Events uint64
 }
 
 // FirstFailureTime returns the time of the first injected failure and
@@ -252,14 +262,41 @@ type Algorithm interface {
 
 // Planned adapts a core.Planner (B/W/RW-TCTP, CHB, Sweep) to
 // Algorithm.
-func Planned(p core.Planner) Algorithm { return plannedAlg{p} }
+func Planned(p core.Planner) Algorithm { return plannedAlg{p: p} }
 
-type plannedAlg struct{ p core.Planner }
+// Memoized returns alg planning its point-set stage through memo (see
+// core.Memo) when alg is plan-based and its planner is a
+// core.MemoPlanner; any other algorithm, or a nil memo, leaves alg as
+// it is. Its plans are bit-identical to alg's: the memo only spares
+// repeated builds of the same circuit or path across runs that share
+// it.
+func Memoized(alg Algorithm, memo *core.Memo) Algorithm {
+	if pa, ok := alg.(plannedAlg); ok && memo != nil {
+		if _, ok := pa.p.(core.MemoPlanner); ok {
+			pa.memo = memo
+			return pa
+		}
+	}
+	return alg
+}
+
+type plannedAlg struct {
+	p    core.Planner
+	memo *core.Memo // set by Memoized, only for a core.MemoPlanner
+}
 
 func (a plannedAlg) Name() string { return a.p.Name() }
 
+// plan runs the planner, through the memo when there is one.
+func (a plannedAlg) plan(s *field.Scenario) (*core.FleetPlan, error) {
+	if a.memo != nil {
+		return a.p.(core.MemoPlanner).PlanMemo(s, a.memo)
+	}
+	return a.p.Plan(s)
+}
+
 func (a plannedAlg) prepare(s *field.Scenario, _ *xrand.Source) ([]mule.Router, *core.FleetPlan, error) {
-	plan, err := a.p.Plan(s)
+	plan, err := a.plan(s)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -287,9 +324,25 @@ func Partitioned(a Algorithm, cfg core.PartitionConfig, src *xrand.Source) (Algo
 }
 
 // RouterMaker is an online algorithm that builds one router per mule.
+// Its mules go through the event heap, in global time order, unless
+// the maker also implements IndependentRouters.
 type RouterMaker interface {
 	Name() string
 	NewRouters(s *field.Scenario, src *xrand.Source) []mule.Router
+}
+
+// IndependentRouters is the optional interface of a RouterMaker whose
+// routers each depend on nothing but their own mule and a random
+// stream of their own: a router's Next reads its mule and data fixed
+// before the run, and draws only from its own stream, so the waypoints
+// it hands out do not depend on when the other mules ask for theirs.
+// Every waypoint they hand out is a target, where the mule dwells.
+// Run may then run the maker's mules ahead of the engine (see Run).
+// Run checks for the interface and never infers the property: a maker
+// declares it by implementing RoutersIndependent, which is never
+// called.
+type IndependentRouters interface {
+	RoutersIndependent()
 }
 
 // Online adapts a RouterMaker (e.g. baseline.Random) to Algorithm.
@@ -348,7 +401,7 @@ func visitCaps(n int, rs []mule.Route, opts Options) []int {
 	caps := make([]int, n)
 	events := 0.0
 	for i := range rs {
-		events += rs[i].Bound(caps, opts.muleSpeed(i), opts.Energy, opts.Horizon, runsAhead(i, &rs[i], opts))
+		events += rs[i].Bound(caps, opts.muleSpeed(i), opts.Energy, opts.Horizon, runsAhead(i, rs, opts))
 		if !(events <= float64(opts.MaxEvents)) { // a NaN horizon bounds nothing
 			return nil
 		}
@@ -356,38 +409,77 @@ func visitCaps(n int, rs []mule.Route, opts Options) []int {
 	return caps
 }
 
-// runsAhead reports whether Run may run mule i, on route r, ahead of
-// the engine with mule.RunUntil, once visitCaps has proved that the
-// run's events stay within MaxEvents: whether nothing in the run
-// depends on the order of its events relative to other mules'. That
-// holds when the run has no observers and no event schedule, and the
-// mule has no battery and no recharge stop. Its visit times then
-// depend on nothing but its own route, whichever clock it keeps, and
-// the recorder, the one observer left, merges the runs its logs gather
-// (see Run).
-func runsAhead(i int, r *mule.Route, opts Options) bool {
+// onlineEvents bounds the engine events one online mule spends up to
+// horizon h when every stop, a target visit (see IndependentRouters),
+// holds it at least dwell: its launch at 0 and one event per arrival
+// at or before h, 2 + ⌊2h/dwell⌋ in all, or +Inf when nothing bounds
+// them.
+//
+// The mule departs from its arrival a at fl(a + w), w ≥ dwell the
+// stop's hold, and arrives fl(fl(a + w) + d) ≥ fl(a + w) later for a
+// leg of d ≥ 0 seconds, rounding being monotone. For a ≤ h the sum
+// a + dwell is at most h + dwell, so rounding it to nearest errs by at
+// most u/2, u the spacing of floats at fl(h + dwell). While u ≤ dwell
+// each arrival thus comes at least dwell − u/2 ≥ dwell/2 after the one
+// before, so at most 1 + ⌊2h/dwell⌋ arrivals fall at or before h (the
+// first at 0 or later). Once h/dwell nears 2^52, u exceeds dwell,
+// fl(a + dwell) may round back to a and the clock may stall: nothing
+// bounds the arrivals, as nothing does for a zero dwell.
+func onlineEvents(dwell, h float64) float64 {
+	h = max(h, 0)
+	x := h + dwell
+	if !(dwell > 0) || !(math.Nextafter(x, math.Inf(1))-x <= dwell) {
+		return math.Inf(1)
+	}
+	return 2 + math.Floor(2*h/dwell)
+}
+
+// onlineWithin reports whether m online mules, each spending at most
+// per engine events (see onlineEvents), stay within MaxEvents, so that
+// the guard cannot stop their run before the horizon. It compares
+// integers: per is an integer count, and a per of 2^64 or more, +Inf
+// or NaN bounds nothing.
+func onlineWithin(m int, per float64, maxEvents uint64) bool {
+	return m > 0 && per < 1<<64 && uint64(per) <= maxEvents/uint64(m)
+}
+
+// runsAhead reports whether Run may run mule i ahead of the engine with
+// mule.RunUntil, once the run's events are proven to stay within
+// MaxEvents (by visitCaps for a plan's routes rs, by onlineWithin for
+// an online algorithm's mules, for which rs is nil): whether nothing in
+// the run depends on the order of its events relative to other mules'.
+// That holds when the run has no observers and no event schedule, and
+// the mule has no battery and, on a route, no recharge stop. Its visit
+// times then depend on nothing but its own router, whichever clock it
+// keeps, and the recorder, the one observer left, merges the runs its
+// logs gather (see Run).
+func runsAhead(i int, rs []mule.Route, opts Options) bool {
 	return len(opts.Observers) == 0 && len(opts.Events) == 0 && !opts.UseBattery &&
-		!(i < len(opts.Fleet) && opts.Fleet[i].Battery > 0) && !r.Recharges()
+		!(i < len(opts.Fleet) && opts.Fleet[i].Battery > 0) && (rs == nil || !rs[i].Recharges())
 }
 
 // Run executes the algorithm on the scenario until opts.Horizon and
 // returns the collected metrics. src drives any randomness the
 // algorithm needs (it may be nil for deterministic planners).
 //
-// Mules whose visit times depend on nothing but their own routes (see
+// Mules whose visit times depend on nothing but their own routers (see
 // runsAhead) run ahead: each patrols to the horizon on its own clock
 // with mule.RunUntil before the engine starts, and only the rest of the
 // fleet goes through the event heap. In the static, battery-free world
 // of the paper's figures that is every mule of a plan, whether it
 // patrols targets of its own (Sweep) or shares a circuit (B-TCTP,
-// W-TCTP, CHB). Such a mule runs its cycle from its route's compiled
+// W-TCTP, CHB); such a mule runs its cycle from its route's compiled
 // leg table and appends its visits straight to its targets' logs in the
-// recorder, which is the run's only observer. A target's log thus
-// gathers one time-sorted run per mule that visits it, the engine's
-// mules counting as one, and the recorder merges them before Run
-// returns. A log is the sorted multiset of its visit times, so the
-// results are bit-identical to running every mule on the engine, which
-// attaching any observer does.
+// recorder, which is the run's only observer. An online algorithm's
+// mules run ahead too when its maker declares IndependentRouters
+// (Random does) and the dwell is positive: then no mule can spend more
+// than onlineEvents' bound, and the run stays on the engine unless the
+// fleet's bounds sum to at most MaxEvents. A target's log thus gathers
+// one time-sorted run per mule that visits it, the engine's mules
+// counting as one, and the recorder merges them before Run returns. A
+// log is the sorted multiset of its visit times, so the results are
+// bit-identical to running every mule on the engine, which attaching
+// any observer does.
 func Run(s *field.Scenario, alg Algorithm, opts Options, src *xrand.Source) (*Result, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -420,7 +512,7 @@ func Run(s *field.Scenario, alg Algorithm, opts Options, src *xrand.Source) (*Re
 		if verr != nil {
 			return nil, verr
 		}
-		local, lerr := pa.p.Plan(view)
+		local, lerr := pa.plan(view)
 		if lerr != nil {
 			return nil, lerr
 		}
@@ -454,13 +546,23 @@ func Run(s *field.Scenario, alg Algorithm, opts Options, src *xrand.Source) (*Re
 
 	eng := sim.New()
 	caps := visitCaps(s.NumTargets(), rs, opts)
+	// bounded says that the run's events provably stay within
+	// MaxEvents, which the mules that run ahead rely on.
+	bounded := caps != nil
+	if plan == nil {
+		_, declared := alg.(onlineAlg).m.(IndependentRouters)
+		bounded = declared && onlineWithin(n, onlineEvents(opts.Energy.Dwell, opts.Horizon), opts.MaxEvents)
+	}
 	rec := metrics.NewRecorderCap(s.NumTargets(), caps)
 	// The recorder is the first observer; user observers follow in
 	// registration order, all peers of one dispatch.
 	dispatch := make(multiObserver, 0, 1+len(opts.Observers))
 	dispatch = append(dispatch, rec)
 	dispatch = append(dispatch, opts.Observers...)
-	onDeath := dispatch.OnDeath
+	onVisit, onDeath := dispatch.OnVisit, dispatch.OnDeath
+	if len(opts.Observers) == 0 {
+		onVisit = rec.OnVisit
+	}
 	var rp *replanner
 	if len(events) > 0 {
 		alive := make([]bool, s.NumMules())
@@ -502,13 +604,15 @@ func Run(s *field.Scenario, alg Algorithm, opts Options, src *xrand.Source) (*Re
 			Energy:     opts.Energy,
 			Battery:    battery,
 			Router:     router,
-			OnVisit:    dispatch.OnVisit,
+			OnVisit:    onVisit,
 			OnDeath:    onDeath,
 			OnRecharge: dispatch.OnRecharge,
 		})
-		if caps != nil && runsAhead(i, &rs[i], opts) {
+		if bounded && runsAhead(i, rs, opts) {
 			rec.AllowRuns()
-			rs[i].Compile(rec)
+			if rs != nil {
+				rs[i].Compile(rec)
+			}
 			mules[i].RunUntil(opts.Horizon)
 		} else {
 			mules[i].Launch()
@@ -544,6 +648,7 @@ func Run(s *field.Scenario, alg Algorithm, opts Options, src *xrand.Source) (*Re
 		Mules:       make([]MuleStats, len(mules)),
 		Plan:        plan,
 		PatrolStart: hold,
+		Events:      executed,
 	}
 	if rp != nil {
 		res.Failures = rp.failures

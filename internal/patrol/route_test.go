@@ -73,7 +73,7 @@ func randomPlanCase(rng *rand.Rand) (*field.Scenario, Algorithm, Options) {
 // with no recharge and no hold, under a positive dwell and a model that
 // spends nothing to move 0 m.
 func striderTarget(i int, r core.MuleRoute, rs []mule.Route, opts Options) int {
-	if len(r.Cycle) != 1 || len(r.Cycle[0].Stops) != 1 || !runsAhead(i, &rs[i], opts) {
+	if len(r.Cycle) != 1 || len(r.Cycle[0].Stops) != 1 || !runsAhead(i, rs, opts) {
 		return -1
 	}
 	wp := r.Cycle[0].Stops[0]

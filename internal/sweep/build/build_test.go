@@ -1,9 +1,11 @@
 package build
 
 import (
+	"context"
 	"testing"
 
 	"tctp/internal/scenario"
+	"tctp/internal/sweep"
 	"tctp/internal/sweep/protocol"
 )
 
@@ -183,6 +185,38 @@ func TestParseAdaptive(t *testing.T) {
 	for _, bad := range []string{"", "m", "m:x", ":0.1", "m:0.1:x", "m:0.1:2:x", "m:0.1:2:3:4"} {
 		if _, err := Adaptive(bad); err == nil {
 			t.Fatalf("Adaptive(%q) accepted", bad)
+		}
+	}
+}
+
+// TestPaperRandomCellRunsAhead: on the paper51 preset at its default
+// horizon, Random's routers declare themselves independent and every
+// mule runs ahead of the event heap, so each replication of a Random
+// cell executes no engine event; attaching an observer would put them
+// back on it.
+func TestPaperRandomCellRunsAhead(t *testing.T) {
+	spec, err := Spec(protocol.SweepRequest{Algorithms: "random", Preset: "paper51", Targets: "10,50", Mules: "2,8", Seeds: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Metrics = append(spec.Metrics, sweep.Metric{Name: "engine_events", Fn: func(env sweep.Env) float64 {
+		return float64(env.Result.Events)
+	}}, sweep.Metric{Name: "visits", Fn: func(env sweep.Env) float64 {
+		return float64(env.Result.TotalVisits())
+	}})
+	res, err := sweep.Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Cells) != 4 {
+		t.Fatalf("%d cells", len(res.Cells))
+	}
+	for _, c := range res.Cells {
+		if ev := c.Metric("engine_events"); ev.N != 2 || ev.Max != 0 {
+			t.Errorf("cell %v executed up to %v engine events over %d replications, want 0", c.Point, ev.Max, ev.N)
+		}
+		if v := c.Metric("visits"); v.Min == 0 {
+			t.Errorf("cell %v: a replication made no visit", c.Point)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sync"
 
+	"tctp/internal/core"
 	"tctp/internal/field"
 	"tctp/internal/metrics"
 	"tctp/internal/patrol"
@@ -164,6 +165,7 @@ type engine struct {
 	watch  int               // index of the adaptive metric, or -1
 	ck     *checkpointWriter // nil when not checkpointing
 	cached *cachedCells      // nil unless every cell is settled whole
+	plans  *core.Memo        // the job's point-set stage memo
 	// cancels holds each in-flight waiting resolve's cancel, by cell;
 	// nil unless cached.waits.
 	cancels []context.CancelFunc
@@ -307,6 +309,7 @@ func (j *Job) run(ctx context.Context, opts RunOpts, restored map[int]checkpoint
 		watch:      -1,
 		ck:         ck,
 		cached:     cached,
+		plans:      j.plans,
 		collectors: make([]*collector, len(defs)),
 		records:    make(map[int]checkpointRecord, len(defs)),
 		ready:      make(map[int]*CellResult),
@@ -631,6 +634,8 @@ func (e *engine) runOne(j job) (*runValues, error) {
 			return nil, fmt.Errorf("sweep: cell %v: %w", p, cerr)
 		}
 	}
+	// Cells of the same targets share their circuits and paths.
+	alg = patrol.Memoized(alg, e.plans)
 	res, err := patrol.Run(scn, alg, opts, &runSrc)
 	if err != nil {
 		return nil, fmt.Errorf("sweep: cell %v seed %d: %w", p, seed, err)

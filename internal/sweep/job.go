@@ -23,6 +23,8 @@ package sweep
 import (
 	"context"
 	"fmt"
+
+	"tctp/internal/core"
 )
 
 // Job is a planned sweep, or one shard of it: the defaults-applied
@@ -41,6 +43,10 @@ type Job struct {
 	shards  int    // 1 for an unsharded plan
 	offset  int    // global index of defs[0] in the full plan
 	total   int    // executable cells in the full plan
+	// plans remembers the point-set stage of the cells' plans (see
+	// core.Memo), shared by the job's shards and by ComputeCell's
+	// one-cell sub-jobs, which copy the Job.
+	plans *core.Memo
 }
 
 // Plan validates the spec, enumerates its executable cells (consulting
@@ -83,7 +89,7 @@ func Plan(spec Spec) (*Job, error) {
 	}
 	return &Job{
 		spec: sp, defs: defs, skipped: skipped, fp: fp, tail: tail,
-		shards: 1, total: len(defs),
+		shards: 1, total: len(defs), plans: new(core.Memo),
 	}, nil
 }
 
