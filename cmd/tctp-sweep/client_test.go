@@ -188,7 +188,7 @@ func TestClientModeFlagErrors(t *testing.T) {
 	// A bad sweep is rejected by the server and the message travels back.
 	cfg = goldenConfig()
 	cfg.Server = ts.URL
-	cfg.Algs = "bogus"
+	cfg.Algorithms = "bogus"
 	err = run(cfg, &bytes.Buffer{}, &bytes.Buffer{})
 	if err == nil || !strings.Contains(err.Error(), "submit rejected") {
 		t.Fatalf("bad algorithm: err = %v", err)

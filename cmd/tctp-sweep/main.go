@@ -102,59 +102,47 @@ import (
 )
 
 func main() {
+	var cfg config
+	req := &cfg.SweepRequest
+	flag.StringVar(&req.Algorithms, "alg", "btctp", "comma-separated algorithms: btctp, wtctp, chb, sweep, random")
+	flag.StringVar(&req.Targets, "targets", "", "comma-separated target counts (default 10,20,30,40,50)")
+	flag.StringVar(&req.Mules, "mules", "", "comma-separated fleet sizes (default 2,4,6,8)")
+	flag.StringVar(&req.Speeds, "speeds", "", "comma-separated mule speeds in m/s (default 2)")
+	flag.StringVar(&req.Fleets, "fleets", "", `semicolon-separated fleet specs, e.g. "4x2;2x1+2x3" (replaces -mules and -speeds; combining them is an error)`)
+	flag.StringVar(&req.Placements, "placements", "", "comma-separated placements: "+field.PlacementNames+" (default uniform)")
+	flag.StringVar(&req.Workloads, "workloads", "", "comma-separated workload axis values: off, on, bursts, priority (default off)")
+	flag.Float64Var(&req.WorkloadGen, "workload-gen", 60, "packet generation interval in seconds for -workloads on")
+	flag.IntVar(&req.WorkloadBuffer, "workload-buffer", 50, "node buffer capacity in packets for -workloads on")
+	flag.Float64Var(&req.WorkloadDeadline, "workload-deadline", 3600, "delivery deadline in seconds for -workloads on and bursts")
+	flag.IntVar(&req.BurstHot, "burst-hot", 0, "burst-active targets for -workloads bursts (0 = all)")
+	flag.Float64Var(&req.BurstGap, "burst-gap", 1800, "mean seconds between bursts for -workloads bursts")
+	flag.IntVar(&req.BurstSize, "burst-size", 10, "packets per burst for -workloads bursts")
+	flag.StringVar(&req.Preset, "preset", "", "scenario preset supplying field geometry and axis defaults: "+strings.Join(scenario.PresetNames(), ", "))
+	flag.StringVar(&cfg.ScenarioFile, "scenario", "", "JSON scenario file supplying field geometry and axis defaults (like -preset, from disk)")
+	flag.IntVar(&req.Seeds, "seeds", 10, "replications per cell")
+	flag.Uint64Var(&req.BaseSeed, "base-seed", 0, "base replication seed")
+	flag.Float64Var(&req.Horizon, "horizon", 0, "simulated seconds (default 60000)")
+	flag.IntVar(&req.Workers, "workers", 0, "parallel simulations (0 = GOMAXPROCS)")
+	flag.StringVar(&cfg.Format, "format", "csv", "output format: csv, json, table")
+	flag.BoolVar(&cfg.Progress, "progress", false, "report progress on stderr")
+	flag.StringVar(&cfg.Checkpoint, "checkpoint", "", "persist per-cell fold state to this JSONL file")
+	flag.BoolVar(&cfg.Resume, "resume", false, "continue from the -checkpoint file instead of starting over")
+	flag.StringVar(&req.Adaptive, "adaptive", "", "adaptive replication as metric:relci[:min[:max]], e.g. avg_dcdt_s:0.05:5:50")
+	flag.StringVar(&req.Partition, "partition", "", `comma-separated partition axis values: none or method:k[:alloc], e.g. "none,kmeans:4" (methods kmeans, sectors; alloc length, count)`)
+	flag.StringVar(&req.Failures, "failures", "", `comma-separated failure-injection axis values: none or rate[:handoff], e.g. "none,0.5:absorb" (handoffs `+patrol.HandoffNames+`)`)
+	flag.StringVar(&req.Handoff, "handoff", "", "default handoff policy for -failures values without their own: "+patrol.HandoffNames)
+	flag.StringVar(&cfg.Shard, "shard", "", `run one shard of the grid as "i/n" (1-based), e.g. -shard 2/3`)
+	flag.StringVar(&cfg.Merge, "merge", "", `merge the shard checkpoint files given as arguments, writing the full sweep to this path ("-" = stdout)`)
+	flag.StringVar(&cfg.Server, "server", "", "submit the sweep to this tctp-server base URL instead of running locally")
+	flag.BoolVar(&req.Quality, "quality", false, "add the approximation-ratio columns (ratio_tour, ratio_dcdt) computed against the internal/optimal reference bounds")
 	var (
-		algs       = flag.String("alg", "btctp", "comma-separated algorithms: btctp, wtctp, chb, sweep, random")
-		targets    = flag.String("targets", "", "comma-separated target counts (default 10,20,30,40,50)")
-		mules      = flag.String("mules", "", "comma-separated fleet sizes (default 2,4,6,8)")
-		speeds     = flag.String("speeds", "", "comma-separated mule speeds in m/s (default 2)")
-		fleets     = flag.String("fleets", "", `semicolon-separated fleet specs, e.g. "4x2;2x1+2x3" (replaces -mules and -speeds; combining them is an error)`)
-		placements = flag.String("placements", "", "comma-separated placements: "+field.PlacementNames+" (default uniform)")
-		workloads  = flag.String("workloads", "", "comma-separated workload axis values: off, on, bursts, priority (default off)")
-		wlGen      = flag.Float64("workload-gen", 60, "packet generation interval in seconds for -workloads on")
-		wlBuf      = flag.Int("workload-buffer", 50, "node buffer capacity in packets for -workloads on")
-		wlDeadline = flag.Float64("workload-deadline", 3600, "delivery deadline in seconds for -workloads on and bursts")
-		burstHot   = flag.Int("burst-hot", 0, "burst-active targets for -workloads bursts (0 = all)")
-		burstGap   = flag.Float64("burst-gap", 1800, "mean seconds between bursts for -workloads bursts")
-		burstSize  = flag.Int("burst-size", 10, "packets per burst for -workloads bursts")
-		preset     = flag.String("preset", "", "scenario preset supplying field geometry and axis defaults: "+strings.Join(scenario.PresetNames(), ", "))
-		scenarioF  = flag.String("scenario", "", "JSON scenario file supplying field geometry and axis defaults (like -preset, from disk)")
-		seeds      = flag.Int("seeds", 10, "replications per cell")
-		baseSeed   = flag.Uint64("base-seed", 0, "base replication seed")
-		horizon    = flag.Float64("horizon", 0, "simulated seconds (default 60000)")
-		workers    = flag.Int("workers", 0, "parallel simulations (0 = GOMAXPROCS)")
-		format     = flag.String("format", "csv", "output format: csv, json, table")
-		progress   = flag.Bool("progress", false, "report progress on stderr")
-		checkpoint = flag.String("checkpoint", "", "persist per-cell fold state to this JSONL file")
-		resumeF    = flag.Bool("resume", false, "continue from the -checkpoint file instead of starting over")
-		adaptive   = flag.String("adaptive", "", "adaptive replication as metric:relci[:min[:max]], e.g. avg_dcdt_s:0.05:5:50")
-		partition  = flag.String("partition", "", `comma-separated partition axis values: none or method:k[:alloc], e.g. "none,kmeans:4" (methods kmeans, sectors; alloc length, count)`)
-		failures   = flag.String("failures", "", `comma-separated failure-injection axis values: none or rate[:handoff], e.g. "none,0.5:absorb" (handoffs `+patrol.HandoffNames+`)`)
-		handoff    = flag.String("handoff", "", "default handoff policy for -failures values without their own: "+patrol.HandoffNames)
-		shard      = flag.String("shard", "", `run one shard of the grid as "i/n" (1-based), e.g. -shard 2/3`)
-		merge      = flag.String("merge", "", `merge the shard checkpoint files given as arguments, writing the full sweep to this path ("-" = stdout)`)
-		server     = flag.String("server", "", "submit the sweep to this tctp-server base URL instead of running locally")
-		quality    = flag.Bool("quality", false, "add the approximation-ratio columns (ratio_tour, ratio_dcdt) computed against the internal/optimal reference bounds")
-		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile (runtime/pprof) of the run to this file")
-		memProf    = flag.String("memprofile", "", "write an allocation profile (runtime/pprof) of the run to this file")
-		traceF     = flag.String("trace", "", "write an execution trace (runtime/trace) of the run to this file")
+		cpuProf = flag.String("cpuprofile", "", "write a CPU profile (runtime/pprof) of the run to this file")
+		memProf = flag.String("memprofile", "", "write an allocation profile (runtime/pprof) of the run to this file")
+		traceF  = flag.String("trace", "", "write an execution trace (runtime/trace) of the run to this file")
 	)
 	flag.Parse()
+	cfg.MergeInputs = flag.Args()
 
-	cfg := config{
-		Algs: *algs, Targets: *targets, Mules: *mules,
-		Speeds: *speeds, Fleets: *fleets, Placements: *placements,
-		Workloads: *workloads, WorkloadGen: *wlGen, WorkloadBuf: *wlBuf,
-		WorkloadDeadline: *wlDeadline,
-		BurstHot:         *burstHot, BurstGap: *burstGap, BurstSize: *burstSize,
-		Preset: *preset, Scenario: *scenarioF,
-		Seeds: *seeds, BaseSeed: *baseSeed, Horizon: *horizon,
-		Workers: *workers, Format: *format, Progress: *progress,
-		Checkpoint: *checkpoint, Resume: *resumeF, Adaptive: *adaptive,
-		Partition: *partition,
-		Failures:  *failures, Handoff: *handoff,
-		Shard: *shard, Merge: *merge, MergeInputs: flag.Args(),
-		Server: *server, Quality: *quality,
-	}
 	stop, err := profile.Start(*cpuProf, *memProf, *traceF)
 	if err == nil {
 		err = run(cfg, os.Stdout, os.Stderr)
@@ -168,58 +156,27 @@ func main() {
 	}
 }
 
-// config carries the parsed flags; run is kept free of globals so
-// tests can drive it. Empty axis strings (and a zero horizon) select
-// the defaults — or, with -preset, the preset's values.
+// config carries the parsed flags: the sweep's own in the embedded
+// request — the exact input internal/sweep/build translates into a
+// Spec, locally and on a server — and the CLI's beside it. run is kept
+// free of globals so tests can drive it. Empty axis strings (and a
+// zero horizon) select the defaults — or, with -preset, the preset's
+// values.
 type config struct {
-	Algs, Targets, Mules, Speeds, Fleets, Placements, Workloads string
-	WorkloadGen                                                 float64
-	WorkloadBuf                                                 int
-	WorkloadDeadline                                            float64
-	BurstHot                                                    int
-	BurstGap                                                    float64
-	BurstSize                                                   int
-	Preset                                                      string
-	Scenario                                                    string
-	Seeds                                                       int
-	BaseSeed                                                    uint64
-	Horizon                                                     float64
-	Workers                                                     int
-	Format                                                      string
-	Progress                                                    bool
-	Checkpoint                                                  string
-	Resume                                                      bool
-	Adaptive                                                    string
-	Partition                                                   string
-	Failures                                                    string
-	Handoff                                                     string
-	Shard                                                       string
-	Merge                                                       string
-	MergeInputs                                                 []string
-	Server                                                      string
-	Quality                                                     bool
+	protocol.SweepRequest
+	ScenarioFile                     string // -scenario, inlined by request
+	Format                           string
+	Progress, Resume                 bool
+	Checkpoint, Shard, Merge, Server string
+	MergeInputs                      []string
 }
 
-// request renders the sweep-defining flags as the transport-neutral
-// protocol request — the exact input internal/sweep/build translates
-// into a Spec, locally and on a server. A -scenario file is read and
-// inlined here, so the document (not a path) travels.
+// request is the sweep's protocol request with the -scenario file read
+// and inlined, so the document (not a path) travels.
 func (cfg config) request() (protocol.SweepRequest, error) {
-	req := protocol.SweepRequest{
-		Algorithms: cfg.Algs, Targets: cfg.Targets, Mules: cfg.Mules,
-		Speeds: cfg.Speeds, Fleets: cfg.Fleets, Placements: cfg.Placements,
-		Workloads: cfg.Workloads, WorkloadGen: cfg.WorkloadGen,
-		WorkloadBuffer: cfg.WorkloadBuf, WorkloadDeadline: cfg.WorkloadDeadline,
-		BurstHot: cfg.BurstHot, BurstGap: cfg.BurstGap, BurstSize: cfg.BurstSize,
-		Preset: cfg.Preset,
-		Seeds:  cfg.Seeds, BaseSeed: cfg.BaseSeed, Horizon: cfg.Horizon,
-		Workers:  cfg.Workers,
-		Adaptive: cfg.Adaptive, Partition: cfg.Partition,
-		Failures: cfg.Failures, Handoff: cfg.Handoff,
-		Quality: cfg.Quality,
-	}
-	if cfg.Scenario != "" {
-		b, err := os.ReadFile(cfg.Scenario)
+	req := cfg.SweepRequest
+	if cfg.ScenarioFile != "" {
+		b, err := os.ReadFile(cfg.ScenarioFile)
 		if err != nil {
 			return req, fmt.Errorf("scenario file: %w", err)
 		}
@@ -241,9 +198,9 @@ func buildSpec(cfg config) (sweep.Spec, error) {
 		return sweep.Spec{}, err
 	}
 	spec, err := build.Spec(req)
-	if err != nil && cfg.Scenario != "" {
+	if err != nil && cfg.ScenarioFile != "" {
 		// The builder sees only the inlined document; name the file.
-		return spec, fmt.Errorf("scenario file %s: %w", cfg.Scenario, err)
+		return spec, fmt.Errorf("scenario file %s: %w", cfg.ScenarioFile, err)
 	}
 	return spec, err
 }

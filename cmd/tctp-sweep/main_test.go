@@ -12,17 +12,24 @@ import (
 	"testing"
 
 	"tctp/internal/scenario"
+	"tctp/internal/sweep/protocol"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden fixture")
 
+// req is the sweep request a config embeds.
+type req = protocol.SweepRequest
+
+// csvConfig is the config of r writing CSV.
+func csvConfig(r req) config { return config{SweepRequest: r, Format: "csv"} }
+
 // goldenConfig is the fixed workload pinned by testdata/golden.csv.
 func goldenConfig() config {
-	return config{
-		Algs: "btctp,chb", Targets: "6,8", Mules: "2,3",
+	return csvConfig(req{
+		Algorithms: "btctp,chb", Targets: "6,8", Mules: "2,3",
 		Speeds: "2", Placements: "uniform",
-		Seeds: 3, Horizon: 5_000, Format: "csv",
-	}
+		Seeds: 3, Horizon: 5_000,
+	})
 }
 
 // TestGoldenCSV pins the engine-backed CSV output byte-for-byte: any
@@ -96,7 +103,7 @@ func TestFormats(t *testing.T) {
 	for _, format := range []string{"json", "table"} {
 		var out, errw bytes.Buffer
 		cfg := goldenConfig()
-		cfg.Targets, cfg.Mules, cfg.Algs = "6", "2", "btctp"
+		cfg.Targets, cfg.Mules, cfg.Algorithms = "6", "2", "btctp"
 		cfg.Format = format
 		if err := run(cfg, &out, &errw); err != nil {
 			t.Fatalf("%s: %v", format, err)
@@ -113,22 +120,23 @@ func TestFormats(t *testing.T) {
 }
 
 func TestBadFlags(t *testing.T) {
-	for _, cfg := range []config{
-		{Algs: "bogus", Targets: "6", Mules: "2", Speeds: "2", Placements: "uniform", Seeds: 1, Horizon: 5_000, Format: "csv"},
-		{Algs: "btctp", Targets: "6;7", Mules: "2", Speeds: "2", Placements: "uniform", Seeds: 1, Horizon: 5_000, Format: "csv"},
-		{Algs: "btctp", Targets: "6", Mules: "x", Speeds: "2", Placements: "uniform", Seeds: 1, Horizon: 5_000, Format: "csv"},
-		{Algs: "btctp", Targets: "6", Mules: "2", Speeds: "fast", Placements: "uniform", Seeds: 1, Horizon: 5_000, Format: "csv"},
-		{Algs: "btctp", Targets: "6", Mules: "2", Speeds: "2", Placements: "ring", Seeds: 1, Horizon: 5_000, Format: "csv"},
-		{Algs: "btctp", Targets: "0", Mules: "1", Speeds: "2", Placements: "uniform", Seeds: 1, Horizon: 5_000, Format: "csv"},
-		{Algs: "btctp", Targets: "6", Mules: "2", Speeds: "-1", Placements: "uniform", Seeds: 1, Horizon: 5_000, Format: "csv"},
-		{Algs: "btctp", Targets: "6", Mules: "2", Speeds: "2", Placements: "uniform", Seeds: 0, Horizon: 5_000, Format: "csv"},
-		{Algs: "btctp", Targets: "6", Mules: "2", Speeds: "2", Placements: "uniform", Seeds: 1, Horizon: -1, Format: "csv"},
-		{Algs: "btctp", Targets: "6", Fleets: "2x", Seeds: 1, Horizon: 5_000, Format: "csv"},
-		{Algs: "btctp", Targets: "6", Fleets: "2x2", Speeds: "1,2", Seeds: 1, Horizon: 5_000, Format: "csv"},
-		{Algs: "btctp", Targets: "6", Fleets: "2x2", Mules: "2,4", Seeds: 1, Horizon: 5_000, Format: "csv"},
-		{Algs: "btctp", Targets: "6", Mules: "2", Speeds: "2", Placements: "uniform", Workloads: "sometimes", Seeds: 1, Horizon: 5_000, Format: "csv"},
-		{Algs: "btctp", Targets: "6", Mules: "2", Speeds: "2", Placements: "uniform", Preset: "atlantis", Seeds: 1, Horizon: 5_000, Format: "csv"},
+	for _, r := range []req{
+		{Algorithms: "bogus", Targets: "6", Mules: "2", Speeds: "2", Placements: "uniform", Seeds: 1, Horizon: 5_000},
+		{Algorithms: "btctp", Targets: "6;7", Mules: "2", Speeds: "2", Placements: "uniform", Seeds: 1, Horizon: 5_000},
+		{Algorithms: "btctp", Targets: "6", Mules: "x", Speeds: "2", Placements: "uniform", Seeds: 1, Horizon: 5_000},
+		{Algorithms: "btctp", Targets: "6", Mules: "2", Speeds: "fast", Placements: "uniform", Seeds: 1, Horizon: 5_000},
+		{Algorithms: "btctp", Targets: "6", Mules: "2", Speeds: "2", Placements: "ring", Seeds: 1, Horizon: 5_000},
+		{Algorithms: "btctp", Targets: "0", Mules: "1", Speeds: "2", Placements: "uniform", Seeds: 1, Horizon: 5_000},
+		{Algorithms: "btctp", Targets: "6", Mules: "2", Speeds: "-1", Placements: "uniform", Seeds: 1, Horizon: 5_000},
+		{Algorithms: "btctp", Targets: "6", Mules: "2", Speeds: "2", Placements: "uniform", Seeds: 0, Horizon: 5_000},
+		{Algorithms: "btctp", Targets: "6", Mules: "2", Speeds: "2", Placements: "uniform", Seeds: 1, Horizon: -1},
+		{Algorithms: "btctp", Targets: "6", Fleets: "2x", Seeds: 1, Horizon: 5_000},
+		{Algorithms: "btctp", Targets: "6", Fleets: "2x2", Speeds: "1,2", Seeds: 1, Horizon: 5_000},
+		{Algorithms: "btctp", Targets: "6", Fleets: "2x2", Mules: "2,4", Seeds: 1, Horizon: 5_000},
+		{Algorithms: "btctp", Targets: "6", Mules: "2", Speeds: "2", Placements: "uniform", Workloads: "sometimes", Seeds: 1, Horizon: 5_000},
+		{Algorithms: "btctp", Targets: "6", Mules: "2", Speeds: "2", Placements: "uniform", Preset: "atlantis", Seeds: 1, Horizon: 5_000},
 	} {
+		cfg := csvConfig(r)
 		if err := run(cfg, &bytes.Buffer{}, &bytes.Buffer{}); err == nil {
 			t.Fatalf("config %+v accepted", cfg)
 		}
@@ -140,15 +148,15 @@ func TestBadFlags(t *testing.T) {
 // mixed-speed} × {workload: off, on} through the real CLI path.
 func TestScenarioAxesSweep(t *testing.T) {
 	var out, errw bytes.Buffer
-	cfg := config{
-		Algs:        "btctp",
+	cfg := csvConfig(req{
+		Algorithms:  "btctp",
 		Targets:     "8",
 		Fleets:      "2x2;1x1+1x3",
 		Placements:  "uniform,clusters",
 		Workloads:   "off,on",
-		WorkloadGen: 60, WorkloadBuf: 50, WorkloadDeadline: 3600,
-		Seeds: 2, Horizon: 8_000, Format: "csv",
-	}
+		WorkloadGen: 60, WorkloadBuffer: 50, WorkloadDeadline: 3600,
+		Seeds: 2, Horizon: 8_000,
+	})
 	if err := run(cfg, &out, &errw); err != nil {
 		t.Fatal(err)
 	}
@@ -184,11 +192,11 @@ func TestScenarioAxesSweep(t *testing.T) {
 // targets, mules, horizon) from the named scenario preset.
 func TestPresetDefaults(t *testing.T) {
 	var out, errw bytes.Buffer
-	cfg := config{
-		Algs: "btctp", Preset: "clustered",
+	cfg := csvConfig(req{
+		Algorithms: "btctp", Preset: "clustered",
 		Targets: "6", // explicit flags still win
-		Seeds:   1, Format: "csv",
-	}
+		Seeds:   1,
+	})
 	if err := run(cfg, &out, &errw); err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +222,7 @@ func TestPresetDefaults(t *testing.T) {
 func TestProgressOutput(t *testing.T) {
 	var out, errw bytes.Buffer
 	cfg := goldenConfig()
-	cfg.Targets, cfg.Mules, cfg.Algs = "6", "2", "btctp"
+	cfg.Targets, cfg.Mules, cfg.Algorithms = "6", "2", "btctp"
 	cfg.Progress = true
 	if err := run(cfg, &out, &errw); err != nil {
 		t.Fatal(err)
@@ -228,10 +236,8 @@ func TestProgressOutput(t *testing.T) {
 // disk and fills the axis defaults exactly like -preset.
 func TestScenarioFileDefaults(t *testing.T) {
 	var out, errw bytes.Buffer
-	cfg := config{
-		Algs: "btctp", Scenario: "testdata/scenario.json",
-		Seeds: 1, Format: "csv",
-	}
+	cfg := csvConfig(req{Algorithms: "btctp", Seeds: 1})
+	cfg.ScenarioFile = "testdata/scenario.json"
 	if err := run(cfg, &out, &errw); err != nil {
 		t.Fatal(err)
 	}
@@ -272,9 +278,11 @@ func TestScenarioFileRoundTrip(t *testing.T) {
 	}
 
 	outputs := make([]string, 0, 2)
+	fromFile := csvConfig(req{Algorithms: "btctp", Seeds: 2})
+	fromFile.ScenarioFile = path
 	for _, cfg := range []config{
-		{Algs: "btctp", Preset: "clustered", Seeds: 2, Format: "csv"},
-		{Algs: "btctp", Scenario: path, Seeds: 2, Format: "csv"},
+		csvConfig(req{Algorithms: "btctp", Preset: "clustered", Seeds: 2}),
+		fromFile,
 	} {
 		var out, errw bytes.Buffer
 		if err := run(cfg, &out, &errw); err != nil {
@@ -298,13 +306,16 @@ func TestScenarioFileErrors(t *testing.T) {
 	if err := os.WriteFile(invalid, []byte(`{"targets":{"count":0},"fleet":{"mules":[{"speed":2}]}}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for name, cfg := range map[string]config{
-		"missing": {Algs: "btctp", Scenario: filepath.Join(dir, "absent.json"), Seeds: 1, Format: "csv"},
-		"garbage": {Algs: "btctp", Scenario: bad, Seeds: 1, Format: "csv"},
-		"invalid": {Algs: "btctp", Scenario: invalid, Seeds: 1, Format: "csv"},
-		"preset-conflict": {Algs: "btctp", Preset: "clustered", Scenario: "testdata/scenario.json",
-			Seeds: 1, Format: "csv"},
+	for name, file := range map[string]string{
+		"missing":         filepath.Join(dir, "absent.json"),
+		"garbage":         bad,
+		"invalid":         invalid,
+		"preset-conflict": "testdata/scenario.json",
 	} {
+		cfg := csvConfig(req{Algorithms: "btctp", Seeds: 1})
+		if cfg.ScenarioFile = file; name == "preset-conflict" {
+			cfg.Preset = "clustered"
+		}
 		if err := run(cfg, &bytes.Buffer{}, &bytes.Buffer{}); err == nil {
 			t.Fatalf("%s accepted", name)
 		}
@@ -316,11 +327,11 @@ func TestScenarioFileErrors(t *testing.T) {
 // count, and the stop is reported on stderr.
 func TestAdaptiveSweepCLI(t *testing.T) {
 	var out, errw bytes.Buffer
-	cfg := config{
-		Algs: "btctp", Targets: "6", Mules: "2", Speeds: "2", Placements: "uniform",
-		Seeds: 30, Horizon: 5_000, Format: "csv",
+	cfg := csvConfig(req{
+		Algorithms: "btctp", Targets: "6", Mules: "2", Speeds: "2", Placements: "uniform",
+		Seeds: 30, Horizon: 5_000,
 		Adaptive: "avg_dcdt_s:0.3:3",
-	}
+	})
 	if err := run(cfg, &out, &errw); err != nil {
 		t.Fatal(err)
 	}
@@ -337,10 +348,10 @@ func TestAdaptiveSweepCLI(t *testing.T) {
 		!strings.Contains(errw.String(), "avg_dcdt_s") {
 		t.Fatalf("stop report missing:\n%s", errw.String())
 	}
-	if err := run(config{
-		Algs: "btctp", Targets: "6", Mules: "2", Speeds: "2", Placements: "uniform",
-		Seeds: 5, Horizon: 5_000, Format: "csv", Adaptive: "nope:0.3",
-	}, &bytes.Buffer{}, &bytes.Buffer{}); err == nil {
+	if err := run(csvConfig(req{
+		Algorithms: "btctp", Targets: "6", Mules: "2", Speeds: "2", Placements: "uniform",
+		Seeds: 5, Horizon: 5_000, Adaptive: "nope:0.3",
+	}), &bytes.Buffer{}, &bytes.Buffer{}); err == nil {
 		t.Fatal("unknown adaptive metric accepted")
 	}
 }
@@ -349,10 +360,10 @@ func TestAdaptiveSweepCLI(t *testing.T) {
 // and -resume replays it to output identical to a plain run.
 func TestCheckpointResumeCLI(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.ckpt")
-	base := config{
-		Algs: "btctp", Targets: "6", Mules: "2", Speeds: "2", Placements: "uniform",
-		Seeds: 3, Horizon: 5_000, Format: "csv",
-	}
+	base := csvConfig(req{
+		Algorithms: "btctp", Targets: "6", Mules: "2", Speeds: "2", Placements: "uniform",
+		Seeds: 3, Horizon: 5_000,
+	})
 	var plain, errw bytes.Buffer
 	if err := run(base, &plain, &errw); err != nil {
 		t.Fatal(err)
@@ -512,11 +523,11 @@ func TestShardMergeFlagErrors(t *testing.T) {
 // skipped rather than failed.
 func TestPartitionAxisCLI(t *testing.T) {
 	var out, errw bytes.Buffer
-	cfg := config{
-		Algs: "btctp,random", Targets: "12", Mules: "4", Speeds: "2",
+	cfg := csvConfig(req{
+		Algorithms: "btctp,random", Targets: "12", Mules: "4", Speeds: "2",
 		Placements: "clusters", Partition: "none,kmeans:4",
-		Seeds: 2, Horizon: 5_000, Format: "csv",
-	}
+		Seeds: 2, Horizon: 5_000,
+	})
 	if err := run(cfg, &out, &errw); err != nil {
 		t.Fatal(err)
 	}
@@ -613,12 +624,11 @@ func TestGrid10kSmoke(t *testing.T) {
 		t.Skip("large-n smoke test")
 	}
 	var out, errw bytes.Buffer
-	cfg := config{
-		Algs: "btctp", Preset: "grid10k",
+	cfg := csvConfig(req{
+		Algorithms: "btctp", Preset: "grid10k",
 		Partition: "kmeans:16",
 		Seeds:     1, Horizon: 2_000,
-		Format: "csv",
-	}
+	})
 	if err := run(cfg, &out, &errw); err != nil {
 		t.Fatal(err)
 	}

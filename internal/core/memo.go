@@ -4,10 +4,13 @@ import (
 	"encoding/binary"
 	"math"
 	"slices"
+	"strings"
 	"sync"
+	"sync/atomic"
 
 	"tctp/internal/field"
 	"tctp/internal/geom"
+	"tctp/internal/lru"
 )
 
 // Memo remembers the point-set stage of planning, the part that
@@ -25,34 +28,21 @@ import (
 // returns, and every caller gets a copy of its own.
 //
 // A Memo is safe for concurrent use. A key asked for again while its
-// first build runs waits for that build rather than repeating it. It
-// holds at most memoBytes of keys and results, dropping the least
-// recently used past that, and allocates nothing until its first use.
-// The zero value is ready to use; a nil *Memo remembers nothing.
+// first build runs waits for that build rather than repeating it, and a
+// failed build is not remembered (see lru.Cache). It holds at most
+// memoBytes of keys and results, dropping the least recently used past
+// that, and allocates nothing until its first use. The zero value is
+// ready to use; a nil *Memo remembers nothing.
 type Memo struct {
-	mu      sync.Mutex
-	entries map[string]*memoEntry
-	// lru is the sentinel of the ring of finished entries, most
-	// recently used first; held counts their bytes.
-	lru  memoEntry
-	held int
+	bound sync.Once
+	cache lru.Cache[[]int]
 	// built counts the builds by key kind: circuits, then paths.
-	built [2]int
+	built [2]atomic.Int64
 }
 
 // memoBytes bounds what a Memo holds: keys of 16 bytes per point and
 // results of 8 bytes per stop, so about 170 000 points in all.
 const memoBytes = 4 << 20
-
-// memoEntry is one remembered result, or a build in flight until done
-// is closed.
-type memoEntry struct {
-	key        string
-	seq        []int
-	err        error
-	done       chan struct{}
-	prev, next *memoEntry
-}
 
 // Memo key kinds.
 const (
@@ -60,27 +50,33 @@ const (
 	wppKey     byte = 'w'
 )
 
-// appendPoints appends the bits of pts, in order, to a key.
-func appendPoints(key []byte, pts []geom.Point) []byte {
-	for _, p := range pts {
-		key = binary.LittleEndian.AppendUint64(key, math.Float64bits(p.X))
-		key = binary.LittleEndian.AppendUint64(key, math.Float64bits(p.Y))
-	}
-	return key
+// putUint64 appends v's little-endian bytes to a key.
+func putUint64(key *strings.Builder, v uint64) {
+	key.Write(binary.LittleEndian.AppendUint64(make([]byte, 0, 8), v))
 }
 
-// circuitKeyOf is the key of the circuit over pts from start.
-func circuitKeyOf(kind byte, pts []geom.Point, start int, h TourHeuristic, improve bool) []byte {
-	key := make([]byte, 0, 16*len(pts)+32)
-	key = append(key, kind)
-	key = binary.LittleEndian.AppendUint64(key, uint64(start))
-	key = binary.LittleEndian.AppendUint64(key, uint64(h))
-	if improve {
-		key = append(key, 1)
+// putBool appends a flag's byte to a key.
+func putBool(key *strings.Builder, f bool) {
+	if f {
+		key.WriteByte(1)
 	} else {
-		key = append(key, 0)
+		key.WriteByte(0)
 	}
-	return appendPoints(key, pts)
+}
+
+// writeCircuitKey writes, with room for extra more bytes, the key of
+// the circuit over pts from start: its kind, start, heuristic and flag,
+// then the bits of pts in order.
+func writeCircuitKey(key *strings.Builder, kind byte, pts []geom.Point, start int, h TourHeuristic, improve bool, extra int) {
+	key.Grow(16*len(pts) + 18 + extra)
+	key.WriteByte(kind)
+	putUint64(key, uint64(start))
+	putUint64(key, uint64(h))
+	putBool(key, improve)
+	for _, p := range pts {
+		putUint64(key, math.Float64bits(p.X))
+		putUint64(key, math.Float64bits(p.Y))
+	}
 }
 
 // circuit is the tour kernel circuit through the memo.
@@ -88,96 +84,51 @@ func (m *Memo) circuit(pts []geom.Point, start int, h TourHeuristic, improve boo
 	if m == nil {
 		return circuit(pts, start, h, improve)
 	}
-	return m.do(circuitKeyOf(circuitKey, pts, start, h, improve), func() ([]int, error) {
+	var key strings.Builder
+	writeCircuitKey(&key, circuitKey, pts, start, h, improve, 0)
+	return m.do(key.String(), func() ([]int, error) {
 		return circuit(pts, start, h, improve)
 	})
 }
 
 // wppKeyOf is the key of wt's weighted patrolling path over every
-// target of s, or nil when the path draws on a random stream.
-func wppKeyOf(wt *WTCTP, s *field.Scenario) []byte {
+// target of s, or "" when the path draws on a random stream.
+func wppKeyOf(wt *WTCTP, s *field.Scenario) string {
 	if wt.Policy == RandomBreak {
-		return nil
+		return ""
 	}
-	key := circuitKeyOf(wppKey, s.Points(), s.SinkID, wt.Heuristic, wt.Improve)
-	key = binary.LittleEndian.AppendUint64(key, uint64(wt.Policy))
-	if wt.DisableAngleRule {
-		key = append(key, 1)
-	} else {
-		key = append(key, 0)
-	}
+	var key strings.Builder
+	writeCircuitKey(&key, wppKey, s.Points(), s.SinkID, wt.Heuristic, wt.Improve, 9+8*len(s.Targets))
+	putUint64(&key, uint64(wt.Policy))
+	putBool(&key, wt.DisableAngleRule)
 	for _, t := range s.Targets {
-		key = binary.LittleEndian.AppendUint64(key, uint64(t.Weight))
+		putUint64(&key, uint64(t.Weight))
 	}
-	return key
+	return key.String()
 }
 
 // do returns a copy of the sequence remembered under key, building it
-// with build first unless it is remembered or in flight. A failed build
-// is not remembered: its error goes to the callers that waited on it.
-func (m *Memo) do(key []byte, build func() ([]int, error)) ([]int, error) {
-	m.mu.Lock()
-	e, ok := m.entries[string(key)]
-	if ok {
-		if e.prev != nil { // finished: move it to the front
-			m.unlink(e)
-			m.pushFront(e)
+// with build first unless it is remembered or in flight.
+func (m *Memo) do(key string, build func() ([]int, error)) ([]int, error) {
+	m.bound.Do(func() {
+		m.cache.Budget = memoBytes
+		m.cache.Cost = func(key string, seq []int) int64 { return int64(len(key) + 8*len(seq)) }
+	})
+	seq, _, err := m.cache.Do(key, func() ([]int, error) {
+		if key[0] == wppKey {
+			m.built[1].Add(1)
+		} else {
+			m.built[0].Add(1)
 		}
-		m.mu.Unlock()
-		<-e.done
-		return slices.Clone(e.seq), e.err
-	}
-	if m.entries == nil {
-		m.entries = make(map[string]*memoEntry)
-		m.lru.prev, m.lru.next = &m.lru, &m.lru
-	}
-	e = &memoEntry{key: string(key), done: make(chan struct{})}
-	m.entries[e.key] = e
-	if key[0] == wppKey {
-		m.built[1]++
-	} else {
-		m.built[0]++
-	}
-	m.mu.Unlock()
-
-	e.seq, e.err = build()
-
-	m.mu.Lock()
-	if e.err != nil {
-		delete(m.entries, e.key)
-	} else {
-		m.pushFront(e)
-		m.held += len(e.key) + 8*len(e.seq)
-		for m.held > memoBytes && m.lru.prev != e {
-			old := m.lru.prev
-			m.unlink(old)
-			delete(m.entries, old.key)
-			m.held -= len(old.key) + 8*len(old.seq)
-		}
-	}
-	m.mu.Unlock()
-	close(e.done)
-	return slices.Clone(e.seq), e.err
+		return build()
+	})
+	return slices.Clone(seq), err
 }
 
 // Builds returns how many circuits and how many paths m has built; a
 // result that was remembered, or joined while in flight, counts none.
 func (m *Memo) Builds() (circuits, paths int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.built[0], m.built[1]
-}
-
-// pushFront links e at the front of the ring.
-func (m *Memo) pushFront(e *memoEntry) {
-	e.prev, e.next = &m.lru, m.lru.next
-	e.prev.next, e.next.prev = e, e
-}
-
-// unlink takes e out of the ring.
-func (m *Memo) unlink(e *memoEntry) {
-	e.prev.next, e.next.prev = e.next, e.prev
-	e.prev, e.next = nil, nil
+	return int(m.built[0].Load()), int(m.built[1].Load())
 }
 
 // MemoPlanner is a Planner whose point-set stage can come from a Memo:

@@ -167,7 +167,7 @@ func (r *RWTCTP) roundBudget(pts []geom.Point, wpp walk.Walk, station geom.Point
 	// The super-round (r−1 WPP traversals + 1 WRP traversal) must fit
 	// in one battery charge; Equ. 4 ignores the detour, so trim.
 	for rounds > 1 {
-		total := float64(rounds-1)*m.RoundEnergy(wppLen, visits) + wrpEnergy
+		total := float64(float64(rounds-1)*m.RoundEnergy(wppLen, visits)) + wrpEnergy
 		if total <= m.Capacity {
 			break
 		}

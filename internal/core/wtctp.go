@@ -108,7 +108,7 @@ func (wt *WTCTP) buildWPP(s *field.Scenario, m *Memo) (walk.Walk, error) {
 		rnd = xrand.New(0)
 	}
 	if m != nil {
-		if key := wppKeyOf(wt, s); key != nil {
+		if key := wppKeyOf(wt, s); key != "" {
 			seq, err := m.do(key, func() ([]int, error) {
 				w, err := wt.wpp(s, nil, rnd, m)
 				return w.Seq, err

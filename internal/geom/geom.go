@@ -46,7 +46,7 @@ func (p Point) Dist(q Point) float64 {
 // cheaper than Dist and sufficient for comparisons.
 func (p Point) Dist2(q Point) float64 {
 	dx, dy := p.X-q.X, p.Y-q.Y
-	return dx*dx + dy*dy
+	return float64(dx*dx) + float64(dy*dy)
 }
 
 // Eq reports whether p and q coincide within Eps.
@@ -70,17 +70,17 @@ type Vec struct {
 func (v Vec) Len() float64 { return math.Hypot(v.X, v.Y) }
 
 // Len2 returns the squared length of v.
-func (v Vec) Len2() float64 { return v.X*v.X + v.Y*v.Y }
+func (v Vec) Len2() float64 { return float64(v.X*v.X) + float64(v.Y*v.Y) }
 
 // Dot returns the dot product of v and w.
-func (v Vec) Dot(w Vec) float64 { return v.X*w.X + v.Y*w.Y }
+func (v Vec) Dot(w Vec) float64 { return float64(v.X*w.X) + float64(v.Y*w.Y) }
 
 // Cross returns the z-component of the 3-D cross product of v and w.
 // It is positive when w is counterclockwise from v.
-func (v Vec) Cross(w Vec) float64 { return v.X*w.Y - v.Y*w.X }
+func (v Vec) Cross(w Vec) float64 { return float64(v.X*w.Y) - float64(v.Y*w.X) }
 
 // Scale returns v scaled by s.
-func (v Vec) Scale(s float64) Vec { return Vec{v.X * s, v.Y * s} }
+func (v Vec) Scale(s float64) Vec { return Vec{float64(v.X * s), float64(v.Y * s)} }
 
 // Unit returns v normalized to length 1. The zero vector is returned
 // unchanged.

@@ -48,40 +48,17 @@ func Algorithm(name string) (patrol.Algorithm, error) {
 	}
 }
 
-// Ints parses a comma-separated integer axis.
-func Ints(s string) ([]int, error) {
-	parts := strings.Split(s, ",")
-	out := make([]int, 0, len(parts))
+// list parses the sep-separated values of s, each trimmed of spaces,
+// with parse. A value parse refuses fails the list with parse's error
+// or, when bad names the value's kind, with "bad <kind> <value>".
+func list[T any](s, sep, bad string, parse func(string) (T, error)) ([]T, error) {
+	parts := strings.Split(s, sep)
+	out := make([]T, 0, len(parts))
 	for _, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil {
-			return nil, fmt.Errorf("bad integer %q", p)
+		v, err := parse(strings.TrimSpace(p))
+		if err != nil && bad != "" {
+			err = fmt.Errorf("bad %s %q", bad, p)
 		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-// Floats parses a comma-separated float axis.
-func Floats(s string) ([]float64, error) {
-	parts := strings.Split(s, ",")
-	out := make([]float64, 0, len(parts))
-	for _, p := range parts {
-		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad number %q", p)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-// Placements parses a comma-separated placement axis.
-func Placements(s string) ([]field.Placement, error) {
-	parts := strings.Split(s, ",")
-	out := make([]field.Placement, 0, len(parts))
-	for _, p := range parts {
-		v, err := field.ParsePlacement(strings.TrimSpace(p))
 		if err != nil {
 			return nil, err
 		}
@@ -90,28 +67,17 @@ func Placements(s string) ([]field.Placement, error) {
 	return out, nil
 }
 
-// Fleets parses a semicolon-separated fleet axis ("4x2;2x1+2x3").
-func Fleets(s string) ([]scenario.Fleet, error) {
-	parts := strings.Split(s, ";")
-	out := make([]scenario.Fleet, 0, len(parts))
-	for _, p := range parts {
-		f, err := scenario.ParseFleet(strings.TrimSpace(p))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, f)
-	}
-	return out, nil
-}
+// parseFloat parses one float axis value.
+func parseFloat(s string) (float64, error) { return strconv.ParseFloat(s, 64) }
 
-// Workloads maps the request's off/on/bursts/priority axis values to
+// workloads maps the request's off/on/bursts/priority axis values to
 // workloads; "on" is the periodic packet workload parameterized by
 // the workload knobs, "bursts" the event-driven Poisson-burst
 // workload parameterized by the burst knobs, and "priority" the
 // periodic workload with priority-split delivery statistics (VIP
 // origins are high-priority). The request must already carry its
 // defaults (see withDefaults).
-func Workloads(req protocol.SweepRequest) ([]scenario.Workload, error) {
+func workloads(req protocol.SweepRequest) ([]scenario.Workload, error) {
 	var out []scenario.Workload
 	for _, p := range strings.Split(req.Workloads, ",") {
 		switch strings.TrimSpace(p) {
@@ -150,23 +116,9 @@ func Workloads(req protocol.SweepRequest) ([]scenario.Workload, error) {
 	return out, nil
 }
 
-// parsePartitions maps the partition axis values ("none" or
-// "method:k[:alloc]") to the engine's partition axis.
-func parsePartitions(s string) ([]sweep.Partition, error) {
-	var out []sweep.Partition
-	for _, p := range strings.Split(s, ",") {
-		part, err := sweep.ParsePartition(strings.TrimSpace(p))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, part)
-	}
-	return out, nil
-}
-
-// Adaptive decodes "metric:relci[:min[:max]]" into the engine's
+// adaptive decodes "metric:relci[:min[:max]]" into the engine's
 // adaptive-replication config.
-func Adaptive(s string) (*sweep.Adaptive, error) {
+func adaptive(s string) (*sweep.Adaptive, error) {
 	parts := strings.Split(s, ":")
 	if len(parts) < 2 || len(parts) > 4 || parts[0] == "" {
 		return nil, fmt.Errorf("bad adaptive spec %q (want metric:relci[:min[:max]])", s)
@@ -299,15 +251,14 @@ func Spec(req protocol.SweepRequest) (sweep.Spec, error) {
 	if err != nil {
 		return spec, err
 	}
-	for _, name := range strings.Split(req.Algorithms, ",") {
-		name = strings.TrimSpace(name)
+	spec.Algorithms, err = list(req.Algorithms, ",", "", func(name string) (sweep.Variant, error) {
 		alg, err := Algorithm(name)
-		if err != nil {
-			return spec, err
-		}
-		spec.Algorithms = append(spec.Algorithms, sweep.Algo(name, alg))
+		return sweep.Algo(name, alg), err
+	})
+	if err != nil {
+		return spec, err
 	}
-	if spec.Targets, err = Ints(req.Targets); err != nil {
+	if spec.Targets, err = list(req.Targets, ",", "integer", strconv.Atoi); err != nil {
 		return spec, err
 	}
 	switch {
@@ -315,7 +266,7 @@ func Spec(req protocol.SweepRequest) (sweep.Spec, error) {
 		if req.Mules != "" || req.Speeds != "" {
 			return spec, fmt.Errorf("fleets conflicts with mules/speeds: the fleet axis already fixes sizes and speeds")
 		}
-		if spec.Fleets, err = Fleets(req.Fleets); err != nil {
+		if spec.Fleets, err = list(req.Fleets, ";", "", scenario.ParseFleet); err != nil {
 			return spec, err
 		}
 	case req.Mules == "" && preset != nil:
@@ -329,14 +280,14 @@ func Spec(req protocol.SweepRequest) (sweep.Spec, error) {
 		}
 		spec.Fleets = []scenario.Fleet{fleet}
 	default:
-		if spec.Mules, err = Ints(req.Mules); err != nil {
+		if spec.Mules, err = list(req.Mules, ",", "integer", strconv.Atoi); err != nil {
 			return spec, err
 		}
-		if spec.Speeds, err = Floats(req.Speeds); err != nil {
+		if spec.Speeds, err = list(req.Speeds, ",", "number", parseFloat); err != nil {
 			return spec, err
 		}
 	}
-	if spec.Placements, err = Placements(req.Placements); err != nil {
+	if spec.Placements, err = list(req.Placements, ",", "", field.ParsePlacement); err != nil {
 		return spec, err
 	}
 	if preset != nil && preset.Targets.VIPs > 0 {
@@ -346,21 +297,17 @@ func Spec(req protocol.SweepRequest) (sweep.Spec, error) {
 		spec.VIPs = []int{preset.Targets.VIPs}
 		spec.VIPWeights = []int{preset.Targets.VIPWeight}
 	}
-	if spec.Workloads, err = Workloads(req); err != nil {
+	if spec.Workloads, err = workloads(req); err != nil {
 		return spec, err
 	}
 	if req.Partition != "" {
-		if spec.Partitions, err = parsePartitions(req.Partition); err != nil {
+		if spec.Partitions, err = list(req.Partition, ",", "", sweep.ParsePartition); err != nil {
 			return spec, err
 		}
 	}
 	if req.Failures != "" {
-		for _, p := range strings.Split(req.Failures, ",") {
-			fa, err := sweep.ParseFailure(strings.TrimSpace(p))
-			if err != nil {
-				return spec, err
-			}
-			spec.Failures = append(spec.Failures, fa)
+		if spec.Failures, err = list(req.Failures, ",", "", sweep.ParseFailure); err != nil {
+			return spec, err
 		}
 	}
 	if req.Handoff != "" {
@@ -399,7 +346,7 @@ func Spec(req protocol.SweepRequest) (sweep.Spec, error) {
 		return spec, fmt.Errorf("horizon %g must be positive", req.Horizon)
 	}
 	if req.Adaptive != "" {
-		if spec.Adaptive, err = Adaptive(req.Adaptive); err != nil {
+		if spec.Adaptive, err = adaptive(req.Adaptive); err != nil {
 			return spec, err
 		}
 	}
@@ -488,7 +435,7 @@ func Spec(req protocol.SweepRequest) (sweep.Spec, error) {
 		partitionK[pa.String()] = pa.K
 		if pa.K > maxK {
 			maxK = pa.K
-			probeCfg, _ = pa.Config() // parsePartitions already validated
+			probeCfg, _ = pa.Config() // sweep.ParsePartition already validated
 		}
 	}
 	// Partitioned cells of algorithms without a partitioned variant are

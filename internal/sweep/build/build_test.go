@@ -2,8 +2,10 @@ package build
 
 import (
 	"context"
+	"strconv"
 	"testing"
 
+	"tctp/internal/field"
 	"tctp/internal/scenario"
 	"tctp/internal/sweep"
 	"tctp/internal/sweep/protocol"
@@ -98,40 +100,40 @@ func TestSpecScenarioVIPs(t *testing.T) {
 }
 
 func TestParseInts(t *testing.T) {
-	got, err := Ints("10, 20,30")
+	got, err := list("10, 20,30", ",", "integer", strconv.Atoi)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 3 || got[0] != 10 || got[1] != 20 || got[2] != 30 {
-		t.Fatalf("Ints = %v", got)
+		t.Fatalf("ints = %v", got)
 	}
-	if _, err := Ints("10,x"); err == nil {
-		t.Fatal("bad integer accepted")
+	if _, err := list("10,x", ",", "integer", strconv.Atoi); err == nil || err.Error() != `bad integer "x"` {
+		t.Fatalf("bad integer: %v", err)
 	}
 }
 
 func TestParseFloats(t *testing.T) {
-	got, err := Floats("1.5, 2")
+	got, err := list("1.5, 2", ",", "number", parseFloat)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 2 || got[0] != 1.5 || got[1] != 2 {
-		t.Fatalf("Floats = %v", got)
+		t.Fatalf("floats = %v", got)
 	}
-	if _, err := Floats("1;2"); err == nil {
-		t.Fatal("bad number accepted")
+	if _, err := list("1;2", ",", "number", parseFloat); err == nil || err.Error() != `bad number "1;2"` {
+		t.Fatalf("bad number: %v", err)
 	}
 }
 
 func TestParsePlacements(t *testing.T) {
-	got, err := Placements("uniform, clusters")
+	got, err := list("uniform, clusters", ",", "", field.ParsePlacement)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 2 {
-		t.Fatalf("Placements = %v", got)
+		t.Fatalf("placements = %v", got)
 	}
-	if _, err := Placements("hexgrid"); err == nil {
+	if _, err := list("hexgrid", ",", "", field.ParsePlacement); err == nil {
 		t.Fatal("bad placement accepted")
 	}
 }
@@ -152,16 +154,16 @@ func TestAlgorithmSelector(t *testing.T) {
 }
 
 func TestParseFleetsAndWorkloads(t *testing.T) {
-	fs, err := Fleets("2x2; 1x1+1x3")
+	fs, err := list("2x2; 1x1+1x3", ";", "", scenario.ParseFleet)
 	if err != nil || len(fs) != 2 || fs[1].Size() != 2 {
-		t.Fatalf("Fleets = %v, %v", fs, err)
+		t.Fatalf("fleets = %v, %v", fs, err)
 	}
-	if _, err := Fleets("2x2;;"); err == nil {
+	if _, err := list("2x2;;", ";", "", scenario.ParseFleet); err == nil {
 		t.Fatal("empty fleet spec accepted")
 	}
-	ws, err := Workloads(protocol.SweepRequest{Workloads: "off,on", WorkloadGen: 30, WorkloadBuffer: 5, WorkloadDeadline: 900})
+	ws, err := workloads(protocol.SweepRequest{Workloads: "off,on", WorkloadGen: 30, WorkloadBuffer: 5, WorkloadDeadline: 900})
 	if err != nil || len(ws) != 2 {
-		t.Fatalf("Workloads = %v, %v", ws, err)
+		t.Fatalf("workloads = %v, %v", ws, err)
 	}
 	if ws[0].Enabled() || !ws[1].Enabled() {
 		t.Fatalf("workload enable flags wrong: %v", ws)
@@ -174,17 +176,17 @@ func TestParseFleetsAndWorkloads(t *testing.T) {
 // TestParseAdaptive covers the -adaptive spec metric:relci[:min[:max]]
 // that the CLI flag and a sweep request's adaptive field share.
 func TestParseAdaptive(t *testing.T) {
-	a, err := Adaptive("avg_dcdt_s:0.05")
+	a, err := adaptive("avg_dcdt_s:0.05")
 	if err != nil || a.Metric != "avg_dcdt_s" || a.RelCI != 0.05 || a.MinReps != 0 || a.MaxReps != 0 {
 		t.Fatalf("Adaptive = %+v, %v", a, err)
 	}
-	a, err = Adaptive("avg_sd_s:0.1:4:40")
+	a, err = adaptive("avg_sd_s:0.1:4:40")
 	if err != nil || a.MinReps != 4 || a.MaxReps != 40 {
 		t.Fatalf("Adaptive = %+v, %v", a, err)
 	}
 	for _, bad := range []string{"", "m", "m:x", ":0.1", "m:0.1:x", "m:0.1:2:x", "m:0.1:2:3:4"} {
-		if _, err := Adaptive(bad); err == nil {
-			t.Fatalf("Adaptive(%q) accepted", bad)
+		if _, err := adaptive(bad); err == nil {
+			t.Fatalf("adaptive(%q) accepted", bad)
 		}
 	}
 }

@@ -6,9 +6,10 @@
 // Store layers three mechanisms behind the one-method
 // sweep.CellStore contract:
 //
-//   - An in-memory LRU bounded by a byte budget, so a long-lived
-//     process (tctp-server) keeps its hottest cells resident without
-//     growing without bound.
+//   - An in-memory LRU bounded by a byte budget (an lru.Cache, the
+//     bounded memo the planner's and the worker's memos share), so a
+//     long-lived process (tctp-server) keeps its hottest cells
+//     resident without growing without bound.
 //
 //   - An optional disk layer: every computed state is also written
 //     under its key in a directory, atomically (temp file + rename),
@@ -21,10 +22,10 @@
 //     after writes, so a long-lived server's disk layer stops growing
 //     without bound.
 //
-//   - Single-flight deduplication: concurrent Folds of the same key
-//     elect one leader to run the compute; the others wait and share
-//     its result (or its error). N identical sweeps submitted at once
-//     cost one computation, not N.
+//   - Single-flight deduplication, by the same lru.Cache: concurrent
+//     Folds of the same key elect one leader to run the compute; the
+//     others wait and share its result (or its error). N identical
+//     sweeps submitted at once cost one computation, not N.
 //
 // Because the stored value is the cell's bit-exact fold state — the
 // same record the checkpoint layer persists — a sweep served from
@@ -33,7 +34,6 @@
 package cache
 
 import (
-	"container/list"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -42,6 +42,7 @@ import (
 	"strings"
 	"sync"
 
+	"tctp/internal/lru"
 	"tctp/internal/sweep/protocol"
 )
 
@@ -102,19 +103,6 @@ type Stats struct {
 	MaxBytes int64 `json:"max_bytes"`
 }
 
-type entry struct {
-	key   string
-	state protocol.FoldState
-	size  int64
-	elem  *list.Element
-}
-
-type flight struct {
-	done  chan struct{}
-	state protocol.FoldState
-	err   error
-}
-
 // Store is a concurrency-safe, content-addressed cell cache
 // implementing sweep.CellStore. Callers must treat returned states as
 // immutable — they are shared across every Fold of the same key.
@@ -127,14 +115,12 @@ type Store struct {
 	// time even when many leaders finish writes together.
 	gcMu sync.Mutex
 
+	// mem is the memory layer, costing each state its JSON size.
+	mem lru.Cache[*protocol.FoldState]
+
 	mu        sync.Mutex
-	maxBytes  int64
-	bytes     int64
-	diskBytes int64      // approximate; corrected by every sweep's rescan
-	lru       *list.List // front = most recently used; values are *entry
-	entries   map[string]*entry
-	inflight  map[string]*flight
-	stats     Stats
+	diskBytes int64 // approximate; corrected by every sweep's rescan
+	stats     Stats // the disk layer's and the computes' counters
 }
 
 // New opens a store. The disk directory, when configured, is created
@@ -157,10 +143,7 @@ func New(opts Options) (*Store, error) {
 	s := &Store{
 		dir:         opts.Dir,
 		dirMaxBytes: opts.DirMaxBytes,
-		maxBytes:    opts.MaxBytes,
-		lru:         list.New(),
-		entries:     make(map[string]*entry),
-		inflight:    make(map[string]*flight),
+		mem:         lru.Cache[*protocol.FoldState]{Budget: opts.MaxBytes, Cost: stateSize},
 	}
 	if opts.Gate > 0 {
 		s.gate = make(chan struct{}, opts.Gate)
@@ -173,12 +156,12 @@ func New(opts Options) (*Store, error) {
 
 // Stats returns a snapshot of the store's counters.
 func (s *Store) Stats() Stats {
+	mem := s.mem.Stats()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.stats
-	st.Entries = len(s.entries)
-	st.Bytes = s.bytes
-	st.MaxBytes = s.maxBytes
+	st.Hits, st.Joins, st.Evictions = mem.Hits, mem.Joins, mem.Evictions
+	st.Entries, st.Bytes, st.MaxBytes = mem.Entries, mem.Held, s.mem.Budget
 	return st
 }
 
@@ -191,36 +174,39 @@ func (s *Store) Fold(key string, compute func() (protocol.FoldState, error)) (pr
 		return protocol.FoldState{}, "", fmt.Errorf("cache: malformed cell key %q", key)
 	}
 
-	s.mu.Lock()
-	if e, ok := s.entries[key]; ok {
-		s.lru.MoveToFront(e.elem)
-		s.stats.Hits++
-		st := e.state
-		s.mu.Unlock()
-		return st, protocol.SourceHit, nil
-	}
-	if f, ok := s.inflight[key]; ok {
-		s.stats.Joins++
-		s.mu.Unlock()
-		<-f.done
-		if f.err != nil {
-			return protocol.FoldState{}, protocol.SourceJoined, f.err
+	src := protocol.SourceComputed
+	st, how, err := s.mem.Do(key, func() (*protocol.FoldState, error) {
+		if st := s.readDisk(key); st != nil {
+			src = protocol.SourceHit
+			return st, nil
 		}
-		return f.state, protocol.SourceJoined, nil
+		if s.gate != nil {
+			s.gate <- struct{}{}
+			defer func() { <-s.gate }()
+		}
+		s.mu.Lock()
+		s.stats.Misses++
+		s.stats.InFlight++
+		s.mu.Unlock()
+		st, err := compute()
+		s.mu.Lock()
+		s.stats.InFlight--
+		s.mu.Unlock()
+		return &st, err
+	})
+	switch how {
+	case lru.Hit:
+		src = protocol.SourceHit
+	case lru.Joined:
+		src = protocol.SourceJoined
 	}
-	// This caller leads. Register the flight before unlocking so every
-	// later caller joins instead of recomputing.
-	f := &flight{done: make(chan struct{})}
-	s.inflight[key] = f
-	s.mu.Unlock()
-
-	st, src, err := s.lead(key, compute)
-	s.mu.Lock()
-	delete(s.inflight, key)
-	f.state, f.err = st, err
-	s.mu.Unlock()
-	close(f.done)
-	return st, src, err
+	if err != nil {
+		return protocol.FoldState{}, src, err
+	}
+	if how == lru.Built && src == protocol.SourceComputed {
+		s.writeDisk(key, st)
+	}
+	return *st, src, nil
 }
 
 // Probe returns the state cached under key, if any, without computing,
@@ -232,21 +218,12 @@ func (s *Store) Probe(key string) (protocol.FoldState, bool) {
 	if !protocol.ValidKey(key) {
 		return protocol.FoldState{}, false
 	}
-	s.mu.Lock()
-	if e, ok := s.entries[key]; ok {
-		s.lru.MoveToFront(e.elem)
-		s.stats.Hits++
-		st := e.state
-		s.mu.Unlock()
-		return st, true
+	if st, ok := s.mem.Get(key); ok {
+		return *st, true
 	}
-	s.mu.Unlock()
-	if st, ok := s.readDisk(key); ok {
-		s.insert(key, st)
-		s.mu.Lock()
-		s.stats.DiskHits++
-		s.mu.Unlock()
-		return st, true
+	if st := s.readDisk(key); st != nil {
+		s.mem.Add(key, st)
+		return *st, true
 	}
 	return protocol.FoldState{}, false
 }
@@ -259,71 +236,13 @@ func (s *Store) Put(key string, st protocol.FoldState) {
 	if !protocol.ValidKey(key) {
 		return
 	}
-	s.insert(key, st)
-	s.writeDisk(key, st)
-}
-
-// lead resolves a key on behalf of all its current callers: disk
-// first, then the gated compute.
-func (s *Store) lead(key string, compute func() (protocol.FoldState, error)) (protocol.FoldState, protocol.Source, error) {
-	if st, ok := s.readDisk(key); ok {
-		s.insert(key, st)
-		s.mu.Lock()
-		s.stats.DiskHits++
-		s.mu.Unlock()
-		return st, protocol.SourceHit, nil
-	}
-
-	if s.gate != nil {
-		s.gate <- struct{}{}
-	}
-	s.mu.Lock()
-	s.stats.Misses++
-	s.stats.InFlight++
-	s.mu.Unlock()
-	st, err := compute()
-	s.mu.Lock()
-	s.stats.InFlight--
-	s.mu.Unlock()
-	if s.gate != nil {
-		<-s.gate
-	}
-	if err != nil {
-		return protocol.FoldState{}, protocol.SourceComputed, err
-	}
-	s.insert(key, st)
-	s.writeDisk(key, st)
-	return st, protocol.SourceComputed, nil
-}
-
-// insert adds a state to the memory layer and evicts from the cold end
-// until the budget holds again. The newest entry itself is never
-// evicted, so a single state larger than the whole budget still
-// caches (alone).
-func (s *Store) insert(key string, st protocol.FoldState) {
-	size := stateSize(st)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.entries[key]; ok {
-		return
-	}
-	e := &entry{key: key, state: st, size: size}
-	e.elem = s.lru.PushFront(e)
-	s.entries[key] = e
-	s.bytes += size
-	for s.bytes > s.maxBytes && s.lru.Len() > 1 {
-		back := s.lru.Back()
-		victim := back.Value.(*entry)
-		s.lru.Remove(back)
-		delete(s.entries, victim.key)
-		s.bytes -= victim.size
-		s.stats.Evictions++
-	}
+	s.mem.Add(key, &st)
+	s.writeDisk(key, &st)
 }
 
 // stateSize approximates a state's memory footprint by its JSON
 // encoding — the same bytes the disk layer stores.
-func stateSize(st protocol.FoldState) int64 {
+func stateSize(_ string, st *protocol.FoldState) int64 {
 	b, err := json.Marshal(st)
 	if err != nil {
 		// Cannot happen for a FoldState; be conservative if it does.
@@ -346,41 +265,40 @@ func (s *Store) diskPath(key string) string {
 	return filepath.Join(s.dir, strings.TrimPrefix(key, "sha256:")+".json")
 }
 
-// readDisk loads a key from the disk layer. Any defect — unreadable
-// file, malformed JSON, embedded key not matching — refuses the entry
-// (counting it corrupt) rather than serving it.
-func (s *Store) readDisk(key string) (protocol.FoldState, bool) {
+// readDisk loads a key from the disk layer, counting a disk hit. Any
+// defect — unreadable file, malformed JSON, embedded key not matching
+// — refuses the entry (counting it corrupt) rather than serving it.
+func (s *Store) readDisk(key string) *protocol.FoldState {
 	if s.dir == "" {
-		return protocol.FoldState{}, false
+		return nil
 	}
 	b, err := os.ReadFile(s.diskPath(key))
-	if err != nil {
-		if !os.IsNotExist(err) {
-			s.mu.Lock()
-			s.stats.Corrupt++
-			s.mu.Unlock()
-		}
-		return protocol.FoldState{}, false
+	if os.IsNotExist(err) {
+		return nil
 	}
 	var de diskEntry
-	if err := json.Unmarshal(b, &de); err != nil || de.Key != key {
-		s.mu.Lock()
-		s.stats.Corrupt++
-		s.mu.Unlock()
-		return protocol.FoldState{}, false
+	if err == nil {
+		err = json.Unmarshal(b, &de)
 	}
-	return de.State, true
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err != nil || de.Key != key {
+		s.stats.Corrupt++
+		return nil
+	}
+	s.stats.DiskHits++
+	return &de.State
 }
 
 // writeDisk persists a computed state, atomically: a unique temp file
 // in the same directory, then rename. Failures are counted and
 // swallowed — the disk layer accelerates, it does not gate.
-func (s *Store) writeDisk(key string, st protocol.FoldState) {
+func (s *Store) writeDisk(key string, st *protocol.FoldState) {
 	if s.dir == "" {
 		return
 	}
 	err := func() error {
-		b, err := json.Marshal(diskEntry{Key: key, State: st})
+		b, err := json.Marshal(diskEntry{Key: key, State: *st})
 		if err != nil {
 			return err
 		}

@@ -49,7 +49,10 @@
 // hits and single-flight joins bypass the gate entirely, so a warm
 // server stays responsive even at its compute limit. A sweep holds its
 // admission slot only while it runs: capacity is released the moment
-// the sweep finishes, never held until its result is fetched.
+// the sweep finishes, never held until its result is fetched. A
+// finished sweep stays answerable while it is among the 256
+// (maxFinishedSweeps) most recently used ones; an older id answers 404,
+// and /stats counts it as evicted.
 package server
 
 import (
@@ -63,6 +66,7 @@ import (
 	"sync"
 	"time"
 
+	"tctp/internal/lru"
 	"tctp/internal/sweep"
 	"tctp/internal/sweep/build"
 	"tctp/internal/sweep/cache"
@@ -102,6 +106,9 @@ type Stats struct {
 	Active    int   `json:"active"`
 	Done      int   `json:"done"`
 	Failed    int   `json:"failed"`
+	// Evicted counts finished sweeps dropped past maxFinishedSweeps;
+	// their ids answer 404.
+	Evicted int64 `json:"evicted"`
 	// Scheduler is the remote plane's counters (queued/leased/expired/
 	// reassigned/remote-computed and per-worker rows); absent when the
 	// server computes locally.
@@ -148,6 +155,10 @@ type Server struct {
 	cfg Config
 	mux *http.ServeMux
 
+	// finished holds the most recently used maxFinishedSweeps finished
+	// sweeps; a running one is in sweeps until it moves there.
+	finished lru.Cache[*sweepRun]
+
 	mu        sync.Mutex
 	sweeps    map[string]*sweepRun
 	nextID    int
@@ -157,6 +168,11 @@ type Server struct {
 	doneN     int
 	failedN   int
 }
+
+// maxFinishedSweeps bounds the finished sweeps a server keeps for
+// status, events and result requests, so that its memory does not grow
+// with every sweep it has served.
+const maxFinishedSweeps = 256
 
 // New builds a Server around a shared cell cache.
 func New(cfg Config) (*Server, error) {
@@ -173,9 +189,10 @@ func New(cfg Config) (*Server, error) {
 		cfg.RetryAfter = 2
 	}
 	s := &Server{
-		cfg:    cfg,
-		mux:    http.NewServeMux(),
-		sweeps: make(map[string]*sweepRun),
+		cfg:      cfg,
+		mux:      http.NewServeMux(),
+		finished: lru.Cache[*sweepRun]{Budget: maxFinishedSweeps},
+		sweeps:   make(map[string]*sweepRun),
 	}
 	s.mux.HandleFunc("POST /sweeps", s.handleSubmit)
 	s.mux.HandleFunc("GET /sweeps/{id}", s.handleStatus)
@@ -297,6 +314,8 @@ func (s *Server) execute(sr *sweepRun, job *sweep.Job) {
 	} else {
 		s.doneN++
 	}
+	s.finished.Add(sr.id, sr)
+	delete(s.sweeps, sr.id)
 	s.mu.Unlock()
 
 	sr.mu.Lock()
@@ -358,9 +377,12 @@ func (sr *sweepRun) status() protocol.SweepStatus {
 func (s *Server) lookup(w http.ResponseWriter, r *http.Request) *sweepRun {
 	id := r.PathValue("id")
 	s.mu.Lock()
-	sr := s.sweeps[id]
+	sr, ok := s.sweeps[id]
 	s.mu.Unlock()
-	if sr == nil {
+	if !ok {
+		sr, ok = s.finished.Get(id)
+	}
+	if !ok {
 		httpError(w, http.StatusNotFound, "unknown sweep %q", id)
 	}
 	return sr
@@ -455,6 +477,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Active: s.active, Done: s.doneN, Failed: s.failedN,
 	}
 	s.mu.Unlock()
+	st.Evicted = s.finished.Stats().Evictions
 	st.Cache = s.cfg.Store.Stats()
 	if s.cfg.Dispatch != nil {
 		sched := s.cfg.Dispatch.Stats()

@@ -251,6 +251,47 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestFinishedSweepsBounded: a server keeps its MaxFinishedSweeps most
+// recently used finished sweeps. Past that the oldest ids answer 404,
+// the newest still serves its result, and /stats counts the evictions.
+func TestFinishedSweepsBounded(t *testing.T) {
+	ts := newServer(t, server.Config{})
+	req := testRequest()
+	req.Algorithms, req.Targets = "btctp", "6" // one cell, warm after the first sweep
+	const k = 3
+	ids := make([]string, server.MaxFinishedSweeps+k)
+	var want []byte
+	for i := range ids {
+		ids[i] = submit(t, ts, req).ID
+		csv := fetch(t, ts.URL+"/sweeps/"+ids[i]+"/result.csv")
+		if i == 0 {
+			want = csv
+		} else if !bytes.Equal(csv, want) {
+			t.Fatalf("sweep %d's CSV differs from the first", i)
+		}
+	}
+	for i, id := range ids {
+		resp, err := http.Get(ts.URL + "/sweeps/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if evicted := i < k; evicted != (resp.StatusCode == http.StatusNotFound) {
+			t.Fatalf("sweep %d of %d (%s): status %s", i, len(ids), id, resp.Status)
+		}
+	}
+	if csv := fetch(t, ts.URL+"/sweeps/"+ids[len(ids)-1]+"/result.csv"); !bytes.Equal(csv, want) {
+		t.Fatal("the newest sweep's CSV differs from the first")
+	}
+	var stats server.Stats
+	if err := json.Unmarshal(fetch(t, ts.URL+"/stats"), &stats); err != nil {
+		t.Fatal(err)
+	}
+	if stats.Evicted != k || stats.Done != len(ids) {
+		t.Fatalf("stats %+v, want %d evicted", stats, k)
+	}
+}
+
 // TestOversizedPlanRefused: a request whose axes span just over
 // sweep.MaxPlanCells cells (257 target counts × 256 fleet sizes) is
 // refused with 400 before it is planned.

@@ -39,6 +39,7 @@ import (
 	"sync"
 	"time"
 
+	"tctp/internal/lru"
 	"tctp/internal/sweep"
 	"tctp/internal/sweep/build"
 	"tctp/internal/sweep/protocol"
@@ -109,7 +110,7 @@ func run(ctx context.Context, o Options, computeCell func(*sweep.Job, context.Co
 	if err != nil {
 		return err
 	}
-	w := &worker{opts: opts, computeCell: computeCell}
+	w := newWorker(opts, computeCell)
 	var wg sync.WaitGroup
 	for i := 0; i < opts.Concurrency; i++ {
 		wg.Add(1)
@@ -125,9 +126,7 @@ func run(ctx context.Context, o Options, computeCell func(*sweep.Job, context.Co
 type worker struct {
 	opts        Options
 	computeCell func(*sweep.Job, context.Context, int) (protocol.FoldState, error)
-
-	mu   sync.Mutex
-	jobs []plannedJob // the most recently used first, at most maxJobs
+	jobs        lru.Cache[*sweep.Job] // planned jobs by fingerprint
 }
 
 // maxJobs is how many planned jobs a worker keeps. A fleet serves few
@@ -135,10 +134,8 @@ type worker struct {
 // memory does not grow with every sweep it has ever served.
 const maxJobs = 8
 
-// plannedJob is a memoized plan and its fingerprint.
-type plannedJob struct {
-	fingerprint string
-	job         *sweep.Job
+func newWorker(opts Options, computeCell func(*sweep.Job, context.Context, int) (protocol.FoldState, error)) *worker {
+	return &worker{opts: opts, computeCell: computeCell, jobs: lru.Cache[*sweep.Job]{Budget: maxJobs}}
 }
 
 // loop is one lease slot: poll, compute the granted chunk, repeat.
@@ -284,48 +281,25 @@ func (w *worker) compute(ctx context.Context, job *sweep.Job, sweepID string, c 
 
 // job returns the planned job for the lease's request, memoized by
 // plan fingerprint — a fleet serving one sweep plans it once, not once
-// per chunk. A lease for a job the memo has evicted plans it again.
+// per chunk, and lease slots asking at once share one plan. A lease for
+// a job the memo has evicted plans it again.
 func (w *worker) job(lease *protocol.CellLease) (*sweep.Job, error) {
-	if job := w.memo(lease.Fingerprint, nil); job != nil {
+	job, _, err := w.jobs.Do(lease.Fingerprint, func() (*sweep.Job, error) {
+		spec, err := build.Spec(lease.Request)
+		if err != nil {
+			return nil, fmt.Errorf("rebuilding sweep from lease: %w", err)
+		}
+		job, err := sweep.Plan(spec)
+		if err != nil {
+			return nil, fmt.Errorf("planning leased sweep: %w", err)
+		}
+		if lease.Fingerprint != "" && job.Fingerprint() != lease.Fingerprint {
+			return nil, fmt.Errorf("plan fingerprint mismatch: lease says %s, this build plans %s",
+				lease.Fingerprint, job.Fingerprint())
+		}
 		return job, nil
-	}
-	spec, err := build.Spec(lease.Request)
-	if err != nil {
-		return nil, fmt.Errorf("rebuilding sweep from lease: %w", err)
-	}
-	job, err := sweep.Plan(spec)
-	if err != nil {
-		return nil, fmt.Errorf("planning leased sweep: %w", err)
-	}
-	if lease.Fingerprint != "" && job.Fingerprint() != lease.Fingerprint {
-		return nil, fmt.Errorf("plan fingerprint mismatch: lease says %s, this build plans %s",
-			lease.Fingerprint, job.Fingerprint())
-	}
-	return w.memo(lease.Fingerprint, job), nil
-}
-
-// memo returns the job memoized under fingerprint fp and makes it the
-// most recently used. When there is none, it memoizes job, unless job
-// is nil, in place of the least recently used one once the memo holds
-// maxJobs, and returns job.
-func (w *worker) memo(fp string, job *sweep.Job) *sweep.Job {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	i := slices.IndexFunc(w.jobs, func(p plannedJob) bool { return p.fingerprint == fp })
-	if i < 0 {
-		if job == nil {
-			return nil
-		}
-		if len(w.jobs) < maxJobs {
-			w.jobs = append(w.jobs, plannedJob{})
-		}
-		i = len(w.jobs) - 1
-		w.jobs[i] = plannedJob{fp, job}
-	}
-	p := w.jobs[i]
-	copy(w.jobs[1:i+1], w.jobs[:i])
-	w.jobs[0] = p
-	return p.job
+	})
+	return job, err
 }
 
 // heartbeat ticks at a third of the lease TTL until stopped: each tick

@@ -414,7 +414,7 @@ func TestJobMemoEvictsLeastRecentlyUsed(t *testing.T) {
 		}
 		leases[i] = &protocol.CellLease{Request: req, Fingerprint: job.Fingerprint()}
 	}
-	w := &worker{}
+	w := newWorker(Options{}, nil)
 	job := func(i int) *sweep.Job {
 		t.Helper()
 		j, err := w.job(leases[i])
@@ -432,13 +432,11 @@ func TestJobMemoEvictsLeastRecentlyUsed(t *testing.T) {
 	}
 	// Job 1 is now the least recently used; one more plan evicts it.
 	job(maxJobs)
-	if len(w.jobs) != maxJobs {
-		t.Fatalf("the memo holds %d jobs, want %d", len(w.jobs), maxJobs)
+	if n := w.jobs.Stats().Entries; n != maxJobs {
+		t.Fatalf("the memo holds %d jobs, want %d", n, maxJobs)
 	}
-	for i, p := range w.jobs {
-		if p.fingerprint == leases[1].Fingerprint {
-			t.Fatalf("job 1, the least recently used, is still memoized at %d", i)
-		}
+	if _, ok := w.jobs.Get(leases[1].Fingerprint); ok {
+		t.Fatal("job 1, the least recently used, is still memoized")
 	}
 	for i := range planned {
 		if i != 1 && job(i) != planned[i] {
@@ -477,7 +475,7 @@ func TestJobMemoEvictsLeastRecentlyUsed(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if len(w.jobs) != maxJobs {
-		t.Fatalf("after concurrent leases the memo holds %d jobs, want %d", len(w.jobs), maxJobs)
+	if n := w.jobs.Stats().Entries; n != maxJobs {
+		t.Fatalf("after concurrent leases the memo holds %d jobs, want %d", n, maxJobs)
 	}
 }

@@ -77,7 +77,7 @@ func SignedArea(pts []geom.Point, t Tour) float64 {
 	sum := 0.0
 	for i := 0; i < n; i++ {
 		a, b := pts[t[i]], pts[t[(i+1)%n]]
-		sum += a.X*b.Y - b.X*a.Y
+		sum += float64(a.X*b.Y) - float64(b.X*a.Y)
 	}
 	return sum / 2
 }
