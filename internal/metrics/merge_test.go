@@ -13,16 +13,7 @@ import (
 // recorder carves each log from its flat block at the log's length;
 // without, the logs grow as they fill.
 func recordRuns(runs [][][]float64, exact bool) *Recorder {
-	var caps []int
-	if exact {
-		caps = make([]int, len(runs))
-		for t, rs := range runs {
-			for _, r := range rs {
-				caps[t] += len(r)
-			}
-		}
-	}
-	rec := NewRecorderCap(len(runs), caps)
+	rec := NewRecorderCap(len(runs), runCaps(runs, exact))
 	rec.AllowRuns()
 	for t, rs := range runs {
 		for _, r := range rs {
@@ -33,6 +24,21 @@ func recordRuns(runs [][][]float64, exact bool) *Recorder {
 	}
 	rec.MergeRuns()
 	return rec
+}
+
+// runCaps returns, with exact, each target's visit count in runs as
+// its log's capacity, else nil.
+func runCaps(runs [][][]float64, exact bool) []int {
+	if !exact {
+		return nil
+	}
+	caps := make([]int, len(runs))
+	for t, rs := range runs {
+		for _, r := range rs {
+			caps[t] += len(r)
+		}
+	}
+	return caps
 }
 
 // checkMerged fails unless every log of rec holds its runs merged, bit
@@ -218,22 +224,188 @@ func fuzzRuns(data []byte) [][]float64 {
 	return runs
 }
 
-// FuzzMergeRuns holds the run merge to the sorting oracle on logs
-// decoded by fuzzRuns, carved from the flat block or grown by append,
-// and on the merge itself with a buffer too short for the log.
+// The run families of FuzzMergeRuns: irregular runs (fuzzRuns), and
+// the runs of m mules spread evenly over one circuit of period p, each
+// logging a visit every period, as B-TCTP, W-TCTP and CHB mules do,
+// with the variations a gather must take or turn down.
+const (
+	irregular  = iota
+	nearTies   // a mule 1 ulp before or after the one ahead of it
+	coTravel   // mules logging equal times, as co-travelling CHB mules do
+	vip        // w visits per period, as a W-TCTP mule at a VIP
+	oneEach    // a visit or none per mule
+	longTails  // runs two visits longer than the rest
+	continuing // a last run that starts where the one before it ends
+	badMarks   // runs appended under one mark, or marks with no run
+	parked     // runs as spans (AppendEvery), where they stride
+	families
+)
+
+// cyclicRuns decodes from data the runs of a circuit family (see
+// nearTies and after) in the order the mules append them, and reports
+// the marks to leave out: the runs with skip set are appended under
+// the mark before them.
+func cyclicRuns(family int, data []byte) (runs [][]float64, skip []bool) {
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	m := 1 + next()%8
+	visits := next() % 12
+	p := 1 + float64(next())/8
+	at := 1 + float64(next())/4 // past 0, so no near-tie reaches -0
+	extra := next() % (m + 1)   // the first runs, by phase, one visit longer
+	rot := next() % m
+	bits := next()
+	w := 1
+	switch family {
+	case vip:
+		w = 2 + next()%2
+	case oneEach:
+		visits = 0
+	case longTails:
+		visits++
+	}
+	byPhase := make([][]float64, m)
+	for k := range byPhase {
+		n := visits
+		if k < extra {
+			n++
+			if family == longTails {
+				n++
+			}
+		}
+		x := at + float64(k)*p/float64(m)
+		for range n {
+			for i := range w {
+				byPhase[k] = append(byPhase[k], x+float64(i)*p/float64(2*m*w))
+			}
+			x += p
+		}
+		if k == 0 {
+			continue
+		}
+		prev, r := byPhase[k-1], byPhase[k]
+		switch {
+		case family == nearTies && bits>>(k%8)&1 == 1 && len(prev) == len(r):
+			dir := math.Inf(1)
+			if bits>>((k+4)%8)&1 == 1 {
+				dir = math.Inf(-1)
+			}
+			for j := range r {
+				r[j] = math.Nextafter(prev[j], dir)
+			}
+		case family == coTravel && bits>>(k%8)&1 == 1:
+			byPhase[k] = slices.Clone(prev)
+		}
+	}
+	for k := range byPhase {
+		runs = append(runs, byPhase[(k+rot)%m])
+	}
+	if last := runs[len(runs)-1]; family == continuing && len(last) > 0 {
+		tail := []float64{last[len(last)-1]}
+		for range visits {
+			tail = append(tail, tail[len(tail)-1]+p)
+		}
+		runs = append(runs, tail)
+	}
+	skip = make([]bool, len(runs)+1)
+	if family == badMarks {
+		for k := range skip {
+			skip[k] = bits>>(k%8)&1 == 1
+		}
+	}
+	return runs, skip
+}
+
+// recordMarked is recordRuns with a mark before each run, as patrol.Run
+// marks one before each mule runs ahead: every target's k-th run is
+// appended after the k-th AllowRuns, unless skip[k] appends it under
+// the mark before. A last mark, with skip[len] unset, stands for the
+// engine's mules, here with no visits. With spans, each run of two or
+// more visits a step apart, each the one before plus the step, goes in
+// through AppendEvery, a parked mule's span.
+func recordMarked(runs [][][]float64, exact bool, skip []bool, spans bool) *Recorder {
+	rec := NewRecorderCap(len(runs), runCaps(runs, exact))
+	rows := 0
+	for _, rs := range runs {
+		rows = max(rows, len(rs))
+	}
+	for k := 0; k <= rows; k++ {
+		if k == 0 || !skip[k] {
+			rec.AllowRuns()
+		}
+		for t, rs := range runs {
+			if k >= len(rs) {
+				continue
+			}
+			if r := rs[k]; spans && stride(r) {
+				rec.AppendEvery(t, r[0], r[1]-r[0], r[len(r)-1])
+				continue
+			}
+			for _, v := range rs[k] {
+				rec.Append(t, v)
+			}
+		}
+	}
+	rec.MergeRuns()
+	return rec
+}
+
+// stride reports whether r is two or more visits a positive step
+// apart, each the one before plus the step.
+func stride(r []float64) bool {
+	if len(r) < 2 || !(r[1] > r[0]) {
+		return false
+	}
+	for j := 2; j < len(r); j++ {
+		if r[j] != r[j-1]+(r[1]-r[0]) {
+			return false
+		}
+	}
+	return true
+}
+
+// FuzzMergeRuns holds the run merge to the sorting oracle, through the
+// scan for descents (recordRuns) and through the marks (recordMarked)
+// alike: on logs decoded by fuzzRuns and on the circuit families of
+// cyclicRuns, each also appended in reverse order on a second target,
+// carved from the flat block or grown by append; and on the scan's
+// merge itself with a buffer too short for the log. Both recorders
+// report the same Merged.
 func FuzzMergeRuns(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 0xF1, 0, 1, 0xF0, 0xF0, 4, 0xF2})
-	f.Add([]byte{0xF3, 0, 0, 0xF3, 0, 0xF3})
-	f.Add([]byte{7, 7, 7, 7})
-	f.Add([]byte{0xFF, 1, 0xFE, 1, 0xFD, 1, 0xFC, 1, 0xFB, 1, 0xFA, 1})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		rs := fuzzRuns(data)
-		runs := [][][]float64{rs}
+	f.Add([]byte{1, 2, 3, 0xF1, 0, 1, 0xF0, 0xF0, 4, 0xF2}, uint8(irregular))
+	f.Add([]byte{0xF3, 0, 0, 0xF3, 0, 0xF3}, uint8(irregular))
+	f.Add([]byte{7, 7, 7, 7}, uint8(irregular))
+	f.Add([]byte{0xFF, 1, 0xFE, 1, 0xFD, 1, 0xFC, 1, 0xFB, 1, 0xFA, 1}, uint8(irregular))
+	for family := nearTies; family < families; family++ {
+		f.Add([]byte{7, 9, 40, 3, 2, 5, 0xA5, 1}, uint8(family))
+		f.Add([]byte{3, 4, 0, 0, 3, 1, 0x5A, 0}, uint8(family))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, family uint8) {
+		var rs [][]float64
+		var skip []bool
+		if family %= families; family == irregular {
+			rs, skip = fuzzRuns(data), make([]bool, 66)
+		} else {
+			rs, skip = cyclicRuns(int(family), data)
+		}
+		runs := [][][]float64{rs, slices.Clone(rs)}
+		slices.Reverse(runs[1])
 		for _, exact := range []bool{false, true} {
-			rec := recordRuns(runs, exact)
-			checkMerged(t, rec, runs)
-			if n := naturalRuns(rs); n > 1 && rec.Merged() != n {
-				t.Fatalf("Merged() = %d, want %d", rec.Merged(), n)
+			plain := recordRuns(runs, exact)
+			checkMerged(t, plain, runs)
+			if n := max(naturalRuns(runs[0]), naturalRuns(runs[1])); n > 1 && plain.Merged() != n {
+				t.Fatalf("Merged() = %d, want %d", plain.Merged(), n)
+			}
+			marked := recordMarked(runs, exact, skip, family == parked)
+			checkMerged(t, marked, runs)
+			if marked.Merged() != plain.Merged() {
+				t.Fatalf("Merged() = %d through the marks, %d through the scan", marked.Merged(), plain.Merged())
 			}
 		}
 		var ts []float64
@@ -241,8 +413,59 @@ func FuzzMergeRuns(f *testing.F) {
 			ts = append(ts, r...)
 		}
 		mergeRuns(ts, make([]float64, len(ts)/3))
-		checkMerged(t, &Recorder{visits: [][]float64{ts}}, runs)
+		checkMerged(t, &Recorder{visits: [][]float64{ts}}, [][][]float64{rs})
 	})
+}
+
+// TestMergeRunsGathers: runs that interleave round-robin, as eight
+// mules evenly spread over one circuit log them, are gathered, never
+// merged pass after pass, even with their tails one visit apart, equal
+// times or 1-ulp near-ties, whether the marks cut them, the scan finds
+// them where the marks do not explain the breaks, or it finds them on
+// 60 targets, more than the mark table has room for, which never
+// grows. Runs that do not interleave so, a W-TCTP mule's two visits per
+// period, tails two visits apart or a run that continues the one
+// before, fall back. Each comes out as the sorting oracle has it.
+func TestMergeRunsGathers(t *testing.T) {
+	for _, tc := range []struct {
+		family, targets int
+		bits            byte
+		gather          bool
+	}{
+		{nearTies, 2, 0, true},
+		{nearTies, 2, 0xFF, true}, // every mule 1 ulp before the one ahead
+		{nearTies, 2, 0x0F, true},
+		{coTravel, 2, 0x55, true},
+		{badMarks, 2, 0x02, true},
+		{nearTies, 60, 0x0F, true},
+		{continuing, 2, 0, false},
+		{vip, 2, 0, false},
+		{longTails, 2, 0, false},
+	} {
+		// 8 mules, 40 or 41 visits each, period 6 s, from 3.5 s, the
+		// fourth run appended first; every other target's runs are
+		// appended in reverse order.
+		rs, skip := cyclicRuns(tc.family, []byte{7, 40, 40, 10, 3, 3, tc.bits})
+		runs := make([][][]float64, tc.targets)
+		for id := range runs {
+			runs[id] = slices.Clone(rs)
+			if id%2 == 1 {
+				slices.Reverse(runs[id])
+			}
+		}
+		for _, exact := range []bool{false, true} {
+			rec := recordMarked(runs, exact, skip, false)
+			checkMerged(t, rec, runs)
+			want := 0
+			if !tc.gather {
+				want = len(runs)
+			}
+			if rec.Merged() < 8 || rec.fallbacks != want || cap(rec.marks) != len(rec.markBuf) {
+				t.Fatalf("family %d on %d targets, bits %#x, exact %v: %d runs merged, %d logs fell back, want %d; mark table of %d",
+					tc.family, tc.targets, tc.bits, exact, rec.Merged(), rec.fallbacks, want, cap(rec.marks))
+			}
+		}
+	}
 }
 
 // appendLoop is AppendEvery's oracle: Append on t0, t0+step, … while
@@ -356,4 +579,70 @@ func FuzzAppendEvery(f *testing.F) {
 			}
 		}
 	})
+}
+
+// BenchmarkMergeRuns measures recording and merging the visits of 8
+// mules that share 10 targets, on a warm recorder: each op resets it,
+// marks each mule's run (AllowRuns) and appends the mule's visits, as
+// patrol.Run does, and merges. On the cyclic log the mules spread
+// evenly over one circuit, 250 visits to each target each, which the
+// gather merges; on the random log each mule visits a random target
+// after a random gap, as Random's mules do, and runs of uneven lengths
+// merge pass after pass. Neither allocates.
+func BenchmarkMergeRuns(b *testing.B) {
+	const targets, m, laps = 10, 8, 250
+	src := xrand.New(3)
+	type visit struct {
+		target int
+		t      float64
+	}
+	cyclic, random := make([][]visit, m), make([][]visit, m)
+	for k := range m {
+		x := float64(k) * 100 / m
+		for range laps {
+			for t := range targets {
+				cyclic[k] = append(cyclic[k], visit{t, x + float64(t)*10})
+			}
+			x += 100
+		}
+		x = 0
+		for range laps * targets {
+			x += 5 + 40*src.Float64()
+			random[k] = append(random[k], visit{src.Intn(targets), x})
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		mules  [][]visit
+		gather bool
+	}{{"cyclic", cyclic, true}, {"random", random, false}} {
+		b.Run(tc.name, func(b *testing.B) {
+			caps := make([]int, targets)
+			for _, vs := range tc.mules {
+				for _, v := range vs {
+					caps[v.target]++
+				}
+			}
+			rec := NewRecorderCap(targets, caps)
+			record := func() {
+				rec.reset(targets, caps)
+				for _, vs := range tc.mules {
+					rec.AllowRuns()
+					for _, v := range vs {
+						rec.Append(v.target, v.t)
+					}
+				}
+				rec.MergeRuns()
+			}
+			record() // warm: the marks and the merge buffer
+			if rec.Merged() != m || (rec.fallbacks == 0) != tc.gather {
+				b.Fatalf("%d runs merged, %d logs fell back", rec.Merged(), rec.fallbacks)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				record()
+			}
+		})
+	}
 }

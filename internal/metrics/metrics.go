@@ -25,6 +25,13 @@
 // AvgMaxGapOver — write the span out on its first read, with the
 // chained sums the mule's loop takes, so its bytes are what they would
 // have been.
+//
+// Mules that run ahead of the event engine record one after another, so
+// a target several of them share logs one time-sorted run per mule.
+// AllowRuns, called before each mule records, marks where its runs
+// start, and MergeRuns sorts every log again before a metric reads it:
+// in one gather when the runs interleave round-robin, as the visits of
+// mules evenly spread over one circuit do, else pass after pass.
 package metrics
 
 import (
@@ -56,6 +63,23 @@ type Recorder struct {
 	// the last MergeRuns merged into one log.
 	runs           bool
 	breaks, merged int
+	// marks holds one row per AllowRuns since the last merge: every
+	// log's length then, where the next run starts, in 32 bits (a log
+	// of 2³¹ visits would fill 16 GiB). It is markBuf, room for the
+	// paper grid's largest fleet, 8 mules and the engine's on 50
+	// targets; a larger fleet's runs are found by scanning (MergeRuns).
+	// segs and ends are MergeRuns' tables of one log's runs and of the
+	// ends of its time-sorted ones; they start in segBuf and endBuf and
+	// are kept when they grow. No table allocates for such a fleet, and
+	// a warm recorder's merge allocates none. fallbacks counts the logs
+	// merged pass after pass rather than gathered (see gather).
+	marks     []int32
+	ends      []int
+	segs      []seg
+	fallbacks int
+	markBuf   [9 * 50]int32
+	segBuf    [9]seg
+	endBuf    [9]int
 	// gaps is the fused gap summary of every log at one cut (see
 	// summary), valid while gapsOK; every change to a log clears it.
 	gaps   gapSummary
@@ -123,9 +147,11 @@ func NewRecorderCap(nTargets int, caps []int) *Recorder {
 // NewRecorderCap describes, reusing what r holds.
 func (r *Recorder) reset(nTargets int, caps []int) {
 	r.runs, r.breaks, r.merged, r.used, r.gapsOK = false, 0, 0, 0, false
+	r.fallbacks = 0
 	if r.spans == nil {
-		r.spans = r.spanBuf[:0]
+		r.spans, r.marks, r.segs, r.ends = r.spanBuf[:0], r.markBuf[:0], r.segBuf[:0], r.endBuf[:0]
 	}
+	r.marks = r.marks[:0]
 	r.spans = r.spans[:0]
 	keep := len(r.visits) // the last run's logs, pairwise disjoint
 	if cap(r.visits) < nTargets {
@@ -318,39 +344,100 @@ func (r *Recorder) writeOut(target int) {
 // target's log becomes a sequence of time-sorted runs. Append then
 // takes a visit earlier than its target's last as the start of a new
 // run instead of panicking, until MergeRuns merges every log's runs
-// into one.
-func (r *Recorder) AllowRuns() { r.runs = true }
+// into one. Each call also marks every log's current length as the
+// start of the next run, while the recorder's table has room for it,
+// so a caller that calls it before each mule records tells MergeRuns
+// where the runs are; one that calls it once and appends several runs,
+// or a fleet too large for the table, leaves MergeRuns to find them.
+func (r *Recorder) AllowRuns() {
+	r.runs = true
+	if len(r.marks)+len(r.visits) > cap(r.marks) {
+		return
+	}
+	for _, ts := range r.visits {
+		r.marks = append(r.marks, int32(len(ts)))
+	}
+}
 
 // MergeRuns merges each log's time-sorted runs into one time-sorted
 // log and makes Append strict again, as it is until AllowRuns. A log
 // is the sorted multiset of its visit times, so the result is the log
 // the visits would have made had they been appended in time order, bit
 // for bit. A log that is one run already is left as it is.
+//
+// When the descents at the marks of AllowRuns, found in O(marks) per
+// log, are all the breaks Append counted, every marked run is sorted,
+// and each log is cut into runs at its marks. Otherwise MergeRuns
+// scans each log for its descents and cuts it there. Runs that
+// interleave round-robin are then gathered in one pass (gather), and
+// only the logs whose runs do not are merged pass after pass.
 func (r *Recorder) MergeRuns() {
 	r.runs, r.merged, r.gapsOK = false, 0, false
+	marks := r.marks
+	r.marks = r.marks[:0]
 	if r.breaks == 0 {
 		return
 	}
-	// A span lies inside one run, so a log whose stored times descend
-	// somewhere has runs to merge, and its spans are written out first.
+	found := 0
+	for t := range r.visits {
+		found += r.markedBreaks(t, marks)
+	}
+	if found != r.breaks {
+		marks = nil
+	}
+	// A span lies inside one run, so a log with a descent has runs to
+	// merge, and its spans are written out first, its marks moved past
+	// the visits written out before them.
 	for i := 0; i < len(r.spans); {
-		if t := r.spans[i].target; !slices.IsSorted(r.visits[t]) {
-			r.writeOut(t) // drops t's spans, the next one's at i
+		t := r.spans[i].target
+		if marks == nil && slices.IsSorted(r.visits[t]) || marks != nil && r.markedBreaks(t, marks) == 0 {
+			i++
 			continue
 		}
-		i++
+		lo, hi := r.ownSpans(t)
+		for k := t; k < len(marks); k += len(r.visits) {
+			p := int(marks[k])
+			for _, sp := range r.spans[lo:hi] {
+				if sp.at < p {
+					marks[k] += int32(sp.n - 2)
+				}
+			}
+		}
+		r.writeOut(t) // drops t's spans, the next one's at i
 	}
-	longest := 0
-	for _, ts := range r.visits {
-		longest = max(longest, cap(ts))
-	}
-	buf := r.mergeBuffer(longest)
-	for i := 0; r.breaks > 0 && i < len(r.visits); i++ {
-		n := mergeRuns(r.visits[i], buf)
+	buf := r.mergeBuffer(r.longest())
+	for t := 0; r.breaks > 0 && t < len(r.visits); t++ {
+		n := r.mergeLog(t, marks, buf)
 		r.breaks -= n - 1
 		r.merged = max(r.merged, n)
 	}
 	r.breaks = 0
+}
+
+// markedBreaks counts the descents of target's log at its marks: the
+// marked positions, past its first visit and before its end, whose
+// visit is earlier than the one before.
+func (r *Recorder) markedBreaks(target int, marks []int32) int {
+	ts := r.visits[target]
+	d, at := 0, 0
+	for k := target; k < len(marks); k += len(r.visits) {
+		if p := int(marks[k]); p > at && p < len(ts) {
+			if ts[p] < ts[p-1] {
+				d++
+			}
+			at = p
+		}
+	}
+	return d
+}
+
+// longest returns the largest capacity of a log.
+func (r *Recorder) longest() int {
+	n := 0
+	for _, ts := range r.visits {
+		n = max(n, cap(ts))
+	}
+	return n
 }
 
 // mergeBuffer returns room for n visits, the largest capacity of a
@@ -372,28 +459,97 @@ func (r *Recorder) mergeBuffer(n int) []float64 {
 // into one log, or 0 when every log was one run.
 func (r *Recorder) Merged() int { return r.merged }
 
-// mergeRuns sorts ts, a sequence of time-sorted runs, and returns how
-// many runs it held. Each pass merges adjacent pairs of runs from one
-// of ts and buf into the other, halving the runs, whose ends it keeps
-// in an array on the stack (which moves to the heap only past 130
-// runs). buf must have room for ts unless ts is one run, which is left
-// as it is; a buf too short is replaced by a new one.
-func mergeRuns(ts, buf []float64) int {
-	var stack [130]int
-	ends := stack[:0]
-	for i := 1; i < len(ts); i++ {
-		if ts[i] < ts[i-1] {
-			ends = append(ends, i)
+// seg is a run of a log: n visits from index at.
+type seg struct{ at, n int }
+
+// mergeLog sorts target's log, using buf, which has room for it, and
+// returns how many time-sorted runs it held. It cuts the log into runs
+// at its marks, each time-sorted, or, with no marks, at its descents,
+// and sorts them by gather when they interleave round-robin, else pass
+// after pass over the ends of its time-sorted runs, its descents.
+func (r *Recorder) mergeLog(target int, marks []int32, buf []float64) int {
+	ts := r.visits[target]
+	segs, ends := r.segs[:0], r.ends[:0]
+	at := 0
+	if marks != nil {
+		for k := target; k < len(marks); k += len(r.visits) {
+			if p := int(marks[k]); p > at && p < len(ts) {
+				segs = append(segs, seg{at, p - at})
+				if ts[p] < ts[p-1] {
+					ends = append(ends, p)
+				}
+				at = p
+			}
+		}
+	} else {
+		for p := 1; p < len(ts); p++ {
+			if ts[p] < ts[p-1] {
+				segs, ends, at = append(segs, seg{at, p - at}), append(ends, p), p
+			}
 		}
 	}
 	if len(ends) == 0 {
 		return 1
 	}
-	ends = append(ends, len(ts))
-	runs := len(ends)
-	if len(buf) < len(ts) {
-		buf = make([]float64, len(ts))
+	segs, ends = append(segs, seg{at, len(ts) - at}), append(ends, len(ts))
+	r.segs, r.ends = segs, ends
+	if !gather(ts, buf, segs) {
+		r.fallbacks++
+		mergeEnds(ts, buf, ends)
 	}
+	return len(ends)
+}
+
+// gather sorts ts, cut into the time-sorted runs segs, in one pass
+// when the runs interleave round-robin, as the visits of mules evenly
+// spread over one circuit do: ordered by their first visits, each run
+// holds as many visits as the next or one more, and the r-th visit of
+// each run comes before the r-th of the next and, for the last run,
+// before the (r+1)-th of the first. Then the merge is ts[segs[0].at],
+// ts[segs[1].at], …, ts[segs[0].at+1], …, which gather writes into buf,
+// checking each visit against the one before; a sorted result is the
+// merge, since a log's sorted multiset is unique, and gather copies it
+// back. It reports whether it did, leaving ts as it was when not.
+func gather(ts, buf []float64, segs []seg) bool {
+	for i := 1; i < len(segs); i++ { // by first visit, stably
+		s, j := segs[i], i
+		for ; j > 0 && ts[s.at] < ts[segs[j-1].at]; j-- {
+			segs[j] = segs[j-1]
+		}
+		segs[j] = s
+	}
+	short, long := segs[len(segs)-1].n, 0
+	for i, s := range segs {
+		if s.n > short+1 || (i > 0 && s.n > segs[i-1].n) {
+			return false
+		}
+		if s.n > short {
+			long++
+		}
+	}
+	out := buf[:len(ts)]
+	last, k := ts[segs[0].at], 0
+	for r := 0; r <= short; r++ {
+		if r == short {
+			segs = segs[:long]
+		}
+		for _, s := range segs {
+			v := ts[s.at+r]
+			if v < last {
+				return false
+			}
+			out[k], last, k = v, v, k+1
+		}
+	}
+	copy(ts, out)
+	return true
+}
+
+// mergeEnds sorts ts, whose time-sorted runs end at ends, in buf, which
+// has room for it. Each pass merges adjacent pairs of runs from one of
+// ts and buf into the other, halving the runs, whose ends it keeps in
+// ends.
+func mergeEnds(ts, buf []float64, ends []int) {
 	src, dst := ts, buf[:len(ts)]
 	for len(ends) > 1 {
 		lo, n := 0, 0
@@ -412,7 +568,6 @@ func mergeRuns(ts, buf []float64) int {
 	if &src[0] != &ts[0] {
 		copy(ts, src)
 	}
-	return runs
 }
 
 // merge merges the time-sorted a and b into dst, which has room for

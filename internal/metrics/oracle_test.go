@@ -47,6 +47,32 @@ func (r *Recorder) IntervalsAfter(target int, t0 float64) []float64 {
 	return out
 }
 
+// mergeRuns is the recorder's run merge before marks and gather: it
+// sorts ts, a sequence of time-sorted runs, and returns how many runs it
+// held, finding them by their descents, whose indexes it keeps in an
+// array on the stack (which moves to the heap only past 130 runs), and
+// merging them pass after pass. buf must have room for ts unless ts is
+// one run, which is left as it is; a buf too short is replaced by a new
+// one.
+func mergeRuns(ts, buf []float64) int {
+	var stack [130]int
+	ends := stack[:0]
+	for i := 1; i < len(ts); i++ {
+		if ts[i] < ts[i-1] {
+			ends = append(ends, i)
+		}
+	}
+	if len(ends) == 0 {
+		return 1
+	}
+	ends = append(ends, len(ts))
+	if len(buf) < len(ts) {
+		buf = make([]float64, len(ts))
+	}
+	mergeEnds(ts, buf, ends)
+	return len(ends)
+}
+
 // sortedRuns is the run merge's oracle: the runs concatenated and
 // sorted by slices.Sort.
 func sortedRuns(runs [][]float64) []float64 {

@@ -33,7 +33,10 @@
 // visit straight to the recorder, or, for a mule parked at one target,
 // every visit in one stride. Mules that run ahead may share
 // targets: each appends its visits to a target's log as one time-sorted
-// run, and the recorder merges the runs (metrics.Recorder.AllowRuns).
+// run, whose start patrol.Run marks before the mule runs
+// (metrics.Recorder.AllowRuns), and the recorder merges the runs,
+// gathering them in one pass when they interleave round-robin
+// (metrics.Recorder.MergeRuns).
 package mule
 
 import (

@@ -282,9 +282,11 @@ func (w *worker) compute(ctx context.Context, job *sweep.Job, sweepID string, c 
 // job returns the planned job for the lease's request, memoized by
 // plan fingerprint — a fleet serving one sweep plans it once, not once
 // per chunk, and lease slots asking at once share one plan. A lease for
-// a job the memo has evicted plans it again.
+// a job the memo has evicted plans it again. A lease without a
+// fingerprint names no sweep, so its job is planned for it alone and
+// never memoized: two such leases of different sweeps share nothing.
 func (w *worker) job(lease *protocol.CellLease) (*sweep.Job, error) {
-	job, _, err := w.jobs.Do(lease.Fingerprint, func() (*sweep.Job, error) {
+	plan := func() (*sweep.Job, error) {
 		spec, err := build.Spec(lease.Request)
 		if err != nil {
 			return nil, fmt.Errorf("rebuilding sweep from lease: %w", err)
@@ -298,7 +300,11 @@ func (w *worker) job(lease *protocol.CellLease) (*sweep.Job, error) {
 				lease.Fingerprint, job.Fingerprint())
 		}
 		return job, nil
-	})
+	}
+	if lease.Fingerprint == "" {
+		return plan()
+	}
+	job, _, err := w.jobs.Do(lease.Fingerprint, plan)
 	return job, err
 }
 

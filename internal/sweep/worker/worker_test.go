@@ -479,3 +479,46 @@ func TestJobMemoEvictsLeastRecentlyUsed(t *testing.T) {
 		t.Fatalf("after concurrent leases the memo holds %d jobs, want %d", n, maxJobs)
 	}
 }
+
+// TestLeasesWithoutFingerprintPlanAlone: a lease that carries no
+// fingerprint names no sweep, so two such leases of different sweeps
+// each get a job planned from their own request, never a memoized one.
+// Each lease's cells then pass the key check against the keys of its
+// own plan, and the memo keeps neither job.
+func TestLeasesWithoutFingerprintPlanAlone(t *testing.T) {
+	w := newWorker(Options{Logf: t.Logf}, func(*sweep.Job, context.Context, int) (protocol.FoldState, error) {
+		return protocol.FoldState{}, nil
+	})
+	for i, req := range []protocol.SweepRequest{request(4), request(6)} {
+		req.Horizon = float64(3000 + 500*i)
+		spec, err := build.Spec(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		own, err := sweep.Plan(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lease := &protocol.CellLease{Request: req}
+		job, err := w.job(lease)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if job.Fingerprint() != own.Fingerprint() || job.Cells() != own.Cells() {
+			t.Fatalf("lease %d: job %s of %d cells, its request plans %s of %d", i,
+				job.Fingerprint(), job.Cells(), own.Fingerprint(), own.Cells())
+		}
+		for c := 0; c < own.Cells(); c++ {
+			key, err := own.CellKey(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := w.compute(context.Background(), job, "", protocol.ChunkCell{Cell: c, Key: key}); err != nil {
+				t.Fatalf("lease %d, cell %d: %v", i, c, err)
+			}
+		}
+	}
+	if n := w.jobs.Stats().Entries; n != 0 {
+		t.Fatalf("the memo holds %d jobs planned for leases without a fingerprint", n)
+	}
+}

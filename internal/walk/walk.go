@@ -285,7 +285,7 @@ func (w Walk) NearestOffsets(pts []geom.Point, ps []geom.Point) []float64 {
 			q := a.Lerp(b, t)
 			if d := p.Dist(q); d < bestDist[j] {
 				bestDist[j] = d
-				bestOff[j] = acc + t*segLen
+				bestOff[j] = acc + float64(t*segLen)
 			}
 		}
 		acc += segLen

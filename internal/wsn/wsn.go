@@ -154,8 +154,9 @@ func (b *burstState) extendTo(i int, t float64) {
 
 // expGap samples an exponential inter-burst gap with the given mean.
 func expGap(src *xrand.Source, mean float64) float64 {
-	// 1−Float64() is in (0, 1], so the log is finite.
-	return -mean * math.Log(1-src.Float64())
+	// 1−Float64() is in (0, 1], so the log is finite. Float64 is a
+	// product, rounded here so it is never fused into the subtraction.
+	return -mean * math.Log(1-float64(src.Float64()))
 }
 
 // New builds the overlay for the scenario's targets. The sink

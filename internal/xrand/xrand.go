@@ -68,7 +68,7 @@ func (s *Source) Intn(n int) int {
 
 // Range returns a uniform float64 in [lo, hi).
 func (s *Source) Range(lo, hi float64) float64 {
-	return lo + (hi-lo)*s.Float64()
+	return lo + float64((hi-lo)*s.Float64()) // rounded, never fused into the add
 }
 
 // Perm returns a uniform random permutation of [0, n).
