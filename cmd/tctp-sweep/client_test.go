@@ -147,14 +147,15 @@ func TestClientModeRemoteWorkers(t *testing.T) {
 }
 
 // TestClientModeCapacity: a 429 from the server surfaces as a clear
-// retry message, not a decode error.
+// retry message, not a decode error. The server's Retry-After hint is
+// its constant 2 s.
 func TestClientModeCapacity(t *testing.T) {
-	ts := startServer(t, server.Config{MaxSweeps: -1, RetryAfter: 5})
+	ts := startServer(t, server.Config{MaxSweeps: -1})
 	cfg := goldenConfig()
 	cfg.Server = ts.URL
 	err := run(cfg, &bytes.Buffer{}, &bytes.Buffer{})
 	if err == nil || !strings.Contains(err.Error(), "capacity") ||
-		!strings.Contains(err.Error(), "retry after 5s") {
+		!strings.Contains(err.Error(), "retry after 2s") {
 		t.Fatalf("err = %v, want capacity message with retry hint", err)
 	}
 }

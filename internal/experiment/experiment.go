@@ -61,22 +61,28 @@ func (p Params) withDefaults() Params {
 	return p
 }
 
-// run executes the spec through the sweep engine, applying the
-// Params' checkpoint policy: without a checkpoint directory it is a
-// plain sweep.Run; with one, the sweep checkpoints to
-// <dir>/<spec-name>.ckpt and resumes from an existing file — so
-// rerunning a killed experiment command picks up where it stopped.
-func (p Params) run(spec sweep.Spec, sinks ...sweep.Sink) (*sweep.Result, error) {
-	ctx := context.Background()
-	if p.Checkpoint == "" {
-		return sweep.Run(ctx, spec, sinks...)
+// run plans the spec and runs it through the sweep engine, applying
+// the Params' checkpoint policy: with a checkpoint directory, the
+// sweep checkpoints to <dir>/<spec-name>.ckpt and resumes from an
+// existing file — so rerunning a killed experiment command picks up
+// where it stopped.
+func (p Params) run(spec sweep.Spec) (*sweep.Result, error) {
+	var opts sweep.RunOpts
+	if p.Checkpoint != "" {
+		if spec.Name == "" {
+			return nil, fmt.Errorf("experiment: checkpointed sweep needs a spec name")
+		}
+		opts.Checkpoint = filepath.Join(p.Checkpoint, spec.Name+".ckpt")
+		_, err := os.Stat(opts.Checkpoint)
+		opts.Resume = err == nil
 	}
-	if spec.Name == "" {
-		return nil, fmt.Errorf("experiment: checkpointed sweep needs a spec name")
+	j, err := sweep.Plan(spec)
+	if err != nil {
+		return nil, err
 	}
-	path := filepath.Join(p.Checkpoint, spec.Name+".ckpt")
-	if _, err := os.Stat(path); err == nil {
-		return sweep.Resume(ctx, spec, path, sinks...)
+	part, err := j.Run(context.Background(), opts)
+	if err != nil {
+		return nil, err
 	}
-	return sweep.RunCheckpointed(ctx, spec, path, sinks...)
+	return part.Result(), nil
 }

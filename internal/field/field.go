@@ -295,7 +295,7 @@ func Generate(cfg Config, src *xrand.Source) *Scenario {
 
 	if cfg.WithRecharge {
 		s.HasRecharge = true
-		s.Recharge = rect.Center().Add(geom.Vec{X: cfg.Width / 4, Y: 0})
+		s.Recharge = rect.Center().Add(geom.Vec{X: float64(cfg.Width / 4), Y: 0})
 	}
 	return s
 }
@@ -373,7 +373,7 @@ func corridorPositions(cfg Config, src *xrand.Source) []geom.Point {
 	for i := range out {
 		out[i] = geom.Pt(
 			src.Range(0, cfg.Width),
-			src.Range(cfg.Height/2-half, cfg.Height/2+half),
+			src.Range(float64(cfg.Height/2)-half, float64(cfg.Height/2)+half),
 		)
 	}
 	return out
@@ -382,7 +382,7 @@ func corridorPositions(cfg Config, src *xrand.Source) []geom.Point {
 // hotspotPositions places 70% of the targets inside a dense disc in
 // the upper-right quadrant and the rest uniformly over the field.
 func hotspotPositions(cfg Config, src *xrand.Source) []geom.Point {
-	centre := geom.Pt(0.75*cfg.Width, 0.75*cfg.Height)
+	centre := geom.Pt(float64(0.75*cfg.Width), float64(0.75*cfg.Height))
 	radius := cfg.Width / 10
 	if r := cfg.Height / 10; r < radius {
 		radius = r

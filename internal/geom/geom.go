@@ -204,7 +204,7 @@ func (r Rect) Height() float64 { return r.Max.Y - r.Min.Y }
 
 // Center returns the centre point of r.
 func (r Rect) Center() Point {
-	return Point{(r.Min.X + r.Max.X) / 2, (r.Min.Y + r.Max.Y) / 2}
+	return Point{float64((r.Min.X + r.Max.X) / 2), float64((r.Min.Y + r.Max.Y) / 2)}
 }
 
 // Bounds returns the bounding box of the points. It panics on an empty

@@ -196,8 +196,8 @@ func (g *Grid) cellCoords(p geom.Point) (int, int) {
 // cellDist2 returns the squared distance from q to the closest point
 // of cell (cx, cy) — 0 when q lies inside it.
 func (g *Grid) cellDist2(q geom.Point, cx, cy int) float64 {
-	x0 := g.minX + float64(cx)*g.cell
-	y0 := g.minY + float64(cy)*g.cell
+	x0 := g.minX + float64(float64(cx)*g.cell)
+	y0 := g.minY + float64(float64(cy)*g.cell)
 	dx, dy := 0.0, 0.0
 	if q.X < x0 {
 		dx = x0 - q.X
@@ -209,7 +209,7 @@ func (g *Grid) cellDist2(q geom.Point, cx, cy int) float64 {
 	} else if q.Y > y0+g.cell {
 		dy = q.Y - (y0 + g.cell)
 	}
-	return dx*dx + dy*dy
+	return float64(dx*dx) + float64(dy*dy)
 }
 
 // ringDist2 returns the squared distance from q to the nearest point
@@ -222,10 +222,10 @@ func (g *Grid) ringDist2(q geom.Point, cx, cy, r int) float64 {
 	// The ring's cells lie outside the block of cells with Chebyshev
 	// radius r−1; the closest they come to q is q's distance to that
 	// block's boundary.
-	x0 := g.minX + float64(cx-(r-1))*g.cell
-	x1 := g.minX + float64(cx+r)*g.cell
-	y0 := g.minY + float64(cy-(r-1))*g.cell
-	y1 := g.minY + float64(cy+r)*g.cell
+	x0 := g.minX + float64(float64(cx-(r-1))*g.cell)
+	x1 := g.minX + float64(float64(cx+r)*g.cell)
+	y0 := g.minY + float64(float64(cy-(r-1))*g.cell)
+	y1 := g.minY + float64(float64(cy+r)*g.cell)
 	d := math.Min(math.Min(q.X-x0, x1-q.X), math.Min(q.Y-y0, y1-q.Y))
 	if d < 0 {
 		// q outside the block (query point off-grid): the ring can

@@ -169,6 +169,108 @@ func TestBTCTPClosedForm(t *testing.T) {
 	}
 }
 
+// TestSharedCircuitClosedForm carries TestBTCTPClosedForm to the other
+// static shared circuits: CHB, and W-TCTP without VIPs and with VIPs
+// of weight 2–4 under both break policies. Each of m mules goes round
+// the group walk in P = L/v + S·d (S stops, dwell d), so a target
+// occurring o times in the walk is visited m·o times per period, and
+// once the patrol has started t[i+m·o] − t[i] = P within 1e-6 s for
+// every i; for W-TCTP, o is the target's weight. Neither planner spaces the visits evenly (CHB keeps the
+// spacing its mules' entry points give, down to co-travelling mules
+// that log zero intervals), so the closed form is on the period, not
+// on the interval. It must hold where every mule runs ahead, each log
+// merged from several runs, and where a no-op observer keeps every
+// mule on the engine.
+func TestSharedCircuitClosedForm(t *testing.T) {
+	const tol = 1e-6
+	rng := xrand.New(29)
+	merged, zeros, repeats := 0, 0, 0
+	for i := 0; i < 240; i++ {
+		mules := 1 + rng.Intn(8)
+		s := field.Generate(field.Config{
+			NumTargets: mules + 2 + rng.Intn(30),
+			NumMules:   mules,
+			Placement:  []field.Placement{field.Uniform, field.Clusters, field.Grid}[rng.Intn(3)],
+		}, xrand.New(rng.Uint64()))
+		if rng.Intn(2) == 0 {
+			s.AssignVIPs(rng, 1+rng.Intn(3), 2+rng.Intn(3))
+		}
+		model := energy.Default()
+		model.Dwell = []float64{0, 0.5, 1, 3}[rng.Intn(4)]
+		dwell := model.Dwell
+		if dwell == 0 {
+			dwell = core.NoDwell
+		}
+		// Both runs of a case plan the same walk: a RandomBreak planner
+		// draws its breaks afresh from the same seed.
+		breaks := rng.Uint64()
+		planner := func() core.Planner {
+			switch i % 3 {
+			case 0:
+				return &baseline.CHB{}
+			case 1:
+				return &core.WTCTP{Dwell: dwell}
+			}
+			return &core.WTCTP{Dwell: dwell, Policy: core.RandomBreak, Rand: xrand.New(breaks)}
+		}
+		opts := Options{Horizon: 60_000, Energy: model, Speed: []float64{1, 2, 5}[rng.Intn(3)]}
+		observed := opts
+		observed.Observers = []Observer{ObserverFuncs{}}
+		for _, o := range []Options{opts, observed} {
+			res := run(t, s, Planned(planner()), o, 1)
+			g := res.Plan.Groups[0]
+			p := g.Walk.Length(s.Points())/o.Speed + float64(g.Walk.Size())*model.Dwell
+			warm := res.PatrolStart
+			for _, r := range res.Plan.Routes {
+				warm = math.Max(warm, res.PatrolStart+r.ExtraHold)
+			}
+			for target := 0; target < s.NumTargets(); target++ {
+				// W-TCTP's walk holds a target of weight w w times
+				// (Definition 3); CHB's circuit holds each once.
+				occ := g.Walk.Occurrences(target)
+				if want := s.Targets[target].Weight; i%3 == 0 && occ != 1 || i%3 != 0 && occ != want {
+					t.Fatalf("case %d (%s): target %d of weight %d occurs %d times in the walk",
+						i, res.Algorithm, target, want, occ)
+				}
+				if occ > 1 {
+					repeats++
+				}
+				k := mules * occ
+				ts := res.Recorder.VisitTimes(target)
+				steady := 0
+				for j := 0; j+k < len(ts); j++ {
+					if ts[j] < warm {
+						continue
+					}
+					steady++
+					if d := ts[j+k] - ts[j]; math.Abs(d-p) > tol {
+						t.Fatalf("case %d (%s, %d mules, %d targets, observers %d): target %d t[%d+%d] − t[%d] = %v, want P = %v",
+							i, res.Algorithm, mules, s.NumTargets(), len(o.Observers), target, j, k, j, d, p)
+					}
+					if ts[j+1] == ts[j] && i%3 == 0 {
+						zeros++
+					}
+				}
+				if steady < 3 {
+					t.Fatalf("case %d: target %d has %d steady periods", i, target, steady)
+				}
+			}
+			if len(o.Observers) == 0 && res.Recorder.Merged() >= 2 {
+				merged++
+			}
+		}
+	}
+	if merged == 0 {
+		t.Fatal("no run merged a log from several mules' runs")
+	}
+	if zeros == 0 {
+		t.Fatal("no CHB run logged a zero interval")
+	}
+	if repeats == 0 {
+		t.Fatal("no W-TCTP walk visited a VIP more than once")
+	}
+}
+
 func TestCHBUnbalancedIntervals(t *testing.T) {
 	// CHB with clumped mules has no balancing: SD must be clearly
 	// positive (paper Fig. 8 contrast).

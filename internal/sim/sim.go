@@ -33,9 +33,8 @@
 // an event as though from a later instant; a mule uses it to spend one
 // event per leg, scheduling its next arrival at the moment it arrives
 // with the dwell and any hold folded in.
-// Cancellation is lazy — a canceled event stays in the heap until
-// popped — but when canceled entries outnumber live ones the heap is
-// compacted in place.
+// Cancellation is lazy: a canceled event stays in the heap until it
+// surfaces and is popped.
 package sim
 
 import (
@@ -96,13 +95,6 @@ func (h *eventHeap) pop() *event {
 	return ev
 }
 
-// init establishes the heap order over arbitrary contents.
-func (h eventHeap) init() {
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		h.down(i)
-	}
-}
-
 func (h eventHeap) up(j int) {
 	for j > 0 {
 		i := (j - 1) / 2 // parent
@@ -132,19 +124,13 @@ func (h eventHeap) down(i int) {
 	}
 }
 
-// compactMinHeap is the heap size below which lazy-deleted entries are
-// never compacted — popping a handful of tombstones is cheaper than a
-// rebuild.
-const compactMinHeap = 64
-
 // Engine is a discrete-event simulator. The zero value is ready to
 // use at time 0.
 type Engine struct {
-	now     float64
-	seq     uint64
-	events  eventHeap
-	pending int      // live count of scheduled, non-canceled events
-	free    []*event // recycled event records
+	now    float64
+	seq    uint64
+	events eventHeap
+	free   []*event // recycled event records
 }
 
 // New returns an engine with the clock at 0.
@@ -158,20 +144,15 @@ func (e *Engine) Now() float64 { return e.now }
 // fired (a no-op), and stays safe after the engine has recycled the
 // event record for a later Schedule. The zero Cancel is a no-op.
 type Cancel struct {
-	e   *Engine
 	ev  *event
 	gen uint64
 }
 
 // Cancel revokes the event if it has not fired yet.
 func (c Cancel) Cancel() {
-	ev := c.ev
-	if ev == nil || ev.gen != c.gen || ev.canceled {
-		return
+	if c.ev != nil && c.ev.gen == c.gen {
+		c.ev.canceled = true
 	}
-	ev.canceled = true
-	c.e.pending--
-	c.e.maybeCompact()
 }
 
 // alloc takes an event record from the free list, or allocates one.
@@ -193,26 +174,6 @@ func (e *Engine) recycle(ev *event) {
 	e.free = append(e.free, ev)
 }
 
-// maybeCompact rebuilds the heap once lazily-deleted canceled entries
-// outnumber the live ones (and the heap is big enough to care).
-func (e *Engine) maybeCompact() {
-	if len(e.events) >= compactMinHeap && len(e.events)-e.pending > len(e.events)/2 {
-		kept := e.events[:0]
-		for _, ev := range e.events {
-			if ev.canceled {
-				e.recycle(ev)
-			} else {
-				kept = append(kept, ev)
-			}
-		}
-		for i := len(kept); i < len(e.events); i++ {
-			e.events[i] = nil
-		}
-		e.events = kept
-		e.events.init()
-	}
-}
-
 // Schedule runs fn at absolute time at. Scheduling in the past (or a
 // NaN time) panics: it always indicates a model bug.
 func (e *Engine) Schedule(at float64, fn Handler) Cancel {
@@ -227,8 +188,7 @@ func (e *Engine) schedule(at, from float64, fn Handler) Cancel {
 	ev.time, ev.from, ev.seq, ev.fn, ev.canceled = at, from, e.seq, fn, false
 	e.seq++
 	e.events.push(ev)
-	e.pending++
-	return Cancel{e: e, ev: ev, gen: ev.gen}
+	return Cancel{ev: ev, gen: ev.gen}
 }
 
 // After runs fn d seconds from now. Negative d panics.
@@ -268,8 +228,6 @@ func (e *Engine) Step() bool {
 			continue
 		}
 		e.now = ev.time
-		e.pending--
-		ev.canceled = true // fired: make a late Cancel a no-op
 		fn := ev.fn
 		e.recycle(ev) // before fn: the handler's own Schedule can reuse it
 		fn()

@@ -105,8 +105,8 @@ func TestCancelAfterFireNoop(t *testing.T) {
 	cancel := e.Schedule(1, func() {})
 	run(e, 100)
 	cancel.Cancel() // must not panic or corrupt state
-	if e.pending != 0 {
-		t.Fatal("phantom pending events")
+	if tm, ok := e.NextEventTime(); ok {
+		t.Fatalf("phantom pending event at %v", tm)
 	}
 }
 
@@ -155,8 +155,8 @@ func TestRunUntilProcessesSpawnedEvents(t *testing.T) {
 	if len(hits) != 2 || hits[0] != 1 || hits[1] != 2 {
 		t.Fatalf("hits = %v", hits)
 	}
-	if e.pending != 1 {
-		t.Fatalf("pending = %d", e.pending)
+	if tm, ok := e.NextEventTime(); !ok || tm != 10 {
+		t.Fatalf("next event = %v %v, want the t=10 one", tm, ok)
 	}
 }
 
@@ -206,53 +206,6 @@ func TestNextEventTime(t *testing.T) {
 	cancel.Cancel()
 	if tm, ok := e.NextEventTime(); !ok || tm != 9 {
 		t.Fatalf("after cancel NextEventTime = %v %v", tm, ok)
-	}
-}
-
-func TestPendingSkipsCanceled(t *testing.T) {
-	e := New()
-	c1 := e.Schedule(1, func() {})
-	e.Schedule(2, func() {})
-	c1.Cancel()
-	if got := e.pending; got != 1 {
-		t.Fatalf("pending = %d", got)
-	}
-}
-
-// Pending is maintained as a live counter; it must track every
-// Schedule/Cancel/Step transition, including double-cancels, cancels
-// after execution, and cancels of already-popped events.
-func TestPendingCounterTransitions(t *testing.T) {
-	e := New()
-	if e.pending != 0 {
-		t.Fatalf("fresh pending = %d", e.pending)
-	}
-	c1 := e.Schedule(1, func() {})
-	c2 := e.Schedule(2, func() {})
-	e.Schedule(3, func() { e.After(1, func() {}) })
-	if e.pending != 3 {
-		t.Fatalf("after 3 schedules pending = %d", e.pending)
-	}
-	c1.Cancel()
-	c1.Cancel() // double cancel is a no-op
-	if e.pending != 2 {
-		t.Fatalf("after cancel pending = %d", e.pending)
-	}
-	e.Step() // runs the t=2 event
-	if e.pending != 1 {
-		t.Fatalf("after step pending = %d", e.pending)
-	}
-	c2.Cancel() // already executed: no-op
-	if e.pending != 1 {
-		t.Fatalf("after stale cancel pending = %d", e.pending)
-	}
-	e.Step() // t=3 event schedules a follow-up at t=4
-	if e.pending != 1 {
-		t.Fatalf("after rescheduling step pending = %d", e.pending)
-	}
-	e.Step()
-	if e.pending != 0 {
-		t.Fatalf("drained pending = %d", e.pending)
 	}
 }
 
@@ -318,7 +271,9 @@ func TestZeroCancelNoop(t *testing.T) {
 	c.Cancel() // must not panic
 }
 
-func TestCompaction(t *testing.T) {
+// TestBulkCancelFiresOnlyLive cancels most of a large heap: the
+// tombstones stay until they surface, and only the live events fire.
+func TestBulkCancelFiresOnlyLive(t *testing.T) {
 	e := New()
 	const n = 1000
 	cancels := make([]Cancel, 0, n)
@@ -329,10 +284,6 @@ func TestCompaction(t *testing.T) {
 	for _, c := range cancels[:n-100] {
 		c.Cancel()
 	}
-	// Compaction keeps tombstones at no more than half the heap.
-	if live, total := e.pending, len(e.events); total > 2*live {
-		t.Fatalf("heap holds %d entries for %d live events", total, live)
-	}
 	run(e, n+1)
 	if fired != 100 {
 		t.Fatalf("%d events fired, want 100", fired)
@@ -341,13 +292,12 @@ func TestCompaction(t *testing.T) {
 
 // TestRandomizedPopOrderMatchesSort checks the hand-sifted heap
 // against its specification: over random schedules with many time
-// ties, bulk cancels that force compaction, and handlers that schedule
+// ties, bulk cancels, and handlers that schedule
 // and cancel while the engine runs, the events that fire are exactly
 // the uncanceled ones, in ascending (time, scheduling order) — the
 // (time, seq) total order.
 func TestRandomizedPopOrderMatchesSort(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 11))
-	compacted := 0
 	for trial := 0; trial < 300; trial++ {
 		e := New()
 		type rec struct {
@@ -387,9 +337,6 @@ func TestRandomizedPopOrderMatchesSort(t *testing.T) {
 		for i := rng.IntN(n); i > 0; i-- {
 			cancelRandom()
 		}
-		if len(e.events) >= compactMinHeap && len(e.events) < len(scheduled) {
-			compacted++
-		}
 		e.RunUntil(float64(rng.IntN(20)))
 		run(e, 1<<20)
 
@@ -413,12 +360,9 @@ func TestRandomizedPopOrderMatchesSort(t *testing.T) {
 				t.Fatalf("trial %d: event %d fired as %+v, want %+v", trial, i, fired[i], want[i])
 			}
 		}
-		if e.pending != 0 {
-			t.Fatalf("trial %d: %d events pending after the run", trial, e.pending)
+		if tm, ok := e.NextEventTime(); ok {
+			t.Fatalf("trial %d: an event at %v is pending after the run", trial, tm)
 		}
-	}
-	if compacted == 0 {
-		t.Fatal("no trial compacted the heap")
 	}
 }
 
@@ -455,9 +399,9 @@ func BenchmarkEngine(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineCancel measures the schedule→cancel→compact path: half
-// the scheduled events are canceled, exercising the tombstone
-// compaction.
+// BenchmarkEngineCancel measures the schedule→cancel path: half the
+// scheduled events are canceled, and each tombstone is popped and
+// recycled when it surfaces.
 func BenchmarkEngineCancel(b *testing.B) {
 	e := New()
 	var fn Handler

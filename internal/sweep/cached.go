@@ -143,9 +143,9 @@ type cachedCells struct {
 // hits, misses, and joins — including a fully cold store (every cell
 // computed) and a fully warm one (no simulation at all). Cells resolve
 // as jobs of the engine's pool — Spec.Workers at a time through the
-// Store, every cell at once through a Resolve hook — dispatched in
-// enumeration order, and reach the sinks in enumeration order as they
-// resolve. Cells that miss the Store additionally parallelize their
+// Store, every cell at once through a Resolve hook — each worker
+// taking the next unresolved cell in enumeration order, and reach the
+// sinks in enumeration order as they resolve. Cells that miss the Store additionally parallelize their
 // replications over Spec.Workers inside the compute, so the effective
 // concurrency of an all-miss run is up to Workers × Workers; callers
 // scheduling many jobs onto shared hardware should gate the computes

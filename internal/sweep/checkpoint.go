@@ -300,33 +300,44 @@ func checkRecordShape(rec *checkpointRecord, hdr *checkpointHeader) error {
 	return nil
 }
 
+// checkPlan refuses a checkpoint header written for another plan than
+// this job's: a different fingerprint, cell total or replication
+// ceiling, or a shard range outside the plan. The fingerprint already
+// pins the cell list and the protocol; the rest are cheap guards
+// against a hand-edited header.
+func (j *Job) checkPlan(h *checkpointHeader) error {
+	if h.Fingerprint != j.fp {
+		return fmt.Errorf("was written for a different sweep spec (fingerprint %s, spec %s)",
+			h.Fingerprint, j.fp)
+	}
+	if maxReps := j.spec.maxReps(); h.TotalCells != j.total || h.MaxReps != maxReps ||
+		h.Offset < 0 || h.Offset+h.Cells > j.total {
+		return fmt.Errorf("covers cells %d..%d of %d × %d reps, the plan has %d × %d",
+			h.Offset, h.Offset+h.Cells, h.TotalCells, h.MaxReps, j.total, maxReps)
+	}
+	return nil
+}
+
 // loadCheckpoint reads and validates a checkpoint for resuming the
-// given job: the header must carry the job's plan fingerprint and
-// shard coordinates, and every record must pass Spec.checkState.
+// given job: the header must belong to the job's plan (checkPlan) and
+// carry the job's own shard coordinates, and every record must pass
+// Spec.checkState.
 func loadCheckpoint(path string, j *Job) (map[int]checkpointRecord, int64, error) {
 	hdr, records, validLen, err := readCheckpoint(path)
 	if err != nil {
 		return nil, 0, err
 	}
-	sp := &j.spec
-	if hdr.Fingerprint != j.fp {
-		return nil, 0, fmt.Errorf(
-			"sweep: checkpoint %s was written for a different sweep spec (fingerprint %s, spec %s): refusing to resume",
-			path, hdr.Fingerprint, j.fp)
+	if err := j.checkPlan(&hdr); err != nil {
+		return nil, 0, fmt.Errorf("sweep: checkpoint %s %v: refusing to resume", path, err)
 	}
-	if hdr.Shard != j.shard || hdr.Shards != j.shards ||
-		hdr.Offset != j.offset || hdr.TotalCells != j.total {
+	if hdr.Shard != j.shard || hdr.Shards != j.shards || hdr.Offset != j.offset || hdr.Cells != len(j.defs) {
 		return nil, 0, fmt.Errorf(
 			"sweep: checkpoint %s belongs to shard %d/%d (cells %d..%d of %d), this job is shard %d/%d (cells %d..%d of %d): refusing to resume",
 			path, hdr.Shard, hdr.Shards, hdr.Offset, hdr.Offset+hdr.Cells, hdr.TotalCells,
 			j.shard, j.shards, j.offset, j.offset+len(j.defs), j.total)
 	}
-	if hdr.Cells != len(j.defs) || hdr.MaxReps != sp.maxReps() {
-		return nil, 0, fmt.Errorf("sweep: checkpoint %s: %d cells × %d reps, spec has %d × %d",
-			path, hdr.Cells, hdr.MaxReps, len(j.defs), sp.maxReps())
-	}
 	for _, rec := range records {
-		if err := sp.checkState(&rec.FoldState, false); err != nil {
+		if err := j.spec.checkState(&rec.FoldState, false); err != nil {
 			return nil, 0, fmt.Errorf("sweep: checkpoint %s: cell %d %w", path, rec.Cell, err)
 		}
 	}

@@ -29,6 +29,20 @@ func quantizedSD() Metric {
 	}}
 }
 
+// runCkpt plans the spec and runs it checkpointing to path, resuming
+// from the file when resume is set.
+func runCkpt(ctx context.Context, spec Spec, path string, resume bool, sinks ...Sink) (*Result, error) {
+	j, err := Plan(spec)
+	if err != nil {
+		return nil, err
+	}
+	p, err := j.Run(ctx, RunOpts{Checkpoint: path, Resume: resume, Sinks: sinks})
+	if err != nil {
+		return nil, err
+	}
+	return p.Result(), nil
+}
+
 // ckptSpec is the checkpoint workload: multiple cells, scalar and
 // vector metrics, enough replications that a mid-flight kill leaves
 // every cell partially folded.
@@ -94,14 +108,14 @@ func TestKillAndResumeByteIdentical(t *testing.T) {
 					cancel() // kill mid-flight, most cells half-folded
 				}
 			}
-			if _, err := RunCheckpointed(ctx, killed, path); err == nil ||
+			if _, err := runCkpt(ctx, killed, path, false); err == nil ||
 				!errors.Is(err, context.Canceled) {
 				t.Fatalf("killed run returned %v, want context.Canceled", err)
 			}
 
 			var execs atomic.Int64
 			got, gotRes := runToBytes(t, func(sinks ...Sink) (*Result, error) {
-				return Resume(context.Background(), counted(spec, &execs), path, sinks...)
+				return runCkpt(context.Background(), counted(spec, &execs), path, true, sinks...)
 			})
 			if got != want {
 				t.Fatalf("resumed output differs from uninterrupted run:\n--- resumed ---\n%s--- want ---\n%s", got, want)
@@ -124,11 +138,11 @@ func TestResumeFinishedCheckpoint(t *testing.T) {
 	spec := ckptSpec()
 	path := filepath.Join(t.TempDir(), "sweep.ckpt")
 	want, _ := runToBytes(t, func(sinks ...Sink) (*Result, error) {
-		return RunCheckpointed(context.Background(), spec, path, sinks...)
+		return runCkpt(context.Background(), spec, path, false, sinks...)
 	})
 	var execs atomic.Int64
 	got, _ := runToBytes(t, func(sinks ...Sink) (*Result, error) {
-		return Resume(context.Background(), counted(spec, &execs), path, sinks...)
+		return runCkpt(context.Background(), counted(spec, &execs), path, true, sinks...)
 	})
 	if got != want {
 		t.Fatalf("finished-checkpoint resume diverged:\n%s\nvs\n%s", got, want)
@@ -143,7 +157,7 @@ func TestResumeFinishedCheckpoint(t *testing.T) {
 func TestResumeFingerprintMismatch(t *testing.T) {
 	spec := ckptSpec()
 	path := filepath.Join(t.TempDir(), "sweep.ckpt")
-	if _, err := RunCheckpointed(context.Background(), spec, path); err != nil {
+	if _, err := runCkpt(context.Background(), spec, path, false); err != nil {
 		t.Fatal(err)
 	}
 	for name, mutate := range map[string]func(*Spec){
@@ -154,7 +168,7 @@ func TestResumeFingerprintMismatch(t *testing.T) {
 	} {
 		other := ckptSpec()
 		mutate(&other)
-		_, err := Resume(context.Background(), other, path)
+		_, err := runCkpt(context.Background(), other, path, true)
 		if err == nil || !strings.Contains(err.Error(), "different sweep spec") {
 			t.Fatalf("%s mutation: err = %v, want fingerprint refusal", name, err)
 		}
@@ -165,7 +179,7 @@ func TestResumeCorruptCheckpoint(t *testing.T) {
 	spec := ckptSpec()
 	dir := t.TempDir()
 	path := filepath.Join(dir, "sweep.ckpt")
-	if _, err := RunCheckpointed(context.Background(), spec, path); err != nil {
+	if _, err := runCkpt(context.Background(), spec, path, false); err != nil {
 		t.Fatal(err)
 	}
 	pristine, err := os.ReadFile(path)
@@ -183,7 +197,7 @@ func TestResumeCorruptCheckpoint(t *testing.T) {
 		if err := os.WriteFile(p, []byte(content), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, err := Resume(context.Background(), spec, p)
+		_, err := runCkpt(context.Background(), spec, p, true)
 		if err == nil || !strings.Contains(err.Error(), wantErr) {
 			t.Fatalf("corrupt resume: err = %v, want %q", err, wantErr)
 		}
@@ -200,7 +214,7 @@ func TestResumeCorruptCheckpoint(t *testing.T) {
 		corrupt(t, strings.Join(mod, ""), "malformed header")
 	})
 	t.Run("missing-file", func(t *testing.T) {
-		_, err := Resume(context.Background(), spec, filepath.Join(dir, "absent.ckpt"))
+		_, err := runCkpt(context.Background(), spec, filepath.Join(dir, "absent.ckpt"), true)
 		if err == nil || !strings.Contains(err.Error(), "open checkpoint") {
 			t.Fatalf("missing checkpoint: err = %v", err)
 		}
@@ -236,7 +250,7 @@ func TestResumeCorruptCheckpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 		var got bytes.Buffer
-		if _, err := Resume(context.Background(), spec, p, CSV(&got)); err != nil {
+		if _, err := runCkpt(context.Background(), spec, p, true, CSV(&got)); err != nil {
 			t.Fatal(err)
 		}
 		if got.String() != want.String() {
@@ -247,7 +261,7 @@ func TestResumeCorruptCheckpoint(t *testing.T) {
 		// every line (pre-fix, the first appended record was glued to
 		// the partial line and poisoned the checkpoint).
 		var again bytes.Buffer
-		if _, err := Resume(context.Background(), spec, p, CSV(&again)); err != nil {
+		if _, err := runCkpt(context.Background(), spec, p, true, CSV(&again)); err != nil {
 			t.Fatalf("checkpoint corrupted by resuming past a truncated line: %v", err)
 		}
 		if again.String() != want.String() {
@@ -272,7 +286,7 @@ func TestResumeCorruptCheckpoint(t *testing.T) {
 		}
 		for pass := 0; pass < 2; pass++ {
 			var got bytes.Buffer
-			if _, err := Resume(context.Background(), spec, p, CSV(&got)); err != nil {
+			if _, err := runCkpt(context.Background(), spec, p, true, CSV(&got)); err != nil {
 				t.Fatalf("pass %d: %v", pass, err)
 			}
 			if got.String() != want.String() {
@@ -376,28 +390,21 @@ func TestAdaptiveValidation(t *testing.T) {
 		return s
 	}
 	cases := map[string]func(*Spec){
-		"no-relci":        func(s *Spec) { s.Adaptive.RelCI = 0 },
-		"negative-relci":  func(s *Spec) { s.Adaptive.RelCI = -1 },
-		"unknown-metric":  func(s *Spec) { s.Adaptive.Metric = "nope" },
-		"vector-metric":   func(s *Spec) { s.Adaptive.Metric = "dcdt_curve" },
-		"minreps-1":       func(s *Spec) { s.Adaptive.MinReps = 1 },
-		"min-beyond-max":  func(s *Spec) { s.Adaptive.MinReps = 9; s.Adaptive.MaxReps = 4 },
-		"empty-ckpt-path": nil,
+		"no-relci":       func(s *Spec) { s.Adaptive.RelCI = 0 },
+		"negative-relci": func(s *Spec) { s.Adaptive.RelCI = -1 },
+		"unknown-metric": func(s *Spec) { s.Adaptive.Metric = "nope" },
+		"vector-metric":  func(s *Spec) { s.Adaptive.Metric = "dcdt_curve" },
+		"minreps-1":      func(s *Spec) { s.Adaptive.MinReps = 1 },
+		"min-beyond-max": func(s *Spec) { s.Adaptive.MinReps = 9; s.Adaptive.MaxReps = 4 },
 	}
 	for name, mutate := range cases {
 		spec := base()
-		var err error
-		if mutate == nil {
-			_, err = RunCheckpointed(context.Background(), spec, "")
-		} else {
-			mutate(&spec)
-			_, err = Run(context.Background(), spec)
-		}
-		if err == nil {
+		mutate(&spec)
+		if _, err := Run(context.Background(), spec); err == nil {
 			t.Fatalf("%s accepted", name)
 		}
 	}
-	if _, err := Resume(context.Background(), base(), ""); err == nil {
+	if _, err := runCkpt(context.Background(), base(), "", true); err == nil {
 		t.Fatal("empty resume path accepted")
 	}
 }
@@ -421,13 +428,13 @@ func TestResumeFingerprintCoversConfig(t *testing.T) {
 	spec := ckptSpec()
 	spec.Workloads = []scenario.Workload{{}, packetsWorkload()}
 	path := filepath.Join(t.TempDir(), "sweep.ckpt")
-	if _, err := RunCheckpointed(context.Background(), spec, path); err != nil {
+	if _, err := runCkpt(context.Background(), spec, path, false); err != nil {
 		t.Fatal(err)
 	}
 
 	refuse := func(name string, other Spec) {
 		t.Helper()
-		if _, err := Resume(context.Background(), other, path); err == nil ||
+		if _, err := runCkpt(context.Background(), other, path, true); err == nil ||
 			!strings.Contains(err.Error(), "different sweep spec") {
 			t.Fatalf("%s: err = %v, want fingerprint refusal", name, err)
 		}
@@ -444,7 +451,7 @@ func TestResumeFingerprintCoversConfig(t *testing.T) {
 	refuse("config-digest", digested)
 
 	// The unchanged spec still resumes.
-	if _, err := Resume(context.Background(), spec, path); err != nil {
+	if _, err := runCkpt(context.Background(), spec, path, true); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -81,11 +81,12 @@ type Options struct {
 	// or heartbeating before the lease expires and the cell is
 	// reassigned. Default 30s.
 	LeaseTTL time.Duration
-	// MaxRefusals bounds how many invalid worker results a single cell
-	// absorbs (each one requeues the cell) before the cell fails with
-	// the validation error. Default 3.
-	MaxRefusals int
 }
+
+// maxRefusals bounds how many invalid worker results a single cell
+// absorbs (each one requeues the cell) before the cell fails with the
+// validation error.
+const maxRefusals = 3
 
 // Stats is a snapshot of the scheduler's counters, served under
 // "scheduler" in the server's /stats document.
@@ -194,9 +195,8 @@ type sweepQueue struct {
 // Scheduler is the cache-aware cell scheduler. Create with New, stop
 // with Close.
 type Scheduler struct {
-	store       Store
-	ttl         time.Duration
-	maxRefusals int
+	store Store
+	ttl   time.Duration
 
 	mu       sync.Mutex
 	queues   map[queueKey]*sweepQueue
@@ -222,19 +222,15 @@ func New(opts Options) (*Scheduler, error) {
 	if opts.LeaseTTL <= 0 {
 		opts.LeaseTTL = 30 * time.Second
 	}
-	if opts.MaxRefusals <= 0 {
-		opts.MaxRefusals = 3
-	}
 	s := &Scheduler{
-		store:       opts.Store,
-		ttl:         opts.LeaseTTL,
-		maxRefusals: opts.MaxRefusals,
-		queues:      make(map[queueKey]*sweepQueue),
-		byKey:       make(map[string]*task),
-		leases:      make(map[string]*lease),
-		byWorker:    make(map[string]*WorkerStats),
-		wake:        make(chan struct{}),
-		stop:        make(chan struct{}),
+		store:    opts.Store,
+		ttl:      opts.LeaseTTL,
+		queues:   make(map[queueKey]*sweepQueue),
+		byKey:    make(map[string]*task),
+		leases:   make(map[string]*lease),
+		byWorker: make(map[string]*WorkerStats),
+		wake:     make(chan struct{}),
+		stop:     make(chan struct{}),
 	}
 	// The expiry loop frees cells held by dead workers even while every
 	// live worker is parked in a long poll.
@@ -590,7 +586,7 @@ func (s *Scheduler) heartbeatLocked(id string) protocol.LeaseAck {
 // per cell wins: it is validated, published to the store, and handed
 // to every waiting resolver. Results under an expired, completed, or
 // unknown lease are refused as stale; results that fail validation
-// requeue the cell (up to MaxRefusals, then the cell fails);
+// requeue the cell (up to maxRefusals, then the cell fails);
 // worker-reported errors fail the cell's waiters.
 func (s *Scheduler) Complete(res protocol.FoldResult) protocol.LeaseAck {
 	ack := s.complete(res)
@@ -637,7 +633,7 @@ func (s *Scheduler) complete(res protocol.FoldResult) protocol.LeaseAck {
 	if verr != nil {
 		s.stats.RefusedResults++
 		t.refusals++
-		if t.refusals >= s.maxRefusals {
+		if t.refusals >= maxRefusals {
 			t.lease = nil
 			s.finishLocked(t, protocol.FoldState{},
 				fmt.Errorf("dispatch: cell %s: %d invalid worker results, last from %s: %v",

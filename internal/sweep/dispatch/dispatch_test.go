@@ -336,7 +336,7 @@ func TestDuplicatePostFoldsOnce(t *testing.T) {
 
 func TestInvalidResultRequeuedThenFails(t *testing.T) {
 	fs := newFakeStore()
-	s, err := New(Options{Store: fs, MaxRefusals: 2})
+	s, err := New(Options{Store: fs})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -351,18 +351,18 @@ func TestInvalidResultRequeuedThenFails(t *testing.T) {
 	}
 	got := resolveAsync(context.Background(), s, cell)
 
+	// Each refusal but the last requeues: the cell is leased again, and
+	// the maxRefusals-th invalid result fails the waiters.
 	bad := stateFor(0)
-	l1 := mustLease(t, s, "w1")
-	if ack := s.Complete(protocol.FoldResult{Lease: l1.ID, Key: l1.Key, State: &bad}); ack.Accepted || ack.Error == "" {
-		t.Fatalf("invalid result not refused: %+v", ack)
+	for i := 0; i < maxRefusals; i++ {
+		l := mustLease(t, s, "w1")
+		if l.Key != cell.Key {
+			t.Fatalf("lease %d key %s, want %s", i, l.Key, cell.Key)
+		}
+		if ack := s.Complete(protocol.FoldResult{Lease: l.ID, Key: l.Key, State: &bad}); ack.Accepted || ack.Error == "" {
+			t.Fatalf("invalid result %d not refused: %+v", i, ack)
+		}
 	}
-	// Refusal requeues: the cell is leased again, and the second invalid
-	// result trips MaxRefusals and fails the waiters.
-	l2 := mustLease(t, s, "w1")
-	if l2.Key != cell.Key {
-		t.Fatalf("requeued lease key %s, want %s", l2.Key, cell.Key)
-	}
-	s.Complete(protocol.FoldResult{Lease: l2.ID, Key: l2.Key, State: &bad})
 	r := <-got
 	if r.err == nil || !strings.Contains(r.err.Error(), "invalid worker results") {
 		t.Fatalf("Resolve error %v, want refusal-cap failure", r.err)
@@ -370,7 +370,7 @@ func TestInvalidResultRequeuedThenFails(t *testing.T) {
 	if _, ok := fs.Probe(cell.Key); ok {
 		t.Fatalf("invalid state was published to the store")
 	}
-	if st := s.Stats(); st.RefusedResults != 2 || st.Reassigned != 1 || st.RemoteComputed != 0 {
+	if st := s.Stats(); st.RefusedResults != maxRefusals || st.Reassigned != maxRefusals-1 || st.RemoteComputed != 0 {
 		t.Fatalf("stats %+v", st)
 	}
 }

@@ -169,8 +169,10 @@ type engine struct {
 	// cancels holds each in-flight waiting resolve's cancel, by cell;
 	// nil unless cached.waits.
 	cancels []context.CancelFunc
+	endRep  int // replications per cell: maxReps, or 1 for a cached run
 
 	mu         sync.Mutex
+	next       job // the next (cell, rep) a worker takes; see take
 	collectors []*collector
 	records    map[int]checkpointRecord // final fold record per finished cell
 	ready      map[int]*CellResult      // finished cells awaiting ordered emission
@@ -180,51 +182,21 @@ type engine struct {
 	err        error
 	errOrder   int
 	aborted    bool
+	ctxErr     error // the context's error, once a worker saw it
 }
 
 // Run executes the spec and streams finished cells to the sinks in
 // enumeration order. It returns once every cell has completed, the
 // context is canceled, or a replication fails; the first error in
-// (cell, replication) order wins, regardless of worker count. It is a
-// thin wrapper over the job API: Plan + Job.Run.
+// (cell, replication) order wins, regardless of worker count. It is
+// Plan + Job.Run; a checkpointed or resumed sweep runs its Job with
+// RunOpts.Checkpoint and RunOpts.Resume.
 func Run(ctx context.Context, spec Spec, sinks ...Sink) (*Result, error) {
-	return runWrapped(ctx, spec, RunOpts{Sinks: sinks})
-}
-
-// RunCheckpointed executes the spec like Run while persisting each
-// cell's fold state (the seed-ordered Welford accumulators and the
-// next-replication counter) to path as JSONL after every completed
-// replication. An interrupted run — error, crash, or context
-// cancellation — leaves a checkpoint that Resume can continue from.
-// An existing file at path is truncated.
-func RunCheckpointed(ctx context.Context, spec Spec, path string, sinks ...Sink) (*Result, error) {
-	if path == "" {
-		return nil, fmt.Errorf("sweep: RunCheckpointed needs a checkpoint path")
-	}
-	return runWrapped(ctx, spec, RunOpts{Checkpoint: path, Sinks: sinks})
-}
-
-// Resume continues an interrupted checkpointed sweep. The spec must
-// structurally match the one the checkpoint was written for (same
-// cells, metrics, replication protocol — enforced by a fingerprint in
-// the checkpoint header); completed work is skipped, partially folded
-// cells continue at their next replication, and the sinks receive
-// every cell again in enumeration order, so the final output is
-// byte-identical to an uninterrupted run of the same spec. The
-// checkpoint keeps extending as the resumed sweep progresses.
-func Resume(ctx context.Context, spec Spec, path string, sinks ...Sink) (*Result, error) {
-	if path == "" {
-		return nil, fmt.Errorf("sweep: Resume needs a checkpoint path")
-	}
-	return runWrapped(ctx, spec, RunOpts{Checkpoint: path, Resume: true, Sinks: sinks})
-}
-
-func runWrapped(ctx context.Context, spec Spec, opts RunOpts) (*Result, error) {
 	j, err := Plan(spec)
 	if err != nil {
 		return nil, err
 	}
-	p, err := j.Run(ctx, opts)
+	p, err := j.Run(ctx, RunOpts{Sinks: sinks})
 	if err != nil {
 		return nil, err
 	}
@@ -233,13 +205,19 @@ func runWrapped(ctx context.Context, spec Spec, opts RunOpts) (*Result, error) {
 
 // RunOpts configures one Job.Run.
 type RunOpts struct {
-	// Checkpoint, when non-empty, persists per-cell fold state to this
-	// JSONL file after every completed replication; for a shard, the
-	// finished file is its mergeable artifact (see LoadPartial).
+	// Checkpoint, when non-empty, persists per-cell fold state (the
+	// seed-ordered accumulators and the next-replication counter) to
+	// this JSONL file after every completed replication, truncating an
+	// existing file. An interrupted run leaves a file Resume continues
+	// from; for a shard, the finished file is its mergeable artifact
+	// (see LoadPartial).
 	Checkpoint string
 	// Resume continues from the Checkpoint file instead of truncating
 	// it; the checkpoint must carry this job's plan fingerprint and
-	// shard coordinates.
+	// shard coordinates. Completed work is skipped, partially folded
+	// cells continue at their next replication, and the sinks receive
+	// every cell again, so the output is byte-identical to an
+	// uninterrupted run.
 	Resume bool
 	// Sinks receive this job's cells in enumeration order.
 	Sinks []Sink
@@ -323,14 +301,11 @@ func (j *Job) run(ctx context.Context, opts RunOpts, restored map[int]checkpoint
 			}
 		}
 	}
-	maxReps := sp.maxReps()
-	// A cached run dispatches one job per cell, its replication 0.
-	endRep := maxReps
+	// A cached run settles each cell as one job, its replication 0.
+	e.endRep = sp.maxReps()
 	if cached != nil {
-		endRep = 1
+		e.endRep = 1
 	}
-	startRep := make([]int, len(defs))
-	remaining := 0
 	// Restored cells that are already finished are finalized and
 	// emitted up front, before any worker starts.
 	e.mu.Lock()
@@ -349,11 +324,7 @@ func (j *Job) run(ctx context.Context, opts RunOpts, restored map[int]checkpoint
 		e.collectors[i] = c
 		if c.next == c.stop {
 			e.finishLocked(i, c, nil)
-			startRep[i] = endRep
-			continue
 		}
-		startRep[i] = c.next
-		remaining += endRep - c.next
 	}
 	preErr := e.err
 	e.mu.Unlock()
@@ -366,68 +337,41 @@ func (j *Job) run(ctx context.Context, opts RunOpts, restored map[int]checkpoint
 		// A resolve that waits on an outside party holds no CPU, so
 		// every cell resolves at once: a worker fleet sees the whole
 		// sweep queued, not a pool's width of it.
-		workers = remaining
+		workers = len(defs)
 		e.cancels = make([]context.CancelFunc, len(defs))
 	}
-	if workers > remaining {
-		workers = remaining
-	}
-	jobs := make(chan job)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for j := range jobs {
+			for {
+				jb, ok := e.take(ctx)
+				if !ok {
+					return
+				}
 				if cached != nil {
-					e.settle(ctx, j.cell)
+					e.settle(ctx, jb.cell)
 					continue
 				}
-				vals, err := e.runOne(j)
-				e.deliver(j, vals, err)
+				// Yield once per replication: with every P running a
+				// worker, the GC's mark worker otherwise waits up to the
+				// 10 ms preemption for a P, with the write barrier and
+				// mark assists on (the paper grid at 60 seeds on 2 Ps
+				// took 20% longer).
+				runtime.Gosched()
+				vals, err := e.runOne(jb)
+				e.deliver(jb, vals, err)
 			}
 		}()
 	}
-
-	// Dispatch cells × replications in order; stop early on abort or
-	// cancellation, and stop a cell's dispatch once the adaptive rule
-	// froze its replication target. Workers run every job they receive,
-	// so the lowest-ordered failing job is always executed and its
-	// error wins.
-	var ctxErr error
-dispatch:
-	for c := range defs {
-		for r := startRep[c]; r < endRep; r++ {
-			if r >= e.cellStop(c) {
-				break // adaptive stop: free the pool for later cells
-			}
-			select {
-			case <-ctx.Done():
-				ctxErr = ctx.Err()
-				break dispatch
-			case jobs <- job{cell: c, rep: r}:
-			}
-			if e.abortedNow() {
-				break dispatch
-			}
-			// On a single-P runtime the unbuffered handoff between this
-			// loop and a worker can ride the scheduler's run-next fast
-			// path indefinitely, starving a sibling worker whose
-			// finished replication is still undelivered; its cell's
-			// fold — and with it abort detection, checkpointing, and
-			// the pending buffer — stalls until dispatch ends. Yield so
-			// every in-flight delivery lands between dispatches.
-			runtime.Gosched()
-		}
-	}
-	close(jobs)
 	wg.Wait()
 
 	if e.err != nil {
 		return nil, e.err
 	}
-	if ctxErr != nil {
-		return nil, ctxErr
+	if e.ctxErr != nil {
+		return nil, e.ctxErr
 	}
 	if ck != nil {
 		if err := ck.Close(); err != nil {
@@ -439,13 +383,7 @@ dispatch:
 			return nil, fmt.Errorf("sweep: sink end: %w", err)
 		}
 	}
-	return &Partial{
-		sweep: sp.Name, fp: j.fp,
-		shard: j.shard, shards: j.shards,
-		offset: j.offset, cells: len(defs),
-		total: j.total, maxReps: maxReps,
-		records: e.records, result: result,
-	}, nil
+	return &Partial{hdr: j.header(), records: e.records, result: result}, nil
 }
 
 // header is the checkpoint header this job writes: the plan
@@ -492,15 +430,34 @@ func (c *collector) restore(rec checkpointRecord) {
 	}
 }
 
-// cellStop reads a cell's current replication target.
-func (e *engine) cellStop(cell int) int {
+// take hands a worker the next job in (cell, replication) order, or
+// reports that none is left. The cursor only moves forward: it skips
+// finished cells and replications at or past a cell's (possibly
+// adaptively frozen) stop, and a cell's first job is its next unfolded
+// replication, since nothing of the cell folds before the cursor
+// reaches it. No job is taken once the run aborted or the context is
+// done; every taken job runs, so the lowest-ordered failing job is
+// always executed and its error wins.
+func (e *engine) take(ctx context.Context) (job, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	c := e.collectors[cell]
-	if c == nil {
-		return 0 // finished
+	for !e.aborted && e.ctxErr == nil && e.next.cell < len(e.defs) {
+		// A finished cell has no collector; an adaptive stop frees the
+		// pool for later cells.
+		if c := e.collectors[e.next.cell]; c != nil {
+			e.next.rep = max(e.next.rep, c.next)
+			if e.next.rep < min(e.endRep, c.stop) {
+				if e.ctxErr = ctx.Err(); e.ctxErr != nil {
+					break
+				}
+				jb := e.next
+				e.next.rep++
+				return jb, true
+			}
+		}
+		e.next = job{cell: e.next.cell + 1}
 	}
-	return c.stop
+	return job{}, false
 }
 
 // adaptiveCheck shrinks the collector's replication target to the
@@ -549,12 +506,6 @@ func (e *engine) emitReadyLocked() {
 		e.result.Cells = append(e.result.Cells, cr)
 		e.emitNext++
 	}
-}
-
-func (e *engine) abortedNow() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.aborted
 }
 
 // runOne executes a single replication of a single cell.
@@ -693,7 +644,7 @@ func (e *engine) deliver(j job, vals *runValues, err error) {
 // is discarded identically at any worker count, and the lowest-ordered
 // failing replication always wins. That requires draining to continue
 // after an abort (a lower-ordered parked error may still be waiting on
-// its predecessors, which were all dispatched before the abort).
+// its predecessors, which were all taken before the abort).
 func (e *engine) fold(j job, vals *runValues, err error) *checkpointRecord {
 	e.mu.Lock()
 	defer e.mu.Unlock()

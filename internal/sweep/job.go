@@ -125,33 +125,27 @@ func (j *Job) Shard(i, n int) (*Job, error) {
 	return &s, nil
 }
 
-// Partial is the output of one job run: the shard coordinates plus
-// every cell's final fold record (the same bit-exact Welford snapshots
-// the checkpoint layer persists). Partials come from Job.Run directly,
-// or from LoadPartial on a shard's checkpoint file.
+// Partial is the output of one job run: the header of its checkpoint
+// file (the plan fingerprint and the shard coordinates) plus every
+// cell's final fold record (the same bit-exact Welford snapshots the
+// checkpoint layer persists). Partials come from Job.Run directly, or
+// from LoadPartial on a shard's checkpoint file.
 type Partial struct {
-	sweep   string
-	fp      string
-	shard   int
-	shards  int
-	offset  int
-	cells   int
-	total   int
-	maxReps int
+	hdr     checkpointHeader
 	records map[int]checkpointRecord // local cell index → final record
 	result  *Result                  // non-nil only when produced by Job.Run
 }
 
 // Fingerprint returns the plan fingerprint the partial was produced
 // under.
-func (p *Partial) Fingerprint() string { return p.fp }
+func (p *Partial) Fingerprint() string { return p.hdr.Fingerprint }
 
 // Shard returns the partial's shard coordinates (0, 1) for an
 // unsharded run.
-func (p *Partial) Shard() (i, n int) { return p.shard, p.shards }
+func (p *Partial) Shard() (i, n int) { return p.hdr.Shard, p.hdr.Shards }
 
 // Cells returns the number of cells the partial's shard covers.
-func (p *Partial) Cells() int { return p.cells }
+func (p *Partial) Cells() int { return p.hdr.Cells }
 
 // Result returns the shard's own Result — cells in enumeration order
 // with plan-global indices — or nil for a partial loaded from a
@@ -168,13 +162,7 @@ func LoadPartial(path string) (*Partial, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Partial{
-		sweep: hdr.Sweep, fp: hdr.Fingerprint,
-		shard: hdr.Shard, shards: hdr.Shards,
-		offset: hdr.Offset, cells: hdr.Cells,
-		total: hdr.TotalCells, maxReps: hdr.MaxReps,
-		records: records,
-	}, nil
+	return &Partial{hdr: hdr, records: records}, nil
 }
 
 // Merge fuses shard partials into the full sweep result, streaming the
@@ -203,24 +191,20 @@ func Merge(spec Spec, partials []*Partial, sinks ...Sink) (*Result, error) {
 		if p == nil {
 			return nil, fmt.Errorf("sweep: merge of %q: partial %d is nil", sp.Name, pi)
 		}
-		if p.fp != j.fp {
-			return nil, fmt.Errorf(
-				"sweep: partial %d (shard %d/%d of sweep %q) carries fingerprint %s, the spec plans %s: refusing to merge",
-				pi, p.shard, p.shards, p.sweep, p.fp, j.fp)
+		h := &p.hdr
+		if err := j.checkPlan(h); err != nil {
+			return nil, fmt.Errorf("sweep: partial %d (shard %d/%d of sweep %q) %v: refusing to merge",
+				pi, h.Shard, h.Shards, h.Sweep, err)
 		}
-		// The fingerprint already pins the cell list and the protocol;
-		// these are cheap guards against a hand-edited header.
-		if p.total != len(j.defs) || p.maxReps != maxReps ||
-			p.offset < 0 || p.offset+p.cells > len(j.defs) {
-			return nil, fmt.Errorf("sweep: partial %d covers cells %d..%d of %d × %d reps, the plan has %d × %d",
-				pi, p.offset, p.offset+p.cells, p.total, p.maxReps, len(j.defs), maxReps)
-		}
-		for local, rec := range p.records {
-			if local < 0 || local >= p.cells {
-				return nil, fmt.Errorf("sweep: partial %d: record for cell %d outside its %d-cell shard",
-					pi, local, p.cells)
+		// Every record lies inside its shard (readCheckpoint checks a
+		// loaded one); walking the cells in order makes the first
+		// refusal the lowest cell's.
+		for local := range h.Cells {
+			rec, ok := p.records[local]
+			if !ok {
+				continue
 			}
-			g := p.offset + local
+			g := h.Offset + local
 			if err := sp.checkState(&rec.FoldState, true); err != nil {
 				hint := ""
 				if !rec.Stopped && rec.Next < maxReps {

@@ -423,7 +423,7 @@ func TestResumeShardMismatch(t *testing.T) {
 	if _, err := shard.Run(context.Background(), RunOpts{Checkpoint: path}); err != nil {
 		t.Fatal(err)
 	}
-	_, err = Resume(context.Background(), spec, path)
+	_, err = runCkpt(context.Background(), spec, path, true)
 	if err == nil || !strings.Contains(err.Error(), "shard") ||
 		!strings.Contains(err.Error(), "refusing to resume") {
 		t.Fatalf("unsharded resume of a shard checkpoint: err = %v", err)
@@ -436,7 +436,7 @@ func TestResumeLegacyHeader(t *testing.T) {
 	spec := ckptSpec()
 	path := filepath.Join(t.TempDir(), "sweep.ckpt")
 	want, _ := runToBytes(t, func(sinks ...Sink) (*Result, error) {
-		return RunCheckpointed(context.Background(), spec, path, sinks...)
+		return runCkpt(context.Background(), spec, path, false, sinks...)
 	})
 
 	raw, err := os.ReadFile(path)
@@ -460,7 +460,7 @@ func TestResumeLegacyHeader(t *testing.T) {
 	}
 
 	got, _ := runToBytes(t, func(sinks ...Sink) (*Result, error) {
-		return Resume(context.Background(), spec, path, sinks...)
+		return runCkpt(context.Background(), spec, path, true, sinks...)
 	})
 	if got != want {
 		t.Fatalf("legacy-header resume diverged:\n%s\nvs\n%s", got, want)

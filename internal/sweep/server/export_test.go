@@ -1,4 +1,8 @@
 package server
 
-// MaxFinishedSweeps is maxFinishedSweeps, for the external tests.
-const MaxFinishedSweeps = maxFinishedSweeps
+// MaxFinishedSweeps and RetryAfter are maxFinishedSweeps and
+// retryAfter, for the external tests.
+const (
+	MaxFinishedSweeps = maxFinishedSweeps
+	RetryAfter        = retryAfter
+)

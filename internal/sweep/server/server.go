@@ -89,10 +89,10 @@ type Config struct {
 	// beyond it receive 429 + Retry-After. Default 8. Negative means
 	// zero (every submission rejected — useful only in tests).
 	MaxSweeps int
-	// RetryAfter is the Retry-After hint (seconds) on 429 responses;
-	// default 2.
-	RetryAfter int
 }
+
+// retryAfter is the Retry-After hint (seconds) on 429 responses.
+const retryAfter = 2
 
 // Stats is the GET /stats document: the shared cache's counters plus
 // the admission counters, and — when a worker fleet is attached — the
@@ -185,9 +185,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxSweeps < 0 {
 		cfg.MaxSweeps = 0
 	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = 2
-	}
 	s := &Server{
 		cfg:      cfg,
 		mux:      http.NewServeMux(),
@@ -244,10 +241,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.active >= s.cfg.MaxSweeps {
 		s.rejected++
 		s.mu.Unlock()
-		w.Header().Set("Retry-After", strconv.Itoa(s.cfg.RetryAfter))
+		w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
 		httpError(w, http.StatusTooManyRequests,
 			"sweep capacity reached (%d in flight); retry after %ds",
-			s.cfg.MaxSweeps, s.cfg.RetryAfter)
+			s.cfg.MaxSweeps, retryAfter)
 		return
 	}
 	s.active++

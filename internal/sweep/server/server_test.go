@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -196,7 +197,7 @@ func TestEventStream(t *testing.T) {
 // counted.
 func TestAdmissionControl(t *testing.T) {
 	// MaxSweeps < 0 means zero admitted — deterministic rejection.
-	ts := newServer(t, server.Config{MaxSweeps: -1, RetryAfter: 7})
+	ts := newServer(t, server.Config{MaxSweeps: -1})
 	body, _ := json.Marshal(testRequest())
 	resp, err := http.Post(ts.URL+"/sweeps", "application/json", bytes.NewReader(body))
 	if err != nil {
@@ -207,8 +208,8 @@ func TestAdmissionControl(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status %s, want 429", resp.Status)
 	}
-	if got := resp.Header.Get("Retry-After"); got != "7" {
-		t.Fatalf("Retry-After %q, want 7", got)
+	if got, want := resp.Header.Get("Retry-After"), strconv.Itoa(server.RetryAfter); got != want {
+		t.Fatalf("Retry-After %q, want %s", got, want)
 	}
 	if !strings.Contains(string(msg), "capacity") {
 		t.Fatalf("rejection body %q", msg)
@@ -289,6 +290,35 @@ func TestFinishedSweepsBounded(t *testing.T) {
 	}
 	if stats.Evicted != k || stats.Done != len(ids) {
 		t.Fatalf("stats %+v, want %d evicted", stats, k)
+	}
+}
+
+// TestWarmSweepSoak: a server answering warm one-cell sweeps holds a
+// flat heap. After 300 sweeps (the first fills the cache) the live heap
+// is read, then again after 300 more; everything a finished sweep
+// keeps is bounded by maxFinishedSweeps, so the second reading may not
+// exceed the first by more than 256 KiB. A finished one-cell sweep
+// holds about 2.3 KB, so 300 more kept sweeps would add about 690 KB;
+// with the bound in place the two readings differ by a few KB.
+func TestWarmSweepSoak(t *testing.T) {
+	if testing.Short() {
+		t.Skip("soak test")
+	}
+	ts := newServer(t, server.Config{})
+	req := testRequest()
+	req.Algorithms, req.Targets = "btctp", "6"
+	sweeps := func(n int) uint64 {
+		for i := 0; i < n; i++ {
+			fetch(t, ts.URL+"/sweeps/"+submit(t, ts, req).ID+"/result.csv")
+		}
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	first := sweeps(300)
+	if second := sweeps(300); second > first+256<<10 {
+		t.Fatalf("live heap grew from %d to %d bytes over 300 warm sweeps", first, second)
 	}
 }
 

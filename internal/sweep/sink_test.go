@@ -255,11 +255,11 @@ func TestSinkErrorLeavesResumableCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "sweep.ckpt")
-	if _, err := RunCheckpointed(context.Background(), spec, path, &failSink{cellErrAt: 1}); err == nil {
+	if _, err := runCkpt(context.Background(), spec, path, false, &failSink{cellErrAt: 1}); err == nil {
 		t.Fatal("failing sink accepted")
 	}
 	var got bytes.Buffer
-	if _, err := Resume(context.Background(), spec, path, CSV(&got)); err != nil {
+	if _, err := runCkpt(context.Background(), spec, path, true, CSV(&got)); err != nil {
 		t.Fatal(err)
 	}
 	if got.String() != want.String() {

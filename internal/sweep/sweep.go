@@ -7,8 +7,10 @@
 // fleet sizes, mule speeds, heterogeneous fleets, placements,
 // horizons, battery on/off, VIP populations, data workloads — whose
 // cartesian product yields cells. Run executes
-// cells × replications through one bounded worker pool, so a sweep
-// saturates the machine even when each cell has few replications.
+// cells × replications through one bounded worker pool whose workers
+// each take their own next (cell, replication) in enumeration order,
+// so a sweep saturates the machine even when each cell has few
+// replications.
 // Each metric is aggregated with streaming Welford statistics
 // (mean/variance/CI95/min/max); no per-seed slices are held in memory.
 // Results flow through the Sink interface (CSV, JSON-lines, aligned
@@ -28,10 +30,11 @@
 //
 // # Distributed execution
 //
-// Run, RunCheckpointed and Resume are thin wrappers over the
-// composable job API — Plan, Job.Shard, Job.Run, Merge (see job.go) —
-// which splits a sweep into deterministic cell ranges across machines
-// and merges their checkpoint files back into byte-identical output.
+// Run is Plan + Job.Run of the composable job API — Plan, Job.Shard,
+// Job.Run, Merge (see job.go) — which also checkpoints and resumes a
+// sweep (RunOpts), splits it into deterministic cell ranges across
+// machines and merges their checkpoint files back into byte-identical
+// output.
 package sweep
 
 import (

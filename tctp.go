@@ -321,20 +321,6 @@ func RunSweep(ctx context.Context, spec SweepSpec, sinks ...SweepSink) (*SweepRe
 	return sweep.Run(ctx, spec, sinks...)
 }
 
-// RunSweepCheckpointed executes the spec like RunSweep while
-// persisting per-cell fold state to the JSONL file at path after every
-// completed replication.
-func RunSweepCheckpointed(ctx context.Context, spec SweepSpec, path string, sinks ...SweepSink) (*SweepResult, error) {
-	return sweep.RunCheckpointed(ctx, spec, path, sinks...)
-}
-
-// ResumeSweep continues an interrupted checkpointed sweep, skipping
-// completed replications; the final sink output is byte-identical to
-// an uninterrupted run.
-func ResumeSweep(ctx context.Context, spec SweepSpec, path string, sinks ...SweepSink) (*SweepResult, error) {
-	return sweep.Resume(ctx, spec, path, sinks...)
-}
-
 // PlanSweep validates the spec and enumerates its cells into an
 // immutable job with a sha256 plan fingerprint. Job.Shard(i, n) splits
 // the plan into contiguous deterministic cell ranges for distributed
