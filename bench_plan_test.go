@@ -99,8 +99,8 @@ func BenchmarkPlanKMeans(b *testing.B) {
 // assembly), the path the allocation audit trimmed.
 func BenchmarkPlanFleet(b *testing.B) {
 	for _, n := range planSizes {
-		s := field.Generate(field.Config{NumTargets: n, NumMules: 8, Placement: field.Uniform},
-			xrand.New(13))
+		s := GenerateScenario(field.Config{NumTargets: n, NumMules: 8, Placement: field.Uniform},
+			13)
 		planner := &core.BTCTP{}
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			skipLarge(b, n)
@@ -122,8 +122,8 @@ func BenchmarkPlanFleet(b *testing.B) {
 func BenchmarkPlanRegions(b *testing.B) {
 	kmeans4 := core.PartitionConfig{Method: core.KMeansMethod, K: 4}
 	for _, n := range planSizes {
-		s := field.Generate(field.Config{NumTargets: n, NumMules: 8, Placement: field.Clusters},
-			xrand.New(23))
+		s := GenerateScenario(field.Config{NumTargets: n, NumMules: 8, Placement: field.Clusters},
+			23)
 		s.AssignVIPs(xrand.New(29), n/50, 3)
 		for _, p := range []struct {
 			name    string
@@ -154,8 +154,8 @@ func BenchmarkPlanRegions(b *testing.B) {
 // arc-offset table once per mule instead of once per circuit.
 func BenchmarkPlanCHBAssign(b *testing.B) {
 	for _, n := range planSizes {
-		s := field.Generate(field.Config{NumTargets: n, NumMules: 8, Placement: field.Uniform},
-			xrand.New(19))
+		s := GenerateScenario(field.Config{NumTargets: n, NumMules: 8, Placement: field.Uniform},
+			19)
 		pts := s.Points()
 		w := walk.New(tour.EnsureCCW(pts, tour.ConvexHullInsertion(pts))).RotateToNorthmost(pts)
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
@@ -173,8 +173,8 @@ func BenchmarkPlanCHBAssign(b *testing.B) {
 
 func BenchmarkPlanCHBAssignPerMule(b *testing.B) {
 	for _, n := range planSizes {
-		s := field.Generate(field.Config{NumTargets: n, NumMules: 8, Placement: field.Uniform},
-			xrand.New(19))
+		s := GenerateScenario(field.Config{NumTargets: n, NumMules: 8, Placement: field.Uniform},
+			19)
 		pts := s.Points()
 		w := walk.New(tour.EnsureCCW(pts, tour.ConvexHullInsertion(pts))).RotateToNorthmost(pts)
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
@@ -237,8 +237,8 @@ func BenchmarkCellReplications(b *testing.B) {
 // flat preallocation shows up in allocs/op here.
 func BenchmarkCellSimulation(b *testing.B) {
 	for _, n := range []int{100, 1_000} {
-		s := field.Generate(field.Config{NumTargets: n, NumMules: 4, Placement: field.Uniform},
-			xrand.New(17))
+		s := GenerateScenario(field.Config{NumTargets: n, NumMules: 4, Placement: field.Uniform},
+			17)
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			skipLarge(b, n)
 			b.ReportAllocs()

@@ -190,8 +190,8 @@ func BenchmarkTwoOpt(b *testing.B) {
 // BenchmarkWPPConstruction measures the W-TCTP path construction with
 // the balancing policy (20 targets, 3 VIPs of weight 4).
 func BenchmarkWPPConstruction(b *testing.B) {
-	s := field.Generate(field.Config{NumTargets: 20, NumMules: 2, Placement: field.Uniform},
-		xrand.New(3))
+	s := GenerateScenario(field.Config{NumTargets: 20, NumMules: 2, Placement: field.Uniform},
+		3)
 	s.AssignVIPs(xrand.New(4), 3, 4)
 	wt := &core.WTCTP{Policy: core.BalancingLength}
 	b.ReportAllocs()
@@ -221,8 +221,8 @@ func BenchmarkSimulationEngine(b *testing.B) {
 }
 
 func benchmarkThroughput(b *testing.B, opts patrol.Options) {
-	s := field.Generate(field.Config{NumTargets: 20, NumMules: 4, Placement: field.Uniform},
-		xrand.New(5))
+	s := GenerateScenario(field.Config{NumTargets: 20, NumMules: 4, Placement: field.Uniform},
+		5)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		res, err := patrol.Run(s, patrol.Planned(&core.BTCTP{}), opts, xrand.New(1))
@@ -242,8 +242,8 @@ func benchmarkThroughput(b *testing.B, opts patrol.Options) {
 // of the event heap on its own clock (patrol's run-ahead path) and
 // shares no target with another, so no visit log needs a merge.
 func BenchmarkSimulationExclusive(b *testing.B) {
-	s := field.Generate(field.Config{NumTargets: 10, NumMules: 8, Placement: field.Uniform},
-		xrand.New(5))
+	s := GenerateScenario(field.Config{NumTargets: 10, NumMules: 8, Placement: field.Uniform},
+		5)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		res, err := patrol.Run(s, patrol.Planned(&baseline.Sweep{}), patrol.Options{}, xrand.New(1))
@@ -266,8 +266,8 @@ func BenchmarkSimulationExclusive(b *testing.B) {
 // when the goroutine changes processor, so its allocs/op stay exact
 // for the CI gate.
 func BenchmarkCellExclusive(b *testing.B) {
-	s := field.Generate(field.Config{NumTargets: 10, NumMules: 8, Placement: field.Uniform},
-		xrand.New(5))
+	s := GenerateScenario(field.Config{NumTargets: 10, NumMules: 8, Placement: field.Uniform},
+		5)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		res, err := patrol.Run(s, patrol.Planned(&baseline.Sweep{}), patrol.Options{}, xrand.New(1))
@@ -287,8 +287,8 @@ func BenchmarkCellExclusive(b *testing.B) {
 // about 12 stops, the multi-stop cycle that
 // BenchmarkSimulationExclusive's parked mules never exercise.
 func BenchmarkSimulationExclusiveRegions(b *testing.B) {
-	s := field.Generate(field.Config{NumTargets: 50, NumMules: 4, Placement: field.Uniform},
-		xrand.New(5))
+	s := GenerateScenario(field.Config{NumTargets: 50, NumMules: 4, Placement: field.Uniform},
+		5)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		res, err := patrol.Run(s, patrol.Planned(&baseline.Sweep{}), patrol.Options{}, xrand.New(1))
@@ -309,8 +309,8 @@ func BenchmarkSimulationExclusiveRegions(b *testing.B) {
 // a released one that the pool misses would grow its logs afresh, which
 // the allocation gate would read as a regression.
 func BenchmarkSimulationRandom(b *testing.B) {
-	s := field.Generate(field.Config{NumTargets: 20, NumMules: 4, Placement: field.Uniform},
-		xrand.New(5))
+	s := GenerateScenario(field.Config{NumTargets: 20, NumMules: 4, Placement: field.Uniform},
+		5)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		res, err := patrol.Run(s, patrol.Online(&baseline.Random{}), patrol.Options{Horizon: 20_000}, xrand.New(1))

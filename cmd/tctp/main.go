@@ -85,12 +85,14 @@ func run(alg, policy string, targets, mules, vips, weight int, placement string,
 		targets = s.NumTargets() - 1
 		mules = s.NumMules()
 	} else {
-		s = field.Generate(field.Config{
+		if s, err = field.Generate(field.Config{
 			NumTargets:   targets,
 			NumMules:     mules,
 			Placement:    place,
 			WithRecharge: alg == "rwtctp",
-		}, src)
+		}, src); err != nil {
+			return err
+		}
 		if vips > 0 {
 			s.AssignVIPs(src, vips, weight)
 		}

@@ -12,11 +12,15 @@ import (
 )
 
 func scenario(seed uint64, targets, mules int) *field.Scenario {
-	return field.Generate(field.Config{
+	s, err := field.Generate(field.Config{
 		NumTargets: targets,
 		NumMules:   mules,
 		Placement:  field.Uniform,
 	}, xrand.New(seed))
+	if err != nil {
+		panic(err)
+	}
+	return s
 }
 
 func TestCHBPlanValid(t *testing.T) {

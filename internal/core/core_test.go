@@ -14,7 +14,7 @@ import (
 )
 
 func scenario(seed uint64, targets, mules int) *field.Scenario {
-	return field.Generate(field.Config{
+	return mustGenerate(field.Config{
 		NumTargets: targets,
 		NumMules:   mules,
 		Placement:  field.Uniform,
@@ -496,7 +496,7 @@ func TestWTCTPPlan(t *testing.T) {
 func TestWTCTPDegenerateNoBreakEdge(t *testing.T) {
 	// Two targets plus sink: after the first break every edge touches
 	// the VIP and no further cycle can be created.
-	s := field.Generate(field.Config{NumTargets: 2, NumMules: 1, Placement: field.Grid},
+	s := mustGenerate(field.Config{NumTargets: 2, NumMules: 1, Placement: field.Grid},
 		xrand.New(1))
 	s.Targets[1].Weight = 5
 	_, err := (&WTCTP{Policy: ShortestLength}).BuildWPP(s)
@@ -518,7 +518,7 @@ func TestBreakPolicyString(t *testing.T) {
 func TestWPPDefinition3Property(t *testing.T) {
 	f := func(seed uint64, nVIPRaw, weightRaw uint8, balance bool) bool {
 		src := xrand.New(seed)
-		s := field.Generate(field.Config{
+		s := mustGenerate(field.Config{
 			NumTargets: 10 + src.Intn(15),
 			NumMules:   1 + src.Intn(4),
 			Placement:  field.Uniform,
@@ -552,7 +552,7 @@ func TestWPPDefinition3Property(t *testing.T) {
 // --- RW-TCTP ----------------------------------------------------------------
 
 func rechargeScenario(seed uint64, targets, mules int) *field.Scenario {
-	return field.Generate(field.Config{
+	return mustGenerate(field.Config{
 		NumTargets:   targets,
 		NumMules:     mules,
 		Placement:    field.Uniform,
@@ -888,4 +888,13 @@ func TestHasConsecutiveDuplicate(t *testing.T) {
 	if hasConsecutiveDuplicate(walk.New([]int{0})) {
 		t.Fatal("singleton flagged")
 	}
+}
+
+// mustGenerate is field.Generate for a config it can place.
+func mustGenerate(cfg field.Config, src *xrand.Source) *field.Scenario {
+	s, err := field.Generate(cfg, src)
+	if err != nil {
+		panic(err)
+	}
+	return s
 }

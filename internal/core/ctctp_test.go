@@ -10,7 +10,7 @@ import (
 )
 
 func clusteredScenario(seed uint64, targets, mules int) *field.Scenario {
-	return field.Generate(field.Config{
+	return mustGenerate(field.Config{
 		NumTargets: targets,
 		NumMules:   mules,
 		Placement:  field.Clusters,

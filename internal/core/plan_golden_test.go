@@ -36,13 +36,16 @@ func goldenScenarios() []*field.Scenario {
 	out := make([]*field.Scenario, 40)
 	for i := range out {
 		src := xrand.New(uint64(9000 + i))
-		s := field.Generate(field.Config{
+		s, err := field.Generate(field.Config{
 			NumTargets:   5 + (i*13)%56,
 			NumMules:     1 + i%6,
 			Placement:    field.Placement(i % 5),
 			MulesAtSink:  i%4 == 1,
 			WithRecharge: i%2 == 0,
 		}, src)
+		if err != nil {
+			panic(err)
+		}
 		if i%3 != 0 {
 			s.AssignVIPs(src, 1+i%3, 2+i%3)
 		}

@@ -239,7 +239,7 @@ func TestAbsorbReplanRefusals(t *testing.T) {
 func BenchmarkReplanAbsorb(b *testing.B) {
 	for _, n := range []int{100, 1000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			s := field.Generate(field.Config{
+			s := mustGenerate(field.Config{
 				NumTargets: n,
 				NumMules:   8,
 				Placement:  field.Clusters,

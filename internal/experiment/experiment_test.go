@@ -231,6 +231,33 @@ func TestDeliveryShapesHold(t *testing.T) {
 	}
 }
 
+// TestEveryStudyCheckpointsInOneDirectory: every registered study,
+// run at 2 seeds into one checkpoint directory, succeeds, and so does a
+// second pass over the same directory, which resumes every study and
+// renders what a run without a checkpoint does. Two studies whose
+// sweeps shared a name would refuse each other's checkpoint.
+func TestEveryStudyCheckpointsInOneDirectory(t *testing.T) {
+	plain := quick2()
+	ckpt := plain
+	ckpt.Checkpoint = t.TempDir()
+	run := func(name string, p Params) string {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := RunFormat(name, p, &buf, FormatCSV); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return buf.String()
+	}
+	for _, name := range Names() {
+		run(name, ckpt)
+	}
+	for _, name := range Names() {
+		if got, want := run(name, ckpt), run(name, plain); got != want {
+			t.Fatalf("%s resumed renders\n%s\nwithout a checkpoint\n%s", name, got, want)
+		}
+	}
+}
+
 // A Params.Checkpoint directory makes every experiment sweep
 // checkpointed and resumable: the second run of the same experiment
 // restores instead of recomputing, and renders identically.

@@ -57,10 +57,16 @@ func (r *Fig7Result) String() string {
 // Fig7 reproduces paper Fig. 7. Expected shape: TCTP flat (equal
 // spacing), CHB and Sweep periodic oscillation, Random large and
 // erratic. The four algorithms are cells of one sweep, so they run
-// concurrently instead of one after another.
+// concurrently instead of one after another. The sweep is named fig7,
+// or fig7-<placement> for a placement other than Uniform, so that the
+// two studies keep checkpoints of their own in one directory.
 func Fig7(p Params, cfg Fig7Config) (*Fig7Result, error) {
 	cfg = cfg.withDefaults()
-	spec := p.spec("fig7")
+	name := "fig7"
+	if cfg.Placement != field.Uniform {
+		name += "-" + cfg.Placement.String()
+	}
+	spec := p.spec(name)
 	spec.Algorithms = []sweep.Variant{
 		sweep.Algo("Random", patrol.Online(&baseline.Random{})),
 		sweep.Algo("Sweep", patrol.Planned(&baseline.Sweep{})),

@@ -248,8 +248,10 @@ func (c Config) withDefaults() Config {
 
 // Generate builds a scenario from cfg using the deterministic source
 // src. The sink is placed at the field centre and is target 0 with
-// weight 1. Generated targets are IDs 1..NumTargets.
-func Generate(cfg Config, src *xrand.Source) *Scenario {
+// weight 1. Generated targets are IDs 1..NumTargets. It panics on a
+// config with no targets or no mules, and returns an error for a
+// clusters layout it cannot place (see clusterPositions).
+func Generate(cfg Config, src *xrand.Source) (*Scenario, error) {
 	cfg = cfg.withDefaults()
 	if cfg.NumTargets < 1 {
 		panic(fmt.Sprintf("field: Generate with NumTargets=%d", cfg.NumTargets))
@@ -270,7 +272,10 @@ func Generate(cfg Config, src *xrand.Source) *Scenario {
 	case Uniform:
 		positions = uniformPositions(cfg, src)
 	case Clusters:
-		positions = clusterPositions(cfg, src)
+		var err error
+		if positions, err = clusterPositions(cfg, src); err != nil {
+			return nil, err
+		}
 	case Grid:
 		positions = gridPositions(cfg)
 	case Corridor:
@@ -297,7 +302,7 @@ func Generate(cfg Config, src *xrand.Source) *Scenario {
 		s.HasRecharge = true
 		s.Recharge = rect.Center().Add(geom.Vec{X: float64(cfg.Width / 4), Y: 0})
 	}
-	return s
+	return s, nil
 }
 
 func uniformPositions(cfg Config, src *xrand.Source) []geom.Point {
@@ -308,13 +313,33 @@ func uniformPositions(cfg Config, src *xrand.Source) []geom.Point {
 	return out
 }
 
-func clusterPositions(cfg Config, src *xrand.Source) []geom.Point {
+// maxRejects bounds the draws in a row that clusterPositions rejects
+// before it gives up: a feasible layout places a centre or a point far
+// sooner (a point inside its disc passes with probability π/4).
+const maxRejects = 1 << 20
+
+// clusterPositions places cfg.NumClusters cluster centres and then the
+// targets, round-robin over the clusters, each by rejection sampling.
+// It returns an error for a negative cluster count or radius, and when
+// maxRejects draws in a row are rejected: centres that do not fit the
+// field, or a radius too large for the arithmetic.
+func clusterPositions(cfg Config, src *xrand.Source) ([]geom.Point, error) {
+	if cfg.NumClusters < 0 || !(cfg.ClusterRadius >= 0) {
+		return nil, fmt.Errorf("field: negative clusters: %d of radius %g", cfg.NumClusters, cfg.ClusterRadius)
+	}
+	noRoom := func() error {
+		return fmt.Errorf("field: %d clusters of radius %g do not fit a %g × %g field",
+			cfg.NumClusters, cfg.ClusterRadius, cfg.Width, cfg.Height)
+	}
 	// Cluster centres are kept ClusterRadius away from the border and
 	// at least 2·radius+margin apart so the areas are genuinely
 	// disconnected (farther apart than the 20 m communication range).
 	const sep = 20.0 // paper's communication range, metres
 	centres := make([]geom.Point, 0, cfg.NumClusters)
-	for len(centres) < cfg.NumClusters {
+	for rejects := 0; len(centres) < cfg.NumClusters; {
+		if rejects == maxRejects {
+			return nil, noRoom()
+		}
 		c := geom.Pt(
 			src.Range(cfg.ClusterRadius, cfg.Width-cfg.ClusterRadius),
 			src.Range(cfg.ClusterRadius, cfg.Height-cfg.ClusterRadius),
@@ -326,15 +351,20 @@ func clusterPositions(cfg Config, src *xrand.Source) []geom.Point {
 				break
 			}
 		}
-		if ok {
-			centres = append(centres, c)
+		if !ok {
+			rejects++
+			continue
 		}
+		centres, rejects = append(centres, c), 0
 	}
 	out := make([]geom.Point, cfg.NumTargets)
 	for i := range out {
 		centre := centres[i%len(centres)]
 		// Rejection-sample a point inside the disc.
-		for {
+		for rejects := 0; ; rejects++ {
+			if rejects == maxRejects {
+				return nil, noRoom()
+			}
 			p := geom.Pt(
 				src.Range(centre.X-cfg.ClusterRadius, centre.X+cfg.ClusterRadius),
 				src.Range(centre.Y-cfg.ClusterRadius, centre.Y+cfg.ClusterRadius),
@@ -345,7 +375,7 @@ func clusterPositions(cfg Config, src *xrand.Source) []geom.Point {
 			}
 		}
 	}
-	return out
+	return out, nil
 }
 
 func gridPositions(cfg Config) []geom.Point {

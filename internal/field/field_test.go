@@ -14,7 +14,7 @@ func baseCfg() Config {
 }
 
 func TestGenerateUniform(t *testing.T) {
-	s := Generate(baseCfg(), xrand.New(1))
+	s := mustGenerate(baseCfg(), xrand.New(1))
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -36,14 +36,14 @@ func TestGenerateUniform(t *testing.T) {
 }
 
 func TestGenerateDeterministic(t *testing.T) {
-	a := Generate(baseCfg(), xrand.New(42))
-	b := Generate(baseCfg(), xrand.New(42))
+	a := mustGenerate(baseCfg(), xrand.New(42))
+	b := mustGenerate(baseCfg(), xrand.New(42))
 	for i := range a.Targets {
 		if a.Targets[i] != b.Targets[i] {
 			t.Fatalf("target %d differs across identical seeds", i)
 		}
 	}
-	c := Generate(baseCfg(), xrand.New(43))
+	c := mustGenerate(baseCfg(), xrand.New(43))
 	same := true
 	for i := range a.Targets {
 		if a.Targets[i] != c.Targets[i] {
@@ -61,7 +61,7 @@ func TestGenerateClustersDisconnected(t *testing.T) {
 	cfg.Placement = Clusters
 	cfg.NumClusters = 3
 	cfg.ClusterRadius = 60
-	s := Generate(cfg, xrand.New(7))
+	s := mustGenerate(cfg, xrand.New(7))
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestGenerateGrid(t *testing.T) {
 	cfg := baseCfg()
 	cfg.Placement = Grid
 	cfg.NumTargets = 9
-	s := Generate(cfg, xrand.New(1))
+	s := mustGenerate(cfg, xrand.New(1))
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestGenerateGrid(t *testing.T) {
 	}
 	// Grid is deterministic: regenerating yields identical layout
 	// even with a different seed.
-	s2 := Generate(cfg, xrand.New(999))
+	s2 := mustGenerate(cfg, xrand.New(999))
 	for i := range s.Targets {
 		if s.Targets[i] != s2.Targets[i] {
 			t.Fatal("grid layout depends on seed")
@@ -122,7 +122,7 @@ func TestGenerateGrid(t *testing.T) {
 func TestMulesAtSink(t *testing.T) {
 	cfg := baseCfg()
 	cfg.MulesAtSink = true
-	s := Generate(cfg, xrand.New(3))
+	s := mustGenerate(cfg, xrand.New(3))
 	for i, m := range s.MuleStarts {
 		if !m.Eq(s.Targets[s.SinkID].Pos) {
 			t.Fatalf("mule %d at %v, want sink", i, m)
@@ -133,7 +133,7 @@ func TestMulesAtSink(t *testing.T) {
 func TestWithRecharge(t *testing.T) {
 	cfg := baseCfg()
 	cfg.WithRecharge = true
-	s := Generate(cfg, xrand.New(3))
+	s := mustGenerate(cfg, xrand.New(3))
 	if !s.HasRecharge {
 		t.Fatal("recharge station missing")
 	}
@@ -163,7 +163,7 @@ func TestGeneratePanics(t *testing.T) {
 }
 
 func TestAssignVIPs(t *testing.T) {
-	s := Generate(baseCfg(), xrand.New(5))
+	s := mustGenerate(baseCfg(), xrand.New(5))
 	s.AssignVIPs(xrand.New(6), 3, 4)
 	vips := s.VIPs()
 	if len(vips) != 3 {
@@ -185,7 +185,7 @@ func TestAssignVIPs(t *testing.T) {
 }
 
 func TestAssignVIPsPanics(t *testing.T) {
-	s := Generate(baseCfg(), xrand.New(5))
+	s := mustGenerate(baseCfg(), xrand.New(5))
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -205,7 +205,7 @@ func TestAssignVIPsPanics(t *testing.T) {
 }
 
 func TestWeightsAndPoints(t *testing.T) {
-	s := Generate(baseCfg(), xrand.New(8))
+	s := mustGenerate(baseCfg(), xrand.New(8))
 	s.AssignVIPs(xrand.New(9), 2, 3)
 	w := s.Weights()
 	pts := s.Points()
@@ -220,7 +220,7 @@ func TestWeightsAndPoints(t *testing.T) {
 }
 
 func TestValidateCatchesCorruption(t *testing.T) {
-	mk := func() *Scenario { return Generate(baseCfg(), xrand.New(10)) }
+	mk := func() *Scenario { return mustGenerate(baseCfg(), xrand.New(10)) }
 
 	s := mk()
 	s.SinkID = 99
@@ -269,7 +269,7 @@ func TestValidateCatchesCorruption(t *testing.T) {
 func TestJSONRoundTrip(t *testing.T) {
 	cfg := baseCfg()
 	cfg.WithRecharge = true
-	s := Generate(cfg, xrand.New(11))
+	s := mustGenerate(cfg, xrand.New(11))
 	s.AssignVIPs(xrand.New(12), 2, 5)
 
 	b, err := json.Marshal(s)
@@ -297,7 +297,7 @@ func TestJSONRoundTrip(t *testing.T) {
 }
 
 func TestClone(t *testing.T) {
-	s := Generate(baseCfg(), xrand.New(13))
+	s := mustGenerate(baseCfg(), xrand.New(13))
 	c := s.Clone()
 	c.Targets[1].Weight = 9
 	c.MuleStarts[0] = geom.Pt(-1, -1)
@@ -327,7 +327,7 @@ func TestPlacementString(t *testing.T) {
 func TestGenerateCorridor(t *testing.T) {
 	cfg := baseCfg()
 	cfg.Placement = Corridor
-	s := Generate(cfg, xrand.New(5))
+	s := mustGenerate(cfg, xrand.New(5))
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +348,7 @@ func TestGenerateHotspot(t *testing.T) {
 	cfg := baseCfg()
 	cfg.Placement = Hotspot
 	cfg.NumTargets = 30
-	s := Generate(cfg, xrand.New(5))
+	s := mustGenerate(cfg, xrand.New(5))
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +372,7 @@ func TestGenerateInFieldProperty(t *testing.T) {
 		n := int(nRaw%50) + 1
 		m := int(mRaw%8) + 1
 		cfg := Config{NumTargets: n, NumMules: m, Placement: Uniform}
-		s := Generate(cfg, xrand.New(seed))
+		s := mustGenerate(cfg, xrand.New(seed))
 		if s.Validate() != nil {
 			return false
 		}
@@ -386,4 +386,13 @@ func TestGenerateInFieldProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// mustGenerate is Generate for a config it can place.
+func mustGenerate(cfg Config, src *xrand.Source) *Scenario {
+	s, err := Generate(cfg, src)
+	if err != nil {
+		panic(err)
+	}
+	return s
 }

@@ -236,16 +236,16 @@ const (
 	oneEach    // a visit or none per mule
 	longTails  // runs two visits longer than the rest
 	continuing // a last run that starts where the one before it ends
-	badMarks   // runs appended under one mark, or marks with no run
+	badMarks   // fewer or more AllowRuns calls than runs
 	parked     // runs as spans (AppendEvery), where they stride
 	families
 )
 
 // cyclicRuns decodes from data the runs of a circuit family (see
 // nearTies and after) in the order the mules append them, and reports
-// the marks to leave out: the runs with skip set are appended under
-// the mark before them.
-func cyclicRuns(family int, data []byte) (runs [][]float64, skip []bool) {
+// how many times to call AllowRuns before each run: once, or, for
+// badMarks, none to three times.
+func cyclicRuns(family int, data []byte) (runs [][]float64, calls []int) {
 	next := func() int {
 		if len(data) == 0 {
 			return 0
@@ -313,30 +313,34 @@ func cyclicRuns(family int, data []byte) (runs [][]float64, skip []bool) {
 		}
 		runs = append(runs, tail)
 	}
-	skip = make([]bool, len(runs)+1)
+	calls = slices.Repeat([]int{1}, len(runs)+1)
 	if family == badMarks {
-		for k := range skip {
-			skip[k] = bits>>(k%8)&1 == 1
+		for k := range calls {
+			calls[k] = int(bits>>(k%4*2)) & 3
 		}
 	}
-	return runs, skip
+	return runs, calls
 }
 
-// recordMarked is recordRuns with a mark before each run, as patrol.Run
-// marks one before each mule runs ahead: every target's k-th run is
-// appended after the k-th AllowRuns, unless skip[k] appends it under
-// the mark before. A last mark, with skip[len] unset, stands for the
-// engine's mules, here with no visits. With spans, each run of two or
-// more visits a step apart, each the one before plus the step, goes in
-// through AppendEvery, a parked mule's span.
-func recordMarked(runs [][][]float64, exact bool, skip []bool, spans bool) *Recorder {
+// recordMarked is recordRuns with AllowRuns called before each run, as
+// patrol.Run calls it before each mule runs ahead: every target's k-th
+// run is appended after calls[k] calls, and the first after at least
+// one. The calls after the last run stand for the engine's mules, here
+// with no visits. With spans, each run of two or more visits a step
+// apart, each the one before plus the step, goes in through
+// AppendEvery, a parked mule's span.
+func recordMarked(runs [][][]float64, exact bool, calls []int, spans bool) *Recorder {
 	rec := NewRecorderCap(len(runs), runCaps(runs, exact))
 	rows := 0
 	for _, rs := range runs {
 		rows = max(rows, len(rs))
 	}
 	for k := 0; k <= rows; k++ {
-		if k == 0 || !skip[k] {
+		n := calls[k]
+		if k == 0 {
+			n = max(n, 1)
+		}
+		for range n {
 			rec.AllowRuns()
 		}
 		for t, rs := range runs {
@@ -370,29 +374,30 @@ func stride(r []float64) bool {
 	return true
 }
 
-// FuzzMergeRuns holds the run merge to the sorting oracle, through the
-// scan for descents (recordRuns) and through the marks (recordMarked)
-// alike: on logs decoded by fuzzRuns and on the circuit families of
-// cyclicRuns, each also appended in reverse order on a second target,
-// carved from the flat block or grown by append; and on the scan's
-// merge itself with a buffer too short for the log. Both recorders
-// report the same Merged.
+// FuzzMergeRuns holds the run merge to the sorting oracle, with one
+// AllowRuns for all runs (recordRuns) and with one before each run
+// (recordMarked) alike: on logs decoded by fuzzRuns and on the circuit
+// families of cyclicRuns, each also appended in reverse order on a
+// second target, carved from the flat block or grown by append; and on
+// the oracle's merge itself with a buffer too short for the log. Both
+// recorders report the same Merged.
 func FuzzMergeRuns(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 0xF1, 0, 1, 0xF0, 0xF0, 4, 0xF2}, uint8(irregular))
 	f.Add([]byte{0xF3, 0, 0, 0xF3, 0, 0xF3}, uint8(irregular))
 	f.Add([]byte{7, 7, 7, 7}, uint8(irregular))
 	f.Add([]byte{0xFF, 1, 0xFE, 1, 0xFD, 1, 0xFC, 1, 0xFB, 1, 0xFA, 1}, uint8(irregular))
+	f.Add([]byte{4, 0xF1, 0, 0xF0, 1}, uint8(irregular)) // a run from the last visit of the one before: no descent
 	for family := nearTies; family < families; family++ {
 		f.Add([]byte{7, 9, 40, 3, 2, 5, 0xA5, 1}, uint8(family))
 		f.Add([]byte{3, 4, 0, 0, 3, 1, 0x5A, 0}, uint8(family))
 	}
 	f.Fuzz(func(t *testing.T, data []byte, family uint8) {
 		var rs [][]float64
-		var skip []bool
+		var calls []int
 		if family %= families; family == irregular {
-			rs, skip = fuzzRuns(data), make([]bool, 66)
+			rs, calls = fuzzRuns(data), slices.Repeat([]int{1}, 66)
 		} else {
-			rs, skip = cyclicRuns(int(family), data)
+			rs, calls = cyclicRuns(int(family), data)
 		}
 		runs := [][][]float64{rs, slices.Clone(rs)}
 		slices.Reverse(runs[1])
@@ -402,10 +407,10 @@ func FuzzMergeRuns(f *testing.F) {
 			if n := max(naturalRuns(runs[0]), naturalRuns(runs[1])); n > 1 && plain.Merged() != n {
 				t.Fatalf("Merged() = %d, want %d", plain.Merged(), n)
 			}
-			marked := recordMarked(runs, exact, skip, family == parked)
+			marked := recordMarked(runs, exact, calls, family == parked)
 			checkMerged(t, marked, runs)
 			if marked.Merged() != plain.Merged() {
-				t.Fatalf("Merged() = %d through the marks, %d through the scan", marked.Merged(), plain.Merged())
+				t.Fatalf("Merged() = %d with AllowRuns per run, %d with one", marked.Merged(), plain.Merged())
 			}
 		}
 		var ts []float64
@@ -420,12 +425,10 @@ func FuzzMergeRuns(f *testing.F) {
 // TestMergeRunsGathers: runs that interleave round-robin, as eight
 // mules evenly spread over one circuit log them, are gathered, never
 // merged pass after pass, even with their tails one visit apart, equal
-// times or 1-ulp near-ties, whether the marks cut them, the scan finds
-// them where the marks do not explain the breaks, or it finds them on
-// 60 targets, more than the mark table has room for, which never
-// grows. Runs that do not interleave so, a W-TCTP mule's two visits per
-// period, tails two visits apart or a run that continues the one
-// before, fall back. Each comes out as the sorting oracle has it.
+// times or 1-ulp near-ties, with fewer AllowRuns calls than runs, or on
+// 60 targets. Runs that do not interleave so, a W-TCTP mule's two
+// visits per period, tails two visits apart or a run that continues the
+// one before, fall back. Each comes out as the sorting oracle has it.
 func TestMergeRunsGathers(t *testing.T) {
 	for _, tc := range []struct {
 		family, targets int
@@ -445,7 +448,7 @@ func TestMergeRunsGathers(t *testing.T) {
 		// 8 mules, 40 or 41 visits each, period 6 s, from 3.5 s, the
 		// fourth run appended first; every other target's runs are
 		// appended in reverse order.
-		rs, skip := cyclicRuns(tc.family, []byte{7, 40, 40, 10, 3, 3, tc.bits})
+		rs, calls := cyclicRuns(tc.family, []byte{7, 40, 40, 10, 3, 3, tc.bits})
 		runs := make([][][]float64, tc.targets)
 		for id := range runs {
 			runs[id] = slices.Clone(rs)
@@ -454,15 +457,15 @@ func TestMergeRunsGathers(t *testing.T) {
 			}
 		}
 		for _, exact := range []bool{false, true} {
-			rec := recordMarked(runs, exact, skip, false)
+			rec := recordMarked(runs, exact, calls, false)
 			checkMerged(t, rec, runs)
 			want := 0
 			if !tc.gather {
 				want = len(runs)
 			}
-			if rec.Merged() < 8 || rec.fallbacks != want || cap(rec.marks) != len(rec.markBuf) {
-				t.Fatalf("family %d on %d targets, bits %#x, exact %v: %d runs merged, %d logs fell back, want %d; mark table of %d",
-					tc.family, tc.targets, tc.bits, exact, rec.Merged(), rec.fallbacks, want, cap(rec.marks))
+			if rec.Merged() < 8 || rec.fallbacks != want {
+				t.Fatalf("family %d on %d targets, bits %#x, exact %v: %d runs merged, %d logs fell back, want %d",
+					tc.family, tc.targets, tc.bits, exact, rec.Merged(), rec.fallbacks, want)
 			}
 		}
 	}
@@ -583,7 +586,7 @@ func FuzzAppendEvery(f *testing.F) {
 
 // BenchmarkMergeRuns measures recording and merging the visits of 8
 // mules that share 10 targets, on a warm recorder: each op resets it,
-// marks each mule's run (AllowRuns) and appends the mule's visits, as
+// allows each mule's runs (AllowRuns) and appends the mule's visits, as
 // patrol.Run does, and merges. On the cyclic log the mules spread
 // evenly over one circuit, 250 visits to each target each, which the
 // gather merges; on the random log each mule visits a random target
@@ -634,7 +637,7 @@ func BenchmarkMergeRuns(b *testing.B) {
 				}
 				rec.MergeRuns()
 			}
-			record() // warm: the marks and the merge buffer
+			record() // warm: the run tables and the merge buffer
 			if rec.Merged() != m || (rec.fallbacks == 0) != tc.gather {
 				b.Fatalf("%d runs merged, %d logs fell back", rec.Merged(), rec.fallbacks)
 			}

@@ -28,10 +28,10 @@
 //
 // Mules that run ahead of the event engine record one after another, so
 // a target several of them share logs one time-sorted run per mule.
-// AllowRuns, called before each mule records, marks where its runs
-// start, and MergeRuns sorts every log again before a metric reads it:
-// in one gather when the runs interleave round-robin, as the visits of
-// mules evenly spread over one circuit do, else pass after pass.
+// After AllowRuns, Append takes such runs, and MergeRuns cuts every log
+// at its descents and sorts it again before a metric reads it: in one
+// gather when the runs interleave round-robin, as the visits of mules
+// evenly spread over one circuit do, else pass after pass.
 package metrics
 
 import (
@@ -63,21 +63,15 @@ type Recorder struct {
 	// the last MergeRuns merged into one log.
 	runs           bool
 	breaks, merged int
-	// marks holds one row per AllowRuns since the last merge: every
-	// log's length then, where the next run starts, in 32 bits (a log
-	// of 2³¹ visits would fill 16 GiB). It is markBuf, room for the
-	// paper grid's largest fleet, 8 mules and the engine's on 50
-	// targets; a larger fleet's runs are found by scanning (MergeRuns).
-	// segs and ends are MergeRuns' tables of one log's runs and of the
-	// ends of its time-sorted ones; they start in segBuf and endBuf and
-	// are kept when they grow. No table allocates for such a fleet, and
-	// a warm recorder's merge allocates none. fallbacks counts the logs
-	// merged pass after pass rather than gathered (see gather).
-	marks     []int32
+	// segs and ends are MergeRuns' tables of one log's runs and of
+	// their ends; they start in segBuf and endBuf, room for the paper
+	// grid's largest fleet, 8 mules and the engine's, and are kept when
+	// they grow, so a warm recorder's merge allocates none. fallbacks
+	// counts the logs merged pass after pass rather than gathered (see
+	// gather).
 	ends      []int
 	segs      []seg
 	fallbacks int
-	markBuf   [9 * 50]int32
 	segBuf    [9]seg
 	endBuf    [9]int
 	// gaps is the fused gap summary of every log at one cut (see
@@ -149,9 +143,8 @@ func (r *Recorder) reset(nTargets int, caps []int) {
 	r.runs, r.breaks, r.merged, r.used, r.gapsOK = false, 0, 0, 0, false
 	r.fallbacks = 0
 	if r.spans == nil {
-		r.spans, r.marks, r.segs, r.ends = r.spanBuf[:0], r.markBuf[:0], r.segBuf[:0], r.endBuf[:0]
+		r.spans, r.segs, r.ends = r.spanBuf[:0], r.segBuf[:0], r.endBuf[:0]
 	}
-	r.marks = r.marks[:0]
 	r.spans = r.spans[:0]
 	keep := len(r.visits) // the last run's logs, pairwise disjoint
 	if cap(r.visits) < nTargets {
@@ -344,20 +337,8 @@ func (r *Recorder) writeOut(target int) {
 // target's log becomes a sequence of time-sorted runs. Append then
 // takes a visit earlier than its target's last as the start of a new
 // run instead of panicking, until MergeRuns merges every log's runs
-// into one. Each call also marks every log's current length as the
-// start of the next run, while the recorder's table has room for it,
-// so a caller that calls it before each mule records tells MergeRuns
-// where the runs are; one that calls it once and appends several runs,
-// or a fleet too large for the table, leaves MergeRuns to find them.
-func (r *Recorder) AllowRuns() {
-	r.runs = true
-	if len(r.marks)+len(r.visits) > cap(r.marks) {
-		return
-	}
-	for _, ts := range r.visits {
-		r.marks = append(r.marks, int32(len(ts)))
-	}
-}
+// into one.
+func (r *Recorder) AllowRuns() { r.runs = true }
 
 // MergeRuns merges each log's time-sorted runs into one time-sorted
 // log and makes Append strict again, as it is until AllowRuns. A log
@@ -365,70 +346,31 @@ func (r *Recorder) AllowRuns() {
 // the visits would have made had they been appended in time order, bit
 // for bit. A log that is one run already is left as it is.
 //
-// When the descents at the marks of AllowRuns, found in O(marks) per
-// log, are all the breaks Append counted, every marked run is sorted,
-// and each log is cut into runs at its marks. Otherwise MergeRuns
-// scans each log for its descents and cuts it there. Runs that
-// interleave round-robin are then gathered in one pass (gather), and
-// only the logs whose runs do not are merged pass after pass.
+// Each log is cut into runs at its descents, where a visit is earlier
+// than the one before. Runs that interleave round-robin are then
+// gathered in one pass (gather), and only the logs whose runs do not
+// are merged pass after pass.
 func (r *Recorder) MergeRuns() {
 	r.runs, r.merged, r.gapsOK = false, 0, false
-	marks := r.marks
-	r.marks = r.marks[:0]
 	if r.breaks == 0 {
 		return
 	}
-	found := 0
-	for t := range r.visits {
-		found += r.markedBreaks(t, marks)
-	}
-	if found != r.breaks {
-		marks = nil
-	}
 	// A span lies inside one run, so a log with a descent has runs to
-	// merge, and its spans are written out first, its marks moved past
-	// the visits written out before them.
+	// merge, and its spans are written out first.
 	for i := 0; i < len(r.spans); {
-		t := r.spans[i].target
-		if marks == nil && slices.IsSorted(r.visits[t]) || marks != nil && r.markedBreaks(t, marks) == 0 {
-			i++
+		if t := r.spans[i].target; !slices.IsSorted(r.visits[t]) {
+			r.writeOut(t) // drops t's spans, the next one's at i
 			continue
 		}
-		lo, hi := r.ownSpans(t)
-		for k := t; k < len(marks); k += len(r.visits) {
-			p := int(marks[k])
-			for _, sp := range r.spans[lo:hi] {
-				if sp.at < p {
-					marks[k] += int32(sp.n - 2)
-				}
-			}
-		}
-		r.writeOut(t) // drops t's spans, the next one's at i
+		i++
 	}
 	buf := r.mergeBuffer(r.longest())
 	for t := 0; r.breaks > 0 && t < len(r.visits); t++ {
-		n := r.mergeLog(t, marks, buf)
+		n := r.mergeLog(t, buf)
 		r.breaks -= n - 1
 		r.merged = max(r.merged, n)
 	}
 	r.breaks = 0
-}
-
-// markedBreaks counts the descents of target's log at its marks: the
-// marked positions, past its first visit and before its end, whose
-// visit is earlier than the one before.
-func (r *Recorder) markedBreaks(target int, marks []int32) int {
-	ts := r.visits[target]
-	d, at := 0, 0
-	for k := target; k < len(marks); k += len(r.visits) {
-		if p := int(marks[k]); p > at && p < len(ts) {
-			if ts[p] < ts[p-1] {
-				d++
-			}
-			at = p
-		}
-	}
-	return d
 }
 
 // longest returns the largest capacity of a log.
@@ -464,29 +406,14 @@ type seg struct{ at, n int }
 
 // mergeLog sorts target's log, using buf, which has room for it, and
 // returns how many time-sorted runs it held. It cuts the log into runs
-// at its marks, each time-sorted, or, with no marks, at its descents,
-// and sorts them by gather when they interleave round-robin, else pass
-// after pass over the ends of its time-sorted runs, its descents.
-func (r *Recorder) mergeLog(target int, marks []int32, buf []float64) int {
+// at its descents and sorts them by gather when they interleave
+// round-robin, else pass after pass over their ends.
+func (r *Recorder) mergeLog(target int, buf []float64) int {
 	ts := r.visits[target]
 	segs, ends := r.segs[:0], r.ends[:0]
 	at := 0
-	if marks != nil {
-		for k := target; k < len(marks); k += len(r.visits) {
-			if p := int(marks[k]); p > at && p < len(ts) {
-				segs = append(segs, seg{at, p - at})
-				if ts[p] < ts[p-1] {
-					ends = append(ends, p)
-				}
-				at = p
-			}
-		}
-	} else {
-		for p := 1; p < len(ts); p++ {
-			if ts[p] < ts[p-1] {
-				segs, ends, at = append(segs, seg{at, p - at}), append(ends, p), p
-			}
-		}
+	for p := descent(ts, 1); p < len(ts); p = descent(ts, p+1) {
+		segs, ends, at = append(segs, seg{at, p - at}), append(ends, p), p
 	}
 	if len(ends) == 0 {
 		return 1
@@ -498,6 +425,21 @@ func (r *Recorder) mergeLog(target int, marks []int32, buf []float64) int {
 		mergeEnds(ts, buf, ends)
 	}
 	return len(ends)
+}
+
+// descent returns the first index from p ≥ 1 on whose visit is earlier
+// than the one before, or len(ts) when there is none. It compares four
+// pairs per branch, which halves the time of the scan: a log's runs are
+// long, so its descents are rare.
+func descent(ts []float64, p int) int {
+	for ; p+4 <= len(ts); p += 4 {
+		if q := ts[p-1 : p+4]; q[1] < q[0] || q[2] < q[1] || q[3] < q[2] || q[4] < q[3] {
+			break
+		}
+	}
+	for ; p < len(ts) && !(ts[p] < ts[p-1]); p++ {
+	}
+	return p
 }
 
 // gather sorts ts, cut into the time-sorted runs segs, in one pass

@@ -47,7 +47,7 @@ func (r *Recorder) IntervalsAfter(target int, t0 float64) []float64 {
 	return out
 }
 
-// mergeRuns is the recorder's run merge before marks and gather: it
+// mergeRuns is the recorder's run merge before the gather: it
 // sorts ts, a sequence of time-sorted runs, and returns how many runs it
 // held, finding them by their descents, whose indexes it keeps in an
 // array on the stack (which moves to the heap only past 130 runs), and

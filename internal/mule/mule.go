@@ -33,8 +33,8 @@
 // visit straight to the recorder, or, for a mule parked at one target,
 // every visit in one stride. Mules that run ahead may share
 // targets: each appends its visits to a target's log as one time-sorted
-// run, whose start patrol.Run marks before the mule runs
-// (metrics.Recorder.AllowRuns), and the recorder merges the runs,
+// run in a recorder that allows runs (metrics.Recorder.AllowRuns), and
+// the recorder finds the runs at the log's descents and merges them,
 // gathering them in one pass when they interleave round-robin
 // (metrics.Recorder.MergeRuns).
 package mule
@@ -194,8 +194,8 @@ func (m *Mule) Recharges() int { return m.recharges }
 // battery and callbacks touch nothing another mule or event reads or
 // writes, and no callback depends on the order of visits across mules.
 // Its visits to a target it shares with other mules reach the recorder
-// as one time-sorted run among theirs, and a recorder that allows runs
-// (metrics.Recorder.AllowRuns) merges them. Kill and Reroute have
+// as one time-sorted run among theirs, which a recorder that allows
+// runs (metrics.Recorder.AllowRuns) finds at its descents and merges. Kill and Reroute have
 // nothing to cancel on a mule that ran ahead.
 //
 // A mule without a battery whose router is a compiled Route runs the

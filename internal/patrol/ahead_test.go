@@ -58,7 +58,7 @@ func randomAheadCase(rng *rand.Rand, family string) (s *field.Scenario, alg func
 			mules = targets + 2
 		}
 	}
-	s = field.Generate(field.Config{
+	s = mustGenerate(field.Config{
 		NumTargets: targets,
 		NumMules:   mules,
 		Placement:  []field.Placement{field.Uniform, field.Clusters, field.Grid}[rng.Intn(3)],

@@ -452,8 +452,7 @@ func onlineWithin(m int, per float64, maxEvents uint64) bool {
 // the mule has no battery and, on a route, no recharge stop. Its visit
 // times then depend on nothing but its own router, whichever clock it
 // keeps, and the recorder, the one observer left, merges the runs its
-// logs gather, told by a mark before each mule where its run starts
-// (see Run).
+// logs gather (see Run).
 func runsAhead(i int, rs []mule.Route, opts Options) bool {
 	return len(opts.Observers) == 0 && len(opts.Events) == 0 && !opts.UseBattery &&
 		!(i < len(opts.Fleet) && opts.Fleet[i].Battery > 0) && (rs == nil || !rs[i].Recharges())
@@ -477,10 +476,11 @@ func runsAhead(i int, rs []mule.Route, opts Options) bool {
 // than onlineEvents' bound, and the run stays on the engine unless the
 // fleet's bounds sum to at most MaxEvents. A target's log thus gathers
 // one time-sorted run per mule that visits it, the engine's mules
-// counting as one. Run marks where each run starts
-// (metrics.Recorder.AllowRuns) and the recorder merges them before Run
-// returns, in one gather when they interleave round-robin, as mules
-// evenly spread over one circuit do (metrics.Recorder.MergeRuns). A
+// counting as one. The recorder takes such runs
+// (metrics.Recorder.AllowRuns), finds them at the log's descents and
+// merges them before Run returns, in one gather when they interleave
+// round-robin, as mules evenly spread over one circuit do
+// (metrics.Recorder.MergeRuns). A
 // log is the sorted multiset of its visit times, so the results are
 // bit-identical to running every mule on the engine, which attaching
 // any observer does.
@@ -587,7 +587,6 @@ func Run(s *field.Scenario, alg Algorithm, opts Options, src *xrand.Source) (*Re
 		}
 	}
 	mules := make([]*mule.Mule, s.NumMules())
-	ahead, engine := false, false // whether some mule runs ahead, some not
 	for i := range mules {
 		var battery *energy.Battery
 		switch {
@@ -614,19 +613,14 @@ func Run(s *field.Scenario, alg Algorithm, opts Options, src *xrand.Source) (*Re
 			OnRecharge: dispatch.OnRecharge,
 		})
 		if bounded && runsAhead(i, rs, opts) {
-			rec.AllowRuns() // marks where the mule's runs start
+			rec.AllowRuns() // the mule's visits start a run in each log
 			if rs != nil {
 				rs[i].Compile(rec)
 			}
 			mules[i].RunUntil(opts.Horizon)
-			ahead = true
 		} else {
 			mules[i].Launch()
-			engine = true
 		}
-	}
-	if ahead && engine {
-		rec.AllowRuns() // the engine's visits, in time order, are one more run
 	}
 	if rp != nil {
 		rp.mules = mules

@@ -14,7 +14,7 @@ import (
 )
 
 func scenario(seed uint64, targets, mules int) *field.Scenario {
-	return field.Generate(field.Config{
+	return mustGenerate(field.Config{
 		NumTargets: targets,
 		NumMules:   mules,
 		Placement:  field.Uniform,
@@ -121,7 +121,7 @@ func TestBTCTPClosedForm(t *testing.T) {
 	merged := 0
 	for i := 0; i < 200; i++ {
 		mules := 1 + rng.Intn(8)
-		s := field.Generate(field.Config{
+		s := mustGenerate(field.Config{
 			NumTargets: mules + 2 + rng.Intn(30),
 			NumMules:   mules,
 			Placement:  []field.Placement{field.Uniform, field.Clusters, field.Grid}[rng.Intn(3)],
@@ -187,7 +187,7 @@ func TestSharedCircuitClosedForm(t *testing.T) {
 	merged, zeros, repeats := 0, 0, 0
 	for i := 0; i < 240; i++ {
 		mules := 1 + rng.Intn(8)
-		s := field.Generate(field.Config{
+		s := mustGenerate(field.Config{
 			NumTargets: mules + 2 + rng.Intn(30),
 			NumMules:   mules,
 			Placement:  []field.Placement{field.Uniform, field.Clusters, field.Grid}[rng.Intn(3)],
@@ -350,7 +350,7 @@ func TestWTCTPVIPFrequency(t *testing.T) {
 }
 
 func TestRWTCTPNeverDies(t *testing.T) {
-	s := field.Generate(field.Config{
+	s := mustGenerate(field.Config{
 		NumTargets:   15,
 		NumMules:     2,
 		Placement:    field.Uniform,
@@ -378,7 +378,7 @@ func TestRWTCTPNeverDies(t *testing.T) {
 func TestWithoutRechargeMulesDie(t *testing.T) {
 	// The contrast experiment: same battery, plain W-TCTP (no
 	// recharge detours) — the fleet must die before the horizon.
-	s := field.Generate(field.Config{
+	s := mustGenerate(field.Config{
 		NumTargets:   15,
 		NumMules:     2,
 		Placement:    field.Uniform,
@@ -482,7 +482,7 @@ func TestMaxEventsGuard(t *testing.T) {
 }
 
 func TestObserversAreInvoked(t *testing.T) {
-	s := field.Generate(field.Config{
+	s := mustGenerate(field.Config{
 		NumTargets: 10, NumMules: 2, Placement: field.Uniform, WithRecharge: true,
 	}, xrand.New(40))
 	model := energy.Default()
@@ -913,4 +913,13 @@ func TestRunAllocationsIndependentOfHorizon(t *testing.T) {
 			}
 		})
 	}
+}
+
+// mustGenerate is field.Generate for a config it can place.
+func mustGenerate(cfg field.Config, src *xrand.Source) *field.Scenario {
+	s, err := field.Generate(cfg, src)
+	if err != nil {
+		panic(err)
+	}
+	return s
 }

@@ -22,7 +22,7 @@ func randomPlanCase(rng *rand.Rand) (*field.Scenario, Algorithm, Options) {
 	mules := 1 + rng.Intn(6)
 	targets := mules + rng.Intn(25)
 	placements := []field.Placement{field.Uniform, field.Clusters, field.Grid}
-	s := field.Generate(field.Config{
+	s := mustGenerate(field.Config{
 		NumTargets:   targets,
 		NumMules:     mules,
 		Placement:    placements[rng.Intn(len(placements))],
@@ -99,7 +99,7 @@ func TestVisitCapsBoundVisitCounts(t *testing.T) {
 		s, alg, opts := randomPlanCase(rng)
 		if i%2 == 1 {
 			// Few targets per mule: Sweep parks mules alone at one.
-			s = field.Generate(field.Config{NumTargets: s.NumMules() + rng.Intn(3), NumMules: s.NumMules()},
+			s = mustGenerate(field.Config{NumTargets: s.NumMules() + rng.Intn(3), NumMules: s.NumMules()},
 				xrand.New(uint64(rng.Int63())))
 		}
 		res, err := Run(s, alg, opts, nil)

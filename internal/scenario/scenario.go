@@ -209,11 +209,16 @@ type Scenario struct {
 
 // Validate checks the declarative invariants. It does not touch
 // randomness: a valid scenario materializes successfully from any
-// source.
+// source, unless its clusters do not fit the field, which Materialize
+// reports.
 func (s *Scenario) Validate() error {
 	if s.Field.Width < 0 || s.Field.Height < 0 {
 		return fmt.Errorf("scenario: field %g × %g has a negative dimension",
 			s.Field.Width, s.Field.Height)
+	}
+	if s.Field.NumClusters < 0 || s.Field.ClusterRadius < 0 {
+		return fmt.Errorf("scenario: negative clusters: %d of radius %g",
+			s.Field.NumClusters, s.Field.ClusterRadius)
 	}
 	if _, err := field.ParsePlacement(s.Field.Placement.String()); err != nil {
 		return fmt.Errorf("scenario: invalid placement %v", s.Field.Placement)
@@ -279,9 +284,11 @@ func (s *Scenario) Validate() error {
 
 // Materialize generates the concrete field.Scenario deterministically
 // from src: target positions per the placement distribution, mule
-// starts, VIP assignment. The derivation is identical to the historic
-// field.Generate + AssignVIPs path, so materializing a homogeneous
-// paper-protocol scenario is bit-compatible with pre-scenario code.
+// starts, VIP assignment. It returns an error for an invalid scenario
+// and for clusters that do not fit the field. The derivation is
+// identical to the historic field.Generate + AssignVIPs path, so
+// materializing a homogeneous paper-protocol scenario is bit-compatible
+// with pre-scenario code.
 func (s *Scenario) Materialize(src *xrand.Source) (*field.Scenario, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -297,7 +304,10 @@ func (s *Scenario) Materialize(src *xrand.Source) (*field.Scenario, error) {
 		MulesAtSink:   s.Fleet.AtSink,
 		WithRecharge:  s.Field.Recharge,
 	}
-	scn := field.Generate(cfg, src)
+	scn, err := field.Generate(cfg, src)
+	if err != nil {
+		return nil, err
+	}
 	if s.Targets.VIPs > 0 {
 		scn.AssignVIPs(src, s.Targets.VIPs, s.Targets.VIPWeight)
 	}

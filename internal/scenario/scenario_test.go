@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"tctp/internal/core"
 	"tctp/internal/field"
@@ -98,6 +99,41 @@ func TestValidationErrors(t *testing.T) {
 	}
 }
 
+// unplaceable are scenario documents whose clusters cannot be placed:
+// a negative radius, four default clusters (radius 80 m, centres 180 m
+// apart) on a 100 × 100 field, a negative cluster count, and a radius
+// that overflows the discs' bounds.
+var unplaceable = []string{
+	`{"field":{"placement":"clusters","cluster_radius":-5},"targets":{"count":5},"fleet":{"mules":[{"speed":2}]}}`,
+	`{"field":{"width":100,"height":100,"placement":"clusters"},"targets":{"count":5},"fleet":{"mules":[{"speed":2}]}}`,
+	`{"field":{"placement":"clusters","num_clusters":-2},"targets":{"count":5},"fleet":{"mules":[{"speed":2}]}}`,
+	`{"field":{"placement":"clusters","cluster_radius":1e308},"targets":{"count":5},"fleet":{"mules":[{"speed":2}]}}`,
+}
+
+// TestUnplaceableClustersFail: a clusters field that cannot be placed
+// is an error from Materialize, neither a spin nor a panic.
+func TestUnplaceableClustersFail(t *testing.T) {
+	for _, doc := range unplaceable {
+		var s Scenario
+		if err := json.Unmarshal([]byte(doc), &s); err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() {
+			_, err := s.Materialize(xrand.New(1))
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), "clusters") {
+				t.Fatalf("%s: Materialize returned %v", doc, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: Materialize still running after 10 s", doc)
+		}
+	}
+}
+
 func TestPresets(t *testing.T) {
 	names := PresetNames()
 	if len(names) != 5 {
@@ -128,10 +164,13 @@ func TestMaterializeMatchesFieldGenerate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := field.Generate(field.Config{
+	want, err := field.Generate(field.Config{
 		Width: 800, Height: 800,
 		NumTargets: 20, NumMules: 4, Placement: field.Uniform,
 	}, xrand.New(42))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("materialization diverged from field.Generate")
 	}

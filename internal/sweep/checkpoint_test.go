@@ -482,7 +482,7 @@ func TestAdaptiveDiscardsErrorsBeyondStop(t *testing.T) {
 			Adaptive:   &Adaptive{Metric: "steady_sd", RelCI: 0.05, MinReps: 3},
 			Scenario: func(p Point, src *xrand.Source) *field.Scenario {
 				head := src.Uint64()
-				s := field.Generate(field.Config{NumTargets: p.Targets, NumMules: p.Mules}, src)
+				s := mustGenerate(field.Config{NumTargets: p.Targets, NumMules: p.Mules}, src)
 				if bad[head] {
 					s.MuleStarts = nil // patrol.Run rejects this
 				}

@@ -212,7 +212,7 @@ func TestRunError(t *testing.T) {
 	spec := tinySpec()
 	// An invalid scenario (no mules) fails inside patrol.Run.
 	spec.Scenario = func(p Point, src *xrand.Source) *field.Scenario {
-		s := field.Generate(field.Config{NumTargets: p.Targets, NumMules: p.Mules}, src)
+		s := mustGenerate(field.Config{NumTargets: p.Targets, NumMules: p.Mules}, src)
 		if p.Targets == 8 {
 			s.MuleStarts = nil
 		}
@@ -544,7 +544,7 @@ func TestFleetAxisReachesBespokeScenarios(t *testing.T) {
 		Fleets:     []scenario.Fleet{mixed},
 		Horizons:   []float64{10_000},
 		Scenario: func(p Point, src *xrand.Source) *field.Scenario {
-			return field.Generate(field.Config{NumTargets: p.Targets, NumMules: p.Mules}, src)
+			return mustGenerate(field.Config{NumTargets: p.Targets, NumMules: p.Mules}, src)
 		},
 		Configure: func(Point, *scenario.Scenario) { configured = true },
 		Metrics: []Metric{
@@ -606,4 +606,13 @@ func ExampleRun() {
 	fmt.Printf("cells=%d runs=%d btctp steady SD=%.1f\n",
 		len(res.Cells), res.Runs, res.Cells[0].Metric("avg_sd_s").Mean)
 	// Output: cells=1 runs=2 btctp steady SD=0.0
+}
+
+// mustGenerate is field.Generate for a config it can place.
+func mustGenerate(cfg field.Config, src *xrand.Source) *field.Scenario {
+	s, err := field.Generate(cfg, src)
+	if err != nil {
+		panic(err)
+	}
+	return s
 }

@@ -12,12 +12,15 @@ import (
 )
 
 func testScenario() *field.Scenario {
-	s := field.Generate(field.Config{
+	s, err := field.Generate(field.Config{
 		NumTargets:   10,
 		NumMules:     2,
 		Placement:    field.Uniform,
 		WithRecharge: true,
 	}, xrand.New(1))
+	if err != nil {
+		panic(err)
+	}
 	s.AssignVIPs(xrand.New(2), 1, 3)
 	return s
 }

@@ -11,9 +11,13 @@ import (
 )
 
 func scenario() *field.Scenario {
-	return field.Generate(field.Config{
+	s, err := field.Generate(field.Config{
 		NumTargets: 5, NumMules: 2, Placement: field.Grid,
 	}, xrand.New(1))
+	if err != nil {
+		panic(err)
+	}
+	return s
 }
 
 func almost(a, b float64) bool { return math.Abs(a-b) < 1e-9 }

@@ -239,9 +239,14 @@ type RandSource = xrand.Source
 func NewRandSource(seed uint64) *RandSource { return xrand.New(seed) }
 
 // GenerateScenario builds a deterministic random scenario from the
-// configuration and seed.
+// configuration and seed. It panics on a configuration it cannot
+// place: no targets, no mules, or clusters that do not fit the field.
 func GenerateScenario(cfg ScenarioConfig, seed uint64) *Scenario {
-	return field.Generate(cfg, xrand.New(seed))
+	s, err := field.Generate(cfg, xrand.New(seed))
+	if err != nil {
+		panic(err)
+	}
+	return s
 }
 
 // Run plans the scenario with the planner and simulates the fleet
