@@ -25,12 +25,12 @@ base=${4:+$(realpath "$4")}
 # with a '/' level runs no benchmark that lacks sub-benchmarks:
 #   1. every package: the sub-benchmarked ladders at one rung (n=1000,
 #      or n=15 for the exact solver), 5 iterations per run;
-#   2. the engine microbenchmarks, the service hot paths and the
-#      recorder's run merge, 2000 iterations per run;
+#   2. the engine microbenchmarks, the service hot paths, the CSV sink
+#      and the recorder's run merge, 2000 iterations per run;
 #   3. the root package's simulation and cell benchmarks, 5 iterations
 #      per run.
 bench1='^(BenchmarkPlanNearestNeighbor|BenchmarkPlanGreedyEdge|BenchmarkPlanConvexHullInsertion|BenchmarkPlanKMeans|BenchmarkPlanFleet|BenchmarkPlanRegions|BenchmarkPlanCHBAssign|BenchmarkReplanAbsorb|BenchmarkOptimalHeldKarp|BenchmarkCellSimulation)$/^n=(1000|15)$'
-bench2='^(BenchmarkEngine|BenchmarkEngineCancel|BenchmarkCacheHitSweep|BenchmarkCacheDedup|BenchmarkRemoteDispatch|BenchmarkServerWarmSweep|BenchmarkMergeRuns)$'
+bench2='^(BenchmarkEngine|BenchmarkEngineCancel|BenchmarkCacheHitSweep|BenchmarkCacheDedup|BenchmarkRemoteDispatch|BenchmarkServerWarmSweep|BenchmarkCSVSink|BenchmarkMergeRuns)$'
 bench3='^(BenchmarkSimulationThroughput|BenchmarkSimulationEngine|BenchmarkSimulationExclusive|BenchmarkSimulationExclusiveRegions|BenchmarkSimulationRandom|BenchmarkCellExclusive)$'
 
 # build compiles, for the checkout $1, the test binary of every
@@ -73,7 +73,7 @@ run() {
 round() {
 	local dir=$1 bin=$out/.benchbin-$2 dst=$out/bench-$2.txt
 	run "$dir" "$bin" "$dst" "$bench1" 5x $(cat "$bin/pkgs")
-	run "$dir" "$bin" "$dst" "$bench2" 2000x ./internal/sim ./internal/sweep/cache ./internal/sweep/dispatch ./internal/sweep/server ./internal/metrics
+	run "$dir" "$bin" "$dst" "$bench2" 2000x ./internal/sim ./internal/sweep ./internal/sweep/cache ./internal/sweep/dispatch ./internal/sweep/server ./internal/metrics
 	run "$dir" "$bin" "$dst" "$bench3" 5x .
 }
 

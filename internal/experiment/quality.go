@@ -3,7 +3,6 @@ package experiment
 import (
 	"encoding/json"
 	"fmt"
-	"strconv"
 
 	"tctp/internal/field"
 	"tctp/internal/scenario"
@@ -95,8 +94,8 @@ func QualityStudy(p Params, cfg QualityConfig) (*Table, error) {
 			table.Add(preset, c.Point.Algorithm,
 				ratioCell(c.Metric("ratio_tour").Mean),
 				ratioCell(c.Metric("ratio_dcdt").Mean),
-				strconv.FormatFloat(c.Metric("avg_dcdt_s").Mean, 'f', 2, 64),
-				strconv.FormatFloat(c.Metric("circuit_m").Mean, 'f', 2, 64))
+				fixed(c.Metric("avg_dcdt_s").Mean, 2),
+				fixed(c.Metric("circuit_m").Mean, 2))
 			return nil
 		})
 		if err != nil {
@@ -109,4 +108,4 @@ func QualityStudy(p Params, cfg QualityConfig) (*Table, error) {
 // ratioCell renders an approximation ratio with four decimals — the
 // precision contract of the golden fixtures the quality gate compares
 // against.
-func ratioCell(v float64) string { return strconv.FormatFloat(v, 'f', 4, 64) }
+func ratioCell(v float64) string { return fixed(v, 4) }

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"text/tabwriter"
 
+	"tctp/internal/ftoa"
 	"tctp/internal/stats"
 )
 
@@ -32,6 +33,13 @@ func (t *Table) Add(cells ...string) {
 	t.Rows = append(t.Rows, cells)
 }
 
+// fixed renders v with prec decimals, byte for byte as strconv's 'f'
+// format does.
+func fixed(v float64, prec int) string {
+	var b [24]byte
+	return string(ftoa.AppendFixed(b[:0], v, prec))
+}
+
 // AddF appends one row of formatted values: strings pass through,
 // float64 renders with %.2f, int with %d.
 func (t *Table) AddF(cells ...interface{}) {
@@ -41,7 +49,7 @@ func (t *Table) AddF(cells ...interface{}) {
 		case string:
 			row[i] = v
 		case float64:
-			row[i] = strconv.FormatFloat(v, 'f', 2, 64)
+			row[i] = fixed(v, 2)
 		case int:
 			row[i] = strconv.Itoa(v)
 		default:
@@ -144,7 +152,7 @@ func SeriesCSV(w io.Writer, xLabel string, series []stats.Series) error {
 		row = append(row, x)
 		for _, s := range series {
 			if i < s.Len() {
-				row = append(row, strconv.FormatFloat(s.Y[i], 'f', 4, 64))
+				row = append(row, fixed(s.Y[i], 4))
 			} else {
 				row = append(row, "")
 			}
@@ -191,7 +199,7 @@ func SurfaceCSV(w io.Writer, s *stats.Surface) error {
 			rec := []string{
 				strconv.FormatFloat(r, 'g', -1, 64),
 				strconv.FormatFloat(c, 'g', -1, 64),
-				strconv.FormatFloat(s.At(i, j), 'f', 4, 64),
+				fixed(s.At(i, j), 4),
 			}
 			if err := cw.Write(rec); err != nil {
 				return err

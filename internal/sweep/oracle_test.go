@@ -3,13 +3,18 @@ package sweep
 // The oracles of the encoded cell identities (cellkey.go): a cell key
 // and a plan fingerprint computed by marshalling one whole struct per
 // cell and per plan. The spliced encodings Plan stores must hash the
-// same bytes.
+// same bytes. And the oracle of the CSV sink (sink.go): every row built
+// as strings and written by encoding/csv. The allocation-free sink must
+// write the same bytes.
 
 import (
 	"crypto/sha256"
+	"encoding/csv"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
+	"strconv"
 	"testing"
 
 	"tctp/internal/core"
@@ -242,4 +247,73 @@ func TestCellKeysMatchOracle(t *testing.T) {
 			}
 		}
 	}
+}
+
+// csvOracle is the CSV sink rendered through encoding/csv: each row a
+// []string of fresh strings, each metric through strconv's 'f' format
+// at three decimals.
+type csvOracle struct {
+	w    *csv.Writer
+	spec *Spec
+}
+
+func newCSVOracle(w io.Writer) Sink { return &csvOracle{w: csv.NewWriter(w)} }
+
+func pointRecord(p Point) []string {
+	return []string{
+		p.Algorithm,
+		strconv.Itoa(p.Targets),
+		strconv.Itoa(p.Mules),
+		strconv.FormatFloat(p.Speed, 'g', -1, 64),
+		p.Fleet,
+		p.Placement.String(),
+		strconv.FormatFloat(p.Horizon, 'g', -1, 64),
+		strconv.FormatBool(p.Battery),
+		strconv.Itoa(p.VIPs),
+		strconv.Itoa(p.VIPWeight),
+		p.Workload,
+		p.Partition,
+		p.Failure,
+	}
+}
+
+func fmtF(v float64) string { return strconv.FormatFloat(v, 'f', 3, 64) }
+
+func (s *csvOracle) Begin(spec *Spec, cells int) error {
+	s.spec = spec
+	header := append([]string{}, pointHeader...)
+	header = append(header, "reps")
+	for _, m := range spec.Metrics {
+		header = append(header, m.Name, m.Name+"_ci95")
+	}
+	for _, vm := range spec.Vectors {
+		for k := 0; k < vm.Len; k++ {
+			header = append(header, fmt.Sprintf("%s_%d", vm.Name, k+1))
+		}
+	}
+	return s.w.Write(header)
+}
+
+func (s *csvOracle) Cell(c *CellResult) error {
+	rec := pointRecord(c.Point)
+	rec = append(rec, strconv.Itoa(c.Reps))
+	for _, m := range c.Metrics {
+		rec = append(rec, fmtF(m.Mean), fmtF(m.CI95))
+	}
+	for i, vm := range s.spec.Vectors {
+		vs := c.Vectors[i]
+		for k := 0; k < vm.Len; k++ {
+			if k < len(vs.Mean) {
+				rec = append(rec, fmtF(vs.Mean[k]))
+			} else {
+				rec = append(rec, "")
+			}
+		}
+	}
+	return s.w.Write(rec)
+}
+
+func (s *csvOracle) End(*Result) error {
+	s.w.Flush()
+	return s.w.Error()
 }

@@ -1,12 +1,15 @@
 package sweep
 
 import (
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
 	"text/tabwriter"
+	"unicode"
+	"unicode/utf8"
+
+	"tctp/internal/ftoa"
 )
 
 // Sink receives a sweep's results as they finish. Begin is called once
@@ -28,76 +31,152 @@ var pointHeader = []string{
 	"failure",
 }
 
-func pointRecord(p Point) []string {
-	return []string{
-		p.Algorithm,
-		strconv.Itoa(p.Targets),
-		strconv.Itoa(p.Mules),
-		strconv.FormatFloat(p.Speed, 'g', -1, 64),
-		p.Fleet,
-		p.Placement.String(),
-		strconv.FormatFloat(p.Horizon, 'g', -1, 64),
-		strconv.FormatBool(p.Battery),
-		strconv.Itoa(p.VIPs),
-		strconv.Itoa(p.VIPWeight),
-		p.Workload,
-		p.Partition,
-		p.Failure,
-	}
-}
-
-func fmtF(v float64) string { return strconv.FormatFloat(v, 'f', 3, 64) }
+// csvFlushAt is the buffered size past which the CSV sink writes its
+// rows out, as a 4 KB bufio.Writer would. The buffer starts at that
+// capacity: a sweep of a few dozen cells then allocates it once, where
+// growing it from empty costs more allocations and more bytes.
+const csvFlushAt = 4096
 
 // csvSink writes one long-form CSV row per cell: the full axis point
 // followed by mean and CI95 columns for every scalar metric and the
-// elementwise means of every vector metric.
+// elementwise means of every vector metric, each with three decimals.
+//
+// Its bytes are exactly those of encoding/csv's Writer fed each row as
+// strings, the metrics formatted by strconv's 'f' format (csvOracle in
+// the tests), but a row costs no allocation. It is appended into one
+// reused buffer: the point columns through strconv's Append functions,
+// the string fields quoted in place by quoteCSV, and the metrics
+// through ftoa.AppendFixed. That formatter rounds exactly in integer
+// arithmetic for normal values from 2^-75 to 2^50, which holds every
+// metric the sweeps emit, and hands any other value (0, NaN, ±Inf,
+// subnormals, larger magnitudes) to strconv. The buffer goes to w once
+// it passes csvFlushAt bytes, and at End.
 type csvSink struct {
-	w    *csv.Writer
+	w    io.Writer
+	buf  []byte
 	spec *Spec
 }
 
 // CSV returns a Sink emitting machine-readable CSV to w.
-func CSV(w io.Writer) Sink { return &csvSink{w: csv.NewWriter(w)} }
+func CSV(w io.Writer) Sink { return &csvSink{w: w, buf: make([]byte, 0, csvFlushAt)} }
 
 func (s *csvSink) Begin(spec *Spec, cells int) error {
 	s.spec = spec
-	header := append([]string{}, pointHeader...)
+	b := s.buf
+	for _, name := range pointHeader {
+		b = append(append(b, name...), ',')
+	}
 	// reps is the actual replication count folded into the row — Seeds
 	// everywhere unless adaptive early stopping cut a cell short.
-	header = append(header, "reps")
+	b = append(b, "reps"...)
 	for _, m := range spec.Metrics {
-		header = append(header, m.Name, m.Name+"_ci95")
+		b = appendCSVField(append(b, ','), m.Name)
+		b = append(b, ',')
+		start := len(b)
+		b = quoteCSV(append(append(b, m.Name...), "_ci95"...), start)
 	}
 	for _, vm := range spec.Vectors {
-		for k := 0; k < vm.Len; k++ {
-			header = append(header, fmt.Sprintf("%s_%d", vm.Name, k+1))
+		for k := 1; k <= vm.Len; k++ {
+			b = append(b, ',')
+			start := len(b)
+			b = strconv.AppendInt(append(append(b, vm.Name...), '_'), int64(k), 10)
+			b = quoteCSV(b, start)
 		}
 	}
-	return s.w.Write(header)
+	return s.endRow(b)
 }
 
 func (s *csvSink) Cell(c *CellResult) error {
-	rec := pointRecord(c.Point)
-	rec = append(rec, strconv.Itoa(c.Reps))
+	p := &c.Point
+	b := appendCSVField(s.buf, p.Algorithm)
+	b = strconv.AppendInt(append(b, ','), int64(p.Targets), 10)
+	b = strconv.AppendInt(append(b, ','), int64(p.Mules), 10)
+	b = strconv.AppendFloat(append(b, ','), p.Speed, 'g', -1, 64)
+	b = appendCSVField(append(b, ','), p.Fleet)
+	b = appendCSVField(append(b, ','), p.Placement.String())
+	b = strconv.AppendFloat(append(b, ','), p.Horizon, 'g', -1, 64)
+	b = strconv.AppendBool(append(b, ','), p.Battery)
+	b = strconv.AppendInt(append(b, ','), int64(p.VIPs), 10)
+	b = strconv.AppendInt(append(b, ','), int64(p.VIPWeight), 10)
+	b = appendCSVField(append(b, ','), p.Workload)
+	b = appendCSVField(append(b, ','), p.Partition)
+	b = appendCSVField(append(b, ','), p.Failure)
+	b = strconv.AppendInt(append(b, ','), int64(c.Reps), 10)
 	for _, m := range c.Metrics {
-		rec = append(rec, fmtF(m.Mean), fmtF(m.CI95))
+		b = ftoa.AppendFixed(append(b, ','), m.Mean, 3)
+		b = ftoa.AppendFixed(append(b, ','), m.CI95, 3)
 	}
 	for i, vm := range s.spec.Vectors {
-		vs := c.Vectors[i]
+		mean := c.Vectors[i].Mean
 		for k := 0; k < vm.Len; k++ {
-			if k < len(vs.Mean) {
-				rec = append(rec, fmtF(vs.Mean[k]))
-			} else {
-				rec = append(rec, "")
+			b = append(b, ',')
+			if k < len(mean) {
+				b = ftoa.AppendFixed(b, mean[k], 3)
 			}
 		}
 	}
-	return s.w.Write(rec)
+	return s.endRow(b)
 }
 
-func (s *csvSink) End(*Result) error {
-	s.w.Flush()
-	return s.w.Error()
+func (s *csvSink) End(*Result) error { return s.flush() }
+
+// endRow ends the row buffered in b and writes the buffer out once it
+// passes csvFlushAt bytes.
+func (s *csvSink) endRow(b []byte) error {
+	s.buf = append(b, '\n')
+	if len(s.buf) < csvFlushAt {
+		return nil
+	}
+	return s.flush()
+}
+
+func (s *csvSink) flush() error {
+	_, err := s.w.Write(s.buf)
+	s.buf = s.buf[:0]
+	return err
+}
+
+// appendCSVField appends field to b as encoding/csv's Writer writes
+// it (see quoteCSV).
+func appendCSVField(b []byte, field string) []byte {
+	return quoteCSV(append(b, field...), len(b))
+}
+
+// quoteCSV quotes the field b[start:], when encoding/csv's Writer
+// (Comma ',', UseCRLF false) would: a field holding a comma, a quote,
+// '\r' or '\n', one starting with a Unicode space, and the field `\.`
+// are wrapped in quotes, each quote inside doubled.
+func quoteCSV(b []byte, start int) []byte {
+	f := b[start:]
+	if !csvNeedsQuotes(f) {
+		return b
+	}
+	field := string(f)
+	b = append(b[:start], '"')
+	for i := 0; i < len(field); i++ {
+		if field[i] == '"' {
+			b = append(b, '"')
+		}
+		b = append(b, field[i])
+	}
+	return append(b, '"')
+}
+
+func csvNeedsQuotes(f []byte) bool {
+	if len(f) == 0 {
+		return false
+	}
+	if string(f) == `\.` {
+		return true
+	}
+	for _, c := range f {
+		switch c {
+		case ',', '"', '\r', '\n':
+			return true
+		}
+	}
+	r, _ := utf8.DecodeRune(f)
+	return unicode.IsSpace(r)
 }
 
 // jsonlSink writes one JSON object per line: a sweep header, then one

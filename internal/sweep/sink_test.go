@@ -3,16 +3,20 @@ package sweep
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
+	"math"
 	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
 
 	"tctp/internal/core"
+	"tctp/internal/field"
 	"tctp/internal/patrol"
+	"tctp/internal/scenario"
 )
 
 func sinkSpec() Spec {
@@ -55,6 +59,119 @@ func TestCSVSink(t *testing.T) {
 	// The reps column reports the actual replication count.
 	if rows[1][len(pointHeader)] != "3" {
 		t.Fatalf("reps column = %q, want 3", rows[1][len(pointHeader)])
+	}
+}
+
+// TestCSVSinkMatchesOracle runs sweeps through the CSV sink and
+// csvOracle side by side: vector columns, some left empty by partitioned
+// cells, fleets, failures and workloads.
+func TestCSVSinkMatchesOracle(t *testing.T) {
+	mixed, err := scenario.ParseFleet("1x1+1x4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, mutate := range map[string]func(*Spec){
+		"skips": func(s *Spec) { *s = sinkSpec() },
+		"vectors": func(s *Spec) {
+			s.Algorithms, s.Mules = s.Algorithms[:1], []int{3}
+			s.Partitions = []Partition{{}, {Method: "kmeans", K: 2}, {Method: "sectors", K: 3}}
+			s.Vectors = []VectorMetric{DCDTCurve(5), GroupDCDT(4)}
+		},
+		"fleets, failures, workloads": func(s *Spec) {
+			s.Mules, s.Fleets = nil, []scenario.Fleet{mixed}
+			s.Failures = []Failure{{}, {Rate: 0.5, Handoff: "absorb"}}
+			s.Workloads = []scenario.Workload{packetsWorkload()}
+		},
+	} {
+		spec := tinySpec()
+		mutate(&spec)
+		var got, want bytes.Buffer
+		if _, err := Run(context.Background(), spec, CSV(&got), newCSVOracle(&want)); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got.String() != want.String() {
+			t.Errorf("%s: CSV sink\n%s\noracle\n%s", name, got.String(), want.String())
+		}
+	}
+}
+
+// FuzzCSVSink renders a header and three rows through the CSV sink and
+// through csvOracle and requires the same bytes. The strings reach
+// every quoting rule; the metrics are raw bit patterns read eight bytes
+// at a time (NaN, ±Inf, -0, subnormals, magnitudes past 2^53); a vector
+// may hold fewer means than its Len, or more. Long vectors push the
+// buffer past its flush size.
+func FuzzCSVSink(f *testing.F) {
+	f.Fuzz(func(t *testing.T, alg, fleet, workload, partition, failure, metric, vector string,
+		targets int, speed, horizon float64, placement uint8, battery bool, vlen, vhave uint8, raw []byte) {
+		word := func(i int) float64 {
+			if len(raw) < 8 {
+				return 0
+			}
+			i %= len(raw) / 8
+			return math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+		}
+		spec := &Spec{
+			Metrics: []Metric{{Name: metric}, {Name: alg}},
+			Vectors: []VectorMetric{{Name: vector, Len: int(vlen)}, {Name: "v", Len: 2}},
+		}
+		c := &CellResult{
+			Point: Point{
+				Algorithm: alg, Targets: targets, Mules: -targets, Speed: speed, Fleet: fleet,
+				Placement: field.Placement(placement % 8), Horizon: horizon, Battery: battery,
+				VIPs: int(vlen), VIPWeight: int(vhave), Workload: workload, Partition: partition,
+				Failure: failure,
+			},
+			Reps: targets,
+			Metrics: []MetricSummary{
+				{Name: metric, Mean: word(0), CI95: word(1)},
+				{Name: alg, Mean: word(2), CI95: word(3)},
+			},
+			Vectors: []VectorSummary{{Name: vector, Mean: make([]float64, vhave)}, {Name: "v"}},
+		}
+		for k := range c.Vectors[0].Mean {
+			c.Vectors[0].Mean[k] = word(4 + k)
+		}
+		var got, want bytes.Buffer
+		for _, r := range []struct {
+			sink Sink
+			out  *bytes.Buffer
+		}{{CSV(&got), &got}, {newCSVOracle(&want), &want}} {
+			if err := r.sink.Begin(spec, 3); err != nil {
+				t.Fatal(err)
+			}
+			for range 3 {
+				if err := r.sink.Cell(c); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := r.sink.End(&Result{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("CSV sink\n%q\noracle\n%q", got.Bytes(), want.Bytes())
+		}
+	})
+}
+
+// errWriter fails every write.
+type errWriter struct{}
+
+func (errWriter) Write([]byte) (int, error) { return 0, fmt.Errorf("disk full") }
+
+// A failed write surfaces from the CSV sink: at End for a short sweep,
+// and from Cell once the buffer passes its flush size.
+func TestCSVSinkWriteError(t *testing.T) {
+	spec := tinySpec()
+	if _, err := Run(context.Background(), spec, CSV(errWriter{})); err == nil ||
+		!strings.Contains(err.Error(), "sink end") || !strings.Contains(err.Error(), "disk full") {
+		t.Fatalf("short sweep: err = %v", err)
+	}
+	spec.Vectors = []VectorMetric{DCDTCurve(200)}
+	if _, err := Run(context.Background(), spec, CSV(errWriter{})); err == nil ||
+		!strings.Contains(err.Error(), "sink cell") || !strings.Contains(err.Error(), "disk full") {
+		t.Fatalf("long rows: err = %v", err)
 	}
 }
 
