@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"tctp/internal/baseline"
@@ -233,18 +234,31 @@ func BenchmarkCellReplications(b *testing.B) {
 }
 
 // BenchmarkCellSimulation measures a single replication (plan + event
-// simulation + recording) at growing target counts; the recorder's
-// flat preallocation shows up in allocs/op here.
+// simulation + recording) at growing target counts on a warm run
+// scratch, as a sweep worker runs each of its replications: allocs/op
+// counts only what a run allocates apart from the scratch, so a new
+// per-run or per-visit allocation shows up here.
 func BenchmarkCellSimulation(b *testing.B) {
 	for _, n := range []int{100, 1_000} {
 		s := GenerateScenario(field.Config{NumTargets: n, NumMules: 4, Placement: field.Uniform},
 			17)
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			skipLarge(b, n)
+			var sc patrol.Scratch
+			run := func() (*patrol.Result, error) {
+				return sc.Run(s, patrol.Planned(&core.BTCTP{}), patrol.Options{Horizon: 20_000}, xrand.New(1))
+			}
+			if _, err := run(); err != nil { // warm the scratch
+				b.Fatal(err)
+			}
+			// Collect the warm-up's garbage first, so that no collection,
+			// and none of the runtime's own allocations for one, falls
+			// into the timed loop.
+			runtime.GC()
 			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := patrol.Run(s, patrol.Planned(&core.BTCTP{}),
-					patrol.Options{Horizon: 20_000}, xrand.New(1))
+				res, err := run()
 				if err != nil {
 					b.Fatal(err)
 				}

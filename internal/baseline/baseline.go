@@ -25,7 +25,6 @@ import (
 
 	"tctp/internal/core"
 	"tctp/internal/field"
-	"tctp/internal/geom"
 	"tctp/internal/mule"
 	"tctp/internal/walk"
 	"tctp/internal/xrand"
@@ -41,46 +40,22 @@ func (*CHB) Name() string { return "CHB" }
 // to B-TCTP's; the difference is the missing location initialization:
 // each mule enters the circuit where it happens to be closest, keeping
 // whatever spacing chance provides.
-func (c *CHB) Plan(s *field.Scenario) (*core.FleetPlan, error) { return c.PlanMemo(s, nil) }
+func (c *CHB) Plan(s *field.Scenario) (*core.FleetPlan, error) { return c.PlanMemo(s, nil, nil) }
 
-// PlanMemo implements core.MemoPlanner: Plan with the circuit from m.
-func (c *CHB) PlanMemo(s *field.Scenario, m *core.Memo) (*core.FleetPlan, error) {
+// PlanMemo implements core.MemoPlanner: Plan with the circuit from m,
+// in a. CHB is a one-group plan: the whole fleet shares the circuit,
+// rotated to its most-north target, but the start points are each
+// mule's nearest entry rather than the equal-length partition.
+func (c *CHB) PlanMemo(s *field.Scenario, m *core.Memo, a *core.Arena) (*core.FleetPlan, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	w, err := m.Circuit(s, nil, core.HullInsertion, false)
+	w, err := m.Circuit(s, nil, core.HullInsertion, false, a)
 	if err != nil {
 		return nil, fmt.Errorf("baseline: CHB circuit: %w", err)
 	}
-	pts := s.Points()
-	w = w.RotateToNorthmost(pts)
-
-	n := s.NumMules()
-	// CHB is a one-group plan: the whole fleet shares the circuit, but
-	// the start points are each mule's nearest entry rather than the
-	// equal-length partition.
-	group := core.PatrolGroup{
-		Walk:        w,
-		Targets:     core.SeqIDs(s.NumTargets()),
-		Mules:       core.SeqIDs(n),
-		StartPoints: make([]geom.Point, n),
-		Assignment:  make([]int, n),
-	}
-	plan := &core.FleetPlan{Algorithm: c.Name()}
-	// The whole fleet shares one circuit, so the entry offsets and the
-	// routes are computed in one polyline pass each rather than per
-	// mule.
-	ds := w.NearestOffsets(pts, s.MuleStarts)
-	plan.Routes = core.RoutesFromArcs(pts, w, ds)
-	for i, start := range s.MuleStarts {
-		entry := plan.Routes[i].Approach[0].Pos
-		group.StartPoints[i] = entry
-		group.Assignment[i] = i
-		if dist := start.Dist(entry); dist > plan.MaxApproach {
-			plan.MaxApproach = dist
-		}
-	}
-	plan.Groups = []core.PatrolGroup{group}
+	plan := core.EnterNearest(s, a.FleetGroup(s, w), true, a)
+	plan.Algorithm = c.Name()
 	return plan, nil
 }
 
@@ -101,7 +76,11 @@ func (sw *Sweep) Name() string { return "Sweep" }
 // centroid distance with the closest mules settling first, ties by
 // index), one hull-insertion circuit per region, and each mule entering
 // its circuit at the point nearest its start.
-func (sw *Sweep) Plan(s *field.Scenario) (*core.FleetPlan, error) {
+func (sw *Sweep) Plan(s *field.Scenario) (*core.FleetPlan, error) { return sw.PlanMemo(s, nil, nil) }
+
+// PlanMemo implements core.MemoPlanner: Plan in a. Its regions depend
+// on the fleet, so m remembers none of them.
+func (sw *Sweep) PlanMemo(s *field.Scenario, _ *core.Memo, a *core.Arena) (*core.FleetPlan, error) {
 	n := s.NumMules()
 	if n > s.NumTargets() {
 		return nil, fmt.Errorf("baseline: Sweep needs at least one target per mule (%d mules, %d targets)",
@@ -114,25 +93,8 @@ func (sw *Sweep) Plan(s *field.Scenario) (*core.FleetPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	pts := s.Points()
-	plan := &core.FleetPlan{
-		Algorithm: sw.Name(),
-		Groups:    groups,
-		Routes:    make([]core.MuleRoute, n),
-	}
-	for g := range plan.Groups {
-		group := &plan.Groups[g]
-		i := group.Mules[0]
-		d := group.Walk.NearestOffset(pts, s.MuleStarts[i])
-		plan.Routes[i] = core.RouteFromArc(pts, group.Walk, d)
-		entry := plan.Routes[i].Approach[0].Pos
-		group.StartPoints = []geom.Point{entry}
-		group.Assignment = []int{0}
-		if dist := s.MuleStarts[i].Dist(entry); dist > plan.MaxApproach {
-			plan.MaxApproach = dist
-		}
-	}
+	plan := core.EnterNearest(s, groups, false, a)
+	plan.Algorithm = sw.Name()
 	return plan, nil
 }
 

@@ -66,18 +66,18 @@ func (b *BTCTP) Name() string { return "B-TCTP" }
 // partitioned into equal-length arcs from the most-north target, and
 // the location-initialization assignment sends exactly one mule to
 // each arc endpoint.
-func (b *BTCTP) Plan(s *field.Scenario) (*FleetPlan, error) { return b.PlanMemo(s, nil) }
+func (b *BTCTP) Plan(s *field.Scenario) (*FleetPlan, error) { return b.PlanMemo(s, nil, nil) }
 
-// PlanMemo implements MemoPlanner: Plan with the circuit from m.
-func (b *BTCTP) PlanMemo(s *field.Scenario, m *Memo) (*FleetPlan, error) {
+// PlanMemo implements MemoPlanner: Plan with the circuit from m, in a.
+func (b *BTCTP) PlanMemo(s *field.Scenario, m *Memo, a *Arena) (*FleetPlan, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	circuit, err := m.Circuit(s, nil, b.Heuristic, b.Improve)
+	circuit, err := m.Circuit(s, nil, b.Heuristic, b.Improve, a)
 	if err != nil {
 		return nil, err
 	}
-	plan, _, err := assembleFleet(s, circuit, b.Energies, effectiveDwell(b.Dwell))
+	plan, _, err := a.assembleFleet(s, circuit, b.Energies, effectiveDwell(b.Dwell))
 	if err != nil {
 		return nil, err
 	}
@@ -93,23 +93,23 @@ func (b *BTCTP) PlanMemo(s *field.Scenario, m *Memo) (*FleetPlan, error) {
 // W-TCTP and CHB over all targets, and C-BTCTP, C-WTCTP, Sweep and the
 // absorb replan per region. The scenario must already be valid.
 func Circuit(s *field.Scenario, members []int, h TourHeuristic, improve bool) (walk.Walk, error) {
-	return (*Memo)(nil).Circuit(s, members, h, improve)
+	return (*Memo)(nil).Circuit(s, members, h, improve, nil)
 }
 
 // Circuit is the package's Circuit with the kernel's tour remembered
 // in m (see Memo): the same points, start, heuristic and flag build one
-// tour, relabelled for each caller's members.
-func (m *Memo) Circuit(s *field.Scenario, members []int, h TourHeuristic, improve bool) (walk.Walk, error) {
+// tour, relabelled for each caller's members in a copy carved from a.
+func (m *Memo) Circuit(s *field.Scenario, members []int, h TourHeuristic, improve bool, a *Arena) (walk.Walk, error) {
 	if members == nil {
 		// Every target: the kernel runs on the scenario's points
 		// as they are, with no subset copy.
-		t, err := m.circuit(s.Points(), s.SinkID, h, improve)
+		t, err := m.circuit(a.scenarioPoints(s), s.SinkID, h, improve, a)
 		if err != nil {
 			return walk.Walk{}, err
 		}
 		return walk.Walk{Seq: t}, nil
 	}
-	sub := make([]geom.Point, len(members))
+	sub := a.geomPoints(len(members))
 	start := 0
 	for i, id := range members {
 		sub[i] = s.Targets[id].Pos
@@ -117,7 +117,7 @@ func (m *Memo) Circuit(s *field.Scenario, members []int, h TourHeuristic, improv
 			start = i
 		}
 	}
-	t, err := m.circuit(sub, start, h, improve)
+	t, err := m.circuit(sub, start, h, improve, a)
 	if err != nil {
 		return walk.Walk{}, err
 	}

@@ -26,7 +26,7 @@ func scenario(seed uint64, targets, mules int) *field.Scenario {
 func TestAssignNearestWithoutConflict(t *testing.T) {
 	muleStarts := []geom.Point{geom.Pt(0, 0), geom.Pt(100, 100)}
 	startPts := []geom.Point{geom.Pt(10, 0), geom.Pt(90, 100)}
-	assign := assignStartPoints(muleStarts, startPts, nil)
+	assign := (*Arena)(nil).assignStartPoints(muleStarts, startPts, nil)
 	if assign[0] != 0 || assign[1] != 1 {
 		t.Fatalf("assign = %v", assign)
 	}
@@ -39,7 +39,7 @@ func TestAssignConflictEnergyRule(t *testing.T) {
 	muleStarts := []geom.Point{geom.Pt(0, 0), geom.Pt(1, 0)}
 	startPts := []geom.Point{geom.Pt(2, 0), geom.Pt(50, 0)}
 	energies := []float64{10, 100} // mule 0 low, mule 1 high
-	assign := assignStartPoints(muleStarts, startPts, energies)
+	assign := (*Arena)(nil).assignStartPoints(muleStarts, startPts, energies)
 	if assign[0] != 0 {
 		t.Fatalf("low-energy mule displaced: %v", assign)
 	}
@@ -51,7 +51,7 @@ func TestAssignConflictEnergyRule(t *testing.T) {
 func TestAssignConflictTieByIndex(t *testing.T) {
 	muleStarts := []geom.Point{geom.Pt(0, 0), geom.Pt(0, 1)}
 	startPts := []geom.Point{geom.Pt(1, 0), geom.Pt(100, 0)}
-	assign := assignStartPoints(muleStarts, startPts, nil)
+	assign := (*Arena)(nil).assignStartPoints(muleStarts, startPts, nil)
 	// Equal (nil) energies: lower index settles first.
 	if assign[0] != 0 || assign[1] != 1 {
 		t.Fatalf("assign = %v", assign)
@@ -68,7 +68,7 @@ func TestAssignIsPermutation(t *testing.T) {
 			ms[i] = geom.Pt(src.Range(0, 800), src.Range(0, 800))
 			sp[i] = geom.Pt(src.Range(0, 800), src.Range(0, 800))
 		}
-		assign := assignStartPoints(ms, sp, nil)
+		assign := (*Arena)(nil).assignStartPoints(ms, sp, nil)
 		seen := make([]bool, n)
 		for _, a := range assign {
 			if a < 0 || a >= n || seen[a] {
@@ -85,7 +85,7 @@ func TestAssignPanicsOnSizeMismatch(t *testing.T) {
 			t.Fatal("size mismatch did not panic")
 		}
 	}()
-	assignStartPoints(make([]geom.Point, 2), make([]geom.Point, 3), nil)
+	(*Arena)(nil).assignStartPoints(make([]geom.Point, 2), make([]geom.Point, 3), nil)
 }
 
 // --- B-TCTP -------------------------------------------------------------

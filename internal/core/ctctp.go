@@ -168,18 +168,18 @@ type CBTCTP struct {
 func (c *CBTCTP) Name() string { return "C-BTCTP(" + c.Config.String() + ")" }
 
 // Plan implements Planner.
-func (c *CBTCTP) Plan(s *field.Scenario) (*FleetPlan, error) { return c.PlanMemo(s, nil) }
+func (c *CBTCTP) Plan(s *field.Scenario) (*FleetPlan, error) { return c.PlanMemo(s, nil, nil) }
 
 // PlanMemo implements MemoPlanner: Plan with the region circuits from
-// m.
-func (c *CBTCTP) PlanMemo(s *field.Scenario, m *Memo) (*FleetPlan, error) {
+// m, in a.
+func (c *CBTCTP) PlanMemo(s *field.Scenario, m *Memo, a *Arena) (*FleetPlan, error) {
 	groups, err := Regions(s, c.Config, c.Rand, func(members []int) (walk.Walk, error) {
-		return m.Circuit(s, members, c.Heuristic, c.Improve)
+		return m.Circuit(s, members, c.Heuristic, c.Improve, a)
 	})
 	if err != nil {
 		return nil, err
 	}
-	plan, _, err := assembleGroups(s, groups, c.Energies, effectiveDwell(c.Dwell))
+	plan, _, err := a.assembleGroups(s, groups, c.Energies, effectiveDwell(c.Dwell))
 	if err != nil {
 		return nil, err
 	}
@@ -205,11 +205,11 @@ func (c *CWTCTP) Name() string {
 
 // Plan implements Planner. One random source serves every region's
 // RandomBreak choices, in region order.
-func (c *CWTCTP) Plan(s *field.Scenario) (*FleetPlan, error) { return c.PlanMemo(s, nil) }
+func (c *CWTCTP) Plan(s *field.Scenario) (*FleetPlan, error) { return c.PlanMemo(s, nil, nil) }
 
 // PlanMemo implements MemoPlanner: Plan with the region circuits from
-// m.
-func (c *CWTCTP) PlanMemo(s *field.Scenario, m *Memo) (*FleetPlan, error) {
+// m, in a.
+func (c *CWTCTP) PlanMemo(s *field.Scenario, m *Memo, a *Arena) (*FleetPlan, error) {
 	rnd := c.Rand
 	if rnd == nil {
 		rnd = xrand.New(0)
@@ -220,7 +220,7 @@ func (c *CWTCTP) PlanMemo(s *field.Scenario, m *Memo) (*FleetPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	plan, _, err := assembleGroups(s, groups, c.Energies, effectiveDwell(c.Dwell))
+	plan, _, err := a.assembleGroups(s, groups, c.Energies, effectiveDwell(c.Dwell))
 	if err != nil {
 		return nil, err
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"math"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -25,7 +24,9 @@ import (
 // and for a path also every target's weight, the break policy and the
 // traversal flag. A RandomBreak path, which draws on a random stream,
 // is never remembered. So a remembered result is the one a fresh build
-// returns, and every caller gets a copy of its own.
+// returns, and every caller gets a copy of its own, carved from the
+// caller's Arena when it brings one: nothing a Memo keeps is carved
+// from an Arena.
 //
 // A Memo is safe for concurrent use. A key asked for again while its
 // first build runs waits for that build rather than repeating it, and a
@@ -79,8 +80,9 @@ func writeCircuitKey(key *strings.Builder, kind byte, pts []geom.Point, start in
 	}
 }
 
-// circuit is the tour kernel circuit through the memo.
-func (m *Memo) circuit(pts []geom.Point, start int, h TourHeuristic, improve bool) ([]int, error) {
+// circuit is the tour kernel circuit through the memo, a remembered
+// one copied into a.
+func (m *Memo) circuit(pts []geom.Point, start int, h TourHeuristic, improve bool, a *Arena) ([]int, error) {
 	if m == nil {
 		return circuit(pts, start, h, improve)
 	}
@@ -88,17 +90,18 @@ func (m *Memo) circuit(pts []geom.Point, start int, h TourHeuristic, improve boo
 	writeCircuitKey(&key, circuitKey, pts, start, h, improve, 0)
 	return m.do(key.String(), func() ([]int, error) {
 		return circuit(pts, start, h, improve)
-	})
+	}, a)
 }
 
 // wppKeyOf is the key of wt's weighted patrolling path over every
-// target of s, or "" when the path draws on a random stream.
-func wppKeyOf(wt *WTCTP, s *field.Scenario) string {
+// target of s, whose points a holds, or "" when the path draws on a
+// random stream.
+func wppKeyOf(wt *WTCTP, s *field.Scenario, a *Arena) string {
 	if wt.Policy == RandomBreak {
 		return ""
 	}
 	var key strings.Builder
-	writeCircuitKey(&key, wppKey, s.Points(), s.SinkID, wt.Heuristic, wt.Improve, 9+8*len(s.Targets))
+	writeCircuitKey(&key, wppKey, a.scenarioPoints(s), s.SinkID, wt.Heuristic, wt.Improve, 9+8*len(s.Targets))
 	putUint64(&key, uint64(wt.Policy))
 	putBool(&key, wt.DisableAngleRule)
 	for _, t := range s.Targets {
@@ -107,9 +110,10 @@ func wppKeyOf(wt *WTCTP, s *field.Scenario) string {
 	return key.String()
 }
 
-// do returns a copy of the sequence remembered under key, building it
-// with build first unless it is remembered or in flight.
-func (m *Memo) do(key string, build func() ([]int, error)) ([]int, error) {
+// do returns a copy, carved from a, of the sequence remembered under
+// key, building it with build first unless it is remembered or in
+// flight.
+func (m *Memo) do(key string, build func() ([]int, error), a *Arena) ([]int, error) {
 	m.bound.Do(func() {
 		m.cache.Budget = memoBytes
 		m.cache.Cost = func(key string, seq []int) int64 { return int64(len(key) + 8*len(seq)) }
@@ -122,7 +126,12 @@ func (m *Memo) do(key string, build func() ([]int, error)) ([]int, error) {
 		}
 		return build()
 	})
-	return slices.Clone(seq), err
+	if err != nil {
+		return nil, err
+	}
+	out := a.intSlice(len(seq))
+	copy(out, seq)
+	return out, nil
 }
 
 // Builds returns how many circuits and how many paths m has built; a
@@ -131,13 +140,16 @@ func (m *Memo) Builds() (circuits, paths int) {
 	return int(m.built[0].Load()), int(m.built[1].Load())
 }
 
-// MemoPlanner is a Planner whose point-set stage can come from a Memo:
-// PlanMemo(s, m) returns what Plan(s) returns, bit for bit, building
-// its circuits and paths through m (a nil m remembers nothing). A
+// MemoPlanner is a Planner whose point-set stage can come from a Memo
+// and whose plan can be carved from an Arena: PlanMemo(s, m, a)
+// returns what Plan(s) returns, bit for bit, building its circuits and
+// paths through m (a nil m remembers nothing; Sweep's regions depend on
+// the fleet, so it remembers none) and its plan in a (a nil a
+// allocates it), which the plan aliases until a's next Reset. A
 // planner that embeds a MemoPlanner and plans differently defines its
 // own PlanMemo, as CBTCTP, CWTCTP and RWTCTP do, so that the embedded
 // one is never promoted in its place.
 type MemoPlanner interface {
 	Planner
-	PlanMemo(s *field.Scenario, m *Memo) (*FleetPlan, error)
+	PlanMemo(s *field.Scenario, m *Memo, a *Arena) (*FleetPlan, error)
 }

@@ -44,13 +44,16 @@ func scramble(p *core.FleetPlan) {
 // memo (core.MemoPlanner) to its plain Plan, bit for bit, over the
 // golden scenarios and configurations: once as the memo's first use of
 // its circuits and paths or a hit on another family's, once more as a
-// hit after the first plan was scrambled in place. Every family but
-// Sweep is a MemoPlanner, the C- and RW- planners with PlanMemo methods
-// of their own; a promoted B-TCTP or W-TCTP PlanMemo would plan the
-// embedding planner as the embedded one and fail here. One memo serves
-// all of it, and must have built fewer circuits than it was asked for.
+// hit after the first plan was scrambled in place. Every family is a
+// MemoPlanner, the C- and RW- planners with PlanMemo methods of their
+// own; a promoted B-TCTP or W-TCTP PlanMemo would plan the embedding
+// planner as the embedded one and fail here. One memo serves all of
+// it, and must have built fewer circuits than it was asked for; one
+// Arena, reset before each plan, carves every plan, so a scrambled
+// plan it held before must leave no trace in the next.
 func TestMemoPlansMatchFresh(t *testing.T) {
 	memo := new(core.Memo)
+	var arena core.Arena
 	asked := 0
 	for i, s := range goldenScenarios() {
 		seed := uint64(i)
@@ -59,21 +62,20 @@ func TestMemoPlansMatchFresh(t *testing.T) {
 			for k, p := range ps {
 				mp, ok := first[family][k].(core.MemoPlanner)
 				if !ok {
-					if family != "sweep" {
-						t.Fatalf("%s planner %d is no MemoPlanner", family, k)
-					}
-					continue
+					t.Fatalf("%s planner %d is no MemoPlanner", family, k)
 				}
 				plan, err := p.Plan(s)
 				want := planJSON(t, plan, err)
-				got, err := mp.PlanMemo(s, memo)
+				arena.Reset()
+				got, err := mp.PlanMemo(s, memo, &arena)
 				if g := planJSON(t, got, err); g != want {
 					t.Fatalf("scenario %d, %s planner %d: memo plan\n%s\nwant\n%s", i, family, k, g, want)
 				}
 				if err == nil {
 					scramble(got)
 				}
-				hit, err := again[family][k].(core.MemoPlanner).PlanMemo(s, memo)
+				arena.Reset()
+				hit, err := again[family][k].(core.MemoPlanner).PlanMemo(s, memo, &arena)
 				if g := planJSON(t, hit, err); g != want {
 					t.Fatalf("scenario %d, %s planner %d: memo plan after a scrambled one\n%s\nwant\n%s", i, family, k, g, want)
 				}

@@ -195,8 +195,10 @@ func (p *FleetPlan) Validate(s *field.Scenario) error {
 		return fmt.Errorf("core: %d routes for %d mules", len(p.Routes), n)
 	}
 
-	targetOwner := make([]int, s.NumTargets())
-	muleOwner := make([]int, n)
+	// One table holds each target's and each mule's owning group, -1
+	// for none, and a group's start points taken so far, 1 for taken.
+	owners := make([]int, s.NumTargets()+2*n)
+	targetOwner, muleOwner, seen := owners[:s.NumTargets()], owners[s.NumTargets():s.NumTargets()+n], owners[s.NumTargets()+n:]
 	for i := range targetOwner {
 		targetOwner[i] = -1
 	}
@@ -252,16 +254,16 @@ func (p *FleetPlan) Validate(s *field.Scenario) error {
 			return fmt.Errorf("core: group %d assignment sized %d, want %d",
 				gi, len(g.Assignment), ng)
 		}
-		seen := make([]bool, ng)
+		clear(seen[:ng])
 		for k, a := range g.Assignment {
 			if a < 0 || a >= ng {
 				return fmt.Errorf("core: group %d mule %d assigned to start point %d",
 					gi, g.Mules[k], a)
 			}
-			if seen[a] {
+			if seen[a] != 0 {
 				return fmt.Errorf("core: group %d start point %d assigned twice", gi, a)
 			}
-			seen[a] = true
+			seen[a] = 1
 		}
 	}
 	for t, owner := range targetOwner {
@@ -300,13 +302,14 @@ func (p *FleetPlan) Validate(s *field.Scenario) error {
 // deterministically by settling mules in ascending (energy, index)
 // order, probing forward cyclically from each mule's nearest start
 // point. energies may be nil (all equal, ties broken by index).
-func assignStartPoints(muleStarts, startPts []geom.Point, energies []float64) []int {
+// Its tables are carved from a.
+func (a *Arena) assignStartPoints(muleStarts, startPts []geom.Point, energies []float64) []int {
 	n := len(muleStarts)
 	if len(startPts) != n {
 		panic(fmt.Sprintf("core: %d mules but %d start points", n, len(startPts)))
 	}
 
-	order := make([]int, n)
+	order := a.intSlice(n)
 	for i := range order {
 		order[i] = i
 	}
@@ -327,8 +330,8 @@ func assignStartPoints(muleStarts, startPts []geom.Point, energies []float64) []
 		}
 	}
 
-	taken := make([]bool, n)
-	assign := make([]int, n)
+	// taken marks the start points settled so far.
+	taken, assign := a.intSlice(n), a.intSlice(n)
 	for _, mi := range order {
 		// Nearest start point, ties by lower index.
 		best, bestD := 0, math.Inf(1)
@@ -337,10 +340,10 @@ func assignStartPoints(muleStarts, startPts []geom.Point, energies []float64) []
 				best, bestD = k, d
 			}
 		}
-		for taken[best] {
+		for taken[best] != 0 {
 			best = (best + 1) % n
 		}
-		taken[best] = true
+		taken[best] = 1
 		assign[mi] = best
 	}
 	return assign
@@ -358,7 +361,7 @@ func assignStartPoints(muleStarts, startPts []geom.Point, energies []float64) []
 // closing edge, where the loop wraps to position 0 but all len(w.Seq)
 // stops lie before d. The phase-equalizing holds need the latter
 // count.
-func loopFrom(pts []geom.Point, w walk.Walk, offsets []float64, d float64) ([]mule.Waypoint, int, int) {
+func (a *Arena) loopFrom(pts []geom.Point, w walk.Walk, offsets []float64, d float64) ([]mule.Waypoint, int, int) {
 	n := len(offsets)
 	k0 := 0 // first position with offset >= d (within tolerance)
 	stopsBefore := n
@@ -369,11 +372,10 @@ func loopFrom(pts []geom.Point, w walk.Walk, offsets []float64, d float64) ([]mu
 			break
 		}
 	}
-	out := make([]mule.Waypoint, 0, n)
-	for i := 0; i < n; i++ {
-		k := (k0 + i) % n
-		id := w.Seq[k]
-		out = append(out, mule.Waypoint{Pos: pts[id], TargetID: id})
+	out := a.waypoints(n)
+	for i := range out {
+		id := w.Seq[(k0+i)%n]
+		out[i] = mule.Waypoint{Pos: pts[id], TargetID: id}
 	}
 	return out, k0, stopsBefore
 }
@@ -393,17 +395,67 @@ func RouteFromArc(pts []geom.Point, w walk.Walk, d float64) MuleRoute {
 // are bit-identical to calling RouteFromArc per offset; CHB assigns a
 // whole fleet to its circuit through this path.
 func RoutesFromArcs(pts []geom.Point, w walk.Walk, ds []float64) []MuleRoute {
-	offsets := w.ArcOffsets(pts)
-	entries := w.PointsAt(pts, ds)
 	out := make([]MuleRoute, len(ds))
+	(*Arena)(nil).routesFromArcs(out, pts, w, ds)
+	return out
+}
+
+// routesFromArcs writes RoutesFromArcs(pts, w, ds) into out, carving
+// every table and stop list from a.
+func (a *Arena) routesFromArcs(out []MuleRoute, pts []geom.Point, w walk.Walk, ds []float64) {
+	offsets := w.ArcOffsetsInto(a.floatSlice(len(w.Seq)), pts)
+	entries := w.AppendPointsAt(a.geomPoints(len(ds))[:0], pts, ds)
 	for i, d := range ds {
-		stops, _, _ := loopFrom(pts, w, offsets, d)
-		out[i] = MuleRoute{
-			Approach: []mule.Waypoint{{Pos: entries[i], TargetID: mule.NoTarget}},
-			Cycle:    []Phase{{Stops: stops, Repeat: 1}},
+		stops, _, _ := a.loopFrom(pts, w, offsets, d)
+		out[i] = a.route(entries[i], stops)
+	}
+}
+
+// route returns the single-phase route that approaches entry and then
+// loops stops.
+func (a *Arena) route(entry geom.Point, stops []mule.Waypoint) MuleRoute {
+	approach, cycle := a.waypoints(1), a.phaseSlice(1)
+	approach[0] = mule.Waypoint{Pos: entry, TargetID: mule.NoTarget}
+	cycle[0] = Phase{Stops: stops, Repeat: 1}
+	return MuleRoute{Approach: approach, Cycle: cycle}
+}
+
+// EnterNearest builds the plan of groups (each with its Walk, Targets
+// and Mules) in which every mule enters its group's walk at the point
+// nearest its start and loops the walk from there, without location
+// initialization: CHB's one group, whose walk it first rotates to the
+// most-north target when northmost is set, and Sweep's one-mule
+// regions. Each group's start points are its mules' entries, in member
+// order. The plan is carved from a.
+func EnterNearest(s *field.Scenario, groups []PatrolGroup, northmost bool, a *Arena) *FleetPlan {
+	pts := a.scenarioPoints(s)
+	plan := a.newPlan()
+	plan.Groups, plan.Routes = groups, a.routeSlice(s.NumMules())
+	for gi := range groups {
+		g := &groups[gi]
+		if northmost {
+			g.Walk = a.rotateToNorthmost(g.Walk, pts)
+		}
+		starts := a.geomPoints(len(g.Mules))
+		for k, mi := range g.Mules {
+			starts[k] = s.MuleStarts[mi]
+		}
+		// The group's mules share its walk, so the entry offsets and
+		// the routes take one polyline pass each.
+		ds := g.Walk.AppendNearestOffsets(a.floatSlice(2 * len(starts))[:0], pts, starts)
+		routes := a.routeSlice(len(g.Mules))
+		a.routesFromArcs(routes, pts, g.Walk, ds)
+		g.StartPoints, g.Assignment = a.geomPoints(len(g.Mules)), a.seqIDs(len(g.Mules))
+		for k, mi := range g.Mules {
+			plan.Routes[mi] = routes[k]
+			entry := routes[k].Approach[0].Pos
+			g.StartPoints[k] = entry
+			if dist := s.MuleStarts[mi].Dist(entry); dist > plan.MaxApproach {
+				plan.MaxApproach = dist
+			}
 		}
 	}
-	return out
+	return plan
 }
 
 // SeqIDs returns 0..n-1: the member list of a degenerate one-group
@@ -427,24 +479,22 @@ func SeqIDs(n int) []int {
 // recharge insertion point. energies (nil = all equal) are indexed by
 // global mule id; dwell feeds the per-group phase-equalizing holds.
 // The scenario must already be valid.
-func assembleGroups(s *field.Scenario, groups []PatrolGroup, energies []float64, dwell float64) (*FleetPlan, []int, error) {
-	pts := s.Points()
-	plan := &FleetPlan{
-		Groups: make([]PatrolGroup, len(groups)),
-		Routes: make([]MuleRoute, s.NumMules()),
-	}
-	anchors := make([]int, s.NumMules())
+func (a *Arena) assembleGroups(s *field.Scenario, groups []PatrolGroup, energies []float64, dwell float64) (*FleetPlan, []int, error) {
+	pts := a.scenarioPoints(s)
+	plan := a.newPlan()
+	plan.Groups, plan.Routes = a.groupSlice(len(groups)), a.routeSlice(s.NumMules())
+	anchors := a.intSlice(s.NumMules())
 	for gi, g := range groups {
 		if len(g.Mules) == 0 {
 			return nil, nil, fmt.Errorf("core: group %d (%d targets) has no mules", gi, len(g.Targets))
 		}
-		w := g.Walk.RotateToNorthmost(pts)
+		w := a.rotateToNorthmost(g.Walk, pts)
 		n := len(g.Mules)
-		startPts := w.StartPoints(pts, n)
-		muleStarts := make([]geom.Point, n)
+		startPts := w.AppendStartPoints(a.geomPoints(n)[:0], pts, n)
+		muleStarts := a.geomPoints(n)
 		var groupEnergies []float64
 		if energies != nil {
-			groupEnergies = make([]float64, n)
+			groupEnergies = a.floatSlice(n)
 		}
 		for k, mi := range g.Mules {
 			muleStarts[k] = s.MuleStarts[mi]
@@ -452,13 +502,13 @@ func assembleGroups(s *field.Scenario, groups []PatrolGroup, energies []float64,
 				groupEnergies[k] = energies[mi]
 			}
 		}
-		assign := assignStartPoints(muleStarts, startPts, groupEnergies)
+		assign := a.assignStartPoints(muleStarts, startPts, groupEnergies)
 
 		total := w.Length(pts)
 		nStops := float64(w.Size())
 		// One arc-offset table serves every mule placed on this walk.
-		offsets := w.ArcOffsets(pts)
-		holds := make([]float64, n)
+		offsets := w.ArcOffsetsInto(a.floatSlice(w.Size()), pts)
+		holds := a.floatSlice(n)
 		minHold := math.Inf(1)
 		for k, mi := range g.Mules {
 			spIdx := assign[k]
@@ -468,7 +518,7 @@ func assembleGroups(s *field.Scenario, groups []PatrolGroup, energies []float64,
 			if approachDist > plan.MaxApproach {
 				plan.MaxApproach = approachDist
 			}
-			stops, k0, stopsBefore := loopFrom(pts, w, offsets, d)
+			stops, k0, stopsBefore := a.loopFrom(pts, w, offsets, d)
 			anchors[mi] = k0
 			// Phase equalization: the mule at start point j has
 			// stopsBefore stops before it on the walk; holding
@@ -479,13 +529,7 @@ func assembleGroups(s *field.Scenario, groups []PatrolGroup, energies []float64,
 			if holds[k] < minHold {
 				minHold = holds[k]
 			}
-			plan.Routes[mi] = MuleRoute{
-				Approach: []mule.Waypoint{{Pos: sp, TargetID: mule.NoTarget}},
-				Cycle: []Phase{{
-					Stops:  stops,
-					Repeat: 1,
-				}},
-			}
+			plan.Routes[mi] = a.route(sp, stops)
 		}
 		for k, mi := range g.Mules {
 			plan.Routes[mi].ExtraHold = holds[k] - minHold
@@ -505,7 +549,6 @@ func assembleGroups(s *field.Scenario, groups []PatrolGroup, energies []float64,
 // walk: every target and every mule in a single patrol group. It is
 // shared by B-TCTP, W-TCTP, and RW-TCTP; the partitioned planners call
 // assembleGroups with the groups Regions returns.
-func assembleFleet(s *field.Scenario, w walk.Walk, energies []float64, dwell float64) (*FleetPlan, []int, error) {
-	g := PatrolGroup{Walk: w, Targets: SeqIDs(s.NumTargets()), Mules: SeqIDs(s.NumMules())}
-	return assembleGroups(s, []PatrolGroup{g}, energies, dwell)
+func (a *Arena) assembleFleet(s *field.Scenario, w walk.Walk, energies []float64, dwell float64) (*FleetPlan, []int, error) {
+	return a.assembleGroups(s, a.FleetGroup(s, w), energies, dwell)
 }

@@ -319,7 +319,7 @@ func AbsorbReplan(s *field.Scenario, prev []PatrolGroup, active, alive []bool, p
 		return nil, err
 	}
 
-	plan, _, err := assembleGroups(view, regions, nil, effectiveDwell(cfg.Dwell))
+	plan, _, err := (*Arena)(nil).assembleGroups(view, regions, nil, effectiveDwell(cfg.Dwell))
 	if err != nil {
 		return nil, err
 	}

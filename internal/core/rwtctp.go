@@ -45,21 +45,21 @@ func (r *RWTCTP) model() energy.Model {
 // alternates a WPP phase repeated r−1 times with a WRP phase executed
 // once; mules therefore pass the recharge station exactly once every r
 // rounds ("each DM should patrol along WRP P̄ every r rounds", §4.2).
-func (r *RWTCTP) Plan(s *field.Scenario) (*FleetPlan, error) { return r.PlanMemo(s, nil) }
+func (r *RWTCTP) Plan(s *field.Scenario) (*FleetPlan, error) { return r.PlanMemo(s, nil, nil) }
 
 // PlanMemo implements MemoPlanner: Plan with the WPP and its circuit
-// from m.
-func (r *RWTCTP) PlanMemo(s *field.Scenario, m *Memo) (*FleetPlan, error) {
+// from m, in a.
+func (r *RWTCTP) PlanMemo(s *field.Scenario, m *Memo, a *Arena) (*FleetPlan, error) {
 	if !s.HasRecharge {
 		return nil, fmt.Errorf("core: RW-TCTP requires a recharge station in the scenario")
 	}
-	wpp, err := r.buildWPP(s, m)
+	wpp, err := r.buildWPP(s, m, a)
 	if err != nil {
 		return nil, err
 	}
-	pts := s.Points()
+	pts := a.scenarioPoints(s)
 
-	plan, anchors, err := assembleFleet(s, wpp, r.Energies, r.model().Dwell)
+	plan, anchors, err := a.assembleFleet(s, wpp, r.Energies, r.model().Dwell)
 	if err != nil {
 		return nil, err
 	}

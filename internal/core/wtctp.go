@@ -77,16 +77,16 @@ func (wt *WTCTP) Name() string {
 // start-point partition and location initialization as B-TCTP
 // (§3.2: "each DM executes the location initialization task as
 // proposed in B-TCTP").
-func (wt *WTCTP) Plan(s *field.Scenario) (*FleetPlan, error) { return wt.PlanMemo(s, nil) }
+func (wt *WTCTP) Plan(s *field.Scenario) (*FleetPlan, error) { return wt.PlanMemo(s, nil, nil) }
 
 // PlanMemo implements MemoPlanner: Plan with the WPP and its circuit
-// from m.
-func (wt *WTCTP) PlanMemo(s *field.Scenario, m *Memo) (*FleetPlan, error) {
-	wpp, err := wt.buildWPP(s, m)
+// from m, in a.
+func (wt *WTCTP) PlanMemo(s *field.Scenario, m *Memo, a *Arena) (*FleetPlan, error) {
+	wpp, err := wt.buildWPP(s, m, a)
 	if err != nil {
 		return nil, err
 	}
-	plan, _, err := assembleFleet(s, wpp, wt.Energies, effectiveDwell(wt.Dwell))
+	plan, _, err := a.assembleFleet(s, wpp, wt.Energies, effectiveDwell(wt.Dwell))
 	if err != nil {
 		return nil, err
 	}
@@ -96,10 +96,11 @@ func (wt *WTCTP) PlanMemo(s *field.Scenario, m *Memo) (*FleetPlan, error) {
 
 // BuildWPP validates the scenario and constructs its Weighted
 // Patrolling Path over every target.
-func (wt *WTCTP) BuildWPP(s *field.Scenario) (walk.Walk, error) { return wt.buildWPP(s, nil) }
+func (wt *WTCTP) BuildWPP(s *field.Scenario) (walk.Walk, error) { return wt.buildWPP(s, nil, nil) }
 
-// buildWPP is BuildWPP with the path and its circuit from m.
-func (wt *WTCTP) buildWPP(s *field.Scenario, m *Memo) (walk.Walk, error) {
+// buildWPP is BuildWPP with the path and its circuit from m, a
+// remembered path copied into a.
+func (wt *WTCTP) buildWPP(s *field.Scenario, m *Memo, a *Arena) (walk.Walk, error) {
 	if err := s.Validate(); err != nil {
 		return walk.Walk{}, err
 	}
@@ -108,11 +109,11 @@ func (wt *WTCTP) buildWPP(s *field.Scenario, m *Memo) (walk.Walk, error) {
 		rnd = xrand.New(0)
 	}
 	if m != nil {
-		if key := wppKeyOf(wt, s); key != "" {
+		if key := wppKeyOf(wt, s, a); key != "" {
 			seq, err := m.do(key, func() ([]int, error) {
 				w, err := wt.wpp(s, nil, rnd, m)
 				return w.Seq, err
-			})
+			}, a)
 			return walk.Walk{Seq: seq}, err
 		}
 	}
@@ -129,7 +130,7 @@ func (wt *WTCTP) buildWPP(s *field.Scenario, m *Memo) (walk.Walk, error) {
 // policy; rnd drives RandomBreak. The walk is then re-traversed under
 // the §3.2 angle rule unless disabled. The circuit comes from m.
 func (wt *WTCTP) wpp(s *field.Scenario, members []int, rnd *xrand.Source, m *Memo) (walk.Walk, error) {
-	w, err := m.Circuit(s, members, wt.Heuristic, wt.Improve)
+	w, err := m.Circuit(s, members, wt.Heuristic, wt.Improve, nil)
 	if err != nil {
 		return walk.Walk{}, err
 	}

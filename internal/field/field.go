@@ -56,11 +56,16 @@ func (s *Scenario) NumMules() int { return len(s.MuleStarts) }
 
 // Points returns the target positions indexed by target ID.
 func (s *Scenario) Points() []geom.Point {
-	out := make([]geom.Point, len(s.Targets))
-	for i, t := range s.Targets {
-		out[i] = t.Pos
+	return s.AppendPoints(make([]geom.Point, 0, len(s.Targets)))
+}
+
+// AppendPoints appends the target positions, indexed by target ID, to
+// dst.
+func (s *Scenario) AppendPoints(dst []geom.Point) []geom.Point {
+	for _, t := range s.Targets {
+		dst = append(dst, t.Pos)
 	}
-	return out
+	return dst
 }
 
 // Weights returns the target weights indexed by target ID.
@@ -252,6 +257,19 @@ func (c Config) withDefaults() Config {
 // config with no targets or no mules, and returns an error for a
 // clusters layout it cannot place (see clusterPositions).
 func Generate(cfg Config, src *xrand.Source) (*Scenario, error) {
+	s := new(Scenario)
+	if err := GenerateInto(s, cfg, src); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// GenerateInto is Generate building the scenario in s, whose target
+// and start arrays it reuses when they have room, so a caller that
+// generates scenario after scenario (a sweep worker) allocates them
+// only when one outgrows the last. Nothing s held before is kept, and
+// on an error s holds no scenario.
+func GenerateInto(s *Scenario, cfg Config, src *xrand.Source) error {
 	cfg = cfg.withDefaults()
 	if cfg.NumTargets < 1 {
 		panic(fmt.Sprintf("field: Generate with NumTargets=%d", cfg.NumTargets))
@@ -261,35 +279,33 @@ func Generate(cfg Config, src *xrand.Source) (*Scenario, error) {
 	}
 
 	rect := geom.NewRect(geom.Pt(0, 0), geom.Pt(cfg.Width, cfg.Height))
-	s := &Scenario{Field: rect}
-
 	sinkPos := rect.Center()
-	s.Targets = append(s.Targets, Target{ID: 0, Pos: sinkPos, Weight: 1})
-	s.SinkID = 0
+	ts := resize(s.Targets, 1+cfg.NumTargets)
+	ts[0] = Target{ID: 0, Pos: sinkPos, Weight: 1}
+	for i := 1; i < len(ts); i++ {
+		ts[i] = Target{ID: i, Weight: 1}
+	}
+	*s = Scenario{Field: rect, Targets: ts, SinkID: 0, MuleStarts: resize(s.MuleStarts, cfg.NumMules)}
 
-	var positions []geom.Point
+	// Each layout writes the positions of targets 1..NumTargets.
+	pos := ts[1:]
 	switch cfg.Placement {
 	case Uniform:
-		positions = uniformPositions(cfg, src)
+		uniformPositions(pos, cfg, src)
 	case Clusters:
-		var err error
-		if positions, err = clusterPositions(cfg, src); err != nil {
-			return nil, err
+		if err := clusterPositions(pos, cfg, src); err != nil {
+			return err
 		}
 	case Grid:
-		positions = gridPositions(cfg)
+		gridPositions(pos, cfg)
 	case Corridor:
-		positions = corridorPositions(cfg, src)
+		corridorPositions(pos, cfg, src)
 	case Hotspot:
-		positions = hotspotPositions(cfg, src)
+		hotspotPositions(pos, cfg, src)
 	default:
 		panic(fmt.Sprintf("field: unknown placement %v", cfg.Placement))
 	}
-	for i, p := range positions {
-		s.Targets = append(s.Targets, Target{ID: i + 1, Pos: p, Weight: 1})
-	}
 
-	s.MuleStarts = make([]geom.Point, cfg.NumMules)
 	for i := range s.MuleStarts {
 		if cfg.MulesAtSink {
 			s.MuleStarts[i] = sinkPos
@@ -302,15 +318,22 @@ func Generate(cfg Config, src *xrand.Source) (*Scenario, error) {
 		s.HasRecharge = true
 		s.Recharge = rect.Center().Add(geom.Vec{X: float64(cfg.Width / 4), Y: 0})
 	}
-	return s, nil
+	return nil
 }
 
-func uniformPositions(cfg Config, src *xrand.Source) []geom.Point {
-	out := make([]geom.Point, cfg.NumTargets)
-	for i := range out {
-		out[i] = geom.Pt(src.Range(0, cfg.Width), src.Range(0, cfg.Height))
+// resize returns s with length n, or a new slice of at least twice its
+// capacity when s has less room than n.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n, max(n, 2*cap(s)))
 	}
-	return out
+	return s[:n]
+}
+
+func uniformPositions(out []Target, cfg Config, src *xrand.Source) {
+	for i := range out {
+		out[i].Pos = geom.Pt(src.Range(0, cfg.Width), src.Range(0, cfg.Height))
+	}
 }
 
 // maxRejects bounds the draws in a row that clusterPositions rejects
@@ -323,9 +346,9 @@ const maxRejects = 1 << 20
 // It returns an error for a negative cluster count or radius, and when
 // maxRejects draws in a row are rejected: centres that do not fit the
 // field, or a radius too large for the arithmetic.
-func clusterPositions(cfg Config, src *xrand.Source) ([]geom.Point, error) {
+func clusterPositions(out []Target, cfg Config, src *xrand.Source) error {
 	if cfg.NumClusters < 0 || !(cfg.ClusterRadius >= 0) {
-		return nil, fmt.Errorf("field: negative clusters: %d of radius %g", cfg.NumClusters, cfg.ClusterRadius)
+		return fmt.Errorf("field: negative clusters: %d of radius %g", cfg.NumClusters, cfg.ClusterRadius)
 	}
 	noRoom := func() error {
 		return fmt.Errorf("field: %d clusters of radius %g do not fit a %g × %g field",
@@ -338,7 +361,7 @@ func clusterPositions(cfg Config, src *xrand.Source) ([]geom.Point, error) {
 	centres := make([]geom.Point, 0, cfg.NumClusters)
 	for rejects := 0; len(centres) < cfg.NumClusters; {
 		if rejects == maxRejects {
-			return nil, noRoom()
+			return noRoom()
 		}
 		c := geom.Pt(
 			src.Range(cfg.ClusterRadius, cfg.Width-cfg.ClusterRadius),
@@ -357,68 +380,64 @@ func clusterPositions(cfg Config, src *xrand.Source) ([]geom.Point, error) {
 		}
 		centres, rejects = append(centres, c), 0
 	}
-	out := make([]geom.Point, cfg.NumTargets)
 	for i := range out {
 		centre := centres[i%len(centres)]
 		// Rejection-sample a point inside the disc.
 		for rejects := 0; ; rejects++ {
 			if rejects == maxRejects {
-				return nil, noRoom()
+				return noRoom()
 			}
 			p := geom.Pt(
 				src.Range(centre.X-cfg.ClusterRadius, centre.X+cfg.ClusterRadius),
 				src.Range(centre.Y-cfg.ClusterRadius, centre.Y+cfg.ClusterRadius),
 			)
 			if p.Dist(centre) <= cfg.ClusterRadius {
-				out[i] = p
+				out[i].Pos = p
 				break
 			}
 		}
 	}
-	return out, nil
+	return nil
 }
 
-func gridPositions(cfg Config) []geom.Point {
-	out := make([]geom.Point, 0, cfg.NumTargets)
+func gridPositions(out []Target, cfg Config) {
 	cols := 1
 	for cols*cols < cfg.NumTargets {
 		cols++
 	}
 	rows := (cfg.NumTargets + cols - 1) / cols
-	for r := 0; r < rows && len(out) < cfg.NumTargets; r++ {
-		for c := 0; c < cols && len(out) < cfg.NumTargets; c++ {
+	k := 0
+	for r := 0; r < rows && k < cfg.NumTargets; r++ {
+		for c := 0; c < cols && k < cfg.NumTargets; c++ {
 			x := cfg.Width * (float64(c) + 0.5) / float64(cols)
 			y := cfg.Height * (float64(r) + 0.5) / float64(rows)
-			out = append(out, geom.Pt(x, y))
+			out[k].Pos = geom.Pt(x, y)
+			k++
 		}
 	}
-	return out
 }
 
 // corridorPositions scatters targets uniformly inside a horizontal
 // band one sixth of the field tall, centred vertically.
-func corridorPositions(cfg Config, src *xrand.Source) []geom.Point {
+func corridorPositions(out []Target, cfg Config, src *xrand.Source) {
 	half := cfg.Height / 12
-	out := make([]geom.Point, cfg.NumTargets)
 	for i := range out {
-		out[i] = geom.Pt(
+		out[i].Pos = geom.Pt(
 			src.Range(0, cfg.Width),
 			src.Range(float64(cfg.Height/2)-half, float64(cfg.Height/2)+half),
 		)
 	}
-	return out
 }
 
 // hotspotPositions places 70% of the targets inside a dense disc in
 // the upper-right quadrant and the rest uniformly over the field.
-func hotspotPositions(cfg Config, src *xrand.Source) []geom.Point {
+func hotspotPositions(out []Target, cfg Config, src *xrand.Source) {
 	centre := geom.Pt(float64(0.75*cfg.Width), float64(0.75*cfg.Height))
 	radius := cfg.Width / 10
 	if r := cfg.Height / 10; r < radius {
 		radius = r
 	}
 	hot := (cfg.NumTargets*7 + 9) / 10
-	out := make([]geom.Point, cfg.NumTargets)
 	for i := range out {
 		if i < hot {
 			// Rejection-sample a point inside the hotspot disc.
@@ -428,15 +447,14 @@ func hotspotPositions(cfg Config, src *xrand.Source) []geom.Point {
 					src.Range(centre.Y-radius, centre.Y+radius),
 				)
 				if p.Dist(centre) <= radius {
-					out[i] = p
+					out[i].Pos = p
 					break
 				}
 			}
 		} else {
-			out[i] = geom.Pt(src.Range(0, cfg.Width), src.Range(0, cfg.Height))
+			out[i].Pos = geom.Pt(src.Range(0, cfg.Width), src.Range(0, cfg.Height))
 		}
 	}
-	return out
 }
 
 // AssignVIPs upgrades count randomly chosen non-sink targets to weight

@@ -291,11 +291,16 @@ func Northmost(pts []Point) int {
 	}
 	best := 0
 	for i, p := range pts[1:] {
-		idx := i + 1
-		b := pts[best]
-		if p.Y > b.Y+Eps || (math.Abs(p.Y-b.Y) <= Eps && p.X < b.X-Eps) {
-			best = idx
+		if NorthOf(p, pts[best]) {
+			best = i + 1
 		}
 	}
 	return best
+}
+
+// NorthOf reports whether p precedes b in Northmost's order: further
+// north by more than Eps, or as far north within Eps and further west
+// by more than Eps.
+func NorthOf(p, b Point) bool {
+	return p.Y > b.Y+Eps || (math.Abs(p.Y-b.Y) <= Eps && p.X < b.X-Eps)
 }

@@ -180,7 +180,7 @@ func TestMergeRunsAllocations(t *testing.T) {
 
 	rec = NewRecorderCap(1, []int{64})
 	if allocs := testing.AllocsPerRun(10, func() {
-		rec.reset(1, []int{8})
+		rec.Reset(1, []int{8})
 		record(rec)
 	}); allocs != 0 || rec.scratch != nil {
 		t.Fatalf("a reused recorder's merge allocates %v times, buffer %d", allocs, len(rec.scratch))
@@ -628,7 +628,7 @@ func BenchmarkMergeRuns(b *testing.B) {
 			}
 			rec := NewRecorderCap(targets, caps)
 			record := func() {
-				rec.reset(targets, caps)
+				rec.Reset(targets, caps)
 				for _, vs := range tc.mules {
 					rec.AllowRuns()
 					for _, v := range vs {

@@ -39,8 +39,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"tctp/internal/geom"
 	"tctp/internal/stats"
@@ -51,12 +49,15 @@ import (
 // experiment harness parallelizes across independent runs instead).
 type Recorder struct {
 	visits [][]float64
-	// The logs are carved from the first used values of flat, the
-	// backing array; MergeRuns merges in its spare tail or in scratch,
-	// a buffer of the recorder's own. Both arrays are kept so a
-	// released recorder can hand them to the next run.
-	flat, scratch []float64
-	used          int
+	// The logs are carved from the segments of flat (see carve);
+	// MergeRuns merges in spare, the room past the last log of the
+	// last segment they take, or in scratch, a buffer of the
+	// recorder's own. Reset keeps them for the next run.
+	flat           [][]float64
+	spare, scratch []float64
+	// shares reports that the logs were carved in equal shares, for a
+	// run without capacities (see Reset).
+	shares bool
 	// runs reports that Append takes a visit earlier than its target's
 	// last as the start of a new run (see AllowRuns); breaks counts the
 	// runs so started and not yet merged, and merged is the most runs
@@ -96,18 +97,9 @@ type span struct {
 	step          float64
 }
 
-// recorders holds released recorders for NewRecorderCap to reuse.
-// released records that Release has ever run: until then
-// NewRecorderCap skips the pool, whose Get allocates after every
-// garbage collection.
-var (
-	recorders sync.Pool
-	released  atomic.Bool
-)
-
 // NewRecorderCap returns a recorder for nTargets targets (indexed
 // 0..nTargets-1) with per-target visit-count capacities: target i's
-// series is carved out of one flat backing array with room
+// series is carved out of the recorder's backing memory with room
 // for caps[i] timestamps, so a simulation whose logs stay within them
 // performs no recording allocations at all; a span (see AppendEvery)
 // takes two, its stored ends, until a reader writes it out. The
@@ -115,83 +107,107 @@ var (
 // reallocates independently instead of clobbering its neighbour's
 // slot, so the capacities affect only allocation behaviour, never
 // recorded values. A nil caps means no preallocation; otherwise it
-// must have one entry per target. The recorder reuses the log table,
-// backing array and merge buffer of a released one (see Release) when
-// there is one; with nil caps, each of its logs keeps its backing
-// array and grows from the room it has.
+// must have one entry per target.
 func NewRecorderCap(nTargets int, caps []int) *Recorder {
+	r := new(Recorder)
+	r.Reset(nTargets, caps)
+	return r
+}
+
+// Reset empties r for nTargets targets with capacities caps, as
+// NewRecorderCap describes, reusing the log table, backing array and
+// merge buffer r holds: a caller that runs simulation after simulation
+// (patrol.Scratch) records each in the same recorder. Every log read
+// from r before is overwritten. The backing memory grows by at least
+// half when the capacities outgrow it (see carve), so a run of growing
+// cells allocates it a logarithmic number of times. With nil caps,
+// every log gets an equal share of the backing memory, and at least
+// the length of the longest log of the last run when that run had nil
+// caps too: the logs of an online algorithm, whose targets are visited
+// evenly, then record a run like the last one without allocating.
+func (r *Recorder) Reset(nTargets int, caps []int) {
 	if nTargets <= 0 {
 		panic(fmt.Sprintf("metrics: NewRecorderCap(%d)", nTargets))
 	}
 	if caps != nil && len(caps) != nTargets {
 		panic(fmt.Sprintf("metrics: %d capacities for %d targets", len(caps), nTargets))
 	}
-	var r *Recorder
-	if released.Load() {
-		r, _ = recorders.Get().(*Recorder)
-	}
-	if r == nil {
-		r = new(Recorder)
-	}
-	r.reset(nTargets, caps)
-	return r
-}
-
-// reset empties r for nTargets targets with capacities caps, as
-// NewRecorderCap describes, reusing what r holds.
-func (r *Recorder) reset(nTargets int, caps []int) {
-	r.runs, r.breaks, r.merged, r.used, r.gapsOK = false, 0, 0, 0, false
+	r.runs, r.breaks, r.merged, r.gapsOK = false, 0, 0, false
 	r.fallbacks = 0
 	if r.spans == nil {
 		r.spans, r.segs, r.ends = r.spanBuf[:0], r.segBuf[:0], r.endBuf[:0]
 	}
 	r.spans = r.spans[:0]
-	keep := len(r.visits) // the last run's logs, pairwise disjoint
-	if cap(r.visits) < nTargets {
-		r.visits, keep = make([][]float64, nTargets), 0
-	}
-	r.visits = r.visits[:nTargets]
+	share := 0
 	if caps == nil {
-		// Each log keeps its backing array, emptied, and grows from
-		// there: a run without capacities (an online algorithm's)
-		// starts from the room the last run's logs reached. An entry
-		// past the last run's logs may point into memory a later log
-		// of that run took, so it starts empty. A kept log may lie in
-		// the flat block, so none of the block is spare for
-		// mergeBuffer.
-		for i := range r.visits {
-			if i < keep {
-				r.visits[i] = r.visits[i][:0]
-			} else {
-				r.visits[i] = nil
+		if r.shares {
+			for _, ts := range r.visits {
+				share = max(share, len(ts))
 			}
 		}
-		r.used = len(r.flat)
-		return
+		// A share no longer than the longest segment's nth part fits
+		// without a new one, however carve packs the logs.
+		for _, seg := range r.flat {
+			share = max(share, len(seg)/nTargets)
+		}
 	}
-	total := 0
-	for _, c := range caps {
-		total += c
+	r.shares = caps == nil
+	if cap(r.visits) < nTargets {
+		r.visits = make([][]float64, nTargets, max(nTargets, 2*cap(r.visits)))
 	}
-	if cap(r.flat) < total {
-		r.flat = make([]float64, total)
-	}
-	r.used = total
-	off := 0
-	for i, c := range caps {
-		r.visits[i] = r.flat[off : off : off+c]
-		off += c
-	}
+	r.visits = r.visits[:nTargets]
+	r.carve(caps, share)
 }
 
-// Release hands r back for a later NewRecorderCap to reuse, so a
-// caller that runs simulation after simulation does not allocate and
-// zero a visit log per run. Neither r nor any log read from it may be
-// used afterwards: the next run overwrites them. A caller that never
-// releases its recorder keeps it for good.
-func Release(r *Recorder) {
-	released.Store(true)
-	recorders.Put(r)
+// room returns the length of flat's segments together.
+func (r *Recorder) room() int {
+	n := 0
+	for _, seg := range r.flat {
+		n += len(seg)
+	}
+	return n
+}
+
+// carve cuts the logs from the segments of flat in target order, log
+// i with room for caps[i] visits, or for share when caps is nil: a log
+// that does not fit the rest of a segment starts the next one. When
+// the logs outgrow the segments, carve adds one as long as the rest of
+// the logs, or as half of all segments together, whichever is longer:
+// the memory grows by at least half each time, and no segment is ever
+// dropped, so a recorder allocates its memory once. A log with no room
+// is nil.
+func (r *Recorder) carve(caps []int, share int) {
+	rest := share * len(r.visits)
+	if caps != nil {
+		rest = 0
+		for _, c := range caps {
+			rest += c
+		}
+	}
+	seg, off := 0, 0
+	for i := range r.visits {
+		c := share
+		if caps != nil {
+			c = caps[i]
+		}
+		if c == 0 {
+			r.visits[i] = nil
+			continue
+		}
+		for seg < len(r.flat) && off+c > len(r.flat[seg]) {
+			seg, off = seg+1, 0
+		}
+		if seg == len(r.flat) {
+			r.flat = append(r.flat, make([]float64, max(rest, r.room()/2)))
+		}
+		r.visits[i] = r.flat[seg][off : off : off+c]
+		off += c
+		rest -= c
+	}
+	r.spare = nil
+	if seg < len(r.flat) {
+		r.spare = r.flat[seg][off:]
+	}
 }
 
 // NumTargets returns the number of tracked targets.
@@ -383,16 +399,15 @@ func (r *Recorder) longest() int {
 }
 
 // mergeBuffer returns room for n visits, the largest capacity of a
-// log: the flat block's spare tail, past the logs, when a released
-// recorder brought a block longer than this run needs, else the
+// log: the spare room past the logs, when it is long enough, else the
 // recorder's own buffer, grown when too short and kept for the runs
-// that take the recorder again after Release.
+// Reset starts.
 func (r *Recorder) mergeBuffer(n int) []float64 {
-	if spare := r.flat[r.used:cap(r.flat)]; len(spare) >= n {
-		return spare
+	if len(r.spare) >= n {
+		return r.spare
 	}
 	if len(r.scratch) < n {
-		r.scratch = make([]float64, n)
+		r.scratch = make([]float64, max(n, 2*len(r.scratch)))
 	}
 	return r.scratch
 }

@@ -212,49 +212,89 @@ func TestPanics(t *testing.T) {
 	}()
 }
 
-// TestRecorderRelease: a recorder released and taken again by
-// NewRecorderCap for another shape starts with every log empty, carved
-// to the new capacities, and records exactly what it is given.
-// Goroutines share the released recorders.
-func TestRecorderRelease(t *testing.T) {
-	done := make(chan struct{})
-	for g := 0; g < 4; g++ {
-		go func(g int) {
-			defer func() { done <- struct{}{} }()
-			src := xrand.New(uint64(g))
-			for i := 0; i < 50; i++ {
-				n := 1 + src.Intn(6)
-				var caps []int
-				if src.Intn(4) > 0 {
-					caps = make([]int, n)
-					for j := range caps {
-						caps[j] = src.Intn(5)
-					}
-				}
-				r := NewRecorderCap(n, caps)
-				for id := 0; id < n; id++ {
-					if got := r.VisitTimes(id); len(got) != 0 || caps != nil && cap(got) != caps[id] {
-						t.Errorf("target %d of a reused recorder starts with %v (cap %d), capacities %v",
-							id, got, cap(got), caps)
-					}
-				}
-				want := make([][]float64, n)
-				for k := src.Intn(20); k > 0; k-- {
-					id, at := src.Intn(n), -float64(k)
-					r.OnVisit(0, id, at)
-					want[id] = append(want[id], at)
-				}
-				for id := 0; id < n; id++ {
-					if !slices.Equal(r.VisitTimes(id), want[id]) {
-						t.Errorf("target %d: recorded %v, want %v", id, r.VisitTimes(id), want[id])
-					}
-				}
-				Release(r)
+// TestRecorderReset: a recorder Reset for another shape, after runs
+// of every shape, starts with every log empty, carved to the new
+// capacities, and records exactly what it is given.
+func TestRecorderReset(t *testing.T) {
+	src := xrand.New(5)
+	r := NewRecorderCap(1, nil)
+	for i := 0; i < 200; i++ {
+		n := 1 + src.Intn(6)
+		var caps []int
+		if src.Intn(4) > 0 {
+			caps = make([]int, n)
+			for j := range caps {
+				caps[j] = src.Intn(5)
 			}
-		}(g)
+		}
+		r.Reset(n, caps)
+		for id := 0; id < n; id++ {
+			if got := r.VisitTimes(id); len(got) != 0 || caps != nil && cap(got) != caps[id] {
+				t.Fatalf("run %d: target %d of a reset recorder starts with %v (cap %d), capacities %v",
+					i, id, got, cap(got), caps)
+			}
+		}
+		want := make([][]float64, n)
+		for k := src.Intn(20); k > 0; k-- {
+			id, at := src.Intn(n), -float64(k)
+			r.OnVisit(0, id, at)
+			want[id] = append(want[id], at)
+		}
+		for id := 0; id < n; id++ {
+			if !slices.Equal(r.VisitTimes(id), want[id]) {
+				t.Fatalf("run %d: target %d recorded %v, want %v", i, id, r.VisitTimes(id), want[id])
+			}
+		}
 	}
-	for g := 0; g < 4; g++ {
-		<-done
+}
+
+// TestResetReusesItsMemory: a recorder Reset for shapes it has held
+// before allocates nothing, its logs each keep to their own room, and
+// a run without capacities that records no more than the last such run
+// allocates nothing either, even once a larger run has grown the
+// backing memory.
+func TestResetReusesItsMemory(t *testing.T) {
+	shapes := [][]int{{3, 0, 5}, {40, 2, 40, 2}, {9}, {100, 1, 1, 100, 7}}
+	r := NewRecorderCap(1, nil)
+	fill := func(caps []int) {
+		for id, c := range caps {
+			for k := 0; k < c; k++ {
+				r.Append(id, float64(1000*id+k))
+			}
+		}
+		for id, c := range caps {
+			if got := r.VisitTimes(id); len(got) != c || c > 0 && got[c-1] != float64(1000*id+c-1) {
+				t.Fatalf("caps %v: target %d holds %v", caps, id, got)
+			}
+		}
+	}
+	for _, caps := range shapes {
+		r.Reset(len(caps), caps)
+		fill(caps)
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		for _, caps := range shapes {
+			r.Reset(len(caps), caps)
+			fill(caps)
+		}
+	}); allocs != 0 {
+		t.Fatalf("resets for shapes held before allocate %v times", allocs)
+	}
+	online := func(n, per int) {
+		r.Reset(n, nil)
+		for k := 0; k < per; k++ {
+			for id := 0; id < n; id++ {
+				r.Append(id, float64(k))
+			}
+		}
+	}
+	online(6, 300) // longer than any share of the memory: its logs grow
+	online(6, 300)
+	if allocs := testing.AllocsPerRun(20, func() { online(6, 300) }); allocs != 0 {
+		t.Fatalf("an online run like the last allocates %v times", allocs)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { online(2, 40) }); allocs != 0 {
+		t.Fatalf("a smaller online run allocates %v times", allocs)
 	}
 }
 
@@ -580,7 +620,7 @@ func checkSummary(t *testing.T, r *Recorder, t0 float64) {
 
 // TestGapSummaryNeverStale: the gap summary is cached per cut, and a
 // read after any change to a log — OnVisit, Append, AppendEvery,
-// MergeRuns, or the reset of a released recorder taken again — sees
+// MergeRuns, or a Reset — sees
 // the change, at the cut the cache holds and at another.
 func TestGapSummaryNeverStale(t *testing.T) {
 	src := xrand.New(21)
@@ -611,8 +651,7 @@ func TestGapSummaryNeverStale(t *testing.T) {
 			last[id] = r.VisitTimes(id)[len(r.VisitTimes(id))-1]
 		case 5:
 			if src.Intn(10) == 0 {
-				Release(r)
-				r = NewRecorderCap(3, []int{4, 4, 4})
+				r.Reset(3, []int{4, 4, 4})
 				clear(last)
 			}
 		}

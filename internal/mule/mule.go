@@ -148,15 +148,28 @@ type Mule struct {
 // New creates a mule bound to the engine. It panics on invalid
 // configuration.
 func New(eng *sim.Engine, cfg Config) *Mule {
+	m := new(Mule)
+	m.Reset(eng, cfg)
+	return m
+}
+
+// Reset makes m the mule New(eng, cfg) returns, keeping only its bound
+// handlers, so a caller that runs simulation after simulation
+// (patrol.Scratch) reuses its mules. Any event m still has pending on
+// its old engine must be gone (sim.Engine.Reset drops them). It panics
+// on invalid configuration.
+func (m *Mule) Reset(eng *sim.Engine, cfg Config) {
 	if cfg.Speed <= 0 {
 		panic(fmt.Sprintf("mule: speed %v must be positive", cfg.Speed))
 	}
 	if cfg.Router == nil {
 		panic("mule: nil router")
 	}
-	m := &Mule{cfg: cfg, eng: eng, pos: cfg.Start}
-	m.advanceFn, m.arriveFn = m.advance, m.onArrive
-	return m
+	advanceFn, arriveFn := m.advanceFn, m.arriveFn
+	if advanceFn == nil {
+		advanceFn, arriveFn = m.advance, m.onArrive
+	}
+	*m = Mule{cfg: cfg, eng: eng, pos: cfg.Start, advanceFn: advanceFn, arriveFn: arriveFn}
 }
 
 // Launch schedules the mule's first movement at the current simulation

@@ -8,7 +8,6 @@ import (
 	"tctp/internal/energy"
 	"tctp/internal/field"
 	"tctp/internal/geom"
-	"tctp/internal/metrics"
 	"tctp/internal/xrand"
 )
 
@@ -131,10 +130,13 @@ func plannerDwell(model energy.Model) float64 {
 // FuzzRunAhead is the run-ahead oracle on tiny decoded runs (see
 // runAheadCase): Run's visit logs, mule and group statistics, patrol
 // start and plan must be bit-identical with and without a no-op
-// observer, which keeps every mule on the engine. Each run ahead
-// follows a B-TCTP run whose recorder it takes over (metrics.Release),
-// so an online run's logs start in a flat block a plan sized.
+// observer, which keeps every mule on the engine. The runs ahead share
+// one Scratch across inputs, and each follows a B-TCTP run on it, so
+// an online run's logs start in a flat block a plan sized and every
+// run starts from what the last input's runs left; the observed runs
+// each take a fresh one.
 func FuzzRunAhead(f *testing.F) {
+	var sc Scratch
 	f.Add([]byte{5, 11, 0, 1, 2, 200, 201, 30, 40, 3, 3, 5, 0, 0, 0, 2, 1, 90, 7, 0, 1, 1, 2, 0, 0, 1, 1, 9})
 	f.Add([]byte{5, 3, 0, 0, 0, 0, 5, 0, 0, 0, 0, 0, 1, 1, 200, 0, 1, 0, 0, 5, 1, 2})
 	f.Add([]byte{0, 8, 10, 20, 30, 40, 50, 60, 70, 80, 1, 3, 3, 6, 9, 2, 1, 40, 3, 1, 0, 0, 7})
@@ -148,7 +150,7 @@ func FuzzRunAhead(f *testing.F) {
 		observed := opts
 		observed.Observers = []Observer{ObserverFuncs{}}
 		if onArrival {
-			probe, err := Run(s, alg(), observed, xrand.New(1))
+			probe, err := sc.Run(s, alg(), observed, xrand.New(1))
 			if err != nil {
 				t.Skip(err)
 			}
@@ -160,12 +162,9 @@ func FuzzRunAhead(f *testing.F) {
 				opts.Horizon = all[arrival%len(all)]
 				observed.Horizon = opts.Horizon
 			}
-			metrics.Release(probe.Recorder)
 		}
-		if warm, err := Run(s, Planned(&core.BTCTP{}), Options{Horizon: opts.Horizon}, nil); err == nil {
-			metrics.Release(warm.Recorder)
-		}
-		got, err := Run(s, alg(), opts, xrand.New(1))
+		sc.Run(s, Planned(&core.BTCTP{}), Options{Horizon: opts.Horizon}, nil)
+		got, err := sc.Run(s, alg(), opts, xrand.New(1))
 		want, werr := Run(s, alg(), observed, xrand.New(1))
 		if (err == nil) != (werr == nil) {
 			t.Fatalf("errors %v and %v", err, werr)
@@ -178,7 +177,5 @@ func FuzzRunAhead(f *testing.F) {
 				got.Algorithm, opts.Horizon, opts.Energy.Dwell, opts.MaxEvents, opts.Fleet,
 				opts.NoSynchronizedStart, got.Events, d)
 		}
-		metrics.Release(got.Recorder)
-		metrics.Release(want.Recorder)
 	})
 }

@@ -159,9 +159,8 @@ type GroupStats struct {
 type Result struct {
 	// Algorithm names the executed algorithm.
 	Algorithm string
-	// Recorder holds the per-target visit log. It is the caller's; one
-	// that runs simulation after simulation may hand it to
-	// metrics.Release once done with the Result.
+	// Recorder holds the per-target visit log. It belongs to the
+	// Scratch that ran: its next run overwrites it (see Scratch.Run).
 	Recorder *metrics.Recorder
 	// Mules holds per-mule statistics.
 	Mules []MuleStats
@@ -255,9 +254,10 @@ func (r *Result) DeadMules() int {
 // route planner (via Planned) or an online policy (via Online).
 type Algorithm interface {
 	Name() string
-	// prepare returns the plan of a plan-based algorithm, whose
-	// routers Run builds, or one router per mule of an online one.
-	prepare(s *field.Scenario, src *xrand.Source) ([]mule.Router, *core.FleetPlan, error)
+	// prepare returns the plan of a plan-based algorithm, carved from
+	// a, whose routers Run builds, or one router per mule of an online
+	// one.
+	prepare(s *field.Scenario, src *xrand.Source, a *core.Arena) ([]mule.Router, *core.FleetPlan, error)
 }
 
 // Planned adapts a core.Planner (B/W/RW-TCTP, CHB, Sweep) to
@@ -287,16 +287,17 @@ type plannedAlg struct {
 
 func (a plannedAlg) Name() string { return a.p.Name() }
 
-// plan runs the planner, through the memo when there is one.
-func (a plannedAlg) plan(s *field.Scenario) (*core.FleetPlan, error) {
-	if a.memo != nil {
-		return a.p.(core.MemoPlanner).PlanMemo(s, a.memo)
+// plan runs the planner, through the memo when there is one, carving
+// the plan from arena when the planner is a core.MemoPlanner.
+func (a plannedAlg) plan(s *field.Scenario, arena *core.Arena) (*core.FleetPlan, error) {
+	if mp, ok := a.p.(core.MemoPlanner); ok {
+		return mp.PlanMemo(s, a.memo, arena)
 	}
 	return a.p.Plan(s)
 }
 
-func (a plannedAlg) prepare(s *field.Scenario, _ *xrand.Source) ([]mule.Router, *core.FleetPlan, error) {
-	plan, err := a.plan(s)
+func (a plannedAlg) prepare(s *field.Scenario, _ *xrand.Source, arena *core.Arena) ([]mule.Router, *core.FleetPlan, error) {
+	plan, err := a.plan(s, arena)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -352,7 +353,7 @@ type onlineAlg struct{ m RouterMaker }
 
 func (a onlineAlg) Name() string { return a.m.Name() }
 
-func (a onlineAlg) prepare(s *field.Scenario, src *xrand.Source) ([]mule.Router, *core.FleetPlan, error) {
+func (a onlineAlg) prepare(s *field.Scenario, src *xrand.Source, _ *core.Arena) ([]mule.Router, *core.FleetPlan, error) {
 	return a.m.NewRouters(s, src), nil, nil
 }
 
@@ -361,6 +362,14 @@ func (a onlineAlg) prepare(s *field.Scenario, src *xrand.Source) ([]mule.Router,
 // Each route holds its mule at its start point, the last approach
 // stop, until hold plus the route's ExtraHold.
 func newPlanRouters(routes []core.MuleRoute, hold float64) []mule.Route {
+	rs, _, _ := planRouters(routes, hold, nil, nil, nil)
+	return rs
+}
+
+// planRouters is newPlanRouters building its routes in rs and carving
+// their tables from legs and phases, each replaced by a buffer of at
+// least twice its capacity when short; it returns the three.
+func planRouters(routes []core.MuleRoute, hold float64, rs []mule.Route, legs []mule.Leg, phases []mule.Phase) ([]mule.Route, []mule.Leg, []mule.Phase) {
 	nl, np := 0, 0
 	for _, r := range routes {
 		for _, ph := range r.Cycle {
@@ -368,8 +377,8 @@ func newPlanRouters(routes []core.MuleRoute, hold float64) []mule.Route {
 		}
 		np += len(r.Cycle)
 	}
-	legs, phases := make([]mule.Leg, 0, nl), make([]mule.Phase, 0, np)
-	rs := make([]mule.Route, len(routes))
+	legs, phases = room(legs, nl), room(phases, np)
+	rs = room(rs, len(routes))[:len(routes)]
 	for i, r := range routes {
 		l0, p0 := len(legs), len(phases)
 		for p, ph := range r.Cycle {
@@ -379,13 +388,22 @@ func newPlanRouters(routes []core.MuleRoute, hold float64) []mule.Route {
 		rs[i] = mule.NewRoute(r.Approach, hold+r.ExtraHold,
 			legs[l0:len(legs):len(legs)], phases[p0:len(phases):len(phases)])
 	}
-	return rs
+	return rs, legs, phases
+}
+
+// room returns s emptied, or an empty buffer of at least twice its
+// capacity when s holds fewer than n elements.
+func room[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, 0, max(n, 2*cap(s)))
+	}
+	return s[:0]
 }
 
 // visitCaps bounds each target's log entries over the horizon from the
 // plan's routes (mule.Route.Bound), each for the clock its mule will
 // keep (see runsAhead), so the recorder can carve every target's log
-// from one flat block and never grow it while the run records. The
+// from its backing memory and never grow it while the run records. The
 // same bounds sum to a bound on the run's events. A run without routes
 // (an online algorithm) gets no capacities, and neither does a plan
 // with a zero-length period (whose event count only MaxEvents bounds)
@@ -395,10 +413,15 @@ func newPlanRouters(routes []core.MuleRoute, hold float64) []mule.Route {
 // stop the run before the horizon, which the mules that run ahead rely
 // on.
 func visitCaps(n int, rs []mule.Route, opts Options) []int {
+	return visitCapsInto(make([]int, n), rs, opts)
+}
+
+// visitCapsInto is visitCaps filling caps, zeroed, with one capacity
+// per target.
+func visitCapsInto(caps []int, rs []mule.Route, opts Options) []int {
 	if rs == nil {
 		return nil
 	}
-	caps := make([]int, n)
 	events := 0.0
 	for i := range rs {
 		events += rs[i].Bound(caps, opts.muleSpeed(i), opts.Energy, opts.Horizon, runsAhead(i, rs, opts))
@@ -485,6 +508,45 @@ func runsAhead(i int, rs []mule.Route, opts Options) bool {
 // bit-identical to running every mule on the engine, which attaching
 // any observer does.
 func Run(s *field.Scenario, alg Algorithm, opts Options, src *xrand.Source) (*Result, error) {
+	return new(Scratch).Run(s, alg, opts, src)
+}
+
+// Scratch is the memory of one run after another: the event engine,
+// the recorder, the mules, their routes and leg tables, the log
+// capacities, the plan's Arena and the Result. Run runs on a fresh
+// Scratch; a caller that runs simulation after simulation, one at a
+// time, keeps one and calls its Run, which resets and reuses all of it,
+// so a warm Scratch allocates nothing for a run no larger than one it
+// ran before. The zero value is ready to use. A Scratch is not safe for
+// concurrent use.
+type Scratch struct {
+	eng    sim.Engine
+	rec    metrics.Recorder
+	arena  core.Arena
+	mules  []*mule.Mule
+	routes []mule.Route
+	legs   []mule.Leg
+	phases []mule.Phase
+	caps   []int
+	pts    []geom.Point
+	groups []GroupStats
+	res    Result
+	// dispatch is the run's observers, the recorder first; visit,
+	// death and recharge are its handlers and recVisit the recorder's,
+	// bound once for every run.
+	dispatch        multiObserver
+	visit, recVisit func(muleID, targetID int, t float64)
+	death           func(muleID int, t float64, pos geom.Point)
+	recharge        func(muleID int, t float64)
+}
+
+// Run is the package's Run on sc's memory. The returned Result, its
+// Recorder, Plan, Groups and Mules, and every log or slice read from
+// them, belong to sc: the next Run overwrites them, so a caller reads
+// what it keeps, and copies every slice it keeps, before it runs sc
+// again. Nothing sc holds is remembered by a core.Memo, and the
+// Scenario, the Options and their observers stay the caller's.
+func (sc *Scratch) Run(s *field.Scenario, alg Algorithm, opts Options, src *xrand.Source) (*Result, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -500,7 +562,12 @@ func Run(s *field.Scenario, alg Algorithm, opts Options, src *xrand.Source) (*Re
 	if err != nil {
 		return nil, err
 	}
+	if sc.visit == nil {
+		sc.visit, sc.recVisit = sc.onVisit, sc.rec.OnVisit
+		sc.death, sc.recharge = sc.onDeath, sc.onRecharge
+	}
 
+	sc.arena.Reset()
 	var routers []mule.Router
 	var plan *core.FleetPlan
 	if active != nil {
@@ -516,7 +583,7 @@ func Run(s *field.Scenario, alg Algorithm, opts Options, src *xrand.Source) (*Re
 		if verr != nil {
 			return nil, verr
 		}
-		local, lerr := pa.plan(view)
+		local, lerr := pa.plan(view, &sc.arena)
 		if lerr != nil {
 			return nil, lerr
 		}
@@ -525,7 +592,7 @@ func Run(s *field.Scenario, alg Algorithm, opts Options, src *xrand.Source) (*Re
 		}
 		plan = core.RemapPlan(local, tids)
 	} else {
-		routers, plan, err = alg.prepare(s, src)
+		routers, plan, err = alg.prepare(s, src, &sc.arena)
 		if err != nil {
 			return nil, err
 		}
@@ -540,7 +607,8 @@ func Run(s *field.Scenario, alg Algorithm, opts Options, src *xrand.Source) (*Re
 			// this is exactly MaxApproach / Speed.
 			hold = plan.MaxApproach / opts.slowestSpeed(s.NumMules())
 		}
-		rs = newPlanRouters(plan.Routes, hold)
+		sc.routes, sc.legs, sc.phases = planRouters(plan.Routes, hold, sc.routes, sc.legs, sc.phases)
+		rs = sc.routes
 		n = len(rs)
 	}
 	if n != s.NumMules() {
@@ -548,8 +616,11 @@ func Run(s *field.Scenario, alg Algorithm, opts Options, src *xrand.Source) (*Re
 			alg.Name(), n, s.NumMules())
 	}
 
-	eng := sim.New()
-	caps := visitCaps(s.NumTargets(), rs, opts)
+	eng := &sc.eng
+	eng.Reset()
+	sc.caps = room(sc.caps, s.NumTargets())[:s.NumTargets()]
+	clear(sc.caps)
+	caps := visitCapsInto(sc.caps, rs, opts)
 	// bounded says that the run's events provably stay within
 	// MaxEvents, which the mules that run ahead rely on.
 	bounded := caps != nil
@@ -557,15 +628,14 @@ func Run(s *field.Scenario, alg Algorithm, opts Options, src *xrand.Source) (*Re
 		_, declared := alg.(onlineAlg).m.(IndependentRouters)
 		bounded = declared && onlineWithin(n, onlineEvents(opts.Energy.Dwell, opts.Horizon), opts.MaxEvents)
 	}
-	rec := metrics.NewRecorderCap(s.NumTargets(), caps)
+	rec := &sc.rec
+	rec.Reset(s.NumTargets(), caps)
 	// The recorder is the first observer; user observers follow in
 	// registration order, all peers of one dispatch.
-	dispatch := make(multiObserver, 0, 1+len(opts.Observers))
-	dispatch = append(dispatch, rec)
-	dispatch = append(dispatch, opts.Observers...)
-	onVisit, onDeath := dispatch.OnVisit, dispatch.OnDeath
+	sc.dispatch = append(append(sc.dispatch[:0], rec), opts.Observers...)
+	onVisit, onDeath := sc.visit, sc.death
 	if len(opts.Observers) == 0 {
-		onVisit = rec.OnVisit
+		onVisit = sc.recVisit
 	}
 	var rp *replanner
 	if len(events) > 0 {
@@ -583,11 +653,14 @@ func Run(s *field.Scenario, alg Algorithm, opts Options, src *xrand.Source) (*Re
 		// battery-dead mule.
 		onDeath = func(id int, t float64, pos geom.Point) {
 			rp.alive[id] = false
-			dispatch.OnDeath(id, t, pos)
+			sc.dispatch.OnDeath(id, t, pos)
 		}
 	}
-	mules := make([]*mule.Mule, s.NumMules())
-	for i := range mules {
+	for len(sc.mules) < s.NumMules() {
+		sc.mules = append(sc.mules, new(mule.Mule))
+	}
+	mules := sc.mules[:s.NumMules()]
+	for i, m := range mules {
 		var battery *energy.Battery
 		switch {
 		case i < len(opts.Fleet) && opts.Fleet[i].Battery > 0:
@@ -601,7 +674,7 @@ func Run(s *field.Scenario, alg Algorithm, opts Options, src *xrand.Source) (*Re
 		} else {
 			router = routers[i]
 		}
-		mules[i] = mule.New(eng, mule.Config{
+		m.Reset(eng, mule.Config{
 			ID:         i,
 			Start:      s.MuleStarts[i],
 			Speed:      opts.muleSpeed(i),
@@ -610,16 +683,16 @@ func Run(s *field.Scenario, alg Algorithm, opts Options, src *xrand.Source) (*Re
 			Router:     router,
 			OnVisit:    onVisit,
 			OnDeath:    onDeath,
-			OnRecharge: dispatch.OnRecharge,
+			OnRecharge: sc.recharge,
 		})
 		if bounded && runsAhead(i, rs, opts) {
 			rec.AllowRuns() // the mule's visits start a run in each log
 			if rs != nil {
 				rs[i].Compile(rec)
 			}
-			mules[i].RunUntil(opts.Horizon)
+			m.RunUntil(opts.Horizon)
 		} else {
-			mules[i].Launch()
+			m.Launch()
 		}
 	}
 	if rp != nil {
@@ -646,10 +719,11 @@ func Run(s *field.Scenario, alg Algorithm, opts Options, src *xrand.Source) (*Re
 	}
 	rec.MergeRuns()
 
-	res := &Result{
+	res := &sc.res
+	*res = Result{
 		Algorithm:   alg.Name(),
 		Recorder:    rec,
-		Mules:       make([]MuleStats, len(mules)),
+		Mules:       room(res.Mules, len(mules))[:len(mules)],
 		Plan:        plan,
 		PatrolStart: hold,
 		Events:      executed,
@@ -667,23 +741,33 @@ func Run(s *field.Scenario, alg Algorithm, opts Options, src *xrand.Source) (*Re
 			Dead:           m.Dead(),
 		}
 	}
-	if plan != nil {
-		pts := s.Points()
-		res.Groups = make([]GroupStats, len(plan.Groups))
-		for gi := range plan.Groups {
-			g := &plan.Groups[gi]
-			gs := GroupStats{
-				Targets:    g.Targets,
-				Mules:      g.Mules,
-				WalkLength: g.Walk.Length(pts),
-			}
-			for _, mi := range g.Mules {
-				gs.Distance += res.Mules[mi].Distance
-				gs.Visits += res.Mules[mi].Visits
-				gs.EnergyConsumed += res.Mules[mi].EnergyConsumed
-			}
-			res.Groups[gi] = gs
-		}
+	if plan == nil {
+		return res, nil
 	}
+	sc.pts = s.AppendPoints(room(sc.pts, s.NumTargets()))
+	sc.groups = room(sc.groups, len(plan.Groups))
+	for gi := range plan.Groups {
+		g := &plan.Groups[gi]
+		gs := GroupStats{
+			Targets:    g.Targets,
+			Mules:      g.Mules,
+			WalkLength: g.Walk.Length(sc.pts),
+		}
+		for _, mi := range g.Mules {
+			gs.Distance += res.Mules[mi].Distance
+			gs.Visits += res.Mules[mi].Visits
+			gs.EnergyConsumed += res.Mules[mi].EnergyConsumed
+		}
+		sc.groups = append(sc.groups, gs)
+	}
+	res.Groups = sc.groups
 	return res, nil
 }
+
+// onVisit, onDeath and onRecharge dispatch a visit, a death and a
+// recharge to the run's observers.
+func (sc *Scratch) onVisit(id, target int, t float64) { sc.dispatch.OnVisit(id, target, t) }
+
+func (sc *Scratch) onDeath(id int, t float64, pos geom.Point) { sc.dispatch.OnDeath(id, t, pos) }
+
+func (sc *Scratch) onRecharge(id int, t float64) { sc.dispatch.OnRecharge(id, t) }

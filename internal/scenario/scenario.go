@@ -290,8 +290,18 @@ func (s *Scenario) Validate() error {
 // materializing a homogeneous paper-protocol scenario is bit-compatible
 // with pre-scenario code.
 func (s *Scenario) Materialize(src *xrand.Source) (*field.Scenario, error) {
-	if err := s.Validate(); err != nil {
+	scn := new(field.Scenario)
+	if err := s.MaterializeInto(scn, src); err != nil {
 		return nil, err
+	}
+	return scn, nil
+}
+
+// MaterializeInto is Materialize building the instance in dst, whose
+// arrays it reuses (see field.GenerateInto).
+func (s *Scenario) MaterializeInto(dst *field.Scenario, src *xrand.Source) error {
+	if err := s.Validate(); err != nil {
+		return err
 	}
 	cfg := field.Config{
 		Width:         s.Field.Width,
@@ -304,14 +314,13 @@ func (s *Scenario) Materialize(src *xrand.Source) (*field.Scenario, error) {
 		MulesAtSink:   s.Fleet.AtSink,
 		WithRecharge:  s.Field.Recharge,
 	}
-	scn, err := field.Generate(cfg, src)
-	if err != nil {
-		return nil, err
+	if err := field.GenerateInto(dst, cfg, src); err != nil {
+		return err
 	}
 	if s.Targets.VIPs > 0 {
-		scn.AssignVIPs(src, s.Targets.VIPs, s.Targets.VIPWeight)
+		dst.AssignVIPs(src, s.Targets.VIPs, s.Targets.VIPWeight)
 	}
-	return scn, nil
+	return nil
 }
 
 // PatrolOptions derives the run options the scenario implies: horizon,

@@ -136,6 +136,18 @@ type Engine struct {
 // New returns an engine with the clock at 0.
 func New() *Engine { return &Engine{} }
 
+// Reset drops every pending event and sets the clock back to 0, as New
+// leaves it, keeping the heap's array and the event records for the
+// next run. Cancel handles issued before the reset become no-ops.
+func (e *Engine) Reset() {
+	for i, ev := range e.events {
+		e.recycle(ev)
+		e.events[i] = nil
+	}
+	e.events = e.events[:0]
+	e.now, e.seq = 0, 0
+}
+
 // Now returns the current simulation time in seconds.
 func (e *Engine) Now() float64 { return e.now }
 

@@ -336,7 +336,14 @@ func loadCheckpoint(path string, j *Job) (map[int]checkpointRecord, int64, error
 			path, hdr.Shard, hdr.Shards, hdr.Offset, hdr.Offset+hdr.Cells, hdr.TotalCells,
 			j.shard, j.shards, j.offset, j.offset+len(j.defs), j.total)
 	}
-	for _, rec := range records {
+	// Every record lies inside the shard (readCheckpoint checks it);
+	// walking the cells in order makes the refusal the lowest bad
+	// cell's, as Merge's is.
+	for local := range hdr.Cells {
+		rec, ok := records[local]
+		if !ok {
+			continue
+		}
 		if err := j.spec.checkState(&rec.FoldState, false); err != nil {
 			return nil, 0, fmt.Errorf("sweep: checkpoint %s: cell %d %w", path, rec.Cell, err)
 		}

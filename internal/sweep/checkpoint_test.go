@@ -236,6 +236,35 @@ func TestResumeCorruptCheckpoint(t *testing.T) {
 		corrupt(t, strings.Join(mod, ""), "counter says")
 	})
 
+	t.Run("two-bad-cells", func(t *testing.T) {
+		// With two cells whose records the spec cannot have produced,
+		// the refusal names the lower cell on every attempt: the
+		// records are checked in cell order, not in map order.
+		last := map[int]int{} // cell → line of its latest record
+		for i, l := range lines[1:] {
+			var rec checkpointRecord
+			if json.Unmarshal([]byte(l), &rec) == nil {
+				last[rec.Cell] = i + 1
+			}
+		}
+		mod := append([]string{}, lines...)
+		for _, cell := range []int{3, 1} {
+			var rec checkpointRecord
+			if err := json.Unmarshal([]byte(mod[last[cell]]), &rec); err != nil {
+				t.Fatal(err)
+			}
+			rec.Scalars = rec.Scalars[:len(rec.Scalars)-1]
+			b, err := json.Marshal(rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mod[last[cell]] = string(b) + "\n"
+		}
+		for i := 0; i < 20; i++ {
+			corrupt(t, strings.Join(mod, ""), ": cell 1 carries")
+		}
+	})
+
 	t.Run("truncated-final-line", func(t *testing.T) {
 		// A half-written final record is the normal signature of a
 		// crash: it is discarded, and the resume still matches the

@@ -9,7 +9,6 @@ import (
 
 	"tctp/internal/core"
 	"tctp/internal/field"
-	"tctp/internal/metrics"
 	"tctp/internal/patrol"
 	"tctp/internal/scenario"
 	"tctp/internal/stats"
@@ -166,6 +165,9 @@ type engine struct {
 	ck     *checkpointWriter // nil when not checkpointing
 	cached *cachedCells      // nil unless every cell is settled whole
 	plans  *core.Memo        // the job's point-set stage memo
+	// scratches are the job's run scratches, one taken by each worker
+	// that runs a replication.
+	scratches *scratches
 	// cancels holds each in-flight waiting resolve's cancel, by cell;
 	// nil unless cached.waits.
 	cancels []context.CancelFunc
@@ -288,6 +290,7 @@ func (j *Job) run(ctx context.Context, opts RunOpts, restored map[int]checkpoint
 		ck:         ck,
 		cached:     cached,
 		plans:      j.plans,
+		scratches:  j.scratches,
 		collectors: make([]*collector, len(defs)),
 		records:    make(map[int]checkpointRecord, len(defs)),
 		ready:      make(map[int]*CellResult),
@@ -345,6 +348,8 @@ func (j *Job) run(ctx context.Context, opts RunOpts, restored map[int]checkpoint
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var rs *runScratch // taken at the worker's first replication
+			defer func() { e.scratches.put(rs) }()
 			for {
 				jb, ok := e.take(ctx)
 				if !ok {
@@ -354,13 +359,20 @@ func (j *Job) run(ctx context.Context, opts RunOpts, restored map[int]checkpoint
 					e.settle(ctx, jb.cell)
 					continue
 				}
+				if rs == nil {
+					rs = e.scratches.get()
+				}
 				// Yield once per replication: with every P running a
 				// worker, the GC's mark worker otherwise waits up to the
 				// 10 ms preemption for a P, with the write barrier and
-				// mark assists on (the paper grid at 60 seeds on 2 Ps
-				// took 20% longer).
+				// mark assists on. With the run scratch the paper grid
+				// at 60 seeds on 2 Ps collects 9 times and took 3%
+				// longer without the yield (30 of 40 pairs; concurrent
+				// mark 7 → 70 ms in all). A 1-seed grid, which collects
+				// none, ran 3% faster without it (16 of 20 pairs), and
+				// no faster with a yield once per millisecond.
 				runtime.Gosched()
-				vals, err := e.runOne(jb)
+				vals, err := e.runOne(jb, rs)
 				e.deliver(jb, vals, err)
 			}
 		}()
@@ -508,8 +520,54 @@ func (e *engine) emitReadyLocked() {
 	}
 }
 
-// runOne executes a single replication of a single cell.
-func (e *engine) runOne(j job) (*runValues, error) {
+// runScratch is what one engine worker reuses from one replication to
+// the next: the materialized scenario and the simulation's
+// patrol.Scratch. A replication's values are read, and its vectors
+// copied, before the worker runs the next one (see runOne), so nothing
+// a sweep keeps aliases it.
+type runScratch struct {
+	scn field.Scenario
+	run patrol.Scratch
+}
+
+// scratches is a Job's free list of run scratches. A worker takes one
+// for its replications and puts it back when it stops, so the next
+// Run of the job, a shard's or a ComputeCell sub-job's, starts warm.
+// The list holds at most as many scratches as workers ever ran at
+// once. The zero value is ready to use; a nil *scratches hands out a
+// fresh scratch every time and keeps none.
+type scratches struct {
+	mu   sync.Mutex
+	free []*runScratch
+}
+
+// get takes a scratch from the list, or makes one.
+func (f *scratches) get() *runScratch {
+	if f != nil {
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		if n := len(f.free); n > 0 {
+			rs := f.free[n-1]
+			f.free = f.free[:n-1]
+			return rs
+		}
+	}
+	return new(runScratch)
+}
+
+// put hands a scratch back to the list; a nil rs is ignored.
+func (f *scratches) put(rs *runScratch) {
+	if f == nil || rs == nil {
+		return
+	}
+	f.mu.Lock()
+	f.free = append(f.free, rs)
+	f.mu.Unlock()
+}
+
+// runOne executes a single replication of a single cell on the
+// worker's scratch rs.
+func (e *engine) runOne(j job, rs *runScratch) (*runValues, error) {
 	sp := e.spec
 	d := e.defs[j.cell]
 	p := d.point
@@ -521,14 +579,11 @@ func (e *engine) runOne(j job) (*runValues, error) {
 	// Fleets axis reaches the simulation on both paths.
 	st := scenario.SeedStreams(seed)
 	sc := sp.cellScenario(d)
-	var scn *field.Scenario
+	scn := &rs.scn
 	if sp.Scenario != nil {
 		scn = sp.Scenario(p, &st.Scenario)
-	} else {
-		var err error
-		if scn, err = sc.Materialize(&st.Scenario); err != nil {
-			return nil, fmt.Errorf("sweep: cell %v seed %d: %w", p, seed, err)
-		}
+	} else if err := sc.MaterializeInto(scn, &st.Scenario); err != nil {
+		return nil, fmt.Errorf("sweep: cell %v seed %d: %w", p, seed, err)
 	}
 	opts := sc.PatrolOptions()
 	opts.UseBattery = p.Battery
@@ -587,14 +642,14 @@ func (e *engine) runOne(j job) (*runValues, error) {
 	}
 	// Cells of the same targets share their circuits and paths.
 	alg = patrol.Memoized(alg, e.plans)
-	res, err := patrol.Run(scn, alg, opts, &runSrc)
+	// The result lives in the worker's scratch until its next
+	// replication: every metric is read from it, and every vector
+	// copied, since a Vector.Fn may return a slice of one of its logs,
+	// before runOne returns.
+	res, err := rs.run.Run(scn, alg, opts, &runSrc)
 	if err != nil {
 		return nil, fmt.Errorf("sweep: cell %v seed %d: %w", p, seed, err)
 	}
-	// The recorder goes back for a later replication once every metric
-	// has been read; vectors are copied first, since a Vector.Fn may
-	// return a slice of one of its logs.
-	defer metrics.Release(res.Recorder)
 
 	env := Env{Point: p, Variant: d.variant, Seed: seed, Scenario: scn, Result: res, Fleet: sc.Fleet, Data: data}
 	vals := &runValues{scalars: make([]float64, len(sp.Metrics))}

@@ -171,10 +171,10 @@ func TestRunVectorMetric(t *testing.T) {
 }
 
 // TestRunVectorOfRawLog: a vector may return a slice of the
-// recorder's own visit log. The engine recycles each replication's
-// recorder once its metrics are read, so it must copy the slice before
-// another worker's replication overwrites it: the raw vector folds to
-// exactly what a vector returning its own copy folds to.
+// recorder's own visit log. Each worker runs its next replication on
+// the same scratch, recorder included, so the engine must copy the
+// slice before that run overwrites it: the raw vector folds to exactly
+// what a vector returning its own copy folds to.
 func TestRunVectorOfRawLog(t *testing.T) {
 	const n = 8
 	spec := Spec{
@@ -206,6 +206,70 @@ func TestRunVectorOfRawLog(t *testing.T) {
 			t.Fatalf("cell %v: raw log folds to %v %v, its copy to %v %v", c.Point, raw.N, raw.Mean, cp.N, cp.Mean)
 		}
 	}
+}
+
+// TestRunScratchValuesSurvive: one worker scratch runs every cell of a
+// grid in turn, and each replication's values equal those of the same
+// replication on a fresh scratch, bit for bit, and stay so after the
+// scratch has run every later cell: nothing the engine keeps of a run
+// aliases the scratch it ran on.
+func TestRunScratchValuesSurvive(t *testing.T) {
+	spec := Spec{
+		Name: "scratch",
+		Algorithms: []Variant{
+			Algo("btctp", patrol.Planned(&core.BTCTP{})),
+			Algo("random", patrol.Online(&baseline.Random{})),
+			Algo("sweep", patrol.Planned(&baseline.Sweep{})),
+		},
+		Targets:  []int{50, 10},
+		Mules:    []int{8, 2},
+		Horizons: []float64{8_000},
+		Failures: []Failure{{}, {Rate: 0.5, Handoff: "absorb"}},
+		Metrics:  []Metric{AvgDCDT(), AvgSD(), MaxInterval(), GroupCount()},
+		Vectors: []VectorMetric{
+			{Name: "raw", Len: 6, Fn: func(e Env) []float64 { return e.Result.Recorder.VisitTimes(0) }},
+			GroupDCDT(6),
+		},
+		Seeds: 1,
+	}
+	j, err := Plan(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := &engine{spec: &j.spec, defs: j.defs, plans: j.plans}
+	var rs runScratch
+	var kept []*runValues
+	for cell := range j.defs {
+		got, err := e.runOne(job{cell: cell}, &rs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept = append(kept, got)
+	}
+	for cell, got := range kept {
+		want, err := e.runOne(job{cell: cell}, new(runScratch))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameValues(got, want) {
+			t.Fatalf("cell %v: values %v %v after the scratch ran on, a fresh scratch's %v %v",
+				j.defs[cell].point, got.scalars, got.vectors, want.scalars, want.vectors)
+		}
+	}
+}
+
+// sameValues reports whether two replications' values are bit-equal.
+func sameValues(a, b *runValues) bool {
+	bits := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	if !slices.EqualFunc(a.scalars, b.scalars, bits) || len(a.vectors) != len(b.vectors) {
+		return false
+	}
+	for i := range a.vectors {
+		if !slices.EqualFunc(a.vectors[i], b.vectors[i], bits) {
+			return false
+		}
+	}
+	return true
 }
 
 func TestRunError(t *testing.T) {

@@ -44,9 +44,11 @@ type Job struct {
 	offset  int    // global index of defs[0] in the full plan
 	total   int    // executable cells in the full plan
 	// plans remembers the point-set stage of the cells' plans (see
-	// core.Memo), shared by the job's shards and by ComputeCell's
+	// core.Memo), and scratches holds the run scratches its workers
+	// reuse; both are shared by the job's shards and by ComputeCell's
 	// one-cell sub-jobs, which copy the Job.
-	plans *core.Memo
+	plans     *core.Memo
+	scratches *scratches
 }
 
 // Plan validates the spec, enumerates its executable cells (consulting
@@ -89,7 +91,7 @@ func Plan(spec Spec) (*Job, error) {
 	}
 	return &Job{
 		spec: sp, defs: defs, skipped: skipped, fp: fp, tail: tail,
-		shards: 1, total: len(defs), plans: new(core.Memo),
+		shards: 1, total: len(defs), plans: new(core.Memo), scratches: new(scratches),
 	}, nil
 }
 

@@ -297,10 +297,12 @@ func Algo(name string, alg patrol.Algorithm) Variant {
 }
 
 // Env is what a metric function sees: one finished replication of one
-// cell. Result.Recorder is valid only while the metric functions run:
-// the engine recycles it for a later replication once every metric has
-// been read, so a metric must not keep it. A vector may return a slice
-// of one of its logs; the engine copies what a vector returns.
+// cell. Scenario and Result are valid only while the metric functions
+// run: they live in the worker's run scratch, which its next
+// replication overwrites once every metric has been read, so a metric
+// must not keep them or anything read from them. A vector may return a
+// slice of one of the recorder's logs; the engine copies what a vector
+// returns.
 type Env struct {
 	Point    Point
 	Variant  Variant

@@ -53,9 +53,19 @@ func (w Walk) Points(pts []geom.Point) []geom.Point {
 	return out
 }
 
-// Length returns the total length of the closed walk.
+// Length returns the total length of the closed walk: the segment
+// lengths summed in walk order, closing edge last, as geom.CycleLen
+// sums them over w.Points(pts).
 func (w Walk) Length(pts []geom.Point) float64 {
-	return geom.CycleLen(w.Points(pts))
+	n := len(w.Seq)
+	if n < 2 {
+		return 0
+	}
+	total := 0.0
+	for i := 1; i < n; i++ {
+		total += pts[w.Seq[i-1]].Dist(pts[w.Seq[i]])
+	}
+	return total + pts[w.Seq[n-1]].Dist(pts[w.Seq[0]])
 }
 
 // Occurrences returns how many times target idx appears in the walk.
@@ -147,43 +157,51 @@ func (w Walk) RotateToNorthmost(pts []geom.Point) Walk {
 	if len(w.Seq) == 0 {
 		return w
 	}
-	wp := w.Points(pts)
-	return w.Rotate(geom.Northmost(wp))
+	return w.Rotate(w.NorthmostPos(pts))
 }
 
-// closedPoints returns the walk's points with the first point
-// replicated at the end, turning the cyclic walk into an explicit
-// closed polyline for arc-length computations.
-func (w Walk) closedPoints(pts []geom.Point) []geom.Point {
-	p := w.Points(pts)
-	if len(p) > 0 {
-		p = append(p, p[0])
+// NorthmostPos returns the walk position of the first occurrence of
+// the most-north target: geom.Northmost of w.Points(pts). It panics on
+// an empty walk.
+func (w Walk) NorthmostPos(pts []geom.Point) int {
+	if len(w.Seq) == 0 {
+		panic("walk: NorthmostPos on empty walk")
 	}
-	return p
+	best := 0
+	for i, id := range w.Seq[1:] {
+		if geom.NorthOf(pts[id], pts[w.Seq[best]]) {
+			best = i + 1
+		}
+	}
+	return best
 }
 
 // PointsAt returns the points at arc lengths ds along the closed walk,
 // measured from the walk's first target; each d wraps modulo the walk
-// length. The closed polyline and its total length are built once and
-// shared by every query. It panics on an empty walk.
+// length. It panics on an empty walk.
 func (w Walk) PointsAt(pts []geom.Point, ds []float64) []geom.Point {
-	closed := w.closedPoints(pts)
-	if len(closed) == 0 {
-		panic("walk: PointsAt on empty walk")
-	}
-	total := geom.PathLen(closed)
-	out := make([]geom.Point, len(ds))
-	for i, d := range ds {
-		out[i] = pointAt(closed, total, d)
-	}
-	return out
+	return w.AppendPointsAt(make([]geom.Point, 0, len(ds)), pts, ds)
 }
 
-// pointAt is the point at arc length d along a prebuilt closed
-// polyline of length total,
-// letting batch callers (StartPoints) pay for closedPoints and PathLen
-// once instead of per query.
-func pointAt(closed []geom.Point, total, d float64) geom.Point {
+// AppendPointsAt appends PointsAt(pts, ds) to dst: the walk's length
+// is computed once and shared by every query.
+func (w Walk) AppendPointsAt(dst, pts []geom.Point, ds []float64) []geom.Point {
+	if len(w.Seq) == 0 {
+		panic("walk: PointsAt on empty walk")
+	}
+	total := w.Length(pts)
+	for _, d := range ds {
+		dst = append(dst, w.pointAt(pts, total, d))
+	}
+	return dst
+}
+
+// pointAt is the point at arc length d along the closed walk of length
+// total, d wrapping modulo total: geom.PointAlong on the closed
+// polyline w.Points(pts) with its first point appended, walked segment
+// by segment without building it. Length sums the polyline's segments
+// in the order geom.PathLen does, so batch callers pay for it once.
+func (w Walk) pointAt(pts []geom.Point, total, d float64) geom.Point {
 	if total > 0 {
 		for d < 0 {
 			d += total
@@ -194,8 +212,22 @@ func pointAt(closed []geom.Point, total, d float64) geom.Point {
 	} else {
 		d = 0
 	}
-	p, _ := geom.PointAlong(closed, d)
-	return p
+	n := len(w.Seq)
+	if d <= 0 {
+		return pts[w.Seq[0]]
+	}
+	for i := 1; i <= n; i++ {
+		a, b := pts[w.Seq[i-1]], pts[w.Seq[i%n]]
+		seg := a.Dist(b)
+		if d <= seg+geom.Eps {
+			if seg == 0 {
+				return b
+			}
+			return a.Lerp(b, d/seg)
+		}
+		d -= seg
+	}
+	return pts[w.Seq[0]]
 }
 
 // StartPoints returns n points spaced |walk|/n apart along the closed
@@ -204,22 +236,23 @@ func pointAt(closed []geom.Point, total, d float64) geom.Point {
 // the patrolling path is partitioned into, one per data mule.
 // It panics if n <= 0 or the walk is empty.
 func (w Walk) StartPoints(pts []geom.Point, n int) []geom.Point {
+	return w.AppendStartPoints(make([]geom.Point, 0, max(n, 0)), pts, n)
+}
+
+// AppendStartPoints appends StartPoints(pts, n) to dst: one length
+// computation serves all n queries.
+func (w Walk) AppendStartPoints(dst, pts []geom.Point, n int) []geom.Point {
 	if n <= 0 {
 		panic(fmt.Sprintf("walk: StartPoints with n=%d", n))
 	}
 	if len(w.Seq) == 0 {
 		panic("walk: StartPoints on empty walk")
 	}
-	// One closed polyline and one length computation serve all n
-	// queries; Length and PathLen(closedPoints) sum the same segment
-	// distances in the same order, so the offsets are unchanged.
-	closed := w.closedPoints(pts)
-	total := geom.PathLen(closed)
-	out := make([]geom.Point, n)
+	total := w.Length(pts)
 	for i := 0; i < n; i++ {
-		out[i] = pointAt(closed, total, float64(i)*total/float64(n))
+		dst = append(dst, w.pointAt(pts, total, float64(i)*total/float64(n)))
 	}
-	return out
+	return dst
 }
 
 // ArcOffsets returns, for each position k in the walk, the arc-length
@@ -227,7 +260,15 @@ func (w Walk) StartPoints(pts []geom.Point, n int) []geom.Point {
 // edge is not included; offsets are strictly increasing when no two
 // consecutive targets coincide.
 func (w Walk) ArcOffsets(pts []geom.Point) []float64 {
-	out := make([]float64, len(w.Seq))
+	return w.ArcOffsetsInto(make([]float64, len(w.Seq)), pts)
+}
+
+// ArcOffsetsInto writes ArcOffsets(pts) into out, which must hold
+// len(w.Seq) values, and returns it.
+func (w Walk) ArcOffsetsInto(out []float64, pts []geom.Point) []float64 {
+	if len(out) > 0 {
+		out[0] = 0
+	}
 	acc := 0.0
 	for i := 1; i < len(w.Seq); i++ {
 		acc += pts[w.Seq[i-1]].Dist(pts[w.Seq[i]])
@@ -254,18 +295,25 @@ func (w Walk) NearestOffset(pts []geom.Point, p geom.Point) float64 {
 // strictly nearer projection (ties resolve to the earlier segment). It
 // panics on an empty walk.
 func (w Walk) NearestOffsets(pts []geom.Point, ps []geom.Point) []float64 {
-	closed := w.closedPoints(pts)
-	if len(closed) == 0 {
+	return w.AppendNearestOffsets(make([]float64, 0, 2*len(ps)), pts, ps)
+}
+
+// AppendNearestOffsets appends NearestOffsets(pts, ps) to dst, using
+// room for as many values again past them as its scratch.
+func (w Walk) AppendNearestOffsets(dst []float64, pts []geom.Point, ps []geom.Point) []float64 {
+	n := len(w.Seq)
+	if n == 0 {
 		panic("walk: NearestOffsets on empty walk")
 	}
-	bestOff := make([]float64, len(ps))
-	bestDist := make([]float64, len(ps))
+	m := len(dst)
+	dst = append(dst, make([]float64, 2*len(ps))...)
+	bestOff, bestDist := dst[m:m+len(ps)], dst[m+len(ps):]
 	for i := range bestDist {
 		bestDist[i] = math.Inf(1)
 	}
 	acc := 0.0
-	for i := 1; i < len(closed); i++ {
-		a, b := closed[i-1], closed[i]
+	for i := 1; i <= n; i++ {
+		a, b := pts[w.Seq[i-1]], pts[w.Seq[i%n]]
 		seg := geom.Segment{A: a, B: b}
 		segLen := seg.Len()
 		ab := b.Sub(a)
@@ -296,7 +344,7 @@ func (w Walk) NearestOffsets(pts []geom.Point, ps []geom.Point) []float64 {
 			bestOff[j] = off - total
 		}
 	}
-	return bestOff
+	return dst[:m+len(ps)]
 }
 
 // InsertAfter returns a new walk with target via inserted after

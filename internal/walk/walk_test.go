@@ -397,7 +397,7 @@ func TestNearestOffsetPanicsEmpty(t *testing.T) {
 // the first strictly nearer projection. The equivalence test below
 // holds NearestOffsets (and so NearestOffset) to it bit for bit.
 func referenceNearestOffset(w Walk, pts []geom.Point, p geom.Point) float64 {
-	closed := w.closedPoints(pts)
+	closed := closedPoints(w, pts)
 	bestOff, bestDist := 0.0, math.Inf(1)
 	acc := 0.0
 	for i := 1; i < len(closed); i++ {
@@ -424,6 +424,64 @@ func referenceNearestOffset(w Walk, pts []geom.Point, p geom.Point) float64 {
 		bestOff -= acc
 	}
 	return bestOff
+}
+
+// closedPoints is the walk's closed polyline: its points with the first
+// appended.
+func closedPoints(w Walk, pts []geom.Point) []geom.Point {
+	p := w.Points(pts)
+	return append(p, p[0])
+}
+
+// TestPointsAlongClosedPolyline: StartPoints, PointsAt and Length walk
+// the closed walk without building it, bit-equal to geom.PointAlong,
+// geom.PathLen and geom.CycleLen on the built polyline, repeated
+// targets, coincident points and offsets past either end included.
+func TestPointsAlongClosedPolyline(t *testing.T) {
+	src := xrand.New(31)
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + src.Intn(10)
+		pts := make([]geom.Point, n)
+		for i := range pts {
+			pts[i] = geom.Pt(float64(src.Intn(8)), float64(src.Intn(8)))
+		}
+		seq := make([]int, 1+src.Intn(12))
+		for i := range seq {
+			seq[i] = src.Intn(n)
+		}
+		w := New(seq)
+		closed := closedPoints(w, pts)
+		total := geom.PathLen(closed)
+		if got, want := w.Length(pts), geom.CycleLen(w.Points(pts)); math.Float64bits(got) != math.Float64bits(want) || math.Float64bits(got) != math.Float64bits(total) {
+			t.Fatalf("walk %v: Length %v, CycleLen %v, PathLen %v", seq, got, want, total)
+		}
+		ref := func(d float64) geom.Point {
+			if total > 0 {
+				for d < 0 {
+					d += total
+				}
+				for d >= total {
+					d -= total
+				}
+			} else {
+				d = 0
+			}
+			p, _ := geom.PointAlong(closed, d)
+			return p
+		}
+		k := 1 + src.Intn(6)
+		for i, p := range w.StartPoints(pts, k) {
+			if want := ref(float64(i) * total / float64(k)); p != want {
+				t.Fatalf("walk %v: start point %d of %d = %v, want %v", seq, i, k, p, want)
+			}
+		}
+		ds := []float64{-total / 3, 0, total / 7, total / 2, total, 1.5 * total, geom.Eps / 2}
+		for i, p := range w.PointsAt(pts, ds) {
+			if want := ref(ds[i]); p != want {
+				t.Fatalf("walk %v: point at %v = %v, want %v", seq, ds[i], p, want)
+			}
+		}
+	}
 }
 
 // TestNearestOffsetsMatchesReference: the one-pass batch is bit-equal
